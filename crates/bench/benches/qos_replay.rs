@@ -1,26 +1,23 @@
 //! Criterion bench: request-level QoS evaluation pipelines.
 //!
-//! Three ways to price the same request workload against the same run:
+//! Two ways to price the same request workload against the same run:
 //!
-//! * `per_request` — the original event-per-request replay (one task and
-//!   one report per VM, uncursored timeline lookups): the baseline the
-//!   batched path is measured against;
-//! * `batched` — the interval-batched replay (chunked VMs, cursored
-//!   lookups, reused stream/server buffers): the post-hoc fast path;
+//! * `batched` — the post-hoc interval-batched replay (chunked VMs,
+//!   cursored lookups, reused stream/server buffers) over a recorded run;
 //! * `streaming_run` — the whole simulation with the inline QoS stream
 //!   (`DcConfig::qos_stream`), no recorded timelines at all. This one
 //!   includes the simulation itself, so it bounds the end-to-end cost of
 //!   "just stream it" rather than isolating the QoS arithmetic.
 //!
-//! All three produce bit-identical reports (asserted at setup); only the
-//! wall clock differs. Serial (`threads = 1`) so criterion measures the
+//! Both produce bit-identical reports (asserted at setup); only the wall
+//! clock differs. Serial (`threads = 1`) so criterion measures the
 //! arithmetic, not the worker pool.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use dds_core::datacenter::QosStreamConfig;
 use dds_core::registry::PolicyRegistry;
 use dds_core::sweep::run_sweep_with;
-use dds_qos::{replay, replay_per_request, QosConfig};
+use dds_qos::{replay, QosConfig};
 use dds_scenarios::find;
 
 fn bench_qos_replay(c: &mut Criterion) {
@@ -36,7 +33,7 @@ fn bench_qos_replay(c: &mut Criterion) {
         .clone();
     let registry = PolicyRegistry::standard();
 
-    // One recorded run for both replay paths.
+    // One recorded run for the replay.
     let mut points = scenario.sweep_points(None);
     points[0].spec.config.track_power_timeline = true;
     let recorded = run_sweep_with(&registry, &points, 1)
@@ -55,14 +52,17 @@ fn bench_qos_replay(c: &mut Criterion) {
     stream_points[0].spec.config.track_power_timeline = false;
     stream_points[0].spec.config.qos_stream = Some(QosStreamConfig::serial(profile));
 
-    let reference = replay_per_request(&vms, &recorded, &cfg, seed, 1);
-    assert_eq!(reference, replay(&vms, &recorded, &cfg, seed, 1));
+    let reference = replay(&vms, &recorded, &cfg, seed, 1);
     assert!(reference.total > 0);
+    let streamed = run_sweep_with(&registry, &stream_points, 1)
+        .pop()
+        .expect("one policy")
+        .outcome
+        .dc
+        .qos;
+    assert_eq!(streamed.as_ref(), Some(&reference), "streaming agrees");
 
     let mut g = c.benchmark_group("qos_replay");
-    g.bench_function("per_request", |b| {
-        b.iter(|| std::hint::black_box(replay_per_request(&vms, &recorded, &cfg, seed, 1)));
-    });
     g.bench_function("batched", |b| {
         b.iter(|| std::hint::black_box(replay(&vms, &recorded, &cfg, seed, 1)));
     });

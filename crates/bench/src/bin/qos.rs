@@ -16,7 +16,6 @@
 //! qos --scenario <name>      # another catalog entry (needs a [qos] section)
 //! qos --file my.scenario     # your own scenario file
 //! qos --streaming            # evaluate inline (DcConfig::qos_stream)
-//! qos --throughput           # time the replay pipelines (adds JSON section)
 //! ```
 //!
 //! `--streaming` switches the evaluation from the post-hoc replay to the
@@ -30,14 +29,13 @@
 //! parallel runs), `--hosts N` (rescale the scenario fleet),
 //! `--policies a,b,c`, `--out DIR`, `--json`, `--telemetry[=DIR]`.
 
-use dds_bench::{pct1, ExpOptions, JsonObject};
+use dds_bench::{pct1, usage_error, ExpOptions, JsonObject};
 use dds_power::WakeSpeed;
-use dds_qos::{replay, replay_per_request, QosConfig, QosReport};
+use dds_qos::QosReport;
 use dds_scenarios::{find, run_scenario_qos_mode, QosMode, QosSpec, Scenario};
 use dds_sim_core::stats::TextTable;
 use dds_sim_core::SimDuration;
 use std::process::ExitCode;
-use std::time::Instant;
 
 /// One wake-path variant of the experiment.
 struct Variant {
@@ -84,17 +82,15 @@ fn report_row(label: &str, energy: f64, susp: f64, qos: &QosReport) -> Vec<Strin
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let (opts, rest) = ExpOptions::parse(&args);
+    let (opts, rest) = ExpOptions::parse(&args).unwrap_or_else(|e| usage_error(&e));
 
     let mut scenario_name = "sla-web-front".to_string();
     let mut file: Option<String> = None;
     let mut mode = QosMode::PostHoc;
-    let mut throughput = false;
     let mut i = 0;
     while i < rest.len() {
         match rest[i].as_str() {
             "--streaming" => mode = QosMode::Streaming,
-            "--throughput" => throughput = true,
             "--scenario" => {
                 i += 1;
                 match rest.get(i) {
@@ -118,7 +114,7 @@ fn main() -> ExitCode {
             flag => {
                 eprintln!(
                     "error: unknown flag {flag} (expected --scenario NAME, --file PATH, \
-                     --streaming, --throughput or the shared experiment flags)"
+                     --streaming or the shared experiment flags)"
                 );
                 return ExitCode::FAILURE;
             }
@@ -267,103 +263,13 @@ fn main() -> ExitCode {
          requests within the threshold) at the full energy bill; drowsy \
          policies keep the SLA and surface the resume latency at p99.9."
     );
-    let mut artifact = opts
+    let artifact = opts
         .bench_json("qos")
         .str("scenario", &scenario.name)
         .int("days", scenario.days)
         .array("variants", &variant_objects);
-    if throughput {
-        artifact = artifact.object(
-            "throughput",
-            &measure_throughput(&scenario, &base_qos, opts.seed, opts.threads),
-        );
-    }
     opts.write_csv("qos.csv", &csv);
     opts.write_bench_json("qos", &artifact);
     opts.write_telemetry("qos", None, None);
     ExitCode::SUCCESS
-}
-
-/// Times the three request-evaluation pipelines on one recorded
-/// `drowsy-dc` run of the scenario and reports requests per wall-second:
-/// the original event-per-request replay, the interval-batched replay
-/// (both post-hoc, over the identical recorded run — their reports are
-/// asserted equal), and the streaming run end to end (its rate includes
-/// the simulation itself, so it is a lower bound on the pipeline's own
-/// throughput). Wall-clock numbers, so this section is kept out of the
-/// byte-diffed CI artifacts unless `--throughput` is passed.
-fn measure_throughput(
-    scenario: &Scenario,
-    base_qos: &Option<QosSpec>,
-    seed: u64,
-    threads: usize,
-) -> JsonObject {
-    let mut s = scenario.clone();
-    s.policies = vec!["drowsy-dc".to_string()];
-    s.qos = Some(QosSpec {
-        profile: base_qos
-            .as_ref()
-            .map(|q| q.profile.clone())
-            .unwrap_or_else(dds_traces::RequestProfile::web_search_quick_resume),
-        wake: base_qos
-            .as_ref()
-            .map(|q| q.wake)
-            .unwrap_or(WakeSpeed::Quick),
-    });
-    println!("\nthroughput (drowsy-dc, threads = {threads}, 0 = auto):");
-    // One recorded run; both replays walk the identical timelines.
-    let rows = run_scenario_qos_mode(&s, Some(seed), threads, QosMode::PostHoc);
-    let (recorded, batched_report) = rows.into_iter().next().expect("one policy row");
-    let spec = s.to_cluster_spec();
-    let cfg = QosConfig {
-        profile: s.qos.as_ref().expect("set above").profile.clone(),
-        noise: spec.config.im.noise_threshold,
-    };
-    let vms = spec.vm_specs(seed);
-    let t0 = Instant::now();
-    let reference = replay_per_request(&vms, &recorded.outcome.dc, &cfg, seed, threads);
-    let per_request_s = t0.elapsed().as_secs_f64();
-    let t1 = Instant::now();
-    let batched = replay(&vms, &recorded.outcome.dc, &cfg, seed, threads);
-    let batched_s = t1.elapsed().as_secs_f64();
-    assert_eq!(reference, batched, "the pipelines must agree to the bit");
-    assert_eq!(reference, batched_report);
-    let t2 = Instant::now();
-    let streaming = run_scenario_qos_mode(&s, Some(seed), threads, QosMode::Streaming);
-    let streaming_s = t2.elapsed().as_secs_f64();
-    assert_eq!(
-        streaming.first().map(|(_, r)| r),
-        Some(&batched),
-        "streaming must agree for the open-loop policy"
-    );
-    let requests = batched.total;
-    let rps = |secs: f64| requests as f64 / secs.max(1e-9);
-    let speedup = per_request_s / batched_s.max(1e-9);
-    let mut table = TextTable::new(vec!["pipeline", "wall s", "requests/s"]);
-    table.row(vec![
-        "per-request replay (PR 5)".into(),
-        format!("{per_request_s:.3}"),
-        format!("{:.0}", rps(per_request_s)),
-    ]);
-    table.row(vec![
-        "batched replay".into(),
-        format!("{batched_s:.3}"),
-        format!("{:.0}", rps(batched_s)),
-    ]);
-    table.row(vec![
-        "streaming (whole run)".into(),
-        format!("{streaming_s:.3}"),
-        format!("{:.0}", rps(streaming_s)),
-    ]);
-    println!("{}", table.render());
-    println!("batched vs per-request speedup: {speedup:.1}x over {requests} requests");
-    JsonObject::new()
-        .int("requests", requests)
-        .num("per_request_replay_s", per_request_s)
-        .num("per_request_replay_rps", rps(per_request_s))
-        .num("batched_replay_s", batched_s)
-        .num("batched_replay_rps", rps(batched_s))
-        .num("streaming_run_s", streaming_s)
-        .num("streaming_run_rps", rps(streaming_s))
-        .num("batched_speedup", speedup)
 }

@@ -16,32 +16,25 @@
 //! count on idle machines.
 //!
 //! A third section sweeps the **hyperscale fleet engine**
-//! (`dds_core::fleet`): fleet size (1k → 100k hosts, 10 VMs per host up
-//! to 1M) × shard count, reporting host-hours simulated per wall-second.
-//! The binary asserts in-process that every shard count reproduces the
-//! 1-shard digest bit-for-bit (exit non-zero on divergence) and measures
-//! the control-epoch speedup of the incremental capacity index over the
-//! reference linear-scan placement, plus the executor and stepping
-//! speedups (persistent pool vs per-epoch thread scope, macro-stepping
-//! vs the hourly walk) on a drowsy-heavy fleet — all four combinations
-//! must land on one digest. `fleet_outcomes.csv` carries only the
-//! deterministic columns, so CI byte-diffs `--threads 1` vs `--threads
-//! N`, pooled vs scoped, and macro vs hourly runs. Shared flags:
-//! `--quick`, `--seed N`, `--threads N` (shard counts to sweep; 0 =
-//! auto), `--hosts N` (single fleet size instead of the sweep),
-//! `--out DIR`, `--json`, `--telemetry[=DIR]` (logical/timing telemetry
-//! artifacts plus a flight-recorder dump), `--trace-epochs N`
-//! (flight-recorder depth; on a shard-digest divergence the bin names
-//! the first divergent epoch and dumps both rings). Binary flags:
-//! `--pool` (dispatch the fleet sweep over the persistent worker pool
-//! instead of scoped threads), `--no-macro` (force the reference
-//! hourly walk).
+//! (`dds_core::fleet`) on its production path — persistent worker pool,
+//! macro-stepping, capacity-index placement: fleet size (1k → 100k
+//! hosts, 10 VMs per host up to 1M) × shard count, reporting host-hours
+//! simulated per wall-second. The binary asserts in-process that every
+//! shard count reproduces the 1-shard digest bit-for-bit (exit non-zero
+//! on divergence). `fleet_outcomes.csv` carries only the deterministic
+//! columns, so CI byte-diffs `--threads 1` vs `--threads N` runs.
+//!
+//! Flags (the shared set; anything else exits with status 2): `--quick`,
+//! `--seed N`, `--threads N` (shard counts to sweep; 0 = auto),
+//! `--hosts N` (single fleet size instead of the sweep), `--out DIR`,
+//! `--json`, `--telemetry[=DIR]` (logical/timing telemetry artifacts
+//! plus a flight-recorder dump), `--trace-epochs N` (flight-recorder
+//! depth; on a shard-digest divergence the bin names the first
+//! divergent epoch and dumps both rings).
 
 use dds_bench::{ExpOptions, JsonObject};
 use dds_core::cluster::ClusterSpec;
-use dds_core::fleet::{
-    run_fleet, ExecutorMode, FleetConfig, FleetOutcome, FleetSim, PlacementMode, SteppingMode,
-};
+use dds_core::fleet::{FleetConfig, FleetOutcome, FleetSim};
 use dds_core::sweep::{auto_threads, llmi_grid, run_sweep};
 use dds_placement::{
     ClusterState, DrowsyConfig, DrowsyPlanner, HistoryBook, HostState, MultiplexPlanner, VmState,
@@ -89,17 +82,7 @@ fn build_state(n_vms: usize, rng: &mut SimRng) -> (ClusterState, HistoryBook) {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let (opts, rest) = ExpOptions::parse(&args);
-    let mut executor = ExecutorMode::Scoped;
-    let mut stepping = SteppingMode::Macro;
-    for flag in &rest {
-        match flag.as_str() {
-            "--pool" => executor = ExecutorMode::Pool,
-            "--no-macro" => stepping = SteppingMode::Hourly,
-            other => eprintln!("ignoring unknown flag {other}"),
-        }
-    }
+    let opts = ExpOptions::from_args();
     let sizes: &[usize] = if opts.quick {
         &[64, 256]
     } else {
@@ -228,10 +211,7 @@ fn main() {
     if max_shards > 1 {
         shard_counts.push(max_shards);
     }
-    println!(
-        "\nhyperscale fleet engine ({horizon} h horizon, shard counts {shard_counts:?}, \
-         {executor:?} executor, {stepping:?} stepping)\n"
-    );
+    println!("\nhyperscale fleet engine ({horizon} h horizon, shard counts {shard_counts:?})\n");
     // Flight-recorder depth: explicit `--trace-epochs`, or a default
     // window when `--telemetry` asks for the artifacts.
     let trace_epochs = if opts.trace_epochs > 0 {
@@ -241,18 +221,12 @@ fn main() {
     } else {
         0
     };
-    let fleet_cfg = |hosts: usize, shards: usize, placement: PlacementMode| FleetConfig {
-        hosts,
-        vms: (hosts * 10).min(1_000_000),
-        horizon_hours: horizon,
-        shards,
+    let fleet_cfg = |hosts: usize, shards: usize| FleetConfig {
         seed: opts.seed,
+        shards,
         churn_per_epoch: (hosts / 32).max(8),
-        placement,
-        executor,
-        stepping,
         trace_epochs,
-        ..FleetConfig::new(hosts, 0, horizon)
+        ..FleetConfig::new(hosts, (hosts * 10).min(1_000_000), horizon)
     };
     let mut fleet_table = TextTable::new(vec![
         "hosts",
@@ -279,7 +253,7 @@ fn main() {
     for &hosts in &fleet_sizes {
         let mut baseline: Option<(FleetOutcome, FlightRecorder)> = None;
         for &shards in &shard_counts {
-            let mut sim = FleetSim::new(fleet_cfg(hosts, shards, PlacementMode::Indexed));
+            let mut sim = FleetSim::new(fleet_cfg(hosts, shards));
             sim.run_horizon();
             let out = sim.outcome();
             let recorder = sim.recorder().clone();
@@ -390,143 +364,6 @@ fn main() {
     println!("{}", fleet_table.render());
     opts.write_csv("fleet_outcomes.csv", &fleet_csv);
 
-    // Control-epoch cost: incremental capacity index vs linear scan, on
-    // the same fleet and seed (outcomes are bit-identical; only the
-    // placement bookkeeping differs).
-    // Capped: the scan baseline is O(hosts × churn) per epoch, so huge
-    // `--hosts` overrides would spend minutes in the reference path.
-    let speedup_hosts = opts
-        .hosts
-        .unwrap_or(if opts.quick { 2_000 } else { 10_000 })
-        .min(20_000);
-    let speedup_cfg = |placement| FleetConfig {
-        churn_per_epoch: (speedup_hosts / 4).max(8),
-        horizon_hours: 24,
-        ..fleet_cfg(speedup_hosts, 1, placement)
-    };
-    let indexed = run_fleet(speedup_cfg(PlacementMode::Indexed));
-    let scan = run_fleet(speedup_cfg(PlacementMode::Scan));
-    let placement_identity =
-        indexed.digest == scan.digest && indexed.energy_kwh.to_bits() == scan.energy_kwh.to_bits();
-    shard_identity &= placement_identity;
-    if !placement_identity {
-        eprintln!("ERROR: indexed placement diverged from the linear scan");
-    }
-    // Placement cost lives in the churn phase (best-fit per arrival)
-    // plus the merge (park/unpark bookkeeping) — compare both together.
-    let indexed_ctl = indexed.churn_ms + indexed.control_ms;
-    let scan_ctl = scan.churn_ms + scan.control_ms;
-    let index_speedup = scan_ctl / indexed_ctl.max(1e-9);
-    println!(
-        "capacity index vs linear scan ({speedup_hosts} hosts, {} churn/epoch): \
-         churn+merge epochs {indexed_ctl:.1} ms vs {scan_ctl:.1} ms — \
-         {index_speedup:.0}x, bit-identical: {placement_identity}",
-        (speedup_hosts / 4).max(8),
-    );
-
-    // Executor and stepping speedups: the same drowsy-heavy fleet
-    // (office + nightly dominated, so most hosts park for long
-    // stretches) run through all four {executor} × {stepping}
-    // combinations at the widest shard count. Digests must agree; only
-    // the wall-clock may differ.
-    let exec_hosts = opts
-        .hosts
-        .unwrap_or(if opts.quick { 2_000 } else { 20_000 });
-    let exec_shards = *shard_counts.last().unwrap();
-    let exec_horizon: u64 = if opts.quick { 48 } else { 168 };
-    let exec_cfg = |executor, stepping| FleetConfig {
-        executor,
-        stepping,
-        horizon_hours: exec_horizon,
-        // LLMI fleets are dense and long-lived: 64-vCPU hosts packed
-        // with ~27 residents each, and churn touching well under 1% of
-        // hosts per epoch. Density amortizes the per-host calendar
-        // overhead across many resident walks; low churn keeps parked
-        // hosts parked.
-        vcpus_per_host: 64,
-        vms: (exec_hosts * 30).min(3_000_000),
-        churn_per_epoch: (exec_hosts / 256).max(4),
-        // Timer/diurnal classes only: the workloads the drowsy
-        // discipline targets. Bursty VMs have no timer (flip horizons of
-        // an hour or two), so hosts holding them step near-hourly.
-        class_mix: [0, 1, 0, 0],
-        ..fleet_cfg(exec_hosts, exec_shards, PlacementMode::Indexed)
-    };
-    println!(
-        "\nexecutor × stepping ({exec_hosts} hosts, {exec_shards} shard(s), \
-         {exec_horizon} h, drowsy-heavy mix)\n"
-    );
-    let grid = [
-        ("scoped+hourly", ExecutorMode::Scoped, SteppingMode::Hourly),
-        ("scoped+macro", ExecutorMode::Scoped, SteppingMode::Macro),
-        ("pool+hourly", ExecutorMode::Pool, SteppingMode::Hourly),
-        ("pool+macro", ExecutorMode::Pool, SteppingMode::Macro),
-    ];
-    let mut exec_table = TextTable::new(vec![
-        "mode",
-        "churn ms",
-        "advance ms",
-        "control ms",
-        "host-hours/s",
-        "speedup",
-    ]);
-    let mut exec_points = Vec::new();
-    let mut grid_outcomes = Vec::new();
-    for (name, executor, stepping) in grid {
-        let out = run_fleet(exec_cfg(executor, stepping));
-        grid_outcomes.push((name, out));
-    }
-    let reference_ms = grid_outcomes[0].1.epoch_ms();
-    let reference_digest = grid_outcomes[0].1.digest;
-    let mut grid_identity = true;
-    for (name, out) in &grid_outcomes {
-        let same = out.digest == reference_digest
-            && out.energy_kwh.to_bits() == grid_outcomes[0].1.energy_kwh.to_bits();
-        grid_identity &= same;
-        if !same {
-            eprintln!(
-                "ERROR: {name} diverged from scoped+hourly \
-                 ({:016x} vs {reference_digest:016x})",
-                out.digest
-            );
-        }
-        let wall_s = out.epoch_ms() / 1e3;
-        let hhps = out.host_hours() as f64 / wall_s.max(1e-9);
-        exec_table.row(vec![
-            name.to_string(),
-            format!("{:.1}", out.churn_ms),
-            format!("{:.1}", out.advance_ms),
-            format!("{:.1}", out.control_ms),
-            format!("{hhps:.0}"),
-            format!("{:.2}x", reference_ms / out.epoch_ms().max(1e-9)),
-        ]);
-        exec_points.push(
-            JsonObject::new()
-                .str("mode", name)
-                .num("churn_ms", out.churn_ms)
-                .num("advance_ms", out.advance_ms)
-                .num("control_ms", out.control_ms)
-                .num("host_hours_per_sec", hhps)
-                .str("digest", &format!("{:016x}", out.digest)),
-        );
-    }
-    shard_identity &= grid_identity;
-    let ms_of = |name: &str| {
-        grid_outcomes
-            .iter()
-            .find(|(n, _)| *n == name)
-            .map(|(_, o)| o.epoch_ms())
-            .unwrap()
-    };
-    let executor_speedup = ms_of("scoped+hourly") / ms_of("pool+hourly").max(1e-9);
-    let macro_speedup = ms_of("scoped+hourly") / ms_of("scoped+macro").max(1e-9);
-    let combined_speedup = ms_of("scoped+hourly") / ms_of("pool+macro").max(1e-9);
-    println!("{}", exec_table.render());
-    println!(
-        "pool vs scoped: {executor_speedup:.2}x — macro vs hourly: {macro_speedup:.2}x — \
-         combined: {combined_speedup:.2}x, bit-identical: {grid_identity}"
-    );
-
     // Per-phase time breakdown of the last baseline fleet run: wall-clock
     // and share of churn / placement / advance / merge / QoS fold.
     let phase_breakdown = fleet_spans.clone().unwrap_or_default();
@@ -543,20 +380,7 @@ fn main() {
             .num("sweep_speedup", serial_s / parallel_s.max(1e-9))
             .int("sweep_workers", cores as u64)
             .array("fleet_points", &fleet_points)
-            .bool("fleet_shard_identity", shard_identity)
-            .str("fleet_executor", &format!("{executor:?}"))
-            .str("fleet_stepping", &format!("{stepping:?}"))
-            .int("index_speedup_hosts", speedup_hosts as u64)
-            .num("indexed_control_ms", indexed_ctl)
-            .num("scan_control_ms", scan_ctl)
-            .num("capacity_index_speedup", index_speedup)
-            .array("executor_grid", &exec_points)
-            .bool("executor_grid_identity", grid_identity)
-            .int("executor_grid_hosts", exec_hosts as u64)
-            .int("executor_grid_shards", exec_shards as u64)
-            .num("executor_speedup", executor_speedup)
-            .num("macro_speedup", macro_speedup)
-            .num("combined_speedup", combined_speedup),
+            .bool("fleet_shard_identity", shard_identity),
     );
     if opts.telemetry {
         let extra_logical = JsonObject::new().array("fleet", &fleet_logical);

@@ -63,30 +63,56 @@ impl Default for ExpOptions {
 }
 
 impl ExpOptions {
-    /// Parses `std::env::args()`.
-    ///
-    /// Recognized flags: `--quick`, `--seed <u64>`, `--out <dir>`,
+    /// Parses `std::env::args()` for a binary that takes only the shared
+    /// flags: `--quick`, `--seed <u64>`, `--out <dir>`,
     /// `--policies <name,name,…>` (policy-registry names),
     /// `--threads <n>` (0 = auto), `--hosts <n>` (fleet-size override),
     /// `--json` (machine-readable artifacts), `--telemetry[=DIR]`
     /// (logical + timing telemetry artifacts) and `--trace-epochs <n>`
-    /// (flight-recorder depth for fleet runs).
-    /// Unrecognized arguments are warned about and dropped; binaries with
-    /// extra flags use [`ExpOptions::parse`] instead.
+    /// (flight-recorder depth for fleet runs). An unknown flag or a
+    /// malformed value prints `error: …` and exits with status 2;
+    /// binaries with extra flags use [`ExpOptions::parse`] instead.
     pub fn from_args() -> Self {
         let args: Vec<String> = std::env::args().skip(1).collect();
-        let (opts, rest) = Self::parse(&args);
-        for other in rest {
-            eprintln!("ignoring unknown flag {other}");
+        Self::parse_strict(&args).unwrap_or_else(|e| usage_error(&e))
+    }
+
+    /// [`ExpOptions::parse`], rejecting every argument the shared layer
+    /// does not consume.
+    pub fn parse_strict(args: &[String]) -> Result<Self, String> {
+        let (opts, rest) = Self::parse(args)?;
+        match rest.first() {
+            Some(flag) => Err(format!("unknown flag {flag}")),
+            None => Ok(opts),
         }
-        opts
     }
 
     /// Parses the shared flags out of `args` and returns the options plus
     /// every argument the shared layer did not consume (in order), for
     /// the binary to interpret (e.g. the `scenarios` binary's `--list`
-    /// and scenario names).
-    pub fn parse(args: &[String]) -> (Self, Vec<String>) {
+    /// and scenario names). A shared flag with a missing or malformed
+    /// value is an error.
+    pub fn parse(args: &[String]) -> Result<(Self, Vec<String>), String> {
+        fn value<'a>(
+            args: &'a [String],
+            i: usize,
+            flag: &str,
+            what: &str,
+        ) -> Result<&'a str, String> {
+            args.get(i)
+                .map(String::as_str)
+                .ok_or_else(|| format!("{flag} needs {what}"))
+        }
+        fn number<T: std::str::FromStr>(
+            args: &[String],
+            i: usize,
+            flag: &str,
+            what: &str,
+        ) -> Result<T, String> {
+            let v = value(args, i, flag, what)?;
+            v.parse()
+                .map_err(|_| format!("{flag} needs {what}, got '{v}'"))
+        }
         let mut opts = ExpOptions::default();
         let mut rest = Vec::new();
         let mut i = 0;
@@ -96,21 +122,15 @@ impl ExpOptions {
                 "--json" => opts.json = true,
                 "--seed" => {
                     i += 1;
-                    opts.seed = args
-                        .get(i)
-                        .and_then(|s| s.parse().ok())
-                        .unwrap_or_else(|| panic!("--seed needs a u64"));
+                    opts.seed = number(args, i, "--seed", "a u64")?;
                 }
                 "--out" => {
                     i += 1;
-                    opts.out_dir =
-                        PathBuf::from(args.get(i).expect("--out needs a directory").clone());
+                    opts.out_dir = PathBuf::from(value(args, i, "--out", "a directory")?);
                 }
                 "--policies" => {
                     i += 1;
-                    let list = args
-                        .get(i)
-                        .expect("--policies needs a comma-separated list");
+                    let list = value(args, i, "--policies", "a comma-separated list")?;
                     opts.policies = Some(
                         list.split(',')
                             .map(|s| s.trim().to_string())
@@ -120,39 +140,34 @@ impl ExpOptions {
                 }
                 "--threads" => {
                     i += 1;
-                    opts.threads = args
-                        .get(i)
-                        .and_then(|s| s.parse().ok())
-                        .unwrap_or_else(|| panic!("--threads needs a usize"));
+                    opts.threads = number(args, i, "--threads", "a usize")?;
                 }
                 "--hosts" => {
                     i += 1;
-                    let n: usize = args
-                        .get(i)
-                        .and_then(|s| s.parse().ok())
-                        .unwrap_or_else(|| panic!("--hosts needs a positive usize"));
-                    assert!(n > 0, "--hosts needs a positive usize");
+                    let n: usize = number(args, i, "--hosts", "a positive usize")?;
+                    if n == 0 {
+                        return Err("--hosts needs a positive usize, got '0'".to_string());
+                    }
                     opts.hosts = Some(n);
                 }
                 "--telemetry" => opts.telemetry = true,
                 "--trace-epochs" => {
                     i += 1;
-                    opts.trace_epochs = args
-                        .get(i)
-                        .and_then(|s| s.parse().ok())
-                        .unwrap_or_else(|| panic!("--trace-epochs needs a usize"));
+                    opts.trace_epochs = number(args, i, "--trace-epochs", "a usize")?;
                 }
                 other if other.starts_with("--telemetry=") => {
-                    opts.telemetry = true;
                     let dir = &other["--telemetry=".len()..];
-                    assert!(!dir.is_empty(), "--telemetry= needs a directory");
+                    if dir.is_empty() {
+                        return Err("--telemetry= needs a directory".to_string());
+                    }
+                    opts.telemetry = true;
                     opts.telemetry_dir = Some(PathBuf::from(dir));
                 }
                 other => rest.push(other.to_string()),
             }
             i += 1;
         }
-        (opts, rest)
+        Ok((opts, rest))
     }
 
     /// The fleet size to simulate: the `--hosts` override, or `default`.
@@ -290,6 +305,14 @@ impl ExpOptions {
 
 pub use dds_telemetry::json::{json_escape, JsonObject};
 
+/// Prints `error: {msg}` to stderr and exits with status 2 — the
+/// experiment binaries' response to a command line they do not
+/// understand.
+pub fn usage_error(msg: &str) -> ! {
+    eprintln!("error: {msg}");
+    std::process::exit(2)
+}
+
 /// Formats a fraction as `xx.x` percent.
 pub fn pct1(x: f64) -> String {
     format!("{:.1}", x * 100.0)
@@ -309,6 +332,10 @@ pub fn exists(p: &Path) -> bool {
 mod tests {
     use super::*;
 
+    fn strings(args: &[&str]) -> Vec<String> {
+        args.iter().map(|s| s.to_string()).collect()
+    }
+
     #[test]
     fn defaults_are_sane() {
         let o = ExpOptions::default();
@@ -326,19 +353,13 @@ mod tests {
 
     #[test]
     fn telemetry_flags_parse() {
-        let args: Vec<String> = ["--telemetry", "--trace-epochs", "64"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-        let (opts, rest) = ExpOptions::parse(&args);
-        assert!(rest.is_empty());
+        let opts =
+            ExpOptions::parse_strict(&strings(&["--telemetry", "--trace-epochs", "64"])).unwrap();
         assert!(opts.telemetry);
         assert_eq!(opts.trace_epochs, 64);
         assert_eq!(opts.telemetry_dir(), opts.out_dir);
 
-        let args: Vec<String> = vec!["--telemetry=tele/out".to_string()];
-        let (opts, rest) = ExpOptions::parse(&args);
-        assert!(rest.is_empty());
+        let opts = ExpOptions::parse_strict(&strings(&["--telemetry=tele/out"])).unwrap();
         assert!(opts.telemetry);
         assert_eq!(opts.telemetry_dir(), PathBuf::from("tele/out"));
         assert_eq!(
@@ -414,11 +435,8 @@ mod tests {
 
     #[test]
     fn parse_returns_unconsumed_arguments_in_order() {
-        let args: Vec<String> = ["--list", "--quick", "office-park", "--seed", "7", "--file"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-        let (opts, rest) = ExpOptions::parse(&args);
+        let args = strings(&["--list", "--quick", "office-park", "--seed", "7", "--file"]);
+        let (opts, rest) = ExpOptions::parse(&args).unwrap();
         assert!(opts.quick);
         assert_eq!(opts.seed, 7);
         assert_eq!(rest, vec!["--list", "office-park", "--file"]);
@@ -426,16 +444,38 @@ mod tests {
 
     #[test]
     fn fleet_size_knob_parses_and_falls_back() {
-        let args: Vec<String> = ["--hosts", "1000", "--threads", "4"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-        let (opts, rest) = ExpOptions::parse(&args);
-        assert!(rest.is_empty());
+        let opts =
+            ExpOptions::parse_strict(&strings(&["--hosts", "1000", "--threads", "4"])).unwrap();
         assert_eq!(opts.hosts, Some(1000));
         assert_eq!(opts.threads, 4);
         assert_eq!(opts.hosts_or(16), 1000);
         assert_eq!(ExpOptions::default().hosts_or(16), 16);
+    }
+
+    #[test]
+    fn unknown_flags_are_rejected() {
+        let args = strings(&["--quick", "--pool"]);
+        assert_eq!(
+            ExpOptions::parse_strict(&args).unwrap_err(),
+            "unknown flag --pool"
+        );
+        // `parse` hands the remainder to the binary instead.
+        let (opts, rest) = ExpOptions::parse(&args).unwrap();
+        assert!(opts.quick);
+        assert_eq!(rest, vec!["--pool"]);
+    }
+
+    #[test]
+    fn missing_or_malformed_values_are_errors() {
+        for flag in ["--seed", "--threads", "--hosts", "--trace-epochs"] {
+            let missing = ExpOptions::parse(&strings(&["--quick", flag])).unwrap_err();
+            assert!(missing.starts_with(&format!("{flag} needs")), "{missing}");
+            let bad = ExpOptions::parse(&strings(&[flag, "many"])).unwrap_err();
+            assert!(bad.contains("got 'many'"), "{bad}");
+        }
+        assert!(ExpOptions::parse(&strings(&["--hosts", "0"])).is_err());
+        assert!(ExpOptions::parse(&strings(&["--seed", "-1"])).is_err());
+        assert!(ExpOptions::parse(&strings(&["--out"])).is_err());
     }
 
     #[test]

@@ -4,8 +4,8 @@
 //! 100k hosts the control loop then chases pointers across the heap every
 //! epoch. Here the same state lives as dense parallel columns: advancing
 //! an epoch streams over a handful of contiguous arrays, shards split
-//! those arrays into disjoint `&mut` ranges for `std::thread::scope`, and
-//! a fleet digest is a single ordered pass.
+//! those arrays into disjoint `&mut` ranges for the worker pool, and a
+//! fleet digest is a single ordered pass.
 //!
 //! VM slots are **generational**: releasing a slot bumps its generation,
 //! so a stale [`VmRef`] held across churn can never silently alias the

@@ -3,18 +3,16 @@
 //! Each simulated hour is one **epoch** with three phases:
 //!
 //! 1. **Churn** (main thread): departures and arrivals drawn from the one
-//!    seeded RNG stream, placed through the incremental
-//!    [`CapacityIndex`] or the reference linear scan — both produce
-//!    byte-identical decisions (the property suite in `dds-placement`
-//!    pins this), only their control cost differs.
+//!    seeded RNG stream, placed best-fit through the incremental
+//!    [`CapacityIndex`] pair — one index over awake hosts, one over
+//!    drowsy hosts — in O(1) amortized work per decision.
 //! 2. **Advance** (sharded): host slots split into contiguous ranges of
 //!    disjoint `&mut` columns, fanned over the persistent
-//!    [`WorkerPool`] (or `std::thread::scope`, see [`ExecutorMode`]). A
-//!    host's hour depends only on its own columns and the (read-only) VM
-//!    arena, so shards never race. Per-host energy accumulates into the
-//!    host's own `f64` cell in hour order — fleet totals are an ordered
-//!    reduce at the end, making every statistic bit-identical for any
-//!    shard count.
+//!    [`WorkerPool`]. A host's hour depends only on its own columns and
+//!    the (read-only) VM arena, so shards never race. Per-host energy
+//!    accumulates into the host's own `f64` cell in hour order — fleet
+//!    totals are an ordered reduce at the end, making every statistic
+//!    bit-identical for any shard count.
 //! 3. **Merge** (main thread, shard order): power transitions reported by
 //!    each shard are applied to the capacity indexes (suspend = park in
 //!    the awake index / unpark in the asleep one; wake = the reverse).
@@ -27,13 +25,12 @@
 //!
 //! ## Quiescent-host macro-stepping
 //!
-//! In [`SteppingMode::Hourly`] every host is re-advanced every hour: the
-//! shard walks each host's resident list, recomputes demand and runs the
-//! power state machine — `O(hosts × residents)` per epoch even when the
-//! whole fleet is parked. [`SteppingMode::Macro`] exploits the
-//! *quiescence horizon*: after advancing a host at hour *h*, the engine
-//! computes `next_change` — the earliest hour at which the host's
-//! demanded vCPUs can change (the minimum [`next_flip_hour`](super::workload::next_flip_hour) over its
+//! Re-advancing every host every hour would cost
+//! `O(hosts × residents)` per epoch even when the whole fleet is parked.
+//! The engine instead exploits the *quiescence horizon*: after advancing
+//! a host at hour *h*, it computes `next_change` — the earliest hour at
+//! which the host's demanded vCPUs can change (the minimum
+//! [`next_flip_hour`](super::workload::next_flip_hour) over its
 //! residents, clamped by the waking date for drowsy hosts) — and does not
 //! touch the host again until that hour arrives or churn places/removes
 //! a resident. The skipped gap is settled lazily in closed form: `K`
@@ -46,9 +43,9 @@
 //! is collision-free): O(1) pushes, one bucket drained per simulated
 //! hour. Candidates for an hour are processed in ascending slot order,
 //! so transition lists — and therefore the merge — are ordered exactly
-//! as the hourly walk's. The FNV-1a state digest is bit-identical
-//! between hourly and macro stepping for any shard count and either
-//! executor, pinned by `tests/fleet_equivalence.rs`.
+//! as an hourly walk over every host would order them. That walk
+//! survives as a test oracle: this module's tests pin the FNV-1a state
+//! digest bit-identical to it for any shard count.
 
 use std::time::Instant;
 
@@ -62,42 +59,7 @@ use dds_telemetry::{
 };
 
 use super::arena::{link, unlink, HostColumns, PowerState, VmArena, VmRef, NO_SLOT, NO_WAKE};
-use super::workload::{active_vcpus, is_active, next_active_hour, next_idle_hour, WorkloadClass};
-
-/// How the engine answers "which host takes this VM?".
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PlacementMode {
-    /// Incremental bucketed free-capacity indexes (one over awake hosts,
-    /// one over drowsy hosts), updated on admit/evict/park/unpark.
-    Indexed,
-    /// The reference O(hosts) column scan. Same decisions, linear cost.
-    Scan,
-}
-
-/// How the advance phase fans shards over threads. Outcomes are
-/// bit-identical either way; only the dispatch cost differs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ExecutorMode {
-    /// The persistent process-wide [`WorkerPool`]: workers are spawned
-    /// once and parked on a condvar between epochs, so dispatching an
-    /// epoch is a queue push + wakeup — zero thread spawns per epoch.
-    Pool,
-    /// A fresh `std::thread::scope` per epoch (the pre-pool reference
-    /// path): spawns and joins `shards` OS threads every simulated hour.
-    Scoped,
-}
-
-/// How hosts advance through quiet stretches. Outcomes are bit-identical
-/// either way; only the per-epoch cost differs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SteppingMode {
-    /// Event-horizon fast path: hosts are only re-advanced when their
-    /// `next_change` horizon arrives or churn touches them; skipped
-    /// hours are settled in closed form (see the module docs).
-    Macro,
-    /// The reference walk: every host re-advanced every hour.
-    Hourly,
-}
+use super::workload::{is_active, next_active_hour, next_idle_hour, WorkloadClass};
 
 /// Request-level QoS accounting for the fleet engine — the streaming
 /// pipeline at hyperscale granularity.
@@ -110,9 +72,9 @@ pub enum SteppingMode {
 /// resumes are anticipated timer wakes, served warm) — charges its
 /// triggering request `resume_ms + service_ms`. Both terms are exact
 /// integer accumulation driven by state transitions the engine already
-/// computes, so the report is bit-identical across shard counts,
-/// executors and stepping modes, costs O(transitions) per epoch, and the
-/// run's physics (energy, digests) are untouched.
+/// computes, so the report is bit-identical across shard counts, costs
+/// O(transitions) per epoch, and leaves the run's physics (energy,
+/// digests) untouched.
 #[derive(Debug, Clone)]
 pub struct FleetQosConfig {
     /// Steady request rate per demanded (active) vCPU-hour.
@@ -156,12 +118,6 @@ pub struct FleetConfig {
     pub seed: u64,
     /// VM departures and arrivals per epoch.
     pub churn_per_epoch: usize,
-    /// Placement implementation (outcome-identical either way).
-    pub placement: PlacementMode,
-    /// Shard dispatch implementation (outcome-identical either way).
-    pub executor: ExecutorMode,
-    /// Host stepping discipline (outcome-identical either way).
-    pub stepping: SteppingMode,
     /// Arrival weights per [`WorkloadClass`] (in `WorkloadClass::ALL`
     /// order). `[1, 1, 1, 1]` reproduces the historical uniform draw
     /// bit-for-bit; skewing towards office/nightly classes builds the
@@ -180,8 +136,7 @@ pub struct FleetConfig {
 
 impl FleetConfig {
     /// A config with the defaults the scalability bench sweeps around:
-    /// 16-vCPU hosts, single shard, indexed placement, pooled executor,
-    /// macro-stepping, uniform class mix.
+    /// 16-vCPU hosts, single shard, uniform class mix.
     pub fn new(hosts: usize, vms: usize, horizon_hours: u64) -> Self {
         FleetConfig {
             hosts,
@@ -191,9 +146,6 @@ impl FleetConfig {
             shards: 1,
             seed: 42,
             churn_per_epoch: 32,
-            placement: PlacementMode::Indexed,
-            executor: ExecutorMode::Pool,
-            stepping: SteppingMode::Macro,
             class_mix: [1, 1, 1, 1],
             qos: None,
             trace_epochs: 0,
@@ -201,9 +153,8 @@ impl FleetConfig {
     }
 }
 
-/// Everything a finished fleet run reports. All fields except the three
-/// wall-clock timings are bit-identical across shard counts, placement
-/// modes, executors and stepping disciplines.
+/// Everything a finished fleet run reports. All fields except the
+/// wall-clock timings are bit-identical across shard counts.
 #[derive(Debug, Clone)]
 pub struct FleetOutcome {
     /// Host count simulated.
@@ -233,8 +184,7 @@ pub struct FleetOutcome {
     /// Fleet energy in kWh (ordered per-host reduce; bit-stable).
     pub energy_kwh: f64,
     /// Request-level QoS accounting, when [`FleetConfig::qos`] asked for
-    /// it. Bit-identical across shard counts, executors and stepping
-    /// modes, like everything above.
+    /// it. Bit-identical across shard counts, like everything above.
     pub qos: Option<QosReport>,
     /// FNV-1a fingerprint of the final fleet state and counters.
     pub digest: u64,
@@ -246,7 +196,7 @@ pub struct FleetOutcome {
     /// Wall-clock spent advancing host shards.
     pub advance_ms: f64,
     /// Wall-clock spent inside placement decisions (a subset of
-    /// `churn_ms` — the index/scan query time alone).
+    /// `churn_ms` — the index query time alone).
     pub placement_ms: f64,
     /// Wall-clock spent folding the hour's QoS load into the streaming
     /// report (a subset of `control_ms`).
@@ -425,8 +375,9 @@ impl ShardOutcome {
     }
 }
 
-/// Advances every host in `view` by one hour. Pure function of the
-/// shard's own columns plus the read-only context — safe from any thread.
+/// The hourly oracle: advances every host in `view` by one hour with a
+/// full resident walk. Macro-stepping must reproduce it bit-for-bit.
+#[cfg(test)]
 fn advance_shard(ctx: &ShardCtx<'_>, view: &mut ShardView<'_>) -> ShardOutcome {
     let mut out = ShardOutcome::new();
     for i in 0..view.power.len() {
@@ -436,7 +387,12 @@ fn advance_shard(ctx: &ShardCtx<'_>, view: &mut ShardView<'_>) -> ShardOutcome {
         let mut cur = ctx.resident_head[slot as usize];
         while cur != NO_SLOT {
             let v = cur as usize;
-            demand += active_vcpus(ctx.vm_class[v], ctx.vm_phase[v], ctx.vm_vcpus[v], ctx.hour);
+            demand += super::workload::active_vcpus(
+                ctx.vm_class[v],
+                ctx.vm_phase[v],
+                ctx.vm_vcpus[v],
+                ctx.hour,
+            );
             cur = ctx.vm_next[v];
         }
         out.demand_delta += demand as i64 - view.demand[i] as i64;
@@ -583,7 +539,7 @@ fn demand_and_flip(ctx: &ShardCtx<'_>, slot: u32, agg: &HostAgg) -> (u32, u64) {
 
 /// Advances host `i` (shard-local index) through hour `ctx.hour` with a
 /// fused group (or resident) walk via [`demand_and_flip`], reproducing
-/// [`advance_shard`]'s per-hour transitions exactly. Returns the host's
+/// the hourly walk's per-hour transitions exactly. Returns the host's
 /// new `next_change` horizon.
 fn advance_host_hour(
     ctx: &ShardCtx<'_>,
@@ -678,7 +634,7 @@ fn advance_shard_macro(
     out
 }
 
-/// Lazily-settled per-host horizons for [`SteppingMode::Macro`].
+/// Lazily-settled per-host horizons for macro-stepping.
 struct MacroState {
     /// Next hour each host still has to simulate (hours before it are
     /// fully accounted).
@@ -696,8 +652,8 @@ struct MacroState {
 }
 
 impl MacroState {
-    /// Every host starts due at hour 0, mirroring the hourly walk's
-    /// full first epoch.
+    /// Every host starts due at hour 0: the first epoch advances the
+    /// whole fleet. One calendar wheel per shard fixes the shard count.
     fn new(hosts: usize, shards: usize) -> Self {
         let per = hosts.div_ceil(shards).max(1);
         let wheels: Vec<CalendarWheel> = (0..shards)
@@ -723,8 +679,7 @@ impl MacroState {
 /// once at construction so every emission on the hot path is an atomic
 /// add, never a name lookup. All handles are [`MetricKind::Logical`] —
 /// their totals are order-independent sums of simulation events, so the
-/// logical snapshot is byte-identical across shard counts, executors
-/// and stepping modes.
+/// logical snapshot is byte-identical across shard counts.
 struct FleetMetrics {
     placements: Counter,
     rejections: Counter,
@@ -758,14 +713,18 @@ pub struct FleetSim {
     hosts: HostColumns,
     vms: VmArena,
     live: Vec<VmRef>,
-    /// Index over hosts in S0 (`Indexed` mode only).
-    awake: Option<CapacityIndex>,
-    /// Index over hosts in S3 (`Indexed` mode only).
-    asleep: Option<CapacityIndex>,
+    /// Index over hosts in S0 (drowsy hosts parked).
+    awake: CapacityIndex,
+    /// Index over hosts in S3 (active hosts parked).
+    asleep: CapacityIndex,
     rng: SimRng,
     /// Next hour to simulate (hours stepped so far).
     hour: u64,
-    mac: Option<MacroState>,
+    mac: MacroState,
+    /// Test-only: advance with the hourly oracle walk instead of
+    /// macro-stepping (see [`FleetSim::hourly_oracle`]).
+    #[cfg(test)]
+    hourly: bool,
     placements: u64,
     rejections: u64,
     departures: u64,
@@ -812,17 +771,18 @@ impl FleetSim {
         let model = HostPowerModel::paper_default();
         let cycle_secs =
             (model.timings.suspend_latency + model.timings.resume_normal).as_secs_f64();
-        let (awake, asleep) = match cfg.placement {
-            PlacementMode::Indexed => {
-                let caps = vec![cfg.vcpus_per_host; cfg.hosts];
-                let awake = CapacityIndex::new(&caps);
-                let mut asleep = CapacityIndex::new(&caps);
-                for slot in 0..cfg.hosts {
-                    asleep.park(slot as u32);
-                }
-                (Some(awake), Some(asleep))
-            }
-            PlacementMode::Scan => (None, None),
+        // Hosts boot active: placeable in the awake index, parked in
+        // the asleep one.
+        let caps = vec![cfg.vcpus_per_host; cfg.hosts];
+        let awake = CapacityIndex::new(&caps);
+        let mut asleep = CapacityIndex::new(&caps);
+        for slot in 0..cfg.hosts {
+            asleep.park(slot as u32);
+        }
+        let shards = if cfg.shards == 0 {
+            std::thread::available_parallelism().map_or(1, |n| n.get())
+        } else {
+            cfg.shards
         };
         let metrics = MetricsRegistry::new();
         let fm = FleetMetrics::register(&metrics);
@@ -835,7 +795,9 @@ impl FleetSim {
             asleep,
             rng: SimRng::new(cfg.seed).stream("fleet"),
             hour: 0,
-            mac: None,
+            mac: MacroState::new(cfg.hosts, shards.clamp(1, cfg.hosts.max(1))),
+            #[cfg(test)]
+            hourly: false,
             placements: 0,
             rejections: 0,
             departures: 0,
@@ -860,24 +822,28 @@ impl FleetSim {
             spans: SpanRecorder::new(),
             cfg,
         };
-        if sim.cfg.stepping == SteppingMode::Macro {
-            sim.mac = Some(MacroState::new(sim.cfg.hosts, sim.effective_shards()));
-        }
         sim.qos = sim.cfg.qos.as_ref().map(|q| QosReport::new(q.sla_ms));
         for _ in 0..sim.cfg.vms {
             sim.arrival();
         }
         // Every host is already due at hour 0; the initial placements
         // need no extra touch records.
-        if let Some(mac) = &mut sim.mac {
-            mac.touched.clear();
-        }
+        sim.mac.touched.clear();
         sim
     }
 
-    /// Final host columns (inspection and digests). In macro-stepping
-    /// mode call [`FleetSim::sync`] first so lazily-settled counters are
-    /// up to date.
+    /// A sim that advances every host every hour with a full resident
+    /// walk: the oracle macro-stepping is pinned against.
+    #[cfg(test)]
+    fn hourly_oracle(cfg: FleetConfig) -> Self {
+        let mut sim = Self::new(cfg);
+        sim.hourly = true;
+        sim
+    }
+
+    /// Final host columns (inspection and digests). Call
+    /// [`FleetSim::sync`] first so lazily-settled counters are up to
+    /// date.
     pub fn columns(&self) -> &HostColumns {
         &self.hosts
     }
@@ -932,13 +898,13 @@ impl FleetSim {
     /// Folds the end-of-run state gauges — live VMs, demanded vCPUs,
     /// fleet digest and capacity-index operation counts — into the
     /// registry and returns the **logical** snapshot: a sorted, rendered
-    /// JSON object that is byte-identical across shard counts,
-    /// executors and stepping modes for the same config. Idempotent
-    /// (gauges are set, not added), so it can be called repeatedly.
+    /// JSON object that is byte-identical across shard counts for the
+    /// same config. Idempotent (gauges are set, not added), so it can be
+    /// called repeatedly.
     pub fn logical_telemetry(&mut self) -> JsonObject {
         let digest = self.digest();
         let mut ops = IndexOps::default();
-        for ix in [&self.awake, &self.asleep].into_iter().flatten() {
+        for ix in [&self.awake, &self.asleep] {
             let o = ix.ops();
             ops.admits += o.admits;
             ops.evicts += o.evicts;
@@ -960,8 +926,7 @@ impl FleetSim {
 
     /// Total energy host `slot` has drawn so far, in watt-hours: the
     /// irregular (active + transition) accumulation plus the
-    /// exactly-counted drowsy hours. Call [`FleetSim::sync`] first in
-    /// macro-stepping mode.
+    /// exactly-counted drowsy hours. Call [`FleetSim::sync`] first.
     pub fn host_energy_wh(&self, slot: u32) -> f64 {
         self.hosts.energy_wh[slot as usize]
             + self.hosts.drowsy_hours[slot as usize] as f64 * self.s3_w
@@ -977,15 +942,9 @@ impl FleetSim {
         let host = host?;
         let r = self.vms.alloc(class, phase, vcpus);
         link(&mut self.hosts, &mut self.vms, host, r);
-        if let Some(ix) = &mut self.awake {
-            ix.admit(host, vcpus);
-        }
-        if let Some(ix) = &mut self.asleep {
-            ix.admit(host, vcpus);
-        }
-        if let Some(mac) = &mut self.mac {
-            mac.agg[host as usize].add(class, phase, vcpus);
-        }
+        self.awake.admit(host, vcpus);
+        self.asleep.admit(host, vcpus);
+        self.mac.agg[host as usize].add(class, phase, vcpus);
         self.touch(host);
         self.live.push(r);
         self.placements += 1;
@@ -996,39 +955,17 @@ impl FleetSim {
     /// Records a churn touch: the host must be re-evaluated at the
     /// current hour, whatever its horizon said.
     fn touch(&mut self, host: u32) {
-        if let Some(mac) = &mut self.mac {
-            let h = host as usize;
-            mac.next_change[h] = mac.next_change[h].min(self.hour);
-            mac.touched.push(host);
-        }
+        let h = host as usize;
+        self.mac.next_change[h] = self.mac.next_change[h].min(self.hour);
+        self.mac.touched.push(host);
     }
 
     /// Best-fit among awake hosts, falling back to best-fit among drowsy
-    /// ones — identical decisions from the indexes and the scan.
+    /// ones (tightest fit, lowest slot on ties).
     fn place(&self, need: u32) -> Option<u32> {
-        match (&self.awake, &self.asleep) {
-            (Some(awake), Some(asleep)) => awake.best_fit(need).or_else(|| asleep.best_fit(need)),
-            _ => {
-                let mut best_awake: Option<(u32, u32)> = None;
-                let mut best_asleep: Option<(u32, u32)> = None;
-                for slot in 0..self.hosts.len() as u32 {
-                    let free = self.hosts.free_vcpus(slot);
-                    if free < need {
-                        continue;
-                    }
-                    let cell = match self.hosts.power[slot as usize] {
-                        PowerState::Active => &mut best_awake,
-                        PowerState::Drowsy => &mut best_asleep,
-                    };
-                    // Strict `<` keeps the lowest slot on free-vCPU ties,
-                    // matching the index's tightest-bucket-first-slot rule.
-                    if cell.map(|(f, _)| free < f).unwrap_or(true) {
-                        *cell = Some((free, slot));
-                    }
-                }
-                best_awake.or(best_asleep).map(|(_, slot)| slot)
-            }
-        }
+        self.awake
+            .best_fit(need)
+            .or_else(|| self.asleep.best_fit(need))
     }
 
     /// One arrival drawn from the churn stream, class-weighted by
@@ -1066,30 +1003,19 @@ impl FleetSim {
         let phase = self.vms.phase[r.slot as usize];
         let host = unlink(&mut self.hosts, &mut self.vms, r);
         self.vms.release(r);
-        if let Some(ix) = &mut self.awake {
-            ix.evict(host, vcpus);
-        }
-        if let Some(ix) = &mut self.asleep {
-            ix.evict(host, vcpus);
-        }
-        if let Some(mac) = &mut self.mac {
-            mac.agg[host as usize].sub(class, phase, vcpus);
-        }
+        self.awake.evict(host, vcpus);
+        self.asleep.evict(host, vcpus);
+        self.mac.agg[host as usize].sub(class, phase, vcpus);
         self.touch(host);
         self.departures += 1;
         self.fm.departures.inc();
     }
 
-    /// Shards actually used for the advance phase.
+    /// Shards used for the advance phase: [`FleetConfig::shards`]
+    /// (`0` = one per available core) clamped to `1..=hosts`, fixed at
+    /// construction.
     pub fn effective_shards(&self) -> usize {
-        let want = if self.cfg.shards == 0 {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        } else {
-            self.cfg.shards
-        };
-        want.clamp(1, self.hosts.len().max(1))
+        self.mac.wheels.len()
     }
 
     /// One epoch: churn, sharded advance, shard-ordered merge. Hours
@@ -1167,15 +1093,13 @@ impl FleetSim {
                 all_woken.extend_from_slice(&out.woken);
                 all_traffic.extend_from_slice(&out.traffic_woken);
             }
-            if let (Some(awake), Some(asleep)) = (&mut self.awake, &mut self.asleep) {
-                for &slot in &out.suspended {
-                    awake.park(slot);
-                    asleep.unpark(slot);
-                }
-                for &slot in &out.woken {
-                    awake.unpark(slot);
-                    asleep.park(slot);
-                }
+            for &slot in &out.suspended {
+                self.awake.park(slot);
+                self.asleep.unpark(slot);
+            }
+            for &slot in &out.woken {
+                self.awake.unpark(slot);
+                self.asleep.park(slot);
             }
             if let (Some(qcfg), Some(report)) = (&self.cfg.qos, &mut self.qos) {
                 // Each traffic wake's trigger request pays the resume.
@@ -1227,15 +1151,15 @@ impl FleetSim {
         self.hour = hour + 1;
     }
 
-    /// Fans the host columns over `effective_shards()` workers — the
-    /// persistent pool or a fresh thread scope, per the config.
+    /// Fans the host columns over the shards on the persistent pool.
+    /// Submission order is shard order: the pool returns results in
+    /// submission order, whichever worker ran each shard.
     fn advance_hosts(&mut self, hour: u64) -> Vec<ShardOutcome> {
         let shards = self.effective_shards();
         let hosts = self.hosts.len();
-        if let Some(mac) = &mut self.mac {
-            mac.touched.sort_unstable();
-            mac.touched.dedup();
-        }
+        let mac = &mut self.mac;
+        mac.touched.sort_unstable();
+        mac.touched.dedup();
         let ctx = ShardCtx {
             hour,
             vcpu_capacity: &self.hosts.vcpu_capacity,
@@ -1250,7 +1174,7 @@ impl FleetSim {
         };
         // Carve the mutable columns into disjoint contiguous windows.
         let per = hosts.div_ceil(shards).max(1);
-        let mut tasks: Vec<(ShardView<'_>, Option<MacroShard<'_>>)> = Vec::with_capacity(shards);
+        let mut tasks: Vec<(ShardView<'_>, MacroShard<'_>)> = Vec::with_capacity(shards);
         let mut power = self.hosts.power.as_mut_slice();
         let mut waking_date = self.hosts.waking_date.as_mut_slice();
         let mut demand = self.hosts.demand.as_mut_slice();
@@ -1258,16 +1182,10 @@ impl FleetSim {
         let mut drowsy_hours = self.hosts.drowsy_hours.as_mut_slice();
         let mut wakes = self.hosts.wakes.as_mut_slice();
         let mut energy_wh = self.hosts.energy_wh.as_mut_slice();
-        let (mut settled, mut next_change, mut wheels, agg, touched) = match &mut self.mac {
-            Some(mac) => (
-                Some(mac.settled.as_mut_slice()),
-                Some(mac.next_change.as_mut_slice()),
-                Some(mac.wheels.iter_mut()),
-                mac.agg.as_slice(),
-                mac.touched.as_slice(),
-            ),
-            None => (None, None, None, &[][..], &[][..]),
-        };
+        let mut settled = mac.settled.as_mut_slice();
+        let mut next_change = mac.next_change.as_mut_slice();
+        let mut wheels = mac.wheels.iter_mut();
+        let (agg, touched) = (mac.agg.as_slice(), mac.touched.as_slice());
         let mut base = 0;
         while !power.is_empty() {
             let k = per.min(power.len());
@@ -1285,6 +1203,10 @@ impl FleetSim {
             wakes = rest;
             let (e, rest) = energy_wh.split_at_mut(k);
             energy_wh = rest;
+            let (se, rest) = settled.split_at_mut(k);
+            settled = rest;
+            let (nc, rest) = next_change.split_at_mut(k);
+            next_change = rest;
             let view = ShardView {
                 base,
                 power: p,
@@ -1295,79 +1217,46 @@ impl FleetSim {
                 wakes: wk,
                 energy_wh: e,
             };
-            let mac_shard = match (&mut settled, &mut next_change, &mut wheels) {
-                (Some(se), Some(nc), Some(wh)) => {
-                    let (se_here, se_rest) = std::mem::take(se).split_at_mut(k);
-                    *se = se_rest;
-                    let (nc_here, nc_rest) = std::mem::take(nc).split_at_mut(k);
-                    *nc = nc_rest;
-                    // Touched slots landing in this shard's range.
-                    let lo = touched.partition_point(|&t| (t as usize) < base);
-                    let hi = touched.partition_point(|&t| (t as usize) < base + k);
-                    Some(MacroShard {
-                        settled: se_here,
-                        next_change: nc_here,
-                        wheel: wh.next().expect("one calendar wheel per shard"),
-                        touched: &touched[lo..hi],
-                        agg,
-                    })
-                }
-                _ => None,
+            // Touched slots landing in this shard's range.
+            let lo = touched.partition_point(|&t| (t as usize) < base);
+            let hi = touched.partition_point(|&t| (t as usize) < base + k);
+            let m = MacroShard {
+                settled: se,
+                next_change: nc,
+                wheel: wheels.next().expect("one calendar wheel per shard"),
+                touched: &touched[lo..hi],
+                agg,
             };
-            tasks.push((view, mac_shard));
+            tasks.push((view, m));
             base += k;
         }
-        let run = |(mut view, mac): (ShardView<'_>, Option<MacroShard<'_>>)| match mac {
-            None => advance_shard(&ctx, &mut view),
-            Some(m) => advance_shard_macro(&ctx, &mut view, m),
-        };
-        if tasks.len() <= 1 {
-            let outcomes = tasks.into_iter().map(run).collect();
-            if let Some(mac) = &mut self.mac {
-                mac.touched.clear();
+        #[cfg(test)]
+        let hourly = self.hourly;
+        let run = |(mut view, m): (ShardView<'_>, MacroShard<'_>)| {
+            #[cfg(test)]
+            if hourly {
+                return advance_shard(&ctx, &mut view);
             }
-            return outcomes;
-        }
-        let outcomes = match self.cfg.executor {
-            ExecutorMode::Scoped => std::thread::scope(|scope| {
-                let run = &run;
-                let handles: Vec<_> = tasks
-                    .into_iter()
-                    .map(|task| scope.spawn(move || run(task)))
-                    .collect();
-                // Joining in spawn order keeps the merge shard-ordered.
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("fleet shard panicked"))
-                    .collect()
-            }),
-            ExecutorMode::Pool => {
-                // Submission order IS shard order: the pool returns
-                // results in submission order, whichever worker ran
-                // each shard.
-                let run = &run;
-                let width = tasks.len();
-                WorkerPool::global().run_ordered(
-                    width,
-                    tasks.into_iter().map(|task| move || run(task)).collect(),
-                )
-            }
+            advance_shard_macro(&ctx, &mut view, m)
         };
-        if let Some(mac) = &mut self.mac {
-            mac.touched.clear();
-        }
+        let run = &run;
+        let outcomes = WorkerPool::global().run_ordered(
+            tasks.len(),
+            tasks.into_iter().map(|task| move || run(task)).collect(),
+        );
+        self.mac.touched.clear();
         outcomes
     }
 
     /// Settles every host's lazily-skipped hours up to the current
-    /// simulation clock. A no-op in hourly mode (or when already
-    /// settled); called automatically by [`FleetSim::outcome`] and
-    /// [`FleetSim::digest`].
+    /// simulation clock. A no-op when already settled; called
+    /// automatically by [`FleetSim::outcome`] and [`FleetSim::digest`].
     pub fn sync(&mut self) {
-        let hour = self.hour;
-        let Some(mac) = &mut self.mac else {
+        #[cfg(test)]
+        if self.hourly {
+            // The oracle walk settles every host every hour.
             return;
-        };
+        }
         let mut view = ShardView {
             base: 0,
             power: &mut self.hosts.power,
@@ -1382,9 +1271,9 @@ impl FleetSim {
             let cap = self.hosts.vcpu_capacity[i].max(1) as f64;
             settle_host(
                 &mut view,
-                &mut mac.settled,
+                &mut self.mac.settled,
                 i,
-                hour,
+                self.hour,
                 self.idle_w,
                 self.peak_w,
                 cap,
@@ -1393,10 +1282,9 @@ impl FleetSim {
     }
 
     /// FNV-1a fingerprint of the fleet state: every host column plus the
-    /// global counters. Bit-identical across shard counts, placement
-    /// modes, executors and stepping disciplines, by construction. The
-    /// digest is cached between mutations, so repeated calls (and
-    /// repeated [`FleetSim::outcome`] calls) cost O(1).
+    /// global counters. Bit-identical across shard counts, by
+    /// construction. The digest is cached between mutations, so repeated
+    /// calls (and repeated [`FleetSim::outcome`] calls) cost O(1).
     pub fn digest(&mut self) -> u64 {
         self.sync();
         if let Some(d) = self.digest_cache {
@@ -1535,43 +1423,129 @@ mod tests {
         assert!(one.resumes > 0);
     }
 
+    /// Runs `cfg` to its horizon through the hourly oracle walk.
+    fn run_hourly(cfg: FleetConfig) -> FleetOutcome {
+        FleetSim::hourly_oracle(cfg).run()
+    }
+
+    /// A fleet constructor: [`FleetSim::new`] or the hourly oracle.
+    type Build = fn(FleetConfig) -> FleetSim;
+
+    /// Constructors of the two stepping disciplines, for grids over both.
+    const STEPPINGS: [(&str, Build); 2] = [
+        ("hourly", FleetSim::hourly_oracle),
+        ("macro", FleetSim::new),
+    ];
+
+    /// The small fleet the macro-vs-hourly grids sweep around.
+    fn grid_cfg(seed: u64) -> FleetConfig {
+        FleetConfig {
+            seed,
+            churn_per_epoch: 6,
+            ..FleetConfig::new(40, 260, 72)
+        }
+    }
+
+    /// The acceptance grid: hourly and macro stepping at {1, 4, 6}
+    /// shards — the inline serial run and the pooled fan-out — over a
+    /// seed grid and class mixes from uniform to drowsy-heavy to
+    /// never-idle. Every cell must reproduce the single-shard hourly
+    /// oracle bit-for-bit.
     #[test]
     fn stepping_and_executor_grid_is_bit_identical() {
-        // The reference walk: hourly stepping, scoped threads, 1 shard.
-        let reference = run_fleet(FleetConfig {
-            stepping: SteppingMode::Hourly,
-            executor: ExecutorMode::Scoped,
-            shards: 1,
-            ..base_cfg()
-        });
-        for stepping in [SteppingMode::Hourly, SteppingMode::Macro] {
-            for executor in [ExecutorMode::Scoped, ExecutorMode::Pool] {
-                for shards in [1, 3, 7] {
-                    let other = run_fleet(FleetConfig {
-                        stepping,
-                        executor,
-                        shards,
-                        ..base_cfg()
-                    });
-                    assert_same_bits(&reference, &other);
+        let mixes: [[u32; 4]; 3] = [
+            [1, 1, 1, 1], // uniform (the historical draw)
+            [1, 4, 4, 1], // drowsy-heavy: office + nightly dominate
+            [3, 0, 0, 1], // busy: always-on + bursty only
+        ];
+        for seed in [1, 7, 99] {
+            for mix in mixes {
+                let cfg = || FleetConfig {
+                    class_mix: mix,
+                    ..grid_cfg(seed)
+                };
+                let reference = run_hourly(FleetConfig { shards: 1, ..cfg() });
+                for (name, build) in STEPPINGS {
+                    for shards in [1, 4, 6] {
+                        let other = build(FleetConfig { shards, ..cfg() }).run();
+                        assert_eq!(
+                            reference.digest, other.digest,
+                            "seed {seed} mix {mix:?}: {name}/{shards} shards diverged"
+                        );
+                        assert_same_bits(&reference, &other);
+                    }
                 }
             }
         }
     }
 
+    /// Macro-stepping under heavy churn: high churn rates maximize the
+    /// touched-host slow path and the interleaving of lazy settling with
+    /// eager placement bookkeeping — the hardest regime for the horizon
+    /// invariant.
+    #[test]
+    fn macro_stepping_survives_heavy_churn_bit_identically() {
+        for churn in [0, 1, 40, 120] {
+            let cfg = || FleetConfig {
+                churn_per_epoch: churn,
+                shards: 3,
+                ..grid_cfg(13)
+            };
+            let hourly = run_hourly(cfg());
+            let macro_ = run_fleet(cfg());
+            assert_eq!(hourly.digest, macro_.digest, "churn {churn}");
+            assert_same_bits(&hourly, &macro_);
+        }
+    }
+
+    /// The capacity indexes against a column scan on a churny run: after
+    /// every epoch the awake index parks exactly the drowsy hosts and the
+    /// asleep index exactly the active ones, both track every host's free
+    /// vCPUs, and `place` picks what a best-fit-awake-else-drowsy scan
+    /// over the columns picks.
     #[test]
     fn indexed_and_scan_placement_are_bit_identical() {
-        let indexed = run_fleet(FleetConfig {
-            placement: PlacementMode::Indexed,
-            shards: 2,
+        let cfg = FleetConfig {
+            churn_per_epoch: 40,
             ..base_cfg()
-        });
-        let scan = run_fleet(FleetConfig {
-            placement: PlacementMode::Scan,
-            shards: 2,
-            ..base_cfg()
-        });
-        assert_same_bits(&indexed, &scan);
+        };
+        let horizon = cfg.horizon_hours;
+        let mut sim = FleetSim::new(cfg);
+        let scan = |sim: &FleetSim, need: u32| {
+            let cols = sim.columns();
+            let best_fit = |state: PowerState| {
+                (0..cols.len() as u32)
+                    .filter(|&s| cols.power[s as usize] == state && cols.free_vcpus(s) >= need)
+                    .min_by_key(|&s| (cols.free_vcpus(s), s))
+            };
+            best_fit(PowerState::Active).or_else(|| best_fit(PowerState::Drowsy))
+        };
+        let (mut awake_picks, mut drowsy_picks) = (0, 0);
+        for hour in 0..horizon {
+            sim.step_hour(hour);
+            let cols = sim.columns();
+            for slot in 0..cols.len() as u32 {
+                let drowsy = cols.power[slot as usize] == PowerState::Drowsy;
+                assert_eq!(sim.awake.is_parked(slot), drowsy, "hour {hour} slot {slot}");
+                assert_eq!(
+                    sim.asleep.is_parked(slot),
+                    !drowsy,
+                    "hour {hour} slot {slot}"
+                );
+                assert_eq!(sim.awake.free_of(slot), cols.free_vcpus(slot));
+                assert_eq!(sim.asleep.free_of(slot), cols.free_vcpus(slot));
+            }
+            for need in [1, 2, 4] {
+                let pick = sim.place(need);
+                assert_eq!(pick, scan(&sim, need), "hour {hour}, need {need}");
+                match pick.map(|s| cols.power[s as usize]) {
+                    Some(PowerState::Active) => awake_picks += 1,
+                    Some(PowerState::Drowsy) => drowsy_picks += 1,
+                    None => {}
+                }
+            }
+        }
+        assert!(awake_picks > 0 && drowsy_picks > 0, "both indexes answer");
     }
 
     #[test]
@@ -1713,8 +1687,7 @@ mod tests {
             qos: Some(FleetQosConfig::paper_default()),
             ..base_cfg()
         };
-        let reference = run_fleet(FleetConfig {
-            stepping: SteppingMode::Hourly,
+        let reference = run_hourly(FleetConfig {
             shards: 1,
             ..qos_cfg()
         });
@@ -1732,30 +1705,26 @@ mod tests {
         assert!(report.wake_hits <= reference.resumes, "subset of resumes");
         // The ride-along leaves the physics untouched: same digest as the
         // qos-less run.
-        let plain = run_fleet(FleetConfig {
-            stepping: SteppingMode::Hourly,
+        let plain = run_hourly(FleetConfig {
             shards: 1,
             ..base_cfg()
         });
         assert_eq!(reference.digest, plain.digest);
         assert!(plain.qos.is_none());
         // And the report is bit-identical across the whole engine grid.
-        for stepping in [SteppingMode::Hourly, SteppingMode::Macro] {
-            for executor in [ExecutorMode::Scoped, ExecutorMode::Pool] {
-                for shards in [1, 3, 7] {
-                    let other = run_fleet(FleetConfig {
-                        stepping,
-                        executor,
-                        shards,
-                        ..qos_cfg()
-                    });
-                    assert_same_bits(&reference, &other);
-                    assert_eq!(
-                        other.qos.as_ref().expect("report"),
-                        report,
-                        "{stepping:?}/{executor:?}/{shards}"
-                    );
-                }
+        for (name, build) in STEPPINGS {
+            for shards in [1, 3, 7] {
+                let other = build(FleetConfig {
+                    shards,
+                    ..qos_cfg()
+                })
+                .run();
+                assert_same_bits(&reference, &other);
+                assert_eq!(
+                    other.qos.as_ref().expect("report"),
+                    report,
+                    "{name}/{shards}"
+                );
             }
         }
     }
@@ -1768,10 +1737,9 @@ mod tests {
             ..base_cfg()
         });
         assert!(nightly.drowsy_host_hours > 3 * nightly.active_host_hours);
-        // The skewed mix is still bit-identical across stepping modes.
-        let hourly = run_fleet(FleetConfig {
+        // The skewed mix still reproduces the hourly oracle.
+        let hourly = run_hourly(FleetConfig {
             class_mix: [0, 0, 1, 0],
-            stepping: SteppingMode::Hourly,
             ..base_cfg()
         });
         assert_same_bits(&nightly, &hourly);
@@ -1785,17 +1753,16 @@ mod tests {
     }
 
     /// The acceptance bar: the rendered **logical** telemetry artifact
-    /// is byte-identical across `{1,4} shards × {scoped,pooled}`
-    /// executors — counters are order-independent event sums, so the
+    /// is byte-identical across `{1,4} shards × {hourly,macro}`
+    /// stepping — counters are order-independent event sums, so the
     /// execution grid cannot leak into them.
     #[test]
     fn logical_telemetry_is_byte_identical_across_the_grid() {
         let mut reference: Option<String> = None;
         for shards in [1usize, 4] {
-            for executor in [ExecutorMode::Scoped, ExecutorMode::Pool] {
-                let mut sim = FleetSim::new(FleetConfig {
+            for (name, build) in STEPPINGS {
+                let mut sim = build(FleetConfig {
                     shards,
-                    executor,
                     qos: Some(FleetQosConfig::paper_default()),
                     ..base_cfg()
                 });
@@ -1805,7 +1772,7 @@ mod tests {
                     None => reference = Some(rendered),
                     Some(want) => assert_eq!(
                         want, &rendered,
-                        "logical telemetry diverged at shards={shards} executor={executor:?}"
+                        "logical telemetry diverged at shards={shards} stepping={name}"
                     ),
                 }
             }
@@ -1857,14 +1824,13 @@ mod tests {
     fn flight_recorder_merged_digests_are_shard_invariant() {
         let trace = 32usize;
         let mut recs: Vec<FlightRecorder> = Vec::new();
-        for (shards, executor) in [
-            (1usize, ExecutorMode::Scoped),
-            (4, ExecutorMode::Scoped),
-            (4, ExecutorMode::Pool),
+        for (shards, build) in [
+            (1usize, FleetSim::new as Build),
+            (4, FleetSim::new),
+            (4, FleetSim::hourly_oracle),
         ] {
-            let mut sim = FleetSim::new(FleetConfig {
+            let mut sim = build(FleetConfig {
                 shards,
-                executor,
                 trace_epochs: trace,
                 ..base_cfg()
             });

@@ -19,16 +19,15 @@
 //!   VMs cost bytes each, not hourly traces.
 //! * [`engine`] — the sharded simulation loop: each epoch, host shards
 //!   advance independently over the persistent
-//!   [`WorkerPool`](dds_sim_core::WorkerPool) (or `std::thread::scope`;
-//!   a host's hour depends only on its own columns and residents), then
-//!   a deterministic, shard-ordered merge applies fleet-level effects
-//!   (capacity-index park/unpark). Quiescent hosts macro-step: each host
-//!   carries a `next_change` horizon and parked/steady stretches settle
-//!   in closed form, so an epoch costs O(hosts due), not O(hosts).
-//!   Placement decisions run through the incremental
-//!   [`CapacityIndex`](dds_placement::CapacityIndex) or the reference
-//!   linear scan — byte-identical outcomes, an order of magnitude apart
-//!   in control-epoch cost.
+//!   [`WorkerPool`](dds_sim_core::WorkerPool) (a host's hour depends only
+//!   on its own columns and residents), then a deterministic,
+//!   shard-ordered merge applies fleet-level effects (capacity-index
+//!   park/unpark). Quiescent hosts macro-step: each host carries a
+//!   `next_change` horizon and parked/steady stretches settle in closed
+//!   form, so an epoch costs O(hosts due), not O(hosts). Placement
+//!   decisions run through a pair of incremental
+//!   [`CapacityIndex`](dds_placement::CapacityIndex)es (awake, asleep),
+//!   O(1) amortized per decision instead of an O(hosts) scan.
 //!
 //! The determinism discipline is the same one `run_sweep` and the QoS
 //! replay layer already prove at experiment granularity, pushed down into
@@ -42,8 +41,5 @@ pub mod engine;
 pub mod workload;
 
 pub use arena::{HostColumns, PowerState, VmArena, VmRef};
-pub use engine::{
-    run_fleet, ExecutorMode, FleetConfig, FleetOutcome, FleetQosConfig, FleetSim, PlacementMode,
-    SteppingMode,
-};
+pub use engine::{run_fleet, FleetConfig, FleetOutcome, FleetQosConfig, FleetSim};
 pub use workload::WorkloadClass;

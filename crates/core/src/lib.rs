@@ -51,10 +51,7 @@ pub use datacenter::{
     dc_spans, AdmitError, Algorithm, Datacenter, DcConfig, DcEngine, DcEvent, DcOutcome,
     EngineConfig, WakeCause, WakeRecord,
 };
-pub use fleet::{
-    run_fleet, ExecutorMode, FleetConfig, FleetOutcome, FleetQosConfig, FleetSim, PlacementMode,
-    SteppingMode,
-};
+pub use fleet::{run_fleet, FleetConfig, FleetOutcome, FleetQosConfig, FleetSim};
 pub use registry::{PolicyEntry, PolicyRegistry, RegistryError};
 pub use spec::{HostSpec, VmMemberSpec, VmSpec, WorkloadKind};
 pub use sweep::{llmi_grid, run_sweep, run_sweep_with, seed_replicates, SweepOutcome, SweepPoint};

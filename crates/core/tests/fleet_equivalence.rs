@@ -1,10 +1,10 @@
 //! Cross-crate equivalence suite for the hyperscale fleet engine: the
 //! properties `BENCH_scalability.json` pins in CI, exercised as tests —
-//! shard-count invariance, index-vs-scan placement identity,
-//! macro-vs-hourly stepping identity over the full executor grid, and
-//! churn determinism across a seed grid.
+//! shard-count invariance, churn determinism across a seed grid and
+//! host-hour accounting. The macro-stepping ≡ hourly-walk grids live
+//! next to the hourly oracle in `fleet::engine`'s unit tests.
 
-use dds_core::{run_fleet, ExecutorMode, FleetConfig, FleetOutcome, PlacementMode, SteppingMode};
+use dds_core::{run_fleet, FleetConfig, FleetOutcome};
 
 fn cfg(seed: u64) -> FleetConfig {
     FleetConfig {
@@ -44,95 +44,6 @@ fn shard_count_never_changes_fleet_outcomes() {
                 "seed {seed}: {shards} shards diverged from 1 shard"
             );
         }
-    }
-}
-
-#[test]
-fn capacity_index_and_linear_scan_place_identically() {
-    for seed in [1, 7, 99] {
-        let indexed = run_fleet(FleetConfig {
-            placement: PlacementMode::Indexed,
-            ..cfg(seed)
-        });
-        let scan = run_fleet(FleetConfig {
-            placement: PlacementMode::Scan,
-            shards: 3,
-            ..cfg(seed)
-        });
-        assert!(
-            same_bits(&indexed, &scan),
-            "seed {seed}: indexed placement diverged from the scan"
-        );
-    }
-}
-
-/// The acceptance grid: {scoped, pooled} × {hourly, macro} × {1, 4, N}
-/// shards, over a seed grid and over class mixes from uniform to
-/// drowsy-heavy to never-idle. Every cell must reproduce the reference
-/// (hourly, scoped, single-shard) walk bit-for-bit — the property the
-/// macro-stepping fast path and the persistent executor are built
-/// around.
-#[test]
-fn stepping_and_executor_grid_never_changes_fleet_outcomes() {
-    let mixes: [[u32; 4]; 3] = [
-        [1, 1, 1, 1], // uniform (the historical draw)
-        [1, 4, 4, 1], // drowsy-heavy: office + nightly dominate
-        [3, 0, 0, 1], // busy: always-on + bursty only
-    ];
-    for seed in [1, 7, 99] {
-        for mix in mixes {
-            let reference = run_fleet(FleetConfig {
-                stepping: SteppingMode::Hourly,
-                executor: ExecutorMode::Scoped,
-                shards: 1,
-                class_mix: mix,
-                ..cfg(seed)
-            });
-            for stepping in [SteppingMode::Hourly, SteppingMode::Macro] {
-                for executor in [ExecutorMode::Scoped, ExecutorMode::Pool] {
-                    for shards in [1, 4, 6] {
-                        let other = run_fleet(FleetConfig {
-                            stepping,
-                            executor,
-                            shards,
-                            class_mix: mix,
-                            ..cfg(seed)
-                        });
-                        assert!(
-                            same_bits(&reference, &other),
-                            "seed {seed} mix {mix:?}: {stepping:?}/{executor:?}/{shards} shards \
-                             diverged from the hourly/scoped/1-shard reference"
-                        );
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// Macro-stepping under heavy churn: high churn rates maximize the
-/// touched-host slow path and the interleaving of lazy settling with
-/// eager placement bookkeeping — the hardest regime for the horizon
-/// invariant.
-#[test]
-fn macro_stepping_survives_heavy_churn_bit_identically() {
-    for churn in [0, 1, 40, 120] {
-        let hourly = run_fleet(FleetConfig {
-            stepping: SteppingMode::Hourly,
-            churn_per_epoch: churn,
-            shards: 3,
-            ..cfg(13)
-        });
-        let macro_ = run_fleet(FleetConfig {
-            stepping: SteppingMode::Macro,
-            churn_per_epoch: churn,
-            shards: 3,
-            ..cfg(13)
-        });
-        assert!(
-            same_bits(&hourly, &macro_),
-            "churn {churn}: macro-stepping diverged from the hourly walk"
-        );
     }
 }
 

@@ -17,11 +17,8 @@
 //! enough room; `best_fit` = tightest fit, lowest slot on ties;
 //! `worst_fit` = roomiest fit, lowest slot on ties). The bucket structure
 //! is an accelerator, never an answer-changer: the property tests below
-//! drive the index and the reference scan ([`ScanIndex`]) through random
+//! drive the index and a reference linear scan through random
 //! admit/evict/park/unpark churn and require **bit-identical** decisions.
-//! The sharded fleet engine in `dds-core` relies on this equivalence to
-//! keep indexed and scan placement byte-identical while being ≥10× faster
-//! per control epoch.
 //!
 //! Hosts are addressed by dense `u32` slots (position in the fleet, not
 //! `HostId`), matching the SoA arenas of the fleet engine; the caller owns
@@ -253,80 +250,69 @@ impl CapacityIndex {
     }
 }
 
-/// The reference implementation: the exact linear scans the index must
-/// reproduce, over the same dense-slot API. The fleet engine uses it as
-/// the baseline side of its index-speedup measurement; the property tests
-/// use it as the oracle.
-#[derive(Debug, Clone)]
-pub struct ScanIndex {
-    free: Vec<u32>,
-    parked: Vec<bool>,
-}
-
-impl ScanIndex {
-    /// Builds the reference index (all hosts unparked).
-    pub fn new(free: &[u32]) -> Self {
-        ScanIndex {
-            free: free.to_vec(),
-            parked: vec![false; free.len()],
-        }
-    }
-
-    /// See [`CapacityIndex::admit`].
-    pub fn admit(&mut self, slot: u32, vcpus: u32) {
-        self.free[slot as usize] = self.free[slot as usize].saturating_sub(vcpus);
-    }
-
-    /// See [`CapacityIndex::evict`].
-    pub fn evict(&mut self, slot: u32, vcpus: u32) {
-        self.free[slot as usize] += vcpus;
-    }
-
-    /// See [`CapacityIndex::park`].
-    pub fn park(&mut self, slot: u32) {
-        self.parked[slot as usize] = true;
-    }
-
-    /// See [`CapacityIndex::unpark`].
-    pub fn unpark(&mut self, slot: u32) {
-        self.parked[slot as usize] = false;
-    }
-
-    fn candidates(&self, need: u32) -> impl Iterator<Item = (u32, u32)> + '_ {
-        self.free
-            .iter()
-            .zip(&self.parked)
-            .enumerate()
-            .filter(move |(_, (&f, &p))| !p && f >= need)
-            .map(|(slot, (&f, _))| (slot as u32, f))
-    }
-
-    /// See [`CapacityIndex::first_fit`].
-    pub fn first_fit(&self, need: u32) -> Option<u32> {
-        self.candidates(need).next().map(|(slot, _)| slot)
-    }
-
-    /// See [`CapacityIndex::best_fit`].
-    pub fn best_fit(&self, need: u32) -> Option<u32> {
-        self.candidates(need)
-            .min_by_key(|&(slot, f)| (f, slot))
-            .map(|(slot, _)| slot)
-    }
-
-    /// See [`CapacityIndex::worst_fit`].
-    pub fn worst_fit(&self, need: u32) -> Option<u32> {
-        // `min_by_key` keeps the *first* minimum: scanning by ascending
-        // slot gives the lowest slot among the roomiest hosts.
-        self.candidates(need)
-            .min_by_key(|&(slot, f)| (std::cmp::Reverse(f), slot))
-            .map(|(slot, _)| slot)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    /// The oracle: the exact linear scans the index must reproduce, over
+    /// the same dense-slot API.
+    struct ScanIndex {
+        free: Vec<u32>,
+        parked: Vec<bool>,
+    }
+
+    impl ScanIndex {
+        fn new(free: &[u32]) -> Self {
+            ScanIndex {
+                free: free.to_vec(),
+                parked: vec![false; free.len()],
+            }
+        }
+
+        fn admit(&mut self, slot: u32, vcpus: u32) {
+            self.free[slot as usize] = self.free[slot as usize].saturating_sub(vcpus);
+        }
+
+        fn evict(&mut self, slot: u32, vcpus: u32) {
+            self.free[slot as usize] += vcpus;
+        }
+
+        fn park(&mut self, slot: u32) {
+            self.parked[slot as usize] = true;
+        }
+
+        fn unpark(&mut self, slot: u32) {
+            self.parked[slot as usize] = false;
+        }
+
+        fn candidates(&self, need: u32) -> impl Iterator<Item = (u32, u32)> + '_ {
+            self.free
+                .iter()
+                .zip(&self.parked)
+                .enumerate()
+                .filter(move |(_, (&f, &p))| !p && f >= need)
+                .map(|(slot, (&f, _))| (slot as u32, f))
+        }
+
+        fn first_fit(&self, need: u32) -> Option<u32> {
+            self.candidates(need).next().map(|(slot, _)| slot)
+        }
+
+        fn best_fit(&self, need: u32) -> Option<u32> {
+            self.candidates(need)
+                .min_by_key(|&(slot, f)| (f, slot))
+                .map(|(slot, _)| slot)
+        }
+
+        fn worst_fit(&self, need: u32) -> Option<u32> {
+            // `min_by_key` keeps the *first* minimum: scanning by ascending
+            // slot gives the lowest slot among the roomiest hosts.
+            self.candidates(need)
+                .min_by_key(|&(slot, f)| (std::cmp::Reverse(f), slot))
+                .map(|(slot, _)| slot)
+        }
+    }
 
     #[test]
     fn queries_follow_documented_tie_breaks() {

@@ -30,7 +30,7 @@
 //! * [`capacity`] — the incremental free-capacity index
 //!   ([`CapacityIndex`]): hosts bucketed by free vCPUs, updated on
 //!   admit/evict/park/unpark, so fleet-scale placement stops re-scanning
-//!   every host per decision (bit-identical to the reference scan).
+//!   every host per decision (bit-identical to a linear scan).
 //! * [`sleepscale`] — a SleepScale-inspired joint speed-scaling +
 //!   sleep-state policy proving the seam admits genuinely new algorithms.
 //! * [`sla_aware`] — Drowsy-DC planning plus a QoS-driven suspend veto:
@@ -59,7 +59,7 @@ pub mod sleepscale;
 pub mod types;
 
 pub use adaptive::{class_winner, AdaptiveConfig, AdaptivePolicy, CLASS_WINNERS};
-pub use capacity::{CapacityIndex, ScanIndex};
+pub use capacity::CapacityIndex;
 pub use drowsy::{DrowsyConfig, DrowsyPlanner};
 pub use filters::{FilterScheduler, HostFilter, HostWeigher};
 pub use history::HistoryBook;

@@ -19,15 +19,14 @@
 //!   across threads with **bit-identical** merged reports (`run_sweep`'s
 //!   determinism contract, extended to QoS).
 //!
-//! [`replay`](fn@replay) is the interval-batched fast path (whole hours
-//! of arrivals drawn per batch, cursor-amortized lookups, chunked pool
-//! fan-out with reused buffers); [`replay_per_request`] keeps the
-//! original event-per-request walk as the bit-identical reference. The
-//! *streaming* variant of the same pipeline lives inside `dds-core`
-//! (`QosStreamConfig`): it accumulates per-epoch [`QosWindow`]s while the
-//! run executes and feeds them back to control policies — this crate and
-//! that engine share semantics and RNG streams, so their reports agree to
-//! the bit wherever both run.
+//! [`replay`](fn@replay) is interval-batched (whole hours of arrivals
+//! drawn per batch, cursor-amortized lookups, chunked pool fan-out with
+//! reused buffers); its tests pin it bit-identical to an
+//! event-per-request oracle. The *streaming* variant of the same
+//! pipeline lives inside `dds-core` (`QosStreamConfig`): it accumulates
+//! per-epoch [`QosWindow`]s while the run executes and feeds them back
+//! to control policies — this crate and that engine share semantics and
+//! RNG streams, so their reports agree to the bit wherever both run.
 //!
 //! Together with the energy outcome this turns every policy comparison
 //! into a power-vs-tail-latency Pareto: the `qos` binary (`dds-bench`)
@@ -67,5 +66,5 @@
 pub mod replay;
 pub mod report;
 
-pub use replay::{replay, replay_per_request, run_cluster_qos, QosConfig};
+pub use replay::{replay, run_cluster_qos, QosConfig};
 pub use report::{HostWakeQos, QosReport, QosWindow};

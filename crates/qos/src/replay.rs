@@ -30,16 +30,14 @@
 //!
 //! ## Throughput
 //!
-//! [`replay`] is the interval-batched fast path: whole hours of arrivals
-//! *and* service times are drawn in one [`RequestStream`] batch (no
-//! per-request allocation), placement and power-state lookups go through
-//! monotone cursors ([`TimelineCursor`], the residency cursor) so each is
-//! O(1) amortized, and the pool fan-out hands each worker a *chunk* of
-//! VMs sharing one report and one stream buffer instead of allocating a
-//! histogram per VM. [`replay_per_request`] keeps the original
-//! event-per-request walk as the ground-truth reference: the batched path
-//! is pinned bit-identical to it by tests and benchmarked against it by
-//! the `qos_replay` Criterion group.
+//! [`replay`] is interval-batched: whole hours of arrivals *and* service
+//! times are drawn in one [`RequestStream`] batch (no per-request
+//! allocation), placement and power-state lookups go through monotone
+//! cursors ([`TimelineCursor`], the residency cursor) so each is O(1)
+//! amortized, and the pool fan-out hands each worker a *chunk* of VMs
+//! sharing one report and one stream buffer instead of allocating a
+//! histogram per VM. The original event-per-request walk survives as a
+//! test oracle the batched path is pinned bit-identical to.
 //!
 //! Deliberately out of scope: DVFS service stretching (SleepScale's
 //! downclocking is charged in energy, not replayed here) and request
@@ -55,7 +53,7 @@ use dds_core::registry::PolicyRegistry;
 use dds_core::spec::{VmSpec, WorkloadKind};
 use dds_power::{PowerTimeline, TimelineCursor};
 use dds_sim_core::{SimRng, SimTime, WorkerPool};
-use dds_traces::{RequestGenerator, RequestProfile, RequestStream};
+use dds_traces::{RequestProfile, RequestStream};
 
 /// Configuration of a QoS replay.
 #[derive(Debug, Clone)]
@@ -91,6 +89,9 @@ struct VmResidency {
 }
 
 impl VmResidency {
+    /// Plain binary-search lookup (the oracle's; the replay uses
+    /// [`ResidencyCursor`]).
+    #[cfg(test)]
     fn host_at(&self, t: SimTime) -> Option<dds_sim_core::HostId> {
         let i = self.moves.partition_point(|&(at, _)| at <= t);
         i.checked_sub(1).map(|i| self.moves[i].1)
@@ -152,65 +153,12 @@ fn serve_request(
     report.record(latency_ms, wake_hit);
 }
 
-/// Replays one VM's request stream, event per request — the original
-/// (PR 5) path, kept as the ground truth the batched pipeline is pinned
-/// against. Everything this touches is derived from `(seed, vm index)`
-/// and the run's recorded state, so the result is a pure function.
-fn replay_vm_reference(
-    vm: &VmSpec,
-    residency: &VmResidency,
-    timelines: &[PowerTimeline],
-    cfg: &QosConfig,
-    seed: u64,
-    hours: u64,
-) -> QosReport {
-    let sla_ms = cfg.profile.sla.as_millis();
-    let mut report = QosReport::new(sla_ms);
-    if vm.kind != WorkloadKind::Interactive {
-        // Timer-driven VMs are woken ahead of time (no request latency);
-        // batch VMs have no request stream.
-        return report;
-    }
-    let rng = SimRng::new(seed).stream_indexed("qos-requests", vm.id.index() as u64);
-    let mut generator = RequestGenerator::new(vm.trace.clone(), cfg.profile.clone(), rng);
-    // One FCFS server per vCPU: earliest-free wins, ties by slot index.
-    let servers = (vm.vcpus.round() as usize).max(1);
-    let mut free = vec![SimTime::EPOCH; servers];
-    // The sleep episode (keyed by its operational end) this VM last woke,
-    // and the instant its trigger-started resume completes.
-    let mut episode: Option<(SimTime, SimTime)> = None;
-
-    for hour in 0..hours {
-        if vm.trace.level_at_hour(hour) < cfg.noise {
-            continue;
-        }
-        for arrival in generator.arrivals_in_hour(hour) {
-            let service = generator.sample_service();
-            let Some(host) = residency.host_at(arrival) else {
-                report.unserved += 1;
-                continue;
-            };
-            let timeline = &timelines[host.index()];
-            let Some(operational) = timeline.operational_from(arrival) else {
-                // Parked through the end of the recorded run.
-                report.unserved += 1;
-                continue;
-            };
-            let window = (operational != arrival)
-                .then(|| timeline.resume_window_after(arrival))
-                .flatten();
-            let power_ready = power_ready_at(operational, arrival, window, &mut episode);
-            serve_request(&mut report, &mut free, arrival, service, power_ready);
-        }
-    }
-    report
-}
-
 /// Replays one VM interval-batched into a shared chunk `report`: whole
 /// hours of arrivals and services come out of `stream` in one batch, and
-/// placement/power lookups ride monotone cursors. Bit-identical to
-/// [`replay_vm_reference`] — same RNG draw order (all gaps, then all
-/// service times, per hour), same FCFS arithmetic, same record order.
+/// placement/power lookups ride monotone cursors. Bit-identical to the
+/// event-per-request oracle in the tests — same RNG draw order (all
+/// gaps, then all service times, per hour), same FCFS arithmetic, same
+/// record order.
 #[allow(clippy::too_many_arguments)]
 fn replay_vm_batched(
     vm: &VmSpec,
@@ -272,15 +220,14 @@ fn worker_count(threads: usize, n: usize) -> usize {
 }
 
 /// Replays every VM of a finished run and returns the merged
-/// [`QosReport`] — the interval-batched fast path. `outcome` must carry
+/// [`QosReport`], interval-batched. `outcome` must carry
 /// power timelines and a placement log (run with
 /// `DcConfig::track_power_timeline = true`); `vms` is the run's VM
 /// population (same specs, same order). Fans VM *chunks* out over
 /// `threads` workers of the persistent [`WorkerPool`] (0 = one per
 /// available core); each chunk accumulates into a single report with
 /// reused stream/server buffers, and chunk shards merge in order — the
-/// report is bit-identical for any thread count (and to
-/// [`replay_per_request`]).
+/// report is bit-identical for any thread count.
 pub fn replay(
     vms: &[VmSpec],
     outcome: &DcOutcome,
@@ -335,53 +282,6 @@ pub fn replay(
     report
 }
 
-/// The original event-per-request replay: one task and one freshly
-/// allocated report per VM, plain (uncursored) timeline lookups. Kept as
-/// the reference implementation the batched [`replay`] is pinned against
-/// and as the baseline of the `qos_replay` Criterion bench. Identical
-/// semantics and results; lower throughput (both paths share the Poisson
-/// sampling that bit-identity mandates, so the batched win comes from
-/// the cursors and the amortized buffers — ~1.3× at a 10k-host scenario,
-/// see `results/BENCH_qos.json`).
-pub fn replay_per_request(
-    vms: &[VmSpec],
-    outcome: &DcOutcome,
-    cfg: &QosConfig,
-    seed: u64,
-    threads: usize,
-) -> QosReport {
-    assert!(
-        !outcome.timelines.is_empty() || vms.is_empty(),
-        "QoS replay needs power timelines: run with DcConfig::track_power_timeline = true"
-    );
-    let residency = residencies(&outcome.placements, vms.len());
-    let n = vms.len();
-    let workers = worker_count(threads, n);
-    let residency = &residency;
-    let shards = WorkerPool::global().run_ordered(
-        workers,
-        (0..n)
-            .map(|i| {
-                move || {
-                    replay_vm_reference(
-                        &vms[i],
-                        &residency[i],
-                        &outcome.timelines,
-                        cfg,
-                        seed,
-                        outcome.hours,
-                    )
-                }
-            })
-            .collect(),
-    );
-    let mut report = QosReport::new(cfg.profile.sla.as_millis());
-    for shard in &shards {
-        report.merge(shard);
-    }
-    report
-}
-
 /// Runs one cluster point with timeline tracking forced on and replays
 /// its request streams: the one-call power **and** QoS evaluation.
 /// Returns the energy outcome and the merged QoS report.
@@ -429,7 +329,96 @@ mod tests {
     use dds_core::datacenter::{Algorithm, Datacenter, DcConfig};
     use dds_core::spec::HostSpec;
     use dds_sim_core::{HostId, VmId};
-    use dds_traces::{TracePattern, VmTrace};
+    use dds_traces::{RequestGenerator, TracePattern, VmTrace};
+
+    /// The oracle for one VM: its request stream event per request,
+    /// uncursored lookups, a fresh report. Everything it touches is
+    /// derived from `(seed, vm index)` and the run's recorded state, so
+    /// the result is a pure function.
+    fn replay_vm_reference(
+        vm: &VmSpec,
+        residency: &VmResidency,
+        timelines: &[PowerTimeline],
+        cfg: &QosConfig,
+        seed: u64,
+        hours: u64,
+    ) -> QosReport {
+        let sla_ms = cfg.profile.sla.as_millis();
+        let mut report = QosReport::new(sla_ms);
+        if vm.kind != WorkloadKind::Interactive {
+            // Timer-driven VMs are woken ahead of time (no request
+            // latency); batch VMs have no request stream.
+            return report;
+        }
+        let rng = SimRng::new(seed).stream_indexed("qos-requests", vm.id.index() as u64);
+        let mut generator = RequestGenerator::new(vm.trace.clone(), cfg.profile.clone(), rng);
+        // One FCFS server per vCPU: earliest-free wins, ties by slot index.
+        let servers = (vm.vcpus.round() as usize).max(1);
+        let mut free = vec![SimTime::EPOCH; servers];
+        // The sleep episode (keyed by its operational end) this VM last
+        // woke, and the instant its trigger-started resume completes.
+        let mut episode: Option<(SimTime, SimTime)> = None;
+
+        for hour in 0..hours {
+            if vm.trace.level_at_hour(hour) < cfg.noise {
+                continue;
+            }
+            for arrival in generator.arrivals_in_hour(hour) {
+                let service = generator.sample_service();
+                let Some(host) = residency.host_at(arrival) else {
+                    report.unserved += 1;
+                    continue;
+                };
+                let timeline = &timelines[host.index()];
+                let Some(operational) = timeline.operational_from(arrival) else {
+                    // Parked through the end of the recorded run.
+                    report.unserved += 1;
+                    continue;
+                };
+                let window = (operational != arrival)
+                    .then(|| timeline.resume_window_after(arrival))
+                    .flatten();
+                let power_ready = power_ready_at(operational, arrival, window, &mut episode);
+                serve_request(&mut report, &mut free, arrival, service, power_ready);
+            }
+        }
+        report
+    }
+
+    /// The oracle for a whole run: one pool task and one report per VM,
+    /// merged in VM order. Same semantics as [`replay`], no batching.
+    fn replay_per_request(
+        vms: &[VmSpec],
+        outcome: &DcOutcome,
+        cfg: &QosConfig,
+        seed: u64,
+        threads: usize,
+    ) -> QosReport {
+        let residency = residencies(&outcome.placements, vms.len());
+        let residency = &residency;
+        let shards = WorkerPool::global().run_ordered(
+            worker_count(threads, vms.len()),
+            (0..vms.len())
+                .map(|i| {
+                    move || {
+                        replay_vm_reference(
+                            &vms[i],
+                            &residency[i],
+                            &outcome.timelines,
+                            cfg,
+                            seed,
+                            outcome.hours,
+                        )
+                    }
+                })
+                .collect(),
+        );
+        let mut report = QosReport::new(cfg.profile.sla.as_millis());
+        for shard in &shards {
+            report.merge(shard);
+        }
+        report
+    }
 
     fn bursty(hours: usize, seed: u64) -> VmTrace {
         TracePattern::RandomBursts {

@@ -1,9 +1,10 @@
 //! The discrete-event simulation engine.
 //!
-//! [`SimEngine`] drives a simulation from the stable [`EventQueue`]: it
-//! owns the queue plus the clock ("now") and pops events in time order,
-//! handing each to a caller-supplied handler which may schedule follow-up
-//! events through the engine it receives back. The engine inherits the
+//! [`SimEngine`] drives a simulation from the stable, heap-backed
+//! [`EventQueue`]: it owns the queue plus the clock ("now") and pops
+//! events in time order, handing each to a caller-supplied handler which
+//! may schedule follow-up events through the engine it receives back.
+//! The engine inherits the
 //! queue's determinism guarantees — same-instant events fire in the order
 //! they were scheduled (FIFO), and cancellation is O(1) — so a simulation
 //! driven through `SimEngine` replays bit-identically from a seed.
@@ -57,28 +58,10 @@ impl<E> SimEngine<E> {
     /// Creates an engine whose clock starts at `now` (resuming a
     /// simulation mid-flight).
     pub fn starting_at(now: SimTime) -> Self {
-        Self::from_queue(EventQueue::new(), now)
-    }
-
-    /// Creates an engine on the calendar-queue backend (hour-wide buckets;
-    /// see [`EventQueue::calendar`]) starting at the epoch. Pop order —
-    /// and therefore every simulation outcome — is identical to the
-    /// default heap backend; the calendar trades heap `O(log n)` for
-    /// near-`O(1)` scheduling at fleet-scale event counts.
-    pub fn calendar() -> Self {
-        Self::from_queue(EventQueue::calendar(), SimTime::EPOCH)
-    }
-
-    /// Creates an engine over a caller-built queue (e.g. a calendar queue
-    /// with a custom bucket width), starting at `now`.
-    pub fn from_queue(queue: EventQueue<E>, now: SimTime) -> Self {
-        SimEngine { queue, now }
-    }
-
-    /// The queue backend's name (`"heap"` or `"calendar"`), for
-    /// diagnostics and bench labels.
-    pub fn backend_name(&self) -> &'static str {
-        self.queue.backend_name()
+        SimEngine {
+            queue: EventQueue::new(),
+            now,
+        }
     }
 
     /// The engine's current instant: the time of the last handled event,
@@ -256,35 +239,6 @@ mod tests {
         let evens: Vec<u32> = (0..64).filter(|i| i % 2 == 0).collect();
         let expected: Vec<u32> = odds.into_iter().chain(evens).collect();
         assert_eq!(seen, expected);
-    }
-
-    #[test]
-    fn calendar_backend_replays_identically_to_heap() {
-        // Drive the same self-scheduling simulation on both backends and
-        // compare every observable: fired (time, payload) pairs and the
-        // final clock. This is the engine-level pin of the queue-backend
-        // equivalence property.
-        let run = |mut e: SimEngine<u64>| {
-            assert!(matches!(e.backend_name(), "heap" | "calendar"));
-            for i in 0..16u64 {
-                e.schedule_at(t(i % 5), i);
-            }
-            let mut log = Vec::new();
-            let mut cancels: Vec<EventToken> = Vec::new();
-            e.run_until(t(40), &mut |eng, now, ev| {
-                log.push((now, ev));
-                // Periodic re-scheduling with cancellation churn.
-                if ev < 200 {
-                    for tok in cancels.drain(..) {
-                        eng.cancel(tok);
-                    }
-                    cancels.push(eng.schedule_after(SimDuration::from_secs(3), ev + 100));
-                    cancels.push(eng.schedule_after(SimDuration::from_secs(3), ev + 200));
-                }
-            });
-            (log, e.now())
-        };
-        assert_eq!(run(SimEngine::new()), run(SimEngine::calendar()));
     }
 
     #[test]

@@ -5,23 +5,9 @@
 //! they were pushed. Stability is what makes whole-datacenter simulations
 //! bit-for-bit reproducible across runs — `BinaryHeap` alone does not
 //! guarantee any order among equal keys, so every entry carries a
-//! monotonically increasing sequence number.
-//!
-//! Two storage backends sit behind one API:
-//!
-//! * **Heap** ([`EventQueue::new`]) — a `BinaryHeap` ordered by
-//!   `(time, seq)`. The reference implementation: simple, allocation-light,
-//!   O(log n) per operation.
-//! * **Calendar** ([`EventQueue::calendar`]) — a calendar queue: entries
-//!   bucketed by `time / bucket_width`, each bucket kept sorted by
-//!   `(time, seq)`. Datacenter simulations schedule almost everything at
-//!   the hourly control cadence, so with an hour-wide bucket most
-//!   operations touch one short, mostly-sorted vector — near O(1) at
-//!   fleet scale, where a single heap grows to millions of entries.
-//!
-//! Because both backends order pops by the same `(time, seq)` key, they
-//! produce **identical pop sequences** for any schedule/cancel
-//! interleaving; the property tests below pin that equivalence.
+//! monotonically increasing sequence number, and the queue is a
+//! `BinaryHeap` ordered by `(time, seq)`: O(log n) per operation,
+//! allocation-light.
 //!
 //! Events may be cancelled lazily by token: cancellation marks the token
 //! and the entry is skipped on pop, which keeps cancellation O(1) at the
@@ -30,9 +16,9 @@
 //! the dead entries — so cancel-heavy workloads (the engine's
 //! wake-resynchronization churn) hold bounded memory.
 
-use crate::time::{SimDuration, SimTime};
+use crate::time::SimTime;
 use std::cmp::{Ordering, Reverse};
-use std::collections::{BTreeMap, BinaryHeap, HashSet};
+use std::collections::{BinaryHeap, HashSet};
 
 /// Token returned by [`EventQueue::schedule`]; can be used to cancel.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -71,89 +57,6 @@ impl<E> Ord for Entry<E> {
     }
 }
 
-/// One calendar bucket: entries sorted by `(time, seq)` past `cursor`.
-/// Slots before the cursor have already been popped (`None`); keeping
-/// them until the bucket drains makes every pop O(1) instead of shifting
-/// the vector, and a bucket only lives for one bucket width.
-#[derive(Debug)]
-struct Bucket<E> {
-    cursor: usize,
-    entries: Vec<Option<Entry<E>>>,
-}
-
-/// Calendar-queue storage: buckets keyed by `time / bucket_width`.
-///
-/// Time order implies bucket-index order, so the global minimum is always
-/// at the cursor of the first bucket — popping never compares across
-/// buckets.
-#[derive(Debug)]
-struct Calendar<E> {
-    bucket_width_ms: u64,
-    buckets: BTreeMap<u64, Bucket<E>>,
-    /// Total stored entries (including tombstones), across all buckets.
-    stored: usize,
-}
-
-impl<E> Calendar<E> {
-    fn new(bucket_width: SimDuration) -> Self {
-        Calendar {
-            bucket_width_ms: bucket_width.as_millis().max(1),
-            buckets: BTreeMap::new(),
-            stored: 0,
-        }
-    }
-
-    fn push(&mut self, entry: Entry<E>) {
-        let key = entry.time.as_millis() / self.bucket_width_ms;
-        let bucket = self.buckets.entry(key).or_insert_with(|| Bucket {
-            cursor: 0,
-            entries: Vec::new(),
-        });
-        // Entries usually arrive in FIFO order within a bucket (seq is
-        // monotone and same-instant entries sort by seq), so the common
-        // case is an O(1) append; out-of-order times binary-search their
-        // slot in the unpopped tail.
-        let tail = &bucket.entries[bucket.cursor..];
-        let pos =
-            tail.partition_point(|e| e.as_ref().expect("unpopped slots are occupied") < &entry);
-        bucket.entries.insert(bucket.cursor + pos, Some(entry));
-        self.stored += 1;
-    }
-
-    /// Next stored entry (cancelled or not), without removing it.
-    fn front(&self) -> Option<&Entry<E>> {
-        self.buckets
-            .first_key_value()
-            .map(|(_, b)| b.entries[b.cursor].as_ref().expect("front is occupied"))
-    }
-
-    fn pop_front(&mut self) -> Option<Entry<E>> {
-        let mut first = self.buckets.first_entry()?;
-        let bucket = first.get_mut();
-        let entry = bucket.entries[bucket.cursor]
-            .take()
-            .expect("cursor points at an occupied slot");
-        bucket.cursor += 1;
-        if bucket.cursor == bucket.entries.len() {
-            first.remove();
-        }
-        self.stored -= 1;
-        Some(entry)
-    }
-
-    fn clear(&mut self) {
-        self.buckets.clear();
-        self.stored = 0;
-    }
-}
-
-/// The storage behind an [`EventQueue`].
-#[derive(Debug)]
-enum Backend<E> {
-    Heap(BinaryHeap<Reverse<Entry<E>>>),
-    Calendar(Calendar<E>),
-}
-
 /// A stable, cancellable discrete-event queue.
 ///
 /// ```
@@ -168,7 +71,7 @@ enum Backend<E> {
 /// ```
 #[derive(Debug)]
 pub struct EventQueue<E> {
-    backend: Backend<E>,
+    heap: BinaryHeap<Reverse<Entry<E>>>,
     /// Sequence numbers scheduled and not yet popped or cancelled.
     pending: HashSet<u64>,
     /// Cancelled sequence numbers whose entries are still in storage.
@@ -184,38 +87,14 @@ impl<E> Default for EventQueue<E> {
 }
 
 impl<E> EventQueue<E> {
-    /// Creates an empty queue on the reference `BinaryHeap` backend.
+    /// Creates an empty queue.
     pub fn new() -> Self {
-        Self::with_backend(Backend::Heap(BinaryHeap::new()))
-    }
-
-    /// Creates an empty queue on the calendar backend with the default
-    /// hour-wide buckets (the datacenter control cadence).
-    pub fn calendar() -> Self {
-        Self::calendar_with_bucket(SimDuration::from_hours(1))
-    }
-
-    /// Creates an empty calendar-backed queue with the given bucket
-    /// width (clamped to at least one millisecond).
-    pub fn calendar_with_bucket(bucket_width: SimDuration) -> Self {
-        Self::with_backend(Backend::Calendar(Calendar::new(bucket_width)))
-    }
-
-    fn with_backend(backend: Backend<E>) -> Self {
         EventQueue {
-            backend,
+            heap: BinaryHeap::new(),
             pending: HashSet::new(),
             cancelled: HashSet::new(),
             next_seq: 0,
             last_popped: None,
-        }
-    }
-
-    /// The backend's name, for diagnostics and bench labels.
-    pub fn backend_name(&self) -> &'static str {
-        match &self.backend {
-            Backend::Heap(_) => "heap",
-            Backend::Calendar(_) => "calendar",
         }
     }
 
@@ -234,11 +113,7 @@ impl<E> EventQueue<E> {
         let seq = self.next_seq;
         self.next_seq += 1;
         self.pending.insert(seq);
-        let entry = Entry { time, seq, event };
-        match &mut self.backend {
-            Backend::Heap(heap) => heap.push(Reverse(entry)),
-            Backend::Calendar(cal) => cal.push(entry),
-        }
+        self.heap.push(Reverse(Entry { time, seq, event }));
         EventToken(seq)
     }
 
@@ -259,10 +134,7 @@ impl<E> EventQueue<E> {
     /// Pops the earliest pending event, skipping cancelled entries.
     pub fn pop(&mut self) -> Option<ScheduledEvent<E>> {
         loop {
-            let entry = match &mut self.backend {
-                Backend::Heap(heap) => heap.pop().map(|Reverse(e)| e),
-                Backend::Calendar(cal) => cal.pop_front(),
-            }?;
+            let Reverse(entry) = self.heap.pop()?;
             if self.cancelled.remove(&entry.seq) {
                 continue;
             }
@@ -286,21 +158,10 @@ impl<E> EventQueue<E> {
     /// The firing time of the earliest pending event.
     pub fn peek_time(&mut self) -> Option<SimTime> {
         loop {
-            let front = match &self.backend {
-                Backend::Heap(heap) => heap.peek().map(|Reverse(e)| (e.time, e.seq)),
-                Backend::Calendar(cal) => cal.front().map(|e| (e.time, e.seq)),
-            };
-            let (time, seq) = front?;
+            let (time, seq) = self.heap.peek().map(|Reverse(e)| (e.time, e.seq))?;
             if self.cancelled.contains(&seq) {
                 // Reclaim the tombstone on the way past.
-                match &mut self.backend {
-                    Backend::Heap(heap) => {
-                        heap.pop();
-                    }
-                    Backend::Calendar(cal) => {
-                        cal.pop_front();
-                    }
-                }
+                self.heap.pop();
                 self.cancelled.remove(&seq);
                 continue;
             }
@@ -322,10 +183,7 @@ impl<E> EventQueue<E> {
     /// reclaimed tombstones. Diagnostics only: the compaction regression
     /// test pins that churny cancel loads keep this bounded.
     pub fn storage_len(&self) -> usize {
-        match &self.backend {
-            Backend::Heap(heap) => heap.len(),
-            Backend::Calendar(cal) => cal.stored,
-        }
+        self.heap.len()
     }
 
     /// The time of the most recently popped event (the queue's notion of
@@ -336,10 +194,7 @@ impl<E> EventQueue<E> {
 
     /// Drops every pending event.
     pub fn clear(&mut self) {
-        match &mut self.backend {
-            Backend::Heap(heap) => heap.clear(),
-            Backend::Calendar(cal) => cal.clear(),
-        }
+        self.heap.clear();
         self.pending.clear();
         self.cancelled.clear();
     }
@@ -353,30 +208,7 @@ impl<E> EventQueue<E> {
             return;
         }
         let cancelled = &self.cancelled;
-        match &mut self.backend {
-            Backend::Heap(heap) => {
-                let kept = std::mem::take(heap)
-                    .into_iter()
-                    .filter(|Reverse(e)| !cancelled.contains(&e.seq));
-                *heap = kept.collect();
-            }
-            Backend::Calendar(cal) => {
-                let mut stored = 0;
-                cal.buckets.retain(|_, bucket| {
-                    let mut entries = std::mem::take(&mut bucket.entries);
-                    // The cursor prefix was already popped; drop it too.
-                    entries.drain(..bucket.cursor);
-                    entries.retain(|e| {
-                        !cancelled.contains(&e.as_ref().expect("unpopped slots are occupied").seq)
-                    });
-                    bucket.cursor = 0;
-                    stored += entries.len();
-                    bucket.entries = entries;
-                    !bucket.entries.is_empty()
-                });
-                cal.stored = stored;
-            }
-        }
+        self.heap.retain(|Reverse(e)| !cancelled.contains(&e.seq));
         self.cancelled.clear();
     }
 }
@@ -391,55 +223,42 @@ mod tests {
         SimTime::from_secs(s)
     }
 
-    /// Every test below runs against both backends; the calendar bucket is
-    /// deliberately narrow so test schedules span many buckets.
-    fn backends() -> Vec<EventQueue<u32>> {
-        vec![
-            EventQueue::new(),
-            EventQueue::calendar_with_bucket(SimDuration::from_secs(4)),
-        ]
-    }
-
     #[test]
     fn pops_in_time_order() {
-        for mut q in backends() {
-            q.schedule(t(30), 3);
-            q.schedule(t(10), 1);
-            q.schedule(t(20), 2);
-            let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|e| e.event).collect();
-            assert_eq!(order, vec![1, 2, 3], "backend {}", q.backend_name());
-        }
+        let mut q = EventQueue::new();
+        q.schedule(t(30), 3);
+        q.schedule(t(10), 1);
+        q.schedule(t(20), 2);
+        let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|e| e.event).collect();
+        assert_eq!(order, vec![1, 2, 3]);
     }
 
     #[test]
     fn fifo_among_equal_times() {
-        for mut q in backends() {
-            for i in 0..100 {
-                q.schedule(t(5), i);
-            }
-            let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|e| e.event).collect();
-            assert_eq!(order, (0..100).collect::<Vec<_>>(), "{}", q.backend_name());
+        let mut q = EventQueue::new();
+        for i in 0..100 {
+            q.schedule(t(5), i);
         }
+        let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|e| e.event).collect();
+        assert_eq!(order, (0..100).collect::<Vec<_>>());
     }
 
     #[test]
     fn cancel_skips_event() {
-        for mut q in backends() {
-            let a = q.schedule(t(1), 1);
-            q.schedule(t(2), 2);
-            assert!(q.cancel(a));
-            assert!(!q.cancel(a), "double cancel reports false");
-            assert_eq!(q.len(), 1);
-            assert_eq!(q.pop().unwrap().event, 2);
-            assert!(q.pop().is_none());
-        }
+        let mut q = EventQueue::new();
+        let a = q.schedule(t(1), 1);
+        q.schedule(t(2), 2);
+        assert!(q.cancel(a));
+        assert!(!q.cancel(a), "double cancel reports false");
+        assert_eq!(q.len(), 1);
+        assert_eq!(q.pop().unwrap().event, 2);
+        assert!(q.pop().is_none());
     }
 
     #[test]
     fn cancel_unknown_token_is_false() {
-        for mut q in backends() {
-            assert!(!q.cancel(EventToken(99)));
-        }
+        let mut q: EventQueue<u32> = EventQueue::new();
+        assert!(!q.cancel(EventToken(99)));
     }
 
     #[test]
@@ -447,13 +266,12 @@ mod tests {
         // Regression: cancelling an already-fired token used to plant a
         // permanent tombstone (and could underflow `len`). `pending` is
         // now the source of truth.
-        for mut q in backends() {
-            let a = q.schedule(t(1), 1);
-            assert_eq!(q.pop().unwrap().event, 1);
-            assert!(!q.cancel(a));
-            assert_eq!(q.len(), 0);
-            assert_eq!(q.storage_len(), 0);
-        }
+        let mut q = EventQueue::new();
+        let a = q.schedule(t(1), 1);
+        assert_eq!(q.pop().unwrap().event, 1);
+        assert!(!q.cancel(a));
+        assert_eq!(q.len(), 0);
+        assert_eq!(q.storage_len(), 0);
     }
 
     #[test]
@@ -462,75 +280,70 @@ mod tests {
         // event every control epoch; same-instant FIFO must hold through
         // that churn: survivors pop in (re)scheduling order, never in
         // storage-internal order.
-        for mut q in backends() {
-            let mut live: Vec<(u32, EventToken)> = Vec::new();
-            let mut next = 0u32;
-            for round in 0..10 {
-                // Schedule a fresh batch at the same instant.
-                for _ in 0..10 {
-                    live.push((next, q.schedule(t(42), next)));
-                    next += 1;
-                }
-                // Cancel every third pending event (stale wake deadlines).
-                let mut i = 0;
-                live.retain(|(_, tok)| {
-                    i += 1;
-                    if i % 3 == round % 3 {
-                        assert!(q.cancel(*tok));
-                        false
-                    } else {
-                        true
-                    }
-                });
+        let mut q = EventQueue::new();
+        let mut live: Vec<(u32, EventToken)> = Vec::new();
+        let mut next = 0u32;
+        for round in 0..10 {
+            // Schedule a fresh batch at the same instant.
+            for _ in 0..10 {
+                live.push((next, q.schedule(t(42), next)));
+                next += 1;
             }
-            let expected: Vec<u32> = live.iter().map(|(v, _)| *v).collect();
-            let popped: Vec<u32> = std::iter::from_fn(|| q.pop()).map(|e| e.event).collect();
-            assert_eq!(popped, expected, "backend {}", q.backend_name());
+            // Cancel every third pending event (stale wake deadlines).
+            let mut i = 0;
+            live.retain(|(_, tok)| {
+                i += 1;
+                if i % 3 == round % 3 {
+                    assert!(q.cancel(*tok));
+                    false
+                } else {
+                    true
+                }
+            });
         }
+        let expected: Vec<u32> = live.iter().map(|(v, _)| *v).collect();
+        let popped: Vec<u32> = std::iter::from_fn(|| q.pop()).map(|e| e.event).collect();
+        assert_eq!(popped, expected);
     }
 
     #[test]
     fn pop_until_respects_horizon() {
-        for mut q in backends() {
-            q.schedule(t(10), 10);
-            q.schedule(t(1), 1);
-            assert_eq!(q.pop_until(t(5)).unwrap().event, 1);
-            assert!(q.pop_until(t(5)).is_none());
-            assert_eq!(q.pop_until(t(10)).unwrap().event, 10);
-        }
+        let mut q = EventQueue::new();
+        q.schedule(t(10), 10);
+        q.schedule(t(1), 1);
+        assert_eq!(q.pop_until(t(5)).unwrap().event, 1);
+        assert!(q.pop_until(t(5)).is_none());
+        assert_eq!(q.pop_until(t(10)).unwrap().event, 10);
     }
 
     #[test]
     fn peek_time_skips_cancelled_head() {
-        for mut q in backends() {
-            let a = q.schedule(t(1), 1);
-            q.schedule(t(2), 2);
-            q.cancel(a);
-            assert_eq!(q.peek_time(), Some(t(2)));
-            assert_eq!(q.pop().unwrap().event, 2);
-        }
+        let mut q = EventQueue::new();
+        let a = q.schedule(t(1), 1);
+        q.schedule(t(2), 2);
+        q.cancel(a);
+        assert_eq!(q.peek_time(), Some(t(2)));
+        assert_eq!(q.pop().unwrap().event, 2);
     }
 
     #[test]
     fn current_time_tracks_pops() {
-        for mut q in backends() {
-            assert_eq!(q.current_time(), None);
-            q.schedule(t(4), 0);
-            q.pop();
-            assert_eq!(q.current_time(), Some(t(4)));
-        }
+        let mut q = EventQueue::new();
+        assert_eq!(q.current_time(), None);
+        q.schedule(t(4), 0);
+        q.pop();
+        assert_eq!(q.current_time(), Some(t(4)));
     }
 
     #[test]
     fn clear_empties_queue() {
-        for mut q in backends() {
-            q.schedule(t(1), 1);
-            q.schedule(t(2), 2);
-            q.clear();
-            assert!(q.is_empty());
-            assert_eq!(q.storage_len(), 0);
-            assert!(q.pop().is_none());
-        }
+        let mut q = EventQueue::new();
+        q.schedule(t(1), 1);
+        q.schedule(t(2), 2);
+        q.clear();
+        assert!(q.is_empty());
+        assert_eq!(q.storage_len(), 0);
+        assert!(q.pop().is_none());
     }
 
     #[test]
@@ -540,132 +353,57 @@ mod tests {
         // per cancel — O(iterations) memory for O(1) live events. With
         // tombstones compacted past half the live count, storage stays
         // within a small constant factor of the live entries.
-        for mut q in backends() {
-            let mut tokens = Vec::new();
-            for i in 0..8u32 {
-                tokens.push(q.schedule(t(1_000), i));
-            }
-            for round in 0..10_000u64 {
-                // Cancel all live timers and re-schedule them (a control
-                // epoch pushing every host's wake deadline out).
-                for tok in tokens.drain(..) {
-                    assert!(q.cancel(tok));
-                }
-                for i in 0..8u32 {
-                    tokens.push(q.schedule(t(1_000 + round), i));
-                }
-                assert!(
-                    q.storage_len() <= 8 + 2 * 32,
-                    "backend {}: {} stored entries for 8 live after round {round}",
-                    q.backend_name(),
-                    q.storage_len()
-                );
-            }
-            assert_eq!(q.len(), 8);
+        let mut q = EventQueue::new();
+        let mut tokens = Vec::new();
+        for i in 0..8u32 {
+            tokens.push(q.schedule(t(1_000), i));
         }
-    }
-
-    #[test]
-    fn calendar_handles_sub_bucket_and_cross_bucket_orderings() {
-        // Same bucket, scheduled out of time order: the bucket insert
-        // must sort; plus entries far apart exercising bucket traversal.
-        let mut q = EventQueue::calendar_with_bucket(SimDuration::from_secs(100));
-        q.schedule(t(90), 2);
-        q.schedule(t(10), 1);
-        q.schedule(t(950), 4);
-        q.schedule(t(120), 3);
-        let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|e| e.event).collect();
-        assert_eq!(order, vec![1, 2, 3, 4]);
+        for round in 0..10_000u64 {
+            // Cancel all live timers and re-schedule them (a control
+            // epoch pushing every host's wake deadline out).
+            for tok in tokens.drain(..) {
+                assert!(q.cancel(tok));
+            }
+            for i in 0..8u32 {
+                tokens.push(q.schedule(t(1_000 + round), i));
+            }
+            assert!(
+                q.storage_len() <= 8 + 2 * 32,
+                "{} stored entries for 8 live after round {round}",
+                q.storage_len()
+            );
+        }
+        assert_eq!(q.len(), 8);
     }
 
     proptest! {
         /// Popped times are non-decreasing for arbitrary schedules, and all
-        /// non-cancelled events come out exactly once — on both backends.
+        /// non-cancelled events come out exactly once.
         #[test]
         fn ordering_and_conservation(
             times in proptest::collection::vec(0u64..1_000, 1..200),
             cancel_mask in proptest::collection::vec(any::<bool>(), 1..200),
         ) {
-            for mut q in [
-                EventQueue::new(),
-                EventQueue::calendar_with_bucket(SimDuration::from_secs(64)),
-            ] {
-                let mut tokens = Vec::new();
-                for (i, &s) in times.iter().enumerate() {
-                    tokens.push((i, q.schedule(t(s), i)));
-                }
-                let mut cancelled = std::collections::HashSet::new();
-                for ((i, tok), &c) in tokens.iter().zip(cancel_mask.iter()) {
-                    if c && q.cancel(*tok) {
-                        cancelled.insert(*i);
-                    }
-                }
-                let mut last = SimTime::EPOCH;
-                let mut seen = std::collections::HashSet::new();
-                while let Some(ev) = q.pop() {
-                    prop_assert!(ev.time >= last);
-                    last = ev.time;
-                    prop_assert!(seen.insert(ev.event));
-                    prop_assert!(!cancelled.contains(&ev.event));
-                }
-                prop_assert_eq!(seen.len() + cancelled.len(), times.len());
+            let mut q = EventQueue::new();
+            let mut tokens = Vec::new();
+            for (i, &s) in times.iter().enumerate() {
+                tokens.push((i, q.schedule(t(s), i)));
             }
-        }
-
-        /// The calendar backend pops the exact same `(time, payload)`
-        /// sequence as the reference heap for any interleaving of
-        /// schedules, cancels and pops — including same-instant FIFO and
-        /// cancel/re-schedule churn.
-        #[test]
-        fn calendar_matches_heap_pop_for_pop(
-            ops in proptest::collection::vec((0u8..4, 0u64..48, 0usize..1_000), 1..300),
-            bucket_secs in 1u64..200,
-        ) {
-            let mut heap = EventQueue::new();
-            let mut cal =
-                EventQueue::calendar_with_bucket(SimDuration::from_secs(bucket_secs));
-            let mut floor = 0u64; // keep schedules >= last popped time
-            let mut tokens: Vec<(EventToken, EventToken)> = Vec::new();
-            let mut payload = 0usize;
-            for (op, dt, pick) in ops {
-                match op {
-                    // Schedule (weighted towards scheduling).
-                    0 | 1 => {
-                        let at = t(floor + dt);
-                        let th = heap.schedule(at, payload);
-                        let tc = cal.schedule(at, payload);
-                        tokens.push((th, tc));
-                        payload += 1;
-                    }
-                    // Cancel a random outstanding token on both queues.
-                    2 if !tokens.is_empty() => {
-                        let (th, tc) = tokens[pick % tokens.len()];
-                        prop_assert_eq!(heap.cancel(th), cal.cancel(tc));
-                    }
-                    // Pop from both and compare everything observable.
-                    _ => {
-                        prop_assert_eq!(heap.peek_time(), cal.peek_time());
-                        let a = heap.pop();
-                        let b = cal.pop();
-                        prop_assert_eq!(a.as_ref().map(|e| (e.time, e.event)),
-                                        b.as_ref().map(|e| (e.time, e.event)));
-                        if let Some(ev) = a {
-                            floor = ev.time.as_millis() / 1_000 + 1;
-                        }
-                    }
-                }
-                prop_assert_eq!(heap.len(), cal.len());
-            }
-            // Drain both: the full tail must also agree.
-            loop {
-                let a = heap.pop();
-                let b = cal.pop();
-                prop_assert_eq!(a.as_ref().map(|e| (e.time, e.event)),
-                                b.as_ref().map(|e| (e.time, e.event)));
-                if a.is_none() {
-                    break;
+            let mut cancelled = std::collections::HashSet::new();
+            for ((i, tok), &c) in tokens.iter().zip(cancel_mask.iter()) {
+                if c && q.cancel(*tok) {
+                    cancelled.insert(*i);
                 }
             }
+            let mut last = SimTime::EPOCH;
+            let mut seen = std::collections::HashSet::new();
+            while let Some(ev) = q.pop() {
+                prop_assert!(ev.time >= last);
+                last = ev.time;
+                prop_assert!(seen.insert(ev.event));
+                prop_assert!(!cancelled.contains(&ev.event));
+            }
+            prop_assert_eq!(seen.len() + cancelled.len(), times.len());
         }
     }
 }

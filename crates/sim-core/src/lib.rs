@@ -7,8 +7,8 @@
 //!   millisecond resolution and a simplified (leap-free) calendar that
 //!   decomposes an instant into the four scales the idleness model uses
 //!   (hour of day, day of week, day of month, month of year).
-//! * [`events`] — a stable, deterministic event queue ([`EventQueue`])
-//!   ordered by time with FIFO tie-breaking.
+//! * [`events`] — a stable, deterministic event queue ([`EventQueue`], a
+//!   binary heap) ordered by time with FIFO tie-breaking.
 //! * [`engine`] — the discrete-event driver ([`SimEngine`]): queue +
 //!   clock + a handler loop, so whole simulations run at `SimTime`
 //!   resolution instead of fixed ticks.
