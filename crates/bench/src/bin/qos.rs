@@ -3,8 +3,9 @@
 //!
 //! Runs the `sla-web-front` scenario (or `--file`/another catalog name)
 //! under **both** resume paths — Drowsy-DC's ≈800 ms quick resume and the
-//! ≈1500 ms stock kernel — and replays the `[qos]` request workload
-//! against every policy's power timelines (`dds-qos`). The table shows
+//! ≈1500 ms stock kernel — and streams the `[qos]` request workload
+//! inline with every policy's run (`DcConfig::qos_stream`), so the
+//! closed-loop `sla-aware` policy sees its feedback signal. The table shows
 //! the §VI.A story end to end: an always-awake fleet meets "more than
 //! 99 % of requests within 200 ms" at more than 3× the energy, while the
 //! drowsy policies keep the SLA and expose the wake-latency tail at
@@ -15,14 +16,7 @@
 //! qos --quick --json         # CI-sized run, BENCH_qos.json artifact
 //! qos --scenario <name>      # another catalog entry (needs a [qos] section)
 //! qos --file my.scenario     # your own scenario file
-//! qos --streaming            # evaluate inline (DcConfig::qos_stream)
 //! ```
-//!
-//! `--streaming` switches the evaluation from the post-hoc replay to the
-//! streaming pipeline riding inside the run. For open-loop policies the
-//! artifacts are **byte-identical** either way (the CI job diffs them);
-//! closed-loop policies (`sla-aware`) actually consume the signal and
-//! legitimately diverge, so keep them out of cross-mode diffs.
 //!
 //! Shared flags: `--seed N`, `--threads N` (0 = auto; reports are
 //! bit-identical for any value — the `qos-smoke` CI job diffs serial vs
@@ -31,8 +25,8 @@
 
 use dds_bench::{pct1, usage_error, ExpOptions, JsonObject};
 use dds_power::WakeSpeed;
-use dds_qos::QosReport;
-use dds_scenarios::{find, run_scenario_qos_mode, QosMode, QosSpec, Scenario};
+use dds_scenarios::{find, run_scenario_qos, QosSpec, Scenario};
+use dds_sim_core::qos::QosReport;
 use dds_sim_core::stats::TextTable;
 use dds_sim_core::SimDuration;
 use std::process::ExitCode;
@@ -86,11 +80,9 @@ fn main() -> ExitCode {
 
     let mut scenario_name = "sla-web-front".to_string();
     let mut file: Option<String> = None;
-    let mut mode = QosMode::PostHoc;
     let mut i = 0;
     while i < rest.len() {
         match rest[i].as_str() {
-            "--streaming" => mode = QosMode::Streaming,
             "--scenario" => {
                 i += 1;
                 match rest.get(i) {
@@ -113,8 +105,8 @@ fn main() -> ExitCode {
             }
             flag => {
                 eprintln!(
-                    "error: unknown flag {flag} (expected --scenario NAME, --file PATH, \
-                     --streaming or the shared experiment flags)"
+                    "error: unknown flag {flag} (expected --scenario NAME, --file PATH \
+                     or the shared experiment flags)"
                 );
                 return ExitCode::FAILURE;
             }
@@ -147,9 +139,7 @@ fn main() -> ExitCode {
             }
         },
     };
-    if let Some(policies) = &opts.policies {
-        scenario.policies = policies.clone();
-    }
+    opts.select_policies(&mut scenario);
     if opts.quick && scenario.days > 2 {
         scenario.days = 2;
         println!("(quick: days capped at 2)");
@@ -160,7 +150,7 @@ fn main() -> ExitCode {
     }
     let base_qos = scenario.qos.clone();
     println!(
-        "scenario '{}': {} hosts, {} VMs, {} days, SLA {} ms, {} evaluation\n  {}",
+        "scenario '{}': {} hosts, {} VMs, {} days, SLA {} ms\n  {}",
         scenario.name,
         scenario.host_count(),
         scenario.vm_count(),
@@ -169,10 +159,6 @@ fn main() -> ExitCode {
             .as_ref()
             .map(|q| q.profile.sla.as_millis())
             .unwrap_or(200),
-        match mode {
-            QosMode::PostHoc => "post-hoc",
-            QosMode::Streaming => "streaming",
-        },
         scenario.summary,
     );
 
@@ -200,7 +186,7 @@ fn main() -> ExitCode {
             variant.key,
             variant.resume.as_millis()
         );
-        let results = run_scenario_qos_mode(&scenario, Some(opts.seed), opts.threads, mode);
+        let results = run_scenario_qos(&scenario, Some(opts.seed), opts.threads);
         let mut table = TextTable::new(vec![
             "policy",
             "energy kWh",

@@ -14,7 +14,8 @@
 //!
 //! Shared flags: `--seed N` (override the scenario's seed), `--threads N`
 //! (0 = auto), `--hosts N` (rescale the fleet and workload mix to N
-//! machines), `--out DIR`, `--json` (emit `BENCH_scenarios.json`),
+//! machines), `--policies a,b,c` (replace every scenario's policy
+//! lineup), `--out DIR`, `--json` (emit `BENCH_scenarios.json`),
 //! `--telemetry[=DIR]` (emit the logical/timing telemetry artifacts),
 //! `--quick` (cap simulated days at 2 for smoke runs). A malformed
 //! scenario file fails with a line-numbered error and a non-zero exit.
@@ -47,6 +48,7 @@ fn print_list() {
 fn run_one(scenario: &Scenario, opts: &ExpOptions, seed: Option<u64>) -> (String, Vec<JsonObject>) {
     let mut days_note = String::new();
     let mut scenario = scenario.clone();
+    opts.select_policies(&mut scenario);
     if opts.quick && scenario.days > 2 {
         scenario.days = 2;
         days_note = " (quick: days capped at 2)".to_string();

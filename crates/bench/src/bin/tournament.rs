@@ -79,14 +79,7 @@ fn main() -> ExitCode {
 
     let registry = PolicyRegistry::standard();
     let policies: Vec<String> = match &opts.policies {
-        Some(list) => {
-            // Fail early, with the registry's vocabulary, not mid-grid.
-            if let Err(e) = registry.resolve(list) {
-                eprintln!("error: {e} (registered: {})", registry.names().join(", "));
-                return ExitCode::FAILURE;
-            }
-            list.clone()
-        }
+        Some(list) => list.clone(),
         None => registry.names().iter().map(|s| s.to_string()).collect(),
     };
     let seeds: Vec<u64> = (0..seeds_n as u64).map(|i| opts.seed + i).collect();

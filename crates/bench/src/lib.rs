@@ -7,6 +7,8 @@
 use std::path::{Path, PathBuf};
 
 use dds_core::datacenter::dc_spans;
+use dds_core::registry::PolicyRegistry;
+use dds_scenarios::Scenario;
 use dds_sim_core::WorkerPool;
 use dds_telemetry::{MetricKind, MetricsRegistry};
 
@@ -21,7 +23,8 @@ pub struct ExpOptions {
     pub seed: u64,
     /// Output directory for CSV artifacts (`results/` by default).
     pub out_dir: PathBuf,
-    /// Control policies to run, by registry name (`--policies a,b,c`).
+    /// Control policies to run, by registry name (`--policies a,b,c`);
+    /// every name is checked against [`PolicyRegistry::standard`].
     /// `None` = the binary's default lineup.
     pub policies: Option<Vec<String>>,
     /// Worker threads for sweep binaries (0 = one per available core).
@@ -91,7 +94,8 @@ impl ExpOptions {
     /// every argument the shared layer did not consume (in order), for
     /// the binary to interpret (e.g. the `scenarios` binary's `--list`
     /// and scenario names). A shared flag with a missing or malformed
-    /// value is an error.
+    /// value is an error, and so is a `--policies` name the standard
+    /// registry does not know.
     pub fn parse(args: &[String]) -> Result<(Self, Vec<String>), String> {
         fn value<'a>(
             args: &'a [String],
@@ -131,12 +135,16 @@ impl ExpOptions {
                 "--policies" => {
                     i += 1;
                     let list = value(args, i, "--policies", "a comma-separated list")?;
-                    opts.policies = Some(
-                        list.split(',')
-                            .map(|s| s.trim().to_string())
-                            .filter(|s| !s.is_empty())
-                            .collect(),
-                    );
+                    let names: Vec<String> = list
+                        .split(',')
+                        .map(|s| s.trim().to_string())
+                        .filter(|s| !s.is_empty())
+                        .collect();
+                    let registry = PolicyRegistry::standard();
+                    if let Err(e) = registry.resolve(&names) {
+                        return Err(format!("{e} (registered: {})", registry.names().join(", ")));
+                    }
+                    opts.policies = Some(names);
                 }
                 "--threads" => {
                     i += 1;
@@ -180,6 +188,14 @@ impl ExpOptions {
         match &self.policies {
             Some(list) => list.clone(),
             None => default.iter().map(|s| s.to_string()).collect(),
+        }
+    }
+
+    /// Replaces a scenario's policy lineup with the `--policies`
+    /// selection (no-op without the flag).
+    pub fn select_policies(&self, scenario: &mut Scenario) {
+        if let Some(list) = &self.policies {
+            scenario.policies = list.clone();
         }
     }
 
@@ -431,6 +447,36 @@ mod tests {
         );
         o.policies = Some(vec!["sleepscale".to_string()]);
         assert_eq!(o.policies_or(&["drowsy-dc"]), vec!["sleepscale"]);
+    }
+
+    #[test]
+    fn unknown_policies_are_rejected_with_the_registered_names() {
+        let err =
+            ExpOptions::parse(&strings(&["--quick", "--policies", "drowsy-dc,warp"])).unwrap_err();
+        let registered = PolicyRegistry::standard().names().join(", ");
+        assert_eq!(
+            err,
+            format!("unknown policy 'warp' (registered: {registered})")
+        );
+        let (opts, _) = ExpOptions::parse(&strings(&["--policies", "neat, sla-aware"])).unwrap();
+        assert_eq!(
+            opts.policies,
+            Some(vec!["neat".to_string(), "sla-aware".to_string()])
+        );
+    }
+
+    #[test]
+    fn scenario_runs_honour_the_policy_selection() {
+        let mut s = dds_scenarios::find("idle-fleet").expect("catalog entry");
+        assert!(s.policies.len() > 1, "the catalog lineup has a baseline");
+        let lineup = s.policies.clone();
+        ExpOptions::default().select_policies(&mut s);
+        assert_eq!(s.policies, lineup, "no flag, no change");
+        let (opts, _) = ExpOptions::parse(&strings(&["--policies", "drowsy-dc"])).unwrap();
+        opts.select_policies(&mut s);
+        let points = s.sweep_points(None);
+        assert_eq!(points.len(), 1);
+        assert_eq!(points[0].policy, "drowsy-dc");
     }
 
     #[test]

@@ -120,7 +120,6 @@ pub fn build_grid(scenarios: &[Scenario], policies: &[String], seeds: &[u64]) ->
             spec.config.request_peak_rps = profile.peak_rps;
             spec.config.request_service = SimDuration::from_millis(profile.mean_service_ms as u64);
             spec.config.wake_speed = variant.wake;
-            spec.config.track_power_timeline = false;
             spec.config.qos_stream = Some(QosStreamConfig::serial(profile));
             for policy in policies {
                 base_points.push(SweepPoint {

@@ -210,9 +210,11 @@ pub struct DcConfig {
     pub track_colocation: bool,
     /// Record request latencies (SLA analysis).
     pub track_sla: bool,
-    /// Record per-host [`PowerTimeline`]s and the VM placement log, the
-    /// inputs of the request-level QoS replay (`dds-qos`). Off by
-    /// default: energy-only experiments pay nothing for it.
+    /// Retain per-host [`PowerTimeline`]s and the VM placement log for
+    /// the whole run, surfaced on [`DcOutcome::timelines`] and
+    /// [`DcOutcome::placements`] — the recorded history the streaming QoS
+    /// pipeline's per-request oracle is checked against. Off by default:
+    /// no production path needs the full history.
     pub track_power_timeline: bool,
     /// Compute request-level QoS *inline* with the run (the streaming
     /// pipeline; see [`QosStreamConfig`]): per-epoch [`QosWindow`]s
@@ -336,16 +338,16 @@ pub struct DcOutcome {
     /// Suspend cycles per host (oscillation diagnostics).
     pub suspend_cycles: Vec<(HostId, u64)>,
     /// Per-host power-state timelines (indexed by host), recorded under
-    /// [`DcConfig::track_power_timeline`]; empty otherwise. The QoS
-    /// replay's view of when each host could actually serve.
+    /// [`DcConfig::track_power_timeline`]; empty otherwise. The full
+    /// history of when each host could actually serve.
     pub timelines: Vec<PowerTimeline>,
     /// The VM placement log (see [`PlacementRecord`]), recorded under
     /// [`DcConfig::track_power_timeline`]; empty otherwise.
     pub placements: Vec<PlacementRecord>,
     /// The run-wide streaming QoS report, when the run streamed QoS
-    /// ([`DcConfig::qos_stream`]); `None` otherwise. Bit-identical to
-    /// the post-hoc replay of the same run (see
-    /// `dds_core::datacenter::qos_stream`).
+    /// ([`DcConfig::qos_stream`]); `None` otherwise. Pinned bit for bit
+    /// to a per-request oracle over the recorded twin of the run (see
+    /// the tests of `dds_core::datacenter::qos_stream`).
     pub qos: Option<dds_sim_core::qos::QosReport>,
 }
 
@@ -360,9 +362,8 @@ impl DcOutcome {
 /// [`DcConfig::track_power_timeline`]): from `at` on, the VM runs on
 /// `host` — until its next record or the end of the run. Initial
 /// placement, admissions, migrations, swaps and Oasis park/unpark moves
-/// all append records, so the log is a complete residency history; the
-/// QoS replay routes each request to the host its VM occupied at the
-/// request's arrival instant.
+/// all append records, so the log is a complete residency history: the
+/// host each VM occupied at any instant of the run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PlacementRecord {
     /// The placed VM.
@@ -586,10 +587,10 @@ impl Datacenter {
         }
     }
 
-    /// Records a placement assignment into the placement log (post-hoc
-    /// replay input, under `track_power_timeline`) and the streaming QoS
-    /// pipeline's residency (under `qos_stream`) — one seam, so the two
-    /// QoS paths route requests identically.
+    /// Records a placement assignment into the placement log (under
+    /// `track_power_timeline`) and the streaming QoS pipeline's residency
+    /// (under `qos_stream`) — one seam, so the recorded history and the
+    /// streaming routing cannot disagree.
     pub(crate) fn record_placement(&mut self, vm: VmId, at: SimTime, host: HostId) {
         if self.cfg.track_power_timeline {
             self.placements.push(PlacementRecord { vm, at, host });

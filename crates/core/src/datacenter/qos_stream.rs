@@ -1,34 +1,38 @@
 //! The streaming QoS pipeline: request-level SLA accounting computed
-//! *inline* with the run, one control epoch at a time.
+//! *inline* with the run, one control epoch at a time — the only
+//! request-level QoS evaluator.
 //!
-//! The post-hoc replay (`dds-qos`) needs the whole run recorded first —
-//! every host's [`PowerTimeline`] plus the complete placement log — and
-//! only then walks the request streams. This module runs the same
-//! pipeline online: at the end of each control epoch it draws that hour's
-//! Poisson arrivals per interactive VM (interval-batched, through
+//! At the end of each control epoch it draws that hour's Poisson
+//! arrivals per interactive VM (interval-batched, through
 //! [`RequestStream`]), routes them with the VM's *current* residency,
-//! serves them against the timeline recorded so far, and folds the
+//! serves them against the power timeline recorded so far, and folds the
 //! results into a per-epoch [`QosWindow`]. The window is handed to the
 //! control policy at the top of the next epoch
 //! ([`ControlPolicy::observe_qos`]) — the closed-loop signal seam — and
 //! its report accumulates into the run-wide [`QosReport`] surfaced on
 //! [`DcOutcome::qos`].
 //!
-//! ## Bit-identity with the post-hoc replay
+//! ## Semantics and the oracle
 //!
-//! Streaming and replay share their RNG streams (per-VM
-//! `stream_indexed("qos-requests", vm)`), their draw protocol
-//! ([`RequestStream`]), and their service arithmetic
-//! (`dds_sim_core::qos::{fcfs_serve, power_ready_at}`), so on any run
-//! without mid-run departures the streaming report is **bit-identical**
-//! to replaying the finished run — for any worker-thread count on either
-//! side. The key invariant making per-epoch evaluation exact: a VM active
-//! in hour `h` (level at or above the idleness noise gate — the same gate
-//! the request stream uses) forces its host awake *within* hour `h`, so
-//! every power-state lookup resolves inside already-recorded history.
-//! Departed VMs are the one semantic divergence: the streaming client
-//! stops when the VM is deleted, while the lifecycle-blind replay keeps
-//! replaying the full trace.
+//! Each interactive VM runs the paper's open-loop client: per-VM
+//! `stream_indexed("qos-requests", vm)` RNG streams, Poisson arrivals
+//! whose hourly rate follows the activity trace, one FCFS server per
+//! vCPU, and a wake-triggering request paying exactly the resume latency
+//! recorded in its host's timeline (`dds_sim_core::qos::{fcfs_serve,
+//! power_ready_at}`). The tests of this module pin the pipeline **bit for
+//! bit** — exact counters, histogram buckets, worst wake latency —
+//! against an event-per-request oracle that walks a fully recorded twin
+//! of the run ([`DcConfig::track_power_timeline`]) with the sequential
+//! `RequestGenerator` client and binary-search lookups.
+//!
+//! **Trim safety.** A VM active in hour `h` (level at or above the
+//! idleness noise gate — the same gate the request stream uses) forces
+//! its host awake *within* hour `h`, so every power-state lookup of the
+//! epoch resolves inside already-recorded history, and no arrival of a
+//! later epoch can need an interval that ended before the epoch
+//! boundary. That is what makes per-epoch evaluation exact and lets the
+//! run trim each timeline every epoch. Departed VMs stop their client
+//! when they are deleted.
 //!
 //! ## Memory
 //!
@@ -41,8 +45,8 @@
 //! where materializing timelines and placement logs cannot.
 
 use super::*;
+use dds_power::TimelineCursor;
 use dds_sim_core::qos::{fcfs_serve, power_ready_at, QosReport, QosWindow};
-use dds_sim_core::WorkerPool;
 use dds_traces::{RequestProfile, RequestStream};
 
 /// Configuration of the streaming QoS pipeline (see the module-level
@@ -54,55 +58,69 @@ use dds_traces::{RequestProfile, RequestStream};
 /// [`ImConfig::noise_threshold`](dds_idleness::ImConfig) — requests flow
 /// exactly in the hours that keep a host awake, the invariant the
 /// per-epoch evaluation rests on.
+///
+/// ```
+/// use dds_core::cluster::{run_cluster_policy, ClusterSpec};
+/// use dds_core::datacenter::QosStreamConfig;
+/// use dds_traces::RequestProfile;
+///
+/// let mut spec = ClusterSpec::paper_default(0.75);
+/// spec.hosts = 2;
+/// spec.vms = 6;
+/// spec.days = 1;
+/// let profile = RequestProfile {
+///     peak_rps: 1.0,
+///     ..RequestProfile::web_search_quick_resume()
+/// };
+/// spec.config.qos_stream = Some(QosStreamConfig::serial(profile));
+/// let outcome = run_cluster_policy(&spec, "drowsy-dc", 42);
+/// let qos = outcome.dc.qos.as_ref().expect("the run streamed QoS");
+/// assert!(outcome.energy_kwh() > 0.0);
+/// assert!(qos.sla_attainment() <= 1.0);
+/// println!(
+///     "within SLA: {:.2} %, p99.9: {:?} ms",
+///     qos.sla_attainment() * 100.0,
+///     qos.p999()
+/// );
+/// ```
 #[derive(Debug, Clone)]
 pub struct QosStreamConfig {
     /// The request workload attached to every interactive VM.
     pub profile: RequestProfile,
-    /// Worker threads fanning each epoch's VM chunks over the persistent
-    /// [`WorkerPool`] (0 = one per available core). Reports are
-    /// bit-identical for any value.
-    pub threads: usize,
 }
 
 impl QosStreamConfig {
-    /// Streams `profile` with automatic epoch fan-out.
-    pub fn new(profile: RequestProfile) -> Self {
-        QosStreamConfig {
-            profile,
-            threads: 0,
-        }
-    }
-
-    /// Streams `profile` serially (no pool fan-out) — what nested
-    /// contexts like the scenario sweep use, where the pool is already
-    /// busy parallelizing across policies.
+    /// Streams `profile`. The pipeline runs on the thread that runs the
+    /// datacenter; sweeps parallelize across runs, not inside one.
     pub fn serial(profile: RequestProfile) -> Self {
-        QosStreamConfig {
-            profile,
-            threads: 1,
-        }
+        QosStreamConfig { profile }
     }
 }
 
-/// Live state of the streaming pipeline: per-VM request-stream positions
-/// and service backlogs, the compacted residencies, the pending epoch
-/// window and the run-wide report.
+/// One VM's client state, persisted across epochs.
+struct VmClient {
+    /// The VM's request RNG stream (`stream_indexed("qos-requests", vm)`).
+    rng: SimRng,
+    /// FCFS server pool (`free[i]` = instant server `i` frees up); sized
+    /// to the VM's vCPUs on first use.
+    free: Vec<SimTime>,
+    /// Live wake episode (see `power_ready_at`).
+    episode: Option<(SimTime, SimTime)>,
+    /// Residency: `(at, host)` moves in time order, compacted after every
+    /// epoch to the spans that can still matter.
+    moves: Vec<(SimTime, HostId)>,
+}
+
+/// Live state of the streaming pipeline: per-VM clients, the reused
+/// request buffers, the pending epoch window and the run-wide report.
 pub(super) struct QosStream {
-    cfg: QosStreamConfig,
     seed: u64,
     /// Activity gate (the run's `ImConfig::noise_threshold`).
     noise: f64,
-    /// Per-VM request RNG streams (`stream_indexed("qos-requests", vm)`),
-    /// advanced exactly as the replay's would be.
-    rngs: Vec<SimRng>,
-    /// Per-VM FCFS server pools (`free[i]` = instant server `i` frees
-    /// up); sized to the VM's vCPUs on first use, persists across epochs.
-    free: Vec<Vec<SimTime>>,
-    /// Per-VM live wake episode (see `power_ready_at`).
-    episodes: Vec<Option<(SimTime, SimTime)>>,
-    /// Per-VM residency: `(at, host)` moves in time order, compacted
-    /// after every epoch to the spans that can still matter.
-    moves: Vec<Vec<(SimTime, HostId)>>,
+    /// Per-VM clients, indexed by `VmId`.
+    clients: Vec<VmClient>,
+    /// One hour of one VM's arrivals and service times, reused.
+    requests: RequestStream,
     /// The most recently completed epoch's window, delivered to the
     /// policy at the top of the next epoch.
     pub(super) pending: Option<QosWindow>,
@@ -112,17 +130,13 @@ pub(super) struct QosStream {
 
 impl QosStream {
     pub(super) fn new(cfg: QosStreamConfig, seed: u64, noise: f64, vms: &[VmSim]) -> Self {
-        let sla_ms = cfg.profile.sla.as_millis();
         let mut stream = QosStream {
-            cfg,
             seed,
             noise,
-            rngs: Vec::new(),
-            free: Vec::new(),
-            episodes: Vec::new(),
-            moves: Vec::new(),
+            clients: Vec::new(),
+            report: QosReport::new(cfg.profile.sla.as_millis()),
+            requests: RequestStream::new(cfg.profile),
             pending: None,
-            report: QosReport::new(sla_ms),
         };
         for vm in vms {
             stream.on_placement(vm.spec.id, SimTime::EPOCH, vm.host);
@@ -130,25 +144,25 @@ impl QosStream {
         stream
     }
 
-    /// Grows the per-VM columns through slot `i`, deriving each new VM's
+    /// Grows the client column through slot `i`, deriving each new VM's
     /// request RNG stream.
     fn ensure_slot(&mut self, i: usize) {
-        while self.rngs.len() <= i {
-            let idx = self.rngs.len() as u64;
-            self.rngs
-                .push(SimRng::new(self.seed).stream_indexed("qos-requests", idx));
-            self.free.push(Vec::new());
-            self.episodes.push(None);
-            self.moves.push(Vec::new());
+        while self.clients.len() <= i {
+            let idx = self.clients.len() as u64;
+            self.clients.push(VmClient {
+                rng: SimRng::new(self.seed).stream_indexed("qos-requests", idx),
+                free: Vec::new(),
+                episode: None,
+                moves: Vec::new(),
+            });
         }
     }
 
     /// Records a placement assignment (initial placement, admission,
-    /// migration, swap, park/unpark) — the streaming twin of the
-    /// placement log.
+    /// migration, swap, park/unpark) into the VM's residency.
     pub(super) fn on_placement(&mut self, vm: VmId, at: SimTime, host: HostId) {
         self.ensure_slot(vm.index());
-        self.moves[vm.index()].push((at, host));
+        self.clients[vm.index()].moves.push((at, host));
     }
 
     /// The run-wide report accumulated so far.
@@ -157,73 +171,33 @@ impl QosStream {
     }
 
     /// Processes control epoch `hour`: draws and serves every interactive
-    /// VM's requests for that hour against the recorded timelines,
-    /// producing the epoch's [`QosWindow`] (left in `pending`) and
-    /// folding it into the run report. VM chunks fan out over the
-    /// persistent pool; chunk windows merge in submission order, and all
-    /// window state is exact-integer, so the result is bit-identical for
-    /// any thread count.
+    /// VM's requests for that hour against the recorded timelines, in VM
+    /// order, producing the epoch's [`QosWindow`] (left in `pending`) and
+    /// folding it into the run report.
     pub(super) fn process_epoch(&mut self, hour: u64, hosts: &[HostSim], vms: &[VmSim]) {
-        let sla_ms = self.cfg.profile.sla.as_millis();
-        let n = vms.len();
-        if n == 0 {
-            self.pending = Some(QosWindow::new(hour, sla_ms));
-            return;
+        let mut window = QosWindow::new(hour, self.report.sla_ms);
+        if let Some(last) = vms.len().checked_sub(1) {
+            self.ensure_slot(last);
         }
-        self.ensure_slot(n - 1);
         let timelines: Vec<Option<&PowerTimeline>> =
             hosts.iter().map(|h| h.meter.timeline()).collect();
-        let workers = if self.cfg.threads == 0 {
-            crate::sweep::auto_threads(n)
-        } else {
-            self.cfg.threads.min(n.max(1))
-        };
-        let chunk = n.div_ceil((workers * 4).max(1)).max(1);
-        let noise = self.noise;
-        let profile = &self.cfg.profile;
-        let timelines = &timelines;
-        let moves = &self.moves;
-        let tasks: Vec<_> = self
-            .rngs
-            .chunks_mut(chunk)
-            .zip(self.free.chunks_mut(chunk))
-            .zip(self.episodes.chunks_mut(chunk))
-            .enumerate()
-            .map(|(k, ((rngs, free), episodes))| {
-                let start = k * chunk;
-                move || {
-                    let mut window = QosWindow::new(hour, sla_ms);
-                    let mut stream = RequestStream::new(profile.clone(), SimRng::new(0));
-                    for (j, rng) in rngs.iter_mut().enumerate() {
-                        let i = start + j;
-                        process_vm(
-                            &vms[i],
-                            hour,
-                            noise,
-                            rng,
-                            &mut free[j],
-                            &mut episodes[j],
-                            &moves[i],
-                            timelines,
-                            &mut stream,
-                            &mut window,
-                        );
-                    }
-                    window
-                }
-            })
-            .collect();
-        let shards = WorkerPool::global().run_ordered(workers, tasks);
-        let mut window = QosWindow::new(hour, sla_ms);
-        for shard in &shards {
-            window.merge(shard);
+        for (vm, client) in vms.iter().zip(&mut self.clients) {
+            client.serve_hour(
+                vm,
+                hour,
+                self.noise,
+                &timelines,
+                &mut self.requests,
+                &mut window,
+            );
         }
         self.report.merge(&window.report);
         self.pending = Some(window);
         // Compact residencies: keep the last move at or before the epoch
         // boundary (it covers every future arrival until the next move).
         let hour_end = SimTime::from_hours(hour + 1);
-        for m in &mut self.moves {
+        for client in &mut self.clients {
+            let m = &mut client.moves;
             let cut = m
                 .partition_point(|&(at, _)| at <= hour_end)
                 .saturating_sub(1);
@@ -234,62 +208,261 @@ impl QosStream {
     }
 }
 
-/// Draws and serves one VM's requests for `hour` into the chunk `window`
-/// — the streaming twin of the replay's `replay_vm_batched`, over the
-/// same shared FCFS/wake-episode arithmetic.
-#[allow(clippy::too_many_arguments)] // the chunk fan-out's split-borrow seam
-fn process_vm(
-    vm: &VmSim,
-    hour: u64,
-    noise: f64,
-    rng: &mut SimRng,
-    free: &mut Vec<SimTime>,
-    episode: &mut Option<(SimTime, SimTime)>,
-    moves: &[(SimTime, HostId)],
-    timelines: &[Option<&PowerTimeline>],
-    stream: &mut RequestStream,
-    window: &mut QosWindow,
-) {
-    if vm.spec.kind != WorkloadKind::Interactive || vm.departed {
-        return;
-    }
-    let level = vm.spec.trace.level_at_hour(hour);
-    if level < noise {
-        return;
-    }
-    if free.is_empty() {
-        free.resize((vm.spec.vcpus.round() as usize).max(1), SimTime::EPOCH);
-    }
-    stream.fill_hour_with(rng, hour, level);
-    let (arrivals, services) = stream.emit_rest();
-    // Arrivals are monotone within the hour: residency resolves with a
-    // forward walk, power state with a fresh timeline cursor.
-    let mut mv = 0usize;
-    let mut tl_cursor = dds_power::TimelineCursor::new();
-    for (&arrival, &service) in arrivals.iter().zip(services) {
-        while mv < moves.len() && moves[mv].0 <= arrival {
-            mv += 1;
+impl VmClient {
+    /// Draws and serves this VM's requests for `hour` into `window`.
+    fn serve_hour(
+        &mut self,
+        vm: &VmSim,
+        hour: u64,
+        noise: f64,
+        timelines: &[Option<&PowerTimeline>],
+        requests: &mut RequestStream,
+        window: &mut QosWindow,
+    ) {
+        if vm.spec.kind != WorkloadKind::Interactive || vm.departed {
+            return;
         }
-        let Some(&(_, host)) = mv.checked_sub(1).map(|i| &moves[i]) else {
-            window.record_unserved();
-            continue;
-        };
-        let Some(timeline) = timelines[host.index()] else {
-            window.record_unserved();
-            continue;
-        };
-        let Some(operational) = tl_cursor.operational_from(timeline, arrival) else {
-            // An active VM keeps its host awake within the hour, so this
-            // only fires for requests of VMs idle-gated differently than
-            // the host model — flagged, not silently dropped.
-            window.record_unserved();
-            continue;
-        };
-        let span = (operational != arrival)
-            .then(|| tl_cursor.resume_window_after(timeline, arrival))
-            .flatten();
-        let power_ready = power_ready_at(operational, arrival, span, episode);
-        let (latency_ms, wake_hit) = fcfs_serve(free, arrival, service, power_ready);
-        window.record(host.index() as u32, latency_ms, wake_hit);
+        let level = vm.spec.trace.level_at_hour(hour);
+        if level < noise {
+            return;
+        }
+        if self.free.is_empty() {
+            self.free
+                .resize((vm.spec.vcpus.round() as usize).max(1), SimTime::EPOCH);
+        }
+        let (arrivals, services) = requests.fill_hour_with(&mut self.rng, hour, level);
+        // Arrivals are monotone within the hour: residency resolves with
+        // a forward walk, power state with a fresh timeline cursor.
+        let mut mv = 0usize;
+        let mut tl_cursor = TimelineCursor::new();
+        for (&arrival, &service) in arrivals.iter().zip(services) {
+            while mv < self.moves.len() && self.moves[mv].0 <= arrival {
+                mv += 1;
+            }
+            let Some(&(_, host)) = mv.checked_sub(1).map(|i| &self.moves[i]) else {
+                window.record_unserved();
+                continue;
+            };
+            let Some(timeline) = timelines[host.index()] else {
+                window.record_unserved();
+                continue;
+            };
+            let Some(operational) = tl_cursor.operational_from(timeline, arrival) else {
+                // An active VM keeps its host awake within the hour, so
+                // this only fires for requests of VMs idle-gated
+                // differently than the host model — flagged, not
+                // silently dropped.
+                window.record_unserved();
+                continue;
+            };
+            let span = (operational != arrival)
+                .then(|| tl_cursor.resume_window_after(timeline, arrival))
+                .flatten();
+            let power_ready = power_ready_at(operational, arrival, span, &mut self.episode);
+            let (latency_ms, wake_hit) = fcfs_serve(&mut self.free, arrival, service, power_ready);
+            window.record(host.index() as u32, latency_ms, wake_hit);
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use dds_traces::{RequestGenerator, TracePattern, VmTrace};
+
+    /// Binary-search residency lookup: the host `moves` (one VM's
+    /// placement log, time-ordered) assigns the VM at instant `t`.
+    fn host_at(moves: &[(SimTime, HostId)], t: SimTime) -> Option<HostId> {
+        let i = moves.partition_point(|&(at, _)| at <= t);
+        i.checked_sub(1).map(|i| moves[i].1)
+    }
+
+    /// The oracle for one VM of a fully recorded run: its request stream
+    /// event per request through the sequential `RequestGenerator`,
+    /// uncursored timeline lookups, a fresh report. Everything it touches
+    /// is derived from `(seed, vm index)` and the recorded run, so the
+    /// result is a pure function.
+    fn replay_vm_reference(
+        vm: &VmSpec,
+        moves: &[(SimTime, HostId)],
+        timelines: &[PowerTimeline],
+        profile: &RequestProfile,
+        noise: f64,
+        seed: u64,
+        hours: u64,
+    ) -> QosReport {
+        let mut report = QosReport::new(profile.sla.as_millis());
+        if vm.kind != WorkloadKind::Interactive {
+            // Timer-driven VMs are woken ahead of time (no request
+            // latency); batch VMs have no request stream.
+            return report;
+        }
+        let rng = SimRng::new(seed).stream_indexed("qos-requests", vm.id.index() as u64);
+        let mut generator = RequestGenerator::new(vm.trace.clone(), profile.clone(), rng);
+        let mut free = vec![SimTime::EPOCH; (vm.vcpus.round() as usize).max(1)];
+        let mut episode: Option<(SimTime, SimTime)> = None;
+        for hour in 0..hours {
+            if vm.trace.level_at_hour(hour) < noise {
+                continue;
+            }
+            for arrival in generator.arrivals_in_hour(hour) {
+                let service = generator.sample_service();
+                let Some(host) = host_at(moves, arrival) else {
+                    report.unserved += 1;
+                    continue;
+                };
+                let timeline = &timelines[host.index()];
+                let Some(operational) = timeline.operational_from(arrival) else {
+                    // Parked through the end of the recorded run.
+                    report.unserved += 1;
+                    continue;
+                };
+                let window = (operational != arrival)
+                    .then(|| timeline.resume_window_after(arrival))
+                    .flatten();
+                let power_ready = power_ready_at(operational, arrival, window, &mut episode);
+                let (latency_ms, wake_hit) = fcfs_serve(&mut free, arrival, service, power_ready);
+                report.record(latency_ms, wake_hit);
+            }
+        }
+        report
+    }
+
+    /// The oracle for a whole recorded run: one report per VM, merged in
+    /// VM order. `out` must carry timelines and the placement log.
+    fn replay_reference(vms: &[VmSpec], out: &DcOutcome, profile: &RequestProfile) -> QosReport {
+        assert!(!out.timelines.is_empty(), "the oracle needs a recorded run");
+        let noise = DcConfig::paper_default().im.noise_threshold;
+        let mut report = QosReport::new(profile.sla.as_millis());
+        for vm in vms {
+            let moves: Vec<(SimTime, HostId)> = out
+                .placements
+                .iter()
+                .filter(|rec| rec.vm == vm.id)
+                .map(|rec| (rec.at, rec.host))
+                .collect();
+            let vm_report =
+                replay_vm_reference(vm, &moves, &out.timelines, profile, noise, 7, out.hours);
+            report.merge(&vm_report);
+        }
+        report
+    }
+
+    fn bursty(hours: usize, seed: u64) -> VmTrace {
+        TracePattern::RandomBursts {
+            duty: 0.2,
+            intensity: 0.6,
+        }
+        .generate(hours, &mut SimRng::new(seed))
+    }
+
+    /// Runs two testbed machines hosting one interactive VM per trace
+    /// (alternating placement) for `hours`, seed 7.
+    fn run_small(
+        algorithm: Algorithm,
+        traces: Vec<VmTrace>,
+        hours: u64,
+        tweak: impl FnOnce(&mut DcConfig),
+    ) -> (Vec<VmSpec>, DcOutcome) {
+        let hosts = vec![
+            HostSpec::testbed_machine(HostId(0), "P0"),
+            HostSpec::testbed_machine(HostId(1), "P1"),
+        ];
+        let vms: Vec<VmSpec> = traces
+            .into_iter()
+            .enumerate()
+            .map(|(i, t)| {
+                VmSpec::testbed_flavor(
+                    VmId(i as u32),
+                    format!("V{i}"),
+                    t,
+                    WorkloadKind::Interactive,
+                )
+            })
+            .collect();
+        let placement: Vec<HostId> = (0..vms.len()).map(|i| HostId((i % 2) as u32)).collect();
+        let mut cfg = DcConfig::paper_default();
+        tweak(&mut cfg);
+        let mut dc = Datacenter::new(cfg, algorithm, hosts, vms.clone(), placement, None, 7);
+        dc.run(hours);
+        (vms, dc.finish())
+    }
+
+    fn streamed(algorithm: Algorithm, traces: Vec<VmTrace>, hours: u64) -> (DcOutcome, QosReport) {
+        let (_, mut out) = run_small(algorithm, traces, hours, |cfg| {
+            cfg.qos_stream = Some(QosStreamConfig::serial(
+                RequestProfile::web_search_quick_resume(),
+            ));
+        });
+        let qos = out.qos.take().expect("streaming run surfaces a report");
+        (out, qos)
+    }
+
+    #[test]
+    fn always_on_fleet_sees_no_wake_hits() {
+        let (_, report) = streamed(
+            Algorithm::NeatNoSuspend,
+            vec![bursty(48, 1), bursty(48, 2)],
+            48,
+        );
+        assert!(report.total > 1000, "requests flowed: {}", report.total);
+        assert_eq!(report.wake_hits, 0, "always-on hosts never park");
+        assert_eq!(report.wake_violations, 0);
+        assert_eq!(report.unserved, 0);
+        assert!(
+            report.sla_attainment() > 0.99,
+            "awake fleet meets the paper's SLA: {}",
+            report.sla_attainment()
+        );
+    }
+
+    #[test]
+    fn drowsy_fleet_charges_wakes_at_the_resume_latency() {
+        let (out, report) = streamed(Algorithm::DrowsyDc, vec![bursty(96, 1), bursty(96, 2)], 96);
+        assert!(out.global_suspended_fraction > 0.0, "the run parks hosts");
+        assert!(report.wake_hits > 0, "parked hosts produce wake hits");
+        // The worst wake-hit latency is at least the quick-resume
+        // latency (the trigger pays the full resume + service) and
+        // bounded by resume + the FCFS drain behind it.
+        assert!(
+            report.worst_wake_ms >= 800,
+            "trigger pays the resume: {}",
+            report.worst_wake_ms
+        );
+        assert!(report.wake_violations > 0, "wake latencies breach 200 ms");
+    }
+
+    #[test]
+    fn streaming_matches_the_per_request_oracle() {
+        // The streaming run (trimmed timelines, compacted residencies,
+        // batched draws) reports exactly what the event-per-request
+        // oracle computes from a fully recorded twin of the same run —
+        // exact counters, histogram buckets and worst wake latency — for
+        // a parking and a non-parking policy.
+        let profile = RequestProfile::web_search_quick_resume();
+        for algorithm in [Algorithm::DrowsyDc, Algorithm::NeatNoSuspend] {
+            let hours = 96;
+            let traces = vec![bursty(96, 1), bursty(96, 2), bursty(96, 3), bursty(96, 4)];
+            let (vms, recorded) = run_small(algorithm, traces.clone(), hours, |cfg| {
+                cfg.track_power_timeline = true;
+            });
+            let oracle = replay_reference(&vms, &recorded, &profile);
+            assert!(oracle.total > 0);
+            if algorithm == Algorithm::DrowsyDc {
+                assert!(oracle.wake_hits > 0, "the oracle run exercises wakes");
+            }
+            let (out, streamed) = streamed(algorithm, traces, hours);
+            // Streaming must not perturb the run's physics…
+            assert_eq!(
+                out.energy_kwh.to_bits(),
+                recorded.energy_kwh.to_bits(),
+                "{algorithm:?}: the ride-along pipeline leaves the simulation untouched"
+            );
+            // …retains nothing whole-run…
+            assert!(out.timelines.is_empty(), "no timeline retention");
+            assert!(out.placements.is_empty(), "no placement log");
+            // …and reports exactly what the oracle computes.
+            assert_eq!(streamed, oracle, "{algorithm:?}");
+        }
     }
 }

@@ -238,7 +238,7 @@ impl std::fmt::Display for RegistryError {
                 write!(f, "policy {name:?} is already registered")
             }
             RegistryError::UnknownName(name) => {
-                write!(f, "unknown policy {name:?}")
+                write!(f, "unknown policy '{name}'")
             }
         }
     }

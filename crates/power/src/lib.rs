@@ -15,8 +15,9 @@
 //! * [`EnergyMeter`] — integrates watts over simulated time and tracks the
 //!   per-state residency needed for Table I.
 //! * [`PowerTimeline`] — the opt-in per-host state history the meter can
-//!   record as a by-product, consumed by the request-level QoS replay
-//!   (`dds-qos`) to charge wake latencies to individual requests.
+//!   record as a by-product, consumed by the streaming request-level QoS
+//!   pipeline (`dds_core::datacenter::QosStreamConfig`) to charge wake
+//!   latencies to individual requests.
 
 #![warn(missing_docs)]
 

@@ -8,16 +8,16 @@
 //! instants, resume windows and mid-hour wakes land at their true
 //! millisecond instants.
 //!
-//! The request-level QoS subsystem (`dds-qos`) replays per-VM request
-//! streams against these timelines. Its two lookups are pure binary
-//! searches: [`PowerTimeline::operational_from`] and
+//! The streaming request-level QoS pipeline (`dds-core`) serves per-VM
+//! request streams against these timelines. Its two lookups are pure
+//! binary searches: [`PowerTimeline::operational_from`] and
 //! [`PowerTimeline::resume_window_after`] answer in O(log intervals) via
 //! auxiliary sorted indices of operational and resuming intervals,
-//! maintained incrementally by [`PowerTimeline::record`]. Batch consumers
-//! replaying time-ordered request streams use a [`TimelineCursor`] on top,
-//! which amortizes consecutive lookups to O(1). The streaming QoS
-//! pipeline additionally calls [`PowerTimeline::trim_before`] once its
-//! window moves past recorded history, keeping per-host memory constant.
+//! maintained incrementally by [`PowerTimeline::record`]. The pipeline
+//! walks each hour's time-ordered arrivals with a [`TimelineCursor`] on
+//! top, which amortizes consecutive lookups to O(1), and calls
+//! [`PowerTimeline::trim_before`] once its window moves past recorded
+//! history, keeping per-host memory constant.
 
 use crate::state::PowerState;
 use dds_sim_core::{SimDuration, SimTime};
@@ -156,7 +156,7 @@ impl PowerTimeline {
 
     /// The resume window (`Resuming` span) that ends at the operational
     /// instant following `t`, if the host was parked or resuming at `t`:
-    /// `(resume_start, operational)`. The QoS replay charges the
+    /// `(resume_start, operational)`. The QoS pipeline charges the
     /// wake-triggering request exactly this window — the paper's ≈1500 ms
     /// stock / ≈800 ms quick-resume latency. O(log intervals).
     pub fn resume_window_after(&self, t: SimTime) -> Option<(SimTime, SimTime)> {
@@ -223,8 +223,8 @@ impl PowerTimeline {
 
 /// A monotone lookup cursor over one [`PowerTimeline`].
 ///
-/// Batch consumers (the interval-batched QoS replay, the streaming
-/// pipeline) query timelines with non-decreasing instants; the cursor
+/// Batch consumers (the streaming QoS pipeline) query timelines with
+/// non-decreasing instants; the cursor
 /// remembers the last interval hit and walks forward from there, so a
 /// whole request stream costs O(intervals + requests) instead of
 /// O(requests · log intervals). Queries that jump backwards fall back to

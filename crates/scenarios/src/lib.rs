@@ -16,9 +16,9 @@
 //!   **policy set** to sweep (policy-registry names);
 //! * optionally a **request-level QoS workload** (`[qos]`) — the
 //!   paper's web-search client attached to every interactive VM, so
-//!   [`run_scenario_qos`] pairs each policy's energy outcome with a
-//!   [`QosReport`](dds_qos::QosReport) of tail latencies and SLA
-//!   attainment.
+//!   [`run_scenario_qos`] pairs each policy's energy outcome with the
+//!   [`QosReport`](dds_sim_core::qos::QosReport) of tail latencies and
+//!   SLA attainment its run streamed.
 //!
 //! [`Scenario::parse`] validates with **line-numbered errors**;
 //! [`Scenario::to_cluster_spec`] compiles onto the existing
@@ -76,8 +76,5 @@ pub mod scenario;
 pub use catalog::{catalog, find, CatalogEntry, CATALOG};
 pub use family::{workload_family, ScenarioFamily};
 pub use format::{RawDoc, RawEntry, RawSection, ScenarioError};
-pub use run::{
-    run_scenario, run_scenario_qos, run_scenario_qos_mode, run_scenario_qos_mode_with,
-    run_scenario_qos_with, run_scenario_with, QosMode,
-};
+pub use run::{run_scenario, run_scenario_qos, run_scenario_qos_with, run_scenario_with};
 pub use scenario::{FidelityMode, HostClass, QosSpec, Scenario, WorkloadGroup};

@@ -1,24 +1,11 @@
 //! Running scenarios through the parallel sweep machinery.
 
-use crate::scenario::Scenario;
-use dds_core::datacenter::QosStreamConfig;
+use crate::scenario::{QosSpec, Scenario};
 use dds_core::registry::PolicyRegistry;
 use dds_core::sweep::{run_sweep_with, SweepOutcome};
-use dds_qos::{replay, QosConfig, QosReport};
+use dds_power::WakeSpeed;
+use dds_sim_core::qos::QosReport;
 use dds_traces::RequestProfile;
-
-/// How a scenario's request-level QoS is evaluated.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum QosMode {
-    /// Record the whole run (power timelines + placement log), then
-    /// replay the request streams against it — the reference pipeline.
-    PostHoc,
-    /// Evaluate inline with the run ([`QosStreamConfig`]): per-epoch
-    /// windows, trimmed timelines, constant memory — and the closed-loop
-    /// signal seam (policies observe each epoch's window). Bit-identical
-    /// to [`QosMode::PostHoc`] for open-loop policies.
-    Streaming,
-}
 
 /// Runs a scenario's full policy sweep against the standard registry,
 /// fanning out over `threads` workers (0 = one per available core).
@@ -44,14 +31,11 @@ pub fn run_scenario_with(
 }
 
 /// Runs a scenario's policy sweep **with request-level QoS**: each
-/// policy's outcome comes back paired with the [`QosReport`] of replaying
-/// the scenario's `[qos]` request workload against that run's power
-/// timelines. Scenarios without a `[qos]` section use the paper's
-/// quick-resume web-search profile.
-///
-/// Timeline tracking is forced on for every point (a `[qos]` section
-/// already sets it; this makes the call total). Reports are bit-identical
-/// for any `threads` value, like the sweep itself.
+/// policy's outcome comes back paired with the [`QosReport`] its run
+/// streamed for the scenario's `[qos]` request workload. A scenario
+/// without a `[qos]` section gets the paper's quick-resume web-search
+/// profile. Reports are bit-identical for any `threads` value, like the
+/// sweep itself.
 pub fn run_scenario_qos(
     scenario: &Scenario,
     seed: Option<u64>,
@@ -68,93 +52,23 @@ pub fn run_scenario_qos_with(
     seed: Option<u64>,
     threads: usize,
 ) -> Vec<(SweepOutcome, QosReport)> {
-    run_scenario_qos_mode_with(registry, scenario, seed, threads, QosMode::PostHoc)
-}
-
-/// [`run_scenario_qos`] with the evaluation pipeline selected by `mode`.
-pub fn run_scenario_qos_mode(
-    scenario: &Scenario,
-    seed: Option<u64>,
-    threads: usize,
-    mode: QosMode,
-) -> Vec<(SweepOutcome, QosReport)> {
-    run_scenario_qos_mode_with(&PolicyRegistry::standard(), scenario, seed, threads, mode)
-}
-
-/// Like [`run_scenario_qos_mode`], with policy names resolved in a
-/// custom registry.
-pub fn run_scenario_qos_mode_with(
-    registry: &PolicyRegistry,
-    scenario: &Scenario,
-    seed: Option<u64>,
-    threads: usize,
-    mode: QosMode,
-) -> Vec<(SweepOutcome, QosReport)> {
-    let seed = seed.unwrap_or(scenario.seed);
-    let profile = scenario
-        .qos
-        .as_ref()
-        .map(|q| q.profile.clone())
-        .unwrap_or_else(RequestProfile::web_search_quick_resume);
-    let mut points = scenario.sweep_points(Some(seed));
-    for p in &mut points {
-        // A [qos] section already configured all of this through
-        // to_cluster_spec; syncing here too makes the no-[qos] fallback
-        // consistent — the run's first-packet wake model, SLA and wake
-        // path always match the replayed client.
-        p.spec.config.sla = profile.sla;
-        p.spec.config.request_peak_rps = profile.peak_rps;
-        p.spec.config.request_service =
-            dds_sim_core::SimDuration::from_millis(profile.mean_service_ms as u64);
-        if let Some(qos) = &scenario.qos {
-            p.spec.config.wake_speed = qos.wake;
-        }
-        match mode {
-            QosMode::PostHoc => p.spec.config.track_power_timeline = true,
-            QosMode::Streaming => {
-                // Streaming retains nothing whole-run. Serial per-epoch
-                // fan-out: the pool is already parallelizing across the
-                // sweep's policies.
-                p.spec.config.track_power_timeline = false;
-                p.spec.config.qos_stream = Some(QosStreamConfig::serial(profile.clone()));
-            }
-        }
-    }
-    let outcomes = run_sweep_with(registry, &points, threads);
-    let Some(first) = points.first() else {
-        return Vec::new();
-    };
-    match mode {
-        QosMode::PostHoc => {
-            let cfg = QosConfig {
-                profile,
-                noise: first.spec.config.im.noise_threshold,
-            };
-            // All points share the spec and seed, so the VM population
-            // (traces included) is generated once and replayed against
-            // every policy.
-            let vms = first.spec.vm_specs(seed);
-            outcomes
-                .into_iter()
-                .map(|out| {
-                    let report = replay(&vms, &out.outcome.dc, &cfg, seed, threads);
-                    (out, report)
-                })
-                .collect()
-        }
-        QosMode::Streaming => outcomes
-            .into_iter()
-            .map(|mut out| {
-                let report = out
-                    .outcome
-                    .dc
-                    .qos
-                    .take()
-                    .expect("streaming points carry a QoS report");
-                (out, report)
-            })
-            .collect(),
-    }
+    let mut scenario = scenario.clone();
+    scenario.qos.get_or_insert_with(|| QosSpec {
+        profile: RequestProfile::web_search_quick_resume(),
+        wake: WakeSpeed::Quick,
+    });
+    run_scenario_with(registry, &scenario, seed, threads)
+        .into_iter()
+        .map(|mut out| {
+            let report = out
+                .outcome
+                .dc
+                .qos
+                .take()
+                .expect("a [qos] scenario streams a QoS report");
+            (out, report)
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -192,32 +106,9 @@ mod tests {
     }
 
     #[test]
-    fn streaming_mode_matches_post_hoc_for_open_loop_policies() {
-        let mut s = sla_front();
-        // The closed-loop policy diverges from its recorded twin by
-        // design (the signal changes the run); everything open-loop must
-        // agree to the bit.
-        s.policies.retain(|p| p.as_str() != "sla-aware");
-        let posthoc = run_scenario_qos_mode(&s, None, 0, QosMode::PostHoc);
-        let streaming = run_scenario_qos_mode(&s, None, 0, QosMode::Streaming);
-        assert_eq!(posthoc.len(), streaming.len());
-        for ((a, ra), (b, rb)) in posthoc.iter().zip(&streaming) {
-            assert_eq!(a.policy, b.policy);
-            assert_eq!(ra, rb, "{} report", a.policy);
-            assert_eq!(
-                a.outcome.energy_kwh().to_bits(),
-                b.outcome.energy_kwh().to_bits(),
-                "{} physics",
-                a.policy
-            );
-            assert!(ra.total > 0);
-        }
-    }
-
-    #[test]
     fn sla_aware_trades_energy_for_fewer_wake_violations() {
         let s = sla_front();
-        let rows = run_scenario_qos_mode(&s, None, 0, QosMode::Streaming);
+        let rows = run_scenario_qos(&s, None, 0);
         let find = |name: &str| {
             rows.iter()
                 .find(|(o, _)| o.policy == name)

@@ -13,7 +13,7 @@
 
 use crate::format::{RawDoc, RawEntry, RawSection, ScenarioError};
 use dds_core::cluster::ClusterSpec;
-use dds_core::datacenter::{DcConfig, EngineConfig};
+use dds_core::datacenter::{DcConfig, EngineConfig, QosStreamConfig};
 use dds_core::registry::PolicyRegistry;
 use dds_core::spec::{HostSpec, VmMemberSpec, WorkloadKind};
 use dds_core::sweep::SweepPoint;
@@ -88,10 +88,11 @@ pub struct WorkloadGroup {
 }
 
 /// The optional `[qos]` section: a request-level workload attached to
-/// the scenario's interactive VMs, evaluated by the `dds-qos` replay.
-/// Its presence turns power-timeline tracking on for every run of the
-/// scenario, so energy results come back with a
-/// [`QosReport`](dds_qos::QosReport) beside them.
+/// the scenario's interactive VMs. Its presence turns the streaming QoS
+/// pipeline on for every run of the scenario
+/// ([`DcConfig::qos_stream`]), so energy results come back with a
+/// [`QosReport`](dds_sim_core::qos::QosReport) beside them — and
+/// closed-loop policies observe each epoch's window.
 #[derive(Debug, Clone, PartialEq)]
 pub struct QosSpec {
     /// The client profile replayed against every interactive VM.
@@ -883,12 +884,11 @@ impl Scenario {
         config.track_sla = true;
         config.relocation_period_hours = self.relocation_hours;
         if let Some(qos) = &self.qos {
-            // The QoS replay needs the run's power timelines; the wake
-            // path and SLA threshold follow the [qos] section. The
-            // simulation's own first-packet wake model runs at the same
-            // request rate as the replayed client, so packet-wake offsets
-            // are consistent between the run and the replay.
-            config.track_power_timeline = true;
+            // Stream the [qos] client inline with every run; the wake
+            // path and SLA threshold follow the section. The simulation's
+            // own first-packet wake model runs at the same request rate
+            // as the streamed client, so packet-wake offsets agree.
+            config.qos_stream = Some(QosStreamConfig::serial(qos.profile.clone()));
             config.wake_speed = qos.wake;
             config.sla = qos.profile.sla;
             config.request_peak_rps = qos.profile.peak_rps;
@@ -1348,7 +1348,7 @@ ram-mb = 6144
         let s = Scenario::parse(MINIMAL).unwrap();
         assert!(s.qos.is_none(), "no [qos] section → no request workload");
         let spec = s.to_cluster_spec();
-        assert!(!spec.config.track_power_timeline);
+        assert!(spec.config.qos_stream.is_none());
 
         let text = MINIMAL.replace(
             "[fleet.box]",
@@ -1365,9 +1365,12 @@ ram-mb = 6144
             SimDuration::from_millis(1500),
             "stock wake pairs with the stock resume expectation"
         );
-        // Compilation forces timeline tracking and carries the wake path.
+        // Compilation streams the section's client and carries the wake
+        // path; nothing records a whole-run history.
         let spec = s.to_cluster_spec();
-        assert!(spec.config.track_power_timeline);
+        let stream = spec.config.qos_stream.as_ref().expect("QoS streams");
+        assert_eq!(stream.profile, qos.profile);
+        assert!(!spec.config.track_power_timeline);
         assert_eq!(spec.config.wake_speed, WakeSpeed::Normal);
         assert_eq!(spec.config.sla, SimDuration::from_millis(150));
     }

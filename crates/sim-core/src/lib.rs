@@ -14,12 +14,12 @@
 //!   resolution instead of fixed ticks.
 //! * [`pool`] — a persistent worker pool ([`WorkerPool`]): long-lived
 //!   workers parked on a condvar between batches, submission-ordered
-//!   results, so every parallel hot loop (fleet shards, sweeps, QoS
-//!   replays) dispatches work without per-call thread spawns.
+//!   results, so every parallel hot loop (fleet shards, sweeps)
+//!   dispatches work without per-call thread spawns.
 //! * [`ids`] — typed identifiers for simulation entities (VMs, hosts, …).
 //! * [`qos`] — mergeable request-level QoS accumulators ([`qos::QosReport`],
-//!   [`qos::QosWindow`]): exact-integer state shared by the post-hoc replay
-//!   and the streaming per-epoch pipeline.
+//!   [`qos::QosWindow`]): exact-integer state filled by the streaming
+//!   per-epoch pipelines of the datacenter and the fleet engine.
 //! * [`rng`] — seedable, stream-split random number helpers so that every
 //!   experiment is reproducible from a single `u64` seed.
 //! * [`stats`] — online statistics, percentile summaries and text/CSV table

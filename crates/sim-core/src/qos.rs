@@ -4,7 +4,7 @@
 //! Both types are built from the same discipline as every other parallel
 //! accumulator in the workspace (the fleet digest, the sweep outcomes):
 //! **exact integer state only**, so merging shards is associative and
-//! commutative — folding per-VM, per-chunk or per-shard pieces in any
+//! commutative — folding per-VM, per-epoch or per-shard pieces in any
 //! order produces bit-identical results for any thread or shard count.
 //!
 //! [`QosReport`] aggregates a whole run (the paper's "more than 99 % of
@@ -33,7 +33,7 @@ use crate::{SimDuration, SimTime};
 pub struct QosReport {
     /// End-to-end request latencies (arrival → service completion), ms.
     pub latencies: LatencyHistogram,
-    /// Total requests replayed.
+    /// Total requests served.
     pub total: u64,
     /// Requests within the SLA threshold.
     pub under_sla: u64,
@@ -49,7 +49,7 @@ pub struct QosReport {
     pub worst_wake_ms: u64,
     /// Requests that could not be served within the recorded timeline
     /// (host parked through the end of the run). Excluded from the
-    /// latency histogram; nonzero values flag a truncated replay.
+    /// latency histogram; nonzero values flag a truncated timeline.
     pub unserved: u64,
     /// The SLA threshold the counters were judged against, ms.
     pub sla_ms: u64,
@@ -176,9 +176,9 @@ pub struct HostWakeQos {
 /// sparse per-host wake attribution, sorted by host index.
 ///
 /// Like the report, all state is exact integers and the host list is kept
-/// sorted, so [`QosWindow::merge`] of disjointly-built shards (per-VM
-/// chunks, fleet shards) is associative and commutative — the epoch
-/// signal handed to a policy is bit-identical for any fan-out width.
+/// sorted, so [`QosWindow::merge`] of disjointly-built shards is
+/// associative and commutative — the epoch signal handed to a policy
+/// cannot depend on how its requests were split.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct QosWindow {
     /// The epoch (hour index) the window covers.
@@ -278,14 +278,12 @@ impl QosWindow {
     }
 }
 
-/// The FCFS service step shared by the post-hoc replay (`dds-qos`) and
-/// the streaming engine (`dds-core`): given the instant the host can
+/// The FCFS service step of the streaming QoS pipeline (`dds-core`)
+/// and its per-request test oracle: given the instant the host can
 /// serve (`power_ready`) and the VM's per-vCPU server pool (`free[i]` =
 /// instant server `i` frees up), starts the request on the
 /// earliest-free server (ties by slot index) and returns its end-to-end
-/// latency in ms plus whether it waited on a wake. Living here — next to
-/// the accumulators it feeds — is what keeps the two pipelines
-/// bit-identical by construction rather than by parallel maintenance.
+/// latency in ms plus whether it waited on a wake.
 #[inline]
 pub fn fcfs_serve(
     free: &mut [SimTime],

@@ -199,7 +199,7 @@ const HIST_BUCKETS: usize = HIST_SUB_BUCKETS as usize * (HIST_OCTAVES + 1);
 
 /// A log-bucketed latency histogram (HDR-histogram style).
 ///
-/// Designed for the request-level QoS replay: millions of latency samples
+/// Designed for the request-level QoS pipeline: millions of latency samples
 /// per run, recorded in integer milliseconds with **O(1)** push and O(1)
 /// memory, merged across worker threads with **bit-identical** results
 /// (all state is `u64` counters, so merging is exact, associative and

@@ -26,7 +26,7 @@ pub struct RequestProfile {
     pub sla: SimDuration,
     /// Resume latency a wake-triggering request pays on this testbed
     /// (≈1500 ms stock kernel, ≈800 ms with the paper's quick-resume
-    /// work). The QoS replay reads the *actual* latency from the host's
+    /// work). The QoS pipeline reads the *actual* latency from the host's
     /// power timeline; this figure is the profile's expectation, used to
     /// label reports and pick the matching `WakeSpeed` in scenario files.
     pub resume_latency: SimDuration,
@@ -129,120 +129,67 @@ impl RequestGenerator {
 /// Interval-batched request generation for the streaming QoS pipeline.
 ///
 /// Functionally the same Poisson client as [`RequestGenerator`], but built
-/// for batch consumption: [`RequestStream::fill_hour`] draws one whole
-/// hour of arrivals *and* their service times into reusable internal
-/// buffers (no per-request allocation), and [`RequestStream::emit_until`]
-/// serves them back sliced at arbitrary instants — typically the constant
-/// power-interval boundaries of the host's timeline. The stream is
-/// trace-free: the caller passes the activity level per hour, so the
-/// streaming engine can feed live trace state without cloning traces.
+/// for batch consumption: [`RequestStream::fill_hour_with`] draws one
+/// whole hour of arrivals *and* their service times into reusable
+/// buffers (no per-request allocation) and returns them. The stream owns
+/// neither a trace nor an RNG: the caller passes the activity level and
+/// lends the VM's own RNG for each hour, so one stream serves every VM of
+/// a run.
 ///
-/// **Bit-identity contract** (pinned by tests): for equal `(profile, rng)`
-/// and the same per-hour levels, the concatenation of everything emitted
-/// equals the sequential `RequestGenerator` protocol — `arrivals_in_hour`
-/// followed by one `sample_service` per arrival — draw for draw. Both
-/// sides consume the RNG identically (all exponential gaps, then all
-/// service normals, per hour), so replay and streaming QoS agree to the
-/// bit no matter how an hour is split across power intervals.
+/// **Bit-identity contract** (pinned by tests): for equal `(profile,
+/// rng)` and the same per-hour levels, the hours drawn equal the
+/// sequential `RequestGenerator` protocol — `arrivals_in_hour` followed
+/// by one `sample_service` per arrival — draw for draw. Both sides
+/// consume the RNG identically (all exponential gaps, then all service
+/// normals, per hour).
 #[derive(Debug, Clone)]
 pub struct RequestStream {
     profile: RequestProfile,
-    rng: SimRng,
     arrivals: Vec<SimTime>,
     services: Vec<SimDuration>,
-    /// Next unconsumed request in the buffers.
-    cursor: usize,
 }
 
 impl RequestStream {
-    /// Creates a stream; `rng` should be a per-VM stream (the same
-    /// derivation as the replay's, so both paths see identical draws).
-    pub fn new(profile: RequestProfile, rng: SimRng) -> Self {
+    /// Creates a stream with empty buffers.
+    pub fn new(profile: RequestProfile) -> Self {
         RequestStream {
             profile,
-            rng,
             arrivals: Vec::new(),
             services: Vec::new(),
-            cursor: 0,
         }
     }
 
-    /// The profile in use.
-    pub fn profile(&self) -> &RequestProfile {
-        &self.profile
-    }
-
-    /// Re-arms the stream for another VM: swaps in that VM's RNG stream
-    /// and discards any buffered hour, keeping the allocations. The QoS
-    /// fan-out reuses one stream per worker chunk instead of allocating
-    /// buffers per VM.
-    pub fn reset(&mut self, rng: SimRng) {
-        self.rng = rng;
+    /// Draws the full hour `hour_index` at activity `level` from `rng`
+    /// (the VM's per-VM stream, persisted by the caller across hours) and
+    /// returns its `(arrivals, services)`: slices of equal length, in
+    /// arrival order. Idle hours (`level <= 0`) draw nothing — matching
+    /// [`RequestGenerator`], which leaves the RNG untouched for hours it
+    /// skips.
+    pub fn fill_hour_with(
+        &mut self,
+        rng: &mut SimRng,
+        hour_index: u64,
+        level: f64,
+    ) -> (&[SimTime], &[SimDuration]) {
         self.arrivals.clear();
         self.services.clear();
-        self.cursor = 0;
-    }
-
-    /// Draws the full hour `hour_index` at activity `level` into the
-    /// internal buffers, replacing any unconsumed remainder. Idle hours
-    /// (`level <= 0`) draw nothing — matching [`RequestGenerator`], which
-    /// leaves the RNG untouched for hours it skips.
-    pub fn fill_hour(&mut self, hour_index: u64, level: f64) {
-        let mut rng = std::mem::replace(&mut self.rng, SimRng::new(0));
-        self.fill_hour_with(&mut rng, hour_index, level);
-        self.rng = rng;
-    }
-
-    /// [`RequestStream::fill_hour`] drawing from a caller-held RNG: the
-    /// streaming QoS engine persists one RNG per VM across epochs and
-    /// lends it to a per-worker shared stream for each hour, so the draw
-    /// sequence stays the per-VM `stream_indexed` one — identical to a
-    /// stream owning that RNG for the whole run.
-    pub fn fill_hour_with(&mut self, rng: &mut SimRng, hour_index: u64, level: f64) {
-        self.arrivals.clear();
-        self.services.clear();
-        self.cursor = 0;
-        if level <= 0.0 {
-            return;
-        }
-        let rate_per_ms = self.profile.peak_rps * level / 1000.0;
-        let hour_start = hour_index * MILLIS_PER_HOUR;
-        let mut t = 0.0f64;
-        loop {
-            t += rng.exponential(1.0 / rate_per_ms);
-            if t >= MILLIS_PER_HOUR as f64 {
-                break;
+        if level > 0.0 {
+            let rate_per_ms = self.profile.peak_rps * level / 1000.0;
+            let hour_start = hour_index * MILLIS_PER_HOUR;
+            let mut t = 0.0f64;
+            loop {
+                t += rng.exponential(1.0 / rate_per_ms);
+                if t >= MILLIS_PER_HOUR as f64 {
+                    break;
+                }
+                self.arrivals
+                    .push(SimTime::from_millis(hour_start + t as u64));
             }
-            self.arrivals
-                .push(SimTime::from_millis(hour_start + t as u64));
+            for _ in 0..self.arrivals.len() {
+                self.services.push(self.profile.sample_service(rng));
+            }
         }
-        for _ in 0..self.arrivals.len() {
-            self.services.push(self.profile.sample_service(rng));
-        }
-    }
-
-    /// Emits every buffered request arriving strictly before `until`,
-    /// advancing the consumption cursor: `(arrivals, services)` slices of
-    /// equal length, in arrival order. Call with successive interval end
-    /// points to batch-process an hour; each request is emitted exactly
-    /// once.
-    pub fn emit_until(&mut self, until: SimTime) -> (&[SimTime], &[SimDuration]) {
-        let start = self.cursor;
-        let end = start + self.arrivals[start..].partition_point(|&a| a < until);
-        self.cursor = end;
-        (&self.arrivals[start..end], &self.services[start..end])
-    }
-
-    /// Emits the unconsumed remainder of the buffered hour.
-    pub fn emit_rest(&mut self) -> (&[SimTime], &[SimDuration]) {
-        let start = self.cursor;
-        self.cursor = self.arrivals.len();
-        (&self.arrivals[start..], &self.services[start..])
-    }
-
-    /// Number of requests buffered for the current hour (consumed or not).
-    pub fn buffered(&self) -> usize {
-        self.arrivals.len()
+        (&self.arrivals, &self.services)
     }
 }
 
@@ -324,7 +271,7 @@ mod tests {
 
     #[test]
     fn per_vm_streams_replay_and_decorrelate() {
-        // The QoS replay derives one stream per VM from the master seed;
+        // The QoS pipeline derives one stream per VM from the master seed;
         // the same (seed, vm) pair must replay bit-identically and
         // different VMs must see different request processes.
         let t = VmTrace::new("t", vec![0.5; 24]);
@@ -360,38 +307,33 @@ mod tests {
         let levels = vec![0.5, 0.0, 1.0, 0.2, 0.0, 0.9];
         let trace = VmTrace::new("t", levels.clone());
         let profile = RequestProfile::web_search();
-        let rng = SimRng::new(7).stream_indexed("qos-requests", 3);
+        let mut rng = SimRng::new(7).stream_indexed("qos-requests", 3);
         let mut g = RequestGenerator::new(trace, profile.clone(), rng.clone());
-        let mut s = RequestStream::new(profile, rng);
+        let mut s = RequestStream::new(profile);
         for (h, &level) in levels.iter().enumerate() {
             let h = h as u64;
-            if level <= 0.0 {
-                // The replay skips idle hours without touching the RNG.
-                continue;
-            }
             let arrivals = g.arrivals_in_hour(h);
             let services: Vec<SimDuration> = arrivals.iter().map(|_| g.sample_service()).collect();
-            s.fill_hour(h, level);
-            let (sa, ss) = s.emit_rest();
+            let (sa, ss) = s.fill_hour_with(&mut rng, h, level);
             assert_eq!(sa, arrivals.as_slice(), "hour {h} arrivals");
             assert_eq!(ss, services.as_slice(), "hour {h} services");
+            if level <= 0.0 {
+                assert!(sa.is_empty(), "idle hours draw nothing");
+            }
         }
     }
 
     use proptest::prelude::*;
 
     proptest! {
-        /// Interval-batched emission is bit-identical to the sequential
-        /// generator stream for any seed, rate and split of the hour into
-        /// emission intervals — the acceptance criterion for running the
-        /// streaming pipeline against power-interval boundaries.
+        /// A batched hour is bit-identical to the sequential generator
+        /// stream for any seed, VM stream, activity level and rate.
         #[test]
-        fn stream_splits_are_bit_identical_to_the_sequential_stream(
+        fn stream_hours_are_bit_identical_to_the_sequential_stream(
             seed in 0u64..1_000,
             vm in 0u64..64,
             level in 0.01f64..1.0,
             peak_rps in 0.05f64..2.0,
-            splits in proptest::collection::vec(0u64..MILLIS_PER_HOUR + 1, 0..6),
         ) {
             let profile = RequestProfile {
                 peak_rps,
@@ -399,51 +341,18 @@ mod tests {
             };
             let hour = 5u64;
             let trace = VmTrace::new("t", vec![level; 6]);
-            let rng = SimRng::new(seed).stream_indexed("qos-requests", vm);
+            let mut rng = SimRng::new(seed).stream_indexed("qos-requests", vm);
 
             let mut g = RequestGenerator::new(trace, profile.clone(), rng.clone());
             let arrivals = g.arrivals_in_hour(hour);
             let services: Vec<SimDuration> =
                 arrivals.iter().map(|_| g.sample_service()).collect();
 
-            let mut s = RequestStream::new(profile, rng);
-            s.fill_hour(hour, level);
-            let mut cuts = splits;
-            cuts.sort_unstable();
-            let hour_start = hour * MILLIS_PER_HOUR;
-            let mut got: Vec<(SimTime, SimDuration)> = Vec::new();
-            for cut in cuts {
-                let (a, sv) = s.emit_until(SimTime::from_millis(hour_start + cut));
-                got.extend(a.iter().copied().zip(sv.iter().copied()));
-            }
-            let (a, sv) = s.emit_rest();
-            got.extend(a.iter().copied().zip(sv.iter().copied()));
-
-            let want: Vec<(SimTime, SimDuration)> =
-                arrivals.into_iter().zip(services).collect();
-            prop_assert_eq!(got, want);
+            let mut s = RequestStream::new(profile);
+            let (sa, ss) = s.fill_hour_with(&mut rng, hour, level);
+            prop_assert_eq!(sa, arrivals.as_slice());
+            prop_assert_eq!(ss, services.as_slice());
         }
-    }
-
-    #[test]
-    fn emit_until_consumes_each_request_exactly_once() {
-        let mut s = RequestStream::new(
-            RequestProfile::web_search(),
-            SimRng::new(11).stream_indexed("qos-requests", 0),
-        );
-        s.fill_hour(0, 1.0);
-        let n = s.buffered();
-        assert!(n > 0);
-        let mid = SimTime::from_millis(MILLIS_PER_HOUR / 2);
-        let first = s.emit_until(mid).0.len();
-        assert_eq!(s.emit_until(mid).0.len(), 0, "idempotent at same cut");
-        let rest = s.emit_rest().0.len();
-        assert_eq!(first + rest, n);
-        assert_eq!(s.emit_rest().0.len(), 0);
-        // Refilling resets the cursor; idle hours buffer nothing.
-        s.fill_hour(1, 0.0);
-        assert_eq!(s.buffered(), 0);
-        assert!(s.emit_rest().0.is_empty());
     }
 
     #[test]

@@ -13,9 +13,9 @@
 //! * [`net`] — simulated SDN switch, Wake-on-LAN, waking module.
 //! * [`placement`] — Nova-style scheduler, Neat, Oasis and Drowsy-DC
 //!   placement algorithms.
-//! * [`system`] — the integrated datacenter model and controllers.
-//! * [`qos`] — request-level QoS: per-request latency replay against the
-//!   run's power timelines, tail percentiles and SLA accounting.
+//! * [`system`] — the integrated datacenter model and controllers, with
+//!   request-level QoS streamed inline with each run
+//!   (`DcConfig::qos_stream`): tail percentiles and SLA accounting.
 //! * [`telemetry`] — metrics registry, epoch flight recorder and span
 //!   profiling hooks (logical metrics stay bit-identical across
 //!   execution grids; timing metrics live in a separate artifact).
@@ -45,7 +45,6 @@ pub use dds_idleness as idleness;
 pub use dds_net as net;
 pub use dds_placement as placement;
 pub use dds_power as power;
-pub use dds_qos as qos;
 pub use dds_scenarios as scenarios;
 pub use dds_sim_core as sim;
 pub use dds_telemetry as telemetry;
@@ -57,8 +56,8 @@ pub mod prelude {
         run_cluster, run_cluster_policy, run_cluster_policy_with, ClusterOutcome, ClusterSpec,
     };
     pub use dds_core::datacenter::{
-        Algorithm, Datacenter, DcConfig, DcEngine, DcEvent, DcOutcome, EngineConfig, WakeCause,
-        WakeRecord,
+        Algorithm, Datacenter, DcConfig, DcEngine, DcEvent, DcOutcome, EngineConfig,
+        QosStreamConfig, WakeCause, WakeRecord,
     };
     pub use dds_core::registry::{PolicyEntry, PolicyRegistry};
     pub use dds_core::sweep::{llmi_grid, run_sweep, run_sweep_with, SweepOutcome, SweepPoint};
@@ -67,8 +66,8 @@ pub mod prelude {
     pub use dds_placement::policy::{ControlPlan, ControlPolicy, PlanningView, SleepDepth};
     pub use dds_placement::{SleepScaleConfig, SleepScalePolicy};
     pub use dds_power::{HostPowerModel, PowerState, PowerTimeline};
-    pub use dds_qos::{run_cluster_qos, QosConfig, QosReport};
     pub use dds_scenarios::{run_scenario, run_scenario_qos, Scenario, ScenarioError};
+    pub use dds_sim_core::qos::QosReport;
     pub use dds_sim_core::{HostId, SimDuration, SimEngine, SimTime, VmId};
     pub use dds_traces::{TracePattern, VmTrace};
 }

@@ -1,5 +1,5 @@
-//! End-to-end tests of the request-level QoS subsystem (`dds-qos`):
-//! scenario → run → timeline export → replay → `QosReport`, plus the
+//! End-to-end tests of request-level QoS: scenario → run with the
+//! streaming pipeline (`DcConfig::qos_stream`) → `QosReport`, plus the
 //! determinism and SLA-shape contracts the `qos` binary reports on.
 
 use drowsy_dc::prelude::*;
@@ -152,18 +152,18 @@ fn cluster_level_qos_pairs_energy_with_latency() {
         peak_rps: 0.5,
         ..RequestProfile::web_search_quick_resume()
     };
-    let (outcome, report) = run_cluster_qos(&spec, "drowsy-dc", 42, &profile, 0);
+    spec.config.qos_stream = Some(QosStreamConfig::serial(profile));
+    let outcome = run_cluster_policy(&spec, "drowsy-dc", 42);
+    let report = outcome.dc.qos.clone().expect("the run streamed QoS");
     assert!(outcome.energy_kwh() > 0.0);
-    assert_eq!(outcome.dc.timelines.len(), spec.hosts);
-    assert!(!outcome.dc.placements.is_empty());
     assert!(report.total > 0);
-    // Replaying the same run twice is a pure function.
-    let (outcome2, report2) = run_cluster_qos(&spec, "drowsy-dc", 42, &profile, 3);
+    // Running the same point twice is a pure function.
+    let outcome2 = run_cluster_policy(&spec, "drowsy-dc", 42);
     assert_eq!(
         outcome.energy_kwh().to_bits(),
         outcome2.energy_kwh().to_bits()
     );
-    assert_eq!(report, report2);
+    assert_eq!(Some(report), outcome2.dc.qos);
 }
 
 #[test]
