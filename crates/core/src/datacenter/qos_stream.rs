@@ -434,15 +434,15 @@ mod tests {
 
     #[test]
     fn streaming_matches_the_per_request_oracle() {
-        // The streaming run (trimmed timelines, compacted residencies,
-        // batched draws) reports exactly what the event-per-request
-        // oracle computes from a fully recorded twin of the same run —
-        // exact counters, histogram buckets and worst wake latency — for
+        // The interval-batched streaming pipeline (compacted residencies,
+        // cursored timeline lookups, batched draws) reports exactly what
+        // the event-per-request oracle computes from a fully recorded run
+        // — exact counters, histogram buckets and worst wake latency — for
         // a parking and a non-parking policy.
         let profile = RequestProfile::web_search_quick_resume();
         for algorithm in [Algorithm::DrowsyDc, Algorithm::NeatNoSuspend] {
             let hours = 96;
-            let traces = vec![bursty(96, 1), bursty(96, 2), bursty(96, 3), bursty(96, 4)];
+            let traces = vec![bursty(96, 1), bursty(96, 2), bursty(96, 3)];
             let (vms, recorded) = run_small(algorithm, traces.clone(), hours, |cfg| {
                 cfg.track_power_timeline = true;
             });
@@ -451,6 +451,26 @@ mod tests {
             if algorithm == Algorithm::DrowsyDc {
                 assert!(oracle.wake_hits > 0, "the oracle run exercises wakes");
             }
+            // The oracle is a pure function of the recorded run.
+            assert_eq!(replay_reference(&vms, &recorded, &profile), oracle);
+            let (_, streamed) = streamed(algorithm, traces, hours);
+            assert_eq!(streamed, oracle, "{algorithm:?}");
+        }
+    }
+
+    #[test]
+    fn streaming_run_is_bit_identical_to_its_recorded_twin() {
+        // A run evaluating QoS inline (trimmed timelines, no placement
+        // log) is the same run as its fully recorded twin: identical
+        // physics, nothing whole-run retained, and exactly the report the
+        // oracle computes from the twin's recording.
+        let profile = RequestProfile::web_search_quick_resume();
+        for algorithm in [Algorithm::DrowsyDc, Algorithm::NeatNoSuspend] {
+            let hours = 96;
+            let traces = vec![bursty(96, 1), bursty(96, 2), bursty(96, 3), bursty(96, 4)];
+            let (vms, recorded) = run_small(algorithm, traces.clone(), hours, |cfg| {
+                cfg.track_power_timeline = true;
+            });
             let (out, streamed) = streamed(algorithm, traces, hours);
             // Streaming must not perturb the run's physics…
             assert_eq!(
@@ -458,11 +478,25 @@ mod tests {
                 recorded.energy_kwh.to_bits(),
                 "{algorithm:?}: the ride-along pipeline leaves the simulation untouched"
             );
+            assert_eq!(
+                out.global_suspended_fraction.to_bits(),
+                recorded.global_suspended_fraction.to_bits(),
+                "{algorithm:?}"
+            );
+            assert_eq!(out.hours, recorded.hours);
             // …retains nothing whole-run…
             assert!(out.timelines.is_empty(), "no timeline retention");
             assert!(out.placements.is_empty(), "no placement log");
-            // …and reports exactly what the oracle computes.
-            assert_eq!(streamed, oracle, "{algorithm:?}");
+            assert!(
+                !recorded.timelines.is_empty(),
+                "the twin keeps its timelines"
+            );
+            // …and reports exactly what the twin's recording yields.
+            assert_eq!(
+                streamed,
+                replay_reference(&vms, &recorded, &profile),
+                "{algorithm:?}"
+            );
         }
     }
 }
