@@ -1,9 +1,10 @@
 //! Criterion bench: simulation-substrate hot paths — event queue
-//! throughput, one full datacenter control hour, and the event-engine
-//! drivers (legacy-compat epochs vs high-fidelity sub-hour events).
+//! throughput, one full datacenter control hour, and the event engine at
+//! both fidelities (legacy epochs vs high-fidelity sub-hour events).
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
-use dds_core::datacenter::{Algorithm, Datacenter, DcConfig, DcEngine, EngineConfig};
+use dds_core::datacenter::{Datacenter, DcConfig, DcEngine, EngineConfig};
+use dds_core::registry::PolicyRegistry;
 use dds_core::spec::{HostSpec, VmSpec, WorkloadKind};
 use dds_sim_core::{EventQueue, HostId, SimRng, SimTime, VmId};
 use dds_traces::TracePattern;
@@ -58,15 +59,10 @@ fn build_dc(hosts: usize, vms: usize) -> Datacenter {
     let mut cfg = DcConfig::paper_default();
     cfg.track_colocation = false;
     cfg.track_sla = false;
-    Datacenter::new(
-        cfg,
-        Algorithm::DrowsyDc,
-        host_specs,
-        vm_specs,
-        placement,
-        None,
-        23,
-    )
+    let policy = PolicyRegistry::standard()
+        .build("drowsy-dc", &cfg, None)
+        .expect("drowsy-dc is registered");
+    Datacenter::with_policy(cfg, policy, host_specs, vm_specs, placement, 23)
 }
 
 fn bench_control_hour(c: &mut Criterion) {
@@ -92,13 +88,12 @@ fn bench_control_hour(c: &mut Criterion) {
 fn bench_engine_drivers(c: &mut Criterion) {
     let mut g = c.benchmark_group("sim_engine");
     g.sample_size(10);
-    // Epoch scheduling through the engine must cost ~nothing over the
-    // hand-rolled tick loop it replaced.
+    // Control epochs only.
     g.bench_function("legacy_epochs_24h_80vm", |b| {
         b.iter_batched(
             || build_dc(20, 80),
             |mut dc| {
-                DcEngine::new(&mut dc, EngineConfig::legacy_compat()).run_hours(24);
+                DcEngine::new(&mut dc, EngineConfig::Legacy).run_hours(24);
                 dc
             },
             BatchSize::LargeInput,
@@ -109,7 +104,7 @@ fn bench_engine_drivers(c: &mut Criterion) {
         b.iter_batched(
             || build_dc(20, 80),
             |mut dc| {
-                DcEngine::new(&mut dc, EngineConfig::high_fidelity()).run_hours(24);
+                DcEngine::new(&mut dc, EngineConfig::HighFidelity).run_hours(24);
                 dc
             },
             BatchSize::LargeInput,

@@ -14,7 +14,6 @@
 
 use dds_bench::{pct1, ExpOptions};
 use dds_core::cluster::{run_cluster_policy, ClusterSpec};
-use dds_core::datacenter::Algorithm;
 use dds_core::testbed::{run_testbed, TestbedSpec};
 use dds_hostos::{Blacklist, ProcState, ProcessTable, SuspendConfig, SuspendModule, TimerWheel};
 use dds_idleness::{evaluate_model_on_trace, ConfusionMatrix, IdlenessModel, ImConfig};
@@ -104,10 +103,10 @@ fn main() {
         spec.days = 3;
     }
     spec.config.track_sla = false;
-    let with_pass = run_testbed(&spec, Algorithm::DrowsyDc, opts.seed);
+    let with_pass = run_testbed(&spec, "drowsy-dc", opts.seed);
     let mut spec_no = spec.clone();
     spec_no.config.drowsy.max_opportunistic_moves = 0;
-    let without_pass = run_testbed(&spec_no, Algorithm::DrowsyDc, opts.seed);
+    let without_pass = run_testbed(&spec_no, "drowsy-dc", opts.seed);
     table.row(vec![
         "opportunistic 7-sigma pass (testbed)".to_string(),
         format!("{:.1} kWh", with_pass.total_energy_kwh()),
@@ -118,10 +117,10 @@ fn main() {
     // --- 4. quick resume.
     let mut spec_sla = spec.clone();
     spec_sla.config.track_sla = true;
-    let quick = run_testbed(&spec_sla, Algorithm::DrowsyDc, opts.seed);
+    let quick = run_testbed(&spec_sla, "drowsy-dc", opts.seed);
     let mut spec_slow = spec_sla.clone();
     spec_slow.config.wake_speed = WakeSpeed::Normal;
-    let slow = run_testbed(&spec_slow, Algorithm::DrowsyDc, opts.seed);
+    let slow = run_testbed(&spec_slow, "drowsy-dc", opts.seed);
     table.row(vec![
         "quick resume (wake-hit worst case)".to_string(),
         format!("{:.0} ms", quick.dc.sla.worst_wake_ms),

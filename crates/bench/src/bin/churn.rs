@@ -10,7 +10,8 @@
 //! idleness machinery keeps working under churn.
 
 use dds_bench::{pct1, ExpOptions};
-use dds_core::datacenter::{Algorithm, Datacenter, DcConfig};
+use dds_core::datacenter::{Datacenter, DcConfig};
+use dds_core::registry::PolicyRegistry;
 use dds_core::spec::{HostSpec, VmSpec, WorkloadKind};
 use dds_sim_core::stats::TextTable;
 use dds_sim_core::{HostId, SimRng, VmId};
@@ -58,15 +59,10 @@ fn main() {
         let mut cfg = DcConfig::paper_default();
         cfg.track_sla = false;
         cfg.track_colocation = false;
-        let mut dc = Datacenter::new(
-            cfg,
-            Algorithm::DrowsyDc,
-            hosts,
-            vms,
-            placement,
-            None,
-            opts.seed,
-        );
+        let policy = PolicyRegistry::standard()
+            .build("drowsy-dc", &cfg, None)
+            .expect("drowsy-dc is registered");
+        let mut dc = Datacenter::with_policy(cfg, policy, hosts, vms, placement, opts.seed);
 
         // Hour-by-hour: admit Poisson batch arrivals; retire finished jobs.
         let mut arrivals_rng = rng.stream("arrivals");
@@ -102,7 +98,7 @@ fn main() {
                     Err(_) => rejected += 1,
                 }
             }
-            dc.step_hour();
+            dc.run(1);
         }
         let out = dc.finish();
         table.row(vec![

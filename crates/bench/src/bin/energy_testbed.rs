@@ -10,7 +10,6 @@
 //! quick resume.
 
 use dds_bench::{pct1, ExpOptions};
-use dds_core::datacenter::Algorithm;
 use dds_core::testbed::{run_testbed, TestbedSpec};
 use dds_power::WakeSpeed;
 use dds_sim_core::stats::TextTable;
@@ -32,23 +31,14 @@ fn main() {
         "wake hits",
         "worst wake ms",
     ]);
-    let mut results = Vec::new();
-    for alg in [
-        Algorithm::DrowsyDc,
-        Algorithm::NeatSuspend,
-        Algorithm::NeatNoSuspend,
-    ] {
-        let out = run_testbed(&spec, alg, opts.seed);
-        results.push((alg, out));
-    }
-    let neat_kwh = results
-        .iter()
-        .find(|(a, _)| *a == Algorithm::NeatNoSuspend)
-        .map(|(_, o)| o.total_energy_kwh())
-        .unwrap();
-    for (alg, out) in &results {
+    let results: Vec<_> = ["drowsy-dc", "neat-s3", "neat"]
+        .into_iter()
+        .map(|policy| run_testbed(&spec, policy, opts.seed))
+        .collect();
+    let neat_kwh = results[2].total_energy_kwh();
+    for out in &results {
         table.row(vec![
-            alg.label().to_string(),
+            out.dc.policy.clone(),
             format!("{:.1}", out.total_energy_kwh()),
             format!("{:+.0}%", (out.total_energy_kwh() / neat_kwh - 1.0) * 100.0),
             pct1(out.global_suspension_fraction()),
@@ -69,8 +59,8 @@ fn main() {
     // from ~0.8 s toward ~1.5 s (the paper's §VI.A.3 observation).
     let mut stock = spec.clone();
     stock.config.wake_speed = WakeSpeed::Normal;
-    let quick = run_testbed(&spec, Algorithm::DrowsyDc, opts.seed);
-    let slow = run_testbed(&stock, Algorithm::DrowsyDc, opts.seed);
+    let quick = run_testbed(&spec, "drowsy-dc", opts.seed);
+    let slow = run_testbed(&stock, "drowsy-dc", opts.seed);
     println!(
         "wake-hit latency: quick resume worst {:.0} ms, stock resume worst {:.0} ms",
         quick.dc.sla.worst_wake_ms, slow.dc.sla.worst_wake_ms

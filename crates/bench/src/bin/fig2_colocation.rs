@@ -9,7 +9,6 @@
 //! stable state).
 
 use dds_bench::ExpOptions;
-use dds_core::datacenter::Algorithm;
 use dds_core::testbed::{run_testbed, TestbedSpec};
 use dds_sim_core::stats::TextTable;
 
@@ -20,7 +19,7 @@ fn main() {
         spec.days = 3;
     }
     spec.config.track_sla = false;
-    let out = run_testbed(&spec, Algorithm::DrowsyDc, opts.seed);
+    let out = run_testbed(&spec, "drowsy-dc", opts.seed);
 
     println!(
         "Fig. 2 — colocation percentage of each VM (Drowsy-DC, {} days)\n",

@@ -36,7 +36,7 @@ fn print_list() {
             s.days.to_string(),
             s.host_count().to_string(),
             s.vm_count().to_string(),
-            s.mode.key().to_string(),
+            s.mode.label().to_string(),
             s.policies.join(","),
             s.summary.clone(),
         ]);
@@ -63,7 +63,7 @@ fn run_one(scenario: &Scenario, opts: &ExpOptions, seed: Option<u64>) -> (String
         scenario.host_count(),
         scenario.vm_count(),
         scenario.days,
-        scenario.mode.key(),
+        scenario.mode.label(),
         scenario.summary,
     );
     let outcomes = run_scenario(&scenario, seed, opts.threads);

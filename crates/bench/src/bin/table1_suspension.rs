@@ -14,7 +14,6 @@
 //! Drowsy-DC of roughly 15–20 percentage points.
 
 use dds_bench::{pct0, ExpOptions};
-use dds_core::datacenter::Algorithm;
 use dds_core::testbed::{run_testbed, TestbedSpec};
 use dds_sim_core::stats::TextTable;
 
@@ -32,14 +31,14 @@ fn main() {
     let mut table = TextTable::new(header);
 
     let mut global = Vec::new();
-    for alg in [Algorithm::DrowsyDc, Algorithm::NeatSuspend] {
-        let out = run_testbed(&spec, alg, opts.seed);
-        let mut row = vec![alg.label().to_string()];
+    for policy in ["drowsy-dc", "neat-s3"] {
+        let out = run_testbed(&spec, policy, opts.seed);
+        let mut row = vec![out.dc.policy.clone()];
         for f in out.suspension_row() {
             row.push(pct0(f));
         }
         row.push(pct0(out.global_suspension_fraction()));
-        global.push((alg, out.global_suspension_fraction()));
+        global.push(out.global_suspension_fraction());
         table.row(row);
     }
 
@@ -50,8 +49,8 @@ fn main() {
     println!("{}", table.render());
     opts.write_csv("table1_suspension.csv", &table.to_csv());
 
-    let drowsy = global[0].1;
-    let neat = global[1].1;
+    let drowsy = global[0];
+    let neat = global[1];
     println!("paper: Drowsy-DC 66 %, Neat 49 % (suspension time +35 %)");
     println!(
         "measured: Drowsy-DC {} %, Neat {} % (suspension time {:+.0} %)",

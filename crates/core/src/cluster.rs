@@ -9,7 +9,7 @@
 //! below reconstructs the experiment from the surrounding text: energy
 //! per algorithm as a function of the LLMI share.)
 
-use crate::datacenter::{Algorithm, Datacenter, DcConfig, DcEngine, DcOutcome, EngineConfig};
+use crate::datacenter::{Datacenter, DcConfig, DcEngine, DcOutcome, EngineConfig};
 
 use crate::spec::{HostSpec, VmMemberSpec, VmSpec, WorkloadKind};
 use dds_sim_core::{HostId, SimRng, VmId};
@@ -30,8 +30,8 @@ use dds_traces::{nutanix_trace, TracePattern};
 /// Either way, the point runs through the same
 /// [`run_cluster_policy_with`] path and fans out over
 /// [`run_sweep`](crate::sweep::run_sweep) untouched, driven by the
-/// [`EngineConfig`] in `engine` (legacy-compat by default; scenarios may
-/// opt in to high fidelity).
+/// [`EngineConfig`] in `engine` (legacy by default; scenarios may opt in
+/// to high fidelity).
 #[derive(Debug, Clone)]
 pub struct ClusterSpec {
     /// Number of pool hosts.
@@ -73,7 +73,7 @@ impl ClusterSpec {
             config,
             fleet: Vec::new(),
             members: Vec::new(),
-            engine: EngineConfig::legacy_compat(),
+            engine: EngineConfig::Legacy,
         }
     }
 
@@ -102,7 +102,7 @@ impl ClusterSpec {
             config,
             fleet,
             members,
-            engine: EngineConfig::legacy_compat(),
+            engine: EngineConfig::Legacy,
         }
     }
 
@@ -276,12 +276,6 @@ impl ClusterOutcome {
     }
 }
 
-/// Runs one cluster point under the given algorithm — a thin wrapper
-/// over [`run_cluster_policy`] via the algorithm's registry name.
-pub fn run_cluster(spec: &ClusterSpec, algorithm: Algorithm, seed: u64) -> ClusterOutcome {
-    run_cluster_policy(spec, algorithm.registry_name(), seed)
-}
-
 /// Runs one cluster point under a standard-registry policy selected by
 /// name (see [`PolicyRegistry`](crate::registry::PolicyRegistry)). Use
 /// [`run_cluster_policy_with`] to resolve names against a registry that
@@ -321,8 +315,8 @@ pub fn run_cluster_policy_with(
         .then_some(HostId(spec.hosts as u32));
     let policy = entry.build(&spec.config, consolidation);
     let mut dc = Datacenter::with_policy(spec.config.clone(), policy, hosts, vms, placement, seed);
-    // Drive through the engine at the spec's fidelity; the legacy-compat
-    // default replays `Datacenter::run` bit-identically.
+    // Drive through the engine at the spec's fidelity; the legacy
+    // default is exactly `Datacenter::run`.
     DcEngine::new(&mut dc, spec.engine).run_hours(spec.days * 24);
     ClusterOutcome {
         llmi_fraction: spec.llmi_fraction,
@@ -356,8 +350,8 @@ mod tests {
         // With no LLMI VMs, Drowsy-DC has nothing to exploit: energy gap
         // to Neat+S3 must be small.
         let spec = small_spec(0.0);
-        let drowsy = run_cluster(&spec, Algorithm::DrowsyDc, 3);
-        let neat = run_cluster(&spec, Algorithm::NeatSuspend, 3);
+        let drowsy = run_cluster_policy(&spec, "drowsy-dc", 3);
+        let neat = run_cluster_policy(&spec, "neat-s3", 3);
         let gap = (neat.energy_kwh() - drowsy.energy_kwh()).abs() / neat.energy_kwh();
         assert!(gap < 0.15, "gap {gap}");
     }
@@ -365,8 +359,8 @@ mod tests {
     #[test]
     fn llmi_heavy_cluster_rewards_drowsy() {
         let spec = small_spec(0.9);
-        let drowsy = run_cluster(&spec, Algorithm::DrowsyDc, 3);
-        let neat_off = run_cluster(&spec, Algorithm::NeatNoSuspend, 3);
+        let drowsy = run_cluster_policy(&spec, "drowsy-dc", 3);
+        let neat_off = run_cluster_policy(&spec, "neat", 3);
         assert!(
             drowsy.energy_kwh() < neat_off.energy_kwh() * 0.7,
             "drowsy {} vs neat-off {}",
@@ -386,8 +380,8 @@ mod tests {
         // with the LLMI share.
         let run = |llmi: f64| {
             let spec = small_spec(llmi);
-            let d = run_cluster(&spec, Algorithm::DrowsyDc, 5).energy_kwh();
-            let n = run_cluster(&spec, Algorithm::NeatSuspend, 5).energy_kwh();
+            let d = run_cluster_policy(&spec, "drowsy-dc", 5).energy_kwh();
+            let n = run_cluster_policy(&spec, "neat-s3", 5).energy_kwh();
             (n - d) / n
         };
         let low = run(0.2);
@@ -479,8 +473,8 @@ mod tests {
     #[test]
     fn oasis_runs_and_sits_between_baselines() {
         let spec = small_spec(0.8);
-        let oasis = run_cluster(&spec, Algorithm::Oasis, 3);
-        let neat_off = run_cluster(&spec, Algorithm::NeatNoSuspend, 3);
+        let oasis = run_cluster_policy(&spec, "oasis", 3);
+        let neat_off = run_cluster_policy(&spec, "neat", 3);
         assert!(
             oasis.energy_kwh() < neat_off.energy_kwh(),
             "oasis {} vs always-on {}",

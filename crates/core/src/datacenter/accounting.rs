@@ -66,15 +66,13 @@ impl Datacenter {
             suspended_fraction.push((h.spec.id, h.meter.low_power_fraction()));
             suspend_cycles.push((h.spec.id, h.meter.suspend_cycles()));
         }
-        let n = self.vms.len();
-        let mut colocation = vec![vec![0.0; n]; n];
-        if self.cfg.track_colocation && self.hour > 0 {
-            for (i, row) in colocation.iter_mut().enumerate() {
-                for (j, cell) in row.iter_mut().enumerate() {
-                    *cell = self.coloc_hours[i][j] as f64 / self.hour as f64;
-                }
-            }
-        }
+        // `coloc_hours` is empty unless colocation is tracked.
+        let hours = self.hour.max(1) as f64;
+        let colocation = self
+            .coloc_hours
+            .iter()
+            .map(|row| row.iter().map(|&c| c as f64 / hours).collect())
+            .collect();
         let mut sla = self.sla.clone();
         sla.mean_service_ms = if self.service_ms_count > 0 {
             self.service_ms_sum / self.service_ms_count as f64

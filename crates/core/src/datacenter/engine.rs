@@ -9,21 +9,22 @@
 //!
 //! ## Two fidelity regimes
 //!
-//! * **Legacy-compat** ([`EngineConfig::legacy_compat`], what
+//! * **Legacy** ([`EngineConfig::Legacy`], the default and what
 //!   [`Datacenter::run`] uses): the only recurring event is
-//!   [`DcEvent::ControlEpoch`], fired on each hour boundary in the same
-//!   deterministic order as the historical tick loop — the golden
+//!   [`DcEvent::ControlEpoch`], fired on each hour boundary, with
+//!   scheduled wakes polled at those boundaries — the golden
 //!   policy-equivalence suite pins this mode bit-identically
 //!   (`f64::to_bits`) for the paper's four policies.
-//! * **High-fidelity** ([`EngineConfig::high_fidelity`]): opt-in sub-hour
+//! * **High-fidelity** ([`EngineConfig::HighFidelity`]): opt-in sub-hour
 //!   dynamics. Scheduled waking dates fire as events at their true
 //!   lead-adjusted instants (`date − wake_lead`), so a parked host is
 //!   operational *at* its waking date instead of starting its resume at
 //!   the next hour boundary; parked-host energy integrates over
 //!   variable-length intervals (suspend instant → wake instant) rather
 //!   than per-hour buckets; and the waking cluster's heart-beat/monitor
-//!   loop runs at its real cadence, so a killed module fails over within
-//!   seconds instead of at the next control period.
+//!   loop runs every heartbeat timeout
+//!   ([`WakingCluster::heartbeat_timeout`], 5 s), so a killed module
+//!   fails over within seconds instead of at the next control period.
 //!
 //! ## Determinism
 //!
@@ -66,48 +67,35 @@ pub enum DcEvent {
     WakingFailure,
 }
 
-/// Fidelity configuration of a [`DcEngine`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct EngineConfig {
-    /// Fire scheduled waking dates as events at their true lead-adjusted
-    /// instants, and integrate parked-host energy over variable-length
-    /// intervals. When false, scheduled wakes are polled at control-period
-    /// boundaries exactly as the legacy tick loop did.
-    pub event_wakes: bool,
-    /// Cadence of [`DcEvent::Heartbeat`] rounds (`None` = no heartbeat
-    /// events; waking-module failures then recover only through the
-    /// legacy [`Datacenter::inject_waking_failure`] path).
-    pub heartbeat_period: Option<SimDuration>,
+/// Fidelity of a [`DcEngine`] (see the module docs).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub enum EngineConfig {
+    /// Control epochs only: scheduled wakes are polled at control-period
+    /// boundaries, parked hosts are metered per hour, and no heartbeat
+    /// events run (waking-module failures recover only through
+    /// [`Datacenter::inject_waking_failure`]).
+    #[default]
+    Legacy,
+    /// Full sub-hour fidelity: scheduled waking dates fire as events at
+    /// their true lead-adjusted instants, parked-host energy integrates
+    /// over variable-length intervals, and heartbeat rounds run every
+    /// [`WakingCluster::heartbeat_timeout`], so failover latency is at
+    /// most one timeout.
+    HighFidelity,
 }
 
 impl EngineConfig {
-    /// Bit-identical replay of the historical hour-tick loop: epochs
-    /// only, no sub-hour events.
-    pub fn legacy_compat() -> Self {
-        EngineConfig {
-            event_wakes: false,
-            heartbeat_period: None,
-        }
-    }
-
-    /// Full sub-hour fidelity: true-latency scheduled wakes, variable
-    /// energy intervals, heartbeats every 5 s (the cluster's heartbeat
-    /// timeout, so failover latency ≤ one period).
-    pub fn high_fidelity() -> Self {
-        EngineConfig {
-            event_wakes: true,
-            heartbeat_period: Some(SimDuration::from_secs(5)),
+    /// Stable label: the scenario format's `mode` value.
+    pub fn label(self) -> &'static str {
+        match self {
+            EngineConfig::Legacy => "legacy",
+            EngineConfig::HighFidelity => "high-fidelity",
         }
     }
 }
 
-impl Default for EngineConfig {
-    fn default() -> Self {
-        Self::legacy_compat()
-    }
-}
-
-/// The event-driven driver around a [`Datacenter`].
+/// The event-driven driver around a [`Datacenter`] — its only driver
+/// ([`Datacenter::run`] wraps one at [`EngineConfig::Legacy`]).
 ///
 /// The engine borrows the datacenter: state lives in [`Datacenter`], the
 /// engine owns only the clock, the event queue and its bookkeeping, so
@@ -115,17 +103,17 @@ impl Default for EngineConfig {
 /// [`Datacenter::finish`] once the engine is dropped.
 ///
 /// ```
-/// use dds_core::datacenter::{Algorithm, Datacenter, DcConfig, DcEngine, EngineConfig};
+/// use dds_core::datacenter::{Datacenter, DcConfig, DcEngine, EngineConfig};
+/// use dds_core::registry::PolicyRegistry;
 /// # use dds_core::spec::{HostSpec, VmSpec, WorkloadKind};
 /// # use dds_sim_core::{HostId, VmId};
 /// # use dds_traces::VmTrace;
 /// # let hosts = vec![HostSpec::testbed_machine(HostId(0), "P0")];
 /// # let vms = vec![VmSpec::testbed_flavor(VmId(0), "V0", VmTrace::idle("i", 24), WorkloadKind::Interactive)];
-/// let mut dc = Datacenter::new(
-///     DcConfig::paper_default(), Algorithm::DrowsyDc, hosts, vms,
-///     vec![HostId(0)], None, 42,
-/// );
-/// let mut engine = DcEngine::new(&mut dc, EngineConfig::high_fidelity());
+/// let cfg = DcConfig::paper_default();
+/// let policy = PolicyRegistry::standard().build("drowsy-dc", &cfg, None).unwrap();
+/// let mut dc = Datacenter::with_policy(cfg, policy, hosts, vms, vec![HostId(0)], 42);
+/// let mut engine = DcEngine::new(&mut dc, EngineConfig::HighFidelity);
 /// engine.run_hours(24);
 /// drop(engine);
 /// let outcome = dc.finish();
@@ -211,16 +199,15 @@ impl<'a> DcEngine<'a> {
             // one hour; zero hours must stay a no-op.
             return;
         }
-        self.dc.defer_parked_metering = self.cfg.event_wakes;
+        self.dc.engine = self.cfg;
         let start_hour = self.dc.hour();
         let end_hour = start_hour + hours;
         self.engine
             .schedule_at(SimTime::from_hours(start_hour), DcEvent::ControlEpoch);
-        if let Some(period) = self.cfg.heartbeat_period {
-            if !self.heartbeat_running {
-                self.engine.schedule_after(period, DcEvent::Heartbeat);
-                self.heartbeat_running = true;
-            }
+        if self.cfg == EngineConfig::HighFidelity && !self.heartbeat_running {
+            let period = self.dc.waking.heartbeat_timeout();
+            self.engine.schedule_after(period, DcEvent::Heartbeat);
+            self.heartbeat_running = true;
         }
         let DcEngine {
             dc,
@@ -231,7 +218,7 @@ impl<'a> DcEngine<'a> {
             rejected,
             ..
         } = self;
-        if cfg.event_wakes {
+        if *cfg == EngineConfig::HighFidelity {
             resync_scheduled_wake(dc, engine, wake_token);
         }
         engine.run_until(SimTime::from_hours(end_hour), &mut |eng, now, event| {
@@ -278,7 +265,7 @@ fn handle_event(
             if dc.hour() < end_hour {
                 engine.schedule_at(SimTime::from_hours(dc.hour()), DcEvent::ControlEpoch);
             }
-            if cfg.event_wakes {
+            if *cfg == EngineConfig::HighFidelity {
                 // Suspensions decided this epoch registered new waking
                 // dates; fired/packet-raced wakes removed old ones.
                 resync_scheduled_wake(dc, engine, wake_token);
@@ -305,15 +292,13 @@ fn handle_event(
             resync_scheduled_wake(dc, engine, wake_token);
         }
         DcEvent::Heartbeat => {
-            let failovers = dc.heartbeat_and_monitor(now);
-            if failovers > 0 && cfg.event_wakes {
+            // Only high-fidelity runs schedule heartbeats.
+            if dc.heartbeat_and_monitor(now) > 0 {
                 // A restored module's schedule (including overdue dates
                 // silenced while it was dead) must be re-armed.
                 resync_scheduled_wake(dc, engine, wake_token);
             }
-            if let Some(period) = cfg.heartbeat_period {
-                engine.schedule_after(period, DcEvent::Heartbeat);
-            }
+            engine.schedule_after(dc.waking.heartbeat_timeout(), DcEvent::Heartbeat);
         }
         DcEvent::WakingFailure => {
             dc.fail_waking_module();
@@ -340,15 +325,11 @@ mod tests {
             })
             .collect();
         let placement: Vec<HostId> = (0..vms.len()).map(|i| HostId((i % 2) as u32)).collect();
-        Datacenter::new(
-            DcConfig::paper_default(),
-            Algorithm::DrowsyDc,
-            hosts,
-            vms,
-            placement,
-            None,
-            seed,
-        )
+        let cfg = DcConfig::paper_default();
+        let policy = crate::registry::PolicyRegistry::standard()
+            .build("drowsy-dc", &cfg, None)
+            .expect("registered policy");
+        Datacenter::with_policy(cfg, policy, hosts, vms, placement, seed)
     }
 
     fn idle(hours: usize) -> (VmTrace, WorkloadKind) {
@@ -362,7 +343,7 @@ mod tests {
             ticked.step_hour();
         }
         let mut evented = small_dc(vec![idle(48), idle(48)], 7);
-        DcEngine::new(&mut evented, EngineConfig::legacy_compat()).run_hours(48);
+        DcEngine::new(&mut evented, EngineConfig::Legacy).run_hours(48);
         let a = ticked.finish();
         let b = evented.finish();
         assert_eq!(a.energy_kwh.to_bits(), b.energy_kwh.to_bits());
@@ -380,7 +361,7 @@ mod tests {
         let mut dc = small_dc(vec![idle(24)], 2);
         dc.run(0);
         assert_eq!(dc.hour(), 0);
-        DcEngine::new(&mut dc, EngineConfig::high_fidelity()).run_hours(0);
+        DcEngine::new(&mut dc, EngineConfig::HighFidelity).run_hours(0);
         assert_eq!(dc.hour(), 0);
         let out = dc.finish();
         assert_eq!(out.hours, 0);
@@ -393,7 +374,7 @@ mod tests {
         whole.run(24);
         let whole = whole.finish();
         let mut sliced = small_dc(vec![idle(24), idle(24)], 3);
-        let mut engine = DcEngine::new(&mut sliced, EngineConfig::legacy_compat());
+        let mut engine = DcEngine::new(&mut sliced, EngineConfig::Legacy);
         engine.run_hours(10);
         engine.run_hours(14);
         assert_eq!(engine.now(), SimTime::from_hours(24));
@@ -405,7 +386,7 @@ mod tests {
     #[test]
     fn mid_hour_arrival_and_departure_events_apply() {
         let mut dc = small_dc(vec![idle(72)], 5);
-        let mut engine = DcEngine::new(&mut dc, EngineConfig::high_fidelity());
+        let mut engine = DcEngine::new(&mut dc, EngineConfig::HighFidelity);
         let spec = VmSpec::testbed_flavor(
             VmId(0),
             "job",
@@ -434,7 +415,7 @@ mod tests {
             WorkloadKind::Interactive,
         );
         let mut dc = small_dc(vec![busy.clone(), busy.clone(), busy.clone(), busy], 1);
-        let mut engine = DcEngine::new(&mut dc, EngineConfig::legacy_compat());
+        let mut engine = DcEngine::new(&mut dc, EngineConfig::Legacy);
         let spec = VmSpec::testbed_flavor(
             VmId(0),
             "overflow",

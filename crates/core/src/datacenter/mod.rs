@@ -2,22 +2,22 @@
 //! hourly control loop, driven by the discrete-event engine.
 //!
 //! Control runs in one-hour periods (the idleness model's resolution)
-//! scheduled as events on [`DcEngine`] — [`Datacenter::run`] is a
-//! legacy-compat façade over the engine — with sub-hour timing where it
-//! matters: suspend decisions (idle-detection delay + grace time),
-//! suspend/resume transitions (seconds), wake-on-packet offsets and
-//! migration transfers. [`EngineConfig::high_fidelity`] additionally
-//! fires scheduled S3/S5 wakes, heartbeats and VM arrivals/departures as
-//! events at true `SimTime` instants between epochs.
+//! scheduled as events on [`DcEngine`], the only driver —
+//! [`Datacenter::run`] is a one-line wrapper over it in
+//! [`EngineConfig::Legacy`] — with sub-hour timing where it matters:
+//! suspend decisions (idle-detection delay + grace time), suspend/resume
+//! transitions (seconds), wake-on-packet offsets and migration transfers.
+//! [`EngineConfig::HighFidelity`] additionally fires scheduled S3/S5
+//! wakes, heartbeats and VM arrivals/departures as events at true
+//! `SimTime` instants between epochs.
 //!
 //! ## Architecture
 //!
 //! The control loop itself is algorithm-agnostic; everything
 //! algorithm-specific is dispatched through the [`ControlPolicy`] trait
-//! from `dds-placement`. [`Algorithm`] survives as a thin back-compat
-//! constructor over the paper's four policies, and the
-//! [`PolicyRegistry`](crate::registry::PolicyRegistry) resolves policies
-//! by name for the experiment binaries. The module splits as:
+//! from `dds-placement`; policies are named only through the
+//! [`PolicyRegistry`](crate::registry::PolicyRegistry) and handed to
+//! [`Datacenter::with_policy`]. The module splits as:
 //!
 //! * [`mod@self`] — configuration, construction, VM lifecycle (admission,
 //!   departure) and the run/finish entry points;
@@ -78,71 +78,6 @@ use dds_power::{
 use dds_sim_core::time::CalendarStamp;
 use dds_sim_core::{HostId, RackId, SimDuration, SimRng, SimTime, VmId};
 use std::collections::HashSet;
-
-/// Which control algorithm manages the datacenter.
-///
-/// This enum predates the pluggable [`ControlPolicy`] layer and survives
-/// as a convenient, exhaustive handle on the paper's four algorithms; it
-/// now *builds* policies ([`Algorithm::build_policy`]) instead of being
-/// dispatched on inside the control loop. New policies (e.g. SleepScale)
-/// have no `Algorithm` variant — select them through the
-/// [`PolicyRegistry`](crate::registry::PolicyRegistry) instead.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Algorithm {
-    /// The paper's system: idleness-aware consolidation + suspension.
-    DrowsyDc,
-    /// OpenStack Neat consolidation with the same suspension machinery
-    /// (grace time fixed, no idleness models).
-    NeatSuspend,
-    /// OpenStack Neat, hosts always powered (the baseline real-world
-    /// deployment the paper bills 40 kWh for).
-    NeatNoSuspend,
-    /// Oasis-style hybrid consolidation via partial VM parking.
-    Oasis,
-}
-
-impl Algorithm {
-    /// Display label used by the experiment tables.
-    pub fn label(&self) -> &'static str {
-        match self {
-            Algorithm::DrowsyDc => "Drowsy-DC",
-            Algorithm::NeatSuspend => "Neat+S3",
-            Algorithm::NeatNoSuspend => "Neat",
-            Algorithm::Oasis => "Oasis",
-        }
-    }
-
-    /// The policy-registry key of this algorithm (see
-    /// [`PolicyRegistry`](crate::registry::PolicyRegistry)).
-    pub fn registry_name(&self) -> &'static str {
-        match self {
-            Algorithm::DrowsyDc => "drowsy-dc",
-            Algorithm::NeatSuspend => "neat-s3",
-            Algorithm::NeatNoSuspend => "neat",
-            Algorithm::Oasis => "oasis",
-        }
-    }
-
-    /// True when hosts may enter S3 at all.
-    pub fn suspends(&self) -> bool {
-        !matches!(self, Algorithm::NeatNoSuspend)
-    }
-
-    /// Builds the control policy this algorithm names, configured from
-    /// `cfg`, by delegating to the standard
-    /// [`PolicyRegistry`](crate::registry::PolicyRegistry) (single source
-    /// of truth for policy construction). Oasis requires a consolidation
-    /// host.
-    pub fn build_policy(
-        &self,
-        cfg: &DcConfig,
-        oasis_consolidation_host: Option<HostId>,
-    ) -> Box<dyn ControlPolicy> {
-        crate::registry::PolicyRegistry::standard()
-            .build(self.registry_name(), cfg, oasis_consolidation_host)
-            .expect("every Algorithm has a standard-registry entry")
-    }
-}
 
 /// Error admitting a new VM into the datacenter.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -206,7 +141,8 @@ pub struct DcConfig {
     pub request_service: SimDuration,
     /// The response-time SLA threshold.
     pub sla: SimDuration,
-    /// Record the VM×VM colocation matrix (Fig. 2).
+    /// Record the VM×VM colocation matrix (Fig. 2). Off, the matrix is
+    /// never allocated and [`DcOutcome::colocation`] stays empty.
     pub track_colocation: bool,
     /// Record request latencies (SLA analysis).
     pub track_sla: bool,
@@ -331,7 +267,8 @@ pub struct DcOutcome {
     /// Per-VM migration counts (Fig. 2 last column).
     pub migrations: Vec<(VmId, u32)>,
     /// Colocation fraction matrix, `coloc[i][j]` = fraction of hours VMs
-    /// i and j shared a host (Fig. 2), when tracked.
+    /// i and j shared a host (Fig. 2), under
+    /// [`DcConfig::track_colocation`]; empty otherwise.
     pub colocation: Vec<Vec<f64>>,
     /// Request SLA accounting, when tracked.
     pub sla: SlaStats,
@@ -442,6 +379,8 @@ pub struct Datacenter {
     /// Live (non-departed) VMs, maintained on admission/departure so
     /// `live_vm_count` is O(1) instead of a scan.
     live_vms: usize,
+    /// Hours each VM pair shared a host, under `track_colocation` only
+    /// (never allocated otherwise).
     coloc_hours: Vec<Vec<u64>>,
     sla: SlaStats,
     service_ms_sum: f64,
@@ -453,34 +392,19 @@ pub struct Datacenter {
     /// The streaming QoS pipeline (under `qos_stream`): per-epoch
     /// request accounting, the policy's closed-loop signal.
     qos: Option<QosStream>,
-    /// Event-engine mode: leave parked (S3/S5) hosts' meters untouched at
-    /// control-period boundaries so a mid-hour resume integrates the
-    /// parked span over its true variable-length interval. The legacy
-    /// tick path must keep metering per hour — splitting a constant-state
-    /// span changes f64 rounding, and the golden policy-equivalence suite
-    /// pins those bits.
-    defer_parked_metering: bool,
+    /// Fidelity of the engine driving this datacenter. Under
+    /// [`EngineConfig::HighFidelity`] parked (S3/S5) hosts' meters stay
+    /// untouched at control-period boundaries so a mid-hour resume
+    /// integrates the parked span over its true variable-length interval.
+    /// [`EngineConfig::Legacy`] must keep metering per hour — splitting a
+    /// constant-state span changes f64 rounding, and the golden
+    /// policy-equivalence suite pins those bits.
+    engine: EngineConfig,
 }
 
 const RACK: RackId = RackId(0);
 
 impl Datacenter {
-    /// Builds a datacenter managed by one of the paper's four
-    /// [`Algorithm`]s — a thin back-compat wrapper over
-    /// [`Datacenter::with_policy`].
-    pub fn new(
-        cfg: DcConfig,
-        algorithm: Algorithm,
-        host_specs: Vec<HostSpec>,
-        vm_specs: Vec<VmSpec>,
-        placement: Vec<HostId>,
-        oasis_consolidation_host: Option<HostId>,
-        seed: u64,
-    ) -> Self {
-        let policy = algorithm.build_policy(&cfg, oasis_consolidation_host);
-        Self::with_policy(cfg, policy, host_specs, vm_specs, placement, seed)
-    }
-
     /// Builds a datacenter with the given hosts, VMs and initial
     /// placement (`placement[i]` = host of VM i; must respect capacity),
     /// managed by an arbitrary [`ControlPolicy`].
@@ -574,13 +498,17 @@ impl Datacenter {
             rng: SimRng::new(seed),
             hour: 0,
             live_vms: n,
-            coloc_hours: vec![vec![0; n]; n],
+            coloc_hours: if cfg.track_colocation {
+                vec![vec![0; n]; n]
+            } else {
+                Vec::new()
+            },
             sla: SlaStats::default(),
             service_ms_sum: 0.0,
             service_ms_count: 0,
             wake_log: Vec::new(),
             placements,
-            defer_parked_metering: false,
+            engine: EngineConfig::Legacy,
             cfg,
             hosts,
             vms,
@@ -680,12 +608,13 @@ impl Datacenter {
         self.live_vms += 1;
         let id = self.vms.last().expect("just pushed").spec.id;
         self.record_placement(id, now, dest);
-        // Grow the colocation matrix.
-        let n = self.vms.len();
-        for row in &mut self.coloc_hours {
-            row.resize(n, 0);
+        if self.cfg.track_colocation {
+            let n = self.vms.len();
+            for row in &mut self.coloc_hours {
+                row.resize(n, 0);
+            }
+            self.coloc_hours.push(vec![0; n]);
         }
-        self.coloc_hours.push(vec![0; n]);
         Ok(dest)
     }
 
@@ -746,9 +675,10 @@ impl Datacenter {
         debug_assert_eq!(replaced.len(), 1);
     }
 
-    /// Fault injection without the immediate tick-mode recovery: marks
-    /// the rack's waking module defective and leaves detection to the
-    /// heartbeat monitor — under the event engine that is the next
+    /// Fault injection without the immediate recovery of
+    /// [`Datacenter::inject_waking_failure`]: marks the rack's waking
+    /// module defective and leaves detection to the heartbeat monitor —
+    /// under [`EngineConfig::HighFidelity`] that is the next
     /// [`DcEvent::Heartbeat`], so failover happens at sub-epoch latency.
     pub fn fail_waking_module(&mut self) {
         self.waking.inject_failure(RACK);
@@ -775,14 +705,13 @@ impl Datacenter {
 
     /// Runs `hours` control periods.
     ///
-    /// This is a façade over the event engine: it schedules one
+    /// A one-line wrapper over the event engine: it schedules one
     /// [`DcEvent::ControlEpoch`] per hour on a [`DcEngine`] in
-    /// legacy-compat mode, which replays the historical tick loop
-    /// bit-identically (the golden policy-equivalence suite pins this).
-    /// Build a [`DcEngine`] directly for sub-hour fidelity: true-latency
-    /// scheduled wakes, heartbeat-driven failover, mid-hour VM
-    /// arrivals/departures.
+    /// [`EngineConfig::Legacy`] (the golden policy-equivalence suite pins
+    /// its bits). Build a [`DcEngine`] directly for sub-hour fidelity:
+    /// true-latency scheduled wakes, heartbeat-driven failover, mid-hour
+    /// VM arrivals/departures.
     pub fn run(&mut self, hours: u64) {
-        DcEngine::new(self, EngineConfig::legacy_compat()).run_hours(hours);
+        DcEngine::new(self, EngineConfig::Legacy).run_hours(hours);
     }
 }

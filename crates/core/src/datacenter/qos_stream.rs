@@ -34,10 +34,21 @@
 //! run trim each timeline every epoch. Departed VMs stop their client
 //! when they are deleted.
 //!
+//! **No wake episode spans an epoch.** The same invariant bounds every
+//! wake a request of hour `h` meets: its host is operational again by
+//! the end of hour `h` (a traffic wake is clamped to finish within its
+//! hour, a timer wake starts at the hour boundary, and a lead-fired
+//! scheduled wake finishes at a boundary no request of the previous hour
+//! waits on). A request of hour `h` that finds its host not operational
+//! therefore meets a wake ending in `(h, h + 1]`, so an episode can never
+//! be shared with a request of a later hour, and each epoch starts its
+//! VMs' episodes afresh. `serve_hour` checks the bound in debug builds;
+//! the oracle below keeps one episode per VM for the whole run.
+//!
 //! ## Memory
 //!
 //! Nothing whole-run is retained: per VM the state is one RNG, the FCFS
-//! server pool, the live wake episode and a compacted residency of at
+//! server pool and a compacted residency of at
 //! most a few moves; per host, the timeline is trimmed each epoch to the
 //! intervals that can still matter (unless the run also asked for
 //! [`DcConfig::track_power_timeline`], in which case full retention is
@@ -104,8 +115,6 @@ struct VmClient {
     /// FCFS server pool (`free[i]` = instant server `i` frees up); sized
     /// to the VM's vCPUs on first use.
     free: Vec<SimTime>,
-    /// Live wake episode (see `power_ready_at`).
-    episode: Option<(SimTime, SimTime)>,
     /// Residency: `(at, host)` moves in time order, compacted after every
     /// epoch to the spans that can still matter.
     moves: Vec<(SimTime, HostId)>,
@@ -152,7 +161,6 @@ impl QosStream {
             self.clients.push(VmClient {
                 rng: SimRng::new(self.seed).stream_indexed("qos-requests", idx),
                 free: Vec::new(),
-                episode: None,
                 moves: Vec::new(),
             });
         }
@@ -235,6 +243,10 @@ impl VmClient {
         // a forward walk, power state with a fresh timeline cursor.
         let mut mv = 0usize;
         let mut tl_cursor = TimelineCursor::new();
+        // The hour's wake episode (see `power_ready_at`); none outlives
+        // the hour (module docs).
+        let mut episode = None;
+        let hour_end = SimTime::from_hours(hour + 1);
         for (&arrival, &service) in arrivals.iter().zip(services) {
             while mv < self.moves.len() && self.moves[mv].0 <= arrival {
                 mv += 1;
@@ -255,10 +267,14 @@ impl VmClient {
                 window.record_unserved();
                 continue;
             };
+            debug_assert!(
+                operational <= hour_end,
+                "a request of hour {hour} waits on a wake ending at {operational}"
+            );
             let span = (operational != arrival)
                 .then(|| tl_cursor.resume_window_after(timeline, arrival))
                 .flatten();
-            let power_ready = power_ready_at(operational, arrival, span, &mut self.episode);
+            let power_ready = power_ready_at(operational, arrival, span, &mut episode);
             let (latency_ms, wake_hit) = fcfs_serve(&mut self.free, arrival, service, power_ready);
             window.record(host.index() as u32, latency_ms, wake_hit);
         }
@@ -359,7 +375,7 @@ mod tests {
     /// Runs two testbed machines hosting one interactive VM per trace
     /// (alternating placement) for `hours`, seed 7.
     fn run_small(
-        algorithm: Algorithm,
+        policy: &str,
         traces: Vec<VmTrace>,
         hours: u64,
         tweak: impl FnOnce(&mut DcConfig),
@@ -383,13 +399,16 @@ mod tests {
         let placement: Vec<HostId> = (0..vms.len()).map(|i| HostId((i % 2) as u32)).collect();
         let mut cfg = DcConfig::paper_default();
         tweak(&mut cfg);
-        let mut dc = Datacenter::new(cfg, algorithm, hosts, vms.clone(), placement, None, 7);
+        let policy = crate::registry::PolicyRegistry::standard()
+            .build(policy, &cfg, None)
+            .expect("registered policy");
+        let mut dc = Datacenter::with_policy(cfg, policy, hosts, vms.clone(), placement, 7);
         dc.run(hours);
         (vms, dc.finish())
     }
 
-    fn streamed(algorithm: Algorithm, traces: Vec<VmTrace>, hours: u64) -> (DcOutcome, QosReport) {
-        let (_, mut out) = run_small(algorithm, traces, hours, |cfg| {
+    fn streamed(policy: &str, traces: Vec<VmTrace>, hours: u64) -> (DcOutcome, QosReport) {
+        let (_, mut out) = run_small(policy, traces, hours, |cfg| {
             cfg.qos_stream = Some(QosStreamConfig::serial(
                 RequestProfile::web_search_quick_resume(),
             ));
@@ -400,11 +419,7 @@ mod tests {
 
     #[test]
     fn always_on_fleet_sees_no_wake_hits() {
-        let (_, report) = streamed(
-            Algorithm::NeatNoSuspend,
-            vec![bursty(48, 1), bursty(48, 2)],
-            48,
-        );
+        let (_, report) = streamed("neat", vec![bursty(48, 1), bursty(48, 2)], 48);
         assert!(report.total > 1000, "requests flowed: {}", report.total);
         assert_eq!(report.wake_hits, 0, "always-on hosts never park");
         assert_eq!(report.wake_violations, 0);
@@ -418,7 +433,7 @@ mod tests {
 
     #[test]
     fn drowsy_fleet_charges_wakes_at_the_resume_latency() {
-        let (out, report) = streamed(Algorithm::DrowsyDc, vec![bursty(96, 1), bursty(96, 2)], 96);
+        let (out, report) = streamed("drowsy-dc", vec![bursty(96, 1), bursty(96, 2)], 96);
         assert!(out.global_suspended_fraction > 0.0, "the run parks hosts");
         assert!(report.wake_hits > 0, "parked hosts produce wake hits");
         // The worst wake-hit latency is at least the quick-resume
@@ -440,21 +455,21 @@ mod tests {
         // — exact counters, histogram buckets and worst wake latency — for
         // a parking and a non-parking policy.
         let profile = RequestProfile::web_search_quick_resume();
-        for algorithm in [Algorithm::DrowsyDc, Algorithm::NeatNoSuspend] {
+        for policy in ["drowsy-dc", "neat"] {
             let hours = 96;
             let traces = vec![bursty(96, 1), bursty(96, 2), bursty(96, 3)];
-            let (vms, recorded) = run_small(algorithm, traces.clone(), hours, |cfg| {
+            let (vms, recorded) = run_small(policy, traces.clone(), hours, |cfg| {
                 cfg.track_power_timeline = true;
             });
             let oracle = replay_reference(&vms, &recorded, &profile);
             assert!(oracle.total > 0);
-            if algorithm == Algorithm::DrowsyDc {
+            if policy == "drowsy-dc" {
                 assert!(oracle.wake_hits > 0, "the oracle run exercises wakes");
             }
             // The oracle is a pure function of the recorded run.
             assert_eq!(replay_reference(&vms, &recorded, &profile), oracle);
-            let (_, streamed) = streamed(algorithm, traces, hours);
-            assert_eq!(streamed, oracle, "{algorithm:?}");
+            let (_, streamed) = streamed(policy, traces, hours);
+            assert_eq!(streamed, oracle, "{policy}");
         }
     }
 
@@ -465,23 +480,23 @@ mod tests {
         // physics, nothing whole-run retained, and exactly the report the
         // oracle computes from the twin's recording.
         let profile = RequestProfile::web_search_quick_resume();
-        for algorithm in [Algorithm::DrowsyDc, Algorithm::NeatNoSuspend] {
+        for policy in ["drowsy-dc", "neat"] {
             let hours = 96;
             let traces = vec![bursty(96, 1), bursty(96, 2), bursty(96, 3), bursty(96, 4)];
-            let (vms, recorded) = run_small(algorithm, traces.clone(), hours, |cfg| {
+            let (vms, recorded) = run_small(policy, traces.clone(), hours, |cfg| {
                 cfg.track_power_timeline = true;
             });
-            let (out, streamed) = streamed(algorithm, traces, hours);
+            let (out, streamed) = streamed(policy, traces, hours);
             // Streaming must not perturb the run's physics…
             assert_eq!(
                 out.energy_kwh.to_bits(),
                 recorded.energy_kwh.to_bits(),
-                "{algorithm:?}: the ride-along pipeline leaves the simulation untouched"
+                "{policy}: the ride-along pipeline leaves the simulation untouched"
             );
             assert_eq!(
                 out.global_suspended_fraction.to_bits(),
                 recorded.global_suspended_fraction.to_bits(),
-                "{algorithm:?}"
+                "{policy}"
             );
             assert_eq!(out.hours, recorded.hours);
             // …retains nothing whole-run…
@@ -495,7 +510,7 @@ mod tests {
             assert_eq!(
                 streamed,
                 replay_reference(&vms, &recorded, &profile),
-                "{algorithm:?}"
+                "{policy}"
             );
         }
     }

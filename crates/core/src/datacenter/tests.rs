@@ -1,8 +1,18 @@
 use super::*;
-use dds_placement::SleepScalePolicy;
 use dds_traces::{TracePattern, VmTrace};
 
-fn two_host_dc(algorithm: Algorithm, traces: Vec<(VmTrace, WorkloadKind)>) -> Datacenter {
+/// The standard-registry policy `name`, configured from `cfg`.
+fn policy(
+    name: &str,
+    cfg: &DcConfig,
+    consolidation_host: Option<HostId>,
+) -> Box<dyn ControlPolicy> {
+    crate::registry::PolicyRegistry::standard()
+        .build(name, cfg, consolidation_host)
+        .expect("registered policy")
+}
+
+fn two_host_dc(name: &str, traces: Vec<(VmTrace, WorkloadKind)>) -> Datacenter {
     let hosts = vec![
         HostSpec::testbed_machine(HostId(0), "P0"),
         HostSpec::testbed_machine(HostId(1), "P1"),
@@ -17,7 +27,8 @@ fn two_host_dc(algorithm: Algorithm, traces: Vec<(VmTrace, WorkloadKind)>) -> Da
     let placement: Vec<HostId> = (0..vms.len()).map(|i| HostId((i % 2) as u32)).collect();
     let mut cfg = DcConfig::paper_default();
     cfg.track_sla = true;
-    Datacenter::new(cfg, algorithm, hosts, vms, placement, None, 42)
+    let policy = policy(name, &cfg, None);
+    Datacenter::with_policy(cfg, policy, hosts, vms, placement, 42)
 }
 
 fn idle_trace(hours: usize) -> VmTrace {
@@ -31,7 +42,7 @@ fn busy_trace(hours: usize) -> VmTrace {
 #[test]
 fn idle_hosts_suspend_and_save_energy() {
     let mut dc = two_host_dc(
-        Algorithm::NeatSuspend,
+        "neat-s3",
         vec![
             (idle_trace(48), WorkloadKind::Interactive),
             (idle_trace(48), WorkloadKind::Interactive),
@@ -51,7 +62,7 @@ fn idle_hosts_suspend_and_save_energy() {
 #[test]
 fn no_suspend_algorithm_keeps_hosts_on() {
     let mut dc = two_host_dc(
-        Algorithm::NeatNoSuspend,
+        "neat",
         vec![
             (idle_trace(48), WorkloadKind::Interactive),
             (idle_trace(48), WorkloadKind::Interactive),
@@ -74,7 +85,7 @@ fn busy_hosts_stay_awake() {
     // host (underload drain) and sleeps the other — but the loaded
     // host itself never suspends.
     let mut dc = two_host_dc(
-        Algorithm::NeatSuspend,
+        "neat-s3",
         vec![
             (busy_trace(24), WorkloadKind::Interactive),
             (busy_trace(24), WorkloadKind::Interactive),
@@ -100,7 +111,7 @@ fn wake_hits_pay_resume_latency() {
         }
     }
     let mut dc = two_host_dc(
-        Algorithm::NeatSuspend,
+        "neat-s3",
         vec![
             (VmTrace::new("day", levels), WorkloadKind::Interactive),
             (idle_trace(48), WorkloadKind::Interactive),
@@ -122,7 +133,7 @@ fn timer_driven_wakes_are_anticipated() {
     // so no wake-hit latency is recorded.
     let backup = TracePattern::paper_daily_backup().generate(72, &mut SimRng::new(1));
     let mut dc = two_host_dc(
-        Algorithm::NeatSuspend,
+        "neat-s3",
         vec![
             (backup, WorkloadKind::TimerDriven),
             (idle_trace(72), WorkloadKind::Interactive),
@@ -161,7 +172,8 @@ fn drowsy_eventually_groups_matching_patterns() {
     let placement = vec![HostId(0), HostId(0), HostId(1), HostId(1)];
     let mut cfg = DcConfig::paper_default();
     cfg.track_sla = false;
-    let mut dc = Datacenter::new(cfg, Algorithm::DrowsyDc, hosts, vms, placement, None, 7);
+    let policy = policy("drowsy-dc", &cfg, None);
+    let mut dc = Datacenter::with_policy(cfg, policy, hosts, vms, placement, 7);
     dc.run(24 * 14);
     let out = dc.finish();
     // The two day-active VMs end up colocated (and the idle pair too).
@@ -189,7 +201,7 @@ fn drowsy_beats_neat_which_beats_no_suspend() {
         }
     }
     let day_trace = VmTrace::new("day", day);
-    let build = |alg| {
+    let build = |name: &str| {
         let hosts = vec![
             HostSpec::testbed_machine(HostId(0), "P0"),
             HostSpec::testbed_machine(HostId(1), "P1"),
@@ -203,16 +215,17 @@ fn drowsy_beats_neat_which_beats_no_suspend() {
         let placement = vec![HostId(0), HostId(0), HostId(1), HostId(1)];
         let mut cfg = DcConfig::paper_default();
         cfg.track_sla = false;
-        Datacenter::new(cfg, alg, hosts, vms, placement, None, 7)
+        let policy = policy(name, &cfg, None);
+        Datacenter::with_policy(cfg, policy, hosts, vms, placement, 7)
     };
-    let run = |alg| {
-        let mut dc = build(alg);
+    let run = |name: &str| {
+        let mut dc = build(name);
         dc.run(24 * 14);
         dc.finish().energy_kwh
     };
-    let drowsy = run(Algorithm::DrowsyDc);
-    let neat_s3 = run(Algorithm::NeatSuspend);
-    let neat = run(Algorithm::NeatNoSuspend);
+    let drowsy = run("drowsy-dc");
+    let neat_s3 = run("neat-s3");
+    let neat = run("neat");
     assert!(
         drowsy < neat_s3,
         "Drowsy ({drowsy}) must beat Neat+S3 ({neat_s3})"
@@ -237,15 +250,8 @@ fn oasis_parks_idle_vms_and_sleeps_origin_hosts() {
     let placement = vec![HostId(0), HostId(1)];
     let mut cfg = DcConfig::paper_default();
     cfg.track_sla = false;
-    let mut dc = Datacenter::new(
-        cfg,
-        Algorithm::Oasis,
-        hosts,
-        vms,
-        placement,
-        Some(HostId(2)),
-        3,
-    );
+    let policy = policy("oasis", &cfg, Some(HostId(2)));
+    let mut dc = Datacenter::with_policy(cfg, policy, hosts, vms, placement, 3);
     dc.run(48);
     let out = dc.finish();
     // Origin hosts sleep; the consolidation host never does.
@@ -258,7 +264,7 @@ fn oasis_parks_idle_vms_and_sleeps_origin_hosts() {
 #[test]
 fn migrations_are_counted_per_vm() {
     let mut dc = two_host_dc(
-        Algorithm::NeatSuspend,
+        "neat-s3",
         vec![
             (busy_trace(24), WorkloadKind::Interactive),
             (idle_trace(24), WorkloadKind::Interactive),
@@ -280,7 +286,7 @@ fn admitted_vm_lands_on_matching_host() {
     // pair). The paper: average-IP hosts "serve as initial hosts for
     // newly scheduled VMs".
     let mut dc = two_host_dc(
-        Algorithm::DrowsyDc,
+        "drowsy-dc",
         vec![
             (idle_trace(24 * 10), WorkloadKind::Interactive),
             (busy_trace(24 * 10), WorkloadKind::Interactive),
@@ -312,10 +318,46 @@ fn admitted_vm_lands_on_matching_host() {
 }
 
 #[test]
+fn colocation_matrix_exists_only_when_tracked() {
+    // Untracked runs never allocate the VM×VM matrix, admissions
+    // included, and the outcome leaves it empty; tracking it must not
+    // perturb the physics.
+    let run = |track: bool| {
+        let mut cfg = DcConfig::paper_default();
+        cfg.track_colocation = track;
+        let hosts = vec![
+            HostSpec::testbed_machine(HostId(0), "P0"),
+            HostSpec::testbed_machine(HostId(1), "P1"),
+        ];
+        let vms = vec![
+            VmSpec::testbed_flavor(VmId(0), "V0", busy_trace(48), WorkloadKind::Interactive),
+            VmSpec::testbed_flavor(VmId(1), "V1", idle_trace(48), WorkloadKind::Interactive),
+        ];
+        let policy = policy("drowsy-dc", &cfg, None);
+        let mut dc =
+            Datacenter::with_policy(cfg, policy, hosts, vms, vec![HostId(0), HostId(1)], 4);
+        dc.run(24);
+        let newcomer =
+            VmSpec::testbed_flavor(VmId(0), "V2", idle_trace(24), WorkloadKind::Interactive);
+        dc.admit_vm(newcomer).expect("capacity available");
+        dc.run(24);
+        dc.finish()
+    };
+    let untracked = run(false);
+    assert!(untracked.colocation.is_empty());
+    let tracked = run(true);
+    assert_eq!(tracked.colocation.len(), 3);
+    assert!(tracked.colocation.iter().all(|row| row.len() == 3));
+    assert_eq!(tracked.colocation[0][0], 1.0, "resident every hour");
+    assert_eq!(tracked.colocation[2][2], 0.5, "admitted half-way");
+    assert_eq!(untracked.energy_kwh.to_bits(), tracked.energy_kwh.to_bits());
+}
+
+#[test]
 fn admission_fails_when_full() {
     // Two 2-slot hosts already hold 4 VMs.
     let mut dc = two_host_dc(
-        Algorithm::NeatSuspend,
+        "neat-s3",
         vec![
             (busy_trace(24), WorkloadKind::Interactive),
             (busy_trace(24), WorkloadKind::Interactive),
@@ -339,7 +381,7 @@ fn admission_fails_when_full() {
 #[test]
 fn removed_vm_frees_capacity_and_stops_counting() {
     let mut dc = two_host_dc(
-        Algorithm::NeatSuspend,
+        "neat-s3",
         vec![
             (busy_trace(24 * 4), WorkloadKind::Interactive),
             (busy_trace(24 * 4), WorkloadKind::Interactive),
@@ -366,7 +408,7 @@ fn slmu_lifecycle_admit_run_depart() {
     // Churn: admit a batch VM mid-run, let it finish, remove it; the
     // fleet keeps functioning and the energy accounting stays sane.
     let mut dc = two_host_dc(
-        Algorithm::DrowsyDc,
+        "drowsy-dc",
         vec![(idle_trace(24 * 6), WorkloadKind::Interactive)],
     );
     dc.run(24);
@@ -407,15 +449,8 @@ fn waking_module_failure_mid_run_is_survivable() {
     ];
     let mut cfg = DcConfig::paper_default();
     cfg.track_sla = true;
-    let mut dc = Datacenter::new(
-        cfg,
-        Algorithm::NeatSuspend,
-        hosts,
-        vms,
-        vec![HostId(0), HostId(1)],
-        None,
-        3,
-    );
+    let policy = policy("neat-s3", &cfg, None);
+    let mut dc = Datacenter::with_policy(cfg, policy, hosts, vms, vec![HostId(0), HostId(1)], 3);
     dc.run(24 * 3);
     dc.inject_waking_failure();
     assert_eq!(dc.waking_failovers(), 1);
@@ -442,7 +477,7 @@ fn energy_is_bounded_by_physical_envelope() {
         }
         .generate(24 * 4, &mut SimRng::new(seed + 100));
         let mut dc = two_host_dc(
-            Algorithm::DrowsyDc,
+            "drowsy-dc",
             vec![
                 (t0, WorkloadKind::Interactive),
                 (t1, WorkloadKind::Interactive),
@@ -470,7 +505,7 @@ fn energy_is_bounded_by_physical_envelope() {
 fn deterministic_given_seed() {
     let run = || {
         let mut dc = two_host_dc(
-            Algorithm::DrowsyDc,
+            "drowsy-dc",
             vec![
                 (busy_trace(48), WorkloadKind::Interactive),
                 (idle_trace(48), WorkloadKind::Interactive),
@@ -503,42 +538,8 @@ fn sleepscale_dc(traces: Vec<(VmTrace, WorkloadKind)>, seed: u64) -> Datacenter 
         .collect();
     let placement: Vec<HostId> = (0..vms.len()).map(|i| HostId((i % 2) as u32)).collect();
     let cfg = DcConfig::paper_default();
-    let policy = Box::new(SleepScalePolicy::new(cfg.sleepscale.clone()));
+    let policy = policy("sleepscale", &cfg, None);
     Datacenter::with_policy(cfg, policy, hosts, vms, placement, seed)
-}
-
-#[test]
-fn legacy_constructor_equals_policy_constructor() {
-    // `Datacenter::new(…, Algorithm, …)` must be a pure convenience
-    // wrapper: building the same policy by hand replays bit-identically.
-    let run = |by_policy: bool| {
-        let hosts = vec![
-            HostSpec::testbed_machine(HostId(0), "P0"),
-            HostSpec::testbed_machine(HostId(1), "P1"),
-        ];
-        let vms = vec![
-            VmSpec::testbed_flavor(VmId(0), "V0", busy_trace(72), WorkloadKind::Interactive),
-            VmSpec::testbed_flavor(VmId(1), "V1", idle_trace(72), WorkloadKind::Interactive),
-        ];
-        let placement = vec![HostId(0), HostId(1)];
-        let cfg = DcConfig::paper_default();
-        let mut dc = if by_policy {
-            let policy = Algorithm::DrowsyDc.build_policy(&cfg, None);
-            Datacenter::with_policy(cfg, policy, hosts, vms, placement, 11)
-        } else {
-            Datacenter::new(cfg, Algorithm::DrowsyDc, hosts, vms, placement, None, 11)
-        };
-        dc.run(72);
-        dc.finish()
-    };
-    let a = run(false);
-    let b = run(true);
-    assert_eq!(a.energy_kwh.to_bits(), b.energy_kwh.to_bits());
-    assert_eq!(
-        a.global_suspended_fraction.to_bits(),
-        b.global_suspended_fraction.to_bits()
-    );
-    assert_eq!(a.policy, b.policy);
 }
 
 #[test]
@@ -557,12 +558,12 @@ fn sleepscale_downclocks_active_hosts() {
         ];
         let placement = vec![HostId(0), HostId(1)];
         let cfg = DcConfig::paper_default();
-        let mut dc = if sleepscale {
-            let policy = Box::new(SleepScalePolicy::new(cfg.sleepscale.clone()));
-            Datacenter::with_policy(cfg, policy, hosts, vms, placement, 5)
-        } else {
-            Datacenter::new(cfg, Algorithm::NeatSuspend, hosts, vms, placement, None, 5)
-        };
+        let policy = policy(
+            if sleepscale { "sleepscale" } else { "neat-s3" },
+            &cfg,
+            None,
+        );
+        let mut dc = Datacenter::with_policy(cfg, policy, hosts, vms, placement, 5);
         dc.run(96);
         dc.finish()
     };
@@ -594,7 +595,7 @@ fn sleepscale_sends_long_idle_hosts_to_s5() {
     dc.run(24 * days as u64);
     let sleepscale = dc.finish();
     let mut dc = two_host_dc(
-        Algorithm::DrowsyDc,
+        "drowsy-dc",
         vec![
             (idle_trace(24 * days), WorkloadKind::Interactive),
             (idle_trace(24 * days), WorkloadKind::Interactive),
@@ -633,15 +634,8 @@ fn power_timelines_and_placement_log_export_when_tracked() {
         ];
         let mut cfg = DcConfig::paper_default();
         cfg.track_power_timeline = track;
-        Datacenter::new(
-            cfg,
-            Algorithm::DrowsyDc,
-            hosts,
-            vms,
-            vec![HostId(0), HostId(1)],
-            None,
-            42,
-        )
+        let policy = policy("drowsy-dc", &cfg, None);
+        Datacenter::with_policy(cfg, policy, hosts, vms, vec![HostId(0), HostId(1)], 42)
     };
     // Untracked: the outcome carries no timelines and no placement log.
     let mut dc = mk(false);
@@ -736,7 +730,7 @@ fn wake_log_carries_epoch_and_cause() {
     .generate(72, &mut SimRng::new(9));
     let nightly = TracePattern::paper_daily_backup().generate(72, &mut SimRng::new(5));
     let mut dc = two_host_dc(
-        Algorithm::DrowsyDc,
+        "drowsy-dc",
         vec![
             (busy, WorkloadKind::Interactive),
             (nightly, WorkloadKind::TimerDriven),
@@ -751,6 +745,9 @@ fn wake_log_carries_epoch_and_cause() {
         // tagged control epoch.
         assert!(w.started >= SimTime::from_hours(w.epoch));
         assert!(w.started < SimTime::from_hours(w.epoch + 1));
+        // …and completes by its end (the traffic-wake headroom clamp), so
+        // no request of a later epoch waits on it.
+        assert!(w.operational <= SimTime::from_hours(w.epoch + 1));
     }
     assert!(
         wakes.iter().any(|w| w.cause == WakeCause::Traffic),

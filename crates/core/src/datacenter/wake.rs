@@ -182,7 +182,7 @@ impl Datacenter {
                 // Event mode defers this advance: a scheduled wake may
                 // fire mid-hour, and the parked span must then integrate
                 // over its true variable-length interval.
-                if !self.defer_parked_metering {
+                if self.engine == EngineConfig::Legacy {
                     let h = &mut self.hosts[hid.index()];
                     h.meter.advance(hour_end, state, 0.0);
                 }
@@ -229,7 +229,7 @@ impl Datacenter {
                         // default S3 to S5 for long predicted idle periods.
                         let depth = self.policy.idle_sleep_depth(hid, ip_prob, waking_date, t);
                         host.meter.advance(t, PowerState::Active, metered_util);
-                        let defer = self.defer_parked_metering;
+                        let defer = self.engine == EngineConfig::HighFidelity;
                         match depth {
                             SleepDepth::Suspend => {
                                 let done = host.power.begin_suspend(t, suspend_latency).expect(

@@ -5,22 +5,24 @@
 //! meters, process tables, timer wheels and suspending modules; whose
 //! network carries a fault-tolerant waking-module cluster; and whose
 //! control plane dispatches through the pluggable
-//! [`ControlPolicy`](dds_placement::policy::ControlPolicy) layer. The
-//! standard [`registry`] carries the paper's four algorithms plus the
+//! [`ControlPolicy`](dds_placement::policy::ControlPolicy) layer. Policies
+//! are named only through the standard [`registry`], which carries the
+//! paper's four algorithms plus newer policies such as the
 //! SleepScale-style joint speed-scaling + sleep-state policy:
 //!
-//! * [`Algorithm::DrowsyDc`] / `"drowsy-dc"` — idleness-model-driven
-//!   consolidation with host suspension (the contribution);
-//! * [`Algorithm::NeatSuspend`] / `"neat-s3"` — OpenStack Neat
-//!   consolidation plus the same suspension machinery (ablating the
-//!   IP-aware placement);
-//! * [`Algorithm::NeatNoSuspend`] / `"neat"` — plain Neat, hosts always
-//!   on (the "current real world case");
-//! * [`Algorithm::Oasis`] / `"oasis"` — hybrid consolidation via partial
-//!   VM parking;
-//! * `"sleepscale"` — SleepScale-inspired DVFS + S3/S5 selection (no
-//!   legacy `Algorithm` variant: it exists purely through the policy
-//!   seam).
+//! * `"drowsy-dc"` (Drowsy-DC) — idleness-model-driven consolidation
+//!   with host suspension (the contribution);
+//! * `"neat-s3"` (Neat+S3) — OpenStack Neat consolidation plus the same
+//!   suspension machinery (ablating the IP-aware placement);
+//! * `"neat"` (Neat) — plain Neat, hosts always on (the "current real
+//!   world case");
+//! * `"oasis"` (Oasis) — hybrid consolidation via partial VM parking;
+//! * `"sleepscale"` (SleepScale) — SleepScale-inspired DVFS + S3/S5
+//!   selection.
+//!
+//! A [`Datacenter`] is driven only by its event engine ([`DcEngine`]),
+//! at one of the two [`EngineConfig`] fidelities; [`Datacenter::run`]
+//! is the legacy-fidelity shorthand.
 //!
 //! Two ready-made scenarios reproduce the paper's evaluation:
 //!
@@ -44,12 +46,10 @@ pub mod spec;
 pub mod sweep;
 pub mod testbed;
 
-pub use cluster::{
-    run_cluster, run_cluster_policy, run_cluster_policy_with, ClusterOutcome, ClusterSpec,
-};
+pub use cluster::{run_cluster_policy, run_cluster_policy_with, ClusterOutcome, ClusterSpec};
 pub use datacenter::{
-    dc_spans, AdmitError, Algorithm, Datacenter, DcConfig, DcEngine, DcEvent, DcOutcome,
-    EngineConfig, WakeCause, WakeRecord,
+    dc_spans, AdmitError, Datacenter, DcConfig, DcEngine, DcEvent, DcOutcome, EngineConfig,
+    WakeCause, WakeRecord,
 };
 pub use fleet::{run_fleet, FleetConfig, FleetOutcome, FleetQosConfig, FleetSim};
 pub use registry::{PolicyEntry, PolicyRegistry, RegistryError};

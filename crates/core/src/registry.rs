@@ -249,7 +249,6 @@ impl std::error::Error for RegistryError {}
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::datacenter::Algorithm;
 
     #[test]
     fn standard_registry_carries_the_paper_lineup_plus_sleepscale() {
@@ -268,36 +267,17 @@ mod tests {
         );
         let cfg = DcConfig::paper_default();
         for entry in reg.entries() {
+            assert_eq!(
+                entry.needs_consolidation_host,
+                entry.name == "oasis",
+                "only Oasis needs a consolidation host"
+            );
             let ch = entry.needs_consolidation_host.then_some(HostId(0));
             let policy = entry.build(&cfg, ch);
             assert_eq!(policy.label(), entry.label);
         }
         assert!(reg.get("nonsense").is_none());
         assert!(reg.build("nonsense", &cfg, None).is_none());
-    }
-
-    #[test]
-    fn algorithm_names_resolve_in_the_registry() {
-        let reg = PolicyRegistry::standard();
-        let cfg = DcConfig::paper_default();
-        for alg in [
-            Algorithm::DrowsyDc,
-            Algorithm::NeatSuspend,
-            Algorithm::NeatNoSuspend,
-            Algorithm::Oasis,
-        ] {
-            let entry = reg
-                .get(alg.registry_name())
-                .expect("every Algorithm has a registry entry");
-            assert_eq!(entry.label, alg.label());
-            assert_eq!(
-                entry.needs_consolidation_host,
-                alg == Algorithm::Oasis,
-                "only Oasis needs a consolidation host"
-            );
-            let ch = entry.needs_consolidation_host.then_some(HostId(3));
-            assert_eq!(entry.build(&cfg, ch).label(), alg.label());
-        }
     }
 
     #[test]

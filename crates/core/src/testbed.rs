@@ -16,7 +16,8 @@
 //! management and clients in the paper and contribute constant power that
 //! every algorithm pays identically.
 
-use crate::datacenter::{Algorithm, Datacenter, DcConfig, DcOutcome};
+use crate::datacenter::{Datacenter, DcConfig, DcOutcome};
+use crate::registry::PolicyRegistry;
 use crate::spec::{HostSpec, VmSpec, WorkloadKind};
 use dds_sim_core::{HostId, SimRng, VmId};
 use dds_traces::{nutanix_trace, TracePattern, VmTrace};
@@ -131,8 +132,22 @@ impl TestbedOutcome {
     }
 }
 
-/// Runs the testbed scenario under the given algorithm.
-pub fn run_testbed(spec: &TestbedSpec, algorithm: Algorithm, seed: u64) -> TestbedOutcome {
+/// Runs the testbed scenario under the standard-registry policy named
+/// `policy` (e.g. `"drowsy-dc"`; see
+/// [`PolicyRegistry`]). The testbed has
+/// no consolidation host, so Oasis cannot run on it.
+///
+/// Panics on unknown policy names, listing the registered ones.
+pub fn run_testbed(spec: &TestbedSpec, policy: &str, seed: u64) -> TestbedOutcome {
+    let registry = PolicyRegistry::standard();
+    let built = registry
+        .build(policy, &spec.config, None)
+        .unwrap_or_else(|| {
+            panic!(
+                "unknown policy '{policy}' (registered: {})",
+                registry.names().join(", ")
+            )
+        });
     let vms = spec.vm_specs(seed);
     let hosts = spec.host_specs();
     let placement: Vec<HostId> = spec
@@ -140,13 +155,12 @@ pub fn run_testbed(spec: &TestbedSpec, algorithm: Algorithm, seed: u64) -> Testb
         .iter()
         .map(|&i| HostId(i as u32))
         .collect();
-    let mut dc = Datacenter::new(
+    let mut dc = Datacenter::with_policy(
         spec.config.clone(),
-        algorithm,
+        built,
         hosts.clone(),
         vms.clone(),
         placement,
-        None,
         seed,
     );
     dc.run(spec.days * 24);
@@ -173,7 +187,7 @@ mod tests {
         // Fig. 2: "Drowsy-DC accurately identified that V1 and V2 are
         // LLMU VMs, thus they were packed on the same machine for the
         // majority of the experiment."
-        let out = run_testbed(&quick_spec(), Algorithm::DrowsyDc, 42);
+        let out = run_testbed(&quick_spec(), "drowsy-dc", 42);
         assert!(
             out.colocation_pct(0, 1) > 50.0,
             "V1/V2 colocated {}%",
@@ -185,7 +199,7 @@ mod tests {
     fn drowsy_colocates_same_workload_vms() {
         // Fig. 2: V3 and V4 (exact same workload) "shared the same
         // machine for a significant duration".
-        let out = run_testbed(&quick_spec(), Algorithm::DrowsyDc, 42);
+        let out = run_testbed(&quick_spec(), "drowsy-dc", 42);
         assert!(
             out.colocation_pct(2, 3) > 50.0,
             "V3/V4 colocated {}%",
@@ -196,7 +210,7 @@ mod tests {
     #[test]
     fn migration_counts_stay_low() {
         // Fig. 2 last column: max 3 migrations per VM over the week.
-        let out = run_testbed(&quick_spec(), Algorithm::DrowsyDc, 42);
+        let out = run_testbed(&quick_spec(), "drowsy-dc", 42);
         for (name, &n) in out.vm_names.iter().zip(out.migration_counts().iter()) {
             assert!(n <= 6, "{name} migrated {n} times");
         }
@@ -205,8 +219,8 @@ mod tests {
     #[test]
     fn drowsy_suspends_more_than_neat() {
         // Table I: Drowsy-DC global 66 % vs Neat 49 %.
-        let drowsy = run_testbed(&quick_spec(), Algorithm::DrowsyDc, 42);
-        let neat = run_testbed(&quick_spec(), Algorithm::NeatSuspend, 42);
+        let drowsy = run_testbed(&quick_spec(), "drowsy-dc", 42);
+        let neat = run_testbed(&quick_spec(), "neat-s3", 42);
         assert!(
             drowsy.global_suspension_fraction() > neat.global_suspension_fraction(),
             "drowsy {} vs neat {}",
@@ -218,9 +232,9 @@ mod tests {
     #[test]
     fn energy_ordering_matches_paper() {
         // §VI.A.3: Drowsy-DC 18 kWh < Neat+S3 24 kWh < Neat 40 kWh.
-        let drowsy = run_testbed(&quick_spec(), Algorithm::DrowsyDc, 42);
-        let neat_s3 = run_testbed(&quick_spec(), Algorithm::NeatSuspend, 42);
-        let neat = run_testbed(&quick_spec(), Algorithm::NeatNoSuspend, 42);
+        let drowsy = run_testbed(&quick_spec(), "drowsy-dc", 42);
+        let neat_s3 = run_testbed(&quick_spec(), "neat-s3", 42);
+        let neat = run_testbed(&quick_spec(), "neat", 42);
         let (d, s, n) = (
             drowsy.total_energy_kwh(),
             neat_s3.total_energy_kwh(),
@@ -240,7 +254,7 @@ mod tests {
         // host only after a day or two of learning, that host still shows
         // a little early-run sleep; the shape to check is a wide spread:
         // one near-awake host and at least one deeply sleeping host.
-        let out = run_testbed(&quick_spec(), Algorithm::DrowsyDc, 42);
+        let out = run_testbed(&quick_spec(), "drowsy-dc", 42);
         let row = out.suspension_row();
         let min = row.iter().cloned().fold(f64::INFINITY, f64::min);
         let max = row.iter().cloned().fold(0.0f64, f64::max);
@@ -254,7 +268,7 @@ mod tests {
         // requests bounded by the resume latency.
         let mut spec = quick_spec();
         spec.config.track_sla = true;
-        let out = run_testbed(&spec, Algorithm::DrowsyDc, 42);
+        let out = run_testbed(&spec, "drowsy-dc", 42);
         assert!(out.dc.sla.total > 0);
         assert!(
             out.dc.sla.within_sla() > 0.99,
@@ -268,8 +282,8 @@ mod tests {
 
     #[test]
     fn deterministic_outcomes() {
-        let a = run_testbed(&quick_spec(), Algorithm::DrowsyDc, 7);
-        let b = run_testbed(&quick_spec(), Algorithm::DrowsyDc, 7);
+        let a = run_testbed(&quick_spec(), "drowsy-dc", 7);
+        let b = run_testbed(&quick_spec(), "drowsy-dc", 7);
         assert_eq!(a.total_energy_kwh(), b.total_energy_kwh());
         assert_eq!(a.migration_counts(), b.migration_counts());
     }

@@ -3,8 +3,8 @@
 //! The tournament's adaptive meta-policy needs to know, per VM, what
 //! kind of behaviour the online idleness priors have observed so far —
 //! without access to the raw trace (a real controller only has the
-//! model the paper's §III machinery keeps per VM, and the checkpoints
-//! [`crate::persist`] writes). This module reads that state back out:
+//! model the paper's §III machinery keeps per VM). This module reads
+//! that state back out:
 //! duty cycle from the activity counters, daily periodicity from the
 //! hour-of-day SI table.
 //!
@@ -24,7 +24,6 @@
 //! hour-of-day signal grows with how long the model has watched.
 
 use crate::model::IdlenessModel;
-use crate::persist::PersistError;
 
 /// Behaviour class read from an [`IdlenessModel`]'s learned state.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -124,14 +123,6 @@ impl IdlenessModel {
     }
 }
 
-/// Classifies a persisted model checkpoint (`drowsy-im v1` text, see
-/// [`crate::persist`]) — the read path a controller restart or the
-/// adaptive policy's offline tooling uses: no retraining, just the
-/// priors the fleet already wrote out.
-pub fn classify_checkpoint(text: &str) -> Result<ImClass, PersistError> {
-    Ok(IdlenessModel::from_checkpoint(text)?.classify())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -205,15 +196,6 @@ mod tests {
             m.observe_hour(stamp(h), level);
         }
         assert_eq!(m.classify(), ImClass::Bursty);
-    }
-
-    #[test]
-    fn checkpoint_read_path_classifies_without_retraining() {
-        let m = trained(7, |h, _| if (9..17).contains(&h) { 0.5 } else { 0.0 });
-        let class = classify_checkpoint(&m.to_checkpoint()).unwrap();
-        assert_eq!(class, ImClass::DailyPeriodic);
-        assert_eq!(class, m.classify(), "checkpoint agrees with live model");
-        assert!(classify_checkpoint("garbage").is_err());
     }
 
     #[test]

@@ -219,39 +219,6 @@ mod tests {
     }
 
     #[test]
-    fn quanta_pipeline_feeds_the_model() {
-        // End-to-end inside the crate: scheduler quanta → ActivityMeter →
-        // hourly level → IdlenessModel, as the per-host model builder
-        // does. Noise quanta must not break idleness learning.
-        use crate::activity::ActivityMeter;
-        use dds_sim_core::SimDuration;
-        let mut meter = ActivityMeter::with_defaults();
-        let mut model = IdlenessModel::with_defaults();
-        for day in 0..30u64 {
-            for hour in 0..24u64 {
-                if hour == 9 {
-                    // Busy hour: 30 minutes of real quanta.
-                    for _ in 0..30 {
-                        meter.record_quantum(SimDuration::from_secs(60));
-                    }
-                } else {
-                    // Idle hour with scheduler noise (sub-threshold).
-                    for _ in 0..50 {
-                        meter.record_quantum(SimDuration::from_millis(2));
-                    }
-                }
-                let level = meter.close_hour();
-                model.observe_hour(CalendarStamp::from_hour_index(day * 24 + hour), level);
-            }
-        }
-        let busy = CalendarStamp::from_hour_index(30 * 24 + 9);
-        let quiet = CalendarStamp::from_hour_index(30 * 24 + 3);
-        assert!(!model.predicts_idle(busy));
-        assert!(model.predicts_idle(quiet));
-        assert_eq!(model.active_hours(), 30, "noise hours stayed idle");
-    }
-
-    #[test]
     fn detail_matches_windows() {
         let trace = TracePattern::paper_daily_backup().generate(200, &mut SimRng::new(5));
         let mut m1 = IdlenessModel::with_defaults();

@@ -5,19 +5,16 @@
 //! predicts whether a VM will be idle during the next hour, which is the
 //! signal the whole consolidation strategy keys on.
 //!
-//! * [`activity`] — hourly activity accounting from scheduler quanta, with
-//!   the paper's noise filtering ("very short scheduling quanta — noise —
-//!   are filtered out").
 //! * [`model`] — [`IdlenessModel`]: the four synthesized-idleness (SI)
 //!   score tables (hour-of-day, day-of-week, day-of-month, month-of-year),
 //!   the hourly update rule (eqs. 2–5) and the steepest-descent weight
-//!   learning (eqs. 6–8).
+//!   learning (eqs. 6–8). It consumes one activity level per hour;
+//!   levels under `ImConfig::noise_threshold` count as idle (the paper's
+//!   filtered scheduling-quantum noise).
 //! * [`metrics`] — the Table III prediction-quality metrics (recall,
 //!   precision, F-measure, specificity) and windowed evaluation used to
 //!   regenerate Fig. 4.
 //! * [`eval`] — the predict-then-observe evaluation loop over a trace.
-//! * [`persist`] — model checkpointing (models survive host reboots and
-//!   follow VMs across migrations).
 //! * [`classify`] — behaviour classification ([`ImClass`]) from a model's
 //!   learned state, consumed by the tournament's adaptive meta-policy.
 //!
@@ -32,16 +29,12 @@
 
 #![warn(missing_docs)]
 
-pub mod activity;
 pub mod classify;
 pub mod eval;
 pub mod metrics;
 pub mod model;
-pub mod persist;
 
-pub use activity::ActivityMeter;
-pub use classify::{classify_checkpoint, ImClass};
+pub use classify::ImClass;
 pub use eval::{evaluate_model_on_trace, EvalPoint};
 pub use metrics::{ConfusionMatrix, WindowedEvaluation};
 pub use model::{IdlenessModel, ImConfig, SiVector, SIGMA};
-pub use persist::PersistError;

@@ -9,23 +9,23 @@
 //! * [`addr`] — virtual-IP / MAC-style addressing for VMs and hosts.
 //! * [`waking`] — [`WakingModule`]: the VM-IP → host-MAC map consulted by
 //!   the packet analyzer, the waking-date schedule fed by the suspending
-//!   modules, ahead-of-time Wake-on-LAN emission, and packet
-//!   hold-and-release for requests that race a resume.
+//!   modules, and ahead-of-time Wake-on-LAN emission. The analyzer's
+//!   verdict marks a request that races a resume as held.
 //! * [`cluster`] — [`WakingCluster`]: the fault-tolerance layer — every
 //!   module heart-beats and mirrors a peer, and a defective module is
 //!   replaced by its mirror copy.
-//! * [`switch`] — [`RackSwitch`]: the packet path itself, with the
-//!   hold-and-release buffer that gives wake-racing requests their
-//!   latency tail.
+//!
+//! The §V hold-and-release itself — a held request is served once its
+//! host is operational, which gives wake-racing requests their latency
+//! tail — is simulated by the datacenter's streaming QoS pipeline
+//! (`dds_sim_core::qos::power_ready_at`), not by a packet-level switch.
 
 #![warn(missing_docs)]
 
 pub mod addr;
 pub mod cluster;
-pub mod switch;
 pub mod waking;
 
 pub use addr::{HostMac, VmIp};
 pub use cluster::WakingCluster;
-pub use switch::{Delivery, Packet, RackSwitch};
 pub use waking::{PacketVerdict, WakeCommand, WakeReason, WakingConfig, WakingModule};

@@ -243,14 +243,6 @@ impl WakingModule {
             .next()
             .map(|&d| d - self.config.wake_lead)
     }
-
-    /// The VMs registered for a drowsy host (empty if unknown).
-    pub fn vms_of(&self, mac: HostMac) -> &[(VmIp, VmId)] {
-        self.hosts
-            .get(&mac)
-            .map(|h| h.vms.as_slice())
-            .unwrap_or(&[])
-    }
 }
 
 #[cfg(test)]
@@ -374,6 +366,5 @@ mod tests {
             w.handle_packet(ip(2)),
             PacketVerdict::WakeAndHold(_)
         ));
-        assert_eq!(w.vms_of(mac(1)).len(), 1);
     }
 }

@@ -479,7 +479,7 @@ mod tests {
         );
         assert!(
             all.iter()
-                .any(|s| s.mode == crate::FidelityMode::HighFidelity),
+                .any(|s| s.mode == dds_core::datacenter::EngineConfig::HighFidelity),
             "a high-fidelity scenario exists"
         );
         let sla = find("sla-web-front").expect("the SLA scenario ships");

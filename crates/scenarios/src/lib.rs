@@ -12,8 +12,9 @@
 //!   [`TracePattern`](dds_traces::TracePattern) (including the catalog's
 //!   diurnal-office, flash-crowd, batch-queue and weekend-heavy
 //!   generators) or a synthetic Nutanix personality;
-//! * the **engine fidelity** (`mode = legacy | high-fidelity`) and the
-//!   **policy set** to sweep (policy-registry names);
+//! * the **engine fidelity** (`mode = legacy | high-fidelity`, parsed
+//!   straight into [`EngineConfig`](dds_core::datacenter::EngineConfig))
+//!   and the **policy set** to sweep (policy-registry names);
 //! * optionally a **request-level QoS workload** (`[qos]`) — the
 //!   paper's web-search client attached to every interactive VM, so
 //!   [`run_scenario_qos`] pairs each policy's energy outcome with the
@@ -77,4 +78,4 @@ pub use catalog::{catalog, find, CatalogEntry, CATALOG};
 pub use family::{workload_family, ScenarioFamily};
 pub use format::{RawDoc, RawEntry, RawSection, ScenarioError};
 pub use run::{run_scenario, run_scenario_qos, run_scenario_qos_with, run_scenario_with};
-pub use scenario::{FidelityMode, HostClass, QosSpec, Scenario, WorkloadGroup};
+pub use scenario::{HostClass, QosSpec, Scenario, WorkloadGroup};

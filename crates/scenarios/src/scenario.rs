@@ -22,35 +22,6 @@ use dds_sim_core::{HostId, SimDuration};
 use dds_traces::nutanix::PERSONALITIES;
 use dds_traces::{RequestProfile, TracePattern, VmWorkload};
 
-/// Engine fidelity a scenario runs under.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FidelityMode {
-    /// Hour-epoch replay of the historical tick loop (bit-identical to
-    /// `Datacenter::run`).
-    Legacy,
-    /// Sub-hour events: true-latency scheduled wakes, heartbeat failover,
-    /// variable-interval parked energy.
-    HighFidelity,
-}
-
-impl FidelityMode {
-    /// The engine configuration this mode names.
-    pub fn engine_config(self) -> EngineConfig {
-        match self {
-            FidelityMode::Legacy => EngineConfig::legacy_compat(),
-            FidelityMode::HighFidelity => EngineConfig::high_fidelity(),
-        }
-    }
-
-    /// The mode's key in scenario files.
-    pub fn key(self) -> &'static str {
-        match self {
-            FidelityMode::Legacy => "legacy",
-            FidelityMode::HighFidelity => "high-fidelity",
-        }
-    }
-}
-
 /// One host class of a scenario fleet: `count` identical machines.
 #[derive(Debug, Clone, PartialEq)]
 pub struct HostClass {
@@ -125,8 +96,8 @@ pub struct Scenario {
     pub days: u64,
     /// Default seed of the scenario's random streams.
     pub seed: u64,
-    /// Engine fidelity.
-    pub mode: FidelityMode,
+    /// Engine fidelity (the `mode` key).
+    pub mode: EngineConfig,
     /// Hours between consolidation rounds.
     pub relocation_hours: u64,
     /// Policy-registry names swept by the scenario.
@@ -702,10 +673,10 @@ impl Scenario {
             }
             v
         };
-        let mode = opt(head, "mode", FidelityMode::Legacy, |e| {
+        let mode = opt(head, "mode", EngineConfig::Legacy, |e| {
             match e.value.as_str() {
-                "legacy" => Ok(FidelityMode::Legacy),
-                "high-fidelity" => Ok(FidelityMode::HighFidelity),
+                "legacy" => Ok(EngineConfig::Legacy),
+                "high-fidelity" => Ok(EngineConfig::HighFidelity),
                 other => Err(ScenarioError::at(
                     e.line,
                     format!("'mode' must be legacy or high-fidelity, got '{other}'"),
@@ -921,7 +892,7 @@ impl Scenario {
             })
             .collect();
         let mut spec = ClusterSpec::explicit(fleet, members, self.days, config);
-        spec.engine = self.mode.engine_config();
+        spec.engine = self.mode;
         spec
     }
 
@@ -952,7 +923,7 @@ impl Scenario {
         out.push_str(&format!("summary = {}\n", self.summary));
         out.push_str(&format!("days = {}\n", self.days));
         out.push_str(&format!("seed = {}\n", self.seed));
-        out.push_str(&format!("mode = {}\n", self.mode.key()));
+        out.push_str(&format!("mode = {}\n", self.mode.label()));
         out.push_str(&format!("relocation-hours = {}\n", self.relocation_hours));
         out.push_str(&format!("policies = {}\n", self.policies.join(", ")));
         if let Some(qos) = &self.qos {
@@ -1165,7 +1136,7 @@ ram-mb = 6144
         let s = Scenario::parse(MINIMAL).unwrap();
         assert_eq!(s.name, "minimal");
         assert_eq!(s.seed, 42, "default seed");
-        assert_eq!(s.mode, FidelityMode::Legacy);
+        assert_eq!(s.mode, EngineConfig::Legacy);
         assert_eq!(s.relocation_hours, 2);
         assert_eq!(s.host_count(), 2);
         assert_eq!(s.vm_count(), 2);
@@ -1200,12 +1171,12 @@ ram-mb = 6144
     #[test]
     fn cluster_spec_compilation_carries_everything_over() {
         let mut s = Scenario::parse(MINIMAL).unwrap();
-        s.mode = FidelityMode::HighFidelity;
+        s.mode = EngineConfig::HighFidelity;
         let spec = s.to_cluster_spec();
         assert_eq!(spec.hosts, 2);
         assert_eq!(spec.vms, 2);
         assert_eq!(spec.days, 1);
-        assert_eq!(spec.engine, EngineConfig::high_fidelity());
+        assert_eq!(spec.engine, EngineConfig::HighFidelity);
         assert_eq!(spec.config.relocation_period_hours, 2);
         assert_eq!(spec.fleet[1].name, "box-1");
         assert_eq!(spec.members[0].name_prefix, "idle-");

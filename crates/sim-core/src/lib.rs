@@ -17,13 +17,14 @@
 //!   results, so every parallel hot loop (fleet shards, sweeps)
 //!   dispatches work without per-call thread spawns.
 //! * [`ids`] — typed identifiers for simulation entities (VMs, hosts, …).
-//! * [`qos`] — mergeable request-level QoS accumulators ([`qos::QosReport`],
-//!   [`qos::QosWindow`]): exact-integer state filled by the streaming
-//!   per-epoch pipelines of the datacenter and the fleet engine.
+//! * [`qos`] — request-level QoS accumulators (the mergeable
+//!   [`qos::QosReport`] and the per-epoch [`qos::QosWindow`]):
+//!   exact-integer state filled by the streaming per-epoch pipelines of
+//!   the datacenter and the fleet engine.
 //! * [`rng`] — seedable, stream-split random number helpers so that every
 //!   experiment is reproducible from a single `u64` seed.
-//! * [`stats`] — online statistics, percentile summaries and text/CSV table
-//!   rendering used by the experiment harnesses.
+//! * [`stats`] — percentile summaries, latency histograms and text/CSV
+//!   table rendering used by the experiment harnesses.
 //!
 //! The engine is intentionally single-threaded and allocation-light: the
 //! Drowsy-DC experiments simulate weeks to years of wall-clock time at an

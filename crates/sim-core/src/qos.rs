@@ -173,12 +173,8 @@ pub struct HostWakeQos {
 }
 
 /// One control epoch's QoS signal: the epoch's [`QosReport`] plus a
-/// sparse per-host wake attribution, sorted by host index.
-///
-/// Like the report, all state is exact integers and the host list is kept
-/// sorted, so [`QosWindow::merge`] of disjointly-built shards is
-/// associative and commutative — the epoch signal handed to a policy
-/// cannot depend on how its requests were split.
+/// sparse per-host wake attribution, sorted by host index. Like the
+/// report, all state is exact integers.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct QosWindow {
     /// The epoch (hour index) the window covers.
@@ -237,44 +233,6 @@ impl QosWindow {
     /// True when the epoch saw no requests at all.
     pub fn is_empty(&self) -> bool {
         self.report.total == 0 && self.report.unserved == 0
-    }
-
-    /// Merges another shard of the same epoch into this one. Exact,
-    /// associative and commutative; panics on epoch or SLA mismatch.
-    pub fn merge(&mut self, other: &QosWindow) {
-        assert_eq!(
-            self.epoch, other.epoch,
-            "merging windows of different epochs"
-        );
-        self.report.merge(&other.report);
-        // Merge two sorted sparse lists, summing shared hosts.
-        let mut merged = Vec::with_capacity(self.hosts.len() + other.hosts.len());
-        let (mut a, mut b) = (0, 0);
-        while a < self.hosts.len() && b < other.hosts.len() {
-            let (ha, hb) = (self.hosts[a], other.hosts[b]);
-            match ha.host.cmp(&hb.host) {
-                std::cmp::Ordering::Less => {
-                    merged.push(ha);
-                    a += 1;
-                }
-                std::cmp::Ordering::Greater => {
-                    merged.push(hb);
-                    b += 1;
-                }
-                std::cmp::Ordering::Equal => {
-                    merged.push(HostWakeQos {
-                        host: ha.host,
-                        wake_hits: ha.wake_hits + hb.wake_hits,
-                        wake_violations: ha.wake_violations + hb.wake_violations,
-                    });
-                    a += 1;
-                    b += 1;
-                }
-            }
-        }
-        merged.extend_from_slice(&self.hosts[a..]);
-        merged.extend_from_slice(&other.hosts[b..]);
-        self.hosts = merged;
     }
 }
 
@@ -448,51 +406,6 @@ mod tests {
                 },
             ]
         );
-    }
-
-    /// Builds a window from a slice of `(host, latency, wake)` records.
-    fn window_of(epoch: u64, recs: &[(u32, u64, bool)]) -> QosWindow {
-        let mut w = QosWindow::new(epoch, 200);
-        for &(h, ms, wake) in recs {
-            w.record(h, ms, wake);
-        }
-        w
-    }
-
-    #[test]
-    fn window_merge_is_associative_and_commutative() {
-        // Three shards with overlapping and disjoint host sets.
-        let recs: [&[(u32, u64, bool)]; 3] = [
-            &[(1, 900, true), (5, 30, false), (9, 400, true)],
-            &[(5, 1500, true), (1, 20, false)],
-            &[(2, 250, true), (9, 60, true), (9, 999, true)],
-        ];
-        let [a, b, c] = recs.map(|r| window_of(0, r));
-        // Sequential build over the concatenation, as one shard.
-        let whole = window_of(0, &recs.concat());
-        // (a ⊕ b) ⊕ c
-        let mut ab_c = a.clone();
-        ab_c.merge(&b);
-        ab_c.merge(&c);
-        // a ⊕ (b ⊕ c)
-        let mut bc = b.clone();
-        bc.merge(&c);
-        let mut a_bc = a.clone();
-        a_bc.merge(&bc);
-        // c ⊕ b ⊕ a
-        let mut cba = c.clone();
-        cba.merge(&b);
-        cba.merge(&a);
-        assert_eq!(ab_c, whole);
-        assert_eq!(a_bc, whole);
-        assert_eq!(cba, whole);
-    }
-
-    #[test]
-    #[should_panic(expected = "different epochs")]
-    fn merging_mismatched_epochs_panics() {
-        let mut a = QosWindow::new(1, 200);
-        a.merge(&QosWindow::new(2, 200));
     }
 
     #[test]

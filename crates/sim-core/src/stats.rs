@@ -1,4 +1,4 @@
-//! Online statistics, percentile summaries and table rendering.
+//! Percentile summaries, latency histograms and table rendering.
 //!
 //! The experiment harnesses report means, tail percentiles (SLA analysis
 //! uses the fraction of requests under 200 ms and the p99 latency) and
@@ -6,97 +6,6 @@
 //! dependency-free and deterministic.
 
 use std::fmt::Write as _;
-
-/// Numerically stable online mean/variance accumulator (Welford).
-#[derive(Debug, Clone, Default)]
-pub struct OnlineStats {
-    n: u64,
-    mean: f64,
-    m2: f64,
-    min: f64,
-    max: f64,
-}
-
-impl OnlineStats {
-    /// Creates an empty accumulator.
-    pub fn new() -> Self {
-        OnlineStats {
-            n: 0,
-            mean: 0.0,
-            m2: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-        }
-    }
-
-    /// Adds one observation.
-    pub fn push(&mut self, x: f64) {
-        self.n += 1;
-        let delta = x - self.mean;
-        self.mean += delta / self.n as f64;
-        self.m2 += delta * (x - self.mean);
-        self.min = self.min.min(x);
-        self.max = self.max.max(x);
-    }
-
-    /// Number of observations.
-    pub fn count(&self) -> u64 {
-        self.n
-    }
-
-    /// Arithmetic mean (0 when empty).
-    pub fn mean(&self) -> f64 {
-        if self.n == 0 {
-            0.0
-        } else {
-            self.mean
-        }
-    }
-
-    /// Population variance (0 with fewer than two observations).
-    pub fn variance(&self) -> f64 {
-        if self.n < 2 {
-            0.0
-        } else {
-            self.m2 / self.n as f64
-        }
-    }
-
-    /// Population standard deviation.
-    pub fn std_dev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-
-    /// Smallest observation (`+inf` when empty).
-    pub fn min(&self) -> f64 {
-        self.min
-    }
-
-    /// Largest observation (`-inf` when empty).
-    pub fn max(&self) -> f64 {
-        self.max
-    }
-
-    /// Merges another accumulator into this one (parallel Welford).
-    pub fn merge(&mut self, other: &OnlineStats) {
-        if other.n == 0 {
-            return;
-        }
-        if self.n == 0 {
-            *self = other.clone();
-            return;
-        }
-        let n1 = self.n as f64;
-        let n2 = other.n as f64;
-        let delta = other.mean - self.mean;
-        let total = n1 + n2;
-        self.mean += delta * n2 / total;
-        self.m2 += other.m2 + delta * delta * n1 * n2 / total;
-        self.n += other.n;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
-}
 
 /// A sample reservoir for percentile queries.
 ///
@@ -476,48 +385,6 @@ mod tests {
     use proptest::prelude::*;
 
     #[test]
-    fn online_stats_basics() {
-        let mut s = OnlineStats::new();
-        for x in [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0] {
-            s.push(x);
-        }
-        assert_eq!(s.count(), 8);
-        assert!((s.mean() - 5.0).abs() < 1e-12);
-        assert!((s.std_dev() - 2.0).abs() < 1e-12);
-        assert_eq!(s.min(), 2.0);
-        assert_eq!(s.max(), 9.0);
-    }
-
-    #[test]
-    fn empty_stats_are_safe() {
-        let s = OnlineStats::new();
-        assert_eq!(s.mean(), 0.0);
-        assert_eq!(s.variance(), 0.0);
-        assert_eq!(s.count(), 0);
-    }
-
-    #[test]
-    fn merge_matches_sequential() {
-        let data: Vec<f64> = (0..100).map(|i| (i as f64).sin() * 10.0).collect();
-        let mut whole = OnlineStats::new();
-        for &x in &data {
-            whole.push(x);
-        }
-        let mut a = OnlineStats::new();
-        let mut b = OnlineStats::new();
-        for &x in &data[..37] {
-            a.push(x);
-        }
-        for &x in &data[37..] {
-            b.push(x);
-        }
-        a.merge(&b);
-        assert_eq!(a.count(), whole.count());
-        assert!((a.mean() - whole.mean()).abs() < 1e-9);
-        assert!((a.variance() - whole.variance()).abs() < 1e-9);
-    }
-
-    #[test]
     fn histogram_record_n_equals_n_records() {
         let mut bulk = LatencyHistogram::new();
         bulk.record_n(60, 1000);
@@ -836,19 +703,6 @@ mod tests {
             prop_assert!(a <= b);
             xs.sort_by(|a, b| a.partial_cmp(b).unwrap());
             prop_assert!(a >= xs[0] && b <= xs[xs.len() - 1]);
-        }
-
-        #[test]
-        fn online_mean_bounded_by_min_max(
-            xs in proptest::collection::vec(-1e9f64..1e9, 1..200)
-        ) {
-            let mut s = OnlineStats::new();
-            for &x in &xs {
-                s.push(x);
-            }
-            prop_assert!(s.mean() >= s.min() - 1e-6);
-            prop_assert!(s.mean() <= s.max() + 1e-6);
-            prop_assert!(s.variance() >= 0.0);
         }
     }
 }

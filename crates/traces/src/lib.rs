@@ -5,8 +5,8 @@
 //! the VM, over the total possible quanta during an hour", with very short
 //! quanta filtered as noise. This crate builds those signals:
 //!
-//! * [`trace`] — [`VmTrace`], an hourly activity series with statistics,
-//!   transforms and CSV (de)serialization.
+//! * [`trace`] — [`VmTrace`], an hourly activity series with statistics
+//!   and CSV (de)serialization.
 //! * [`patterns`] — [`TracePattern`], deterministic + stochastic generators
 //!   for every workload class the paper evaluates (Table II): the daily
 //!   backup, the thrice-weekly comic-strip site with summer holidays, the
@@ -19,8 +19,6 @@
 //!   noise) so the idleness model faces the same learning problem.
 //! * [`requests`] — an open-loop request-level client (Poisson arrivals
 //!   modulated by the activity trace) used for the SLA experiments.
-//! * [`transform`] — trace combinators (shift, scale, overlay, noise,
-//!   autocorrelation) for building evaluation scenarios.
 //! * [`arrivals`] — Poisson VM arrival/departure plans at `SimTime`
 //!   resolution, consumed as scheduled events by the event-driven
 //!   simulation engine.
@@ -28,7 +26,8 @@
 //!   Nutanix personalities that the scenario layer (`dds-scenarios`)
 //!   composes workload mixes from.
 //! * `classify` — the paper's §I taxonomy (SLMU / LLMU / LLMI) measured
-//!   from traces, plus periodicity detection.
+//!   from traces, plus periodicity detection (daily and weekly
+//!   autocorrelation).
 //!
 //! ## Example
 //!
@@ -58,7 +57,6 @@ pub mod nutanix;
 pub mod patterns;
 pub mod requests;
 pub mod trace;
-pub mod transform;
 pub mod workload;
 
 pub use arrivals::{poisson_arrivals, slmu_burst_trace, ArrivalEvent};

@@ -69,11 +69,6 @@ impl VmTrace {
         &self.levels
     }
 
-    /// Mutable access to the raw levels (for transforms).
-    pub fn levels_mut(&mut self) -> &mut Vec<f64> {
-        &mut self.levels
-    }
-
     /// Fraction of hours with nonzero activity (the duty cycle). LLMI VMs
     /// sit well below 0.5; LLMU VMs close to 1.
     pub fn duty_cycle(&self) -> f64 {

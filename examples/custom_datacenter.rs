@@ -8,11 +8,13 @@
 //! that never sleep, nightly backup appliances, and a pile of seasonal
 //! enterprise VMs — and wants to know what Drowsy-DC would save before
 //! deploying it. This example builds that datacenter from scratch with
-//! the public API and compares all four control algorithms.
+//! the public API and compares three of the paper's policies, each named
+//! through the policy registry.
 
 use drowsy_dc::sim::{HostId, SimRng, VmId};
-use drowsy_dc::system::cluster::run_cluster;
-use drowsy_dc::system::datacenter::{Algorithm, Datacenter, DcConfig};
+use drowsy_dc::system::cluster::run_cluster_policy;
+use drowsy_dc::system::datacenter::{Datacenter, DcConfig};
+use drowsy_dc::system::registry::PolicyRegistry;
 use drowsy_dc::system::spec::{HostSpec, VmSpec, WorkloadKind};
 use drowsy_dc::traces::TracePattern;
 
@@ -86,11 +88,8 @@ fn main() {
         "{:<12} {:>10} {:>12} {:>11}",
         "algorithm", "energy", "suspended", "migrations"
     );
-    for algorithm in [
-        Algorithm::DrowsyDc,
-        Algorithm::NeatSuspend,
-        Algorithm::NeatNoSuspend,
-    ] {
+    let registry = PolicyRegistry::standard();
+    for name in ["drowsy-dc", "neat-s3", "neat"] {
         let mut cfg = DcConfig::paper_default();
         cfg.track_sla = false;
         // This fleet mixes phase-shifted patterns (nightly backups vs
@@ -98,20 +97,20 @@ fn main() {
         // 6 hours instead of the paper's next-hour IP keeps the grouping
         // stable — ~3x fewer migrations for the same energy.
         cfg.ip_horizon_hours = 6;
-        let mut dc = Datacenter::new(
+        let policy = registry.build(name, &cfg, None).expect("registered policy");
+        let mut dc = Datacenter::with_policy(
             cfg,
-            algorithm,
+            policy,
             hosts.clone(),
             vms.clone(),
             placement.clone(),
-            None,
             9,
         );
         dc.run(days * 24);
         let out = dc.finish();
         println!(
             "{:<12} {:>8.1} kWh {:>11.1}% {:>11}",
-            algorithm.label(),
+            out.policy,
             out.energy_kwh,
             out.global_suspended_fraction * 100.0,
             out.total_migrations(),
@@ -121,8 +120,8 @@ fn main() {
     // The same question at fleet scale, via the ready-made cluster sweep.
     println!("\nfleet-scale estimate (ClusterSpec, 75 % LLMI):");
     let spec = drowsy_dc::system::cluster::ClusterSpec::paper_default(0.75);
-    let drowsy = run_cluster(&spec, Algorithm::DrowsyDc, 9);
-    let neat = run_cluster(&spec, Algorithm::NeatNoSuspend, 9);
+    let drowsy = run_cluster_policy(&spec, "drowsy-dc", 9);
+    let neat = run_cluster_policy(&spec, "neat", 9);
     println!(
         "  {} hosts / {} VMs / {} days: Drowsy-DC {:.0} kWh vs always-on {:.0} kWh ({:.0}% saved)",
         spec.hosts,

@@ -9,8 +9,9 @@
 //! the control plane, an operator can answer "how much of my fleet is
 //! LLMI, and how predictable is it?" from activity traces alone. This
 //! example classifies a mixed fleet (the paper's §I taxonomy), measures
-//! each VM's periodicity, checkpoints a trained idleness model and
-//! estimates the achievable savings bracket.
+//! each VM's periodicity, probes how predictable the best candidate is
+//! for a trained idleness model and estimates the achievable savings
+//! bracket.
 
 use drowsy_dc::idleness::{evaluate_model_on_trace, IdlenessModel};
 use drowsy_dc::sim::SimRng;
@@ -73,8 +74,8 @@ fn main() {
     };
     println!("  → {estimate}");
 
-    // Predictability check on the most promising VM: train an IM and
-    // checkpoint it, exactly what the per-host model builder would do.
+    // Predictability check on the most promising VM: train an IM on its
+    // trace, exactly what the per-host model builder would do.
     let candidate = &fleet[0];
     let mut model = IdlenessModel::with_defaults();
     let windows = evaluate_model_on_trace(&mut model, candidate, hours as u64, 14 * 24);
@@ -84,11 +85,4 @@ fn main() {
         candidate.label,
         late_f * 100.0
     );
-    let checkpoint = model.to_checkpoint();
-    println!(
-        "trained model checkpoints to {} bytes (drowsy-im v1; reload with IdlenessModel::from_checkpoint)",
-        checkpoint.len()
-    );
-    let restored = IdlenessModel::from_checkpoint(&checkpoint).expect("roundtrip");
-    assert_eq!(restored.weights(), model.weights());
 }

@@ -23,15 +23,12 @@ fn main() {
         "{:<12} {:>10} {:>12} {:>12} {:>10}",
         "algorithm", "energy", "suspended", "SLA<200ms", "wake hits"
     );
-    for algorithm in [
-        Algorithm::DrowsyDc,
-        Algorithm::NeatSuspend,
-        Algorithm::NeatNoSuspend,
-    ] {
-        let outcome = run_testbed(&spec, algorithm, 42);
+    // Policies are named by their policy-registry keys.
+    for policy in ["drowsy-dc", "neat-s3", "neat"] {
+        let outcome = run_testbed(&spec, policy, 42);
         println!(
             "{:<12} {:>8.1} kWh {:>11.1}% {:>11.2}% {:>10}",
-            algorithm.label(),
+            outcome.dc.policy,
             outcome.total_energy_kwh(),
             outcome.global_suspension_fraction() * 100.0,
             outcome.dc.sla.within_sla() * 100.0,

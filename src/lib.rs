@@ -10,10 +10,13 @@
 //! * [`traces`] — workload patterns and activity-trace generators.
 //! * [`idleness`] — the idleness model (IM) and idleness probability (IP).
 //! * [`hostos`] — simulated host OS: processes, timers, suspending module.
-//! * [`net`] — simulated SDN switch, Wake-on-LAN, waking module.
+//! * [`net`] — addressing, the waking module (packet analyzer, waking
+//!   schedule, Wake-on-LAN) and its fault-tolerant cluster.
 //! * [`placement`] — Nova-style scheduler, Neat, Oasis and Drowsy-DC
 //!   placement algorithms.
-//! * [`system`] — the integrated datacenter model and controllers, with
+//! * [`system`] — the integrated datacenter model and controllers:
+//!   policies named through one registry (`PolicyRegistry`), one event
+//!   driver (`DcEngine`) at one of two fidelities (`EngineConfig`), and
 //!   request-level QoS streamed inline with each run
 //!   (`DcConfig::qos_stream`): tail percentiles and SLA accounting.
 //! * [`telemetry`] — metrics registry, epoch flight recorder and span
@@ -28,9 +31,10 @@
 //! ```
 //! use drowsy_dc::prelude::*;
 //!
-//! // A small datacenter: 4 pool hosts, 8 VMs (2 always-busy, 6 mostly-idle).
+//! // A small datacenter: 4 pool hosts, 8 VMs (2 always-busy, 6 mostly-idle),
+//! // managed by the policy-registry entry "drowsy-dc".
 //! let spec = TestbedSpec::paper_default();
-//! let outcome = run_testbed(&spec, Algorithm::DrowsyDc, 42);
+//! let outcome = run_testbed(&spec, "drowsy-dc", 42);
 //! assert!(outcome.global_suspension_fraction() > 0.0);
 //! println!("energy: {:.1} kWh", outcome.total_energy_kwh());
 //! ```
@@ -53,11 +57,11 @@ pub use dds_traces as traces;
 /// Commonly used items, re-exported for convenience.
 pub mod prelude {
     pub use dds_core::cluster::{
-        run_cluster, run_cluster_policy, run_cluster_policy_with, ClusterOutcome, ClusterSpec,
+        run_cluster_policy, run_cluster_policy_with, ClusterOutcome, ClusterSpec,
     };
     pub use dds_core::datacenter::{
-        Algorithm, Datacenter, DcConfig, DcEngine, DcEvent, DcOutcome, EngineConfig,
-        QosStreamConfig, WakeCause, WakeRecord,
+        Datacenter, DcConfig, DcEngine, DcEvent, DcOutcome, EngineConfig, QosStreamConfig,
+        WakeCause, WakeRecord,
     };
     pub use dds_core::registry::{PolicyEntry, PolicyRegistry};
     pub use dds_core::sweep::{llmi_grid, run_sweep, run_sweep_with, SweepOutcome, SweepPoint};

@@ -14,8 +14,8 @@ fn spec(llmi: f64) -> ClusterSpec {
 #[test]
 fn drowsy_never_loses_to_always_on() {
     for llmi in [0.0, 0.5, 1.0] {
-        let d = run_cluster(&spec(llmi), Algorithm::DrowsyDc, 5);
-        let n = run_cluster(&spec(llmi), Algorithm::NeatNoSuspend, 5);
+        let d = run_cluster_policy(&spec(llmi), "drowsy-dc", 5);
+        let n = run_cluster_policy(&spec(llmi), "neat", 5);
         assert!(
             d.energy_kwh() < n.energy_kwh(),
             "llmi {llmi}: drowsy {} vs always-on {}",
@@ -28,8 +28,8 @@ fn drowsy_never_loses_to_always_on() {
 #[test]
 fn drowsy_vs_neat_s3_gap_grows_with_llmi_share() {
     let gap = |llmi: f64| {
-        let d = run_cluster(&spec(llmi), Algorithm::DrowsyDc, 5).energy_kwh();
-        let n = run_cluster(&spec(llmi), Algorithm::NeatSuspend, 5).energy_kwh();
+        let d = run_cluster_policy(&spec(llmi), "drowsy-dc", 5).energy_kwh();
+        let n = run_cluster_policy(&spec(llmi), "neat-s3", 5).energy_kwh();
         (n - d) / n
     };
     let low = gap(0.25);
@@ -48,9 +48,9 @@ fn oasis_sits_in_the_expected_band() {
     // advantage emerges at fleet scale where consolidation capacity
     // binds (see the sim_llmi_sweep experiment and EXPERIMENTS.md).
     let s = spec(0.75);
-    let oasis = run_cluster(&s, Algorithm::Oasis, 5);
-    let always_on = run_cluster(&s, Algorithm::NeatNoSuspend, 5);
-    let drowsy = run_cluster(&s, Algorithm::DrowsyDc, 5);
+    let oasis = run_cluster_policy(&s, "oasis", 5);
+    let always_on = run_cluster_policy(&s, "neat", 5);
+    let drowsy = run_cluster_policy(&s, "drowsy-dc", 5);
     assert!(oasis.energy_kwh() < always_on.energy_kwh());
     assert!(
         drowsy.energy_kwh() < oasis.energy_kwh() * 1.5,
@@ -62,7 +62,7 @@ fn oasis_sits_in_the_expected_band() {
 
 #[test]
 fn suspension_fraction_rises_with_llmi_share() {
-    let susp = |llmi: f64| run_cluster(&spec(llmi), Algorithm::DrowsyDc, 5).suspension();
+    let susp = |llmi: f64| run_cluster_policy(&spec(llmi), "drowsy-dc", 5).suspension();
     let low = susp(0.25);
     let high = susp(1.0);
     assert!(high > low, "suspension: low {low}, high {high}");
@@ -71,11 +71,11 @@ fn suspension_fraction_rises_with_llmi_share() {
 #[test]
 fn energy_scales_sanely_with_fleet_size() {
     // Double the fleet, roughly double the energy (same LLMI mix).
-    let small = run_cluster(&spec(0.5), Algorithm::DrowsyDc, 5);
+    let small = run_cluster_policy(&spec(0.5), "drowsy-dc", 5);
     let mut big_spec = spec(0.5);
     big_spec.hosts = 16;
     big_spec.vms = 64;
-    let big = run_cluster(&big_spec, Algorithm::DrowsyDc, 5);
+    let big = run_cluster_policy(&big_spec, "drowsy-dc", 5);
     let ratio = big.energy_kwh() / small.energy_kwh();
     assert!(
         (1.5..3.0).contains(&ratio),
@@ -86,7 +86,7 @@ fn energy_scales_sanely_with_fleet_size() {
 #[test]
 fn oasis_migrations_track_parking_activity() {
     // Oasis must actually park/unpark on an LLMI fleet (its mechanism).
-    let out = run_cluster(&spec(0.75), Algorithm::Oasis, 5);
+    let out = run_cluster_policy(&spec(0.75), "oasis", 5);
     assert!(
         out.dc.total_migrations() > 0,
         "no parking happened: {:?}",

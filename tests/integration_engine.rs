@@ -1,19 +1,16 @@
 //! Event-engine integration tests.
 //!
-//! The datacenter now runs on the discrete-event engine
-//! (`dds_core::datacenter::DcEngine`). Two properties are pinned here:
-//!
-//! 1. **Legacy-compat mode is the tick loop, bit for bit** — scheduling
-//!    one `ControlEpoch` event per hour replays the historical
-//!    `step_hour` loop exactly (the golden policy-equivalence suite pins
-//!    the same property against the pre-refactor tree).
-//! 2. **High-fidelity mode is strictly more faithful** — scheduled S3/S5
-//!    wakes fire at their true lead-adjusted instants instead of being
-//!    quantized to the next hour boundary, parked-host energy integrates
-//!    over variable-length intervals, failover runs at heartbeat latency,
-//!    and VM arrivals land at sub-hour offsets. The wake-latency
-//!    accounting assertions here hold **only** under the engine; the
-//!    same scenario under the tick loop demonstrably violates them.
+//! The datacenter runs on the discrete-event engine
+//! (`dds_core::datacenter::DcEngine`) at one of two fidelities. The
+//! legacy fidelity (`Datacenter::run`) is pinned bit for bit by the
+//! golden policy-equivalence suite; this file pins that **high fidelity
+//! is strictly more faithful** — scheduled S3/S5 wakes fire at their true
+//! lead-adjusted instants instead of being quantized to the next hour
+//! boundary, parked-host energy integrates over variable-length
+//! intervals, failover runs at heartbeat latency, and VM arrivals land at
+//! sub-hour offsets. The wake-latency accounting assertions here hold
+//! **only** at high fidelity; the same scenario at legacy fidelity
+//! demonstrably violates them.
 
 use dds_sim_core::time::MILLIS_PER_HOUR;
 use dds_traces::{arrivals, TracePattern};
@@ -63,62 +60,18 @@ fn s5_backup_dc(days: usize, seed: u64) -> Datacenter {
 }
 
 #[test]
-fn legacy_engine_mode_is_the_tick_loop_bit_for_bit() {
-    // The same scenario stepped by hand and driven through the engine in
-    // legacy-compat mode must be indistinguishable down to the f64 bits.
-    let mut spec = TestbedSpec::paper_default();
-    spec.days = 2;
-    let run_ticked = || {
-        let vms = spec.vm_specs(42);
-        let hosts = spec.host_specs();
-        let placement: Vec<HostId> = spec
-            .initial_placement
-            .iter()
-            .map(|&i| HostId(i as u32))
-            .collect();
-        let mut dc = Datacenter::new(
-            spec.config.clone(),
-            Algorithm::DrowsyDc,
-            hosts,
-            vms,
-            placement,
-            None,
-            42,
-        );
-        for _ in 0..48 {
-            dc.step_hour();
-        }
-        dc.finish()
-    };
-    let ticked = run_ticked();
-    let evented = run_testbed(&spec, Algorithm::DrowsyDc, 42); // run() = engine façade
-    assert_eq!(
-        ticked.energy_kwh.to_bits(),
-        evented.dc.energy_kwh.to_bits(),
-        "engine façade drifted from the tick loop"
-    );
-    assert_eq!(
-        ticked.global_suspended_fraction.to_bits(),
-        evented.dc.global_suspended_fraction.to_bits()
-    );
-    assert_eq!(ticked.sla.wake_hits, evented.dc.sla.wake_hits);
-}
-
-#[test]
 fn s5_resume_fires_at_true_latency_not_next_hour_boundary() {
     // Regression for the tentpole's core fidelity claim. The daily
-    // backup's waking date lands on an hour boundary D. Under the tick
-    // loop the wake is only discovered by the poll *at* D, so the resume
-    // starts at D and the host is operational at D + 1.5 s (S5 pays the
-    // stock resume path). Under the engine the waking module's WoL fires
-    // at its true lead-adjusted instant D − 1.5 s, and the host is
-    // operational exactly at D.
+    // backup's waking date lands on an hour boundary D. At legacy
+    // fidelity the wake is only discovered by the poll *at* D, so the
+    // resume starts at D and the host is operational at D + 1.5 s (S5
+    // pays the stock resume path). At high fidelity the waking module's
+    // WoL fires at its true lead-adjusted instant D − 1.5 s, and the host
+    // is operational exactly at D.
     let days = 5;
 
     let mut ticked = s5_backup_dc(days, 13);
-    for _ in 0..(24 * days as u64) {
-        ticked.step_hour();
-    }
+    ticked.run(24 * days as u64);
     let tick_s5: Vec<WakeRecord> = ticked
         .wake_log()
         .iter()
@@ -129,16 +82,16 @@ fn s5_resume_fires_at_true_latency_not_next_hour_boundary() {
     for w in &tick_s5 {
         assert!(
             w.started.as_millis().is_multiple_of(MILLIS_PER_HOUR),
-            "tick mode quantizes wake starts to hour boundaries: {w:?}"
+            "legacy fidelity quantizes wake starts to hour boundaries: {w:?}"
         );
         assert!(
             !w.operational.as_millis().is_multiple_of(MILLIS_PER_HOUR),
-            "tick mode pays the resume after the boundary: {w:?}"
+            "legacy fidelity pays the resume after the boundary: {w:?}"
         );
     }
 
     let mut dc = s5_backup_dc(days, 13);
-    let mut engine = DcEngine::new(&mut dc, EngineConfig::high_fidelity());
+    let mut engine = DcEngine::new(&mut dc, EngineConfig::HighFidelity);
     engine.run_hours(24 * days as u64);
     drop(engine);
     let pre_fired: Vec<WakeRecord> = dc
@@ -170,9 +123,9 @@ fn wake_latency_accounting_holds_only_under_the_engine() {
     // The paper's claim: scheduled activity pays *no* resume latency
     // because the waking module fires ahead of time. Under the engine the
     // claim is literally simulated — every scheduled S5 resume completes
-    // at (or before) its hour-boundary waking date. Under the tick loop
+    // at (or before) its hour-boundary waking date. At legacy fidelity
     // the same scenario completes every S5 resume strictly after the
-    // boundary, so this assertion distinguishes the two drivers.
+    // boundary, so this assertion distinguishes the two fidelities.
     let days = 5;
     let on_time = |dc: &Datacenter| -> (usize, usize) {
         let s5: Vec<&WakeRecord> = dc.wake_log().iter().filter(|w| w.from_off).collect();
@@ -184,7 +137,7 @@ fn wake_latency_accounting_holds_only_under_the_engine() {
     };
 
     let mut evented = s5_backup_dc(days, 13);
-    DcEngine::new(&mut evented, EngineConfig::high_fidelity()).run_hours(24 * days as u64);
+    DcEngine::new(&mut evented, EngineConfig::HighFidelity).run_hours(24 * days as u64);
     let (on_time_evented, total_evented) = on_time(&evented);
     assert!(total_evented > 0);
     assert_eq!(
@@ -193,14 +146,12 @@ fn wake_latency_accounting_holds_only_under_the_engine() {
     );
 
     let mut ticked = s5_backup_dc(days, 13);
-    for _ in 0..(24 * days as u64) {
-        ticked.step_hour();
-    }
+    ticked.run(24 * days as u64);
     let (on_time_ticked, total_ticked) = on_time(&ticked);
     assert!(total_ticked > 0);
     assert_eq!(
         on_time_ticked, 0,
-        "tick loop: no S5 resume completes by its waking date"
+        "legacy fidelity: no S5 resume completes by its waking date"
     );
 
     // Refinement, not distortion: the variable-interval energy integral
@@ -208,14 +159,14 @@ fn wake_latency_accounting_holds_only_under_the_engine() {
     let e = evented.finish().energy_kwh;
     let t = ticked.finish().energy_kwh;
     let gap = (e - t).abs() / t;
-    assert!(gap < 0.05, "energy drifted {gap:.3} between drivers");
+    assert!(gap < 0.05, "energy drifted {gap:.3} between fidelities");
 }
 
 #[test]
 fn high_fidelity_replays_bit_identically_from_a_seed() {
     let run = || {
         let mut dc = s5_backup_dc(4, 21);
-        DcEngine::new(&mut dc, EngineConfig::high_fidelity()).run_hours(24 * 4);
+        DcEngine::new(&mut dc, EngineConfig::HighFidelity).run_hours(24 * 4);
         let log = dc.wake_log().to_vec();
         let out = dc.finish();
         (out.energy_kwh.to_bits(), log)
@@ -234,7 +185,7 @@ fn waking_failover_happens_at_heartbeat_latency_under_the_engine() {
     // woken ahead of time — no wake-hit latency, suspension continues.
     let days = 6;
     let mut dc = s5_backup_dc(days, 3);
-    let mut engine = DcEngine::new(&mut dc, EngineConfig::high_fidelity());
+    let mut engine = DcEngine::new(&mut dc, EngineConfig::HighFidelity);
     engine.schedule_waking_failure(SimTime::from_hours(24 * 3) + SimDuration::from_minutes(17));
     engine.run_hours(24 * days as u64);
     drop(engine);
@@ -271,7 +222,10 @@ fn poisson_arrival_plan_drives_sub_hour_churn() {
     let placement: Vec<HostId> = (0..8).map(|i| HostId(i % 4)).collect();
     let mut cfg = DcConfig::paper_default();
     cfg.track_colocation = false;
-    let mut dc = Datacenter::new(cfg, Algorithm::DrowsyDc, hosts, vms, placement, None, 9);
+    let policy = PolicyRegistry::standard()
+        .build("drowsy-dc", &cfg, None)
+        .expect("registered policy");
+    let mut dc = Datacenter::with_policy(cfg, policy, hosts, vms, placement, 9);
 
     let mut plan_rng = dds_sim_core::SimRng::new(31);
     let horizon = SimTime::from_hours(days * 24);
@@ -290,7 +244,7 @@ fn poisson_arrival_plan_drives_sub_hour_churn() {
     .collect();
     assert!(!plan.is_empty());
 
-    let mut engine = DcEngine::new(&mut dc, EngineConfig::high_fidelity());
+    let mut engine = DcEngine::new(&mut dc, EngineConfig::HighFidelity);
     for ev in &plan {
         let lifetime = ev.lifetime.expect("plan uses finite lifetimes");
         engine.schedule_arrival(

@@ -4,67 +4,68 @@
 //! of the `Datacenter` control loop into policy impls. These tests pin
 //! the refactor to golden outcomes captured from the pre-refactor seed
 //! tree (commit 31831bc, the `match self.algorithm` monolith): for each
-//! legacy `Algorithm` at a fixed seed, the trait-dispatched run must
-//! reproduce the old `DcOutcome` **bit-identically** — energy and
+//! of the paper's policies at a fixed seed, the registry-dispatched run
+//! must reproduce the old `DcOutcome` **bit-identically** — energy and
 //! suspension fractions compared via `f64::to_bits`, not epsilons.
 //!
-//! Both construction paths are pinned: the back-compat
-//! `Datacenter::new(…, Algorithm, …)` wrapper and the string-keyed
-//! policy registry.
+//! The tables are keyed by policy-registry name and pin each entry's
+//! display label, which every outcome reports.
 
 use drowsy_dc::prelude::*;
 
 /// Golden values captured on the pre-refactor tree:
 /// `TestbedSpec::paper_default()` with `days = 2`, seed 42.
-const TESTBED_GOLDEN: &[(Algorithm, u64, u64, u32, u64)] = &[
-    // (algorithm, energy_kwh bits, suspension bits, migrations, wake_hits)
+const TESTBED_GOLDEN: &[(&str, &str, u64, u64, u32, u64)] = &[
+    // (registry name, label, energy_kwh bits, suspension bits, migrations, wake_hits)
     (
-        Algorithm::DrowsyDc,
+        "drowsy-dc",
+        "Drowsy-DC",
         0x401b19fc5e5661af,
         0x3fde9fed0e244e45,
         2,
         12,
     ),
     (
-        Algorithm::NeatSuspend,
+        "neat-s3",
+        "Neat+S3",
         0x401d6f1eb31665e2,
         0x3fda4d9926a51ed1,
         0,
         9,
     ),
-    (
-        Algorithm::NeatNoSuspend,
-        0x4025d13e8880a287,
-        0x0000000000000000,
-        0,
-        0,
-    ),
+    ("neat", "Neat", 0x4025d13e8880a287, 0x0000000000000000, 0, 0),
 ];
 
 /// Golden values captured on the pre-refactor tree:
 /// `ClusterSpec::paper_default(0.5)` shrunk to 6 hosts / 18 VMs / 2 days,
 /// seed 7.
-const CLUSTER_GOLDEN: &[(Algorithm, u64, u64, u32)] = &[
+const CLUSTER_GOLDEN: &[(&str, &str, u64, u64, u32)] = &[
+    // (registry name, label, energy_kwh bits, suspension bits, migrations)
     (
-        Algorithm::DrowsyDc,
+        "drowsy-dc",
+        "Drowsy-DC",
         0x40286c8fcf842882,
         0x3fd5544a55b66c78,
         6,
     ),
     (
-        Algorithm::NeatSuspend,
+        "neat-s3",
+        "Neat+S3",
         0x40286c8fcf842881,
         0x3fd5544a55b66c78,
         6,
     ),
-    (
-        Algorithm::NeatNoSuspend,
-        0x403087f5b6554315,
-        0x0000000000000000,
-        6,
-    ),
-    (Algorithm::Oasis, 0x40279c6e5198b6ec, 0x3fde10c83fb72ea6, 67),
+    ("neat", "Neat", 0x403087f5b6554315, 0x0000000000000000, 6),
+    ("oasis", "Oasis", 0x40279c6e5198b6ec, 0x3fde10c83fb72ea6, 67),
 ];
+
+/// The standard registry's display label for `name`.
+fn registry_label(name: &str) -> &'static str {
+    PolicyRegistry::standard()
+        .get(name)
+        .unwrap_or_else(|| panic!("'{name}' is registered"))
+        .label
+}
 
 fn testbed_spec() -> TestbedSpec {
     let mut spec = TestbedSpec::paper_default();
@@ -82,12 +83,13 @@ fn cluster_spec() -> ClusterSpec {
 
 #[test]
 fn testbed_outcomes_match_pre_refactor_goldens() {
-    for &(alg, energy, susp, migrations, wake_hits) in TESTBED_GOLDEN {
-        let out = run_testbed(&testbed_spec(), alg, 42);
+    for &(name, label, energy, susp, migrations, wake_hits) in TESTBED_GOLDEN {
+        assert_eq!(registry_label(name), label, "{name}: registry label");
+        let out = run_testbed(&testbed_spec(), name, 42);
         assert_eq!(
             out.total_energy_kwh().to_bits(),
             energy,
-            "{alg:?}: energy drifted from the pre-refactor golden \
+            "{name}: energy drifted from the pre-refactor golden \
              ({} vs {})",
             out.total_energy_kwh(),
             f64::from_bits(energy)
@@ -95,22 +97,23 @@ fn testbed_outcomes_match_pre_refactor_goldens() {
         assert_eq!(
             out.global_suspension_fraction().to_bits(),
             susp,
-            "{alg:?}: suspension fraction drifted"
+            "{name}: suspension fraction drifted"
         );
-        assert_eq!(out.dc.total_migrations(), migrations, "{alg:?}: migrations");
-        assert_eq!(out.dc.sla.wake_hits, wake_hits, "{alg:?}: wake hits");
-        assert_eq!(out.dc.policy, alg.label(), "{alg:?}: outcome label");
+        assert_eq!(out.dc.total_migrations(), migrations, "{name}: migrations");
+        assert_eq!(out.dc.sla.wake_hits, wake_hits, "{name}: wake hits");
+        assert_eq!(out.dc.policy, label, "{name}: outcome label");
     }
 }
 
 #[test]
 fn cluster_outcomes_match_pre_refactor_goldens() {
-    for &(alg, energy, susp, migrations) in CLUSTER_GOLDEN {
-        let out = run_cluster(&cluster_spec(), alg, 7);
+    for &(name, label, energy, susp, migrations) in CLUSTER_GOLDEN {
+        assert_eq!(registry_label(name), label, "{name}: registry label");
+        let out = run_cluster_policy(&cluster_spec(), name, 7);
         assert_eq!(
             out.energy_kwh().to_bits(),
             energy,
-            "{alg:?}: energy drifted from the pre-refactor golden \
+            "{name}: energy drifted from the pre-refactor golden \
              ({} vs {})",
             out.energy_kwh(),
             f64::from_bits(energy)
@@ -118,24 +121,10 @@ fn cluster_outcomes_match_pre_refactor_goldens() {
         assert_eq!(
             out.suspension().to_bits(),
             susp,
-            "{alg:?}: suspension fraction drifted"
+            "{name}: suspension fraction drifted"
         );
-        assert_eq!(out.dc.total_migrations(), migrations, "{alg:?}: migrations");
-    }
-}
-
-#[test]
-fn registry_dispatch_matches_legacy_algorithm_dispatch() {
-    // Selecting a policy by registry name is the same run as the legacy
-    // Algorithm enum — bit for bit.
-    for &(alg, energy, _, _) in CLUSTER_GOLDEN {
-        let by_name = run_cluster_policy(&cluster_spec(), alg.registry_name(), 7);
-        assert_eq!(
-            by_name.energy_kwh().to_bits(),
-            energy,
-            "{alg:?} via registry name '{}'",
-            alg.registry_name()
-        );
+        assert_eq!(out.dc.total_migrations(), migrations, "{name}: migrations");
+        assert_eq!(out.dc.policy, label, "{name}: outcome label");
     }
 }
 
@@ -144,17 +133,17 @@ fn parallel_sweep_reproduces_the_goldens_in_order() {
     // The threaded sweep runner must not perturb outcomes or ordering.
     let policies: Vec<String> = CLUSTER_GOLDEN
         .iter()
-        .map(|(alg, ..)| alg.registry_name().to_string())
+        .map(|(name, ..)| name.to_string())
         .collect();
     let points = llmi_grid(&policies, &[0.5], |_| cluster_spec(), 7);
     let outcomes = run_sweep(&points, 0);
     assert_eq!(outcomes.len(), CLUSTER_GOLDEN.len());
-    for (res, &(alg, energy, ..)) in outcomes.iter().zip(CLUSTER_GOLDEN) {
-        assert_eq!(res.policy, alg.registry_name(), "input order preserved");
+    for (res, &(name, _, energy, ..)) in outcomes.iter().zip(CLUSTER_GOLDEN) {
+        assert_eq!(res.policy, name, "input order preserved");
         assert_eq!(
             res.outcome.energy_kwh().to_bits(),
             energy,
-            "{alg:?} under the parallel sweep"
+            "{name} under the parallel sweep"
         );
     }
 }

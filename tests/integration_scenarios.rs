@@ -3,7 +3,8 @@
 //! line-numbered rejection of malformed scenario text — all through the
 //! `drowsy_dc` façade, as a downstream user would drive it.
 
-use drowsy_dc::scenarios::{catalog, find, run_scenario, FidelityMode, Scenario};
+use drowsy_dc::scenarios::{catalog, find, run_scenario, Scenario};
+use drowsy_dc::system::datacenter::EngineConfig;
 
 fn shrunk(name: &str, days: u64) -> Scenario {
     let mut s = find(name).unwrap_or_else(|| panic!("catalog entry '{name}'"));
@@ -96,10 +97,13 @@ fn heterogeneous_fleet_attaches_per_class_power_models() {
 #[test]
 fn high_fidelity_mode_flows_through_to_the_engine() {
     let s = shrunk("hifi-flash", 1);
-    assert_eq!(s.mode, FidelityMode::HighFidelity);
+    assert_eq!(s.mode, EngineConfig::HighFidelity);
     let spec = s.to_cluster_spec();
-    assert!(spec.engine.event_wakes, "sub-hour wakes enabled");
-    assert!(spec.engine.heartbeat_period.is_some(), "heartbeats enabled");
+    assert_eq!(
+        spec.engine,
+        EngineConfig::HighFidelity,
+        "sub-hour events on"
+    );
     let out = run_scenario(&s, None, 0);
     assert!(out.iter().all(|o| o.outcome.energy_kwh() > 0.0));
 }

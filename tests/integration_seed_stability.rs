@@ -13,27 +13,27 @@ fn spec() -> TestbedSpec {
     s
 }
 
-/// The same `(spec, algorithm, seed)` triple replays to identical
+/// The same `(spec, policy, seed)` triple replays to identical
 /// outcomes, down to every per-host figure.
 #[test]
 fn same_seed_same_outcome() {
-    for algorithm in [Algorithm::DrowsyDc, Algorithm::NeatSuspend] {
-        let a = run_testbed(&spec(), algorithm, 42);
-        let b = run_testbed(&spec(), algorithm, 42);
+    for policy in ["drowsy-dc", "neat-s3"] {
+        let a = run_testbed(&spec(), policy, 42);
+        let b = run_testbed(&spec(), policy, 42);
         assert_eq!(
             a.total_energy_kwh().to_bits(),
             b.total_energy_kwh().to_bits(),
-            "{algorithm:?}: energy must be bit-identical for equal seeds"
+            "{policy}: energy must be bit-identical for equal seeds"
         );
         assert_eq!(
             a.global_suspension_fraction().to_bits(),
             b.global_suspension_fraction().to_bits(),
-            "{algorithm:?}: suspension fraction must replay"
+            "{policy}: suspension fraction must replay"
         );
         let (ra, rb) = (a.suspension_row(), b.suspension_row());
         assert_eq!(ra.len(), rb.len());
         for (x, y) in ra.iter().zip(&rb) {
-            assert_eq!(x.to_bits(), y.to_bits(), "{algorithm:?}: per-host row");
+            assert_eq!(x.to_bits(), y.to_bits(), "{policy}: per-host row");
         }
         assert_eq!(a.migration_counts(), b.migration_counts());
     }
@@ -44,8 +44,8 @@ fn same_seed_same_outcome() {
 /// ignored somewhere in the pipeline).
 #[test]
 fn different_seeds_differ() {
-    let a = run_testbed(&spec(), Algorithm::DrowsyDc, 1);
-    let b = run_testbed(&spec(), Algorithm::DrowsyDc, 2);
+    let a = run_testbed(&spec(), "drowsy-dc", 1);
+    let b = run_testbed(&spec(), "drowsy-dc", 2);
     assert_ne!(
         a.total_energy_kwh().to_bits(),
         b.total_energy_kwh().to_bits(),
@@ -60,8 +60,8 @@ fn cluster_run_replays() {
     spec.hosts = 6;
     spec.vms = 18;
     spec.days = 2;
-    let a = run_cluster(&spec, Algorithm::DrowsyDc, 7);
-    let b = run_cluster(&spec, Algorithm::DrowsyDc, 7);
+    let a = run_cluster_policy(&spec, "drowsy-dc", 7);
+    let b = run_cluster_policy(&spec, "drowsy-dc", 7);
     assert_eq!(
         a.energy_kwh().to_bits(),
         b.energy_kwh().to_bits(),

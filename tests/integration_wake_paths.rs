@@ -3,11 +3,12 @@
 
 use drowsy_dc::net::{HostMac, PacketVerdict, VmIp, WakingCluster, WakingConfig};
 use drowsy_dc::sim::{HostId, RackId, SimRng, SimTime, VmId};
-use drowsy_dc::system::datacenter::{Algorithm, Datacenter, DcConfig};
+use drowsy_dc::system::datacenter::{Datacenter, DcConfig};
+use drowsy_dc::system::registry::PolicyRegistry;
 use drowsy_dc::system::spec::{HostSpec, VmSpec, WorkloadKind};
 use drowsy_dc::traces::{TracePattern, VmTrace};
 
-fn build_dc(vms: Vec<VmSpec>, algorithm: Algorithm, sla: bool) -> Datacenter {
+fn build_dc(vms: Vec<VmSpec>, policy: &str, sla: bool) -> Datacenter {
     let hosts = vec![
         HostSpec::testbed_machine(HostId(0), "P0"),
         HostSpec::testbed_machine(HostId(1), "P1"),
@@ -15,7 +16,10 @@ fn build_dc(vms: Vec<VmSpec>, algorithm: Algorithm, sla: bool) -> Datacenter {
     let placement: Vec<HostId> = (0..vms.len()).map(|i| HostId((i % 2) as u32)).collect();
     let mut cfg = DcConfig::paper_default();
     cfg.track_sla = sla;
-    Datacenter::new(cfg, algorithm, hosts, vms, placement, None, 11)
+    let policy = PolicyRegistry::standard()
+        .build(policy, &cfg, None)
+        .expect("registered policy");
+    Datacenter::with_policy(cfg, policy, hosts, vms, placement, 11)
 }
 
 #[test]
@@ -37,7 +41,7 @@ fn timer_driven_wakes_never_pay_latency_interactive_wakes_do() {
             WorkloadKind::Interactive,
         ),
     ];
-    let mut dc = build_dc(vms, Algorithm::NeatSuspend, true);
+    let mut dc = build_dc(vms, "neat-s3", true);
     dc.run(24 * 5);
     let out = dc.finish();
     // The interactive VM triggers wake hits; the backup VM's scheduled
@@ -113,7 +117,7 @@ fn suspend_cycles_are_counted_consistently() {
         VmTrace::new("pulse", levels),
         WorkloadKind::Interactive,
     )];
-    let mut dc = build_dc(vms, Algorithm::NeatSuspend, false);
+    let mut dc = build_dc(vms, "neat-s3", false);
     dc.run(24 * 8);
     let out = dc.finish();
     let cycles: u64 = out.suspend_cycles.iter().map(|(_, c)| c).sum();
@@ -140,7 +144,7 @@ fn grace_time_is_respected_after_resume() {
         VmTrace::new("office", levels),
         WorkloadKind::Interactive,
     )];
-    let mut dc = build_dc(vms, Algorithm::NeatSuspend, false);
+    let mut dc = build_dc(vms, "neat-s3", false);
     dc.run(24 * 4);
     let out = dc.finish();
     let office_cycles = out.suspend_cycles[0].1.max(out.suspend_cycles[1].1);
@@ -160,7 +164,7 @@ fn migration_wakes_are_charged() {
         VmSpec::testbed_flavor(VmId(2), "c", idle.clone(), WorkloadKind::Interactive),
         VmSpec::testbed_flavor(VmId(3), "d", idle, WorkloadKind::Interactive),
     ];
-    let mut dc = build_dc(vms, Algorithm::DrowsyDc, false);
+    let mut dc = build_dc(vms, "drowsy-dc", false);
     dc.run(24 * 5);
     let out = dc.finish();
     // 2 hosts, 5 days: the absolute floor is everything suspended at 5 W.

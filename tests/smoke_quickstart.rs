@@ -10,8 +10,8 @@ fn quickstart_path_produces_sane_figures() {
     let mut spec = TestbedSpec::paper_default();
     spec.days = 2; // the example runs 7 days; 2 keep the smoke test fast
 
-    let drowsy = run_testbed(&spec, Algorithm::DrowsyDc, 42);
-    let always_on = run_testbed(&spec, Algorithm::NeatNoSuspend, 42);
+    let drowsy = run_testbed(&spec, "drowsy-dc", 42);
+    let always_on = run_testbed(&spec, "neat", 42);
 
     assert!(
         drowsy.global_suspension_fraction() > 0.0,
