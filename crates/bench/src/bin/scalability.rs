@@ -8,6 +8,12 @@
 //! This binary times one full planning round of the Drowsy-DC planner
 //! against the pairwise VM-multiplexing baseline at growing VM counts and
 //! fits the growth exponents (log–log slope between consecutive sizes).
+//! The synthetic state keeps every host in the normal band (VM demands of
+//! 1.4–2.4 cores, four VMs per 16-core host), so it has no overloaded
+//! host and no drain candidate: the fitted exponent covers IP-aware VM
+//! selection and placement, not the underload drain. The whole control
+//! loop's curve, drain included, is the "Linear control epoch" table in
+//! DESIGN.md §6.
 //!
 //! A second section times the §VI.B sweep *runner*: the same point grid
 //! executed serially and fanned out over all cores

@@ -13,19 +13,14 @@ impl Datacenter {
             return 0.5; // no idleness models → neutral grace
         }
         let stamp = CalendarStamp::from_hour_index(self.hour);
-        let resident: Vec<&VmSim> = self
-            .vms
-            .iter()
-            .filter(|v| v.host == host && !v.parked && !v.departed)
-            .collect();
-        if resident.is_empty() {
+        let count = self.active_residents(host).count();
+        if count == 0 {
             return 1.0; // empty host: confidently idle
         }
-        resident
-            .iter()
-            .map(|v| v.im.probability(stamp))
+        self.active_residents(host)
+            .map(|i| self.vms[i].im.probability(stamp))
             .sum::<f64>()
-            / resident.len() as f64
+            / count as f64
     }
 
     /// Builds the placement view for the planners.
@@ -109,6 +104,8 @@ impl Datacenter {
         }
         self.vms[vm_id.index()].pid = new_pid;
         self.vms[vm_id.index()].host = to;
+        self.unlist_resident(from.index(), vm_id.index());
+        self.list_resident(to.index(), vm_id.index());
         self.vms[vm_id.index()].migrations += 1;
         self.vms[vm_id.index()].last_migration_hour = Some(self.hour);
         telemetry::DcMetrics::get().migrations.inc();
@@ -133,6 +130,7 @@ impl Datacenter {
         }
 
         // --- activity levels and idleness scores for this hour.
+        let score_span = telemetry::dc_spans().span("dc.score");
         let levels: Vec<f64> = self
             .vms
             .iter()
@@ -158,6 +156,7 @@ impl Datacenter {
         } else {
             vec![0.0; self.vms.len()]
         };
+        drop(score_span);
 
         // --- consolidation round.
         if h.is_multiple_of(self.cfg.relocation_period_hours) {
@@ -165,16 +164,17 @@ impl Datacenter {
             self.consolidate(&levels, &scores, hour_start);
         }
 
-        // --- process states & timers reflect this hour's activity.
-        self.refresh_processes(&levels, noise, h);
-
-        // --- scheduled wakes due now (waking module fires ahead of time).
-        let anticipated: HashSet<HostId> = self
-            .waking
-            .poll_schedules(hour_start)
-            .into_iter()
-            .map(|cmd| cmd.mac.host())
-            .collect();
+        // --- process states & timers reflect this hour's activity, and
+        // scheduled wakes due now (waking module fires ahead of time).
+        let anticipated: HashSet<HostId> = {
+            let _span = telemetry::dc_spans().span("dc.refresh");
+            self.refresh_processes(&levels, noise, h);
+            self.waking
+                .poll_schedules(hour_start)
+                .into_iter()
+                .map(|cmd| cmd.mac.host())
+                .collect()
+        };
 
         // --- per-host hour simulation.
         {
@@ -191,22 +191,18 @@ impl Datacenter {
             }
         }
 
-        // --- colocation bookkeeping.
+        let im_span = telemetry::dc_spans().span("dc.im_update");
+        // --- colocation bookkeeping: every pair sharing a host (parked
+        // working sets count on the host holding them).
         if self.cfg.track_colocation {
-            for i in 0..self.vms.len() {
-                if self.vms[i].departed {
-                    continue;
-                }
-                for j in (i + 1)..self.vms.len() {
-                    if self.vms[j].departed {
-                        continue;
-                    }
-                    if self.vms[i].host == self.vms[j].host {
+            for list in &self.residents {
+                for (a, &i) in list.iter().enumerate() {
+                    self.coloc_hours[i][i] += 1;
+                    for &j in &list[a + 1..] {
                         self.coloc_hours[i][j] += 1;
                         self.coloc_hours[j][i] += 1;
                     }
                 }
-                self.coloc_hours[i][i] += 1;
             }
         }
 
@@ -220,14 +216,13 @@ impl Datacenter {
         }
         for host in &self.hosts {
             let demand: f64 = self
-                .vms
-                .iter()
-                .filter(|v| v.host == host.spec.id && !v.parked && !v.departed)
-                .map(|v| levels[v.spec.id.index()] * v.spec.vcpus)
+                .active_residents(host.spec.id)
+                .map(|i| levels[i] * self.vms[i].spec.vcpus)
                 .sum();
             self.host_hist
                 .push(host.spec.id, demand / host.spec.cpu_cores.max(1e-9));
         }
+        drop(im_span);
 
         // --- streaming QoS: serve this hour's requests against the
         // timelines recorded so far (every active VM's host woke within

@@ -370,6 +370,11 @@ pub struct Datacenter {
     policy: Box<dyn ControlPolicy>,
     hosts: Vec<HostSim>,
     vms: Vec<VmSim>,
+    /// Each host's resident VM indexes, ascending — the VMs with
+    /// `host == h && !departed`, parked working sets included. Kept in
+    /// step at construction, `apply_move`, `admit_vm` and `remove_vm`,
+    /// so per-host walks cost the host's residents, not every VM.
+    residents: Vec<Vec<usize>>,
     waking: WakingCluster,
     blacklist: Blacklist,
     vm_hist: HistoryBook,
@@ -472,6 +477,10 @@ impl Datacenter {
                 }
             })
             .collect();
+        let mut residents = vec![Vec::new(); hosts.len()];
+        for (i, host) in placement.iter().enumerate() {
+            residents[host.index()].push(i);
+        }
         let placements = if cfg.track_power_timeline {
             vms.iter()
                 .map(|v| PlacementRecord {
@@ -512,6 +521,7 @@ impl Datacenter {
             cfg,
             hosts,
             vms,
+            residents,
         }
     }
 
@@ -526,6 +536,34 @@ impl Datacenter {
         if let Some(q) = self.qos.as_mut() {
             q.on_placement(vm, at, host);
         }
+    }
+
+    /// Drops VM index `vm` from `host`'s resident list.
+    fn unlist_resident(&mut self, host: usize, vm: usize) {
+        let list = &mut self.residents[host];
+        let pos = list
+            .binary_search(&vm)
+            .expect("residency invariant: a live VM is listed on its host");
+        list.remove(pos);
+    }
+
+    /// Inserts VM index `vm` into `host`'s resident list, keeping it
+    /// ascending.
+    fn list_resident(&mut self, host: usize, vm: usize) {
+        let list = &mut self.residents[host];
+        let pos = list
+            .binary_search(&vm)
+            .expect_err("residency invariant: a VM is listed on one host");
+        list.insert(pos, vm);
+    }
+
+    /// The VMs whose processes run on `host` this hour: its residents
+    /// minus parked working sets, in VM order.
+    pub(super) fn active_residents(&self, host: HostId) -> impl Iterator<Item = usize> + '_ {
+        self.residents[host.index()]
+            .iter()
+            .copied()
+            .filter(|&i| !self.vms[i].parked)
     }
 
     /// The current hour index.
@@ -607,6 +645,9 @@ impl Datacenter {
         });
         self.live_vms += 1;
         let id = self.vms.last().expect("just pushed").spec.id;
+        // The newest VM has the largest index: pushing keeps the list
+        // ascending.
+        self.residents[dest.index()].push(id.index());
         self.record_placement(id, now, dest);
         if self.cfg.track_colocation {
             let n = self.vms.len();
@@ -634,6 +675,7 @@ impl Datacenter {
         let host = v.host.index();
         let pid = v.pid;
         let timer = v.timer.take();
+        self.unlist_resident(host, vm.index());
         self.hosts[host].procs.kill(pid);
         if let Some((tid, _)) = timer {
             self.hosts[host].timers.cancel(tid);

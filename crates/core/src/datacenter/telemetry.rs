@@ -16,9 +16,11 @@ use std::sync::OnceLock;
 
 use dds_telemetry::{Counter, Histogram, MetricKind, MetricsRegistry, SpanRecorder};
 
-/// The process-wide control-plane span recorder: consolidation, host
-/// advance and QoS fold wall-clock per control period, aggregated
-/// across every [`Datacenter`](super::Datacenter) in the process.
+/// The process-wide control-plane span recorder: wall-clock per control
+/// period of six disjoint phases — `dc.score`, `dc.consolidate`,
+/// `dc.refresh`, `dc.advance_hosts`, `dc.im_update` and `dc.qos_fold` —
+/// aggregated across every [`Datacenter`](super::Datacenter) in the
+/// process.
 /// Timing only — dump it next to, never into, the logical snapshot.
 pub fn dc_spans() -> &'static SpanRecorder {
     static SPANS: OnceLock<SpanRecorder> = OnceLock::new();

@@ -756,3 +756,146 @@ fn wake_log_carries_epoch_and_cause() {
     let labels: std::collections::HashSet<&str> = wakes.iter().map(|w| w.cause.label()).collect();
     assert!(labels.iter().all(|l| !l.is_empty()));
 }
+
+impl Datacenter {
+    /// Test oracle for the residency lists: each host's list equals the
+    /// all-VM filter it replaced — `host == h && !departed`, in VM order.
+    fn assert_residency_mirrors_vms(&self) {
+        for (h, list) in self.residents.iter().enumerate() {
+            let want: Vec<usize> = self
+                .vms
+                .iter()
+                .enumerate()
+                .filter(|(_, v)| v.host.index() == h && !v.departed)
+                .map(|(i, _)| i)
+                .collect();
+            assert_eq!(
+                list, &want,
+                "host {h}'s resident list at hour {}",
+                self.hour
+            );
+        }
+    }
+}
+
+/// True when two VMs traded hosts between placements `a` and `b`.
+fn saw_swap(a: &[(VmId, HostId)], b: &[(VmId, HostId)]) -> bool {
+    let moved: Vec<(HostId, HostId)> = a
+        .iter()
+        .zip(b)
+        .filter(|(x, y)| x.1 != y.1)
+        .map(|(x, y)| (x.1, y.1))
+        .collect();
+    moved.iter().any(|&(from, to)| moved.contains(&(to, from)))
+}
+
+#[test]
+fn residency_lists_mirror_vms_through_churn_migrations_and_swaps() {
+    // The paper's packed testbed (swaps are the only way to regroup its
+    // full hosts) plus one spare machine, on the high-fidelity engine
+    // with mid-hour arrivals and departures.
+    let spec = crate::testbed::TestbedSpec {
+        days: 4,
+        ..crate::testbed::TestbedSpec::paper_default()
+    };
+    let mut hosts = spec.host_specs();
+    hosts.push(HostSpec::testbed_machine(HostId(4), "P6"));
+    let placement = spec
+        .initial_placement
+        .iter()
+        .map(|&i| HostId(i as u32))
+        .collect();
+    let cfg = DcConfig::paper_default();
+    let policy = policy("drowsy-dc", &cfg, None);
+    let mut dc = Datacenter::with_policy(cfg, policy, hosts, spec.vm_specs(42), placement, 42);
+    let batch = |name: &str| {
+        VmSpec::testbed_flavor(
+            VmId(0),
+            name,
+            VmTrace::new("burst", vec![1.0; 96]),
+            WorkloadKind::Batch,
+        )
+    };
+    let mut engine = DcEngine::new(&mut dc, EngineConfig::HighFidelity);
+    engine.schedule_arrival(
+        SimTime::from_hours(12) + SimDuration::from_minutes(17),
+        batch("job-a"),
+        Some(SimDuration::from_hours(20)),
+    );
+    engine.schedule_departure(
+        SimTime::from_hours(30) + SimDuration::from_minutes(10),
+        VmId(4),
+    );
+    engine.schedule_arrival(
+        SimTime::from_hours(50) + SimDuration::from_minutes(5),
+        batch("job-b"),
+        None,
+    );
+    let (mut swaps, mut moves) = (0, 0);
+    for _ in 0..spec.days * 24 {
+        let before = engine.dc().debug_placement();
+        engine.run_hours(1);
+        engine.dc().assert_residency_mirrors_vms();
+        let after = engine.dc().debug_placement();
+        swaps += usize::from(saw_swap(&before, &after));
+        moves += before
+            .iter()
+            .zip(&after)
+            .filter(|(a, b)| a.1 != b.1)
+            .count();
+    }
+    assert_eq!(engine.arrival_stats(), (2, 0));
+    drop(engine);
+    assert_eq!(
+        dc.live_vm_count(),
+        8,
+        "8 initial + 2 arrivals - 2 departures"
+    );
+    assert!(moves > 0 && swaps > 0, "moves {moves}, swap hours {swaps}");
+}
+
+#[test]
+fn residency_lists_mirror_vms_through_oasis_parking() {
+    let hosts = vec![
+        HostSpec::testbed_machine(HostId(0), "P0"),
+        HostSpec::testbed_machine(HostId(1), "P1"),
+        HostSpec::cloud_server(HostId(2), "CONS"),
+    ];
+    let mut day = vec![0.0; 72];
+    for (h, level) in day.iter_mut().enumerate() {
+        if (8..18).contains(&(h % 24)) {
+            *level = 0.4;
+        }
+    }
+    let vms = vec![
+        VmSpec::testbed_flavor(VmId(0), "V0", idle_trace(72), WorkloadKind::Interactive),
+        VmSpec::testbed_flavor(
+            VmId(1),
+            "V1",
+            VmTrace::new("day", day.clone()),
+            WorkloadKind::Interactive,
+        ),
+        VmSpec::testbed_flavor(
+            VmId(2),
+            "V2",
+            VmTrace::new("day", day),
+            WorkloadKind::Interactive,
+        ),
+    ];
+    let placement = vec![HostId(0), HostId(1), HostId(0)];
+    let mut cfg = DcConfig::paper_default();
+    cfg.track_sla = false;
+    let policy = policy("oasis", &cfg, Some(HostId(2)));
+    let mut dc = Datacenter::with_policy(cfg, policy, hosts, vms, placement, 3);
+    let (mut parks, mut unparks) = (0, 0);
+    for _ in 0..72 {
+        let before: Vec<bool> = dc.vms.iter().map(|v| v.parked).collect();
+        dc.run(1);
+        dc.assert_residency_mirrors_vms();
+        for (was, v) in before.iter().zip(&dc.vms) {
+            parks += usize::from(!was && v.parked);
+            unparks += usize::from(*was && !v.parked);
+        }
+    }
+    assert!(parks > 0 && unparks > 0, "parks {parks}, unparks {unparks}");
+}

@@ -95,13 +95,7 @@ impl Datacenter {
         hour_end: SimTime,
         anticipated: &HashSet<HostId>,
     ) {
-        let resident: Vec<usize> = self
-            .vms
-            .iter()
-            .enumerate()
-            .filter(|(_, v)| v.host == hid && !v.parked && !v.departed)
-            .map(|(i, _)| i)
-            .collect();
+        let resident: Vec<usize> = self.active_residents(hid).collect();
         let active = resident.iter().any(|&i| levels[i] >= noise);
         let demand: f64 = resident
             .iter()
@@ -258,10 +252,8 @@ impl Datacenter {
                         DcMetrics::get().suspends.inc();
                         // Register with the waking module.
                         let vms: Vec<(VmIp, VmId)> = self
-                            .vms
-                            .iter()
-                            .filter(|v| v.host == hid && !v.parked && !v.departed)
-                            .map(|v| (VmIp::of(v.spec.id), v.spec.id))
+                            .active_residents(hid)
+                            .map(|i| (VmIp::of(self.vms[i].spec.id), self.vms[i].spec.id))
                             .collect();
                         let mac = HostMac::of(hid);
                         self.waking.register_suspension(RACK, mac, vms, waking_date);

@@ -97,12 +97,12 @@ impl WakingCluster {
     }
 
     /// Replicates rack `i`'s module into its mirror (the previous ring
-    /// member holds the replica of `i`).
+    /// member holds the replica of `i`). A single-rack cluster mirrors
+    /// nothing, so it clones nothing either.
     fn replicate(&mut self, i: usize) {
-        let snapshot = self.members[i].module.clone();
         let holder = self.mirror_index(i);
         if holder != i {
-            self.members[holder].mirror_of_next = snapshot;
+            self.members[holder].mirror_of_next = self.members[i].module.clone();
         }
     }
 

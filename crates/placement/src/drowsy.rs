@@ -18,9 +18,9 @@
 
 use crate::history::HistoryBook;
 use crate::neat::{HostHistories, NeatConfig, NeatPlanner};
+use crate::scratch::{drain_underloaded, PlanScratch};
 use crate::types::{ClusterState, ConsolidationPlan, Migration, Swap, VmState};
 use dds_sim_core::{HostId, SimRng, VmId};
-use std::collections::HashSet;
 
 /// σ, re-exported here so placement depends only on one constant.
 pub const SIGMA: f64 = 1.0 / (365.0 * 24.0);
@@ -88,32 +88,27 @@ impl DrowsyPlanner {
     /// Destination choice: the suitable host with the IP closest to the
     /// VM's (ties → PABFD's power criterion via lower utilization gap,
     /// then id). Suitability = fits + destination guard, like Neat.
-    pub fn closest_ip_choose(
-        &self,
-        state: &ClusterState,
-        vm: &VmState,
-        exclude: &HashSet<HostId>,
-    ) -> Option<HostId> {
+    /// Visits only the scratch's non-excluded destinations with room for
+    /// the VM.
+    pub(crate) fn closest_ip_choose(&self, scratch: &PlanScratch, vm: &VmState) -> Option<usize> {
         let tol = self.config.ip_tolerance;
-        let mut best: Option<(i64, f64, HostId)> = None; // (dist bucket, -util, id)
-        for h in &state.hosts {
-            if exclude.contains(&h.id) || !h.fits(vm) {
-                continue;
-            }
-            let util_after = (h.cpu_demand() + vm.cpu_demand) / h.cpu_capacity.max(1e-9);
+        let mut best: Option<(i64, f64, HostId, usize)> = None; // (dist bucket, -util, id, slot)
+        for slot in scratch.destinations(vm.ram_mb) {
+            let h = scratch.host(slot);
+            let util_after = (scratch.cpu_demand(slot) + vm.cpu_demand) / h.cpu_capacity.max(1e-9);
             if util_after > self.config.neat.destination_guard {
                 continue;
             }
-            let dist = (h.ip_score() - vm.ip_score).abs();
+            let dist = (scratch.ip_score(slot) - vm.ip_score).abs();
             // Bucket distances by the tolerance so "close" ties break on
             // the classic packing criterion (fuller host first).
             let bucket = (dist / tol).floor() as i64;
             let key = (bucket, -util_after, h.id);
-            if best.is_none_or(|b| (key.0, key.1, key.2) < (b.0, b.1, b.2)) {
-                best = Some(key);
+            if best.is_none_or(|(b, u, id, _)| key < (b, u, id)) {
+                best = Some((key.0, key.1, key.2, slot));
             }
         }
-        best.map(|(_, _, id)| id)
+        best.map(|(.., slot)| slot)
     }
 
     /// Selection order for migrating VMs off `host_id`: IP distance from
@@ -146,116 +141,72 @@ impl DrowsyPlanner {
         host_hist: &HostHistories,
         _rng: &mut SimRng,
     ) -> ConsolidationPlan {
-        let mut scratch = state.clone();
+        let mut scratch = PlanScratch::new(state.clone());
         let mut plan = ConsolidationPlan::default();
 
         // --- overloaded hosts: IP-aware selection + placement.
-        let overloaded: Vec<HostId> = self.neat.overloaded_hosts(&scratch, host_hist);
-        let overloaded_set: HashSet<HostId> = overloaded.iter().copied().collect();
-        for host_id in overloaded {
-            let order = self.select_order(&scratch, host_id);
+        let overloaded = self.neat.exclude_overloaded(&mut scratch, host_hist);
+        for slot in overloaded {
+            let host_id = scratch.host(slot).id;
+            let hist = host_hist.get(host_id);
+            let order = self.select_order(scratch.state(), host_id);
             for vm_id in order {
+                if !self
+                    .config
+                    .neat
+                    .overload
+                    .is_overloaded(scratch.utilization(slot), hist)
                 {
-                    let host = scratch.host(host_id).expect("host exists");
-                    let hist = host_hist.get(host_id);
-                    if !self
-                        .config
-                        .neat
-                        .overload
-                        .is_overloaded(host.utilization(), hist)
-                    {
-                        break;
-                    }
+                    break;
                 }
                 let vm = scratch
-                    .host(host_id)
-                    .and_then(|h| h.vms.iter().find(|v| v.id == vm_id))
+                    .host(slot)
+                    .vms
+                    .iter()
+                    .find(|v| v.id == vm_id)
                     .cloned()
                     .expect("vm still resident");
-                let Some(dest) = self.closest_ip_choose(&scratch, &vm, &overloaded_set) else {
+                let Some(dest) = self.closest_ip_choose(&scratch, &vm) else {
                     continue;
                 };
-                let m = Migration {
-                    vm: vm.id,
-                    from: host_id,
-                    to: dest,
-                };
-                if scratch.apply(m).is_ok() {
-                    plan.migrations.push(m);
+                let to = scratch.host(dest).id;
+                if scratch.migrate(vm.id, slot, dest).is_ok() {
+                    plan.migrations.push(Migration {
+                        vm: vm.id,
+                        from: host_id,
+                        to,
+                    });
                 }
             }
         }
 
-        // --- underloaded hosts: drain with closest-IP destinations.
-        let mut candidates: Vec<HostId> = scratch
-            .hosts
-            .iter()
-            .filter(|h| {
-                !h.is_empty()
-                    && !overloaded_set.contains(&h.id)
-                    && self.config.neat.underload.is_underloaded(h.utilization())
-            })
-            .map(|h| h.id)
-            .collect();
-        candidates.sort_by(|&a, &b| {
-            let ua = scratch.host(a).unwrap().utilization();
-            let ub = scratch.host(b).unwrap().utilization();
-            ua.partial_cmp(&ub).unwrap_or(std::cmp::Ordering::Equal)
-        });
-        let mut drained: HashSet<HostId> = HashSet::new();
-        for host_id in candidates {
-            let mut tentative = scratch.clone();
-            let mut moves = Vec::new();
-            let mut exclude = overloaded_set.clone();
-            exclude.insert(host_id);
-            exclude.extend(drained.iter().copied());
-            // Never drain into empty (sleeping) hosts — see NeatPlanner.
-            exclude.extend(
-                tentative
-                    .hosts
-                    .iter()
-                    .filter(|h| h.is_empty())
-                    .map(|h| h.id),
-            );
-            let mut vms = tentative.host(host_id).unwrap().vms.clone();
-            // Biggest resource requirements first ("we first treat VMs
-            // with the biggest resource requirements").
-            vms.sort_by(|a, b| {
-                b.ram_mb
-                    .cmp(&a.ram_mb)
-                    .then(
-                        b.cpu_demand
-                            .partial_cmp(&a.cpu_demand)
-                            .unwrap_or(std::cmp::Ordering::Equal),
-                    )
-                    .then(a.id.cmp(&b.id))
-            });
-            let mut ok = true;
-            for vm in vms {
-                let Some(dest) = self.closest_ip_choose(&tentative, &vm, &exclude) else {
-                    ok = false;
-                    break;
-                };
-                let m = Migration {
-                    vm: vm.id,
-                    from: host_id,
-                    to: dest,
-                };
-                if tentative.apply(m).is_err() {
-                    ok = false;
-                    break;
-                }
-                moves.push(m);
-            }
-            if ok {
-                scratch = tentative;
-                plan.migrations.extend(moves);
-                plan.hosts_to_power_off.push(host_id);
-                drained.insert(host_id);
-            }
-        }
+        // --- underloaded hosts: drain with closest-IP destinations,
+        // biggest resource requirements first ("we first treat VMs with
+        // the biggest resource requirements").
+        let drained = drain_underloaded(
+            &mut scratch,
+            self.config.neat.underload,
+            |vms| {
+                vms.sort_by(|a, b| {
+                    b.ram_mb
+                        .cmp(&a.ram_mb)
+                        .then(
+                            b.cpu_demand
+                                .partial_cmp(&a.cpu_demand)
+                                .unwrap_or(std::cmp::Ordering::Equal),
+                        )
+                        .then(a.id.cmp(&b.id))
+                })
+            },
+            |scratch, vm| self.closest_ip_choose(scratch, vm),
+            &mut plan,
+        );
 
-        // --- opportunistic IP-range pass.
+        // --- opportunistic IP-range pass: only drained hosts (and the
+        // host being fixed) are off-limits now.
+        for (slot, &d) in drained.iter().enumerate() {
+            scratch.set_excluded(slot, d);
+        }
         let (moves, swaps) = self.opportunistic_pass(&mut scratch, &drained);
         plan.migrations.extend(moves);
         plan.swaps = swaps;
@@ -267,34 +218,35 @@ impl DrowsyPlanner {
     /// hosts with the closest IP. When every candidate destination is at
     /// capacity (the common case on a tightly packed cluster) the pass
     /// falls back to *exchanging* the extreme VM against the best-matching
-    /// VM of another host. Mutates `scratch`; returns `(moves, swaps)`.
+    /// VM of another host. Expects exactly the `drained` slots excluded;
+    /// mutates `scratch`; returns `(moves, swaps)`.
     fn opportunistic_pass(
         &self,
-        scratch: &mut ClusterState,
-        drained: &HashSet<HostId>,
+        scratch: &mut PlanScratch,
+        drained: &[bool],
     ) -> (Vec<Migration>, Vec<Swap>) {
         let mut moves = Vec::new();
         let mut swaps = Vec::new();
         let mut budget = self.config.max_opportunistic_moves;
-        // Iterate hosts by id for determinism; repeat per host until its
-        // range is under threshold or no further move helps.
-        let host_ids: Vec<HostId> = scratch.hosts.iter().map(|h| h.id).collect();
-        for host_id in host_ids {
+        // Iterate hosts in snapshot order for determinism; repeat per host
+        // until its range is under threshold or no further move helps.
+        for slot in 0..scratch.len() {
             loop {
                 if budget == 0 {
                     return (moves, swaps);
                 }
-                let host = scratch.host(host_id).expect("host exists");
+                let host = scratch.host(slot);
                 let range_before = host.ip_range();
                 if range_before <= self.config.ip_range_threshold {
                     break;
                 }
                 // The VM with the IP furthest from the host's mean.
-                let host_ip = host.ip_score();
+                let host_ip = scratch.ip_score(slot);
+                let frozen = &scratch.state().frozen;
                 let Some(extreme) = host
                     .vms
                     .iter()
-                    .filter(|v| !scratch.frozen.contains(&v.id))
+                    .filter(|v| !frozen.contains(&v.id))
                     .max_by(|a, b| {
                         let da = (a.ip_score - host_ip).abs();
                         let db = (b.ip_score - host_ip).abs();
@@ -306,31 +258,35 @@ impl DrowsyPlanner {
                 else {
                     break;
                 };
-                let mut exclude: HashSet<HostId> = drained.iter().copied().collect();
-                exclude.insert(host_id);
-                if let Some(dest) = self.closest_ip_choose(scratch, &extreme, &exclude) {
+                let host_id = host.id;
+                // A wide-range host is never drained (drained hosts are
+                // empty), so it is excluded only for its own query.
+                scratch.set_excluded(slot, true);
+                let dest = self.closest_ip_choose(scratch, &extreme);
+                scratch.set_excluded(slot, false);
+                if let Some(dest) = dest {
                     // Guard against thrash: the move must not leave the
                     // destination in (new) violation worse than its
                     // current state.
-                    let dest_state = scratch.host(dest).expect("dest exists");
+                    let dest_state = scratch.host(dest);
                     let before = dest_state.ip_range();
                     let after = range_with(&dest_state.vms, None, Some(extreme.ip_score));
                     if !(after > self.config.ip_range_threshold && after > before) {
-                        let m = Migration {
-                            vm: extreme.id,
-                            from: host_id,
-                            to: dest,
-                        };
-                        if scratch.apply(m).is_ok() {
-                            moves.push(m);
+                        let to = dest_state.id;
+                        if scratch.migrate(extreme.id, slot, dest).is_ok() {
+                            moves.push(Migration {
+                                vm: extreme.id,
+                                from: host_id,
+                                to,
+                            });
                             budget -= 1;
                             continue;
                         }
                     }
                 }
                 // No direct destination: look for the best exchange.
-                match self.best_swap(scratch, host_id, &extreme, drained) {
-                    Some(swap) if scratch.apply_swap(swap).is_ok() => {
+                match self.best_swap(scratch, slot, &extreme, drained) {
+                    Some((swap, other)) if scratch.swap(slot, other, swap).is_ok() => {
                         swaps.push(swap);
                         budget -= 1;
                     }
@@ -341,31 +297,35 @@ impl DrowsyPlanner {
         (moves, swaps)
     }
 
-    /// Finds the swap partner for `extreme` (resident on `host_id`) that
-    /// minimizes the worse of the two post-swap IP ranges, requiring a
-    /// strict improvement so repeated planning rounds terminate.
+    /// Finds the swap partner for `extreme` (resident in slot `src_slot`)
+    /// that minimizes the worse of the two post-swap IP ranges, requiring
+    /// a strict improvement so repeated planning rounds terminate.
+    /// Returns the swap and the partner's slot.
     fn best_swap(
         &self,
-        scratch: &ClusterState,
-        host_id: HostId,
+        scratch: &PlanScratch,
+        src_slot: usize,
         extreme: &VmState,
-        drained: &HashSet<HostId>,
-    ) -> Option<Swap> {
-        let src = scratch.host(host_id).expect("host exists");
+        drained: &[bool],
+    ) -> Option<(Swap, usize)> {
+        let src = scratch.host(src_slot);
+        let src_ram = scratch.ram_used(src_slot);
         let range_src = src.ip_range();
-        let mut best: Option<(f64, Swap)> = None;
-        for other in &scratch.hosts {
-            if other.id == host_id || drained.contains(&other.id) {
+        let frozen = &scratch.state().frozen;
+        let mut best: Option<(f64, Swap, usize)> = None;
+        for (slot, &is_drained) in drained.iter().enumerate() {
+            if slot == src_slot || is_drained {
                 continue;
             }
+            let other = scratch.host(slot);
+            let other_ram = scratch.ram_used(slot);
             // RAM feasibility both ways (same-flavour swaps always pass).
             for cand in &other.vms {
-                if scratch.frozen.contains(&cand.id) {
+                if frozen.contains(&cand.id) {
                     continue;
                 }
-                let src_ram_ok = src.ram_used() - extreme.ram_mb + cand.ram_mb <= src.ram_capacity;
-                let dst_ram_ok =
-                    other.ram_used() - cand.ram_mb + extreme.ram_mb <= other.ram_capacity;
+                let src_ram_ok = src_ram - extreme.ram_mb + cand.ram_mb <= src.ram_capacity;
+                let dst_ram_ok = other_ram - cand.ram_mb + extreme.ram_mb <= other.ram_capacity;
                 if !src_ram_ok || !dst_ram_ok {
                     continue;
                 }
@@ -379,27 +339,28 @@ impl DrowsyPlanner {
                     && dst_after <= self.config.ip_range_threshold;
                 if worst_after + 1e-12 < worst_before || fixes_both {
                     let key = worst_after;
-                    if best.as_ref().is_none_or(|(b, _)| key < *b) {
+                    if best.as_ref().is_none_or(|(b, ..)| key < *b) {
                         best = Some((
                             key,
                             Swap {
                                 vm_a: extreme.id,
-                                host_a: host_id,
+                                host_a: src.id,
                                 vm_b: cand.id,
                                 host_b: other.id,
                             },
+                            slot,
                         ));
                     }
                 }
             }
         }
-        best.map(|(_, s)| s)
+        best.map(|(_, s, slot)| (s, slot))
     }
 }
 
 /// IP range of a VM set after optionally removing one VM and adding one
 /// score.
-fn range_with(vms: &[VmState], remove: Option<VmId>, add_score: Option<f64>) -> f64 {
+pub(crate) fn range_with(vms: &[VmState], remove: Option<VmId>, add_score: Option<f64>) -> f64 {
     let mut lo = f64::INFINITY;
     let mut hi = f64::NEG_INFINITY;
     let mut n = 0usize;
@@ -437,6 +398,18 @@ mod tests {
         (HistoryBook::new(16), HostHistories::new())
     }
 
+    /// The closest-IP pick over every host, checked against the
+    /// full-scan oracle.
+    fn closest(p: &DrowsyPlanner, state: &ClusterState, vm: &VmState) -> Option<HostId> {
+        let scratch = PlanScratch::new(state.clone());
+        let got = p
+            .closest_ip_choose(&scratch, vm)
+            .map(|slot| scratch.host(slot).id);
+        let none = Default::default();
+        assert_eq!(got, crate::oracle::closest_ip_choose(p, state, vm, &none));
+        got
+    }
+
     #[test]
     fn closest_ip_wins_over_packing() {
         let p = planner();
@@ -448,9 +421,7 @@ mod tests {
         // An idle VM (score 0.41) should land with the idle host even
         // though the busy host is "fuller" (better packing).
         let candidate = vm(9, 0.1, 0.41);
-        let dest = p
-            .closest_ip_choose(&state, &candidate, &HashSet::new())
-            .unwrap();
+        let dest = closest(&p, &state, &candidate).unwrap();
         assert_eq!(dest, HostId(1));
     }
 
@@ -463,9 +434,7 @@ mod tests {
             host(1, 0, vec![vm(2, 3.0, 0.40002)]),
         ]);
         let candidate = vm(9, 0.1, 0.40001);
-        let dest = p
-            .closest_ip_choose(&state, &candidate, &HashSet::new())
-            .unwrap();
+        let dest = closest(&p, &state, &candidate).unwrap();
         assert_eq!(dest, HostId(1), "equal-bucket tie → best fit");
     }
 

@@ -53,7 +53,10 @@ pub mod history;
 pub mod multiplex;
 pub mod neat;
 pub mod oasis;
+#[cfg(test)]
+mod oracle;
 pub mod policy;
+mod scratch;
 pub mod sla_aware;
 pub mod sleepscale;
 pub mod types;

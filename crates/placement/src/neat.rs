@@ -14,9 +14,9 @@
 //! best-fit-decreasing (PABFD).
 
 use crate::history::HistoryBook;
+use crate::scratch::{drain_underloaded, PlanScratch};
 use crate::types::{ClusterState, ConsolidationPlan, HostState, Migration, VmState};
 use dds_sim_core::{HostId, SimRng, VmId};
-use std::collections::HashSet;
 
 /// Per-host utilization histories (most recent last), for the adaptive
 /// overload detectors.
@@ -258,20 +258,15 @@ impl NeatPlanner {
     /// that fit the VM and stay under the destination guard, pick the one
     /// with the smallest power increase; with a linear homogeneous power
     /// model this degenerates to best fit, so ties break toward the
-    /// *highest* post-placement utilization, then lowest id.
-    pub fn pabfd_choose(
-        &self,
-        state: &ClusterState,
-        vm: &VmState,
-        exclude: &HashSet<HostId>,
-    ) -> Option<HostId> {
-        let mut best: Option<(f64, f64, HostId)> = None; // (power_inc, -util_after, id)
-        for host in &state.hosts {
-            if exclude.contains(&host.id) || !host.fits(vm) {
-                continue;
-            }
-            let util_before = host.utilization();
-            let util_after = (host.cpu_demand() + vm.cpu_demand) / host.cpu_capacity.max(1e-9);
+    /// *highest* post-placement utilization, then lowest id. Visits only
+    /// the scratch's non-excluded destinations with room for the VM.
+    pub(crate) fn pabfd_choose(&self, scratch: &PlanScratch, vm: &VmState) -> Option<usize> {
+        let mut best: Option<(f64, f64, HostId, usize)> = None; // (power_inc, -util_after, id, slot)
+        for slot in scratch.destinations(vm.ram_mb) {
+            let host = scratch.host(slot);
+            let util_before = scratch.utilization(slot);
+            let util_after =
+                (scratch.cpu_demand(slot) + vm.cpu_demand) / host.cpu_capacity.max(1e-9);
             if util_after > self.config.destination_guard {
                 continue;
             }
@@ -279,24 +274,32 @@ impl NeatPlanner {
             // this model but kept explicit for heterogeneous extensions.
             let power_inc = (util_after - util_before) * host.cpu_capacity;
             let key = (power_inc, -util_after, host.id);
-            if best.is_none_or(|(p, u, id)| (key.0, key.1, key.2) < (p, u, id)) {
-                best = Some(key);
+            if best.is_none_or(|(p, u, id, _)| key < (p, u, id)) {
+                best = Some((key.0, key.1, key.2, slot));
             }
         }
-        best.map(|(_, _, id)| id)
+        best.map(|(.., slot)| slot)
     }
 
-    /// Detects overloaded hosts.
-    pub fn overloaded_hosts(&self, state: &ClusterState, host_hist: &HostHistories) -> Vec<HostId> {
-        state
-            .hosts
-            .iter()
-            .filter(|h| {
-                let hist = host_hist.get(h.id);
-                self.config.overload.is_overloaded(h.utilization(), hist)
+    /// Detects overloaded hosts (sub-problem 2) and excludes them as
+    /// destinations; returns their slots in snapshot order.
+    pub(crate) fn exclude_overloaded(
+        &self,
+        scratch: &mut PlanScratch,
+        host_hist: &HostHistories,
+    ) -> Vec<usize> {
+        let overloaded: Vec<usize> = (0..scratch.len())
+            .filter(|&s| {
+                let hist = host_hist.get(scratch.host(s).id);
+                self.config
+                    .overload
+                    .is_overloaded(scratch.utilization(s), hist)
             })
-            .map(|h| h.id)
-            .collect()
+            .collect();
+        for &s in &overloaded {
+            scratch.set_excluded(s, true);
+        }
+        overloaded
     }
 
     /// Runs the full four-step consolidation, returning the plan.
@@ -307,105 +310,69 @@ impl NeatPlanner {
         host_hist: &HostHistories,
         rng: &mut SimRng,
     ) -> ConsolidationPlan {
-        let mut scratch = state.clone();
+        self.plan_owned(state.clone(), vm_hist, host_hist, rng)
+    }
+
+    /// [`plan`](Self::plan) on a snapshot the caller already copied.
+    pub(crate) fn plan_owned(
+        &self,
+        state: ClusterState,
+        vm_hist: &HistoryBook,
+        host_hist: &HostHistories,
+        rng: &mut SimRng,
+    ) -> ConsolidationPlan {
+        let mut scratch = PlanScratch::new(state);
         let mut plan = ConsolidationPlan::default();
 
         // --- (2)+(3)+(4): relieve overloaded hosts.
-        let overloaded: Vec<HostId> = self.overloaded_hosts(&scratch, host_hist);
-        let overloaded_set: HashSet<HostId> = overloaded.iter().copied().collect();
-        for host_id in overloaded {
+        let overloaded = self.exclude_overloaded(&mut scratch, host_hist);
+        for slot in overloaded {
+            let host_id = scratch.host(slot).id;
+            let hist = host_hist.get(host_id);
             loop {
-                let host = scratch.host(host_id).expect("host exists");
-                let hist = host_hist.get(host_id);
-                if !self.config.overload.is_overloaded(host.utilization(), hist) {
+                if !self
+                    .config
+                    .overload
+                    .is_overloaded(scratch.utilization(slot), hist)
+                {
                     break;
                 }
-                let Some(idx) = self.config.selection.pick(&host.vms, vm_hist, rng) else {
+                let vms = &scratch.host(slot).vms;
+                let Some(idx) = self.config.selection.pick(vms, vm_hist, rng) else {
                     break;
                 };
-                let vm = host.vms[idx].clone();
-                let Some(dest) = self.pabfd_choose(&scratch, &vm, &overloaded_set) else {
+                let vm = vms[idx].clone();
+                let Some(dest) = self.pabfd_choose(&scratch, &vm) else {
                     break; // nowhere to put it; accept the overload
                 };
-                let m = Migration {
-                    vm: vm.id,
-                    from: host_id,
-                    to: dest,
-                };
-                if scratch.apply(m).is_err() {
+                let to = scratch.host(dest).id;
+                if scratch.migrate(vm.id, slot, dest).is_err() {
                     break;
                 }
-                plan.migrations.push(m);
+                plan.migrations.push(Migration {
+                    vm: vm.id,
+                    from: host_id,
+                    to,
+                });
             }
         }
 
-        // --- (1)+(4): drain underloaded hosts, least-utilized first.
-        let mut candidates: Vec<HostId> = scratch
-            .hosts
-            .iter()
-            .filter(|h| {
-                !h.is_empty()
-                    && !overloaded_set.contains(&h.id)
-                    && self.config.underload.is_underloaded(h.utilization())
-            })
-            .map(|h| h.id)
-            .collect();
-        candidates.sort_by(|&a, &b| {
-            let ua = scratch.host(a).unwrap().utilization();
-            let ub = scratch.host(b).unwrap().utilization();
-            ua.partial_cmp(&ub).unwrap_or(std::cmp::Ordering::Equal)
-        });
-        let mut drained: HashSet<HostId> = HashSet::new();
-        for host_id in candidates {
-            // Tentatively place every VM elsewhere; commit only if all fit.
-            let mut tentative = scratch.clone();
-            let mut moves = Vec::new();
-            let mut exclude = overloaded_set.clone();
-            exclude.insert(host_id);
-            exclude.extend(drained.iter().copied());
-            // Draining must target hosts that stay active anyway; moving
-            // VMs onto an empty (sleeping) host merely relocates the
-            // problem and causes hourly ping-pong.
-            exclude.extend(
-                tentative
-                    .hosts
-                    .iter()
-                    .filter(|h| h.is_empty())
-                    .map(|h| h.id),
-            );
-            // Biggest VMs first (BFD ordering).
-            let mut vms = tentative.host(host_id).unwrap().vms.clone();
-            vms.sort_by(|a, b| {
-                b.cpu_demand
-                    .partial_cmp(&a.cpu_demand)
-                    .unwrap_or(std::cmp::Ordering::Equal)
-                    .then(b.ram_mb.cmp(&a.ram_mb))
-            });
-            let mut ok = true;
-            for vm in vms {
-                // Never drain into other hosts being drained or overloaded.
-                let Some(dest) = self.pabfd_choose(&tentative, &vm, &exclude) else {
-                    ok = false;
-                    break;
-                };
-                let m = Migration {
-                    vm: vm.id,
-                    from: host_id,
-                    to: dest,
-                };
-                if tentative.apply(m).is_err() {
-                    ok = false;
-                    break;
-                }
-                moves.push(m);
-            }
-            if ok {
-                scratch = tentative;
-                plan.migrations.extend(moves);
-                plan.hosts_to_power_off.push(host_id);
-                drained.insert(host_id);
-            }
-        }
+        // --- (1)+(4): drain underloaded hosts, least-utilized first,
+        // biggest VMs first (BFD ordering).
+        drain_underloaded(
+            &mut scratch,
+            self.config.underload,
+            |vms| {
+                vms.sort_by(|a, b| {
+                    b.cpu_demand
+                        .partial_cmp(&a.cpu_demand)
+                        .unwrap_or(std::cmp::Ordering::Equal)
+                        .then(b.ram_mb.cmp(&a.ram_mb))
+                })
+            },
+            |scratch, vm| self.pabfd_choose(scratch, vm),
+            &mut plan,
+        );
         plan
     }
 }
@@ -429,6 +396,29 @@ mod tests {
 
     fn no_hist() -> (HistoryBook, HostHistories) {
         (HistoryBook::new(16), HostHistories::new())
+    }
+
+    /// PABFD's pick with the hosts in `exclude` masked (dense ids: slot =
+    /// id), checked against the full-scan oracle.
+    fn pabfd(
+        planner: &NeatPlanner,
+        state: &ClusterState,
+        vm: &VmState,
+        exclude: &[u32],
+    ) -> Option<HostId> {
+        let mut scratch = PlanScratch::new(state.clone());
+        for &id in exclude {
+            scratch.set_excluded(id as usize, true);
+        }
+        let got = planner
+            .pabfd_choose(&scratch, vm)
+            .map(|slot| scratch.host(slot).id);
+        let exclude = exclude.iter().map(|&id| HostId(id)).collect();
+        assert_eq!(
+            got,
+            crate::oracle::pabfd_choose(planner, state, vm, &exclude)
+        );
+        got
     }
 
     #[test]
@@ -524,9 +514,7 @@ mod tests {
             host(2, 0, vec![]),
         ]);
         let candidate = vm(9, 1.0, 0.0);
-        let dest = planner
-            .pabfd_choose(&state, &candidate, &HashSet::new())
-            .unwrap();
+        let dest = pabfd(&planner, &state, &candidate, &[]).unwrap();
         // Equal ΔP on homogeneous hosts: best fit → fullest host that fits.
         assert_eq!(dest, HostId(1));
     }
@@ -539,13 +527,9 @@ mod tests {
             host(1, 0, vec![]),
         ]);
         let candidate = vm(9, 2.0, 0.0);
-        let dest = planner
-            .pabfd_choose(&state, &candidate, &HashSet::new())
-            .unwrap();
+        let dest = pabfd(&planner, &state, &candidate, &[]).unwrap();
         assert_eq!(dest, HostId(1), "guard keeps VM off the hot host");
-        let mut exclude = HashSet::new();
-        exclude.insert(HostId(1));
-        assert_eq!(planner.pabfd_choose(&state, &candidate, &exclude), None);
+        assert_eq!(pabfd(&planner, &state, &candidate, &[1]), None);
     }
 
     #[test]

@@ -178,7 +178,7 @@ pub trait ControlPolicy: Send {
     /// claimed by resident VMs) so fleet-scale policies can answer
     /// "where does this VM fit?" without re-scanning every host.
     ///
-    /// The default ignores the index and falls back to the scan-based
+    /// The default ignores the index and falls back to
     /// [`plan`](Self::plan) — existing policies stay bit-identical. A
     /// policy overriding this must keep the index contract: decisions
     /// derived through the index must equal the ones a linear scan over
@@ -378,8 +378,8 @@ impl ControlPolicy for OasisPolicy {
             let mut packing_state = view.state.clone();
             let ch = self.consolidation_host;
             packing_state.hosts.retain(|h| h.id != ch);
-            ControlPlan::from_consolidation(self.neat.plan(
-                &packing_state,
+            ControlPlan::from_consolidation(self.neat.plan_owned(
+                packing_state,
                 view.vm_hist,
                 view.host_hist,
                 rng,

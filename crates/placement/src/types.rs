@@ -213,14 +213,24 @@ impl ClusterState {
         self.hosts.iter().map(|h| h.vms.len()).sum()
     }
 
+    /// Position of host `id` in `hosts`: O(1) when ids are dense
+    /// (`hosts[id.index()]` holds `id`, the datacenter's snapshots), a
+    /// scan otherwise (e.g. Oasis's packing view, which drops a host).
+    pub(crate) fn slot_of(&self, id: HostId) -> Option<usize> {
+        match self.hosts.get(id.index()) {
+            Some(h) if h.id == id => Some(id.index()),
+            _ => self.hosts.iter().position(|h| h.id == id),
+        }
+    }
+
     /// Looks up a host.
     pub fn host(&self, id: HostId) -> Option<&HostState> {
-        self.hosts.iter().find(|h| h.id == id)
+        self.slot_of(id).map(|i| &self.hosts[i])
     }
 
     /// Mutable host lookup.
     pub fn host_mut(&mut self, id: HostId) -> Option<&mut HostState> {
-        self.hosts.iter_mut().find(|h| h.id == id)
+        self.slot_of(id).map(|i| &mut self.hosts[i])
     }
 
     /// Finds the host currently holding `vm`.
@@ -239,16 +249,23 @@ impl ClusterState {
         if m.from == m.to {
             return Err(PlanError::SelfMigration(m));
         }
-        let from_idx = self
-            .hosts
-            .iter()
-            .position(|h| h.id == m.from)
-            .ok_or(PlanError::UnknownHost(m.from))?;
-        let to_idx = self
-            .hosts
-            .iter()
-            .position(|h| h.id == m.to)
-            .ok_or(PlanError::UnknownHost(m.to))?;
+        let from_idx = self.slot_of(m.from).ok_or(PlanError::UnknownHost(m.from))?;
+        let to_idx = self.slot_of(m.to).ok_or(PlanError::UnknownHost(m.to))?;
+        self.apply_at(from_idx, to_idx, m).map(|_| ())
+    }
+
+    /// [`apply`](Self::apply) between resolved host slots. Returns the
+    /// index the VM held in the source's `vms` (the planners' undo log
+    /// re-inserts it there).
+    pub(crate) fn apply_at(
+        &mut self,
+        from_idx: usize,
+        to_idx: usize,
+        m: Migration,
+    ) -> Result<usize, PlanError> {
+        if from_idx == to_idx {
+            return Err(PlanError::SelfMigration(m));
+        }
         let vm_idx = self.hosts[from_idx]
             .position_of(m.vm)
             .ok_or(PlanError::VmNotOnSource(m))?;
@@ -257,7 +274,7 @@ impl ClusterState {
         }
         let vm = self.hosts[from_idx].vms.remove(vm_idx);
         self.hosts[to_idx].vms.push(vm);
-        Ok(())
+        Ok(vm_idx)
     }
 
     /// Exchanges two VMs between their hosts atomically, enforcing
@@ -271,15 +288,22 @@ impl ClusterState {
             }));
         }
         let a_idx = self
-            .hosts
-            .iter()
-            .position(|h| h.id == s.host_a)
+            .slot_of(s.host_a)
             .ok_or(PlanError::UnknownHost(s.host_a))?;
         let b_idx = self
-            .hosts
-            .iter()
-            .position(|h| h.id == s.host_b)
+            .slot_of(s.host_b)
             .ok_or(PlanError::UnknownHost(s.host_b))?;
+        self.apply_swap_at(a_idx, b_idx, s)
+    }
+
+    /// [`apply_swap`](Self::apply_swap) between resolved, distinct host
+    /// slots.
+    pub(crate) fn apply_swap_at(
+        &mut self,
+        a_idx: usize,
+        b_idx: usize,
+        s: Swap,
+    ) -> Result<(), PlanError> {
         let va_pos = self.hosts[a_idx]
             .position_of(s.vm_a)
             .ok_or(PlanError::VmNotOnSource(Migration {

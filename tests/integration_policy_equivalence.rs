@@ -59,6 +59,40 @@ const CLUSTER_GOLDEN: &[(&str, &str, u64, u64, u32)] = &[
     ("oasis", "Oasis", 0x40279c6e5198b6ec, 0x3fde10c83fb72ea6, 67),
 ];
 
+/// Golden values captured on commit 0097e95, before the planners'
+/// undo-log scratch and the datacenter's residency lists:
+/// `mixed-production` scaled to 100 hosts (356 VMs), 2 days, seed 42.
+/// The small tables above never roll a drain back after a partial
+/// placement; at this size every policy's drain does so over a thousand
+/// times per run (about 1.7k for Drowsy-DC), so this table runs the
+/// planners' undo path end to end. The exact VM order a rollback restores
+/// is pinned by the oracle proptests in `dds-placement`.
+const MIXED_PRODUCTION_100_GOLDEN: &[(&str, &str, u64, u64, u32)] = &[
+    // (registry name, label, energy_kwh bits, suspension bits, migrations)
+    (
+        "drowsy-dc",
+        "Drowsy-DC",
+        0x4067cce090487581,
+        0x3fd42fe8ddd44431,
+        150,
+    ),
+    (
+        "neat-s3",
+        "Neat+S3",
+        0x4068705855d582c0,
+        0x3fd2ac2e60bd18db,
+        112,
+    ),
+    ("neat", "Neat", 0x4070286d58d2346a, 0x0000000000000000, 112),
+    (
+        "oasis",
+        "Oasis",
+        0x4065c937955c7c82,
+        0x3fd9607fe5a82332,
+        586,
+    ),
+];
+
 /// The standard registry's display label for `name`.
 fn registry_label(name: &str) -> &'static str {
     PolicyRegistry::standard()
@@ -125,6 +159,43 @@ fn cluster_outcomes_match_pre_refactor_goldens() {
         );
         assert_eq!(out.dc.total_migrations(), migrations, "{name}: migrations");
         assert_eq!(out.dc.policy, label, "{name}: outcome label");
+    }
+}
+
+#[test]
+fn mixed_production_100_hosts_matches_goldens() {
+    let mut scenario = drowsy_dc::scenarios::find("mixed-production").expect("catalog entry");
+    scenario.days = 2;
+    scenario.scale_to_hosts(100);
+    assert_eq!((scenario.host_count(), scenario.vm_count()), (100, 356));
+    scenario.policies = MIXED_PRODUCTION_100_GOLDEN
+        .iter()
+        .map(|(name, ..)| name.to_string())
+        .collect();
+    let outcomes = run_scenario(&scenario, Some(42), 0);
+    assert_eq!(outcomes.len(), MIXED_PRODUCTION_100_GOLDEN.len());
+    for (out, &(name, label, energy, susp, migrations)) in
+        outcomes.iter().zip(MIXED_PRODUCTION_100_GOLDEN)
+    {
+        assert_eq!(out.policy, name, "policy order preserved");
+        assert_eq!(out.label, label, "{name}: label");
+        assert_eq!(
+            out.outcome.energy_kwh().to_bits(),
+            energy,
+            "{name}: energy drifted ({} vs {})",
+            out.outcome.energy_kwh(),
+            f64::from_bits(energy)
+        );
+        assert_eq!(
+            out.outcome.suspension().to_bits(),
+            susp,
+            "{name}: suspension fraction drifted"
+        );
+        assert_eq!(
+            out.outcome.dc.total_migrations(),
+            migrations,
+            "{name}: migrations"
+        );
     }
 }
 
