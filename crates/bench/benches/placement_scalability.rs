@@ -53,18 +53,15 @@ fn bench_planners(c: &mut Criterion) {
     for &n in &[64usize, 256, 1024] {
         let mut rng = SimRng::new(11);
         let (state, hist) = build_state(n, &mut rng);
-        let host_hist = Default::default();
 
         let drowsy = DrowsyPlanner::new(DrowsyConfig::paper_default());
         g.bench_with_input(BenchmarkId::new("drowsy", n), &n, |b, _| {
-            let mut r = SimRng::new(1);
-            b.iter(|| std::hint::black_box(drowsy.plan(&state, &hist, &host_hist, &mut r)));
+            b.iter(|| std::hint::black_box(drowsy.plan(&state)));
         });
 
         let neat = NeatPlanner::default();
         g.bench_with_input(BenchmarkId::new("neat", n), &n, |b, _| {
-            let mut r = SimRng::new(1);
-            b.iter(|| std::hint::black_box(neat.plan(&state, &hist, &host_hist, &mut r)));
+            b.iter(|| std::hint::black_box(neat.plan(&state)));
         });
 
         let multiplex = MultiplexPlanner::new(0.5);

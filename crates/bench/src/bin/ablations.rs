@@ -23,7 +23,7 @@ use dds_sim_core::{SimRng, SimTime};
 use dds_traces::TracePattern;
 
 fn main() {
-    let opts = ExpOptions::from_args();
+    let opts = ExpOptions::from_args(env!("CARGO_BIN_NAME"), &[]);
     let mut table = TextTable::new(vec!["ablation", "with", "without", "metric"]);
 
     // --- 1. grace time.

@@ -18,7 +18,7 @@ use dds_sim_core::{HostId, SimRng, VmId};
 use dds_traces::{nutanix_trace, VmTrace};
 
 fn main() {
-    let opts = ExpOptions::from_args();
+    let opts = ExpOptions::from_args(env!("CARGO_BIN_NAME"), &[]);
     let days = if opts.quick { 4 } else { 10 };
     let hosts_n = 8usize;
     let base_vms = 16usize;

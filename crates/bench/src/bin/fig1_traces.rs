@@ -11,7 +11,7 @@ use dds_sim_core::SimRng;
 use dds_traces::nutanix::nutanix_all;
 
 fn main() {
-    let opts = ExpOptions::from_args();
+    let opts = ExpOptions::from_args(env!("CARGO_BIN_NAME"), &[]);
     let days = if opts.quick { 2 } else { 6 };
     let hours = days * 24;
     let rng = SimRng::new(opts.seed);

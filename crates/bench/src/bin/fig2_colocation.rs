@@ -13,7 +13,7 @@ use dds_core::testbed::{run_testbed, TestbedSpec};
 use dds_sim_core::stats::TextTable;
 
 fn main() {
-    let opts = ExpOptions::from_args();
+    let opts = ExpOptions::from_args(env!("CARGO_BIN_NAME"), &[]);
     let mut spec = TestbedSpec::paper_default();
     if opts.quick {
         spec.days = 3;

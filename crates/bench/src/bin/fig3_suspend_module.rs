@@ -20,7 +20,7 @@ use dds_sim_core::{SimRng, SimTime};
 use std::time::Instant;
 
 fn main() {
-    let opts = ExpOptions::from_args();
+    let opts = ExpOptions::from_args(env!("CARGO_BIN_NAME"), &[]);
     oscillation(&opts);
     detection(&opts);
     waking_date(&opts);

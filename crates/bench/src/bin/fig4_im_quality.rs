@@ -17,7 +17,7 @@ use dds_sim_core::SimRng;
 use dds_traces::{nutanix_trace, TracePattern, VmTrace};
 
 fn main() {
-    let opts = ExpOptions::from_args();
+    let opts = ExpOptions::from_args(env!("CARGO_BIN_NAME"), &[]);
     let years = if opts.quick { 1 } else { 3 };
     let hours = years * 365 * 24;
     let window = 14 * 24;

@@ -23,7 +23,7 @@
 //! parallel runs), `--hosts N` (rescale the scenario fleet),
 //! `--policies a,b,c`, `--out DIR`, `--json`, `--telemetry[=DIR]`.
 
-use dds_bench::{pct1, usage_error, ExpOptions, JsonObject};
+use dds_bench::{pct1, usage_error, ExpOptions, Flag, JsonObject};
 use dds_power::WakeSpeed;
 use dds_scenarios::{find, run_scenario_qos, QosSpec, Scenario};
 use dds_sim_core::qos::QosReport;
@@ -76,7 +76,15 @@ fn report_row(label: &str, energy: f64, susp: f64, qos: &QosReport) -> Vec<Strin
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let (opts, rest) = ExpOptions::parse(&args).unwrap_or_else(|e| usage_error(&e));
+    let honours = [
+        Flag::Policies,
+        Flag::Threads,
+        Flag::Hosts,
+        Flag::Json,
+        Flag::Telemetry,
+    ];
+    let (opts, rest) = ExpOptions::parse(env!("CARGO_BIN_NAME"), &honours, &args)
+        .unwrap_or_else(|e| usage_error(&e));
 
     let mut scenario_name = "sla-web-front".to_string();
     let mut file: Option<String> = None;

@@ -38,7 +38,7 @@
 //! depth; on a shard-digest divergence the bin names the first
 //! divergent epoch and dumps both rings).
 
-use dds_bench::{ExpOptions, JsonObject};
+use dds_bench::{ExpOptions, Flag, JsonObject};
 use dds_core::cluster::ClusterSpec;
 use dds_core::fleet::{FleetConfig, FleetOutcome, FleetSim};
 use dds_core::sweep::{auto_threads, llmi_grid, run_sweep};
@@ -88,7 +88,17 @@ fn build_state(n_vms: usize, rng: &mut SimRng) -> (ClusterState, HistoryBook) {
 }
 
 fn main() {
-    let opts = ExpOptions::from_args();
+    let opts = ExpOptions::from_args(
+        env!("CARGO_BIN_NAME"),
+        &[
+            Flag::Policies,
+            Flag::Threads,
+            Flag::Hosts,
+            Flag::Json,
+            Flag::Telemetry,
+            Flag::TraceEpochs,
+        ],
+    );
     let sizes: &[usize] = if opts.quick {
         &[64, 256]
     } else {
@@ -106,12 +116,11 @@ fn main() {
     let mut json_points = Vec::new();
     for &n in sizes {
         let (state, hist) = build_state(n, &mut rng);
-        let host_hist = Default::default();
         let reps = if n <= 256 { 20 } else { 5 };
 
         let t0 = Instant::now();
         for _ in 0..reps {
-            let plan = drowsy.plan(&state, &hist, &host_hist, &mut rng);
+            let plan = drowsy.plan(&state);
             std::hint::black_box(&plan);
         }
         let drowsy_ms = t0.elapsed().as_secs_f64() * 1e3 / reps as f64;

@@ -20,7 +20,7 @@
 //! `--quick` (cap simulated days at 2 for smoke runs). A malformed
 //! scenario file fails with a line-numbered error and a non-zero exit.
 
-use dds_bench::{pct1, usage_error, ExpOptions, JsonObject};
+use dds_bench::{pct1, usage_error, ExpOptions, Flag, JsonObject};
 use dds_scenarios::{catalog, find, run_scenario, Scenario, CATALOG};
 use dds_sim_core::stats::TextTable;
 use std::process::ExitCode;
@@ -109,7 +109,15 @@ fn run_one(scenario: &Scenario, opts: &ExpOptions, seed: Option<u64>) -> (String
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let (opts, rest) = ExpOptions::parse(&args).unwrap_or_else(|e| usage_error(&e));
+    let honours = [
+        Flag::Policies,
+        Flag::Threads,
+        Flag::Hosts,
+        Flag::Json,
+        Flag::Telemetry,
+    ];
+    let (opts, rest) = ExpOptions::parse(env!("CARGO_BIN_NAME"), &honours, &args)
+        .unwrap_or_else(|e| usage_error(&e));
     let seed_override = args.iter().any(|a| a == "--seed").then_some(opts.seed);
 
     let mut list = false;

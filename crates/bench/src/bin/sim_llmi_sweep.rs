@@ -18,13 +18,13 @@
 //! measured on the *suspendable* portion of the fleet's energy, i.e.
 //! against the vanilla always-on Neat deployment.
 
-use dds_bench::{pct0, ExpOptions};
+use dds_bench::{pct0, ExpOptions, Flag};
 use dds_core::cluster::ClusterSpec;
 use dds_core::sweep::{auto_threads, llmi_grid, run_sweep};
 use dds_sim_core::stats::TextTable;
 
 fn main() {
-    let opts = ExpOptions::from_args();
+    let opts = ExpOptions::from_args(env!("CARGO_BIN_NAME"), &[Flag::Policies, Flag::Threads]);
     let fractions = [0.0, 0.25, 0.5, 0.75, 1.0];
     let policies = opts.policies_or(&["neat", "neat-s3", "oasis", "drowsy-dc", "sleepscale"]);
 

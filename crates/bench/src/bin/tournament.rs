@@ -23,7 +23,7 @@
 use dds_bench::tournament::{
     build_grid, leaderboard, render_csv, run_grid, LeaderboardRow, WAKE_VARIANTS,
 };
-use dds_bench::{pct1, usage_error, ExpOptions, JsonObject};
+use dds_bench::{pct1, usage_error, ExpOptions, Flag, JsonObject};
 use dds_core::registry::PolicyRegistry;
 use dds_scenarios::{catalog, Scenario};
 use dds_sim_core::stats::TextTable;
@@ -53,7 +53,9 @@ fn table_row(r: &LeaderboardRow) -> Vec<String> {
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let (opts, rest) = ExpOptions::parse(&args).unwrap_or_else(|e| usage_error(&e));
+    let honours = [Flag::Policies, Flag::Threads, Flag::Json, Flag::Telemetry];
+    let (opts, rest) = ExpOptions::parse(env!("CARGO_BIN_NAME"), &honours, &args)
+        .unwrap_or_else(|e| usage_error(&e));
 
     let mut seeds_n: usize = if opts.quick { 2 } else { 3 };
     let mut i = 0;

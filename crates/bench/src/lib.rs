@@ -2,7 +2,8 @@
 //!
 //! Every binary in `src/bin/` regenerates one table or figure of the
 //! paper (see DESIGN.md for the index). They share flag parsing (`--quick`
-//! for CI-speed runs, `--seed N`, `--out DIR`) and CSV emission.
+//! for CI-speed runs, `--seed N`, `--out DIR`, plus the optional shared
+//! [`Flag`]s each binary declares) and CSV emission.
 
 use std::path::{Path, PathBuf};
 
@@ -13,6 +14,53 @@ use dds_sim_core::WorkerPool;
 use dds_telemetry::{MetricKind, MetricsRegistry};
 
 pub mod tournament;
+
+/// A shared flag beyond `--quick`, `--seed` and `--out`, which every
+/// binary takes. Each binary declares the ones it honours; any other
+/// shared flag on its command line is a usage error, so a flag is never
+/// accepted and then silently ignored.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Flag {
+    /// `--policies <name,…>`: the control policies to run.
+    Policies,
+    /// `--threads <n>`: sweep worker threads.
+    Threads,
+    /// `--hosts <n>`: the fleet-size override.
+    Hosts,
+    /// `--json`: machine-readable `BENCH_*.json` artifacts.
+    Json,
+    /// `--telemetry[=DIR]`: the telemetry artifacts.
+    Telemetry,
+    /// `--trace-epochs <n>`: flight-recorder depth.
+    TraceEpochs,
+}
+
+impl Flag {
+    /// The flag as written on the command line.
+    fn name(self) -> &'static str {
+        match self {
+            Flag::Policies => "--policies",
+            Flag::Threads => "--threads",
+            Flag::Hosts => "--hosts",
+            Flag::Json => "--json",
+            Flag::Telemetry => "--telemetry",
+            Flag::TraceEpochs => "--trace-epochs",
+        }
+    }
+
+    /// The shared flag `arg` spells, if any.
+    fn of(arg: &str) -> Option<Flag> {
+        match arg {
+            "--policies" => Some(Flag::Policies),
+            "--threads" => Some(Flag::Threads),
+            "--hosts" => Some(Flag::Hosts),
+            "--json" => Some(Flag::Json),
+            "--trace-epochs" => Some(Flag::TraceEpochs),
+            _ if arg == "--telemetry" || arg.starts_with("--telemetry=") => Some(Flag::Telemetry),
+            _ => None,
+        }
+    }
+}
 
 /// Common command-line options for experiment binaries.
 #[derive(Debug, Clone)]
@@ -66,37 +114,39 @@ impl Default for ExpOptions {
 }
 
 impl ExpOptions {
-    /// Parses `std::env::args()` for a binary that takes only the shared
-    /// flags: `--quick`, `--seed <u64>`, `--out <dir>`,
-    /// `--policies <name,name,…>` (policy-registry names),
-    /// `--threads <n>` (0 = auto), `--hosts <n>` (fleet-size override),
-    /// `--json` (machine-readable artifacts), `--telemetry[=DIR]`
-    /// (logical + timing telemetry artifacts) and `--trace-epochs <n>`
-    /// (flight-recorder depth for fleet runs). An unknown flag or a
-    /// malformed value prints `error: …` and exits with status 2;
-    /// binaries with extra flags use [`ExpOptions::parse`] instead.
-    pub fn from_args() -> Self {
+    /// Parses `std::env::args()` for binary `bin` that takes only the
+    /// shared flags: `--quick`, `--seed <u64>`, `--out <dir>` and the
+    /// [`Flag`]s in `honours`. An unknown flag, a shared flag `bin` does
+    /// not honour or a malformed value prints `error: …` and exits with
+    /// status 2; binaries with extra flags use [`ExpOptions::parse`]
+    /// instead.
+    pub fn from_args(bin: &str, honours: &[Flag]) -> Self {
         let args: Vec<String> = std::env::args().skip(1).collect();
-        Self::parse_strict(&args).unwrap_or_else(|e| usage_error(&e))
+        Self::parse_strict(bin, honours, &args).unwrap_or_else(|e| usage_error(&e))
     }
 
     /// [`ExpOptions::parse`], rejecting every argument the shared layer
     /// does not consume.
-    pub fn parse_strict(args: &[String]) -> Result<Self, String> {
-        let (opts, rest) = Self::parse(args)?;
+    pub fn parse_strict(bin: &str, honours: &[Flag], args: &[String]) -> Result<Self, String> {
+        let (opts, rest) = Self::parse(bin, honours, args)?;
         match rest.first() {
             Some(flag) => Err(format!("unknown flag {flag}")),
             None => Ok(opts),
         }
     }
 
-    /// Parses the shared flags out of `args` and returns the options plus
-    /// every argument the shared layer did not consume (in order), for
-    /// the binary to interpret (e.g. the `scenarios` binary's `--list`
-    /// and scenario names). A shared flag with a missing or malformed
-    /// value is an error, and so is a `--policies` name the standard
-    /// registry does not know.
-    pub fn parse(args: &[String]) -> Result<(Self, Vec<String>), String> {
+    /// Parses the shared flags out of `args` for binary `bin` and returns
+    /// the options plus every argument the shared layer did not consume
+    /// (in order), for the binary to interpret (e.g. the `scenarios`
+    /// binary's `--list` and scenario names). A shared [`Flag`] missing
+    /// from `honours` is an error (`<bin> does not take --hosts`), as
+    /// are a shared flag with a missing or malformed value and a
+    /// `--policies` name the standard registry does not know.
+    pub fn parse(
+        bin: &str,
+        honours: &[Flag],
+        args: &[String],
+    ) -> Result<(Self, Vec<String>), String> {
         fn value<'a>(
             args: &'a [String],
             i: usize,
@@ -121,6 +171,11 @@ impl ExpOptions {
         let mut rest = Vec::new();
         let mut i = 0;
         while i < args.len() {
+            if let Some(flag) = Flag::of(&args[i]) {
+                if !honours.contains(&flag) {
+                    return Err(format!("{bin} does not take {}", flag.name()));
+                }
+            }
             match args[i].as_str() {
                 "--quick" => opts.quick = true,
                 "--json" => opts.json = true,
@@ -352,6 +407,24 @@ mod tests {
         args.iter().map(|s| s.to_string()).collect()
     }
 
+    const ALL: &[Flag] = &[
+        Flag::Policies,
+        Flag::Threads,
+        Flag::Hosts,
+        Flag::Json,
+        Flag::Telemetry,
+        Flag::TraceEpochs,
+    ];
+
+    /// Parses for a binary that honours every shared flag.
+    fn parse(args: &[&str]) -> Result<(ExpOptions, Vec<String>), String> {
+        ExpOptions::parse("demo", ALL, &strings(args))
+    }
+
+    fn parse_strict(args: &[&str]) -> Result<ExpOptions, String> {
+        ExpOptions::parse_strict("demo", ALL, &strings(args))
+    }
+
     #[test]
     fn defaults_are_sane() {
         let o = ExpOptions::default();
@@ -369,13 +442,12 @@ mod tests {
 
     #[test]
     fn telemetry_flags_parse() {
-        let opts =
-            ExpOptions::parse_strict(&strings(&["--telemetry", "--trace-epochs", "64"])).unwrap();
+        let opts = parse_strict(&["--telemetry", "--trace-epochs", "64"]).unwrap();
         assert!(opts.telemetry);
         assert_eq!(opts.trace_epochs, 64);
         assert_eq!(opts.telemetry_dir(), opts.out_dir);
 
-        let opts = ExpOptions::parse_strict(&strings(&["--telemetry=tele/out"])).unwrap();
+        let opts = parse_strict(&["--telemetry=tele/out"]).unwrap();
         assert!(opts.telemetry);
         assert_eq!(opts.telemetry_dir(), PathBuf::from("tele/out"));
         assert_eq!(
@@ -451,14 +523,13 @@ mod tests {
 
     #[test]
     fn unknown_policies_are_rejected_with_the_registered_names() {
-        let err =
-            ExpOptions::parse(&strings(&["--quick", "--policies", "drowsy-dc,warp"])).unwrap_err();
+        let err = parse(&["--quick", "--policies", "drowsy-dc,warp"]).unwrap_err();
         let registered = PolicyRegistry::standard().names().join(", ");
         assert_eq!(
             err,
             format!("unknown policy 'warp' (registered: {registered})")
         );
-        let (opts, _) = ExpOptions::parse(&strings(&["--policies", "neat, sla-aware"])).unwrap();
+        let (opts, _) = parse(&["--policies", "neat, sla-aware"]).unwrap();
         assert_eq!(
             opts.policies,
             Some(vec!["neat".to_string(), "sla-aware".to_string()])
@@ -472,7 +543,7 @@ mod tests {
         let lineup = s.policies.clone();
         ExpOptions::default().select_policies(&mut s);
         assert_eq!(s.policies, lineup, "no flag, no change");
-        let (opts, _) = ExpOptions::parse(&strings(&["--policies", "drowsy-dc"])).unwrap();
+        let (opts, _) = parse(&["--policies", "drowsy-dc"]).unwrap();
         opts.select_policies(&mut s);
         let points = s.sweep_points(None);
         assert_eq!(points.len(), 1);
@@ -481,8 +552,8 @@ mod tests {
 
     #[test]
     fn parse_returns_unconsumed_arguments_in_order() {
-        let args = strings(&["--list", "--quick", "office-park", "--seed", "7", "--file"]);
-        let (opts, rest) = ExpOptions::parse(&args).unwrap();
+        let (opts, rest) =
+            parse(&["--list", "--quick", "office-park", "--seed", "7", "--file"]).unwrap();
         assert!(opts.quick);
         assert_eq!(opts.seed, 7);
         assert_eq!(rest, vec!["--list", "office-park", "--file"]);
@@ -490,8 +561,7 @@ mod tests {
 
     #[test]
     fn fleet_size_knob_parses_and_falls_back() {
-        let opts =
-            ExpOptions::parse_strict(&strings(&["--hosts", "1000", "--threads", "4"])).unwrap();
+        let opts = parse_strict(&["--hosts", "1000", "--threads", "4"]).unwrap();
         assert_eq!(opts.hosts, Some(1000));
         assert_eq!(opts.threads, 4);
         assert_eq!(opts.hosts_or(16), 1000);
@@ -500,28 +570,55 @@ mod tests {
 
     #[test]
     fn unknown_flags_are_rejected() {
-        let args = strings(&["--quick", "--pool"]);
-        assert_eq!(
-            ExpOptions::parse_strict(&args).unwrap_err(),
-            "unknown flag --pool"
-        );
+        let args = ["--quick", "--pool"];
+        assert_eq!(parse_strict(&args).unwrap_err(), "unknown flag --pool");
         // `parse` hands the remainder to the binary instead.
-        let (opts, rest) = ExpOptions::parse(&args).unwrap();
+        let (opts, rest) = parse(&args).unwrap();
         assert!(opts.quick);
         assert_eq!(rest, vec!["--pool"]);
     }
 
     #[test]
+    fn shared_flags_a_binary_does_not_honour_are_rejected() {
+        let args = strings(&["--quick", "--hosts", "400"]);
+        assert_eq!(
+            ExpOptions::parse_strict("table1_suspension", &[], &args).unwrap_err(),
+            "table1_suspension does not take --hosts"
+        );
+        for &flag in ALL {
+            let mut cmd = vec![flag.name()];
+            if !matches!(flag, Flag::Json | Flag::Telemetry) {
+                cmd.push(if flag == Flag::Policies { "neat" } else { "4" });
+            }
+            let cmd = strings(&cmd);
+            let others: Vec<Flag> = ALL.iter().copied().filter(|&f| f != flag).collect();
+            assert_eq!(
+                ExpOptions::parse_strict("bin", &others, &cmd).unwrap_err(),
+                format!("bin does not take {}", flag.name())
+            );
+            assert!(ExpOptions::parse_strict("bin", &[flag], &cmd).is_ok());
+        }
+        let dir = strings(&["--telemetry=tele"]);
+        assert_eq!(
+            ExpOptions::parse_strict("bin", &[], &dir).unwrap_err(),
+            "bin does not take --telemetry"
+        );
+        // --quick, --seed and --out need no declaration.
+        let base = strings(&["--quick", "--seed", "7", "--out", "o"]);
+        assert!(ExpOptions::parse_strict("bin", &[], &base).is_ok());
+    }
+
+    #[test]
     fn missing_or_malformed_values_are_errors() {
         for flag in ["--seed", "--threads", "--hosts", "--trace-epochs"] {
-            let missing = ExpOptions::parse(&strings(&["--quick", flag])).unwrap_err();
+            let missing = parse(&["--quick", flag]).unwrap_err();
             assert!(missing.starts_with(&format!("{flag} needs")), "{missing}");
-            let bad = ExpOptions::parse(&strings(&[flag, "many"])).unwrap_err();
+            let bad = parse(&[flag, "many"]).unwrap_err();
             assert!(bad.contains("got 'many'"), "{bad}");
         }
-        assert!(ExpOptions::parse(&strings(&["--hosts", "0"])).is_err());
-        assert!(ExpOptions::parse(&strings(&["--seed", "-1"])).is_err());
-        assert!(ExpOptions::parse(&strings(&["--out"])).is_err());
+        assert!(parse(&["--hosts", "0"]).is_err());
+        assert!(parse(&["--seed", "-1"]).is_err());
+        assert!(parse(&["--out"]).is_err());
     }
 
     #[test]

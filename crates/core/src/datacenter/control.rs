@@ -4,6 +4,16 @@
 
 use super::*;
 
+/// Hours a VM stays frozen after a migration (DESIGN §3 item 5). The
+/// opportunistic pass may not move it again sooner, which stops
+/// hour-chasing churn on phase-shifted workloads; overload relief
+/// ignores the freeze.
+const MIGRATION_COOLDOWN_HOURS: u64 = 8;
+
+/// Live-migration bandwidth in Gbit/s: the transfer time charged per
+/// migrated MiB of RAM (DESIGN §3 item 4).
+const MIGRATION_BANDWIDTH_GBPS: f64 = 10.0;
+
 impl Datacenter {
     /// The host's idleness probability for the current hour — the mean of
     /// its residents' model probabilities when the policy consumes
@@ -46,10 +56,9 @@ impl Datacenter {
             });
         }
         let mut state = ClusterState::new(hosts);
-        let cooldown = self.cfg.migration_cooldown_hours;
         for vm in &self.vms {
             if let Some(last) = vm.last_migration_hour {
-                if self.hour.saturating_sub(last) < cooldown {
+                if self.hour.saturating_sub(last) < MIGRATION_COOLDOWN_HOURS {
                     state.freeze(vm.spec.id);
                 }
             }
@@ -60,7 +69,7 @@ impl Datacenter {
     /// Duration of one live migration of `ram_mb` MiB.
     pub(super) fn migration_time(&self, ram_mb: u64) -> SimDuration {
         let bits = ram_mb as f64 * 1024.0 * 1024.0 * 8.0;
-        let secs = bits / (self.cfg.migration_bandwidth_gbps * 1e9);
+        let secs = bits / (MIGRATION_BANDWIDTH_GBPS * 1e9);
         SimDuration::from_secs_f64(secs)
     }
 
@@ -206,21 +215,11 @@ impl Datacenter {
             }
         }
 
-        // --- model updates & histories.
+        // --- model updates.
         for (i, vm) in self.vms.iter_mut().enumerate() {
-            if vm.departed {
-                continue;
+            if !vm.departed {
+                vm.im.observe_hour(stamp, levels[i]);
             }
-            vm.im.observe_hour(stamp, levels[i]);
-            self.vm_hist.push(vm.spec.id, levels[i] * vm.spec.vcpus);
-        }
-        for host in &self.hosts {
-            let demand: f64 = self
-                .active_residents(host.spec.id)
-                .map(|i| levels[i] * self.vms[i].spec.vcpus)
-                .sum();
-            self.host_hist
-                .push(host.spec.id, demand / host.spec.cpu_cores.max(1e-9));
         }
         drop(im_span);
 
@@ -257,22 +256,9 @@ impl Datacenter {
         };
         for round in 0..self.policy.plan_rounds() {
             let state = self.cluster_state(levels, scores);
-            // Hand every round a free-capacity index over the snapshot:
-            // index-aware policies skip their per-decision fleet scans,
-            // while the default `plan_indexed` falls back to `plan`, so
-            // legacy policies stay bit-identical.
-            let index = dds_placement::CapacityIndex::from_cluster(&state);
-            let plan = self.policy.plan_indexed(
-                round,
-                &PlanningView {
-                    state: &state,
-                    vm_hist: &self.vm_hist,
-                    host_hist: &self.host_hist,
-                    classes: &classes,
-                },
-                &index,
-                &mut self.rng,
-            );
+            let plan = self
+                .policy
+                .plan(round, &PlanningView::new(&state, &classes), &mut self.rng);
             for m in &plan.consolidation.migrations {
                 self.apply_move(m.vm, m.to, now);
             }

@@ -156,11 +156,6 @@ impl<'a> DcEngine<'a> {
         self.engine.now()
     }
 
-    /// Number of pending events.
-    pub fn pending_events(&self) -> usize {
-        self.engine.pending()
-    }
-
     /// VMs admitted / rejected through [`DcEvent::VmArrival`] so far.
     pub fn arrival_stats(&self) -> (u64, u64) {
         (self.admitted, self.rejected)

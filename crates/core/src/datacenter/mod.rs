@@ -67,10 +67,7 @@ use dds_hostos::{
 use dds_idleness::{IdlenessModel, ImConfig};
 use dds_net::{HostMac, VmIp, WakingCluster, WakingConfig};
 use dds_placement::policy::{ControlPolicy, PlanningView, SleepDepth};
-use dds_placement::{
-    ClusterState, DrowsyConfig, HistoryBook, HostHistories, HostState, NeatConfig,
-    SleepScaleConfig, VmState,
-};
+use dds_placement::{ClusterState, DrowsyConfig, HostState, SleepScaleConfig, VmState};
 use dds_power::{
     DcEnergyAccount, EnergyMeter, HostPowerModel, PowerState, PowerStateMachine, PowerTimeline,
     WakeSpeed,
@@ -101,10 +98,6 @@ impl std::error::Error for AdmitError {}
 pub struct DcConfig {
     /// Host power model.
     pub power: HostPowerModel,
-    /// Suspending-module configuration.
-    pub suspend: SuspendConfig,
-    /// Waking-module configuration.
-    pub waking: WakingConfig,
     /// Resume speed (Drowsy-DC ships the quick-resume path).
     pub wake_speed: WakeSpeed,
     /// Idleness-model configuration.
@@ -119,22 +112,9 @@ pub struct DcConfig {
     pub ip_horizon_hours: u64,
     /// Drowsy planner configuration.
     pub drowsy: DrowsyConfig,
-    /// Neat planner configuration.
-    pub neat: NeatConfig,
     /// SleepScale policy configuration (used when the `sleepscale`
     /// registry policy is selected).
     pub sleepscale: SleepScaleConfig,
-    /// Working-set fraction parked by Oasis.
-    pub oasis_park_fraction: f64,
-    /// Delay before the suspending module notices a fully idle host
-    /// (its periodic check interval).
-    pub idle_detect_delay: SimDuration,
-    /// Live-migration bandwidth in Gbit/s.
-    pub migration_bandwidth_gbps: f64,
-    /// Hours a VM is pinned after a migration (cooldown honoured by the
-    /// opportunistic pass; prevents hour-chasing churn on phase-shifted
-    /// workloads).
-    pub migration_cooldown_hours: u64,
     /// Peak request rate of an interactive VM at activity 1.0.
     pub request_peak_rps: f64,
     /// Mean request service time (awake host).
@@ -167,19 +147,12 @@ impl DcConfig {
     pub fn paper_default() -> Self {
         DcConfig {
             power: HostPowerModel::paper_default(),
-            suspend: SuspendConfig::paper_default(),
-            waking: WakingConfig::paper_default(),
             wake_speed: WakeSpeed::Quick,
             im: ImConfig::paper_default(),
             relocation_period_hours: 1,
             ip_horizon_hours: 1,
             drowsy: DrowsyConfig::paper_default(),
-            neat: NeatConfig::paper_default(),
             sleepscale: SleepScaleConfig::paper_default(),
-            oasis_park_fraction: 0.10,
-            idle_detect_delay: SimDuration::from_secs(30),
-            migration_bandwidth_gbps: 10.0,
-            migration_cooldown_hours: 8,
             request_peak_rps: 2.0,
             request_service: SimDuration::from_millis(60),
             sla: SimDuration::from_millis(200),
@@ -377,8 +350,6 @@ pub struct Datacenter {
     residents: Vec<Vec<usize>>,
     waking: WakingCluster,
     blacklist: Blacklist,
-    vm_hist: HistoryBook,
-    host_hist: HostHistories,
     rng: SimRng,
     hour: u64,
     /// Live (non-departed) VMs, maintained on admission/departure so
@@ -424,7 +395,9 @@ impl Datacenter {
         assert_eq!(vm_specs.len(), placement.len(), "placement covers every VM");
         let start = SimTime::EPOCH;
         let blacklist = Blacklist::standard();
-        let suspend_cfg = policy.shape_suspend_config(&cfg.suspend);
+        // Every host runs the paper's suspending module (§IV: 5 s–2 min
+        // IP-adaptive grace); no policy reshapes it.
+        let suspend_cfg = SuspendConfig::paper_default();
         let mut hosts: Vec<HostSim> = host_specs
             .into_iter()
             .map(|spec| {
@@ -500,10 +473,8 @@ impl Datacenter {
         Datacenter {
             policy,
             qos,
-            waking: WakingCluster::new(1, cfg.waking, start),
+            waking: WakingCluster::new(1, WakingConfig::paper_default(), start),
             blacklist,
-            vm_hist: HistoryBook::new(48),
-            host_hist: HostHistories::new(),
             rng: SimRng::new(seed),
             hour: 0,
             live_vms: n,
@@ -569,11 +540,6 @@ impl Datacenter {
     /// The current hour index.
     pub fn hour(&self) -> u64 {
         self.hour
-    }
-
-    /// Display label of the policy managing this datacenter.
-    pub fn policy_label(&self) -> &'static str {
-        self.policy.label()
     }
 
     /// Current VM → host assignment (diagnostics).
@@ -680,7 +646,6 @@ impl Datacenter {
         if let Some((tid, _)) = timer {
             self.hosts[host].timers.cancel(tid);
         }
-        self.vm_hist.forget(vm);
         true
     }
 

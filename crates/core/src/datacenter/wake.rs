@@ -4,6 +4,11 @@
 use super::telemetry::DcMetrics;
 use super::*;
 
+/// Delay before the suspending module notices a fully idle host: its
+/// periodic check interval (DESIGN §3 item 1). The earliest a host can
+/// begin to suspend is this far into an idle hour.
+const IDLE_DETECT_DELAY: SimDuration = SimDuration::from_secs(30);
+
 impl Datacenter {
     pub(super) fn mac(&self, host: HostId) -> HostMac {
         HostMac::of(host)
@@ -197,7 +202,7 @@ impl Datacenter {
                 return;
             }
             // Candidate suspend instant: idle detection + management pin.
-            let mut t = (hour_start + self.cfg.idle_detect_delay)
+            let mut t = (hour_start + IDLE_DETECT_DELAY)
                 .max(self.hosts[hid.index()].forced_awake_until)
                 .max(self.hosts[hid.index()].meter.cursor());
             let suspend_latency = self.hosts[hid.index()]

@@ -848,11 +848,6 @@ impl FleetSim {
         &self.hosts
     }
 
-    /// Live VM references.
-    pub fn live_refs(&self) -> &[VmRef] {
-        &self.live
-    }
-
     /// The VM arena (inspection).
     pub fn arena(&self) -> &VmArena {
         &self.vms
@@ -871,12 +866,6 @@ impl FleetSim {
     /// Rejected arrivals so far.
     pub fn rejections(&self) -> u64 {
         self.rejections
-    }
-
-    /// The streaming QoS accumulation so far (`cfg.qos` runs only) —
-    /// inspectable mid-run, cloned into [`FleetOutcome::qos`] at the end.
-    pub fn qos_report(&self) -> Option<&QosReport> {
-        self.qos.as_ref()
     }
 
     /// The per-run metrics registry (logical event counters).
@@ -922,14 +911,6 @@ impl FleetSim {
         g("fleet.index_unparks").set(ops.unparks);
         g("fleet.index_queries").set(ops.queries);
         self.metrics.snapshot(MetricKind::Logical)
-    }
-
-    /// Total energy host `slot` has drawn so far, in watt-hours: the
-    /// irregular (active + transition) accumulation plus the
-    /// exactly-counted drowsy hours. Call [`FleetSim::sync`] first.
-    pub fn host_energy_wh(&self, slot: u32) -> f64 {
-        self.hosts.energy_wh[slot as usize]
-            + self.hosts.drowsy_hours[slot as usize] as f64 * self.s3_w
     }
 
     /// Places and links one VM; returns its ref, or `None` when no host
@@ -1554,20 +1535,17 @@ mod tests {
         for hour in 0..50 {
             sim.step_hour(hour);
         }
-        assert_eq!(
-            sim.live_refs().len() as u64,
-            sim.placements() - sim.departures()
-        );
+        assert_eq!(sim.live.len() as u64, sim.placements() - sim.departures());
         let residents: u32 = sim.columns().resident_count.iter().sum();
-        assert_eq!(residents as usize, sim.live_refs().len());
+        assert_eq!(residents as usize, sim.live.len());
         let used: u32 = sim.columns().vcpu_used.iter().sum();
         let reserved: u32 = sim
-            .live_refs()
+            .live
             .iter()
             .map(|r| sim.arena().vcpus[r.slot as usize])
             .sum();
         assert_eq!(used, reserved);
-        for &r in sim.live_refs() {
+        for &r in &sim.live {
             assert!(sim.arena().is_live(r));
         }
         for slot in 0..sim.columns().len() as u32 {
@@ -1593,9 +1571,14 @@ mod tests {
         sim.sync();
         // Energy: host 0 paid two wake cycles on top of its S3 + active
         // hours; empty hosts paid pure S3.
+        // Per-host energy: the irregular (active + transition)
+        // accumulation plus the exactly-counted drowsy hours.
+        let energy_wh = |slot: usize| {
+            sim.hosts.energy_wh[slot] + sim.hosts.drowsy_hours[slot] as f64 * sim.s3_w
+        };
         let model = HostPowerModel::paper_default();
-        assert!((sim.host_energy_wh(1) - 48.0 * model.suspended_watts).abs() < 1e-9);
-        assert!(sim.host_energy_wh(0) > sim.host_energy_wh(1));
+        assert!((energy_wh(1) - 48.0 * model.suspended_watts).abs() < 1e-9);
+        assert!(energy_wh(0) > energy_wh(1));
         let cols = sim.columns();
         // Host 0: suspended at hour 0 with waking date 5, woke at hours 5
         // and 29, suspended again after each nightly burst.

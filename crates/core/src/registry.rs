@@ -19,10 +19,14 @@
 use crate::datacenter::DcConfig;
 use dds_placement::policy::ControlPolicy;
 use dds_placement::{
-    AdaptiveConfig, AdaptivePolicy, DrowsyPolicy, NeatPolicy, OasisConfig, OasisPolicy,
+    AdaptiveConfig, AdaptivePolicy, DrowsyPolicy, NeatConfig, NeatPolicy, OasisConfig, OasisPolicy,
     SlaAwarePolicy, SleepScalePolicy,
 };
 use dds_sim_core::HostId;
+
+/// Share of an idle VM's memory that Oasis parks on the consolidation
+/// host (DESIGN §3 item 7): the working set, not the whole footprint.
+const OASIS_PARK_FRACTION: f64 = 0.10;
 
 /// One registered policy: metadata plus a factory closing over nothing
 /// (plain `fn`, so entries are `Copy`/`Send`/`Sync` for the sweep runner).
@@ -97,31 +101,31 @@ impl PolicyRegistry {
                     name: "neat-s3",
                     label: "Neat+S3",
                     needs_consolidation_host: false,
-                    build: |cfg, _| Box::new(NeatPolicy::suspending(cfg.neat.clone())),
+                    build: |_, _| Box::new(NeatPolicy::suspending(NeatConfig::paper_default())),
                 },
                 PolicyEntry {
                     name: "neat",
                     label: "Neat",
                     needs_consolidation_host: false,
-                    build: |cfg, _| Box::new(NeatPolicy::always_on(cfg.neat.clone())),
+                    build: |_, _| Box::new(NeatPolicy::always_on(NeatConfig::paper_default())),
                 },
                 PolicyEntry {
                     name: "oasis",
                     label: "Oasis",
                     needs_consolidation_host: true,
-                    build: |cfg, ch| {
+                    build: |_, ch| {
                         let ch = ch.expect("Oasis needs a consolidation host");
                         Box::new(OasisPolicy::new(
                             OasisConfig {
                                 consolidation_hosts: vec![ch],
-                                park_fraction: cfg.oasis_park_fraction,
+                                park_fraction: OASIS_PARK_FRACTION,
                                 // Parking is not instantaneous in Oasis: the
                                 // working set is trickled out and short idle
                                 // gaps are not worth the round trip. Two idle
                                 // hours at our resolution.
                                 park_after_idle_hours: 2,
                             },
-                            cfg.neat.clone(),
+                            NeatConfig::paper_default(),
                         ))
                     },
                 },
@@ -287,7 +291,11 @@ mod tests {
             name: "neat",
             label: "Neat (custom)",
             needs_consolidation_host: false,
-            build: |cfg, _| Box::new(dds_placement::NeatPolicy::always_on(cfg.neat.clone())),
+            build: |_, _| {
+                Box::new(dds_placement::NeatPolicy::always_on(
+                    dds_placement::NeatConfig::paper_default(),
+                ))
+            },
         });
         assert_eq!(
             reg.get("neat").expect("still present").label,

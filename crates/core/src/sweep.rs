@@ -268,7 +268,11 @@ mod tests {
             "neat-s3-tuned",
             "Neat+S3 (tuned)",
             false,
-            |cfg, _| Box::new(dds_placement::NeatPolicy::suspending(cfg.neat.clone())),
+            |_, _| {
+                Box::new(dds_placement::NeatPolicy::suspending(
+                    dds_placement::NeatConfig::paper_default(),
+                ))
+            },
         ));
         let points = llmi_grid(&["neat-s3-tuned".to_string()], &[0.5], small_spec, 3);
         let out = run_sweep_with(&registry, &points, 2);

@@ -175,11 +175,6 @@ impl ProcessTable {
         }
     }
 
-    /// Removes exited processes from the table.
-    pub fn reap(&mut self) {
-        self.procs.retain(|p| p.state != ProcState::Exited);
-    }
-
     /// Removes a process outright (e.g. VM migrated away).
     pub fn kill(&mut self, pid: Pid) -> bool {
         let before = self.procs.len();
@@ -222,16 +217,6 @@ impl ProcessTable {
             .iter()
             .filter(move |p| p.state == ProcState::BlockedIo && !blacklist.contains(&p.name))
     }
-
-    /// The process embodying the given VM, if present.
-    pub fn vm_process(&self, vm: VmId) -> Option<&Process> {
-        self.procs.iter().find(|p| p.vm == Some(vm))
-    }
-
-    /// Mutable access to the process embodying the given VM.
-    pub fn vm_process_mut(&mut self, vm: VmId) -> Option<&mut Process> {
-        self.procs.iter_mut().find(|p| p.vm == Some(vm))
-    }
 }
 
 #[cfg(test)]
@@ -258,16 +243,6 @@ mod tests {
         assert!(t.kill(a));
         assert!(!t.kill(a));
         assert!(t.is_empty());
-    }
-
-    #[test]
-    fn reap_removes_exited() {
-        let mut t = ProcessTable::new();
-        let a = t.spawn("a", ProcState::Exited);
-        t.spawn("b", ProcState::Running);
-        t.reap();
-        assert_eq!(t.len(), 1);
-        assert!(t.get(a).is_none());
     }
 
     #[test]
@@ -311,10 +286,9 @@ mod tests {
         t.spawn("init", ProcState::Sleeping { wake: None });
         let vm = VmId(3);
         let pid = t.spawn_vm_process("qemu-v3", ProcState::Runnable, Some(vm));
-        assert_eq!(t.vm_process(vm).unwrap().pid, pid);
-        assert!(t.vm_process(VmId(9)).is_none());
-        t.vm_process_mut(vm).unwrap().state = ProcState::Sleeping { wake: None };
-        assert!(!t.vm_process(vm).unwrap().state.wants_cpu());
+        assert_eq!(t.get(pid).unwrap().vm, Some(vm));
+        assert!(t.set_state(pid, ProcState::Sleeping { wake: None }));
+        assert!(!t.get(pid).unwrap().state.wants_cpu());
     }
 
     #[test]

@@ -63,13 +63,6 @@ pub struct IdlenessCheck {
     pub io_blocked: Vec<Pid>,
 }
 
-impl IdlenessCheck {
-    /// True when nothing prevents suspension.
-    pub fn is_idle(&self) -> bool {
-        self.active.is_empty() && self.io_blocked.is_empty()
-    }
-}
-
 /// Why the suspending module kept the host awake.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StayAwakeReason {

@@ -108,20 +108,6 @@ impl TimerWheel {
         })
     }
 
-    /// Removes and returns all timers expiring at or before `now`, in
-    /// expiry order.
-    pub fn expire_until(&mut self, now: SimTime) -> Vec<TimerEntry> {
-        let mut expired = Vec::new();
-        while let Some((&(t, id), _)) = self.tree.first_key_value() {
-            if t > now {
-                break;
-            }
-            let entry = self.tree.remove(&(t, id)).expect("key just observed");
-            expired.push(entry);
-        }
-        expired
-    }
-
     /// Iterates all timers in expiry order.
     pub fn iter(&self) -> impl Iterator<Item = &TimerEntry> {
         self.tree.values()
@@ -180,20 +166,6 @@ mod tests {
     }
 
     #[test]
-    fn expire_until_pops_in_order() {
-        let mut w = TimerWheel::new();
-        w.register(t(3), Pid(0), "c");
-        w.register(t(1), Pid(0), "a");
-        w.register(t(2), Pid(0), "b");
-        w.register(t(9), Pid(0), "later");
-        let fired = w.expire_until(t(3));
-        let labels: Vec<_> = fired.iter().map(|e| e.label.as_str()).collect();
-        assert_eq!(labels, vec!["a", "b", "c"]);
-        assert_eq!(w.len(), 1);
-        assert!(w.expire_until(t(3)).is_empty());
-    }
-
-    #[test]
     fn cancel_removes_timer() {
         let mut w = TimerWheel::new();
         let a = w.register(t(1), Pid(0), "a");
@@ -209,8 +181,7 @@ mod tests {
         w.register(t(5), Pid(0), "x");
         w.register(t(5), Pid(1), "y");
         assert_eq!(w.len(), 2);
-        let fired = w.expire_until(t(5));
-        assert_eq!(fired.len(), 2);
+        let fired: Vec<_> = w.iter().collect();
         // Registration order preserved among equal expiries (id order).
         assert_eq!(fired[0].label, "x");
         assert_eq!(fired[1].label, "y");
@@ -225,7 +196,7 @@ mod tests {
             for &e in &expiries {
                 w.register(t(e), Pid(0), "t");
             }
-            let fired = w.expire_until(t(10_000));
+            let fired: Vec<_> = w.iter().collect();
             prop_assert_eq!(fired.len(), expiries.len());
             for pair in fired.windows(2) {
                 prop_assert!(pair[0].expires <= pair[1].expires);

@@ -10,21 +10,6 @@ use crate::model::IdlenessModel;
 use dds_sim_core::time::CalendarStamp;
 use dds_traces::VmTrace;
 
-/// One hour of the evaluation: the model's view before observing.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct EvalPoint {
-    /// Global hour index.
-    pub hour: u64,
-    /// Raw idleness score before observing the hour.
-    pub raw_score: f64,
-    /// Idleness probability before observing the hour.
-    pub probability: f64,
-    /// Whether the model predicted idle.
-    pub predicted_idle: bool,
-    /// Whether the trace was actually idle.
-    pub actually_idle: bool,
-}
-
 /// Runs a fresh pass of `model` over `hours` hours of `trace`
 /// (wrapping if the trace is shorter), recording per-window scores.
 ///
@@ -47,38 +32,6 @@ pub fn evaluate_model_on_trace(
         model.observe_hour(stamp, level);
     }
     eval.finish()
-}
-
-/// Like [`evaluate_model_on_trace`] but also returns the per-hour detail
-/// (used by diagnostics and the ablation benches; costs one `EvalPoint`
-/// per hour).
-pub fn evaluate_with_detail(
-    model: &mut IdlenessModel,
-    trace: &VmTrace,
-    hours: u64,
-    window_hours: u64,
-) -> (Vec<WindowScores>, Vec<EvalPoint>) {
-    let mut eval = WindowedEvaluation::new(window_hours);
-    let mut detail = Vec::with_capacity(hours as usize);
-    let noise = model.config().noise_threshold;
-    for hour in 0..hours {
-        let stamp = CalendarStamp::from_hour_index(hour);
-        let raw_score = model.raw_score(stamp);
-        let probability = model.probability(stamp);
-        let predicted_idle = raw_score > 0.0;
-        let level = trace.level_at_hour(hour);
-        let actually_idle = level < noise;
-        eval.record(predicted_idle, actually_idle);
-        detail.push(EvalPoint {
-            hour,
-            raw_score,
-            probability,
-            predicted_idle,
-            actually_idle,
-        });
-        model.observe_hour(stamp, level);
-    }
-    (eval.finish(), detail)
 }
 
 #[cfg(test)]
@@ -216,27 +169,6 @@ mod tests {
         // Still predicted idle — two observations cannot outweigh 700+
         // idle days (the honest limit of the technique for yearly events).
         assert!(model.predicts_idle(stamp));
-    }
-
-    #[test]
-    fn detail_matches_windows() {
-        let trace = TracePattern::paper_daily_backup().generate(200, &mut SimRng::new(5));
-        let mut m1 = IdlenessModel::with_defaults();
-        let mut m2 = IdlenessModel::with_defaults();
-        let w1 = evaluate_model_on_trace(&mut m1, &trace, 200, 50);
-        let (w2, detail) = evaluate_with_detail(&mut m2, &trace, 200, 50);
-        assert_eq!(w1.len(), w2.len());
-        for (a, b) in w1.iter().zip(w2.iter()) {
-            assert_eq!(a.matrix, b.matrix);
-        }
-        assert_eq!(detail.len(), 200);
-        // Detail agrees with its own matrix counts.
-        let tp = detail
-            .iter()
-            .filter(|p| p.predicted_idle && p.actually_idle)
-            .count() as u64;
-        let total_tp: u64 = w2.iter().map(|w| w.matrix.tp).sum();
-        assert_eq!(tp, total_tp);
     }
 
     #[test]

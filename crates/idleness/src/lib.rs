@@ -35,6 +35,6 @@ pub mod metrics;
 pub mod model;
 
 pub use classify::ImClass;
-pub use eval::{evaluate_model_on_trace, EvalPoint};
+pub use eval::evaluate_model_on_trace;
 pub use metrics::{ConfusionMatrix, WindowedEvaluation};
 pub use model::{IdlenessModel, ImConfig, SiVector, SIGMA};

@@ -130,11 +130,6 @@ impl WakingModule {
         self.wol_sent
     }
 
-    /// Number of hosts currently registered as drowsy.
-    pub fn drowsy_host_count(&self) -> usize {
-        self.hosts.len()
-    }
-
     /// True when the module believes this host is suspended (or resuming).
     pub fn is_drowsy(&self, mac: HostMac) -> bool {
         self.hosts.contains_key(&mac)

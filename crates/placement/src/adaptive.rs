@@ -375,10 +375,8 @@ impl ControlPolicy for AdaptivePolicy {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::neat::HostHistories;
     use crate::types::testkit::{host, vm};
     use crate::types::ClusterState;
-    use crate::HistoryBook;
 
     /// Three hosts, two VMs each; per-VM classes chosen per test.
     fn state() -> ClusterState {
@@ -399,14 +397,7 @@ mod tests {
     }
 
     fn planned_on(s: &ClusterState, classes: &[ImClass]) -> AdaptivePolicy {
-        let vm_hist = HistoryBook::new(8);
-        let host_hist = HostHistories::new();
-        let view = PlanningView {
-            state: s,
-            vm_hist: &vm_hist,
-            host_hist: &host_hist,
-            classes,
-        };
+        let view = PlanningView::new(s, classes);
         let mut p = AdaptivePolicy::new(AdaptiveConfig::paper_default());
         p.plan(0, &view, &mut SimRng::new(1));
         p
@@ -434,14 +425,7 @@ mod tests {
     #[test]
     fn plans_exactly_like_drowsy() {
         let s = state();
-        let vm_hist = HistoryBook::new(8);
-        let host_hist = HostHistories::new();
-        let view = PlanningView {
-            state: &s,
-            vm_hist: &vm_hist,
-            host_hist: &host_hist,
-            classes: &[ImClass::Bursty; 6],
-        };
+        let view = PlanningView::new(&s, &[ImClass::Bursty; 6]);
         let mut adaptive = AdaptivePolicy::new(AdaptiveConfig::paper_default());
         let mut drowsy = DrowsyPolicy::new(DrowsyConfig::paper_default());
         assert_eq!(

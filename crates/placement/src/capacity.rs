@@ -13,9 +13,8 @@
 //! amortized work per decision.
 //!
 //! **Determinism contract.** Every query is defined in terms of an
-//! equivalent linear scan over host slots (`first_fit` = lowest slot with
-//! enough room; `best_fit` = tightest fit, lowest slot on ties;
-//! `worst_fit` = roomiest fit, lowest slot on ties). The bucket structure
+//! equivalent linear scan over host slots (`best_fit` = tightest fit,
+//! lowest slot on ties; `worst_fit` = roomiest fit, lowest slot on ties). The bucket structure
 //! is an accelerator, never an answer-changer: the property tests below
 //! drive the index and a reference linear scan through random
 //! admit/evict/park/unpark churn and require **bit-identical** decisions.
@@ -26,9 +25,6 @@
 
 use std::cell::Cell;
 use std::collections::BTreeSet;
-
-/// Sentinel: no host satisfies the query.
-const NONE: u32 = u32::MAX;
 
 /// Operation counters maintained by [`CapacityIndex`] for telemetry.
 ///
@@ -45,7 +41,7 @@ pub struct IndexOps {
     pub parks: u64,
     /// `unpark` calls (host returned to placement).
     pub unparks: u64,
-    /// Fit queries answered (`first_fit` + `best_fit` + `worst_fit`).
+    /// Fit queries answered (`best_fit` + `worst_fit`).
     pub queries: u64,
 }
 
@@ -107,6 +103,11 @@ impl CapacityIndex {
     /// snapshot: slot *i* is `state.hosts[i]`, its free count the whole
     /// vCPUs not claimed by resident VMs (fractional remainders truncate —
     /// a host with 1.5 spare cores cannot seat a 2-vCPU VM).
+    ///
+    /// No production path calls this: the datacenter controller plans
+    /// without an index. It is kept only for the benchmark harness's side
+    /// replay (`perfbench/src/side.rs`), which times it beside
+    /// [`ControlPolicy::plan_indexed`](crate::policy::ControlPolicy::plan_indexed).
     pub fn from_cluster(state: &crate::types::ClusterState) -> Self {
         let free: Vec<u32> = state
             .hosts
@@ -145,16 +146,6 @@ impl CapacityIndex {
             queries: self.queries.get(),
             ..self.ops
         }
-    }
-
-    /// Total free vCPUs across unparked hosts.
-    pub fn total_free(&self) -> u64 {
-        self.free
-            .iter()
-            .zip(&self.parked)
-            .filter(|(_, &p)| !p)
-            .map(|(&f, _)| f as u64)
-            .sum()
     }
 
     fn move_bucket(&mut self, slot: u32, from: u32, to: u32) {
@@ -214,18 +205,6 @@ impl CapacityIndex {
             }
             self.buckets[f as usize].insert(slot);
         }
-    }
-
-    /// The lowest-numbered unparked host with at least `need` free vCPUs.
-    pub fn first_fit(&self, need: u32) -> Option<u32> {
-        self.queries.set(self.queries.get() + 1);
-        let mut best = NONE;
-        for bucket in self.buckets.iter().skip(need as usize) {
-            if let Some(&slot) = bucket.first() {
-                best = best.min(slot);
-            }
-        }
-        (best != NONE).then_some(best)
     }
 
     /// The unparked host with the *fewest* free vCPUs still ≥ `need`
@@ -295,10 +274,6 @@ mod tests {
                 .map(|(slot, (&f, _))| (slot as u32, f))
         }
 
-        fn first_fit(&self, need: u32) -> Option<u32> {
-            self.candidates(need).next().map(|(slot, _)| slot)
-        }
-
         fn best_fit(&self, need: u32) -> Option<u32> {
             self.candidates(need)
                 .min_by_key(|&(slot, f)| (f, slot))
@@ -319,14 +294,17 @@ mod tests {
         // free: [2, 4, 4, 8, 0], slot 3 parked.
         let mut idx = CapacityIndex::new(&[2, 4, 4, 8, 0]);
         idx.park(3);
-        assert_eq!(idx.first_fit(1), Some(0));
-        assert_eq!(idx.first_fit(3), Some(1));
+        assert_eq!(idx.best_fit(1), Some(0));
         assert_eq!(idx.best_fit(3), Some(1), "lowest slot among ties");
         assert_eq!(idx.worst_fit(1), Some(1), "roomiest unparked");
         assert_eq!(idx.best_fit(5), None, "only the parked host is big enough");
         idx.unpark(3);
         assert_eq!(idx.best_fit(5), Some(3));
-        assert_eq!(idx.first_fit(0), Some(0));
+        assert_eq!(
+            idx.best_fit(0),
+            Some(4),
+            "an exhausted host fits nothing bigger"
+        );
     }
 
     #[test]
@@ -338,7 +316,6 @@ mod tests {
         idx.evict(0, 3);
         assert_eq!(idx.free_of(0), 3);
         assert_eq!(idx.best_fit(2), Some(0), "tightest fit is the drained host");
-        assert_eq!(idx.total_free(), 11);
     }
 
     #[test]
@@ -348,7 +325,7 @@ mod tests {
         let mut idx = CapacityIndex::new(&[4]);
         idx.evict(0, 10);
         assert_eq!(idx.free_of(0), 14);
-        assert_eq!(idx.first_fit(14), Some(0));
+        assert_eq!(idx.best_fit(14), Some(0));
         // Same while parked: the bucket grows on unpark.
         let mut idx = CapacityIndex::new(&[4]);
         idx.park(0);
@@ -363,7 +340,7 @@ mod tests {
         idx.park(0);
         idx.park(0);
         idx.admit(0, 2); // bookkeeping continues while parked
-        assert_eq!(idx.first_fit(1), Some(1));
+        assert_eq!(idx.best_fit(1), Some(1));
         assert!(idx.is_parked(0));
         idx.unpark(0);
         idx.unpark(0);
@@ -382,7 +359,6 @@ mod tests {
         idx.park(1); // idempotent parks still count as calls
         idx.unpark(1);
         let _ = idx.best_fit(1);
-        let _ = idx.first_fit(1);
         let _ = idx.worst_fit(1);
         let ops = idx.ops();
         assert_eq!(
@@ -392,10 +368,10 @@ mod tests {
                 evicts: 1,
                 parks: 2,
                 unparks: 1,
-                queries: 3,
+                queries: 2,
             }
         );
-        assert_eq!(ops.total(), 8);
+        assert_eq!(ops.total(), 7);
     }
 
     #[test]
@@ -443,14 +419,12 @@ mod tests {
                         idx.unpark(slot);
                         scan.unpark(slot);
                     }
-                    4 => prop_assert_eq!(idx.first_fit(amount), scan.first_fit(amount)),
-                    5 => prop_assert_eq!(idx.best_fit(amount), scan.best_fit(amount)),
+                    4 | 5 => prop_assert_eq!(idx.best_fit(amount), scan.best_fit(amount)),
                     _ => prop_assert_eq!(idx.worst_fit(amount), scan.worst_fit(amount)),
                 }
             }
             // Final state: every query at every need agrees.
             for need in 0..40 {
-                prop_assert_eq!(idx.first_fit(need), scan.first_fit(need));
                 prop_assert_eq!(idx.best_fit(need), scan.best_fit(need));
                 prop_assert_eq!(idx.worst_fit(need), scan.worst_fit(need));
             }

@@ -16,11 +16,10 @@
 //! overall goal of IP-augmented consolidation is to put VMs with similar
 //! IPs together."
 
-use crate::history::HistoryBook;
-use crate::neat::{HostHistories, NeatConfig, NeatPlanner};
+use crate::neat::{NeatConfig, NeatPlanner};
 use crate::scratch::{drain_underloaded, PlanScratch};
 use crate::types::{ClusterState, ConsolidationPlan, Migration, Swap, VmState};
-use dds_sim_core::{HostId, SimRng, VmId};
+use dds_sim_core::{HostId, VmId};
 
 /// σ, re-exported here so placement depends only on one constant.
 pub const SIGMA: f64 = 1.0 / (365.0 * 24.0);
@@ -28,7 +27,7 @@ pub const SIGMA: f64 = 1.0 / (365.0 * 24.0);
 /// Drowsy-DC planner configuration.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DrowsyConfig {
-    /// The underlying Neat policies.
+    /// The underlying Neat thresholds.
     pub neat: NeatConfig,
     /// Maximum allowed VM IP spread on one host before the opportunistic
     /// pass breaks it up. Paper: 7σ, "roughly a difference of a week of
@@ -134,29 +133,17 @@ impl DrowsyPlanner {
     /// The full Drowsy-DC planning round: Neat's overload/underload
     /// handling with IP-aware selection/placement, then the opportunistic
     /// 7σ-range pass.
-    pub fn plan(
-        &self,
-        state: &ClusterState,
-        _vm_hist: &HistoryBook,
-        host_hist: &HostHistories,
-        _rng: &mut SimRng,
-    ) -> ConsolidationPlan {
+    pub fn plan(&self, state: &ClusterState) -> ConsolidationPlan {
         let mut scratch = PlanScratch::new(state.clone());
         let mut plan = ConsolidationPlan::default();
 
         // --- overloaded hosts: IP-aware selection + placement.
-        let overloaded = self.neat.exclude_overloaded(&mut scratch, host_hist);
+        let overloaded = self.neat.exclude_overloaded(&mut scratch);
         for slot in overloaded {
             let host_id = scratch.host(slot).id;
-            let hist = host_hist.get(host_id);
             let order = self.select_order(scratch.state(), host_id);
             for vm_id in order {
-                if !self
-                    .config
-                    .neat
-                    .overload
-                    .is_overloaded(scratch.utilization(slot), hist)
-                {
+                if !self.neat.is_overloaded(scratch.utilization(slot)) {
                     break;
                 }
                 let vm = scratch
@@ -185,7 +172,7 @@ impl DrowsyPlanner {
         // the biggest resource requirements").
         let drained = drain_underloaded(
             &mut scratch,
-            self.config.neat.underload,
+            self.config.neat.underload_threshold,
             |vms| {
                 vms.sort_by(|a, b| {
                     b.ram_mb
@@ -394,10 +381,6 @@ mod tests {
         DrowsyPlanner::new(DrowsyConfig::paper_default())
     }
 
-    fn no_hist() -> (HistoryBook, HostHistories) {
-        (HistoryBook::new(16), HostHistories::new())
-    }
-
     /// The closest-IP pick over every host, checked against the
     /// full-scan oracle.
     fn closest(p: &DrowsyPlanner, state: &ClusterState, vm: &VmState) -> Option<HostId> {
@@ -473,8 +456,7 @@ mod tests {
             host(0, 2, vec![vm(1, 0.1, 0.4), vm(2, 0.1, -0.4)]),
             host(1, 2, vec![vm(3, 0.1, 0.4), vm(4, 0.1, -0.4)]),
         ]);
-        let (vm_hist, host_hist) = no_hist();
-        let plan = p.plan(&state, &vm_hist, &host_hist, &mut SimRng::new(1));
+        let plan = p.plan(&state);
         assert!(!plan.swaps.is_empty(), "full hosts regroup via swaps");
         let mut after = state;
         after.apply_plan(&plan).unwrap();
@@ -501,8 +483,7 @@ mod tests {
             host(0, 2, vec![vm(1, 0.1, 0.0001), vm(2, 0.1, 0.0002)]),
             host(1, 2, vec![vm(3, 0.1, 0.0001)]),
         ]);
-        let (vm_hist, host_hist) = no_hist();
-        let plan = p.plan(&state, &vm_hist, &host_hist, &mut SimRng::new(1));
+        let plan = p.plan(&state);
         // Hosts are under-utilized so Neat-style draining may still fire;
         // but no *opportunistic* move may occur. Drain moves all carry
         // hosts_to_power_off bookkeeping; verify ranges stayed tight.
@@ -516,7 +497,7 @@ mod tests {
     #[test]
     fn overloaded_host_sheds_furthest_ip_first() {
         let mut cfg = DrowsyConfig::paper_default();
-        cfg.neat.underload = crate::neat::UnderloadPolicy::StaticThreshold(0.0);
+        cfg.neat.underload_threshold = 0.0;
         let p = DrowsyPlanner::new(cfg);
         // Host 0 overloaded (util 0.9); VMs 1/2 share the active pattern,
         // VM 3 is the idle-pattern misfit (furthest from the host mean).
@@ -534,8 +515,7 @@ mod tests {
             ),
             host(1, 0, vec![mk(4, 0.5, 0.3)]),
         ]);
-        let (vm_hist, host_hist) = no_hist();
-        let plan = p.plan(&state, &vm_hist, &host_hist, &mut SimRng::new(1));
+        let plan = p.plan(&state);
         assert!(!plan.migrations.is_empty());
         assert_eq!(plan.migrations[0].vm, VmId(3), "IP misfit leaves first");
         assert_eq!(plan.migrations[0].to, HostId(1), "to the matching host");
@@ -545,15 +525,14 @@ mod tests {
     fn budget_caps_opportunistic_moves() {
         let mut cfg = DrowsyConfig::paper_default();
         cfg.max_opportunistic_moves = 1;
-        cfg.neat.underload = crate::neat::UnderloadPolicy::StaticThreshold(0.0);
+        cfg.neat.underload_threshold = 0.0;
         let p = DrowsyPlanner::new(cfg);
         let state = ClusterState::new(vec![
             host(0, 2, vec![vm(1, 0.1, 0.4), vm(2, 0.1, -0.4)]),
             host(1, 2, vec![vm(3, 0.1, 0.4), vm(4, 0.1, -0.4)]),
             host(2, 2, vec![vm(5, 0.1, 0.4), vm(6, 0.1, -0.4)]),
         ]);
-        let (vm_hist, host_hist) = no_hist();
-        let plan = p.plan(&state, &vm_hist, &host_hist, &mut SimRng::new(1));
+        let plan = p.plan(&state);
         assert!(plan.migrations.len() <= 1);
     }
 
@@ -572,9 +551,7 @@ mod tests {
                 host(2, 3, vec![mk(4), mk(5)]),
                 host(3, 3, vec![mk(6), mk(7)]),
             ]);
-            let (vm_hist, host_hist) = no_hist();
-            let p = planner();
-            let plan = p.plan(&state, &vm_hist, &host_hist, &mut SimRng::new(2));
+            let plan = planner().plan(&state);
             let mut after = state.clone();
             prop_assert!(after.apply_plan(&plan).is_ok());
             prop_assert!(after.check_invariants().is_ok());
@@ -600,10 +577,9 @@ mod tests {
                 .map(|h| h.ip_range())
                 .fold(0.0f64, f64::max);
             let mut cfg = DrowsyConfig::paper_default();
-            cfg.neat.underload = crate::neat::UnderloadPolicy::StaticThreshold(0.0);
+            cfg.neat.underload_threshold = 0.0;
             let p = DrowsyPlanner::new(cfg);
-            let (vm_hist, host_hist) = no_hist();
-            let plan = p.plan(&state, &vm_hist, &host_hist, &mut SimRng::new(3));
+            let plan = p.plan(&state);
             let mut after = state;
             after.apply_plan(&plan).unwrap();
             let worst_after = after

@@ -1,11 +1,11 @@
-//! Per-VM utilization histories.
+//! Utilization histories.
 //!
-//! Two consumers need history rather than an instantaneous snapshot: the
-//! Neat *maximum-correlation* VM-selection policy and the pairwise
-//! VM-multiplexing baseline, both of which correlate VMs' recent CPU
-//! demand series.
+//! The pairwise VM-multiplexing baseline ([`crate::multiplex`]) is the
+//! one consumer of history rather than an instantaneous snapshot: it
+//! correlates VMs' recent CPU demand series. No registered control
+//! policy reads a history; the datacenter controller keeps none.
 
-use dds_sim_core::VmId;
+use dds_sim_core::{HostId, VmId};
 use std::collections::HashMap;
 
 /// Bounded per-VM demand history (most recent last).
@@ -39,11 +39,6 @@ impl HistoryBook {
         self.series.get(&vm).map(Vec::as_slice).unwrap_or(&[])
     }
 
-    /// Forgets a VM (e.g. destroyed).
-    pub fn forget(&mut self, vm: VmId) {
-        self.series.remove(&vm);
-    }
-
     /// Number of tracked VMs.
     pub fn len(&self) -> usize {
         self.series.len()
@@ -69,6 +64,31 @@ impl HistoryBook {
         let sa = &sa[sa.len() - n..];
         let sb = &sb[sb.len() - n..];
         pearson(sa, sb)
+    }
+}
+
+/// Per-host normalized-utilization histories (most recent last),
+/// densely indexed by [`HostId`] and never trimmed. No planner reads
+/// them; [`crate::policy::PlanningView::host_hist`] carries one for
+/// outside callers that build a view by hand.
+#[derive(Debug, Clone, Default)]
+pub struct HostHistories {
+    hist: Vec<Vec<f64>>,
+}
+
+impl HostHistories {
+    /// An empty history set.
+    pub const fn new() -> Self {
+        HostHistories { hist: Vec::new() }
+    }
+
+    /// Appends one observation for `host`, growing the table as needed.
+    pub fn push(&mut self, host: HostId, value: f64) {
+        let i = host.index();
+        if i >= self.hist.len() {
+            self.hist.resize_with(i + 1, Vec::new);
+        }
+        self.hist[i].push(value);
     }
 }
 
@@ -109,8 +129,6 @@ mod tests {
         assert_eq!(h.series(VmId(0)), &[2.0, 3.0, 4.0]);
         assert_eq!(h.series(VmId(9)), &[] as &[f64]);
         assert_eq!(h.len(), 1);
-        h.forget(VmId(0));
-        assert!(h.is_empty());
     }
 
     #[test]

@@ -9,10 +9,9 @@
 //! * [`filters`] — a Nova-style filter scheduler (filters + weighers) for
 //!   initial VM placement, including Drowsy-DC's IP-proximity weigher.
 //! * [`neat`] — the OpenStack Neat dynamic-consolidation baseline
-//!   decomposed as published: overload detection (static threshold, MAD,
-//!   IQR), underload detection, VM selection (minimum-migration-time,
-//!   random, maximum-correlation) and power-aware best-fit-decreasing
-//!   placement.
+//!   decomposed as published, in its classic configuration: static
+//!   overload and underload thresholds, minimum-migration-time VM
+//!   selection and power-aware best-fit-decreasing placement.
 //! * [`drowsy`] — Drowsy-DC's modifications: IP-distance VM selection,
 //!   closest-IP destination choice, and the opportunistic consolidation
 //!   pass that breaks up hosts whose VM IP range exceeds 7σ.
@@ -23,7 +22,7 @@
 //!   (Meng et al.), whose O(n²) matching underpins the paper's §VII
 //!   scalability comparison with Drowsy-DC's O(n) scoring.
 //! * [`history`] — per-VM utilization histories consumed by the
-//!   correlation-based policies.
+//!   multiplexing baseline.
 //! * [`policy`] — the pluggable [`ControlPolicy`] layer the datacenter
 //!   controller dispatches through, with ready-made impls of the paper's
 //!   four algorithms.
@@ -65,11 +64,9 @@ pub use adaptive::{class_winner, AdaptiveConfig, AdaptivePolicy, CLASS_WINNERS};
 pub use capacity::CapacityIndex;
 pub use drowsy::{DrowsyConfig, DrowsyPlanner};
 pub use filters::{FilterScheduler, HostFilter, HostWeigher};
-pub use history::HistoryBook;
+pub use history::{HistoryBook, HostHistories};
 pub use multiplex::MultiplexPlanner;
-pub use neat::{
-    HostHistories, NeatConfig, NeatPlanner, OverloadPolicy, SelectionPolicy, UnderloadPolicy,
-};
+pub use neat::{NeatConfig, NeatPlanner};
 pub use oasis::{OasisConfig, OasisPlanner};
 pub use policy::{
     ControlPlan, ControlPolicy, DrowsyPolicy, NeatPolicy, OasisPolicy, PlanningView, SleepDepth,

@@ -106,16 +106,6 @@ impl OasisPlanner {
         self.parked.contains(&vm)
     }
 
-    /// The origin host a parked VM will fault back to.
-    pub fn origin_of(&self, vm: VmId) -> Option<HostId> {
-        self.origin.get(&vm).copied()
-    }
-
-    /// Number of currently parked VMs.
-    pub fn parked_count(&self) -> usize {
-        self.parked.len()
-    }
-
     /// RAM a VM occupies on the consolidation host while parked.
     fn parked_ram(&self, full_ram: u64) -> u64 {
         (full_ram as f64 * self.config.park_fraction).ceil() as u64
@@ -265,7 +255,7 @@ mod tests {
         assert_eq!(plan.park[0].vm, VmId(1));
         assert_eq!(plan.park[0].to, HostId(9));
         assert!(p.is_parked(VmId(1)));
-        assert_eq!(p.origin_of(VmId(1)), Some(HostId(0)));
+        assert_eq!(plan.park[0].from, HostId(0), "the origin it faults back to");
     }
 
     #[test]
@@ -275,7 +265,7 @@ mod tests {
         demand(&mut v, 0.5);
         let state = ClusterState::new(vec![host(0, 0, vec![v]), host(9, 0, vec![])]);
         assert!(p.plan(&state).is_empty());
-        assert_eq!(p.parked_count(), 0);
+        assert!(!p.is_parked(VmId(1)));
     }
 
     #[test]

@@ -5,11 +5,10 @@
 //! must return the same [`ConsolidationPlan`] on every state.
 
 use crate::drowsy::range_with;
-use crate::history::HistoryBook;
-use crate::neat::{HostHistories, NeatPlanner};
+use crate::neat::{mmt_pick, NeatPlanner};
 use crate::types::{ClusterState, ConsolidationPlan, Migration, Swap, VmState};
 use crate::DrowsyPlanner;
-use dds_sim_core::{HostId, SimRng};
+use dds_sim_core::HostId;
 use std::collections::HashSet;
 
 /// Full-scan PABFD destination choice.
@@ -66,18 +65,11 @@ pub(crate) fn closest_ip_choose(
 }
 
 /// Full-scan overload detection.
-fn overloaded_hosts(
-    p: &NeatPlanner,
-    state: &ClusterState,
-    host_hist: &HostHistories,
-) -> Vec<HostId> {
+fn overloaded_hosts(p: &NeatPlanner, state: &ClusterState) -> Vec<HostId> {
     state
         .hosts
         .iter()
-        .filter(|h| {
-            let hist = host_hist.get(h.id);
-            p.config.overload.is_overloaded(h.utilization(), hist)
-        })
+        .filter(|h| h.utilization() > p.config.overload_threshold)
         .map(|h| h.id)
         .collect()
 }
@@ -97,7 +89,7 @@ fn drain(
         .filter(|h| {
             !h.is_empty()
                 && !overloaded_set.contains(&h.id)
-                && p.config.underload.is_underloaded(h.utilization())
+                && h.utilization() < p.config.underload_threshold
         })
         .map(|h| h.id)
         .collect();
@@ -150,28 +142,20 @@ fn drain(
 }
 
 /// Neat's planning round, clone-and-scan.
-pub(crate) fn neat_plan(
-    p: &NeatPlanner,
-    state: &ClusterState,
-    vm_hist: &HistoryBook,
-    host_hist: &HostHistories,
-    rng: &mut SimRng,
-) -> ConsolidationPlan {
+pub(crate) fn neat_plan(p: &NeatPlanner, state: &ClusterState) -> ConsolidationPlan {
     let mut scratch = state.clone();
     let mut plan = ConsolidationPlan::default();
-    let overloaded = overloaded_hosts(p, &scratch, host_hist);
+    let overloaded = overloaded_hosts(p, &scratch);
     let overloaded_set: HashSet<HostId> = overloaded.iter().copied().collect();
     for host_id in overloaded {
         loop {
             let host = scratch.host(host_id).expect("host exists");
-            let hist = host_hist.get(host_id);
-            if !p.config.overload.is_overloaded(host.utilization(), hist) {
+            if host.utilization() <= p.config.overload_threshold {
                 break;
             }
-            let Some(idx) = p.config.selection.pick(&host.vms, vm_hist, rng) else {
+            let Some(vm) = mmt_pick(&host.vms) else {
                 break;
             };
-            let vm = host.vms[idx].clone();
             let Some(dest) = pabfd_choose(p, &scratch, &vm, &overloaded_set) else {
                 break;
             };
@@ -205,30 +189,18 @@ pub(crate) fn neat_plan(
 }
 
 /// Drowsy-DC's planning round, clone-and-scan.
-pub(crate) fn drowsy_plan(
-    p: &DrowsyPlanner,
-    state: &ClusterState,
-    host_hist: &HostHistories,
-) -> ConsolidationPlan {
+pub(crate) fn drowsy_plan(p: &DrowsyPlanner, state: &ClusterState) -> ConsolidationPlan {
     let neat = NeatPlanner::new(p.config.neat.clone());
     let mut scratch = state.clone();
     let mut plan = ConsolidationPlan::default();
-    let overloaded = overloaded_hosts(&neat, &scratch, host_hist);
+    let overloaded = overloaded_hosts(&neat, &scratch);
     let overloaded_set: HashSet<HostId> = overloaded.iter().copied().collect();
     for host_id in overloaded {
         let order = p.select_order(&scratch, host_id);
         for vm_id in order {
-            {
-                let host = scratch.host(host_id).expect("host exists");
-                let hist = host_hist.get(host_id);
-                if !p
-                    .config
-                    .neat
-                    .overload
-                    .is_overloaded(host.utilization(), hist)
-                {
-                    break;
-                }
+            let host = scratch.host(host_id).expect("host exists");
+            if host.utilization() <= p.config.neat.overload_threshold {
+                break;
             }
             let vm = scratch
                 .host(host_id)
@@ -390,10 +362,10 @@ fn best_swap(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::neat::{NeatConfig, OverloadPolicy, SelectionPolicy};
+    use crate::neat::NeatConfig;
     use crate::types::HostState;
     use crate::DrowsyConfig;
-    use dds_sim_core::VmId;
+    use dds_sim_core::{SimRng, VmId};
     use proptest::prelude::*;
 
     /// A random cluster built from `seed`, covering what makes the
@@ -403,7 +375,7 @@ mod tests {
     /// hosts, frozen VMs and IP scores both within the tolerance and far
     /// apart. Demands come from a small grid so ties and float
     /// summation order both matter.
-    fn random_state(seed: u64) -> (ClusterState, HostHistories, HistoryBook) {
+    fn random_state(seed: u64) -> ClusterState {
         const DEMANDS: [f64; 8] = [0.0, 0.1, 0.2, 0.3, 0.7, 1.3, 2.4, 3.5];
         const SCORES: [f64; 6] = [-0.4, -0.01, 0.0, 1e-5, 0.01, 0.3];
         let mut rng = SimRng::new(seed);
@@ -451,33 +423,24 @@ mod tests {
                 state.freeze(VmId(v));
             }
         }
-        let mut host_hist = HostHistories::new();
-        let mut vm_hist = HistoryBook::new(16);
-        for _ in 0..12 {
-            for id in 0..n {
-                host_hist.push(HostId(id), rng.uniform(0.0, 1.0));
-            }
-            for v in 0..next_vm {
-                vm_hist.push(VmId(v), rng.uniform(0.0, 2.0));
-            }
-        }
-        (state, host_hist, vm_hist)
+        state
     }
 
+    /// The paper's thresholds, or ones that put more hosts through
+    /// overload relief (and fewer through draining).
     fn neat_config(variant: u64) -> NeatConfig {
-        let mut cfg = NeatConfig::paper_default();
-        cfg.selection = match variant % 3 {
-            0 => SelectionPolicy::MinimumMigrationTime,
-            1 => SelectionPolicy::Random,
-            _ => SelectionPolicy::MaximumCorrelation,
-        };
-        if variant % 2 == 1 {
-            cfg.overload = OverloadPolicy::Mad {
-                factor: 2.5,
-                fallback: 0.8,
-            };
+        match variant % 3 {
+            0 => NeatConfig::paper_default(),
+            1 => NeatConfig {
+                overload_threshold: 0.5,
+                ..NeatConfig::paper_default()
+            },
+            _ => NeatConfig {
+                overload_threshold: 0.3,
+                underload_threshold: 0.2,
+                destination_guard: 0.9,
+            },
         }
-        cfg
     }
 
     proptest! {
@@ -486,22 +449,22 @@ mod tests {
         /// The scratch-based Neat planner returns the oracle's plan.
         #[test]
         fn neat_plans_match_the_clone_and_scan_oracle(seed in 0u64..u64::MAX, variant in 0u64..6) {
-            let (state, host_hist, vm_hist) = random_state(seed);
+            let state = random_state(seed);
             let p = NeatPlanner::new(neat_config(variant));
-            let fast = p.plan(&state, &vm_hist, &host_hist, &mut SimRng::new(seed));
-            let slow = neat_plan(&p, &state, &vm_hist, &host_hist, &mut SimRng::new(seed));
+            let fast = p.plan(&state);
+            let slow = neat_plan(&p, &state);
             prop_assert_eq!(fast, slow);
         }
 
         /// The scratch-based Drowsy-DC planner returns the oracle's plan.
         #[test]
         fn drowsy_plans_match_the_clone_and_scan_oracle(seed in 0u64..u64::MAX, variant in 0u64..6) {
-            let (state, host_hist, vm_hist) = random_state(seed);
+            let state = random_state(seed);
             let mut cfg = DrowsyConfig::paper_default();
             cfg.neat = neat_config(variant);
             let p = DrowsyPlanner::new(cfg);
-            let fast = p.plan(&state, &vm_hist, &host_hist, &mut SimRng::new(seed));
-            let slow = drowsy_plan(&p, &state, &host_hist);
+            let fast = p.plan(&state);
+            let slow = drowsy_plan(&p, &state);
             prop_assert_eq!(fast, slow);
         }
     }

@@ -35,15 +35,15 @@
 
 use crate::capacity::CapacityIndex;
 use crate::filters::FilterScheduler;
-use crate::history::HistoryBook;
-use crate::neat::{HostHistories, NeatConfig, NeatPlanner};
+use crate::history::{HistoryBook, HostHistories};
+use crate::neat::{NeatConfig, NeatPlanner};
 use crate::oasis::{OasisConfig, OasisPlanner};
 use crate::types::{ClusterState, ConsolidationPlan, Migration};
 use crate::{DrowsyConfig, DrowsyPlanner};
-use dds_hostos::SuspendConfig;
 use dds_idleness::ImClass;
 use dds_sim_core::qos::QosWindow;
 use dds_sim_core::{HostId, SimRng, SimTime, VmId};
+use std::sync::LazyLock;
 
 /// How deep a fully idle host is allowed to sleep.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -58,14 +58,17 @@ pub enum SleepDepth {
 /// Read-only snapshot handed to [`ControlPolicy::plan`].
 ///
 /// `state` reflects the cluster *at the start of the current planning
-/// round* (the controller re-snapshots between rounds); the histories
-/// cover the trailing control periods.
+/// round* (the controller re-snapshots between rounds).
 pub struct PlanningView<'a> {
     /// Cluster snapshot: hosts, resident VMs, demands and IP scores.
     pub state: &'a ClusterState,
-    /// Per-VM utilization histories (cores over trailing hours).
+    /// Per-VM utilization histories. Unread: no policy consults them,
+    /// and [`PlanningView::new`] hands an empty book. Kept because the
+    /// benchmark harness (`perfbench/src/side.rs`) builds a view
+    /// literal.
     pub vm_hist: &'a HistoryBook,
-    /// Per-host normalized-utilization histories.
+    /// Per-host normalized-utilization histories. Unread, like
+    /// [`vm_hist`](Self::vm_hist).
     pub host_hist: &'a HostHistories,
     /// Behaviour classes from each VM's idleness model, indexed by
     /// [`VmId::index`]. Empty when the controller computed none (the
@@ -75,7 +78,20 @@ pub struct PlanningView<'a> {
     pub classes: &'a [ImClass],
 }
 
-impl PlanningView<'_> {
+impl<'a> PlanningView<'a> {
+    /// The view of `state` the controller hands a policy, with per-VM
+    /// behaviour `classes` (may be empty) and empty histories.
+    pub fn new(state: &'a ClusterState, classes: &'a [ImClass]) -> Self {
+        static NO_VM_HISTORY: LazyLock<HistoryBook> = LazyLock::new(|| HistoryBook::new(2));
+        static NO_HOST_HISTORY: HostHistories = HostHistories::new();
+        PlanningView {
+            state,
+            vm_hist: &NO_VM_HISTORY,
+            host_hist: &NO_HOST_HISTORY,
+            classes,
+        }
+    }
+
     /// The behaviour class of `vm`, `Undetermined` when unknown.
     pub fn class_of(&self, vm: VmId) -> ImClass {
         self.classes
@@ -150,13 +166,6 @@ pub trait ControlPolicy: Send {
         FilterScheduler::nova_default()
     }
 
-    /// Shapes the per-host suspending-module configuration (e.g. a policy
-    /// could lengthen grace times or disable them). The default keeps the
-    /// fleet-wide base configuration.
-    fn shape_suspend_config(&self, base: &SuspendConfig) -> SuspendConfig {
-        base.clone()
-    }
-
     /// Hosts that must never leave S0 regardless of activity (e.g. the
     /// Oasis consolidation host holding parked working sets).
     fn always_on_hosts(&self) -> Vec<HostId> {
@@ -172,17 +181,18 @@ pub trait ControlPolicy: Send {
     /// Computes the relocation plan for `round ∈ 0..plan_rounds()`.
     fn plan(&mut self, round: usize, view: &PlanningView<'_>, rng: &mut SimRng) -> ControlPlan;
 
-    /// Index-aware variant of [`plan`](Self::plan): the controller hands
-    /// the policy an incremental [`CapacityIndex`] over the snapshot
-    /// (slot *i* = `view.state.hosts[i]`, free count = whole vCPUs not
-    /// claimed by resident VMs) so fleet-scale policies can answer
-    /// "where does this VM fit?" without re-scanning every host.
+    /// Index-aware variant of [`plan`](Self::plan), handed an incremental
+    /// [`CapacityIndex`] over the snapshot (slot *i* =
+    /// `view.state.hosts[i]`, free count = whole vCPUs not claimed by
+    /// resident VMs).
     ///
-    /// The default ignores the index and falls back to
-    /// [`plan`](Self::plan) — existing policies stay bit-identical. A
-    /// policy overriding this must keep the index contract: decisions
-    /// derived through the index must equal the ones a linear scan over
-    /// the same snapshot would make (see [`crate::capacity`]).
+    /// No policy overrides it and the datacenter controller never calls
+    /// it: the default ignores the index and runs [`plan`](Self::plan).
+    /// It is kept only because the benchmark harness's side replay
+    /// (`perfbench/src/side.rs`) times it. An override must keep the
+    /// index contract: decisions derived through the index must equal
+    /// the ones a linear scan over the same snapshot would make (see
+    /// [`crate::capacity`]).
     fn plan_indexed(
         &mut self,
         round: usize,
@@ -266,13 +276,8 @@ impl ControlPolicy for DrowsyPolicy {
         FilterScheduler::drowsy_default()
     }
 
-    fn plan(&mut self, _round: usize, view: &PlanningView<'_>, rng: &mut SimRng) -> ControlPlan {
-        ControlPlan::from_consolidation(self.planner.plan(
-            view.state,
-            view.vm_hist,
-            view.host_hist,
-            rng,
-        ))
+    fn plan(&mut self, _round: usize, view: &PlanningView<'_>, _rng: &mut SimRng) -> ControlPlan {
+        ControlPlan::from_consolidation(self.planner.plan(view.state))
     }
 }
 
@@ -315,13 +320,8 @@ impl ControlPolicy for NeatPolicy {
         self.suspend
     }
 
-    fn plan(&mut self, _round: usize, view: &PlanningView<'_>, rng: &mut SimRng) -> ControlPlan {
-        ControlPlan::from_consolidation(self.planner.plan(
-            view.state,
-            view.vm_hist,
-            view.host_hist,
-            rng,
-        ))
+    fn plan(&mut self, _round: usize, view: &PlanningView<'_>, _rng: &mut SimRng) -> ControlPlan {
+        ControlPlan::from_consolidation(self.planner.plan(view.state))
     }
 }
 
@@ -371,19 +371,14 @@ impl ControlPolicy for OasisPolicy {
         2
     }
 
-    fn plan(&mut self, round: usize, view: &PlanningView<'_>, rng: &mut SimRng) -> ControlPlan {
+    fn plan(&mut self, round: usize, view: &PlanningView<'_>, _rng: &mut SimRng) -> ControlPlan {
         if round == 0 {
             // Packing pass on a view without the consolidation host —
             // parked working sets are not packable material.
             let mut packing_state = view.state.clone();
             let ch = self.consolidation_host;
             packing_state.hosts.retain(|h| h.id != ch);
-            ControlPlan::from_consolidation(self.neat.plan_owned(
-                packing_state,
-                view.vm_hist,
-                view.host_hist,
-                rng,
-            ))
+            ControlPlan::from_consolidation(self.neat.plan_owned(packing_state))
         } else {
             let plan = self.oasis.plan(view.state);
             ControlPlan {
@@ -400,11 +395,6 @@ mod tests {
     use super::*;
     use crate::types::testkit::{host, vm};
 
-    fn view_of(state: &ClusterState) -> (HistoryBook, HostHistories) {
-        let _ = state;
-        (HistoryBook::new(8), HostHistories::new())
-    }
-
     #[test]
     fn defaults_reproduce_plain_consolidation_behaviour() {
         let mut p = NeatPolicy::suspending(NeatConfig::paper_default());
@@ -417,8 +407,6 @@ mod tests {
             p.idle_sleep_depth(HostId(0), 0.9, None, SimTime::EPOCH),
             SleepDepth::Suspend
         );
-        let base = SuspendConfig::paper_default();
-        assert_eq!(p.shape_suspend_config(&base), base);
         // The closed-loop hooks default to inert: every suspend allowed,
         // QoS windows ignored (legacy policies stay bit-identical on
         // streaming runs).
@@ -429,17 +417,7 @@ mod tests {
         assert!(p.allow_suspend(HostId(0)), "default ignores the signal");
 
         let state = ClusterState::new(vec![host(0, 0, vec![vm(0, 0.1, 0.0)]), host(1, 0, vec![])]);
-        let (vm_hist, host_hist) = view_of(&state);
-        let plan = p.plan(
-            0,
-            &PlanningView {
-                state: &state,
-                vm_hist: &vm_hist,
-                host_hist: &host_hist,
-                classes: &[],
-            },
-            &mut SimRng::new(1),
-        );
+        let plan = p.plan(0, &PlanningView::new(&state, &[]), &mut SimRng::new(1));
         // Underloaded single-VM cluster: Neat drains host 0 or does nothing,
         // but never parks (that is Oasis-only vocabulary).
         assert!(plan.unpark.is_empty() && plan.park.is_empty());
@@ -455,13 +433,7 @@ mod tests {
             host(1, 0, vec![vm(2, 0.1, 0.0)]),
             host(2, 0, vec![]),
         ]);
-        let (vm_hist, host_hist) = view_of(&state);
-        let view = PlanningView {
-            state: &state,
-            vm_hist: &vm_hist,
-            host_hist: &host_hist,
-            classes: &[],
-        };
+        let view = PlanningView::new(&state, &[]);
         let index = crate::capacity::CapacityIndex::from_cluster(&state);
         let mut a = NeatPolicy::suspending(NeatConfig::paper_default());
         let mut b = NeatPolicy::suspending(NeatConfig::paper_default());
@@ -519,13 +491,7 @@ mod tests {
             host(1, 0, vec![]),
             host(2, 0, vec![]),
         ]);
-        let (vm_hist, host_hist) = view_of(&state);
-        let view = PlanningView {
-            state: &state,
-            vm_hist: &vm_hist,
-            host_hist: &host_hist,
-            classes: &[],
-        };
+        let view = PlanningView::new(&state, &[]);
         let plan = p.plan(0, &view, &mut SimRng::new(3));
         for m in &plan.consolidation.migrations {
             assert_ne!(m.to, HostId(2), "packing must avoid the consolidation host");

@@ -25,7 +25,6 @@
 //! key ends in the host id, so the minimum a query finds does not depend
 //! on the order the index visits hosts in.
 
-use crate::neat::UnderloadPolicy;
 use crate::types::{
     ClusterState, ConsolidationPlan, HostState, Migration, PlanError, Swap, VmState,
 };
@@ -229,8 +228,8 @@ impl PlanScratch {
     }
 }
 
-/// Neat's sub-problem (1), shared by both planners: drains underloaded
-/// hosts, least-utilized first. Each candidate's VMs, sorted by `order`,
+/// Neat's sub-problem (1), shared by both planners: drains the hosts
+/// below `underload_threshold` utilization, least-utilized first. Each candidate's VMs, sorted by `order`,
 /// go to the slots `choose` picks; the drain is kept only when every VM
 /// found one, and rolled back otherwise. Destinations are never
 /// overloaded, empty (sleeping) or drained hosts, nor the candidate.
@@ -240,7 +239,7 @@ impl PlanScratch {
 /// mask; on return the overloaded, empty and drained slots are excluded.
 pub(crate) fn drain_underloaded(
     scratch: &mut PlanScratch,
-    underload: UnderloadPolicy,
+    underload_threshold: f64,
     order: impl Fn(&mut [VmState]),
     choose: impl Fn(&PlanScratch, &VmState) -> Option<usize>,
     plan: &mut ConsolidationPlan,
@@ -250,7 +249,7 @@ pub(crate) fn drain_underloaded(
         .filter(|&s| {
             !scratch.host(s).is_empty()
                 && !scratch.is_excluded(s)
-                && underload.is_underloaded(scratch.utilization(s))
+                && scratch.utilization(s) < underload_threshold
         })
         .collect();
     candidates.sort_by(|&a, &b| {

@@ -209,23 +209,14 @@ mod tests {
 
     #[test]
     fn plans_exactly_like_drowsy() {
-        use crate::neat::HostHistories;
         use crate::types::testkit::{host, vm};
         use crate::types::ClusterState;
-        use crate::HistoryBook;
         let state = ClusterState::new(vec![
             host(0, 0, vec![vm(0, 0.2, 0.0), vm(1, 0.3, 0.1)]),
             host(1, 0, vec![vm(2, 0.1, 0.0)]),
             host(2, 0, vec![]),
         ]);
-        let vm_hist = HistoryBook::new(8);
-        let host_hist = HostHistories::new();
-        let view = PlanningView {
-            state: &state,
-            vm_hist: &vm_hist,
-            host_hist: &host_hist,
-            classes: &[],
-        };
+        let view = PlanningView::new(&state, &[]);
         let mut sla = SlaAwarePolicy::new(DrowsyConfig::paper_default());
         let mut drowsy = DrowsyPolicy::new(DrowsyConfig::paper_default());
         assert_eq!(

@@ -123,13 +123,8 @@ impl ControlPolicy for SleepScalePolicy {
         true
     }
 
-    fn plan(&mut self, _round: usize, view: &PlanningView<'_>, rng: &mut SimRng) -> ControlPlan {
-        ControlPlan::from_consolidation(self.planner.plan(
-            view.state,
-            view.vm_hist,
-            view.host_hist,
-            rng,
-        ))
+    fn plan(&mut self, _round: usize, view: &PlanningView<'_>, _rng: &mut SimRng) -> ControlPlan {
+        ControlPlan::from_consolidation(self.planner.plan(view.state))
     }
 
     fn idle_sleep_depth(

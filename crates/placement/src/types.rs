@@ -170,12 +170,6 @@ impl ConsolidationPlan {
     pub fn is_empty(&self) -> bool {
         self.migrations.is_empty() && self.swaps.is_empty() && self.hosts_to_power_off.is_empty()
     }
-
-    /// Number of individual VM moves the plan implies (a swap counts as
-    /// two live migrations — that is what the wire pays).
-    pub fn move_count(&self) -> usize {
-        self.migrations.len() + 2 * self.swaps.len()
-    }
 }
 
 /// A snapshot of the cluster.
@@ -203,11 +197,6 @@ impl ClusterState {
         self.frozen.insert(vm);
     }
 
-    /// True when the VM is under migration cooldown.
-    pub fn is_frozen(&self, vm: VmId) -> bool {
-        self.frozen.contains(&vm)
-    }
-
     /// Total number of VMs.
     pub fn vm_count(&self) -> usize {
         self.hosts.iter().map(|h| h.vms.len()).sum()
@@ -226,11 +215,6 @@ impl ClusterState {
     /// Looks up a host.
     pub fn host(&self, id: HostId) -> Option<&HostState> {
         self.slot_of(id).map(|i| &self.hosts[i])
-    }
-
-    /// Mutable host lookup.
-    pub fn host_mut(&mut self, id: HostId) -> Option<&mut HostState> {
-        self.slot_of(id).map(|i| &mut self.hosts[i])
     }
 
     /// Finds the host currently holding `vm`.
@@ -353,17 +337,6 @@ impl ClusterState {
             self.apply_swap(s)?;
         }
         Ok(())
-    }
-
-    /// All VMs with their current hosts.
-    pub fn assignments(&self) -> Vec<(VmId, HostId)> {
-        let mut out = Vec::with_capacity(self.vm_count());
-        for h in &self.hosts {
-            for v in &h.vms {
-                out.push((v.id, h.id));
-            }
-        }
-        out
     }
 
     /// Verifies structural invariants (each VM exactly once, RAM within
@@ -547,9 +520,10 @@ mod tests {
             host(0, 0, vec![vm(1, 0.0, 0.0), vm(2, 0.0, 0.0)]),
             host(1, 0, vec![vm(3, 0.0, 0.0)]),
         ]);
-        let a = s.assignments();
-        assert_eq!(a.len(), 3);
-        assert!(a.contains(&(VmId(3), HostId(1))));
+        for (v, h) in [(1, 0), (2, 0), (3, 1)] {
+            assert_eq!(s.host_of(VmId(v)), Some(HostId(h)));
+        }
+        assert_eq!(s.host_of(VmId(4)), None);
         assert_eq!(s.vm_count(), 3);
     }
 

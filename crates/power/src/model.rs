@@ -93,11 +93,6 @@ impl HostPowerModel {
     pub fn energy_joules(&self, state: PowerState, utilization: f64, dt: SimDuration) -> f64 {
         self.watts(state, utilization) * dt.as_secs_f64()
     }
-
-    /// The ratio `suspended/idle` — the paper quotes ≈10 %.
-    pub fn suspend_ratio(&self) -> f64 {
-        self.suspended_watts / self.idle_watts
-    }
 }
 
 impl Default for HostPowerModel {
@@ -115,7 +110,8 @@ mod tests {
     fn paper_calibration_matches_quoted_numbers() {
         let m = HostPowerModel::paper_default();
         assert_eq!(m.watts(PowerState::Suspended, 0.0), 5.0);
-        assert!((m.suspend_ratio() - 0.10).abs() < 1e-9);
+        // S3 draws ≈10 % of idle S0, as the paper quotes.
+        assert!((m.suspended_watts / m.idle_watts - 0.10).abs() < 1e-9);
         assert_eq!(m.watts(PowerState::Active, 0.0), 50.0);
         assert_eq!(m.watts(PowerState::Active, 1.0), 120.0);
     }

@@ -121,11 +121,6 @@ impl PowerStateMachine {
         self.since
     }
 
-    /// Completion time of the in-flight transition, if any.
-    pub fn transition_deadline(&self) -> Option<SimTime> {
-        self.transition_done
-    }
-
     fn enter(&mut self, state: PowerState, now: SimTime, done: Option<SimTime>) {
         self.state = state;
         self.since = now;
@@ -201,20 +196,6 @@ impl PowerStateMachine {
             }),
         }
     }
-
-    /// Aborts an in-flight suspend (e.g. a request arrived while devices
-    /// were quiescing): the host returns to `Active` immediately. Real
-    /// kernels do exactly this when a wake source fires mid-suspend.
-    pub fn abort_suspend(&mut self, now: SimTime) -> Result<(), TransitionError> {
-        if self.state != PowerState::Suspending {
-            return Err(TransitionError {
-                from: self.state,
-                attempted: "abort suspend",
-            });
-        }
-        self.enter(PowerState::Active, now, None);
-        Ok(())
-    }
 }
 
 #[cfg(test)]
@@ -259,19 +240,6 @@ mod tests {
         assert!(m.begin_suspend(t(2), SimDuration::from_secs(1)).is_err());
         // Cannot power off mid-transition.
         assert!(m.power_off(t(2)).is_err());
-    }
-
-    #[test]
-    fn abort_suspend_returns_to_active() {
-        let mut m = PowerStateMachine::new(t(0));
-        m.begin_suspend(t(5), SimDuration::from_secs(3)).unwrap();
-        m.abort_suspend(t(6)).unwrap();
-        assert_eq!(m.state(), PowerState::Active);
-        assert_eq!(m.since(), t(6));
-        assert!(
-            m.abort_suspend(t(7)).is_err(),
-            "abort only while suspending"
-        );
     }
 
     #[test]

@@ -111,6 +111,56 @@ pub struct Scenario {
 }
 
 // ---------------------------------------------------------------------
+// Size limits (DESIGN.md §9). Parsing replays the initial placement
+// host by host, so an unbounded count would allocate without limit.
+
+/// Most hosts a scenario's fleet may hold, summed over its classes.
+const MAX_HOSTS: usize = 100_000;
+/// Most VMs a scenario may place, summed over its workload groups.
+const MAX_VMS: usize = 1_000_000;
+/// Longest run a scenario may ask for: ten years.
+const MAX_DAYS: u64 = 3_650;
+
+/// Checks the running total of the sections' `count`s against `max`,
+/// failing at the `count` line that carries it past.
+fn check_population<'a>(
+    sections: impl Iterator<Item = &'a RawSection>,
+    counts: impl Iterator<Item = usize>,
+    max: usize,
+    what: &str,
+) -> Result<(), ScenarioError> {
+    let mut total = 0usize;
+    for (s, count) in sections.zip(counts) {
+        total = total.saturating_add(count);
+        if total > max {
+            let line = s.get("count").map_or(s.line, |e| e.line);
+            return Err(ScenarioError::at(
+                line,
+                format!("'count' brings the scenario past {max} {what}"),
+            ));
+        }
+    }
+    Ok(())
+}
+
+/// Sums `size × count` over the sections with checked arithmetic,
+/// failing at the section whose term overflows.
+fn checked_total<'a>(
+    sections: impl Iterator<Item = &'a RawSection>,
+    terms: impl Iterator<Item = (u64, usize)>,
+    what: &str,
+) -> Result<u64, ScenarioError> {
+    let mut total = 0u64;
+    for (s, (size, count)) in sections.zip(terms) {
+        total = size
+            .checked_mul(count as u64)
+            .and_then(|t| total.checked_add(t))
+            .ok_or_else(|| ScenarioError::at(s.line, format!("total {what} overflows")))?;
+    }
+    Ok(total)
+}
+
+// ---------------------------------------------------------------------
 // Typed accessors over the raw format.
 
 fn req<'a>(s: &'a RawSection, key: &str) -> Result<&'a RawEntry, ScenarioError> {
@@ -668,8 +718,11 @@ impl Scenario {
         let days = {
             let e = req(head, "days")?;
             let v = u64_of(e)?;
-            if v == 0 {
-                return Err(ScenarioError::at(e.line, "'days' must be positive"));
+            if v == 0 || v > MAX_DAYS {
+                return Err(ScenarioError::at(
+                    e.line,
+                    format!("'days' must be between 1 and {MAX_DAYS}, got {v}"),
+                ));
             }
             v
         };
@@ -728,6 +781,8 @@ impl Scenario {
                 "scenario needs at least one [fleet.<class>] section",
             ));
         }
+        let counts = fleet.iter().map(|c| c.count);
+        check_population(doc.sections_of("fleet"), counts, MAX_HOSTS, "hosts")?;
         let qos = doc.sections_of("qos").next().map(build_qos).transpose()?;
         let workloads: Vec<WorkloadGroup> = doc
             .sections_of("workload")
@@ -739,10 +794,20 @@ impl Scenario {
                 "scenario needs at least one [workload.<group>] section",
             ));
         }
+        let counts = workloads.iter().map(|g| g.count);
+        check_population(doc.sections_of("workload"), counts, MAX_VMS, "VMs")?;
 
         // Fleet-level capacity sanity: the population must seat at all.
-        let total_ram: u64 = fleet.iter().map(|c| c.ram_mb * c.count as u64).sum();
-        let need_ram: u64 = workloads.iter().map(|g| g.ram_mb * g.count as u64).sum();
+        let total_ram = checked_total(
+            doc.sections_of("fleet"),
+            fleet.iter().map(|c| (c.ram_mb, c.count)),
+            "fleet RAM",
+        )?;
+        let need_ram = checked_total(
+            doc.sections_of("workload"),
+            workloads.iter().map(|g| (g.ram_mb, g.count)),
+            "workload RAM",
+        )?;
         if need_ram > total_ram {
             return Err(ScenarioError::at(
                 head.line,
@@ -752,9 +817,13 @@ impl Scenario {
             ));
         }
         if fleet.iter().all(|c| c.max_vms > 0) {
-            let slots: usize = fleet.iter().map(|c| c.max_vms * c.count).sum();
+            let slots = checked_total(
+                doc.sections_of("fleet"),
+                fleet.iter().map(|c| (c.max_vms as u64, c.count)),
+                "VM slots",
+            )?;
             let vms: usize = workloads.iter().map(|g| g.count).sum();
-            if vms > slots {
+            if vms as u64 > slots {
                 return Err(ScenarioError::at(
                     head.line,
                     format!("workloads place {vms} VMs but the fleet caps out at {slots} slots"),
@@ -1312,6 +1381,122 @@ ram-mb = 6144
             "count = 2\nvcpus = 2\nram-mb = 8192",
         );
         Scenario::parse(&ok).expect("seatable population parses");
+    }
+
+    #[test]
+    fn oversized_populations_and_horizons_are_rejected_at_their_line() {
+        // Unbounded, four billion hosts make the seating replay abort on
+        // a 2 GiB allocation (and `ram-mb × count` overflow in debug).
+        expect_err(
+            &MINIMAL.replace("count = 2\ncores", "count = 4000000000\ncores"),
+            8,
+            "past 100000 hosts",
+        );
+        // The limit is on the total: two classes that each fit can
+        // overflow it together, reported at the second class's count.
+        let two_classes = MINIMAL.replace(
+            "[workload.idle]",
+            "[fleet.more]\ncount = 99999\ncores = 8\nram-mb = 16384\n\n[workload.idle]",
+        );
+        expect_err(&two_classes, 13, "past 100000 hosts");
+        expect_err(
+            &MINIMAL.replace("count = 2\nvcpus", "count = 1000001\nvcpus"),
+            14,
+            "past 1000000 VMs",
+        );
+        expect_err(
+            &MINIMAL.replace("days = 1", "days = 3651"),
+            4,
+            "'days' must be between 1 and 3650",
+        );
+        // Sizes whose products overflow u64 fail at their section.
+        expect_err(
+            &MINIMAL.replace("ram-mb = 16384", "ram-mb = 18446744073709551615"),
+            7,
+            "total fleet RAM overflows",
+        );
+        expect_err(
+            &MINIMAL.replace(
+                "ram-mb = 16384",
+                "ram-mb = 16384\nmax-vms = 18446744073709551615",
+            ),
+            7,
+            "total VM slots overflows",
+        );
+    }
+
+    /// Values that stress the typed layer: zero, overflow edges,
+    /// negatives, non-finite floats and the size limits' neighbours.
+    const EXTREMES: &[&str] = &[
+        "0",
+        "1",
+        "-1",
+        "3651",
+        "100001",
+        "1000001",
+        "4000000000",
+        "18446744073709551615",
+        "18446744073709551616",
+        "1e308",
+        "-1e308",
+        "1e-320",
+        "NaN",
+        "inf",
+        "0.5",
+        "",
+    ];
+
+    /// Applies `noise` to `text`: its first two bytes put an [`EXTREMES`]
+    /// value in place of one `key = value` line's value; every further
+    /// four bytes replace, insert or delete one byte.
+    fn mutate(text: &str, noise: &[u8]) -> String {
+        let mut lines: Vec<String> = text.lines().map(str::to_string).collect();
+        if let [pick, value, ..] = noise {
+            let entries: Vec<usize> = (0..lines.len())
+                .filter(|&i| lines[i].contains(" = "))
+                .collect();
+            let i = entries[*pick as usize % entries.len()];
+            let key = lines[i].split(" = ").next().unwrap_or("").to_string();
+            lines[i] = format!("{key} = {}", EXTREMES[*value as usize % EXTREMES.len()]);
+        }
+        let mut bytes = (lines.join("\n") + "\n").into_bytes();
+        for edit in noise.get(2..).unwrap_or(&[]).chunks_exact(4) {
+            let pos = (edit[1] as usize * 256 + edit[2] as usize) % (bytes.len() + 1);
+            match edit[0] % 3 {
+                0 if pos < bytes.len() => bytes[pos] = edit[3],
+                1 => bytes.insert(pos, edit[3]),
+                _ if pos < bytes.len() => {
+                    bytes.remove(pos);
+                }
+                _ => {}
+            }
+        }
+        String::from_utf8_lossy(&bytes).into_owned()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(2000))]
+
+        /// The parser never panics on an edited catalog text: it either
+        /// accepts a scenario that round-trips through `render`, or
+        /// rejects it at line 0 or at a line of the input.
+        #[test]
+        fn edited_catalog_texts_parse_or_fail_at_an_input_line(
+            entry in 0usize..crate::catalog::CATALOG.len(),
+            noise in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..26),
+        ) {
+            let text = mutate(crate::catalog::CATALOG[entry].text, &noise);
+            match Scenario::parse(&text) {
+                Ok(s) => {
+                    let back = Scenario::parse(&s.render());
+                    proptest::prop_assert_eq!(back, Ok(s));
+                }
+                Err(e) => proptest::prop_assert!(
+                    e.line <= text.lines().count(),
+                    "{e} is past the input's last line"
+                ),
+            }
+        }
     }
 
     #[test]

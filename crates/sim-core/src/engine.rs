@@ -94,11 +94,6 @@ impl<E> SimEngine<E> {
         self.queue.len()
     }
 
-    /// Firing time of the earliest pending event.
-    pub fn next_event_time(&mut self) -> Option<SimTime> {
-        self.queue.peek_time()
-    }
-
     /// Pops and handles the single earliest event, if any. Returns `true`
     /// when an event was handled.
     pub fn step(&mut self, handler: &mut impl FnMut(&mut Self, SimTime, E)) -> bool {
@@ -183,7 +178,6 @@ mod tests {
         // 1,2,3,4,5 fire inside the horizon; 6 (at t=6) stays pending.
         assert_eq!(fired.len(), 5);
         assert_eq!(e.pending(), 1);
-        assert_eq!(e.next_event_time(), Some(t(6)));
         assert_eq!(e.now(), t(5));
     }
 

@@ -125,11 +125,6 @@ impl QosReport {
         self.latencies.quantile(0.50)
     }
 
-    /// 95th-percentile latency in ms.
-    pub fn p95(&self) -> Option<f64> {
-        self.latencies.quantile(0.95)
-    }
-
     /// 99th-percentile latency in ms — the paper's SLA percentile.
     pub fn p99(&self) -> Option<f64> {
         self.latencies.quantile(0.99)

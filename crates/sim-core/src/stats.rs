@@ -374,11 +374,6 @@ impl TextTable {
     }
 }
 
-/// Formats a fraction as a percentage with the given number of decimals.
-pub fn pct(x: f64, decimals: usize) -> String {
-    format!("{:.*}", decimals, x * 100.0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -484,12 +479,6 @@ mod tests {
         assert_eq!(t.len(), 1);
         let csv = t.to_csv();
         assert_eq!(csv.lines().nth(1).unwrap(), "only-one,");
-    }
-
-    #[test]
-    fn pct_formats() {
-        assert_eq!(pct(0.6634, 1), "66.3");
-        assert_eq!(pct(0.5, 0), "50");
     }
 
     #[test]

@@ -101,11 +101,6 @@ impl SimTime {
         SimTime(self.0 - self.0 % MILLIS_PER_HOUR)
     }
 
-    /// The start of the next hour strictly after this instant.
-    pub const fn next_hour(self) -> SimTime {
-        SimTime(self.floor_hour().0 + MILLIS_PER_HOUR)
-    }
-
     /// Decomposes this instant into the calendar scales used by the
     /// idleness model.
     pub fn calendar(self) -> CalendarStamp {
@@ -525,7 +520,7 @@ mod tests {
             assert_eq!(t.hour_index(), expect);
             assert_eq!(t.calendar().year, if expect < 8_760 { 0 } else { 1 });
             assert_eq!(t.calendar().to_time(), t);
-            let next = t.next_hour();
+            let next = t.floor_hour() + SimDuration::from_hours(1);
             assert_eq!(next.saturating_since(t), SimDuration::from_hours(1));
             t = next;
         }
@@ -562,12 +557,13 @@ mod tests {
     #[test]
     fn floor_and_next_hour() {
         let t = SimTime::from_millis(MILLIS_PER_HOUR * 5 + 1234);
+        let hour = SimDuration::from_hours(1);
         assert_eq!(t.floor_hour(), SimTime::from_hours(5));
-        assert_eq!(t.next_hour(), SimTime::from_hours(6));
+        assert_eq!(t.floor_hour() + hour, SimTime::from_hours(6));
         // Exactly on the boundary: floor is identity, next is strictly later.
         let b = SimTime::from_hours(7);
         assert_eq!(b.floor_hour(), b);
-        assert_eq!(b.next_hour(), SimTime::from_hours(8));
+        assert_eq!(b.floor_hour() + hour, SimTime::from_hours(8));
     }
 
     #[test]

@@ -44,5 +44,5 @@ pub mod span;
 
 pub use json::JsonObject;
 pub use metrics::{Counter, Gauge, Histogram, MetricKind, MetricsRegistry};
-pub use recorder::{DumpOnPanic, EpochRecord, FlightRecorder};
+pub use recorder::{EpochRecord, FlightRecorder};
 pub use span::{Span, SpanRecorder};

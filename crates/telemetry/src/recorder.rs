@@ -17,7 +17,7 @@
 use crate::json::JsonObject;
 use std::collections::VecDeque;
 use std::fmt::Write as _;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::{Arc, Mutex};
 
 /// One epoch's structured trace row. Every field is a logical
@@ -221,36 +221,6 @@ impl FlightRecorder {
     }
 }
 
-/// Dumps a flight recorder if the current thread is unwinding when this
-/// guard drops — `--trace-epochs` runs get a post-mortem trace without
-/// installing a global panic hook.
-#[derive(Debug)]
-pub struct DumpOnPanic {
-    recorder: FlightRecorder,
-    path: PathBuf,
-}
-
-impl DumpOnPanic {
-    /// Arms a guard that writes `recorder` to `path` on panic.
-    pub fn new(recorder: &FlightRecorder, path: impl Into<PathBuf>) -> Self {
-        DumpOnPanic {
-            recorder: recorder.clone(),
-            path: path.into(),
-        }
-    }
-}
-
-impl Drop for DumpOnPanic {
-    fn drop(&mut self) {
-        if std::thread::panicking() && self.recorder.enabled() && !self.recorder.is_empty() {
-            match self.recorder.dump(&self.path) {
-                Ok(()) => eprintln!("[flight recorder dumped to {}]", self.path.display()),
-                Err(e) => eprintln!("[flight recorder dump failed: {e}]"),
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -340,28 +310,6 @@ mod tests {
         fr.dump(&path).unwrap();
         let content = std::fs::read_to_string(&path).unwrap();
         assert_eq!(content, fr.to_jsonl());
-        let _ = std::fs::remove_dir_all(dir);
-    }
-
-    #[test]
-    fn panic_guard_dumps_only_on_unwind() {
-        let dir = std::env::temp_dir().join(format!("dds-telemetry-pg-{}", std::process::id()));
-        let calm = dir.join("calm.jsonl");
-        let fr = FlightRecorder::new(4);
-        fr.push(rec(0, 1));
-        {
-            let _guard = DumpOnPanic::new(&fr, &calm);
-        }
-        assert!(!calm.exists(), "no dump without a panic");
-        let hot = dir.join("hot.jsonl");
-        let fr2 = fr.clone();
-        let hot2 = hot.clone();
-        let result = std::panic::catch_unwind(move || {
-            let _guard = DumpOnPanic::new(&fr2, &hot2);
-            panic!("boom");
-        });
-        assert!(result.is_err());
-        assert!(hot.exists(), "panic produced a dump");
         let _ = std::fs::remove_dir_all(dir);
     }
 }

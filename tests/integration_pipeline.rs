@@ -4,7 +4,7 @@
 
 use drowsy_dc::idleness::{IdlenessModel, ImConfig};
 use drowsy_dc::placement::{
-    ClusterState, DrowsyConfig, DrowsyPlanner, HistoryBook, HostState, NeatPlanner, VmState,
+    ClusterState, DrowsyConfig, DrowsyPlanner, HostState, NeatPlanner, VmState,
 };
 use drowsy_dc::sim::time::CalendarStamp;
 use drowsy_dc::sim::{HostId, SimRng, VmId};
@@ -79,12 +79,7 @@ fn end_to_end_grouping_from_raw_traces() {
         mk_host(1, vec![mk_vm(2), mk_vm(3)]),
     ]);
     let planner = DrowsyPlanner::new(DrowsyConfig::paper_default());
-    let plan = planner.plan(
-        &state,
-        &HistoryBook::new(8),
-        &Default::default(),
-        &mut SimRng::new(7),
-    );
+    let plan = planner.plan(&state);
     let mut after = state;
     after.apply_plan(&plan).unwrap();
     after.check_invariants().unwrap();
@@ -126,18 +121,15 @@ proptest! {
             HostState { id: HostId(1), cpu_capacity: 8.0, ram_capacity: 16_384, max_vms: 0, vms: vec![mk_vm(3), mk_vm(4), mk_vm(5)] },
             HostState { id: HostId(2), cpu_capacity: 8.0, ram_capacity: 16_384, max_vms: 0, vms: vec![mk_vm(6), mk_vm(7)] },
         ]);
-        let vm_hist = HistoryBook::new(8);
-        let host_hist = Default::default();
-
         let drowsy = DrowsyPlanner::new(DrowsyConfig::paper_default());
-        let plan = drowsy.plan(&state, &vm_hist, &host_hist, &mut SimRng::new(1));
+        let plan = drowsy.plan(&state);
         let mut after = state.clone();
         prop_assert!(after.apply_plan(&plan).is_ok());
         prop_assert!(after.check_invariants().is_ok());
         prop_assert_eq!(after.vm_count(), 8);
 
         let neat = NeatPlanner::default();
-        let plan = neat.plan(&state, &vm_hist, &host_hist, &mut SimRng::new(1));
+        let plan = neat.plan(&state);
         let mut after = state.clone();
         prop_assert!(after.apply_plan(&plan).is_ok());
         prop_assert!(after.check_invariants().is_ok());
