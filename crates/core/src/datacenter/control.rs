@@ -151,17 +151,9 @@ impl Datacenter {
                 }
             })
             .collect();
+        // The paper's next-hour IP score.
         let scores: Vec<f64> = if self.policy.uses_idleness_scores() {
-            let horizon = self.cfg.ip_horizon_hours.max(1);
-            self.vms
-                .iter()
-                .map(|v| {
-                    (0..horizon)
-                        .map(|k| v.im.raw_score(CalendarStamp::from_hour_index(h + k)))
-                        .sum::<f64>()
-                        / horizon as f64
-                })
-                .collect()
+            self.vms.iter().map(|v| v.im.raw_score(stamp)).collect()
         } else {
             vec![0.0; self.vms.len()]
         };

@@ -105,11 +105,6 @@ pub struct DcConfig {
     /// Hours between consolidation rounds (1 = the paper's periodic
     /// full-relocation evaluation mode).
     pub relocation_period_hours: u64,
-    /// Horizon over which the placement score aggregates the idleness
-    /// model: 1 = the paper's next-hour IP; larger values average the
-    /// next K hours, which stabilizes grouping for phase-shifted
-    /// workloads at the cost of coarser intra-day matching.
-    pub ip_horizon_hours: u64,
     /// Drowsy planner configuration.
     pub drowsy: DrowsyConfig,
     /// SleepScale policy configuration (used when the `sleepscale`
@@ -150,7 +145,6 @@ impl DcConfig {
             wake_speed: WakeSpeed::Quick,
             im: ImConfig::paper_default(),
             relocation_period_hours: 1,
-            ip_horizon_hours: 1,
             drowsy: DrowsyConfig::paper_default(),
             sleepscale: SleepScaleConfig::paper_default(),
             request_peak_rps: 2.0,

@@ -92,11 +92,6 @@ fn main() {
     for name in ["drowsy-dc", "neat-s3", "neat"] {
         let mut cfg = DcConfig::paper_default();
         cfg.track_sla = false;
-        // This fleet mixes phase-shifted patterns (nightly backups vs
-        // business hours). Aggregating the idleness score over the next
-        // 6 hours instead of the paper's next-hour IP keeps the grouping
-        // stable — ~3x fewer migrations for the same energy.
-        cfg.ip_horizon_hours = 6;
         let policy = registry.build(name, &cfg, None).expect("registered policy");
         let mut dc = Datacenter::with_policy(
             cfg,
