@@ -58,7 +58,6 @@ fn build_dc(hosts: usize, vms: usize) -> Datacenter {
     let placement: Vec<HostId> = (0..vms).map(|i| HostId((i % hosts) as u32)).collect();
     let mut cfg = DcConfig::paper_default();
     cfg.track_colocation = false;
-    cfg.track_sla = false;
     let policy = PolicyRegistry::standard()
         .build("drowsy-dc", &cfg, None)
         .expect("drowsy-dc is registered");

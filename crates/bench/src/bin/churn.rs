@@ -57,7 +57,6 @@ fn main() {
             .map(|i| HostId((i % hosts_n) as u32))
             .collect();
         let mut cfg = DcConfig::paper_default();
-        cfg.track_sla = false;
         cfg.track_colocation = false;
         let policy = PolicyRegistry::standard()
             .build("drowsy-dc", &cfg, None)

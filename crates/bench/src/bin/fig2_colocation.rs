@@ -18,7 +18,6 @@ fn main() {
     if opts.quick {
         spec.days = 3;
     }
-    spec.config.track_sla = false;
     let out = run_testbed(&spec, "drowsy-dc", opts.seed);
 
     println!(

@@ -80,17 +80,21 @@ fn run_one(scenario: &Scenario, opts: &ExpOptions, seed: Option<u64>) -> (String
         let energy = out.outcome.energy_kwh();
         let susp = out.outcome.suspension();
         let migrations = out.outcome.dc.total_migrations();
-        let sla = out.outcome.dc.sla.within_sla();
+        // The streamed QoS report's SLA attainment; a scenario without a
+        // `[qos]` section streams none and leaves the column empty (JSON
+        // `null`).
+        let sla = out.outcome.dc.qos.as_ref().map(|q| q.sla_attainment());
         table.row(vec![
             out.label.clone(),
             format!("{energy:.2}"),
             pct1(susp),
             migrations.to_string(),
-            pct1(sla),
+            sla.map_or(String::new(), pct1),
         ]);
         csv.push_str(&format!(
-            "{},{energy:.6},{susp:.6},{migrations},{sla:.6}\n",
-            out.policy
+            "{},{energy:.6},{susp:.6},{migrations},{}\n",
+            out.policy,
+            sla.map_or(String::new(), |s| format!("{s:.6}"))
         ));
         rows.push(
             JsonObject::new()
@@ -99,7 +103,7 @@ fn run_one(scenario: &Scenario, opts: &ExpOptions, seed: Option<u64>) -> (String
                 .num("energy_kwh", energy)
                 .num("suspended_fraction", susp)
                 .int("migrations", migrations as u64)
-                .num("within_sla", sla),
+                .num("within_sla", sla.unwrap_or(f64::NAN)),
         );
     }
     println!("{}", table.render());

@@ -23,7 +23,6 @@ fn main() {
     if opts.quick {
         spec.days = 3;
     }
-    spec.config.track_sla = false;
 
     let mut header = vec!["Algorithm".to_string()];
     header.extend(["P2", "P3", "P4", "P5"].iter().map(|s| s.to_string()));

@@ -116,9 +116,6 @@ pub fn build_grid(scenarios: &[Scenario], policies: &[String], seeds: &[u64]) ->
                 ..base_profile.clone()
             };
             let mut spec = base_spec.clone();
-            spec.config.sla = profile.sla;
-            spec.config.request_peak_rps = profile.peak_rps;
-            spec.config.request_service = SimDuration::from_millis(profile.mean_service_ms as u64);
             spec.config.wake_speed = variant.wake;
             spec.config.qos_stream = Some(QosStreamConfig::serial(profile));
             for policy in policies {

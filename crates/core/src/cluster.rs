@@ -61,7 +61,6 @@ impl ClusterSpec {
     pub fn paper_default(llmi_fraction: f64) -> Self {
         let mut config = DcConfig::paper_default();
         config.track_colocation = false;
-        config.track_sla = false;
         // Large clusters need not relocate every hour; every 2 hours
         // keeps migration churn realistic.
         config.relocation_period_hours = 2;

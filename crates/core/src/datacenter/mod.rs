@@ -27,7 +27,8 @@
 //!   handling and management wakes;
 //! * `engine` — the event-driven driver ([`DcEngine`]): epochs, arrival/
 //!   departure events, true-latency scheduled wakes, heartbeats;
-//! * `accounting` — SLA/request accounting and outcome assembly.
+//! * `accounting` — outcome assembly;
+//! * `qos_stream` — request-level QoS, streamed inline with the run.
 //!
 //! ## Modelling choices (also catalogued in DESIGN.md)
 //!
@@ -40,8 +41,12 @@
 //!   wheel; the suspending module forwards the earliest valid timer as
 //!   the waking date, and the waking module resumes the host *ahead of
 //!   time*, so scheduled activity pays no latency (§VI.A.3's backup
-//!   experiment). Interactive VMs wake their host with the first packet
-//!   of the hour and that request pays the residual resume latency.
+//!   experiment). An interactive VM's first request of the hour wakes
+//!   its parked host (§V: the switch holds the packet while the waking
+//!   module sends the WoL): the resume starts at that request's arrival,
+//!   and the request waits for it. Arrivals come from per-(VM, hour)
+//!   streams ([`dds_traces::hour_request_rng`]), so the wake path and
+//!   the QoS stream see the same requests.
 //! * A swap (needed on fully packed clusters) is charged as two live
 //!   migrations.
 
@@ -74,6 +79,7 @@ use dds_power::{
 };
 use dds_sim_core::time::CalendarStamp;
 use dds_sim_core::{HostId, RackId, SimDuration, SimRng, SimTime, VmId};
+use dds_traces::RequestProfile;
 use std::collections::HashSet;
 
 /// Error admitting a new VM into the datacenter.
@@ -110,17 +116,24 @@ pub struct DcConfig {
     /// SleepScale policy configuration (used when the `sleepscale`
     /// registry policy is selected).
     pub sleepscale: SleepScaleConfig,
-    /// Peak request rate of an interactive VM at activity 1.0.
+    /// Peak request rate of an interactive VM at activity 1.0, in
+    /// requests per second, for a run that does not stream QoS; a QoS run
+    /// takes the rate from its [`QosStreamConfig::profile`]. The rate
+    /// places the traffic wakes: a parked host wakes at its residents'
+    /// first request of the hour.
     pub request_peak_rps: f64,
-    /// Mean request service time (awake host).
+    /// Mean request service time. Unread: the QoS stream samples service
+    /// from its profile. Kept because the benchmark harness
+    /// (`perfbench/src/workloads.rs`) writes it.
     pub request_service: SimDuration,
-    /// The response-time SLA threshold.
+    /// The response-time SLA threshold. Unread: the QoS stream judges
+    /// against its profile's SLA. Kept, like
+    /// [`request_service`](Self::request_service), because the benchmark
+    /// harness writes it.
     pub sla: SimDuration,
     /// Record the VM×VM colocation matrix (Fig. 2). Off, the matrix is
     /// never allocated and [`DcOutcome::colocation`] stays empty.
     pub track_colocation: bool,
-    /// Record request latencies (SLA analysis).
-    pub track_sla: bool,
     /// Retain per-host [`PowerTimeline`]s and the VM placement log for
     /// the whole run, surfaced on [`DcOutcome::timelines`] and
     /// [`DcOutcome::placements`] — the recorded history the streaming QoS
@@ -151,10 +164,21 @@ impl DcConfig {
             request_service: SimDuration::from_millis(60),
             sla: SimDuration::from_millis(200),
             track_colocation: true,
-            track_sla: true,
             track_power_timeline: false,
             qos_stream: None,
         }
+    }
+
+    /// Streams request-level QoS ([`DcConfig::qos_stream`]) with the
+    /// paper's web-search client at this configuration's own
+    /// [`request_peak_rps`](Self::request_peak_rps). A QoS run takes its
+    /// arrival rate from the profile, so at the configured rate every
+    /// wake, and the energy, equal the run without QoS.
+    pub fn stream_qos(&mut self) {
+        self.qos_stream = Some(QosStreamConfig::serial(RequestProfile {
+            peak_rps: self.request_peak_rps,
+            ..RequestProfile::web_search_quick_resume()
+        }));
     }
 }
 
@@ -191,31 +215,6 @@ pub(crate) struct VmSim {
     origin: HostId,
 }
 
-/// Aggregate request-latency accounting.
-#[derive(Debug, Clone, Default)]
-pub struct SlaStats {
-    /// Total requests considered.
-    pub total: u64,
-    /// Requests exceeding the SLA threshold.
-    pub over_sla: u64,
-    /// Requests that triggered (or raced) a host wake.
-    pub wake_hits: u64,
-    /// Worst wake-hit latency observed (ms).
-    pub worst_wake_ms: f64,
-    /// Mean non-wake service latency (ms).
-    pub mean_service_ms: f64,
-}
-
-impl SlaStats {
-    /// Fraction of requests within the SLA.
-    pub fn within_sla(&self) -> f64 {
-        if self.total == 0 {
-            return 1.0;
-        }
-        1.0 - self.over_sla as f64 / self.total as f64
-    }
-}
-
 /// Outcome of a datacenter run.
 #[derive(Debug, Clone)]
 pub struct DcOutcome {
@@ -237,8 +236,6 @@ pub struct DcOutcome {
     /// i and j shared a host (Fig. 2), under
     /// [`DcConfig::track_colocation`]; empty otherwise.
     pub colocation: Vec<Vec<f64>>,
-    /// Request SLA accounting, when tracked.
-    pub sla: SlaStats,
     /// Suspend cycles per host (oscillation diagnostics).
     pub suspend_cycles: Vec<(HostId, u64)>,
     /// Per-host power-state timelines (indexed by host), recorded under
@@ -284,8 +281,9 @@ pub struct PlacementRecord {
 /// *management* wakes has a consolidation problem.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WakeCause {
-    /// A request arrived for a parked host (WoL packet wake) — the cold
-    /// path that charges its trigger the full resume latency.
+    /// A request arrived for a parked host (WoL packet wake): the resume
+    /// starts at the arrival of the hour's first request, which waits the
+    /// full resume latency.
     Traffic,
     /// An anticipated timer wake: a timer-driven resident became active
     /// exactly when the idleness model predicted, served warm.
@@ -344,6 +342,11 @@ pub struct Datacenter {
     residents: Vec<Vec<usize>>,
     waking: WakingCluster,
     blacklist: Blacklist,
+    /// The run's master seed: request arrivals derive from it per
+    /// (VM, hour) ([`dds_traces::hour_request_rng`]).
+    seed: u64,
+    /// The planning RNG, handed to [`ControlPolicy::plan`] (its
+    /// determinism contract); nothing else draws from it.
     rng: SimRng,
     hour: u64,
     /// Live (non-departed) VMs, maintained on admission/departure so
@@ -352,9 +355,6 @@ pub struct Datacenter {
     /// Hours each VM pair shared a host, under `track_colocation` only
     /// (never allocated otherwise).
     coloc_hours: Vec<Vec<u64>>,
-    sla: SlaStats,
-    service_ms_sum: f64,
-    service_ms_count: u64,
     wake_log: Vec<WakeRecord>,
     /// Placement log (under `track_power_timeline`): every assignment a
     /// VM ever received, in time order.
@@ -469,6 +469,7 @@ impl Datacenter {
             qos,
             waking: WakingCluster::new(1, WakingConfig::paper_default(), start),
             blacklist,
+            seed,
             rng: SimRng::new(seed),
             hour: 0,
             live_vms: n,
@@ -477,9 +478,6 @@ impl Datacenter {
             } else {
                 Vec::new()
             },
-            sla: SlaStats::default(),
-            service_ms_sum: 0.0,
-            service_ms_count: 0,
             wake_log: Vec::new(),
             placements,
             engine: EngineConfig::Legacy,

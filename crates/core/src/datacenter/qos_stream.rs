@@ -14,56 +14,55 @@
 //!
 //! ## Semantics and the oracle
 //!
-//! Each interactive VM runs the paper's open-loop client: per-VM
-//! `stream_indexed("qos-requests", vm)` RNG streams, Poisson arrivals
-//! whose hourly rate follows the activity trace, one FCFS server per
-//! vCPU, and a wake-triggering request paying exactly the resume latency
-//! recorded in its host's timeline (`dds_sim_core::qos::{fcfs_serve,
-//! power_ready_at}`). The tests of this module pin the pipeline **bit for
-//! bit** — exact counters, histogram buckets, worst wake latency —
-//! against an event-per-request oracle that walks a fully recorded twin
-//! of the run ([`DcConfig::track_power_timeline`]) with the sequential
-//! `RequestGenerator` client and binary-search lookups.
+//! Each interactive VM runs the paper's open-loop client: Poisson
+//! arrivals whose hourly rate follows the activity trace, drawn from the
+//! VM's per-hour stream ([`dds_traces::hour_request_rng`]), and one FCFS
+//! server per vCPU. These are the requests the physics already saw: the
+//! first of them is the one that woke a parked host (`simulate_host_hour`
+//! starts a traffic wake at the earliest first arrival among the host's
+//! active interactive residents). So no request arrives before its host's
+//! resume began, and each is served from the timeline's
+//! [`operational_from`](PowerTimeline::operational_from) its arrival: at
+//! once on an awake host, at the end of the resume in flight otherwise
+//! (`dds_sim_core::qos::fcfs_serve`). The tests of this module pin the
+//! pipeline **bit for bit** — exact counters, histogram buckets, worst
+//! wake latency — against an event-per-request oracle that walks a fully
+//! recorded twin of the run ([`DcConfig::track_power_timeline`]) with
+//! the sequential `RequestGenerator` client and binary-search lookups.
 //!
 //! **Trim safety.** A VM active in hour `h` (level at or above the
 //! idleness noise gate — the same gate the request stream uses) forces
-//! its host awake *within* hour `h`, so every power-state lookup of the
-//! epoch resolves inside already-recorded history, and no arrival of a
-//! later epoch can need an interval that ended before the epoch
-//! boundary. That is what makes per-epoch evaluation exact and lets the
-//! run trim each timeline every epoch. Departed VMs stop their client
-//! when they are deleted.
-//!
-//! **No wake episode spans an epoch.** The same invariant bounds every
-//! wake a request of hour `h` meets: its host is operational again by
-//! the end of hour `h` (a traffic wake is clamped to finish within its
-//! hour, a timer wake starts at the hour boundary, and a lead-fired
-//! scheduled wake finishes at a boundary no request of the previous hour
-//! waits on). A request of hour `h` that finds its host not operational
-//! therefore meets a wake ending in `(h, h + 1]`, so an episode can never
-//! be shared with a request of a later hour, and each epoch starts its
-//! VMs' episodes afresh. `serve_hour` checks the bound in debug builds;
-//! the oracle below keeps one episode per VM for the whole run.
+//! its host awake *within* hour `h`, and every wake a request of hour `h`
+//! meets ends by the end of hour `h` (a traffic wake is clamped to finish
+//! within its hour, a timer wake starts at the hour boundary, and a
+//! lead-fired scheduled wake finishes at a boundary no request of the
+//! previous hour waits on). So every power-state lookup of the epoch
+//! resolves inside already-recorded history, and no arrival of a later
+//! epoch can need an interval that ended before the epoch boundary. That
+//! is what makes per-epoch evaluation exact and lets the run trim each
+//! timeline every epoch; `serve_hour` checks the bound in debug builds.
+//! Departed VMs stop their client when they are deleted.
 //!
 //! ## Memory
 //!
-//! Nothing whole-run is retained: per VM the state is one RNG, the FCFS
-//! server pool and a compacted residency of at
-//! most a few moves; per host, the timeline is trimmed each epoch to the
-//! intervals that can still matter (unless the run also asked for
+//! Nothing whole-run is retained: per VM the state is the FCFS server
+//! pool and a compacted residency of at most a few moves (each hour's
+//! RNG is derived afresh); per host, the timeline is trimmed each epoch
+//! to the intervals that can still matter (unless the run also asked for
 //! [`DcConfig::track_power_timeline`], in which case full retention is
 //! the point). That is what lets the pipeline ride along at fleet scale
 //! where materializing timelines and placement logs cannot.
 
 use super::*;
 use dds_power::TimelineCursor;
-use dds_sim_core::qos::{fcfs_serve, power_ready_at, QosReport, QosWindow};
-use dds_traces::{RequestProfile, RequestStream};
+use dds_sim_core::qos::{fcfs_serve, QosReport, QosWindow};
+use dds_traces::{hour_request_rng, RequestProfile, RequestStream};
 
 /// Configuration of the streaming QoS pipeline (see the module-level
 /// documentation above).
 /// Attach it to [`DcConfig::qos_stream`] to compute request-level QoS
-/// inline with the run.
+/// inline with the run. The profile's `peak_rps` is also the rate the
+/// run's traffic wakes follow.
 ///
 /// The activity noise gate is the run's own
 /// [`ImConfig::noise_threshold`](dds_idleness::ImConfig) — requests flow
@@ -109,9 +108,8 @@ impl QosStreamConfig {
 }
 
 /// One VM's client state, persisted across epochs.
+#[derive(Default)]
 struct VmClient {
-    /// The VM's request RNG stream (`stream_indexed("qos-requests", vm)`).
-    rng: SimRng,
     /// FCFS server pool (`free[i]` = instant server `i` frees up); sized
     /// to the VM's vCPUs on first use.
     free: Vec<SimTime>,
@@ -123,6 +121,7 @@ struct VmClient {
 /// Live state of the streaming pipeline: per-VM clients, the reused
 /// request buffers, the pending epoch window and the run-wide report.
 pub(super) struct QosStream {
+    /// The run's master seed, from which each VM-hour's requests derive.
     seed: u64,
     /// Activity gate (the run's `ImConfig::noise_threshold`).
     noise: f64,
@@ -153,16 +152,10 @@ impl QosStream {
         stream
     }
 
-    /// Grows the client column through slot `i`, deriving each new VM's
-    /// request RNG stream.
+    /// Grows the client column through slot `i`.
     fn ensure_slot(&mut self, i: usize) {
-        while self.clients.len() <= i {
-            let idx = self.clients.len() as u64;
-            self.clients.push(VmClient {
-                rng: SimRng::new(self.seed).stream_indexed("qos-requests", idx),
-                free: Vec::new(),
-                moves: Vec::new(),
-            });
+        if self.clients.len() <= i {
+            self.clients.resize_with(i + 1, VmClient::default);
         }
     }
 
@@ -190,14 +183,16 @@ impl QosStream {
         let timelines: Vec<Option<&PowerTimeline>> =
             hosts.iter().map(|h| h.meter.timeline()).collect();
         for (vm, client) in vms.iter().zip(&mut self.clients) {
-            client.serve_hour(
-                vm,
-                hour,
-                self.noise,
-                &timelines,
-                &mut self.requests,
-                &mut window,
-            );
+            if vm.spec.kind != WorkloadKind::Interactive || vm.departed {
+                continue;
+            }
+            let level = vm.spec.trace.level_at_hour(hour);
+            if level < self.noise {
+                continue;
+            }
+            let mut rng = hour_request_rng(self.seed, vm.spec.id.index() as u64, hour);
+            let (arrivals, services) = self.requests.fill_hour_with(&mut rng, hour, level);
+            client.serve_hour(vm, hour, arrivals, services, &timelines, &mut window);
         }
         self.report.merge(&window.report);
         self.pending = Some(window);
@@ -217,35 +212,25 @@ impl QosStream {
 }
 
 impl VmClient {
-    /// Draws and serves this VM's requests for `hour` into `window`.
+    /// Serves this VM's requests of `hour` (`arrivals` with their
+    /// `services`) into `window`.
     fn serve_hour(
         &mut self,
         vm: &VmSim,
         hour: u64,
-        noise: f64,
+        arrivals: &[SimTime],
+        services: &[SimDuration],
         timelines: &[Option<&PowerTimeline>],
-        requests: &mut RequestStream,
         window: &mut QosWindow,
     ) {
-        if vm.spec.kind != WorkloadKind::Interactive || vm.departed {
-            return;
-        }
-        let level = vm.spec.trace.level_at_hour(hour);
-        if level < noise {
-            return;
-        }
         if self.free.is_empty() {
             self.free
                 .resize((vm.spec.vcpus.round() as usize).max(1), SimTime::EPOCH);
         }
-        let (arrivals, services) = requests.fill_hour_with(&mut self.rng, hour, level);
         // Arrivals are monotone within the hour: residency resolves with
         // a forward walk, power state with a fresh timeline cursor.
         let mut mv = 0usize;
         let mut tl_cursor = TimelineCursor::new();
-        // The hour's wake episode (see `power_ready_at`); none outlives
-        // the hour (module docs).
-        let mut episode = None;
         let hour_end = SimTime::from_hours(hour + 1);
         for (&arrival, &service) in arrivals.iter().zip(services) {
             while mv < self.moves.len() && self.moves[mv].0 <= arrival {
@@ -259,6 +244,13 @@ impl VmClient {
                 window.record_unserved();
                 continue;
             };
+            debug_assert!(
+                !matches!(
+                    tl_cursor.state_at(timeline, arrival),
+                    Some(PowerState::Suspended | PowerState::Off)
+                ),
+                "a request of hour {hour} reached host {host} at {arrival} before its resume began"
+            );
             let Some(operational) = tl_cursor.operational_from(timeline, arrival) else {
                 // An active VM keeps its host awake within the hour, so
                 // this only fires for requests of VMs idle-gated
@@ -271,11 +263,7 @@ impl VmClient {
                 operational <= hour_end,
                 "a request of hour {hour} waits on a wake ending at {operational}"
             );
-            let span = (operational != arrival)
-                .then(|| tl_cursor.resume_window_after(timeline, arrival))
-                .flatten();
-            let power_ready = power_ready_at(operational, arrival, span, &mut episode);
-            let (latency_ms, wake_hit) = fcfs_serve(&mut self.free, arrival, service, power_ready);
+            let (latency_ms, wake_hit) = fcfs_serve(&mut self.free, arrival, service, operational);
             window.record(host.index() as u32, latency_ms, wake_hit);
         }
     }
@@ -293,11 +281,12 @@ mod tests {
         i.checked_sub(1).map(|i| moves[i].1)
     }
 
-    /// The oracle for one VM of a fully recorded run: its request stream
-    /// event per request through the sequential `RequestGenerator`,
-    /// uncursored timeline lookups, a fresh report. Everything it touches
-    /// is derived from `(seed, vm index)` and the recorded run, so the
-    /// result is a pure function.
+    /// The oracle for one VM of a fully recorded run: each active hour's
+    /// requests drawn event per request by the sequential
+    /// `RequestGenerator` on that hour's stream, served from the recorded
+    /// timeline's operational instant through uncursored lookups, into a
+    /// fresh report. Everything it touches is derived from `(seed, vm,
+    /// hour)` and the recorded run, so the result is a pure function.
     fn replay_vm_reference(
         vm: &VmSpec,
         moves: &[(SimTime, HostId)],
@@ -313,31 +302,25 @@ mod tests {
             // latency); batch VMs have no request stream.
             return report;
         }
-        let rng = SimRng::new(seed).stream_indexed("qos-requests", vm.id.index() as u64);
-        let mut generator = RequestGenerator::new(vm.trace.clone(), profile.clone(), rng);
         let mut free = vec![SimTime::EPOCH; (vm.vcpus.round() as usize).max(1)];
-        let mut episode: Option<(SimTime, SimTime)> = None;
         for hour in 0..hours {
             if vm.trace.level_at_hour(hour) < noise {
                 continue;
             }
+            let rng = hour_request_rng(seed, vm.id.index() as u64, hour);
+            let mut generator = RequestGenerator::new(vm.trace.clone(), profile.clone(), rng);
             for arrival in generator.arrivals_in_hour(hour) {
                 let service = generator.sample_service();
                 let Some(host) = host_at(moves, arrival) else {
                     report.unserved += 1;
                     continue;
                 };
-                let timeline = &timelines[host.index()];
-                let Some(operational) = timeline.operational_from(arrival) else {
+                let Some(operational) = timelines[host.index()].operational_from(arrival) else {
                     // Parked through the end of the recorded run.
                     report.unserved += 1;
                     continue;
                 };
-                let window = (operational != arrival)
-                    .then(|| timeline.resume_window_after(arrival))
-                    .flatten();
-                let power_ready = power_ready_at(operational, arrival, window, &mut episode);
-                let (latency_ms, wake_hit) = fcfs_serve(&mut free, arrival, service, power_ready);
+                let (latency_ms, wake_hit) = fcfs_serve(&mut free, arrival, service, operational);
                 report.record(latency_ms, wake_hit);
             }
         }
@@ -372,6 +355,13 @@ mod tests {
         .generate(hours, &mut SimRng::new(seed))
     }
 
+    /// A finished run: its VMs, outcome and wake log.
+    struct SmallRun {
+        vms: Vec<VmSpec>,
+        out: DcOutcome,
+        wakes: Vec<WakeRecord>,
+    }
+
     /// Runs two testbed machines hosting one interactive VM per trace
     /// (alternating placement) for `hours`, seed 7.
     fn run_small(
@@ -379,7 +369,7 @@ mod tests {
         traces: Vec<VmTrace>,
         hours: u64,
         tweak: impl FnOnce(&mut DcConfig),
-    ) -> (Vec<VmSpec>, DcOutcome) {
+    ) -> SmallRun {
         let hosts = vec![
             HostSpec::testbed_machine(HostId(0), "P0"),
             HostSpec::testbed_machine(HostId(1), "P1"),
@@ -404,17 +394,37 @@ mod tests {
             .expect("registered policy");
         let mut dc = Datacenter::with_policy(cfg, policy, hosts, vms.clone(), placement, 7);
         dc.run(hours);
-        (vms, dc.finish())
+        let wakes = dc.wake_log().to_vec();
+        SmallRun {
+            vms,
+            out: dc.finish(),
+            wakes,
+        }
     }
 
-    fn streamed(policy: &str, traces: Vec<VmTrace>, hours: u64) -> (DcOutcome, QosReport) {
-        let (_, mut out) = run_small(policy, traces, hours, |cfg| {
+    /// The run streaming `profile`'s QoS.
+    fn streamed(policy: &str, traces: Vec<VmTrace>, hours: u64) -> (SmallRun, QosReport) {
+        let mut run = run_small(policy, traces, hours, |cfg| {
             cfg.qos_stream = Some(QosStreamConfig::serial(
                 RequestProfile::web_search_quick_resume(),
             ));
         });
-        let qos = out.qos.take().expect("streaming run surfaces a report");
-        (out, qos)
+        let qos = run.out.qos.take().expect("streaming run surfaces a report");
+        (run, qos)
+    }
+
+    /// The fully recorded twin of [`streamed`]: no QoS, timelines and the
+    /// placement log retained, requests at the profile's rate.
+    fn recorded(
+        policy: &str,
+        traces: Vec<VmTrace>,
+        hours: u64,
+        profile: &RequestProfile,
+    ) -> SmallRun {
+        run_small(policy, traces, hours, |cfg| {
+            cfg.track_power_timeline = true;
+            cfg.request_peak_rps = profile.peak_rps;
+        })
     }
 
     #[test]
@@ -433,8 +443,11 @@ mod tests {
 
     #[test]
     fn drowsy_fleet_charges_wakes_at_the_resume_latency() {
-        let (out, report) = streamed("drowsy-dc", vec![bursty(96, 1), bursty(96, 2)], 96);
-        assert!(out.global_suspended_fraction > 0.0, "the run parks hosts");
+        let (run, report) = streamed("drowsy-dc", vec![bursty(96, 1), bursty(96, 2)], 96);
+        assert!(
+            run.out.global_suspended_fraction > 0.0,
+            "the run parks hosts"
+        );
         assert!(report.wake_hits > 0, "parked hosts produce wake hits");
         // The worst wake-hit latency is at least the quick-resume
         // latency (the trigger pays the full resume + service) and
@@ -458,16 +471,14 @@ mod tests {
         for policy in ["drowsy-dc", "neat"] {
             let hours = 96;
             let traces = vec![bursty(96, 1), bursty(96, 2), bursty(96, 3)];
-            let (vms, recorded) = run_small(policy, traces.clone(), hours, |cfg| {
-                cfg.track_power_timeline = true;
-            });
-            let oracle = replay_reference(&vms, &recorded, &profile);
+            let twin = recorded(policy, traces.clone(), hours, &profile);
+            let oracle = replay_reference(&twin.vms, &twin.out, &profile);
             assert!(oracle.total > 0);
             if policy == "drowsy-dc" {
                 assert!(oracle.wake_hits > 0, "the oracle run exercises wakes");
             }
             // The oracle is a pure function of the recorded run.
-            assert_eq!(replay_reference(&vms, &recorded, &profile), oracle);
+            assert_eq!(replay_reference(&twin.vms, &twin.out, &profile), oracle);
             let (_, streamed) = streamed(policy, traces, hours);
             assert_eq!(streamed, oracle, "{policy}");
         }
@@ -476,40 +487,46 @@ mod tests {
     #[test]
     fn streaming_run_is_bit_identical_to_its_recorded_twin() {
         // A run evaluating QoS inline (trimmed timelines, no placement
-        // log) is the same run as its fully recorded twin: identical
-        // physics, nothing whole-run retained, and exactly the report the
-        // oracle computes from the twin's recording.
+        // log) is the same run as its fully recorded twin at the same
+        // request rate: identical physics and wakes, nothing whole-run
+        // retained, and exactly the report the oracle computes from the
+        // twin's recording.
         let profile = RequestProfile::web_search_quick_resume();
         for policy in ["drowsy-dc", "neat"] {
             let hours = 96;
             let traces = vec![bursty(96, 1), bursty(96, 2), bursty(96, 3), bursty(96, 4)];
-            let (vms, recorded) = run_small(policy, traces.clone(), hours, |cfg| {
-                cfg.track_power_timeline = true;
-            });
-            let (out, streamed) = streamed(policy, traces, hours);
+            let twin = recorded(policy, traces.clone(), hours, &profile);
+            let (run, streamed) = streamed(policy, traces, hours);
             // Streaming must not perturb the run's physics…
             assert_eq!(
-                out.energy_kwh.to_bits(),
-                recorded.energy_kwh.to_bits(),
+                run.out.energy_kwh.to_bits(),
+                twin.out.energy_kwh.to_bits(),
                 "{policy}: the ride-along pipeline leaves the simulation untouched"
             );
             assert_eq!(
-                out.global_suspended_fraction.to_bits(),
-                recorded.global_suspended_fraction.to_bits(),
+                run.out.global_suspended_fraction.to_bits(),
+                twin.out.global_suspended_fraction.to_bits(),
                 "{policy}"
             );
-            assert_eq!(out.hours, recorded.hours);
+            assert_eq!(run.out.hours, twin.out.hours);
+            assert_eq!(run.wakes, twin.wakes, "{policy}: the same wakes");
+            if policy == "drowsy-dc" {
+                assert!(
+                    run.wakes.iter().any(|w| w.cause == WakeCause::Traffic),
+                    "requests wake parked hosts"
+                );
+            }
             // …retains nothing whole-run…
-            assert!(out.timelines.is_empty(), "no timeline retention");
-            assert!(out.placements.is_empty(), "no placement log");
+            assert!(run.out.timelines.is_empty(), "no timeline retention");
+            assert!(run.out.placements.is_empty(), "no placement log");
             assert!(
-                !recorded.timelines.is_empty(),
+                !twin.out.timelines.is_empty(),
                 "the twin keeps its timelines"
             );
             // …and reports exactly what the twin's recording yields.
             assert_eq!(
                 streamed,
-                replay_reference(&vms, &recorded, &profile),
+                replay_reference(&twin.vms, &twin.out, &profile),
                 "{policy}"
             );
         }

@@ -3,6 +3,7 @@
 
 use super::telemetry::DcMetrics;
 use super::*;
+use dds_traces::{hour_arrivals, hour_request_rng};
 
 /// Delay before the suspending module notices a fully idle host: its
 /// periodic check interval (DESIGN §3 item 1). The earliest a host can
@@ -12,6 +13,24 @@ const IDLE_DETECT_DELAY: SimDuration = SimDuration::from_secs(30);
 impl Datacenter {
     pub(super) fn mac(&self, host: HostId) -> HostMac {
         HostMac::of(host)
+    }
+
+    /// Peak request rate of an interactive VM: the streamed QoS
+    /// profile's, else [`DcConfig::request_peak_rps`].
+    fn request_peak_rps(&self) -> f64 {
+        self.cfg
+            .qos_stream
+            .as_ref()
+            .map_or(self.cfg.request_peak_rps, |q| q.profile.peak_rps)
+    }
+
+    /// VM index `vm`'s first request of the current hour at activity
+    /// `level`, if one arrives within the hour: the head of the stream
+    /// the QoS pipeline serves in full.
+    fn first_request(&self, vm: usize, level: f64) -> Option<SimTime> {
+        let mut rng = hour_request_rng(self.seed, vm as u64, self.hour);
+        let mut arrivals = hour_arrivals(&mut rng, self.hour, self.request_peak_rps() * level);
+        arrivals.next()
     }
 
     /// Wakes a host for a management operation at `now` (no-op if awake).
@@ -108,8 +127,9 @@ impl Datacenter {
             .sum();
         let util = demand / self.hosts[hid.index()].spec.cpu_cores.max(1e-9);
         // Speed scaling: the policy picks the hour's clock. Dynamic power
-        // scales with f² (voltage tracks frequency) and service times
-        // stretch by 1/f; f = 1 leaves the legacy arithmetic untouched.
+        // scales with f² (voltage tracks frequency); f = 1 leaves the
+        // legacy arithmetic untouched. Request service does not stretch
+        // by 1/f (DESIGN §3).
         let freq = self.policy.active_frequency(hid, util).clamp(1e-3, 1.0);
         let metered_util = if freq < 1.0 { util * freq * freq } else { util };
         let state = self.hosts[hid.index()].power.state();
@@ -117,30 +137,32 @@ impl Datacenter {
         if active {
             if state.is_low_power() {
                 // Wake path: anticipated (timer) wakes complete at the
-                // hour start; packet wakes start at the first arrival.
+                // hour start; traffic wakes start at the hour's first
+                // request.
                 let anticipated_wake = anticipated.contains(&hid)
                     || resident.iter().any(|&i| {
                         self.vms[i].spec.kind == WorkloadKind::TimerDriven && levels[i] >= noise
                     });
-                let wake_at = if anticipated_wake {
+                let mut interactive = resident
+                    .iter()
+                    .filter(|&&i| {
+                        self.vms[i].spec.kind == WorkloadKind::Interactive && levels[i] >= noise
+                    })
+                    .peekable();
+                let wake_at = if anticipated_wake || interactive.peek().is_none() {
                     hour_start
                 } else {
-                    // First packet offset: exponential with the hour's
-                    // aggregate request rate. A very late packet is capped
-                    // so the resume (1.5 s from S5, configured speed from
-                    // S3) still completes within the hour.
-                    let rate: f64 = resident
-                        .iter()
-                        .filter(|&&i| {
-                            self.vms[i].spec.kind == WorkloadKind::Interactive && levels[i] >= noise
-                        })
-                        .map(|&i| self.cfg.request_peak_rps * levels[i])
-                        .sum();
-                    let offset = if rate > 0.0 {
-                        SimDuration::from_secs_f64(self.rng.exponential(1.0 / rate))
-                    } else {
-                        SimDuration::ZERO
-                    };
+                    // The earliest first request among the active
+                    // interactive residents wakes the host (§V: the switch
+                    // holds it while the waking module sends the WoL), so
+                    // no request reaches the host before its resume began.
+                    // The wake is clamped so the resume (1.5 s from S5,
+                    // configured speed from S3) completes within the hour,
+                    // which also covers an hour whose first gap overruns it.
+                    let first = interactive
+                        .filter_map(|&i| self.first_request(i, levels[i]))
+                        .min()
+                        .unwrap_or(hour_end);
                     let timings = self.hosts[hid.index()].meter.model().timings;
                     let resume = if state == PowerState::Off {
                         timings.resume_normal
@@ -148,7 +170,7 @@ impl Datacenter {
                         timings.resume_latency(self.cfg.wake_speed)
                     };
                     let headroom = resume.max(SimDuration::from_secs(1));
-                    (hour_start + offset).min(hour_end - headroom)
+                    first.min(hour_end - headroom)
                 };
                 let cause = if anticipated_wake {
                     WakeCause::Timer
@@ -156,25 +178,10 @@ impl Datacenter {
                     WakeCause::Traffic
                 };
                 let done = self.resume_host(hid, wake_at, cause);
-                if self.cfg.track_sla && !anticipated_wake {
-                    // The triggering request pays the full resume latency
-                    // plus its service time.
-                    let ms = (done.saturating_since(wake_at) + self.cfg.request_service).as_millis()
-                        as f64;
-                    self.sla.total += 1;
-                    self.sla.wake_hits += 1;
-                    if ms > self.cfg.sla.as_millis() as f64 {
-                        self.sla.over_sla += 1;
-                    }
-                    self.sla.worst_wake_ms = self.sla.worst_wake_ms.max(ms);
-                }
                 debug_assert!(done <= hour_end);
             }
             let h = &mut self.hosts[hid.index()];
             h.meter.advance(hour_end, PowerState::Active, metered_util);
-            if self.cfg.track_sla {
-                self.record_service_requests(&resident, levels, noise, 1.0 / freq);
-            }
         } else {
             // Fully idle hour.
             if state.is_low_power() {

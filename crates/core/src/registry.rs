@@ -181,17 +181,6 @@ impl PolicyRegistry {
         self.entries.push(entry);
     }
 
-    /// Registers a custom entry, erroring instead of silently shadowing
-    /// when the name is taken. Experiment harnesses that compose
-    /// registries from several sources use this to surface collisions.
-    pub fn try_register(&mut self, entry: PolicyEntry) -> Result<(), RegistryError> {
-        if self.get(entry.name).is_some() {
-            return Err(RegistryError::DuplicateName(entry.name));
-        }
-        self.entries.push(entry);
-        Ok(())
-    }
-
     /// Resolves a list of names to entries, erroring on the first
     /// unknown one (with the registered names in the message, as the
     /// panic path in `run_cluster_policy_with` does).
@@ -226,11 +215,9 @@ impl Default for PolicyRegistry {
     }
 }
 
-/// Errors from the fallible registry operations.
+/// Error from [`PolicyRegistry::resolve`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RegistryError {
-    /// [`PolicyRegistry::try_register`] found the name already taken.
-    DuplicateName(&'static str),
     /// [`PolicyRegistry::resolve`] met a name with no entry.
     UnknownName(String),
 }
@@ -238,9 +225,6 @@ pub enum RegistryError {
 impl std::fmt::Display for RegistryError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            RegistryError::DuplicateName(name) => {
-                write!(f, "policy {name:?} is already registered")
-            }
             RegistryError::UnknownName(name) => {
                 write!(f, "unknown policy '{name}'")
             }
@@ -302,30 +286,6 @@ mod tests {
             "Neat (custom)"
         );
         assert_eq!(reg.entries().len(), 7, "replaced, not duplicated");
-    }
-
-    #[test]
-    fn try_register_rejects_duplicates_and_admits_fresh_names() {
-        let mut reg = PolicyRegistry::standard();
-        let n = reg.entries().len();
-        let clash = PolicyEntry::new("drowsy-dc", "Impostor", false, |cfg, _| {
-            Box::new(DrowsyPolicy::new(cfg.drowsy.clone()))
-        });
-        let err = reg.try_register(clash).unwrap_err();
-        assert_eq!(err, RegistryError::DuplicateName("drowsy-dc"));
-        assert!(format!("{err}").contains("already registered"));
-        assert_eq!(reg.entries().len(), n, "rejected entry is not added");
-        assert_eq!(
-            reg.get("drowsy-dc").unwrap().label,
-            "Drowsy-DC",
-            "original entry untouched"
-        );
-        let fresh = PolicyEntry::new("drowsy-dc-v2", "Drowsy-DC v2", false, |cfg, _| {
-            Box::new(DrowsyPolicy::new(cfg.drowsy.clone()))
-        });
-        reg.try_register(fresh).expect("fresh name registers");
-        assert_eq!(reg.entries().len(), n + 1);
-        assert!(reg.get("drowsy-dc-v2").is_some());
     }
 
     #[test]

@@ -178,7 +178,6 @@ mod tests {
     fn quick_spec() -> TestbedSpec {
         let mut spec = TestbedSpec::paper_default();
         spec.days = 7;
-        spec.config.track_sla = false;
         spec
     }
 
@@ -267,16 +266,13 @@ mod tests {
         // §VI.A.3: >99 % of requests within 200 ms; wake-triggering
         // requests bounded by the resume latency.
         let mut spec = quick_spec();
-        spec.config.track_sla = true;
+        spec.config.stream_qos();
         let out = run_testbed(&spec, "drowsy-dc", 42);
-        assert!(out.dc.sla.total > 0);
-        assert!(
-            out.dc.sla.within_sla() > 0.99,
-            "SLA {}",
-            out.dc.sla.within_sla()
-        );
-        if out.dc.sla.wake_hits > 0 {
-            assert!(out.dc.sla.worst_wake_ms <= 1700.0);
+        let qos = out.dc.qos.expect("the run streamed QoS");
+        assert!(qos.total > 0);
+        assert!(qos.sla_attainment() > 0.99, "SLA {}", qos.sla_attainment());
+        if qos.wake_hits > 0 {
+            assert!(qos.worst_wake_ms <= 1700);
         }
     }
 

@@ -15,10 +15,11 @@
 //!   module heart-beats and mirrors a peer, and a defective module is
 //!   replaced by its mirror copy.
 //!
-//! The §V hold-and-release itself — a held request is served once its
-//! host is operational, which gives wake-racing requests their latency
-//! tail — is simulated by the datacenter's streaming QoS pipeline
-//! (`dds_sim_core::qos::power_ready_at`), not by a packet-level switch.
+//! The §V hold-and-release itself is simulated by the datacenter, not by
+//! a packet-level switch: a parked host's resume starts at the arrival of
+//! the first request sent to it, and the streaming QoS pipeline serves
+//! every request once its host is operational, which gives wake-racing
+//! requests their latency tail.
 
 #![warn(missing_docs)]
 

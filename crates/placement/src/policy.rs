@@ -222,8 +222,9 @@ pub trait ControlPolicy: Send {
     /// CPU frequency factor (fraction of nominal, in `(0, 1]`) for an
     /// active host hour with the given normalized utilization. Policies
     /// doing DVFS-style speed scaling return < 1 on lightly loaded hosts;
-    /// the controller scales dynamic power by `f²` and stretches request
-    /// service times by `1/f`. The default runs at full clock.
+    /// the controller scales dynamic power by `f²`. Request service times
+    /// do not stretch by `1/f` (the QoS stream serves at the nominal
+    /// clock). The default runs at full clock.
     fn active_frequency(&self, _host: HostId, _utilization: f64) -> f64 {
         1.0
     }

@@ -11,8 +11,9 @@
 //!   discrete frequency step (a P-state) just high enough to serve the
 //!   predicted utilization at the configured target load. The controller
 //!   charges dynamic power scaled by `f²` (the classic `C·V²·f` model
-//!   with voltage tracking frequency) and stretches request service
-//!   times by `1/f`, so downclocking trades latency headroom for energy.
+//!   with voltage tracking frequency). Request service is not stretched
+//!   by `1/f`: the QoS stream serves at the nominal clock, so
+//!   downclocking shows up in energy only (DESIGN §3 item 9).
 //! * **Sleep-state selection** — when the suspending module clears a host
 //!   for sleep, the policy chooses between S3 (fast resume, ~5 W) and S5
 //!   (slow resume, ~1 W) from the information a real runtime would have:

@@ -9,15 +9,14 @@
 //! millisecond instants.
 //!
 //! The streaming request-level QoS pipeline (`dds-core`) serves per-VM
-//! request streams against these timelines. Its two lookups are pure
-//! binary searches: [`PowerTimeline::operational_from`] and
-//! [`PowerTimeline::resume_window_after`] answer in O(log intervals) via
-//! auxiliary sorted indices of operational and resuming intervals,
-//! maintained incrementally by [`PowerTimeline::record`]. The pipeline
-//! walks each hour's time-ordered arrivals with a [`TimelineCursor`] on
-//! top, which amortizes consecutive lookups to O(1), and calls
-//! [`PowerTimeline::trim_before`] once its window moves past recorded
-//! history, keeping per-host memory constant.
+//! request streams against these timelines: each request starts no
+//! earlier than [`PowerTimeline::operational_from`] its arrival, a binary
+//! search in O(log intervals) over an auxiliary sorted index of
+//! operational intervals, maintained incrementally by
+//! [`PowerTimeline::record`]. The pipeline walks each hour's time-ordered
+//! arrivals with a [`TimelineCursor`] on top, which amortizes consecutive
+//! lookups to O(1), and calls [`PowerTimeline::trim_before`] once its
+//! window moves past recorded history, keeping per-host memory constant.
 
 use crate::state::PowerState;
 use dds_sim_core::{SimDuration, SimTime};
@@ -47,8 +46,6 @@ pub struct PowerTimeline {
     intervals: Vec<PowerInterval>,
     /// Indices (into `intervals`) of operational intervals, ascending.
     op_index: Vec<u32>,
-    /// Indices of `Resuming` intervals, ascending.
-    resume_index: Vec<u32>,
 }
 
 impl PowerTimeline {
@@ -57,7 +54,6 @@ impl PowerTimeline {
         PowerTimeline {
             intervals: Vec::new(),
             op_index: Vec::new(),
-            resume_index: Vec::new(),
         }
     }
 
@@ -82,8 +78,6 @@ impl PowerTimeline {
         let idx = self.intervals.len() as u32;
         if state.is_operational() {
             self.op_index.push(idx);
-        } else if state == PowerState::Resuming {
-            self.resume_index.push(idx);
         }
         self.intervals.push(PowerInterval {
             start: from,
@@ -130,12 +124,6 @@ impl PowerTimeline {
         self.op_index.get(i).map(|&op| op as usize)
     }
 
-    /// First `Resuming` interval index at or after interval `from`.
-    fn next_resuming_index(&self, from: usize) -> Option<usize> {
-        let i = self.resume_index.partition_point(|&r| (r as usize) < from);
-        self.resume_index.get(i).map(|&r| r as usize)
-    }
-
     /// Earliest instant `>= t` at which the host is operational
     /// ([`PowerState::is_operational`]): `t` itself when the host is
     /// active at `t`, otherwise the start of the next active interval.
@@ -154,41 +142,6 @@ impl PowerTimeline {
             .map(|op| self.intervals[op].start)
     }
 
-    /// The resume window (`Resuming` span) that ends at the operational
-    /// instant following `t`, if the host was parked or resuming at `t`:
-    /// `(resume_start, operational)`. The QoS pipeline charges the
-    /// wake-triggering request exactly this window — the paper's ≈1500 ms
-    /// stock / ≈800 ms quick-resume latency. O(log intervals).
-    pub fn resume_window_after(&self, t: SimTime) -> Option<(SimTime, SimTime)> {
-        let from = self.index_at(t)?;
-        self.resume_window_from_index(from)
-    }
-
-    fn resume_window_from_index(&self, from: usize) -> Option<(SimTime, SimTime)> {
-        if self.intervals[from].state.is_operational() {
-            return None;
-        }
-        let op = self.next_operational_index(from);
-        match (self.next_resuming_index(from), op) {
-            // A resume span comes first: the full (start, end) window.
-            (Some(r), Some(o)) if r < o => {
-                let iv = &self.intervals[r];
-                Some((iv.start, iv.end))
-            }
-            (Some(r), None) => {
-                let iv = &self.intervals[r];
-                Some((iv.start, iv.end))
-            }
-            // Operational without an explicit resume span (e.g. the host
-            // was suspending and the span was aborted).
-            (_, Some(o)) => {
-                let start = self.intervals[o].start;
-                Some((start, start))
-            }
-            (None, None) => None,
-        }
-    }
-
     /// Drops every interval ending at or before `t` (intervals spanning
     /// `t` are kept whole). The streaming QoS pipeline calls this once
     /// its processing window has moved past recorded history, so a
@@ -200,14 +153,11 @@ impl PowerTimeline {
             return;
         }
         self.intervals.drain(..cut);
-        // Rebuild the auxiliary indices over the (short) remainder.
+        // Rebuild the auxiliary index over the (short) remainder.
         self.op_index.clear();
-        self.resume_index.clear();
         for (i, iv) in self.intervals.iter().enumerate() {
             if iv.state.is_operational() {
                 self.op_index.push(i as u32);
-            } else if iv.state == PowerState::Resuming {
-                self.resume_index.push(i as u32);
             }
         }
     }
@@ -267,16 +217,6 @@ impl TimelineCursor {
         let from = self.seek(tl, t)?;
         tl.operational_from_index(from, t)
     }
-
-    /// [`PowerTimeline::resume_window_after`] through the cursor.
-    pub fn resume_window_after(
-        &mut self,
-        tl: &PowerTimeline,
-        t: SimTime,
-    ) -> Option<(SimTime, SimTime)> {
-        let from = self.seek(tl, t)?;
-        tl.resume_window_from_index(from)
-    }
 }
 
 #[cfg(test)]
@@ -298,7 +238,7 @@ mod tests {
         tl
     }
 
-    /// The pre-index reference implementations: linear forward scans.
+    /// The pre-index reference implementation: a linear forward scan.
     fn operational_from_linear(tl: &PowerTimeline, t: SimTime) -> Option<SimTime> {
         let intervals = tl.intervals();
         let from = intervals.partition_point(|iv| iv.end <= t);
@@ -312,26 +252,6 @@ mod tests {
             .iter()
             .find(|iv| iv.state.is_operational())
             .map(|iv| iv.start)
-    }
-
-    fn resume_window_linear(tl: &PowerTimeline, t: SimTime) -> Option<(SimTime, SimTime)> {
-        let intervals = tl.intervals();
-        let from = intervals.partition_point(|iv| iv.end <= t);
-        if from >= intervals.len() || intervals[from].start > t {
-            return None;
-        }
-        if intervals[from].state.is_operational() {
-            return None;
-        }
-        for iv in &intervals[from..] {
-            if iv.state == PowerState::Resuming {
-                return Some((iv.start, iv.end));
-            }
-            if iv.state.is_operational() {
-                return Some((iv.start, iv.start));
-            }
-        }
-        None
     }
 
     #[test]
@@ -374,20 +294,11 @@ mod tests {
     }
 
     #[test]
-    fn resume_window_is_exposed() {
-        let tl = sample();
-        assert_eq!(tl.resume_window_after(t(150)), Some((t(200), t(201))));
-        assert_eq!(tl.resume_window_after(t(200)), Some((t(200), t(201))));
-        assert_eq!(tl.resume_window_after(t(50)), None, "active: no window");
-    }
-
-    #[test]
     fn parked_host_never_waking_reports_none() {
         let mut tl = PowerTimeline::new();
         tl.record(PowerState::Active, t(0), t(10));
         tl.record(PowerState::Suspended, t(10), t(50));
         assert_eq!(tl.operational_from(t(20)), None);
-        assert_eq!(tl.resume_window_after(t(20)), None);
         assert_eq!(tl.time_in(|s| s.is_low_power()), SimDuration::from_secs(40));
     }
 
@@ -425,11 +336,6 @@ mod tests {
                     operational_from_linear(&tl, q),
                     "seed {seed}, t = {s}s"
                 );
-                assert_eq!(
-                    tl.resume_window_after(q),
-                    resume_window_linear(&tl, q),
-                    "seed {seed}, t = {s}s"
-                );
             }
         }
     }
@@ -439,7 +345,6 @@ mod tests {
         // Empty timeline.
         let empty = PowerTimeline::new();
         assert_eq!(empty.operational_from(t(0)), None);
-        assert_eq!(empty.resume_window_after(t(0)), None);
         // Single operational interval; single non-operational interval;
         // aborted suspend (operational without a Resuming span); a
         // timeline that is all one merged low-power block.
@@ -476,11 +381,6 @@ mod tests {
                     operational_from_linear(&tl, q),
                     "case {k}, t = {s}s"
                 );
-                assert_eq!(
-                    tl.resume_window_after(q),
-                    resume_window_linear(&tl, q),
-                    "case {k}, t = {s}s"
-                );
             }
         }
     }
@@ -496,7 +396,6 @@ mod tests {
                 let q = t(s);
                 assert_eq!(cur.state_at(&tl, q), tl.state_at(q), "seed {seed}");
                 assert_eq!(cur.operational_from(&tl, q), tl.operational_from(q));
-                assert_eq!(cur.resume_window_after(&tl, q), tl.resume_window_after(q));
             }
             // Backward jumps fall back to binary search, still correct.
             let mut cur = TimelineCursor::new();
@@ -505,7 +404,6 @@ mod tests {
                 let s = (rng.unit() * horizon as f64) as u64;
                 let q = t(s);
                 assert_eq!(cur.operational_from(&tl, q), tl.operational_from(q));
-                assert_eq!(cur.resume_window_after(&tl, q), tl.resume_window_after(q));
             }
         }
     }
@@ -517,7 +415,6 @@ mod tests {
         tl.trim_before(t(150));
         assert_eq!(tl.start(), Some(t(103)), "spanning interval kept");
         assert_eq!(tl.operational_from(t(150)), Some(t(201)));
-        assert_eq!(tl.resume_window_after(t(150)), Some((t(200), t(201))));
         assert_eq!(tl.state_at(t(250)), Some(PowerState::Active));
         // Queries before the trim point now fall outside the record.
         assert_eq!(tl.operational_from(t(50)), None);
@@ -542,7 +439,6 @@ mod tests {
             for s in 0..horizon + 3 {
                 let q = t(s);
                 assert_eq!(tl.operational_from(q), operational_from_linear(&tl, q));
-                assert_eq!(tl.resume_window_after(q), resume_window_linear(&tl, q));
             }
         }
     }

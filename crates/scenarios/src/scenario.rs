@@ -921,18 +921,13 @@ impl Scenario {
     pub fn to_cluster_spec(&self) -> ClusterSpec {
         let mut config = DcConfig::paper_default();
         config.track_colocation = false; // O(vms²·hours); scenarios are fleet-scale
-        config.track_sla = true;
         config.relocation_period_hours = self.relocation_hours;
         if let Some(qos) = &self.qos {
-            // Stream the [qos] client inline with every run; the wake
-            // path and SLA threshold follow the section. The simulation's
-            // own first-packet wake model runs at the same request rate
-            // as the streamed client, so packet-wake offsets agree.
+            // Stream the [qos] client inline with every run; its requests
+            // are the ones that wake parked hosts, and the wake path
+            // follows the section.
             config.qos_stream = Some(QosStreamConfig::serial(qos.profile.clone()));
             config.wake_speed = qos.wake;
-            config.sla = qos.profile.sla;
-            config.request_peak_rps = qos.profile.peak_rps;
-            config.request_service = SimDuration::from_millis(qos.profile.mean_service_ms as u64);
         }
         let fleet: Vec<HostSpec> = self
             .fleet
@@ -1528,7 +1523,6 @@ ram-mb = 6144
         assert_eq!(stream.profile, qos.profile);
         assert!(!spec.config.track_power_timeline);
         assert_eq!(spec.config.wake_speed, WakeSpeed::Normal);
-        assert_eq!(spec.config.sla, SimDuration::from_millis(150));
     }
 
     #[test]

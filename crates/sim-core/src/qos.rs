@@ -232,11 +232,12 @@ impl QosWindow {
 }
 
 /// The FCFS service step of the streaming QoS pipeline (`dds-core`)
-/// and its per-request test oracle: given the instant the host can
-/// serve (`power_ready`) and the VM's per-vCPU server pool (`free[i]` =
-/// instant server `i` frees up), starts the request on the
-/// earliest-free server (ties by slot index) and returns its end-to-end
-/// latency in ms plus whether it waited on a wake.
+/// and its per-request test oracle: given the instant the host is
+/// operational (`power_ready`: the arrival itself on an awake host, the
+/// end of the resume in flight otherwise) and the VM's per-vCPU server
+/// pool (`free[i]` = instant server `i` frees up), starts the request on
+/// the earliest-free server (ties by slot index) and returns its
+/// end-to-end latency in ms plus whether it waited on a wake.
 #[inline]
 pub fn fcfs_serve(
     free: &mut [SimTime],
@@ -252,45 +253,6 @@ pub fn fcfs_serve(
     free[slot] = done;
     let latency_ms = done.saturating_since(arrival).as_millis();
     (latency_ms, power_ready > arrival)
-}
-
-/// Resolves the instant a VM's host can serve a request arriving at
-/// `arrival`: `arrival` itself on an operational host (`operational ==
-/// arrival`), or the end of the wake the request triggers or joins.
-///
-/// `resume_window` is the `(resume_start, operational)` span of the sleep
-/// episode covering `arrival` (`None` for an aborted suspend, which
-/// resolves to a zero-length window). `episode` carries the
-/// `(resume_end, ready)` pair of the VM's last wake so queued arrivals of
-/// one episode share their trigger's ready instant: the first request of
-/// an episode is the paper's wake trigger — a parked-state arrival fires
-/// the wake at its own instant and pays exactly the resume latency, a
-/// mid-resume arrival joins a wake already in flight.
-#[inline]
-pub fn power_ready_at(
-    operational: SimTime,
-    arrival: SimTime,
-    resume_window: Option<(SimTime, SimTime)>,
-    episode: &mut Option<(SimTime, SimTime)>,
-) -> SimTime {
-    if operational == arrival {
-        return arrival;
-    }
-    let (resume_start, resume_end) = resume_window.unwrap_or((operational, operational));
-    let resume = resume_end.saturating_since(resume_start);
-    let ready = match *episode {
-        Some((end, ready)) if end == resume_end => ready,
-        _ => {
-            let ready = if arrival <= resume_start {
-                arrival + resume
-            } else {
-                resume_end
-            };
-            *episode = Some((resume_end, ready));
-            ready
-        }
-    };
-    ready.max(arrival)
 }
 
 #[cfg(test)]

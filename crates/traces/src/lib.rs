@@ -18,7 +18,9 @@
 //!   structure (5–25 % duty cycles, strong daily/weekly periodicity, burst
 //!   noise) so the idleness model faces the same learning problem.
 //! * [`requests`] — an open-loop request-level client (Poisson arrivals
-//!   modulated by the activity trace) used for the SLA experiments.
+//!   modulated by the activity trace, one RNG stream per VM-hour): the
+//!   requests whose first arrival wakes a parked host and that the SLA
+//!   experiments serve.
 //! * [`arrivals`] — Poisson VM arrival/departure plans at `SimTime`
 //!   resolution, consumed as scheduled events by the event-driven
 //!   simulation engine.
@@ -63,6 +65,8 @@ pub use arrivals::{poisson_arrivals, slmu_burst_trace, ArrivalEvent};
 pub use classify::{classify, llmi_fraction, periodicity, VmClass};
 pub use nutanix::nutanix_trace;
 pub use patterns::TracePattern;
-pub use requests::{RequestGenerator, RequestProfile, RequestStream};
+pub use requests::{
+    hour_arrivals, hour_request_rng, RequestGenerator, RequestProfile, RequestStream,
+};
 pub use trace::VmTrace;
 pub use workload::VmWorkload;

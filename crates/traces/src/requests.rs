@@ -8,6 +8,13 @@
 //! open-loop Poisson arrival process whose rate follows the VM's activity
 //! trace, and a light-tailed service-time distribution calibrated so that
 //! an awake host comfortably meets the 200 ms SLA.
+//!
+//! A VM's requests in one hour come from [`hour_request_rng`], a stream
+//! that depends on the run's seed, the VM and the hour alone, and
+//! [`hour_arrivals`] is the one conversion of its gaps into instants. The
+//! datacenter's wake path draws only the first instant (the request that
+//! wakes a parked host); the streaming QoS pipeline redraws the same
+//! stream in full, so both see the same arrivals.
 
 use crate::trace::VmTrace;
 use dds_sim_core::time::MILLIS_PER_HOUR;
@@ -72,7 +79,44 @@ impl RequestProfile {
     }
 }
 
-/// Generates request arrival times hour by hour, following a trace.
+/// The RNG stream of VM `vm`'s requests in hour `hour` of a run seeded
+/// `seed`: a function of the triple alone, so any consumer can redraw an
+/// hour without replaying the hours before it.
+pub fn hour_request_rng(seed: u64, vm: u64, hour: u64) -> SimRng {
+    SimRng::new(seed)
+        .stream_indexed("requests", vm)
+        .stream_indexed("hour", hour)
+}
+
+/// The Poisson arrival instants of hour `hour` at `rate_rps` requests per
+/// second, drawn lazily from `rng`: sequential exponential gaps from the
+/// hour start, each instant truncated to the millisecond, ending at the
+/// first gap that leaves the hour (that gap is drawn too). A non-positive
+/// rate yields nothing and draws nothing.
+pub fn hour_arrivals(
+    rng: &mut SimRng,
+    hour: u64,
+    rate_rps: f64,
+) -> impl Iterator<Item = SimTime> + '_ {
+    let hour_start = hour * MILLIS_PER_HOUR;
+    let rate_per_ms = rate_rps / 1000.0;
+    let mut t = 0.0f64;
+    let mut done = rate_rps <= 0.0;
+    std::iter::from_fn(move || {
+        if done {
+            return None;
+        }
+        t += rng.exponential(1.0 / rate_per_ms);
+        if t >= MILLIS_PER_HOUR as f64 {
+            done = true;
+            return None;
+        }
+        Some(SimTime::from_millis(hour_start + t as u64))
+    })
+}
+
+/// Generates request arrival times hour by hour, following a trace: the
+/// sequential reference client the streaming pipeline is tested against.
 #[derive(Debug, Clone)]
 pub struct RequestGenerator {
     trace: VmTrace,
@@ -130,18 +174,17 @@ impl RequestGenerator {
 ///
 /// Functionally the same Poisson client as [`RequestGenerator`], but built
 /// for batch consumption: [`RequestStream::fill_hour_with`] draws one
-/// whole hour of arrivals *and* their service times into reusable
-/// buffers (no per-request allocation) and returns them. The stream owns
-/// neither a trace nor an RNG: the caller passes the activity level and
-/// lends the VM's own RNG for each hour, so one stream serves every VM of
-/// a run.
+/// whole hour of arrivals (through [`hour_arrivals`]) *and* their service
+/// times into reusable buffers (no per-request allocation) and returns
+/// them. The stream owns neither a trace nor an RNG: the caller passes
+/// the activity level and lends the hour's RNG, so one stream serves
+/// every VM of a run.
 ///
 /// **Bit-identity contract** (pinned by tests): for equal `(profile,
-/// rng)` and the same per-hour levels, the hours drawn equal the
-/// sequential `RequestGenerator` protocol — `arrivals_in_hour` followed
-/// by one `sample_service` per arrival — draw for draw. Both sides
-/// consume the RNG identically (all exponential gaps, then all service
-/// normals, per hour).
+/// rng)` and the same level, an hour drawn equals the sequential
+/// `RequestGenerator` protocol — `arrivals_in_hour` followed by one
+/// `sample_service` per arrival — draw for draw. Both sides consume the
+/// RNG identically (all exponential gaps, then all service normals).
 #[derive(Debug, Clone)]
 pub struct RequestStream {
     profile: RequestProfile,
@@ -160,9 +203,9 @@ impl RequestStream {
     }
 
     /// Draws the full hour `hour_index` at activity `level` from `rng`
-    /// (the VM's per-VM stream, persisted by the caller across hours) and
-    /// returns its `(arrivals, services)`: slices of equal length, in
-    /// arrival order. Idle hours (`level <= 0`) draw nothing — matching
+    /// (the VM's [`hour_request_rng`] for that hour) and returns its
+    /// `(arrivals, services)`: slices of equal length, in arrival order.
+    /// Idle hours (`level <= 0`) draw nothing — matching
     /// [`RequestGenerator`], which leaves the RNG untouched for hours it
     /// skips.
     pub fn fill_hour_with(
@@ -173,21 +216,10 @@ impl RequestStream {
     ) -> (&[SimTime], &[SimDuration]) {
         self.arrivals.clear();
         self.services.clear();
-        if level > 0.0 {
-            let rate_per_ms = self.profile.peak_rps * level / 1000.0;
-            let hour_start = hour_index * MILLIS_PER_HOUR;
-            let mut t = 0.0f64;
-            loop {
-                t += rng.exponential(1.0 / rate_per_ms);
-                if t >= MILLIS_PER_HOUR as f64 {
-                    break;
-                }
-                self.arrivals
-                    .push(SimTime::from_millis(hour_start + t as u64));
-            }
-            for _ in 0..self.arrivals.len() {
-                self.services.push(self.profile.sample_service(rng));
-            }
+        let rate = self.profile.peak_rps * level;
+        self.arrivals.extend(hour_arrivals(rng, hour_index, rate));
+        for _ in 0..self.arrivals.len() {
+            self.services.push(self.profile.sample_service(rng));
         }
         (&self.arrivals, &self.services)
     }
@@ -271,19 +303,50 @@ mod tests {
 
     #[test]
     fn per_vm_streams_replay_and_decorrelate() {
-        // The QoS pipeline derives one stream per VM from the master seed;
-        // the same (seed, vm) pair must replay bit-identically and
-        // different VMs must see different request processes.
+        // Requests derive one stream per (VM, hour) from the master seed;
+        // the same triple must replay bit-identically, and different VMs
+        // or hours must see different request processes.
         let t = VmTrace::new("t", vec![0.5; 24]);
-        let stream = |vm: u64| {
-            let rng = SimRng::new(42).stream_indexed("qos-requests", vm);
+        let stream = |vm: u64, hour: u64| {
+            let rng = hour_request_rng(42, vm, hour);
             let mut g = RequestGenerator::new(t.clone(), RequestProfile::web_search(), rng);
-            let arrivals = g.arrivals_in_hour(3);
+            let arrivals: Vec<u64> = g
+                .arrivals_in_hour(hour)
+                .iter()
+                .map(|a| a.saturating_since(SimTime::from_hours(hour)).as_millis())
+                .collect();
             let services: Vec<SimDuration> = (0..8).map(|_| g.sample_service()).collect();
             (arrivals, services)
         };
-        assert_eq!(stream(0), stream(0), "same VM stream replays");
-        assert_ne!(stream(0), stream(1), "VM streams decorrelate");
+        assert_eq!(stream(0, 3), stream(0, 3), "same VM-hour stream replays");
+        assert_ne!(stream(0, 3), stream(1, 3), "VM streams decorrelate");
+        assert_ne!(stream(0, 3), stream(0, 4), "hour streams decorrelate");
+    }
+
+    #[test]
+    fn first_arrival_is_the_head_of_the_full_hour() {
+        // The wake path draws one gap, the QoS stream the whole hour, from
+        // the same (seed, VM, hour) stream: the first instant agrees.
+        let profile = RequestProfile::web_search();
+        let mut s = RequestStream::new(profile.clone());
+        for (vm, hour, level) in [(0, 0, 1.0), (5, 17, 0.05), (9, 400, 0.3)] {
+            let first = hour_arrivals(
+                &mut hour_request_rng(3, vm, hour),
+                hour,
+                profile.peak_rps * level,
+            )
+            .next();
+            let (all, _) = s.fill_hour_with(&mut hour_request_rng(3, vm, hour), hour, level);
+            assert_eq!(first, all.first().copied(), "vm {vm}, hour {hour}");
+        }
+        // A rate too low for the hour can leave it without a request.
+        let sparse = (0..200u64).filter(|&h| {
+            hour_arrivals(&mut hour_request_rng(3, 0, h), h, 1e-4)
+                .next()
+                .is_none()
+        });
+        assert!(sparse.count() > 100);
+        assert_eq!(hour_arrivals(&mut SimRng::new(1), 0, 0.0).next(), None);
     }
 
     #[test]
@@ -303,18 +366,18 @@ mod tests {
     fn stream_matches_generator_hour_by_hour() {
         // The batched stream must reproduce the sequential protocol —
         // arrivals_in_hour, then one sample_service per arrival — draw
-        // for draw, including skipped idle hours.
+        // for draw on each hour's stream, including idle hours.
         let levels = vec![0.5, 0.0, 1.0, 0.2, 0.0, 0.9];
         let trace = VmTrace::new("t", levels.clone());
         let profile = RequestProfile::web_search();
-        let mut rng = SimRng::new(7).stream_indexed("qos-requests", 3);
-        let mut g = RequestGenerator::new(trace, profile.clone(), rng.clone());
-        let mut s = RequestStream::new(profile);
+        let mut s = RequestStream::new(profile.clone());
         for (h, &level) in levels.iter().enumerate() {
             let h = h as u64;
+            let rng = hour_request_rng(7, 3, h);
+            let mut g = RequestGenerator::new(trace.clone(), profile.clone(), rng.clone());
             let arrivals = g.arrivals_in_hour(h);
             let services: Vec<SimDuration> = arrivals.iter().map(|_| g.sample_service()).collect();
-            let (sa, ss) = s.fill_hour_with(&mut rng, h, level);
+            let (sa, ss) = s.fill_hour_with(&mut rng.clone(), h, level);
             assert_eq!(sa, arrivals.as_slice(), "hour {h} arrivals");
             assert_eq!(ss, services.as_slice(), "hour {h} services");
             if level <= 0.0 {
@@ -341,7 +404,7 @@ mod tests {
             };
             let hour = 5u64;
             let trace = VmTrace::new("t", vec![level; 6]);
-            let mut rng = SimRng::new(seed).stream_indexed("qos-requests", vm);
+            let mut rng = hour_request_rng(seed, vm, hour);
 
             let mut g = RequestGenerator::new(trace, profile.clone(), rng.clone());
             let arrivals = g.arrivals_in_hour(hour);

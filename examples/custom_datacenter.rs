@@ -90,8 +90,7 @@ fn main() {
     );
     let registry = PolicyRegistry::standard();
     for name in ["drowsy-dc", "neat-s3", "neat"] {
-        let mut cfg = DcConfig::paper_default();
-        cfg.track_sla = false;
+        let cfg = DcConfig::paper_default();
         let policy = registry.build(name, &cfg, None).expect("registered policy");
         let mut dc = Datacenter::with_policy(
             cfg,

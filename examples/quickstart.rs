@@ -7,13 +7,17 @@
 //! Builds the §VI.A testbed (4 pool hosts, 8 VMs: 2 always-busy LLMU + 6
 //! mostly-idle LLMI), runs a week under three power-management policies
 //! and prints the headline comparison: energy, suspension time and SLA.
+//! The SLA comes from request-level QoS streamed inline with each run,
+//! at the testbed's own request rate.
 
 use drowsy_dc::prelude::*;
 
 fn main() {
     // The scenario exactly as the paper configures it: 7 days of
-    // workload, hourly consolidation, quick resume enabled.
-    let spec = TestbedSpec::paper_default();
+    // workload, hourly consolidation, quick resume enabled, web-search
+    // clients at 2 requests/s peak per VM.
+    let mut spec = TestbedSpec::paper_default();
+    spec.config.stream_qos();
 
     println!(
         "Drowsy-DC quickstart — {} days on the paper's testbed\n",
@@ -26,13 +30,14 @@ fn main() {
     // Policies are named by their policy-registry keys.
     for policy in ["drowsy-dc", "neat-s3", "neat"] {
         let outcome = run_testbed(&spec, policy, 42);
+        let qos = outcome.dc.qos.as_ref().expect("the run streams QoS");
         println!(
             "{:<12} {:>8.1} kWh {:>11.1}% {:>11.2}% {:>10}",
             outcome.dc.policy,
             outcome.total_energy_kwh(),
             outcome.global_suspension_fraction() * 100.0,
-            outcome.dc.sla.within_sla() * 100.0,
-            outcome.dc.sla.wake_hits,
+            qos.sla_attainment() * 100.0,
+            qos.wake_hits,
         );
     }
 

@@ -9,29 +9,34 @@
 //! suspension fractions compared via `f64::to_bits`, not epsilons.
 //!
 //! The tables are keyed by policy-registry name and pin each entry's
-//! display label, which every outcome reports.
+//! display label, which every outcome reports. The testbed and
+//! `mixed-production` tables were re-captured once, when traffic wakes
+//! moved to the arrival of each hour's first request (the request the QoS
+//! stream serves); the cluster table did not move, as its runs have no
+//! traffic wake.
 
 use drowsy_dc::prelude::*;
 
-/// Golden values captured on the pre-refactor tree:
-/// `TestbedSpec::paper_default()` with `days = 2`, seed 42.
+/// Golden values: `TestbedSpec::paper_default()` with `days = 2`, seed
+/// 42, streaming QoS at the testbed's own 2 rps (`DcConfig::stream_qos`);
+/// `wake_hits` is the QoS report's.
 const TESTBED_GOLDEN: &[(&str, &str, u64, u64, u32, u64)] = &[
     // (registry name, label, energy_kwh bits, suspension bits, migrations, wake_hits)
     (
         "drowsy-dc",
         "Drowsy-DC",
-        0x401b19fc5e5661af,
-        0x3fde9fed0e244e45,
+        0x401b1a3226bcfa10,
+        0x3fde9f88499e67ee,
         2,
-        12,
+        17,
     ),
     (
         "neat-s3",
         "Neat+S3",
-        0x401d6f1eb31665e2,
-        0x3fda4d9926a51ed1,
+        0x401d6f65574fd4a7,
+        0x3fda4d1843741adb,
         0,
-        9,
+        12,
     ),
     ("neat", "Neat", 0x4025d13e8880a287, 0x0000000000000000, 0, 0),
 ];
@@ -59,7 +64,7 @@ const CLUSTER_GOLDEN: &[(&str, &str, u64, u64, u32)] = &[
     ("oasis", "Oasis", 0x40279c6e5198b6ec, 0x3fde10c83fb72ea6, 67),
 ];
 
-/// Golden values captured on commit 0097e95, before the planners'
+/// Golden values first captured on commit 0097e95, before the planners'
 /// undo-log scratch and the datacenter's residency lists:
 /// `mixed-production` scaled to 100 hosts (356 VMs), 2 days, seed 42.
 /// The small tables above never roll a drain back after a partial
@@ -72,23 +77,23 @@ const MIXED_PRODUCTION_100_GOLDEN: &[(&str, &str, u64, u64, u32)] = &[
     (
         "drowsy-dc",
         "Drowsy-DC",
-        0x4067cce090487581,
-        0x3fd42fe8ddd44431,
+        0x4067cce2386a3cba,
+        0x3fd42fe50d94e440,
         150,
     ),
     (
         "neat-s3",
         "Neat+S3",
-        0x4068705855d582c0,
-        0x3fd2ac2e60bd18db,
+        0x4068705a0b7d8bcb,
+        0x3fd2ac2a909d8972,
         112,
     ),
     ("neat", "Neat", 0x4070286d58d2346a, 0x0000000000000000, 112),
     (
         "oasis",
         "Oasis",
-        0x4065c937955c7c82,
-        0x3fd9607fe5a82332,
+        0x4065c93ba92cec4b,
+        0x3fd9607691d759a7,
         586,
     ),
 ];
@@ -119,7 +124,9 @@ fn cluster_spec() -> ClusterSpec {
 fn testbed_outcomes_match_pre_refactor_goldens() {
     for &(name, label, energy, susp, migrations, wake_hits) in TESTBED_GOLDEN {
         assert_eq!(registry_label(name), label, "{name}: registry label");
-        let out = run_testbed(&testbed_spec(), name, 42);
+        let mut spec = testbed_spec();
+        spec.config.stream_qos();
+        let out = run_testbed(&spec, name, 42);
         assert_eq!(
             out.total_energy_kwh().to_bits(),
             energy,
@@ -134,7 +141,8 @@ fn testbed_outcomes_match_pre_refactor_goldens() {
             "{name}: suspension fraction drifted"
         );
         assert_eq!(out.dc.total_migrations(), migrations, "{name}: migrations");
-        assert_eq!(out.dc.sla.wake_hits, wake_hits, "{name}: wake hits");
+        let qos = out.dc.qos.as_ref().expect("the run streamed QoS");
+        assert_eq!(qos.wake_hits, wake_hits, "{name}: wake hits");
         assert_eq!(out.dc.policy, label, "{name}: outcome label");
     }
 }

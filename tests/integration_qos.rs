@@ -2,9 +2,11 @@
 //! streaming pipeline (`DcConfig::qos_stream`) → `QosReport`, plus the
 //! determinism and SLA-shape contracts the `qos` binary reports on.
 
+use drowsy_dc::power::WakeSpeed;
 use drowsy_dc::prelude::*;
 use drowsy_dc::scenarios::{find, QosSpec};
-use drowsy_dc::traces::RequestProfile;
+use drowsy_dc::system::spec::WorkloadKind;
+use drowsy_dc::traces::{hour_request_rng, RequestGenerator, RequestProfile};
 
 /// The CI-sized SLA scenario: the catalog entry with days cut down.
 fn sla_scenario(days: u64) -> Scenario {
@@ -86,6 +88,59 @@ fn always_awake_fleet_meets_the_papers_sla_and_drowsy_shows_the_wake_tail() {
 }
 
 #[test]
+fn every_request_arrives_while_its_host_is_awake_or_resuming() {
+    // §V hold-and-release: the request that wakes a parked host is the
+    // first one sent to it, so no request of an active interactive VM
+    // reaches a host the meter still has in S3 or S5. At the catalog's
+    // 0.1 rps peak, requests of `sla-web-front` fall seconds apart: a
+    // wake drawn apart from the requests would start after some of them.
+    let s = sla_scenario(2);
+    let qos = s.qos.clone().expect("sla-web-front carries [qos]");
+    assert_eq!(qos.profile.peak_rps, 0.1, "the catalog request profile");
+    assert_eq!(qos.wake, WakeSpeed::Quick);
+    let mut spec = s.to_cluster_spec();
+    spec.config.track_power_timeline = true;
+    let out = run_cluster_policy(&spec, "drowsy-dc", s.seed).dc;
+    assert!(out.global_suspended_fraction > 0.3, "hosts park");
+    let noise = spec.config.im.noise_threshold;
+    let (mut requests, mut while_resuming) = (0u64, 0u64);
+    for vm in spec.vm_specs(s.seed) {
+        if vm.kind != WorkloadKind::Interactive {
+            continue;
+        }
+        let moves: Vec<(SimTime, HostId)> = out
+            .placements
+            .iter()
+            .filter(|p| p.vm == vm.id)
+            .map(|p| (p.at, p.host))
+            .collect();
+        for hour in 0..out.hours {
+            if vm.trace.level_at_hour(hour) < noise {
+                continue;
+            }
+            // The hour's requests, drawn by the sequential reference
+            // client on the VM-hour's own stream.
+            let rng = hour_request_rng(s.seed, vm.id.index() as u64, hour);
+            let mut client = RequestGenerator::new(vm.trace.clone(), qos.profile.clone(), rng);
+            for arrival in client.arrivals_in_hour(hour) {
+                let seat = moves.partition_point(|&(at, _)| at <= arrival);
+                let host = moves[seat - 1].1;
+                let state = out.timelines[host.index()].state_at(arrival);
+                assert!(
+                    matches!(state, Some(PowerState::Active | PowerState::Resuming)),
+                    "{} at {arrival}: request reached host {host} in {state:?}",
+                    vm.name
+                );
+                requests += 1;
+                while_resuming += u64::from(state == Some(PowerState::Resuming));
+            }
+        }
+    }
+    assert!(requests > 10_000, "requests checked: {requests}");
+    assert!(while_resuming > 0, "some requests waited on a resume");
+}
+
+#[test]
 fn stock_resume_shifts_the_tail_to_1500ms() {
     let mut s = sla_scenario(3);
     let qos = s.qos.clone().expect("sla-web-front carries [qos]");
@@ -94,7 +149,7 @@ fn stock_resume_shifts_the_tail_to_1500ms() {
             resume_latency: drowsy_dc_resume_stock(),
             ..qos.profile
         },
-        wake: drowsy_dc::power::WakeSpeed::Normal,
+        wake: WakeSpeed::Normal,
     });
     let results = run_scenario_qos(&s, None, 0);
     let (_, drowsy) = results

@@ -157,12 +157,12 @@ const GOLDEN: &[(&str, &str, usize, &str, &str)] = &[
         "quick",
         2,
         "tournament-adaptive",
-        "17.494591641811756",
+        "17.49459138217461",
     ),
-    ("batch", "quick", 3, "sleepscale", "18.175010500096533"),
-    ("batch", "quick", 4, "drowsy-dc", "20.136737766831722"),
-    ("batch", "quick", 5, "sla-aware", "20.136737766831722"),
-    ("batch", "quick", 6, "neat-s3", "20.76433822949431"),
+    ("batch", "quick", 3, "sleepscale", "18.175010240459393"),
+    ("batch", "quick", 4, "drowsy-dc", "20.136737513827313"),
+    ("batch", "quick", 5, "sla-aware", "20.136737513827313"),
+    ("batch", "quick", 6, "neat-s3", "20.764337976489905"),
     ("batch", "quick", 7, "neat", "27.265183771266592"),
     ("batch", "stock", 1, "oasis", "15.092524578558258"),
     (
@@ -170,12 +170,12 @@ const GOLDEN: &[(&str, &str, usize, &str, &str)] = &[
         "stock",
         2,
         "tournament-adaptive",
-        "17.494591641811756",
+        "17.49459138217461",
     ),
-    ("batch", "stock", 3, "sleepscale", "18.175010500096533"),
-    ("batch", "stock", 4, "drowsy-dc", "20.136783860154324"),
-    ("batch", "stock", 5, "sla-aware", "20.136783860154324"),
-    ("batch", "stock", 6, "neat-s3", "20.764344623480014"),
+    ("batch", "stock", 3, "sleepscale", "18.175010240459393"),
+    ("batch", "stock", 4, "drowsy-dc", "20.13678360714992"),
+    ("batch", "stock", 5, "sla-aware", "20.13678360714992"),
+    ("batch", "stock", 6, "neat-s3", "20.764344370475605"),
     ("batch", "stock", 7, "neat", "27.265183771266592"),
     ("idle", "quick", 1, "sleepscale", "0.8666375"),
     ("idle", "quick", 2, "tournament-adaptive", "0.8666375"),
@@ -192,30 +192,30 @@ const GOLDEN: &[(&str, &str, usize, &str, &str)] = &[
     ("idle", "stock", 6, "oasis", "3.844325"),
     ("idle", "stock", 7, "neat", "14.4"),
     ("production", "quick", 1, "oasis", "17.98163367130966"),
-    ("production", "quick", 2, "sleepscale", "25.054988629301242"),
+    ("production", "quick", 2, "sleepscale", "25.0549876623243"),
     (
         "production",
         "quick",
         3,
         "tournament-adaptive",
-        "25.524284214314385",
+        "25.524283245195463",
     ),
-    ("production", "quick", 4, "neat-s3", "27.490113469089763"),
-    ("production", "quick", 5, "drowsy-dc", "27.5363277682875"),
-    ("production", "quick", 6, "sla-aware", "27.5363277682875"),
+    ("production", "quick", 4, "neat-s3", "27.490112504030364"),
+    ("production", "quick", 5, "drowsy-dc", "27.536326803228096"),
+    ("production", "quick", 6, "sla-aware", "27.536326803228096"),
     ("production", "quick", 7, "neat", "36.195003132099544"),
     ("production", "stock", 1, "oasis", "17.982288769145264"),
-    ("production", "stock", 2, "sleepscale", "25.054988629301242"),
+    ("production", "stock", 2, "sleepscale", "25.0549876623243"),
     (
         "production",
         "stock",
         3,
         "tournament-adaptive",
-        "25.524304257621214",
+        "25.524303288502296",
     ),
-    ("production", "stock", 4, "neat-s3", "27.490132492812094"),
-    ("production", "stock", 5, "drowsy-dc", "27.536379355891178"),
-    ("production", "stock", 6, "sla-aware", "27.536379355891178"),
+    ("production", "stock", 4, "neat-s3", "27.49013152775269"),
+    ("production", "stock", 5, "drowsy-dc", "27.536378390831775"),
+    ("production", "stock", 6, "sla-aware", "27.536378390831775"),
     ("production", "stock", 7, "neat", "36.195003132099544"),
 ];
 

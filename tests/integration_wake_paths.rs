@@ -3,19 +3,23 @@
 
 use drowsy_dc::net::{HostMac, PacketVerdict, VmIp, WakingCluster, WakingConfig};
 use drowsy_dc::sim::{HostId, RackId, SimRng, SimTime, VmId};
-use drowsy_dc::system::datacenter::{Datacenter, DcConfig};
+use drowsy_dc::system::datacenter::{Datacenter, DcConfig, WakeCause};
 use drowsy_dc::system::registry::PolicyRegistry;
 use drowsy_dc::system::spec::{HostSpec, VmSpec, WorkloadKind};
 use drowsy_dc::traces::{TracePattern, VmTrace};
 
-fn build_dc(vms: Vec<VmSpec>, policy: &str, sla: bool) -> Datacenter {
+/// Two testbed machines under `policy`; with `qos`, the run streams
+/// request-level QoS at the configuration's own request rate.
+fn build_dc(vms: Vec<VmSpec>, policy: &str, qos: bool) -> Datacenter {
     let hosts = vec![
         HostSpec::testbed_machine(HostId(0), "P0"),
         HostSpec::testbed_machine(HostId(1), "P1"),
     ];
     let placement: Vec<HostId> = (0..vms.len()).map(|i| HostId((i % 2) as u32)).collect();
     let mut cfg = DcConfig::paper_default();
-    cfg.track_sla = sla;
+    if qos {
+        cfg.stream_qos();
+    }
     let policy = PolicyRegistry::standard()
         .build(policy, &cfg, None)
         .expect("registered policy");
@@ -43,12 +47,20 @@ fn timer_driven_wakes_never_pay_latency_interactive_wakes_do() {
     ];
     let mut dc = build_dc(vms, "neat-s3", true);
     dc.run(24 * 5);
+    let wakes = dc.wake_log().to_vec();
     let out = dc.finish();
     // The interactive VM triggers wake hits; the backup VM's scheduled
     // wakes are anticipated. With one of each on separate paths we expect
     // wake hits ≈ number of idle→active day transitions of the web VM.
-    assert!(out.sla.wake_hits >= 3, "wake hits {}", out.sla.wake_hits);
-    assert!(out.sla.worst_wake_ms < 1800.0);
+    let qos = out.qos.as_ref().expect("the run streamed QoS");
+    assert!(qos.wake_hits >= 3, "wake hits {}", qos.wake_hits);
+    assert!(qos.worst_wake_ms < 1800);
+    let traffic = wakes.iter().filter(|w| w.cause == WakeCause::Traffic);
+    assert!(traffic.count() >= 3, "the web VM's requests wake its host");
+    assert!(
+        wakes.iter().any(|w| w.cause == WakeCause::Timer),
+        "the backup is woken ahead of time"
+    );
     // Both hosts sleep a lot in this scenario.
     assert!(out.global_suspended_fraction > 0.5);
 }
