@@ -33,6 +33,39 @@ impl Datacenter {
             / count as f64
     }
 
+    /// Each VM's activity level in hour `h`; 0.0 for a departed VM.
+    pub(super) fn levels(&self, h: u64) -> Vec<f64> {
+        self.vms
+            .iter()
+            .map(|v| {
+                if v.departed {
+                    0.0
+                } else {
+                    v.spec.trace.level_at_hour(h)
+                }
+            })
+            .collect()
+    }
+
+    /// Each VM's next-hour IP score, the paper's eq. 1, when the policy
+    /// consumes idleness models, 0.0 otherwise. A departed VM's slot
+    /// reads 0.0: [`Datacenter::cluster_state`] lists live VMs only.
+    pub(super) fn scores(&self, stamp: CalendarStamp) -> Vec<f64> {
+        if !self.policy.uses_idleness_scores() {
+            return vec![0.0; self.vms.len()];
+        }
+        self.vms
+            .iter()
+            .map(|v| {
+                if v.departed {
+                    0.0
+                } else {
+                    v.im.raw_score(stamp)
+                }
+            })
+            .collect()
+    }
+
     /// Builds the placement view for the planners.
     pub(super) fn cluster_state(&self, levels: &[f64], scores: &[f64]) -> ClusterState {
         let mut hosts: Vec<HostState> = self
@@ -140,23 +173,8 @@ impl Datacenter {
 
         // --- activity levels and idleness scores for this hour.
         let score_span = telemetry::dc_spans().span("dc.score");
-        let levels: Vec<f64> = self
-            .vms
-            .iter()
-            .map(|v| {
-                if v.departed {
-                    0.0
-                } else {
-                    v.spec.trace.level_at_hour(h)
-                }
-            })
-            .collect();
-        // The paper's next-hour IP score.
-        let scores: Vec<f64> = if self.policy.uses_idleness_scores() {
-            self.vms.iter().map(|v| v.im.raw_score(stamp)).collect()
-        } else {
-            vec![0.0; self.vms.len()]
-        };
+        let levels = self.levels(h);
+        let scores = self.scores(stamp);
         drop(score_span);
 
         // --- consolidation round.
@@ -207,12 +225,15 @@ impl Datacenter {
             }
         }
 
-        // --- model updates.
-        for (i, vm) in self.vms.iter_mut().enumerate() {
-            if !vm.departed {
-                vm.im.observe_hour(stamp, levels[i]);
-            }
-        }
+        // --- model updates, every live VM in one batch.
+        IdlenessModel::observe_batch(
+            stamp,
+            self.vms
+                .iter_mut()
+                .zip(&levels)
+                .filter(|(vm, _)| !vm.departed)
+                .map(|(vm, &level)| (&mut vm.im, level)),
+        );
         drop(im_span);
 
         // --- streaming QoS: serve this hour's requests against the

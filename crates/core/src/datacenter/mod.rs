@@ -549,23 +549,8 @@ impl Datacenter {
     pub fn admit_vm(&mut self, mut spec: VmSpec) -> Result<HostId, AdmitError> {
         let h = self.hour;
         spec.id = VmId(self.vms.len() as u32);
-        let levels: Vec<f64> = self
-            .vms
-            .iter()
-            .map(|v| {
-                if v.departed {
-                    0.0
-                } else {
-                    v.spec.trace.level_at_hour(h)
-                }
-            })
-            .collect();
-        let stamp = CalendarStamp::from_hour_index(h);
-        let scores: Vec<f64> = if self.policy.uses_idleness_scores() {
-            self.vms.iter().map(|v| v.im.raw_score(stamp)).collect()
-        } else {
-            vec![0.0; self.vms.len()]
-        };
+        let levels = self.levels(h);
+        let scores = self.scores(CalendarStamp::from_hour_index(h));
         let state = self.cluster_state(&levels, &scores);
         let candidate = VmState {
             id: spec.id,

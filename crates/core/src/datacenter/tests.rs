@@ -874,6 +874,59 @@ fn residency_lists_mirror_vms_through_churn_migrations_and_swaps() {
 }
 
 #[test]
+fn churn_with_departures_is_pinned() {
+    // The paper's testbed plus two spare machines on the high-fidelity
+    // engine, with an SLMU job stream: Poisson arrivals whose exponential
+    // lifetimes end in departures, so departed VM slots sit beside live
+    // ones for most of the run.
+    let spec = crate::testbed::TestbedSpec {
+        days: 4,
+        ..crate::testbed::TestbedSpec::paper_default()
+    };
+    let mut hosts = spec.host_specs();
+    hosts.push(HostSpec::testbed_machine(HostId(4), "P6"));
+    hosts.push(HostSpec::testbed_machine(HostId(5), "P7"));
+    let placement = spec
+        .initial_placement
+        .iter()
+        .map(|&i| HostId(i as u32))
+        .collect();
+    let cfg = DcConfig::paper_default();
+    let policy = policy("drowsy-dc", &cfg, None);
+    let mut dc = Datacenter::with_policy(cfg, policy, hosts, spec.vm_specs(42), placement, 42);
+    let mut rng = SimRng::new(42).stream("churn-golden");
+    let jobs = dds_traces::poisson_arrivals(
+        SimTime::EPOCH,
+        SimDuration::from_days(spec.days),
+        12.0,
+        Some(SimDuration::from_hours(10)),
+        &mut rng,
+    );
+    let mut engine = DcEngine::new(&mut dc, EngineConfig::HighFidelity);
+    for job in jobs {
+        let lifetime = job.lifetime.expect("finite lifetimes");
+        let trace = dds_traces::slmu_burst_trace("slmu", lifetime);
+        let job_spec = VmSpec::testbed_flavor(VmId(0), "slmu", trace, WorkloadKind::Batch);
+        engine.schedule_arrival(job.at, job_spec, Some(lifetime));
+    }
+    engine.run_hours(spec.days * 24);
+    let admissions = engine.arrival_stats();
+    drop(engine);
+    let departed = dc.vm_slot_count() - dc.live_vm_count();
+    let out = dc.finish();
+    assert_eq!(
+        (admissions, departed, out.total_migrations()),
+        ((33, 16), 29, 24)
+    );
+    // 28.015783167230513 kWh, 31.35 % suspended.
+    assert_eq!(out.energy_kwh.to_bits(), 0x403c_040a_5d9b_1515);
+    assert_eq!(
+        out.global_suspended_fraction.to_bits(),
+        0x3fd4_0fa6_47c8_bf5b
+    );
+}
+
+#[test]
 fn residency_lists_mirror_vms_through_oasis_parking() {
     let hosts = vec![
         HostSpec::testbed_machine(HostId(0), "P0"),

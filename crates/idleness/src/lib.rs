@@ -33,8 +33,10 @@ pub mod classify;
 pub mod eval;
 pub mod metrics;
 pub mod model;
+#[cfg(test)]
+mod oracle;
 
 pub use classify::ImClass;
 pub use eval::evaluate_model_on_trace;
 pub use metrics::{ConfusionMatrix, WindowedEvaluation};
-pub use model::{IdlenessModel, ImConfig, SiVector, SIGMA};
+pub use model::{IdlenessModel, ImConfig, SiVector, ALPHA, BETA, SIGMA};

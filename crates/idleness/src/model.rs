@@ -3,12 +3,12 @@
 //!
 //! A VM's IM holds synthesized-idleness (SI) scores at four time scales:
 //!
-//! | table | slots            | a slot is updated… |
-//! |-------|------------------|--------------------|
-//! | SId   | 24 (hour)        | once per day       |
-//! | SIw   | 24×7 (hour, dow) | once per week      |
-//! | SIm   | 24×31 (hour, dom)| once per month     |
-//! | SIy   | 24×31×12         | once per year      |
+//! | table | slots            | a slot is updated… | stored as |
+//! |-------|------------------|--------------------|-----------|
+//! | SId   | 24 (hour)        | once per day       | a dense row |
+//! | SIw   | 24×7 (hour, dow) | once per week      | 7 dense rows |
+//! | SIm   | 24×31 (hour, dom)| once per month     | a day row per day of the month, on first write |
+//! | SIy   | 24×31×12         | once per year      | a day row per day of the year, on first write |
 //!
 //! At the end of every hour, each table's *current* slot is updated: an
 //! idle hour increments it, an active hour decrements it (eqs. 2–5). The
@@ -16,6 +16,14 @@
 //! with the four slot values (eq. 1); the weights themselves are
 //! re-learned every hour by steepest descent on a quadratic error (eqs.
 //! 6–8).
+//!
+//! A slot in a day row never written reads 0.0, the value every slot
+//! holds at VM creation, so the model costs what a run touches: a 2-day
+//! run holds 2 SIm and 2 SIy rows, a year holds 31 and 365.
+//! [`IdlenessModel::observe_batch`] feeds one hour to many models and
+//! learns their weights in lockstep groups; [`IdlenessModel::observe_hour`]
+//! is a batch of one. Each group member performs the same floating-point
+//! operations in the same order as a model learning alone.
 
 use dds_sim_core::time::CalendarStamp;
 
@@ -24,47 +32,49 @@ use dds_sim_core::time::CalendarStamp;
 /// table by a total mass of 1.
 pub const SIGMA: f64 = 1.0 / (365.0 * 24.0);
 
+/// Decrease speed of the damping coefficient `u` of eq. 4 (paper:
+/// α = 0.7).
+pub const ALPHA: f64 = 0.7;
+
+/// |SI| threshold where values are considered extreme (paper: β = 0.5).
+pub const BETA: f64 = 0.5;
+
+/// Maximum gradient-descent iterations per hour ("its precision can be
+/// set to not incur any overhead").
+pub(crate) const MAX_GD_ITERATIONS: u32 = 32;
+
+/// Convergence tolerance on the residual of eq. 8.
+pub(crate) const GD_TOLERANCE: f64 = 1e-12;
+
+/// ā used before the VM has ever been active (undefined in the paper;
+/// 1.0 makes never-active VMs learn at full speed).
+pub(crate) const INITIAL_MEAN_ACTIVITY: f64 = 1.0;
+
 /// The four SI slot values relevant to one calendar hour, in scale order
 /// `[day, week, month, year]`.
 pub type SiVector = [f64; 4];
 
-/// Tunable parameters of the idleness model. Defaults are the paper's.
+/// Tunable parameters of the idleness model. Defaults are the paper's;
+/// its fixed parameters are the constants of this module.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ImConfig {
-    /// Decrease speed of the damping coefficient `u` (paper: α = 0.7).
-    pub alpha: f64,
-    /// |SI| threshold where values are considered extreme (paper: β = 0.5).
-    pub beta: f64,
     /// Activity scaling factor (paper: σ = 1/(365·24)).
     pub sigma: f64,
     /// Steepest-descent learning rate: the fraction of the exact
     /// line-search step applied per iteration (0 disables learning,
     /// values in (0, 2) converge).
     pub learning_rate: f64,
-    /// Maximum gradient-descent iterations per hour ("its precision can be
-    /// set to not incur any overhead").
-    pub max_gd_iterations: u32,
-    /// Convergence tolerance on the residual of eq. 8.
-    pub gd_tolerance: f64,
     /// Activity levels below this are treated as idle (quantum noise —
     /// §III-C filters "very short scheduling quanta").
     pub noise_threshold: f64,
-    /// ā used before the VM has ever been active (undefined in the paper;
-    /// 1.0 makes never-active VMs learn at full speed).
-    pub initial_mean_activity: f64,
 }
 
 impl Default for ImConfig {
     fn default() -> Self {
         ImConfig {
-            alpha: 0.7,
-            beta: 0.5,
             sigma: SIGMA,
             learning_rate: 0.3,
-            max_gd_iterations: 32,
-            gd_tolerance: 1e-12,
             noise_threshold: 0.005,
-            initial_mean_activity: 1.0,
         }
     }
 }
@@ -76,6 +86,21 @@ impl ImConfig {
     }
 }
 
+/// Day-row keys: SIm's 31 days of the month, then SIy's 12 × 31 days of
+/// the year, month by month.
+const MONTH_DAYS: usize = 31;
+const DAY_KEYS: usize = MONTH_DAYS * 13;
+
+/// The SIm and SIy day-row keys of a calendar hour.
+fn day_keys(stamp: CalendarStamp) -> (usize, usize) {
+    let dm = stamp.day_of_month as usize;
+    (dm, MONTH_DAYS * (1 + stamp.month as usize) + dm)
+}
+
+/// Weight-learning problems solved in lockstep by
+/// [`IdlenessModel::observe_batch`].
+const LANES: usize = 8;
+
 /// A VM's idleness model.
 #[derive(Debug, Clone)]
 pub struct IdlenessModel {
@@ -83,15 +108,17 @@ pub struct IdlenessModel {
     /// SId(h): hour-of-day scores.
     pub(crate) si_day: [f64; 24],
     /// SIw(h, dw): `si_week[dow][h]`.
-    pub(crate) si_week: [[f64; 24]; 7],
-    /// SIm(h, dm): `si_month[dom][h]`.
-    pub(crate) si_month: Box<[[f64; 24]; 31]>,
-    /// SIy(h, dm, m): `si_year[month][dom][h]`.
-    pub(crate) si_year: Box<[[[f64; 24]; 31]; 12]>,
+    si_week: [[f64; 24]; 7],
+    /// SIm(h, dm) is `rows[row_of[dm]][h]` and SIy(h, dm, m) is
+    /// `rows[row_of[31·(1 + m) + dm]][h]`. A day's row is pushed when one
+    /// of its slots is first written; until then its `row_of` entry is 0,
+    /// and row 0 stays all-zero, so a read needs no branch.
+    row_of: [u16; DAY_KEYS],
+    rows: Vec<[f64; 24]>,
     /// Scale weights `[wd, ww, wm, wy]`, kept on the probability simplex.
-    pub(crate) weights: [f64; 4],
+    weights: [f64; 4],
     /// Running mean of activity levels over *active* hours (the paper's ā).
-    pub(crate) mean_active_level: f64,
+    mean_active_level: f64,
     pub(crate) active_hours: u64,
     pub(crate) observed_hours: u64,
 }
@@ -104,8 +131,8 @@ impl IdlenessModel {
             config,
             si_day: [0.0; 24],
             si_week: [[0.0; 24]; 7],
-            si_month: Box::new([[0.0; 24]; 31]),
-            si_year: Box::new([[[0.0; 24]; 31]; 12]),
+            row_of: [0; DAY_KEYS],
+            rows: vec![[0.0; 24]],
             weights: [0.25; 4],
             mean_active_level: 0.0,
             active_hours: 0,
@@ -138,24 +165,26 @@ impl IdlenessModel {
         self.active_hours
     }
 
-    /// The running mean activity over active hours (the paper's ā); falls
-    /// back to `initial_mean_activity` before any activity has been seen.
+    /// The running mean activity over active hours (the paper's ā); 1.0
+    /// before any activity has been seen.
     pub fn mean_active_level(&self) -> f64 {
         if self.active_hours == 0 {
-            self.config.initial_mean_activity
+            INITIAL_MEAN_ACTIVITY
         } else {
             self.mean_active_level
         }
     }
 
     /// The SI slot values for a calendar hour, `[SId, SIw, SIm, SIy]`.
+    #[inline]
     pub fn si_vector(&self, stamp: CalendarStamp) -> SiVector {
         let h = stamp.hour as usize;
+        let (month, year) = day_keys(stamp);
         [
             self.si_day[h],
             self.si_week[stamp.weekday.index()][h],
-            self.si_month[stamp.day_of_month as usize][h],
-            self.si_year[stamp.month as usize][stamp.day_of_month as usize][h],
+            self.rows[self.row_of[month] as usize][h],
+            self.rows[self.row_of[year] as usize][h],
         ]
     }
 
@@ -179,39 +208,55 @@ impl IdlenessModel {
         self.raw_score(stamp) > 0.0
     }
 
-    /// The damping coefficient u(|SI|) of eq. 4 (exposed for diagnostics
-    /// and the ablation benches).
-    pub fn damping(&self, si_abs: f64) -> f64 {
-        1.0 / (1.0 + (self.config.alpha * (si_abs - self.config.beta)).exp())
-    }
-
-    /// Applies the eq. 5 update to one slot. `a_star` is the scaled
-    /// activity value; `idle` selects increment vs decrement.
-    fn update_slot(&mut self, which: SlotRef, a_star: f64, idle: bool) {
-        let alpha = self.config.alpha;
-        let beta = self.config.beta;
-        let slot = self.slot_mut(which);
-        let u = 1.0 / (1.0 + (alpha * (slot.abs() - beta)).exp());
-        let v = a_star * u;
-        *slot = (if idle { *slot + v } else { *slot - v }).clamp(-1.0, 1.0);
-    }
-
-    fn slot_mut(&mut self, which: SlotRef) -> &mut f64 {
-        match which {
-            SlotRef::Day(h) => &mut self.si_day[h],
-            SlotRef::Week(d, h) => &mut self.si_week[d][h],
-            SlotRef::Month(d, h) => &mut self.si_month[d][h],
-            SlotRef::Year(m, d, h) => &mut self.si_year[m][d][h],
+    /// The day row under `key`, pushed on first write.
+    fn day_row_mut(&mut self, key: usize) -> &mut [f64; 24] {
+        if self.row_of[key] == 0 {
+            self.row_of[key] = self.rows.len() as u16;
+            self.rows.push([0.0; 24]);
         }
+        &mut self.rows[self.row_of[key] as usize]
     }
 
     /// Feeds one completed hour into the model: updates the four SI slots
-    /// (eqs. 2–5) and re-learns the weights (eqs. 6–8).
+    /// (eqs. 2–5) and re-learns the weights (eqs. 6–8). A batch of one
+    /// (see [`IdlenessModel::observe_batch`]).
     ///
     /// `activity_level` is the fraction of scheduler quanta the VM
     /// received during the hour, `[0, 1]`; values below the noise
     /// threshold count as idle.
     pub fn observe_hour(&mut self, stamp: CalendarStamp, activity_level: f64) {
+        Self::observe_batch(stamp, [(self, activity_level)]);
+    }
+
+    /// Feeds the same completed hour into every `(model, activity level)`
+    /// pair: updates each model's SI slots (eqs. 2–5), then re-learns the
+    /// weights (eqs. 6–8) of up to eight models at a time in lockstep.
+    ///
+    /// Every model ends bit-identical to what
+    /// [`IdlenessModel::observe_hour`] on it alone would give. All models
+    /// of a batch share one [`ImConfig`].
+    pub fn observe_batch<'a>(
+        stamp: CalendarStamp,
+        batch: impl IntoIterator<Item = (&'a mut IdlenessModel, f64)>,
+    ) {
+        let mut shared: Option<ImConfig> = None;
+        let mut lanes = Lanes::default();
+        for (model, level) in batch {
+            debug_assert!(
+                *shared.get_or_insert_with(|| model.config.clone()) == model.config,
+                "every model of a batch shares one ImConfig"
+            );
+            if let Some(descent) = model.update_slots(stamp, level) {
+                lanes.push(model, descent);
+            }
+        }
+        lanes.solve();
+    }
+
+    /// Applies eqs. 2–5 for one hour. Returns the hour's weight-learning
+    /// problem, or `None` when learning is off or there is nothing to
+    /// learn from.
+    fn update_slots(&mut self, stamp: CalendarStamp, activity_level: f64) -> Option<Descent> {
         let level = activity_level.clamp(0.0, 1.0);
         let idle = level < self.config.noise_threshold.max(f64::MIN_POSITIVE);
 
@@ -232,18 +277,12 @@ impl IdlenessModel {
 
         // --- eqs. 4–5: update the four slots.
         let h = stamp.hour as usize;
-        let dw = stamp.weekday.index();
-        let dm = stamp.day_of_month as usize;
-        let m = stamp.month as usize;
-        self.update_slot(SlotRef::Day(h), a_star, idle);
-        self.update_slot(SlotRef::Week(dw, h), a_star, idle);
-        self.update_slot(SlotRef::Month(dm, h), a_star, idle);
-        self.update_slot(SlotRef::Year(m, dm, h), a_star, idle);
-
+        let (month, year) = day_keys(stamp);
+        update_slot(&mut self.si_day[h], a_star, idle);
+        update_slot(&mut self.si_week[stamp.weekday.index()][h], a_star, idle);
+        update_slot(&mut self.day_row_mut(month)[h], a_star, idle);
+        update_slot(&mut self.day_row_mut(year)[h], a_star, idle);
         let si_new = self.si_vector(stamp);
-
-        // --- eqs. 6–8: steepest descent on Q(w) = (w0ᵀ·SI' − wᵀ·SI)².
-        self.learn_weights(w0, si_old, si_new);
 
         // Bookkeeping for ā.
         self.observed_hours += 1;
@@ -252,10 +291,94 @@ impl IdlenessModel {
             let n = self.active_hours as f64;
             self.mean_active_level += (level - self.mean_active_level) / n;
         }
+
+        // --- eqs. 6–8: steepest descent on Q(w) = (w0ᵀ·SI' − wᵀ·SI)².
+        if self.config.learning_rate <= 0.0 {
+            return None; // learning disabled (ablation)
+        }
+        let target: f64 = w0.iter().zip(si_new.iter()).map(|(w, s)| w * s).sum();
+        let norm2: f64 = si_old.iter().map(|s| s * s).sum();
+        if norm2 <= f64::MIN_POSITIVE {
+            // Nothing to learn from an all-zero SI vector (fresh slots).
+            return None;
+        }
+        Some(Descent {
+            w0,
+            si: si_old,
+            target,
+            norm2,
+        })
+    }
+}
+
+/// The damping coefficient u(|SI|) of eq. 4: updates shrink as scores
+/// get extreme.
+fn damping(si_abs: f64) -> f64 {
+    1.0 / (1.0 + (ALPHA * (si_abs - BETA)).exp())
+}
+
+/// Applies the eq. 5 update to one slot. `a_star` is the scaled activity
+/// value; `idle` selects increment vs decrement.
+fn update_slot(slot: &mut f64, a_star: f64, idle: bool) {
+    let v = a_star * damping(slot.abs());
+    *slot = (if idle { *slot + v } else { *slot - v }).clamp(-1.0, 1.0);
+}
+
+/// One model's weight-learning problem for an hour: minimize
+/// `(target − wᵀ·SI)²` from `w0`, with `target = w0ᵀ·SI'`.
+struct Descent {
+    w0: [f64; 4],
+    si: SiVector,
+    target: f64,
+    norm2: f64,
+}
+
+/// Up to [`LANES`] weight-learning problems, stored component-major
+/// (`w[k][lane]`) and solved in lockstep. Lanes `len..` are unused.
+#[derive(Default)]
+struct Lanes<'a> {
+    models: [Option<&'a mut IdlenessModel>; LANES],
+    len: usize,
+    learning_rate: f64,
+    w: [[f64; LANES]; 4],
+    si: [[f64; LANES]; 4],
+    target: [f64; LANES],
+    norm2: [f64; LANES],
+}
+
+impl<'a> Lanes<'a> {
+    /// Fills the next lane; solves the group once every lane is filled.
+    fn push(&mut self, model: &'a mut IdlenessModel, descent: Descent) {
+        let l = self.len;
+        for k in 0..4 {
+            self.w[k][l] = descent.w0[k];
+            self.si[k][l] = descent.si[k];
+        }
+        self.target[l] = descent.target;
+        self.norm2[l] = descent.norm2;
+        self.learning_rate = model.config.learning_rate;
+        self.models[l] = Some(model);
+        self.len += 1;
+        if self.len == LANES {
+            self.solve();
+        }
     }
 
-    /// Steepest descent minimizing `(target − wᵀ·SI)²` with
-    /// `target = w0ᵀ·SI'`, then projection back onto the simplex.
+    /// Learns the filled lanes' weights, hands each model its projection
+    /// onto the simplex, and empties every lane.
+    fn solve(&mut self) {
+        self.descend();
+        for l in 0..self.len {
+            let model = self.models[l]
+                .take()
+                .expect("a filled lane holds its model");
+            model.weights =
+                project_onto_simplex([self.w[0][l], self.w[1][l], self.w[2][l], self.w[3][l]]);
+        }
+        self.len = 0;
+    }
+
+    /// Steepest descent on every lane at once.
     ///
     /// The raw gradient `−2·residual·SI` has magnitude O(σ²) once SI
     /// values settle near their operating scale, which would make learning
@@ -263,57 +386,80 @@ impl IdlenessModel {
     /// to the *exact line-search* step of this one-dimensional quadratic,
     /// `residual·SI/‖SI‖²`: `learning_rate` is the fraction of that
     /// optimal step applied per iteration (any value in (0, 2) converges).
-    fn learn_weights(&mut self, w0: [f64; 4], si_old: SiVector, si_new: SiVector) {
-        if self.config.learning_rate <= 0.0 {
-            return; // learning disabled (ablation)
-        }
-        let target: f64 = w0.iter().zip(si_new.iter()).map(|(w, s)| w * s).sum();
-        let si_norm2: f64 = si_old.iter().map(|s| s * s).sum();
-        if si_norm2 <= f64::MIN_POSITIVE {
-            // Nothing to learn from an all-zero SI vector (fresh slots).
-            return;
-        }
-        let mut w = w0;
-        for _ in 0..self.config.max_gd_iterations {
-            let predicted: f64 = w.iter().zip(si_old.iter()).map(|(w, s)| w * s).sum();
-            let residual = target - predicted;
-            if residual.abs() < self.config.gd_tolerance {
+    ///
+    /// Each lane performs the operations of a model learning alone, in
+    /// the same order: `predicted` sums left to right, and the step is
+    /// `learning_rate · residual / ‖SI‖²`, divided last.
+    fn descend(&mut self) {
+        for _ in 0..MAX_GD_ITERATIONS {
+            // A full group steps at a constant width, which the compiler
+            // vectorizes; a partial one, such as a batch of one, steps
+            // only its filled lanes.
+            let moving = if self.len == LANES {
+                self.step(LANES)
+            } else {
+                self.step(self.len)
+            };
+            if !moving {
                 break;
             }
-            let step = self.config.learning_rate * residual / si_norm2;
-            for (wi, si) in w.iter_mut().zip(si_old.iter()) {
-                *wi += step * si;
+        }
+    }
+
+    /// One steepest-descent iteration on lanes `0..lanes`; false when
+    /// every lane has converged.
+    #[inline(always)]
+    fn step(&mut self, lanes: usize) -> bool {
+        let Lanes {
+            w,
+            si,
+            target,
+            norm2,
+            learning_rate,
+            ..
+        } = self;
+        let mut step = [0.0; LANES];
+        let mut converged = [false; LANES];
+        for l in 0..lanes {
+            let predicted =
+                w[0][l] * si[0][l] + w[1][l] * si[1][l] + w[2][l] * si[2][l] + w[3][l] * si[3][l];
+            let residual = target[l] - predicted;
+            // A lane under the tolerance keeps its weights, so its
+            // residual cannot change again: a lone model's `break`.
+            converged[l] = residual.abs() < GD_TOLERANCE;
+            step[l] = *learning_rate * residual / norm2[l];
+        }
+        for k in 0..4 {
+            for l in 0..lanes {
+                let moved = w[k][l] + step[l] * si[k][l];
+                w[k][l] = if converged[l] { w[k][l] } else { moved };
             }
         }
-        // Keep weights interpretable: non-negative, summing to 1.
-        for wi in w.iter_mut() {
-            *wi = wi.max(0.0);
-        }
-        let sum: f64 = w.iter().sum();
-        if sum <= f64::MIN_POSITIVE {
-            w = [0.25; 4];
-        } else {
-            for wi in w.iter_mut() {
-                *wi /= sum;
-            }
-        }
-        self.weights = w;
+        converged[..lanes].contains(&false)
     }
 }
 
-/// Addresses one SI slot.
-#[derive(Debug, Clone, Copy)]
-enum SlotRef {
-    Day(usize),
-    Week(usize, usize),
-    Month(usize, usize),
-    Year(usize, usize, usize),
+/// Keeps weights interpretable: non-negative, summing to 1.
+fn project_onto_simplex(mut w: [f64; 4]) -> [f64; 4] {
+    for wi in w.iter_mut() {
+        *wi = wi.max(0.0);
+    }
+    let sum: f64 = w.iter().sum();
+    if sum <= f64::MIN_POSITIVE {
+        return [0.25; 4];
+    }
+    for wi in w.iter_mut() {
+        *wi /= sum;
+    }
+    w
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::oracle::DenseModel;
     use dds_sim_core::time::CalendarStamp;
+    use dds_sim_core::SimRng;
     use proptest::prelude::*;
 
     /// Largest |SI| across every table (bounded by 1 by construction).
@@ -321,9 +467,15 @@ mod tests {
         m.si_day
             .iter()
             .chain(m.si_week.iter().flatten())
-            .chain(m.si_month.iter().flatten())
-            .chain(m.si_year.iter().flatten().flatten())
+            .chain(m.rows.iter().flatten())
             .fold(0.0, |acc: f64, v| acc.max(v.abs()))
+    }
+
+    /// Day rows created so far, `(SIm, SIy)`.
+    fn day_rows(m: &IdlenessModel) -> (usize, usize) {
+        let (month, year) = m.row_of.split_at(MONTH_DAYS);
+        let created = |keys: &[u16]| keys.iter().filter(|&&r| r != 0).count();
+        (created(month), created(year))
     }
 
     fn stamp(hour_index: u64) -> CalendarStamp {
@@ -437,12 +589,11 @@ mod tests {
 
     #[test]
     fn damping_slows_extreme_values() {
-        let m = IdlenessModel::with_defaults();
         // u is decreasing in |SI|: updates shrink as scores get extreme.
-        assert!(m.damping(0.0) > m.damping(0.5));
-        assert!(m.damping(0.5) > m.damping(1.0));
+        assert!(damping(0.0) > damping(0.5));
+        assert!(damping(0.5) > damping(1.0));
         // At |SI| = β the damping is exactly 1/2.
-        assert!((m.damping(0.5) - 0.5).abs() < 1e-12);
+        assert!((damping(0.5) - 0.5).abs() < 1e-12);
     }
 
     #[test]
@@ -454,7 +605,7 @@ mod tests {
             m.observe_hour(stamp(day * 24 + 9), 1.0);
         }
         let drop = -m.si_vector(stamp(7 * 24 + 9))[0];
-        let u0 = m.damping(0.0);
+        let u0 = damping(0.0);
         assert!(drop <= 7.0 * SIGMA + 1e-12);
         assert!(drop >= 7.0 * SIGMA * u0 * 0.99);
     }
@@ -521,6 +672,51 @@ mod tests {
         }
     }
 
+    #[test]
+    fn day_rows_are_created_on_first_write_only() {
+        let mut m = IdlenessModel::with_defaults();
+        assert_eq!(day_rows(&m), (0, 0));
+        for hour in 0..48 {
+            m.observe_hour(stamp(hour), 0.3);
+        }
+        assert_eq!(day_rows(&m), (2, 2));
+        // A whole 365-day year visits every day of the month and of the
+        // year once; a second year creates nothing more.
+        for hour in 48..(2 * 8760) {
+            m.observe_hour(stamp(hour), if hour % 5 == 0 { 0.4 } else { 0.0 });
+            if hour == 8760 - 1 {
+                assert_eq!(day_rows(&m), (31, 365));
+            }
+        }
+        assert_eq!(day_rows(&m), (31, 365));
+        assert_eq!(m.rows.len(), 1 + 31 + 365, "row 0 plus one per day");
+        assert!(m.rows[0].iter().all(|&v| v == 0.0), "row 0 stays zero");
+    }
+
+    /// Days the oracle proptest starts on: the ends of January, February
+    /// and the year, so its runs cross month and year boundaries.
+    const BOUNDARY_DAYS: [u64; 8] = [27, 28, 29, 30, 31, 58, 363, 364];
+
+    /// Asserts that `m` holds exactly the oracle's state at `stamps`.
+    fn same_bits(
+        m: &IdlenessModel,
+        dense: &DenseModel,
+        stamps: impl Iterator<Item = u64>,
+    ) -> Result<(), TestCaseError> {
+        let bits = |v: [f64; 4]| v.map(f64::to_bits);
+        prop_assert_eq!(bits(m.weights()), bits(dense.weights()));
+        let (observed, active, mean) = dense.counters();
+        prop_assert_eq!((m.observed_hours(), m.active_hours()), (observed, active));
+        prop_assert_eq!(m.mean_active_level().to_bits(), mean.to_bits());
+        prop_assert_eq!(m.classify(), dense.classify());
+        for h in stamps {
+            let s = stamp(h);
+            prop_assert_eq!(bits(m.si_vector(s)), bits(dense.si_vector(s)), "hour {}", h);
+            prop_assert_eq!(m.raw_score(s).to_bits(), dense.raw_score(s).to_bits());
+        }
+        Ok(())
+    }
+
     proptest! {
         /// SI bounds and simplex weights hold for arbitrary activity
         /// sequences.
@@ -559,6 +755,87 @@ mod tests {
             }
             let s = stamp(hours as u64);
             prop_assert!((m.probability(s) - (m.raw_score(s) + 1.0) / 2.0).abs() < 1e-15);
+        }
+    }
+
+    proptest! {
+        /// The batch entry, the one-model path and the dense oracle agree
+        /// bit for bit. A run covers the same calendar hours in two
+        /// consecutive years, so the second year reads SIm and SIy rows
+        /// the first one wrote. Models join each year at their own hour
+        /// (some skip the first) with their own activity mix, so lanes
+        /// converge or clamp at different iterations; σ spans tiny
+        /// scales, where residuals fall under the tolerance, to large
+        /// ones, where slots clamp.
+        #[test]
+        fn batch_single_and_dense_oracle_agree_bit_for_bit(
+            start_day in 0usize..BOUNDARY_DAYS.len(),
+            hours in 24u64..120,
+            sigma_exp in -4.0f64..3.5,
+            learning in any::<bool>(),
+            models in 1usize..=17,
+            seed in any::<u64>(),
+        ) {
+            let cfg = ImConfig {
+                sigma: SIGMA * 10f64.powf(sigma_exp),
+                learning_rate: if learning { 0.3 } else { 0.0 },
+                ..ImConfig::default()
+            };
+            let mut rng = SimRng::new(seed);
+            let first = BOUNDARY_DAYS[start_day] * 24 + rng.below(24);
+            let observed: Vec<u64> = (first..first + hours)
+                .chain(8760 + first..8760 + first + hours)
+                .collect();
+            // The first observed hour of each year, per model (`hours`:
+            // the model skips that year).
+            let joins: Vec<[u64; 2]> = (0..models)
+                .map(|k| if k == 0 { [0, 0] } else { [rng.below(hours + 1), rng.below(hours)] })
+                .collect();
+            let joined = |k: usize, i: usize| {
+                let i = i as u64;
+                joins[k][(i / hours) as usize] <= i % hours
+            };
+            let levels: Vec<Vec<f64>> = (0..models)
+                .map(|_| {
+                    let duty = rng.unit();
+                    (0..observed.len())
+                        .map(|_| match rng.below(8) {
+                            0 => 0.001, // under the noise threshold
+                            1 => 0.006, // just over it
+                            _ if rng.chance(duty) => rng.unit(),
+                            _ => 0.0,
+                        })
+                        .collect()
+                })
+                .collect();
+            let mut batched = vec![IdlenessModel::new(cfg.clone()); models];
+            let mut single = batched.clone();
+            let mut dense = vec![DenseModel::new(cfg); models];
+            for (i, &h) in observed.iter().enumerate() {
+                IdlenessModel::observe_batch(
+                    stamp(h),
+                    batched
+                        .iter_mut()
+                        .enumerate()
+                        .filter(|&(k, _)| joined(k, i))
+                        .map(|(k, m)| (m, levels[k][i])),
+                );
+                for k in (0..models).filter(|&k| joined(k, i)) {
+                    single[k].observe_hour(stamp(h), levels[k][i]);
+                    dense[k].observe_hour(stamp(h), levels[k][i]);
+                    // Projection can absorb a one-ulp step difference
+                    // within hours, so the weights are compared hourly.
+                    let w = dense[k].weights().map(f64::to_bits);
+                    prop_assert_eq!(batched[k].weights().map(f64::to_bits), w, "hour {}", h);
+                    prop_assert_eq!(single[k].weights().map(f64::to_bits), w, "hour {}", h);
+                }
+            }
+            let unseen = [first + hours, 8760 + first - 72, 2 * 8760 + first, 8760 + first + 24 * 40];
+            for k in 0..models {
+                let stamps = || observed.iter().copied().chain(unseen);
+                same_bits(&batched[k], &dense[k], stamps())?;
+                same_bits(&single[k], &dense[k], stamps())?;
+            }
         }
     }
 }

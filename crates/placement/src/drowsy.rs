@@ -19,10 +19,8 @@
 use crate::neat::{NeatConfig, NeatPlanner};
 use crate::scratch::{drain_underloaded, PlanScratch};
 use crate::types::{ClusterState, ConsolidationPlan, Migration, Swap, VmState};
+use dds_idleness::{ALPHA, BETA, SIGMA};
 use dds_sim_core::{HostId, VmId};
-
-/// σ, re-exported here so placement depends only on one constant.
-pub const SIGMA: f64 = 1.0 / (365.0 * 24.0);
 
 /// Drowsy-DC planner configuration.
 #[derive(Debug, Clone, PartialEq)]
@@ -52,7 +50,7 @@ impl DrowsyConfig {
     /// converted accordingly; the sort tolerance is one day of the same
     /// differential (threshold / 7).
     pub fn paper_default() -> Self {
-        let u0 = 1.0 / (1.0 + (-0.7f64 * 0.5).exp());
+        let u0 = 1.0 / (1.0 + (-ALPHA * BETA).exp());
         let week_of_activity = 7.0 * SIGMA * 0.25 * u0;
         DrowsyConfig {
             neat: NeatConfig::paper_default(),
