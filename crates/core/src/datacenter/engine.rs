@@ -17,7 +17,7 @@
 //!   (`f64::to_bits`) for the paper's four policies.
 //! * **High-fidelity** ([`EngineConfig::HighFidelity`]): opt-in sub-hour
 //!   dynamics. Scheduled waking dates fire as events at their true
-//!   lead-adjusted instants (`date − wake_lead`), so a parked host is
+//!   lead-adjusted instants (`date − WAKE_LEAD`), so a parked host is
 //!   operational *at* its waking date instead of starting its resume at
 //!   the next hour boundary; parked-host energy integrates over
 //!   variable-length intervals (suspend instant → wake instant) rather

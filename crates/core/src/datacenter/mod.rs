@@ -70,7 +70,7 @@ use dds_hostos::{
     TimerWheel,
 };
 use dds_idleness::{IdlenessModel, ImConfig};
-use dds_net::{HostMac, VmIp, WakingCluster, WakingConfig};
+use dds_net::{HostMac, VmIp, WakingCluster};
 use dds_placement::policy::{ControlPolicy, PlanningView, SleepDepth};
 use dds_placement::{ClusterState, DrowsyConfig, HostState, SleepScaleConfig, VmState};
 use dds_power::{
@@ -467,7 +467,7 @@ impl Datacenter {
         Datacenter {
             policy,
             qos,
-            waking: WakingCluster::new(1, WakingConfig::paper_default(), start),
+            waking: WakingCluster::new(1, start),
             blacklist,
             seed,
             rng: SimRng::new(seed),

@@ -19,23 +19,18 @@
 use crate::datacenter::DcConfig;
 use dds_placement::policy::ControlPolicy;
 use dds_placement::{
-    AdaptiveConfig, AdaptivePolicy, DrowsyPolicy, NeatConfig, NeatPolicy, OasisConfig, OasisPolicy,
-    SlaAwarePolicy, SleepScalePolicy,
+    AdaptivePolicy, DrowsyPolicy, NeatPolicy, OasisPolicy, SlaAwarePolicy, SleepScalePolicy,
 };
 use dds_sim_core::HostId;
 
-/// Share of an idle VM's memory that Oasis parks on the consolidation
-/// host (DESIGN §3 item 7): the working set, not the whole footprint.
-const OASIS_PARK_FRACTION: f64 = 0.10;
-
 /// One registered policy: metadata plus a factory closing over nothing
 /// (plain `fn`, so entries are `Copy`/`Send`/`Sync` for the sweep runner).
+/// The display label is the built policy's own
+/// ([`ControlPolicy::label`]).
 #[derive(Clone, Copy)]
 pub struct PolicyEntry {
     /// Registry key (stable, kebab-case).
     pub name: &'static str,
-    /// Display label the policy will report.
-    pub label: &'static str,
     /// True when the scenario must provision an always-on consolidation
     /// host for the policy (Oasis-style parking).
     pub needs_consolidation_host: bool,
@@ -46,13 +41,11 @@ impl PolicyEntry {
     /// Creates a registry entry from its metadata and factory.
     pub fn new(
         name: &'static str,
-        label: &'static str,
         needs_consolidation_host: bool,
         build: fn(&DcConfig, Option<HostId>) -> Box<dyn ControlPolicy>,
     ) -> Self {
         PolicyEntry {
             name,
-            label,
             needs_consolidation_host,
             build,
         }
@@ -74,7 +67,6 @@ impl std::fmt::Debug for PolicyEntry {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("PolicyEntry")
             .field("name", &self.name)
-            .field("label", &self.label)
             .field("needs_consolidation_host", &self.needs_consolidation_host)
             .finish()
     }
@@ -93,64 +85,42 @@ impl PolicyRegistry {
             entries: vec![
                 PolicyEntry {
                     name: "drowsy-dc",
-                    label: "Drowsy-DC",
                     needs_consolidation_host: false,
                     build: |cfg, _| Box::new(DrowsyPolicy::new(cfg.drowsy.clone())),
                 },
                 PolicyEntry {
                     name: "neat-s3",
-                    label: "Neat+S3",
                     needs_consolidation_host: false,
-                    build: |_, _| Box::new(NeatPolicy::suspending(NeatConfig::paper_default())),
+                    build: |_, _| Box::new(NeatPolicy::suspending()),
                 },
                 PolicyEntry {
                     name: "neat",
-                    label: "Neat",
                     needs_consolidation_host: false,
-                    build: |_, _| Box::new(NeatPolicy::always_on(NeatConfig::paper_default())),
+                    build: |_, _| Box::new(NeatPolicy::always_on()),
                 },
                 PolicyEntry {
                     name: "oasis",
-                    label: "Oasis",
                     needs_consolidation_host: true,
                     build: |_, ch| {
-                        let ch = ch.expect("Oasis needs a consolidation host");
                         Box::new(OasisPolicy::new(
-                            OasisConfig {
-                                consolidation_hosts: vec![ch],
-                                park_fraction: OASIS_PARK_FRACTION,
-                                // Parking is not instantaneous in Oasis: the
-                                // working set is trickled out and short idle
-                                // gaps are not worth the round trip. Two idle
-                                // hours at our resolution.
-                                park_after_idle_hours: 2,
-                            },
-                            NeatConfig::paper_default(),
+                            ch.expect("Oasis needs a consolidation host"),
                         ))
                     },
                 },
                 PolicyEntry {
                     name: "sleepscale",
-                    label: "SleepScale",
                     needs_consolidation_host: false,
                     build: |cfg, _| Box::new(SleepScalePolicy::new(cfg.sleepscale.clone())),
                 },
                 PolicyEntry {
                     name: "sla-aware",
-                    label: "SLA-aware",
                     needs_consolidation_host: false,
                     build: |cfg, _| Box::new(SlaAwarePolicy::new(cfg.drowsy.clone())),
                 },
                 PolicyEntry {
                     name: "tournament-adaptive",
-                    label: "Tournament-adaptive",
                     needs_consolidation_host: false,
-                    build: |cfg, _| {
-                        Box::new(AdaptivePolicy::new(AdaptiveConfig {
-                            drowsy: cfg.drowsy.clone(),
-                            ..AdaptiveConfig::paper_default()
-                        }))
-                    },
+                    build: |cfg, _| Box::new(AdaptivePolicy::new(cfg.drowsy.clone())),
                 },
             ],
         }
@@ -254,6 +224,7 @@ mod tests {
             ]
         );
         let cfg = DcConfig::paper_default();
+        let mut labels = Vec::new();
         for entry in reg.entries() {
             assert_eq!(
                 entry.needs_consolidation_host,
@@ -261,9 +232,20 @@ mod tests {
                 "only Oasis needs a consolidation host"
             );
             let ch = entry.needs_consolidation_host.then_some(HostId(0));
-            let policy = entry.build(&cfg, ch);
-            assert_eq!(policy.label(), entry.label);
+            labels.push(entry.build(&cfg, ch).label());
         }
+        assert_eq!(
+            labels,
+            vec![
+                "Drowsy-DC",
+                "Neat+S3",
+                "Neat",
+                "Oasis",
+                "SleepScale",
+                "SLA-aware",
+                "Tournament-adaptive"
+            ]
+        );
         assert!(reg.get("nonsense").is_none());
         assert!(reg.build("nonsense", &cfg, None).is_none());
     }
@@ -273,17 +255,15 @@ mod tests {
         let mut reg = PolicyRegistry::standard();
         reg.register(PolicyEntry {
             name: "neat",
-            label: "Neat (custom)",
             needs_consolidation_host: false,
-            build: |_, _| {
-                Box::new(dds_placement::NeatPolicy::always_on(
-                    dds_placement::NeatConfig::paper_default(),
-                ))
-            },
+            build: |_, _| Box::new(NeatPolicy::suspending()),
         });
-        assert_eq!(
-            reg.get("neat").expect("still present").label,
-            "Neat (custom)"
+        let cfg = DcConfig::paper_default();
+        assert!(
+            reg.build("neat", &cfg, None)
+                .expect("still present")
+                .suspends(),
+            "the custom entry replaced the always-on one"
         );
         assert_eq!(reg.entries().len(), 7, "replaced, not duplicated");
     }

@@ -56,7 +56,7 @@ pub struct SweepPoint {
 pub struct SweepOutcome {
     /// The policy-registry name of the point.
     pub policy: String,
-    /// Display label of the policy.
+    /// Display label the run's policy reported (its `DcOutcome::policy`).
     pub label: String,
     /// The simulation outcome.
     pub outcome: ClusterOutcome,
@@ -105,22 +105,11 @@ pub fn run_sweep_with(
         .iter()
         .map(|point| {
             move || {
-                let label = registry
-                    .get(&point.policy)
-                    .unwrap_or_else(|| {
-                        panic!(
-                            "unknown policy '{}' (registered: {})",
-                            point.policy,
-                            registry.names().join(", ")
-                        )
-                    })
-                    .label
-                    .to_string();
                 let outcome =
                     run_cluster_policy_with(registry, &point.spec, &point.policy, point.seed);
                 SweepOutcome {
                     policy: point.policy.clone(),
-                    label,
+                    label: outcome.dc.policy.clone(),
                     outcome,
                 }
             }
@@ -264,19 +253,14 @@ mod tests {
         // control-loop or runner changes.
         use crate::registry::{PolicyEntry, PolicyRegistry};
         let mut registry = PolicyRegistry::standard();
-        registry.register(PolicyEntry::new(
-            "neat-s3-tuned",
-            "Neat+S3 (tuned)",
-            false,
-            |_, _| {
-                Box::new(dds_placement::NeatPolicy::suspending(
-                    dds_placement::NeatConfig::paper_default(),
-                ))
-            },
-        ));
+        registry.register(PolicyEntry::new("neat-s3-tuned", false, |_, _| {
+            Box::new(dds_placement::NeatPolicy::suspending())
+        }));
         let points = llmi_grid(&["neat-s3-tuned".to_string()], &[0.5], small_spec, 3);
         let out = run_sweep_with(&registry, &points, 2);
-        assert_eq!(out[0].label, "Neat+S3 (tuned)");
+        // One label per run: the one its policy reports.
+        assert_eq!(out[0].label, "Neat+S3");
+        assert_eq!(out[0].label, out[0].outcome.dc.policy);
         // Same construction as the stock entry → same run, resolved
         // through the custom registry in both the runner and the workers.
         let stock = crate::cluster::run_cluster_policy_with(

@@ -17,23 +17,24 @@ use crate::process::{Blacklist, Pid, ProcessTable};
 use crate::timer::TimerWheel;
 use dds_sim_core::{SimDuration, SimTime};
 
+/// Grace time when the host is confidently idle (paper: 5 s).
+pub const GRACE_MIN: SimDuration = SimDuration::from_secs(5);
+
+/// Grace time when the host is confidently active (paper: 2 min).
+pub const GRACE_MAX: SimDuration = SimDuration::from_minutes(2);
+
 /// Configuration of the suspending module.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SuspendConfig {
-    /// Grace time when the host is confidently idle (paper: 5 s).
-    pub grace_min: SimDuration,
-    /// Grace time when the host is confidently active (paper: 2 min).
-    pub grace_max: SimDuration,
     /// Ablation switch: disable the grace mechanism entirely.
     pub grace_enabled: bool,
 }
 
 impl SuspendConfig {
-    /// The paper's configuration: grace ∈ [5 s, 2 min].
+    /// The paper's configuration: grace between [`GRACE_MIN`] and
+    /// [`GRACE_MAX`].
     pub fn paper_default() -> Self {
         SuspendConfig {
-            grace_min: SimDuration::from_secs(5),
-            grace_max: SimDuration::from_minutes(2),
             grace_enabled: true,
         }
     }
@@ -43,7 +44,6 @@ impl SuspendConfig {
     pub fn without_grace() -> Self {
         SuspendConfig {
             grace_enabled: false,
-            ..Self::paper_default()
         }
     }
 }
@@ -133,11 +133,6 @@ impl SuspendModule {
         Self::new(SuspendConfig::paper_default())
     }
 
-    /// The module's configuration.
-    pub fn config(&self) -> &SuspendConfig {
-        &self.config
-    }
-
     /// Number of suspend decisions taken so far.
     pub fn suspends_decided(&self) -> u64 {
         self.suspends_decided
@@ -153,8 +148,8 @@ impl SuspendModule {
             return SimDuration::ZERO;
         }
         let ip = ip.clamp(0.0, 1.0);
-        let gmin = self.config.grace_min.as_secs_f64().max(1e-3);
-        let gmax = self.config.grace_max.as_secs_f64().max(gmin);
+        let gmin = GRACE_MIN.as_secs_f64();
+        let gmax = GRACE_MAX.as_secs_f64();
         let secs = gmin * (gmax / gmin).powf(1.0 - ip);
         SimDuration::from_secs_f64(secs)
     }
@@ -253,8 +248,8 @@ mod tests {
             let ip = step as f64 / 10.0;
             let g = m.grace_time(ip);
             assert!(g <= last, "grace must shrink as IP grows");
-            assert!(g >= m.config().grace_min);
-            assert!(g <= m.config().grace_max);
+            assert!(g >= GRACE_MIN);
+            assert!(g <= GRACE_MAX);
             last = g;
         }
     }
@@ -420,8 +415,8 @@ mod tests {
         fn grace_time_bounded(ip in -1.0f64..2.0) {
             let m = SuspendModule::with_defaults();
             let g = m.grace_time(ip);
-            prop_assert!(g >= m.config().grace_min);
-            prop_assert!(g <= m.config().grace_max);
+            prop_assert!(g >= GRACE_MIN);
+            prop_assert!(g <= GRACE_MAX);
         }
     }
 }

@@ -13,7 +13,7 @@
 //! module from its mirror's replica.
 
 use crate::addr::{HostMac, VmIp};
-use crate::waking::{PacketVerdict, WakeCommand, WakingConfig, WakingModule};
+use crate::waking::{PacketVerdict, WakeCommand, WakingModule};
 use dds_sim_core::{RackId, SimDuration, SimTime, VmId};
 
 /// Health of one cluster member.
@@ -47,12 +47,12 @@ pub struct WakingCluster {
 
 impl WakingCluster {
     /// Creates a cluster of `racks` modules (at least one).
-    pub fn new(racks: usize, config: WakingConfig, now: SimTime) -> Self {
+    pub fn new(racks: usize, now: SimTime) -> Self {
         assert!(racks >= 1, "cluster needs at least one waking module");
         let members = (0..racks)
             .map(|_| Member {
-                module: WakingModule::new(config),
-                mirror_of_next: WakingModule::new(config),
+                module: WakingModule::new(),
+                mirror_of_next: WakingModule::new(),
                 health: Health::Alive {
                     last_heartbeat: now,
                 },
@@ -266,7 +266,7 @@ mod tests {
     const R1: RackId = RackId(1);
 
     fn cluster(n: usize) -> WakingCluster {
-        WakingCluster::new(n, WakingConfig::paper_default(), t(0))
+        WakingCluster::new(n, t(0))
     }
 
     #[test]

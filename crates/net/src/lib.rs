@@ -29,4 +29,4 @@ pub mod waking;
 
 pub use addr::{HostMac, VmIp};
 pub use cluster::WakingCluster;
-pub use waking::{PacketVerdict, WakeCommand, WakeReason, WakingConfig, WakingModule};
+pub use waking::{PacketVerdict, WakeCommand, WakeReason, WakingModule};

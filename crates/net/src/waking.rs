@@ -53,29 +53,10 @@ pub enum PacketVerdict {
     Hold,
 }
 
-/// Configuration of a waking module.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct WakingConfig {
-    /// How far ahead of a scheduled waking date the WoL is sent ("this
-    /// request is sent ahead of time in order to take into account the
-    /// waking latency"). Should be ≥ the host resume latency.
-    pub wake_lead: SimDuration,
-}
-
-impl WakingConfig {
-    /// Lead matching the paper's stock resume latency.
-    pub fn paper_default() -> Self {
-        WakingConfig {
-            wake_lead: SimDuration::from_millis(1500),
-        }
-    }
-}
-
-impl Default for WakingConfig {
-    fn default() -> Self {
-        Self::paper_default()
-    }
-}
+/// How far ahead of a scheduled waking date the WoL is sent ("this
+/// request is sent ahead of time in order to take into account the
+/// waking latency"): the paper's stock resume latency.
+pub const WAKE_LEAD: SimDuration = SimDuration::from_millis(1500);
 
 /// State of one drowsy host as known by the waking module.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -97,7 +78,6 @@ struct DrowsyHost {
 /// datacenter model turns into host resumes.
 #[derive(Debug, Clone, Default)]
 pub struct WakingModule {
-    config: WakingConfig,
     /// VM IP → host MAC ("performed efficiently thanks to a hashmap").
     vm_to_host: HashMap<VmIp, HostMac>,
     /// Per-drowsy-host state, keyed by MAC.
@@ -110,19 +90,8 @@ pub struct WakingModule {
 
 impl WakingModule {
     /// Creates a module.
-    pub fn new(config: WakingConfig) -> Self {
-        WakingModule {
-            config,
-            vm_to_host: HashMap::new(),
-            hosts: HashMap::new(),
-            schedule: BTreeMap::new(),
-            wol_sent: 0,
-        }
-    }
-
-    /// Creates a module with the paper's configuration.
-    pub fn with_defaults() -> Self {
-        Self::new(WakingConfig::paper_default())
+    pub fn new() -> Self {
+        Self::default()
     }
 
     /// Number of Wake-on-LAN frames emitted so far.
@@ -202,11 +171,11 @@ impl WakingModule {
     }
 
     /// Fires scheduled wakes whose (lead-adjusted) deadline has arrived:
-    /// all dates `d` with `d − wake_lead <= now`. Returns the emitted
+    /// all dates `d` with `d − WAKE_LEAD <= now`. Returns the emitted
     /// commands and removes the mappings ("sends a WoL packet to the
     /// associated drowsy server and removes the mapping").
     pub fn poll_schedule(&mut self, now: SimTime) -> Vec<WakeCommand> {
-        let horizon = now + self.config.wake_lead;
+        let horizon = now + WAKE_LEAD;
         let mut commands = Vec::new();
         let due: Vec<SimTime> = self.schedule.range(..=horizon).map(|(&d, _)| d).collect();
         for date in due {
@@ -233,10 +202,7 @@ impl WakingModule {
     /// Next instant at which [`WakingModule::poll_schedule`] would emit
     /// something, for event-driven simulations.
     pub fn next_fire_time(&self) -> Option<SimTime> {
-        self.schedule
-            .keys()
-            .next()
-            .map(|&d| d - self.config.wake_lead)
+        self.schedule.keys().next().map(|&d| d - WAKE_LEAD)
     }
 }
 
@@ -259,14 +225,14 @@ mod tests {
 
     #[test]
     fn unknown_destination_forwards() {
-        let mut w = WakingModule::with_defaults();
+        let mut w = WakingModule::new();
         assert_eq!(w.handle_packet(ip(1)), PacketVerdict::Forward);
         assert_eq!(w.wol_sent(), 0);
     }
 
     #[test]
     fn packet_to_drowsy_host_wakes_it_once() {
-        let mut w = WakingModule::with_defaults();
+        let mut w = WakingModule::new();
         w.register_suspension(mac(2), vec![(ip(1), VmId(1)), (ip(3), VmId(3))], None);
         assert!(w.is_drowsy(mac(2)));
 
@@ -284,7 +250,7 @@ mod tests {
 
     #[test]
     fn resume_clears_mappings() {
-        let mut w = WakingModule::with_defaults();
+        let mut w = WakingModule::new();
         w.register_suspension(mac(2), vec![(ip(1), VmId(1))], Some(t(100)));
         w.on_host_resumed(mac(2));
         assert!(!w.is_drowsy(mac(2)));
@@ -294,7 +260,7 @@ mod tests {
 
     #[test]
     fn scheduled_wake_fires_ahead_of_time() {
-        let mut w = WakingModule::with_defaults(); // lead 1.5 s
+        let mut w = WakingModule::new(); // lead 1.5 s
         w.register_suspension(mac(4), vec![(ip(9), VmId(9))], Some(t(100)));
         // Too early: 100 s − 1.5 s lead = 98.5 s.
         assert!(w.poll_schedule(t(98)).is_empty());
@@ -313,7 +279,7 @@ mod tests {
 
     #[test]
     fn packet_wake_suppresses_scheduled_wake() {
-        let mut w = WakingModule::with_defaults();
+        let mut w = WakingModule::new();
         w.register_suspension(mac(4), vec![(ip(9), VmId(9))], Some(t(100)));
         // A packet arrives before the scheduled date.
         assert!(matches!(
@@ -327,7 +293,7 @@ mod tests {
 
     #[test]
     fn multiple_hosts_same_waking_date() {
-        let mut w = WakingModule::with_defaults();
+        let mut w = WakingModule::new();
         w.register_suspension(mac(1), vec![(ip(1), VmId(1))], Some(t(50)));
         w.register_suspension(mac(2), vec![(ip(2), VmId(2))], Some(t(50)));
         let cmds = w.poll_schedule(t(50));
@@ -338,7 +304,7 @@ mod tests {
 
     #[test]
     fn indefinite_sleep_without_waking_date() {
-        let mut w = WakingModule::with_defaults();
+        let mut w = WakingModule::new();
         w.register_suspension(mac(7), vec![(ip(5), VmId(5))], None);
         assert!(w.poll_schedule(t(1_000_000)).is_empty());
         assert_eq!(w.next_fire_time(), None);
@@ -351,7 +317,7 @@ mod tests {
 
     #[test]
     fn re_suspension_updates_vm_set() {
-        let mut w = WakingModule::with_defaults();
+        let mut w = WakingModule::new();
         w.register_suspension(mac(1), vec![(ip(1), VmId(1))], None);
         w.on_host_resumed(mac(1));
         // VM 1 migrated away; now hosts VM 2 only.

@@ -9,22 +9,23 @@
 //! shrinks the wake-violation tail on bursty fleets. This policy closes
 //! the loop from experiment back to policy: each host is classified
 //! from its residents' *learned* idleness models ([`ImClass`], carried
-//! on the [`PlanningView`]), and the per-class winner from a baked-in
-//! leaderboard table ([`CLASS_WINNERS`]) decides how that host clocks,
-//! sleeps and whether QoS violations veto its suspends.
+//! on the [`PlanningView`]), and the class's winner in the tournament
+//! leaderboard decides how that host clocks, sleeps and whether QoS
+//! violations veto its suspends.
 //!
 //! Planning (which VM goes where) stays Drowsy-DC throughout —
 //! consolidation is a fleet-global decision and the IP-aware planner is
 //! the substrate every delegate shares; what varies per host is the
-//! *frequency, sleep-state and veto* behaviour:
+//! *frequency, sleep-state and veto* behaviour, which the policy takes
+//! from one of two delegate policies it owns:
 //!
 //! | host class      | delegate     | behaviour on this host |
 //! |-----------------|--------------|------------------------|
-//! | `Undetermined`  | `sleepscale` | DVFS + standard S5 gates (the fleet-wide tournament winner is the prior) |
-//! | `Idle`          | `sleepscale` | DVFS + *sharpened* S5 gates — the model is confident |
-//! | `Steady`        | `sleepscale` | DVFS (the joint policy wins every energy bracket; S5 rarely fires on a steady host anyway) |
-//! | `DailyPeriodic` | `sleepscale` | DVFS + *sharpened* S5 gates across the scheduled gaps |
-//! | `Bursty`        | `sla-aware`  | wake-violation suspend veto, nominal clock |
+//! | `Undetermined`  | [`SleepScalePolicy`] | DVFS + the hedged S5 gate (the fleet-wide tournament winner is the prior) |
+//! | `Idle`          | [`SleepScalePolicy`] | DVFS + the *confident* S5 gate — the model vouches for the idle period |
+//! | `Steady`        | [`SleepScalePolicy`] | DVFS + the hedged S5 gate (the joint policy wins every energy bracket; S5 rarely fires on a steady host anyway) |
+//! | `DailyPeriodic` | [`SleepScalePolicy`] | DVFS + the *confident* S5 gate across the scheduled gaps |
+//! | `Bursty`        | [`SlaAwarePolicy`]   | wake-violation suspend veto, nominal clock, S3 |
 //!
 //! Two refinements beyond a naive per-class dispatch:
 //!
@@ -34,153 +35,47 @@
 //!   `Undetermined`. A drained host is about to sleep on behalf of the
 //!   whole fleet, so it sleeps the way the fleet's dominant class
 //!   warrants.
-//! * **Classification sharpens the S5 gates.** SleepScale's generic
-//!   gates (4 h scheduled gap, 0.85 idle probability) hedge against
-//!   unknown workloads; once a host's residents are *classified* idle
-//!   or daily-periodic, the learned model vouches for the idle period
-//!   and the gates drop to [`AdaptiveConfig::confident_min_gap`] /
-//!   [`AdaptiveConfig::confident_min_ip`]. That is the edge no fixed
-//!   policy has: SleepScale cannot tell a confident night from a lull.
+//! * **Classification sharpens the S5 gate.** SleepScale's
+//!   [`S5Gate::HEDGED`] (4 h scheduled gap, 0.85 idle probability)
+//!   hedges against unknown workloads; once a host's residents are
+//!   *classified* idle or daily-periodic, the learned model vouches for
+//!   the idle period and the host sleeps behind [`S5Gate::CONFIDENT`]
+//!   (2 h, 0.70). That is the edge no fixed policy has: SleepScale
+//!   cannot tell a confident night from a lull.
 //!
 //! Host classes refresh at every planning pass, so a host's behaviour
 //! tracks what actually lives on it as consolidation moves VMs around.
 
-use crate::policy::{ControlPlan, ControlPolicy, DrowsyPolicy, PlanningView, SleepDepth};
-use crate::{DrowsyConfig, FilterScheduler};
+use crate::policy::{ControlPlan, ControlPolicy, PlanningView, SleepDepth};
+use crate::sleepscale::{S5Gate, SleepScaleConfig, SleepScalePolicy};
+use crate::{DrowsyConfig, FilterScheduler, SlaAwarePolicy};
 use dds_idleness::ImClass;
 use dds_sim_core::qos::QosWindow;
-use dds_sim_core::{HostId, SimDuration, SimRng, SimTime};
-
-/// The baked-in per-class winner table (see the [module docs](self)):
-/// which fixed policy's host behaviour each trace class delegates to.
-/// Names are `dds_core::registry` keys, pinned by the tournament's
-/// golden leaderboard test.
-pub const CLASS_WINNERS: &[(ImClass, &str)] = &[
-    (ImClass::Undetermined, "sleepscale"),
-    (ImClass::Idle, "sleepscale"),
-    (ImClass::Steady, "sleepscale"),
-    (ImClass::DailyPeriodic, "sleepscale"),
-    (ImClass::Bursty, "sla-aware"),
-];
-
-/// The winning delegate for a trace class, per [`CLASS_WINNERS`].
-pub fn class_winner(class: ImClass) -> &'static str {
-    CLASS_WINNERS
-        .iter()
-        .find(|&&(c, _)| c == class)
-        .map(|&(_, name)| name)
-        .unwrap_or("drowsy-dc")
-}
-
-/// Per-host behaviour delegates (the distinct right-hand sides of
-/// [`CLASS_WINNERS`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Delegate {
-    /// Plain Drowsy-DC: S3, nominal clock, no veto.
-    Drowsy,
-    /// SleepScale-style behaviour: DVFS plus S5 on long scheduled gaps
-    /// or high idle confidence.
-    SleepScale,
-    /// SLA-aware suspend veto: wake-violating hosts stay powered.
-    SlaAware,
-}
-
-fn delegate_of(class: ImClass) -> Delegate {
-    match class_winner(class) {
-        "sleepscale" => Delegate::SleepScale,
-        "sla-aware" => Delegate::SlaAware,
-        _ => Delegate::Drowsy,
-    }
-}
-
-/// Configuration of the adaptive meta-policy: the Drowsy substrate plus
-/// the delegate knobs (SleepScale's ladder and S5 gates, the sharpened
-/// gates classification unlocks, SLA-aware's hold window).
-#[derive(Debug, Clone, PartialEq)]
-pub struct AdaptiveConfig {
-    /// Drowsy-DC planning substrate configuration.
-    pub drowsy: DrowsyConfig,
-    /// Lowest selectable frequency step on sleepscale-delegated hosts
-    /// (fraction of nominal).
-    pub freq_floor: f64,
-    /// Granularity of the discrete frequency ladder.
-    pub freq_step: f64,
-    /// Utilization the chosen frequency aims to run the host at.
-    pub target_utilization: f64,
-    /// Minimum gap to a scheduled waking date before S5 is chosen on an
-    /// *unclassified* (Undetermined-majority) host.
-    pub deep_sleep_min_gap: SimDuration,
-    /// Minimum idleness probability before an unscheduled idle
-    /// unclassified host goes to S5.
-    pub deep_sleep_min_ip: f64,
-    /// The sharpened scheduled-gap gate on hosts whose residents are
-    /// *classified* `Idle` or `DailyPeriodic`.
-    pub confident_min_gap: SimDuration,
-    /// The sharpened idle-probability gate on classified hosts.
-    pub confident_min_ip: f64,
-    /// Epochs a wake-violating sla-aware-delegated host stays
-    /// unparkable.
-    pub hold_epochs: u64,
-}
-
-impl AdaptiveConfig {
-    /// Defaults: paper-default Drowsy substrate, SleepScale's ladder and
-    /// S5 gates (0.6–1.0 clock, 4 h gap, 0.85 IP), sharpened gates of
-    /// 2 h / 0.70 on classified hosts, SLA-aware's 6-epoch hold.
-    pub fn paper_default() -> Self {
-        AdaptiveConfig {
-            drowsy: DrowsyConfig::paper_default(),
-            freq_floor: 0.6,
-            freq_step: 0.1,
-            target_utilization: 0.8,
-            deep_sleep_min_gap: SimDuration::from_hours(4),
-            deep_sleep_min_ip: 0.85,
-            confident_min_gap: SimDuration::from_hours(2),
-            confident_min_ip: 0.70,
-            hold_epochs: crate::sla_aware::DEFAULT_HOLD_EPOCHS,
-        }
-    }
-}
-
-impl Default for AdaptiveConfig {
-    fn default() -> Self {
-        Self::paper_default()
-    }
-}
+use dds_sim_core::{HostId, SimRng, SimTime};
 
 /// The adaptive meta-policy. See the [module docs](self).
 #[derive(Debug, Clone)]
 pub struct AdaptivePolicy {
-    inner: DrowsyPolicy,
-    config: AdaptiveConfig,
+    /// Plans every host (Drowsy-DC) and keeps the wake-violation hold
+    /// for all of them: a host may turn Bursty at the next planning
+    /// pass, and its offence record must already be there.
+    sla_aware: SlaAwarePolicy,
+    /// Clocks and sleeps every non-Bursty host.
+    sleepscale: SleepScalePolicy,
     /// Majority class per host, indexed by [`HostId::index`]; refreshed
     /// from the view's classes at every planning pass. Empty hosts
     /// carry the fleet-majority class (see the [module docs](self)).
     host_class: Vec<ImClass>,
-    /// Sparse `(host index, first epoch it may park again)`, sorted by
-    /// host — the SLA-aware veto bookkeeping. All hosts are tracked;
-    /// the veto only *applies* on sla-aware-delegated hosts.
-    defer_until: Vec<(u32, u64)>,
-    /// Most recent epoch observed (hour index + 1), as in
-    /// [`crate::sla_aware::SlaAwarePolicy`].
-    next_epoch: u64,
 }
 
 impl AdaptivePolicy {
-    /// Creates the policy.
-    pub fn new(config: AdaptiveConfig) -> Self {
+    /// Creates the policy over a Drowsy-DC planning substrate.
+    pub fn new(drowsy: DrowsyConfig) -> Self {
         AdaptivePolicy {
-            inner: DrowsyPolicy::new(config.drowsy.clone()),
-            config,
+            sla_aware: SlaAwarePolicy::new(drowsy),
+            sleepscale: SleepScalePolicy::new(SleepScaleConfig::paper_default()),
             host_class: Vec::new(),
-            defer_until: Vec::new(),
-            next_epoch: 0,
         }
-    }
-
-    /// The configuration in effect.
-    pub fn config(&self) -> &AdaptiveConfig {
-        &self.config
     }
 
     /// The class currently cached for `host` (Undetermined before the
@@ -190,11 +85,6 @@ impl AdaptivePolicy {
             .get(host.index())
             .copied()
             .unwrap_or(ImClass::Undetermined)
-    }
-
-    /// The behaviour delegate currently cached for `host`.
-    fn delegate(&self, host: HostId) -> Delegate {
-        delegate_of(self.class(host))
     }
 
     /// Majority class over `counts`-style slots, ties to the class
@@ -246,18 +136,6 @@ impl AdaptivePolicy {
             };
         }
     }
-
-    /// The frequency step for a sleepscale-delegated host at
-    /// `utilization`: the lowest P-state of the ladder that still serves
-    /// the load at the target utilization (see
-    /// [`crate::SleepScalePolicy::frequency_for`] — same quantization).
-    fn frequency_for(&self, utilization: f64) -> f64 {
-        let u = utilization.clamp(0.0, 1.0);
-        let step = self.config.freq_step.max(1e-3);
-        let wanted = (u / self.config.target_utilization.max(1e-3)).max(u);
-        let quantized = (wanted / step).ceil() * step;
-        quantized.clamp(self.config.freq_floor, 1.0)
-    }
 }
 
 impl ControlPolicy for AdaptivePolicy {
@@ -276,12 +154,12 @@ impl ControlPolicy for AdaptivePolicy {
     }
 
     fn admission_scheduler(&self) -> FilterScheduler {
-        self.inner.admission_scheduler()
+        self.sla_aware.admission_scheduler()
     }
 
     fn plan(&mut self, round: usize, view: &PlanningView<'_>, rng: &mut SimRng) -> ControlPlan {
         self.refresh_classes(view);
-        self.inner.plan(round, view, rng)
+        self.sla_aware.plan(round, view, rng)
     }
 
     fn idle_sleep_depth(
@@ -291,83 +169,36 @@ impl ControlPolicy for AdaptivePolicy {
         waking_date: Option<SimTime>,
         now: SimTime,
     ) -> SleepDepth {
-        let class = self.class(host);
-        if delegate_of(class) != Delegate::SleepScale {
-            return SleepDepth::Suspend;
-        }
-        // Classified hosts sleep on the sharpened gates; the
-        // Undetermined prior keeps SleepScale's hedged ones.
-        let confident = matches!(class, ImClass::Idle | ImClass::DailyPeriodic);
-        let (min_gap, min_ip) = if confident {
-            (self.config.confident_min_gap, self.config.confident_min_ip)
-        } else {
-            (
-                self.config.deep_sleep_min_gap,
-                self.config.deep_sleep_min_ip,
-            )
-        };
-        match waking_date {
-            // A scheduled wake is anticipated either way, so S5 needs
-            // only a gap long enough to amortize the slow resume.
-            Some(date) => {
-                if date.saturating_since(now) >= min_gap {
-                    SleepDepth::Off
-                } else {
-                    SleepDepth::Suspend
-                }
+        match self.class(host) {
+            ImClass::Bursty => {
+                self.sla_aware
+                    .idle_sleep_depth(host, ip_probability, waking_date, now)
             }
-            // An unscheduled wake pays the full resume latency: demand
-            // confidence in a long idle period before deepening.
-            None => {
-                if ip_probability >= min_ip {
-                    SleepDepth::Off
-                } else {
-                    SleepDepth::Suspend
-                }
+            ImClass::Idle | ImClass::DailyPeriodic => {
+                S5Gate::CONFIDENT.depth(ip_probability, waking_date, now)
+            }
+            ImClass::Undetermined | ImClass::Steady => {
+                self.sleepscale
+                    .idle_sleep_depth(host, ip_probability, waking_date, now)
             }
         }
     }
 
     fn active_frequency(&self, host: HostId, utilization: f64) -> f64 {
-        if self.delegate(host) == Delegate::SleepScale {
-            self.frequency_for(utilization)
-        } else {
-            1.0
+        match self.class(host) {
+            ImClass::Bursty => self.sla_aware.active_frequency(host, utilization),
+            _ => self.sleepscale.active_frequency(host, utilization),
         }
     }
 
     fn observe_qos(&mut self, window: &QosWindow) {
-        // SLA-aware bookkeeping over *all* hosts: a host may be
-        // re-delegated to sla-aware at the next planning pass, and its
-        // offence record must already be there.
-        self.next_epoch = self.next_epoch.max(window.epoch + 1);
-        for host in window.hosts() {
-            if host.wake_violations == 0 {
-                continue;
-            }
-            let until = window.epoch + 1 + self.config.hold_epochs;
-            match self
-                .defer_until
-                .binary_search_by_key(&host.host, |&(h, _)| h)
-            {
-                Ok(i) => self.defer_until[i].1 = self.defer_until[i].1.max(until),
-                Err(i) => self.defer_until.insert(i, (host.host, until)),
-            }
-        }
-        let now = self.next_epoch;
-        self.defer_until.retain(|&(_, until)| until > now);
+        self.sla_aware.observe_qos(window);
     }
 
     fn allow_suspend(&self, host: HostId) -> bool {
-        if self.delegate(host) != Delegate::SlaAware {
-            return true;
-        }
-        match self
-            .defer_until
-            .binary_search_by_key(&(host.index() as u32), |&(h, _)| h)
-        {
-            Ok(i) => self.defer_until[i].1 <= self.next_epoch,
-            Err(_) => true,
+        match self.class(host) {
+            ImClass::Bursty => self.sla_aware.allow_suspend(host),
+            _ => true,
         }
     }
 }
@@ -375,8 +206,11 @@ impl ControlPolicy for AdaptivePolicy {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::policy::DrowsyPolicy;
     use crate::types::testkit::{host, vm};
     use crate::types::ClusterState;
+    use dds_sim_core::SimDuration;
+    use proptest::prelude::*;
 
     /// Three hosts, two VMs each; per-VM classes chosen per test.
     fn state() -> ClusterState {
@@ -398,7 +232,7 @@ mod tests {
 
     fn planned_on(s: &ClusterState, classes: &[ImClass]) -> AdaptivePolicy {
         let view = PlanningView::new(s, classes);
-        let mut p = AdaptivePolicy::new(AdaptiveConfig::paper_default());
+        let mut p = AdaptivePolicy::new(DrowsyConfig::paper_default());
         p.plan(0, &view, &mut SimRng::new(1));
         p
     }
@@ -407,26 +241,99 @@ mod tests {
         planned_on(&state(), classes)
     }
 
-    #[test]
-    fn winner_table_covers_every_class() {
-        for class in ImClass::ALL {
-            let winner = class_winner(class);
-            assert!(
-                ["drowsy-dc", "sleepscale", "sla-aware"].contains(&winner),
-                "{class:?} → {winner}"
-            );
+    /// The confident S5 gate, stated independently of the policy: S5 on
+    /// a scheduled gap of at least 2 h, or, with no timer, on an
+    /// idleness probability of at least 0.70.
+    fn confident_gate(ip: f64, waking: Option<SimTime>, now: SimTime) -> SleepDepth {
+        let deep = match waking {
+            Some(date) => date.saturating_since(now) >= SimDuration::from_hours(2),
+            None => ip >= 0.70,
+        };
+        if deep {
+            SleepDepth::Off
+        } else {
+            SleepDepth::Suspend
         }
-        assert_eq!(class_winner(ImClass::Undetermined), "sleepscale");
-        assert_eq!(class_winner(ImClass::DailyPeriodic), "sleepscale");
-        assert_eq!(class_winner(ImClass::Bursty), "sla-aware");
-        assert_eq!(class_winner(ImClass::Steady), "sleepscale");
+    }
+
+    proptest! {
+        /// Every host class behaves bit for bit like the fixed policy it
+        /// delegates to: Undetermined and Steady hosts like SleepScale,
+        /// Idle and DailyPeriodic hosts like SleepScale's ladder on the
+        /// confident S5 gate, and Bursty hosts like SLA-aware's wake hold
+        /// at every epoch (at nominal clock, in S3).
+        #[test]
+        fn each_class_behaves_exactly_like_its_delegate(
+            host_classes in proptest::collection::vec(0usize..5, 4),
+            probes in proptest::collection::vec(
+                (-0.2f64..1.2, 0.0f64..1.0, 0u8..2, 0u64..360),
+                1..16,
+            ),
+            windows in proptest::collection::vec(
+                (0u64..3, proptest::collection::vec((0u32..4, 100u64..400), 0..6)),
+                1..16,
+            ),
+        ) {
+            let classes: Vec<ImClass> = host_classes
+                .iter()
+                .flat_map(|&c| [ImClass::ALL[c]; 2])
+                .collect();
+            let state = ClusterState::new(
+                (0..4)
+                    .map(|h| host(h, 0, vec![vm(2 * h, 0.1, 0.0), vm(2 * h + 1, 0.1, 0.0)]))
+                    .collect(),
+            );
+            let mut adaptive = planned_on(&state, &classes);
+            let sleepscale = SleepScalePolicy::new(SleepScaleConfig::paper_default());
+            let mut sla = SlaAwarePolicy::new(DrowsyConfig::paper_default());
+
+            let now = SimTime::from_hours(10);
+            for &(u, ip, timer, gap_min) in &probes {
+                let waking = (timer == 1).then(|| now + SimDuration::from_minutes(gap_min));
+                for (h, &c) in host_classes.iter().enumerate() {
+                    let id = HostId(h as u32);
+                    let f = adaptive.active_frequency(id, u);
+                    let depth = adaptive.idle_sleep_depth(id, ip, waking, now);
+                    match ImClass::ALL[c] {
+                        ImClass::Undetermined | ImClass::Steady => {
+                            prop_assert_eq!(f.to_bits(), sleepscale.active_frequency(id, u).to_bits());
+                            prop_assert_eq!(depth, sleepscale.idle_sleep_depth(id, ip, waking, now));
+                        }
+                        ImClass::Idle | ImClass::DailyPeriodic => {
+                            prop_assert_eq!(f.to_bits(), sleepscale.active_frequency(id, u).to_bits());
+                            prop_assert_eq!(depth, confident_gate(ip, waking, now));
+                        }
+                        ImClass::Bursty => {
+                            prop_assert_eq!(f.to_bits(), 1.0f64.to_bits());
+                            prop_assert_eq!(depth, SleepDepth::Suspend);
+                        }
+                    }
+                }
+            }
+
+            let mut epoch = 0;
+            for (step, records) in &windows {
+                epoch += step;
+                let mut w = QosWindow::new(epoch, 200);
+                for &(h, latency_ms) in records {
+                    w.record(h, latency_ms, true);
+                }
+                adaptive.observe_qos(&w);
+                sla.observe_qos(&w);
+                for (h, &c) in host_classes.iter().enumerate() {
+                    let id = HostId(h as u32);
+                    let expected = ImClass::ALL[c] != ImClass::Bursty || sla.allow_suspend(id);
+                    prop_assert_eq!(adaptive.allow_suspend(id), expected, "epoch {}", epoch);
+                }
+            }
+        }
     }
 
     #[test]
     fn plans_exactly_like_drowsy() {
         let s = state();
         let view = PlanningView::new(&s, &[ImClass::Bursty; 6]);
-        let mut adaptive = AdaptivePolicy::new(AdaptiveConfig::paper_default());
+        let mut adaptive = AdaptivePolicy::new(DrowsyConfig::paper_default());
         let mut drowsy = DrowsyPolicy::new(DrowsyConfig::paper_default());
         assert_eq!(
             adaptive.plan(0, &view, &mut SimRng::new(9)),
@@ -569,8 +476,8 @@ mod tests {
         assert!(p.allow_suspend(HostId(0)), "periodic host: no veto");
         assert!(p.allow_suspend(HostId(1)), "steady host: no veto");
         assert!(!p.allow_suspend(HostId(2)), "bursty host is held");
-        // Hold expires after hold_epochs quiet epochs, as in sla-aware.
-        for epoch in 6..(6 + AdaptiveConfig::paper_default().hold_epochs) {
+        // Hold expires after HOLD_EPOCHS quiet epochs, as in sla-aware.
+        for epoch in 6..6 + crate::sla_aware::HOLD_EPOCHS {
             assert!(!p.allow_suspend(HostId(2)));
             p.observe_qos(&QosWindow::new(epoch, 200));
         }

@@ -27,35 +27,16 @@ use dds_sim_core::{HostId, VmId};
 pub struct DrowsyConfig {
     /// The underlying Neat thresholds.
     pub neat: NeatConfig,
-    /// Maximum allowed VM IP spread on one host before the opportunistic
-    /// pass breaks it up. Paper: 7σ, "roughly a difference of a week of
-    /// constant maximum activity in a SId".
-    pub ip_range_threshold: f64,
-    /// Distances within this tolerance count as equal when sorting
-    /// ("there is a tolerance when sorting by distance […] so close
-    /// distances are considered equal").
-    pub ip_tolerance: f64,
     /// Safety cap on opportunistic moves per planning round.
     pub max_opportunistic_moves: usize,
 }
 
 impl DrowsyConfig {
-    /// The paper's configuration.
-    ///
-    /// The 7σ threshold is calibrated by the paper as "a difference of a
-    /// week of constant maximum activity in a SId" — i.e. in *unweighted,
-    /// undamped* SId units. The weighted score `wᵀ·SI` grows slower by
-    /// the dominant weight (uniform start: 1/4) and by the fresh-slot
-    /// damping u(0) = 1/(1+e^{−αβ}) ≈ 0.587, so the threshold is
-    /// converted accordingly; the sort tolerance is one day of the same
-    /// differential (threshold / 7).
+    /// The paper's configuration: Neat's thresholds and at most 64
+    /// opportunistic moves per planning round.
     pub fn paper_default() -> Self {
-        let u0 = 1.0 / (1.0 + (-ALPHA * BETA).exp());
-        let week_of_activity = 7.0 * SIGMA * 0.25 * u0;
         DrowsyConfig {
             neat: NeatConfig::paper_default(),
-            ip_range_threshold: week_of_activity,
-            ip_tolerance: week_of_activity / 7.0,
             max_opportunistic_moves: 64,
         }
     }
@@ -68,18 +49,40 @@ impl Default for DrowsyConfig {
 }
 
 /// The Drowsy-DC consolidation planner.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct DrowsyPlanner {
     /// Configuration in effect.
     pub config: DrowsyConfig,
+    /// Maximum allowed VM IP spread on one host before the opportunistic
+    /// pass breaks it up. Paper: 7σ, "roughly a difference of a week of
+    /// constant maximum activity in a SId".
+    pub(crate) ip_range_threshold: f64,
+    /// Distances within this tolerance count as equal when sorting
+    /// ("there is a tolerance when sorting by distance […] so close
+    /// distances are considered equal").
+    pub(crate) ip_tolerance: f64,
     neat: NeatPlanner,
 }
 
 impl DrowsyPlanner {
     /// Creates a planner.
+    ///
+    /// The 7σ threshold is calibrated by the paper as "a difference of a
+    /// week of constant maximum activity in a SId" — i.e. in *unweighted,
+    /// undamped* SId units. The weighted score `wᵀ·SI` grows slower by
+    /// the dominant weight (uniform start: 1/4) and by the fresh-slot
+    /// damping u(0) = 1/(1+e^{−αβ}) ≈ 0.587, so the threshold is
+    /// converted accordingly; the sort tolerance is one day of the same
+    /// differential (threshold / 7).
     pub fn new(config: DrowsyConfig) -> Self {
-        let neat = NeatPlanner::new(config.neat.clone());
-        DrowsyPlanner { config, neat }
+        let u0 = 1.0 / (1.0 + (-ALPHA * BETA).exp());
+        let week_of_activity = 7.0 * SIGMA * 0.25 * u0;
+        DrowsyPlanner {
+            neat: NeatPlanner::new(config.neat.clone()),
+            config,
+            ip_range_threshold: week_of_activity,
+            ip_tolerance: week_of_activity / 7.0,
+        }
     }
 
     /// Destination choice: the suitable host with the IP closest to the
@@ -88,7 +91,7 @@ impl DrowsyPlanner {
     /// Visits only the scratch's non-excluded destinations with room for
     /// the VM.
     pub(crate) fn closest_ip_choose(&self, scratch: &PlanScratch, vm: &VmState) -> Option<usize> {
-        let tol = self.config.ip_tolerance;
+        let tol = self.ip_tolerance;
         let mut best: Option<(i64, f64, HostId, usize)> = None; // (dist bucket, -util, id, slot)
         for slot in scratch.destinations(vm.ram_mb) {
             let h = scratch.host(slot);
@@ -116,7 +119,7 @@ impl DrowsyPlanner {
             return Vec::new();
         };
         let host_ip = host.ip_score();
-        let tol = self.config.ip_tolerance;
+        let tol = self.ip_tolerance;
         let mut vms: Vec<&VmState> = host.vms.iter().collect();
         vms.sort_by(|a, b| {
             let da = ((a.ip_score - host_ip).abs() / tol).floor() as i64;
@@ -222,7 +225,7 @@ impl DrowsyPlanner {
                 }
                 let host = scratch.host(slot);
                 let range_before = host.ip_range();
-                if range_before <= self.config.ip_range_threshold {
+                if range_before <= self.ip_range_threshold {
                     break;
                 }
                 // The VM with the IP furthest from the host's mean.
@@ -256,7 +259,7 @@ impl DrowsyPlanner {
                     let dest_state = scratch.host(dest);
                     let before = dest_state.ip_range();
                     let after = range_with(&dest_state.vms, None, Some(extreme.ip_score));
-                    if !(after > self.config.ip_range_threshold && after > before) {
+                    if !(after > self.ip_range_threshold && after > before) {
                         let to = dest_state.id;
                         if scratch.migrate(extreme.id, slot, dest).is_ok() {
                             moves.push(Migration {
@@ -320,8 +323,8 @@ impl DrowsyPlanner {
                 let worst_before = range_src.max(other.ip_range());
                 // Accept only strict improvements of the worse range (or
                 // both ranges dropping under the threshold).
-                let fixes_both = src_after <= self.config.ip_range_threshold
-                    && dst_after <= self.config.ip_range_threshold;
+                let fixes_both =
+                    src_after <= self.ip_range_threshold && dst_after <= self.ip_range_threshold;
                 if worst_after + 1e-12 < worst_before || fixes_both {
                     let key = worst_after;
                     if best.as_ref().is_none_or(|(b, ..)| key < *b) {
@@ -447,7 +450,7 @@ mod tests {
     #[test]
     fn opportunistic_pass_groups_similar_ips() {
         let p = planner();
-        let thr = p.config.ip_range_threshold;
+        let thr = p.ip_range_threshold;
         // Hosts 0 and 1 each mix one idle-pattern and one active-pattern
         // VM (range 0.8 >> 7σ); the pass should regroup them.
         let state = ClusterState::new(vec![
@@ -488,7 +491,7 @@ mod tests {
         let mut after = state;
         after.apply_plan(&plan).unwrap();
         for h in &after.hosts {
-            assert!(h.ip_range() <= p.config.ip_range_threshold);
+            assert!(h.ip_range() <= p.ip_range_threshold);
         }
     }
 

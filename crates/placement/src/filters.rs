@@ -9,182 +9,55 @@
 use crate::types::{ClusterState, HostState, VmState};
 use dds_sim_core::HostId;
 
-/// Step 1: a host filter discards unsuitable hosts.
-pub trait HostFilter {
-    /// True when `host` may receive `vm`.
-    fn passes(&self, host: &HostState, vm: &VmState) -> bool;
-    /// Name for diagnostics.
-    fn name(&self) -> &'static str;
-}
-
-/// Requires enough free RAM (Nova's RamFilter, no overcommit).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct RamFilter;
-
-impl HostFilter for RamFilter {
-    fn passes(&self, host: &HostState, vm: &VmState) -> bool {
-        host.ram_free() >= vm.ram_mb
-    }
-    fn name(&self) -> &'static str {
-        "RamFilter"
-    }
-}
-
-/// Bounds vCPU overcommit (Nova's CoreFilter).
-#[derive(Debug, Clone, Copy)]
-pub struct CoreFilter {
-    /// Allowed ratio of Σ vCPUs to physical cores (Nova default 16; the
-    /// paper's testbed uses 1.0 – no overcommit, 2 VMs × 2 vCPU on 4C8T).
-    pub overcommit: f64,
-}
-
-impl HostFilter for CoreFilter {
-    fn passes(&self, host: &HostState, vm: &VmState) -> bool {
-        let committed: f64 = host.vms.iter().map(|v| v.vcpus).sum();
-        committed + vm.vcpus <= host.cpu_capacity * self.overcommit
-    }
-    fn name(&self) -> &'static str {
-        "CoreFilter"
-    }
-}
-
-/// Caps the number of VMs per host (Nova's NumInstancesFilter; the
-/// testbed's "maximum 2 VMs per machine").
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NumInstancesFilter;
-
-impl HostFilter for NumInstancesFilter {
-    fn passes(&self, host: &HostState, _vm: &VmState) -> bool {
-        host.max_vms == 0 || host.vms.len() < host.max_vms
-    }
-    fn name(&self) -> &'static str {
-        "NumInstancesFilter"
-    }
-}
-
-/// Step 2: a weigher scores each surviving host (higher = better).
-pub trait HostWeigher {
-    /// Score for placing `vm` on `host`.
-    fn weigh(&self, host: &HostState, vm: &VmState) -> f64;
-    /// Name for diagnostics.
-    fn name(&self) -> &'static str;
-}
-
-/// Nova's RAM weigher: positive multiplier spreads (prefers free hosts),
-/// negative packs.
-#[derive(Debug, Clone, Copy)]
-pub struct RamWeigher {
-    /// Sign/weight of free RAM in the score.
-    pub multiplier: f64,
-}
-
-impl HostWeigher for RamWeigher {
-    fn weigh(&self, host: &HostState, _vm: &VmState) -> f64 {
-        self.multiplier * host.ram_free() as f64
-    }
-    fn name(&self) -> &'static str {
-        "RamWeigher"
-    }
-}
-
-/// Drowsy-DC's idleness-proximity weigher: hosts whose IP best matches
-/// the VM's score highest.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct IpProximityWeigher;
-
-impl HostWeigher for IpProximityWeigher {
-    fn weigh(&self, host: &HostState, vm: &VmState) -> f64 {
-        -(host.ip_score() - vm.ip_score).abs()
-    }
-    fn name(&self) -> &'static str {
-        "IpProximityWeigher"
-    }
-}
-
-/// The filter scheduler: filters then weighted, normalized scoring.
-pub struct FilterScheduler {
-    filters: Vec<Box<dyn HostFilter + Send + Sync>>,
-    weighers: Vec<(f64, Box<dyn HostWeigher + Send + Sync>)>,
+/// The admission scheduler: Nova's filters, then min-max normalized,
+/// weighted scores. The two configurations the policies use are its
+/// variants.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FilterScheduler {
+    /// Nova's filters and RAM-packing weigher (consolidation-friendly).
+    Nova,
+    /// Drowsy-DC's: Nova's filters, the IP-proximity weigher dominant
+    /// (×10), RAM packing as tie-breaker (×1).
+    Drowsy,
 }
 
 impl FilterScheduler {
-    /// An empty scheduler (accepts everything, picks lowest id).
-    pub fn new() -> Self {
-        FilterScheduler {
-            filters: Vec::new(),
-            weighers: Vec::new(),
-        }
-    }
-
-    /// Nova-ish default: RAM + core + instance-count filters, packing RAM
-    /// weigher (consolidation-friendly).
-    pub fn nova_default() -> Self {
-        Self::new()
-            .with_filter(RamFilter)
-            .with_filter(CoreFilter { overcommit: 1.0 })
-            .with_filter(NumInstancesFilter)
-            .with_weigher(1.0, RamWeigher { multiplier: -1.0 })
-    }
-
-    /// The Drowsy-DC configuration: Nova's filters, the IP-proximity
-    /// weigher dominant, RAM packing as tie-breaker.
-    pub fn drowsy_default() -> Self {
-        Self::new()
-            .with_filter(RamFilter)
-            .with_filter(CoreFilter { overcommit: 1.0 })
-            .with_filter(NumInstancesFilter)
-            .with_weigher(10.0, IpProximityWeigher)
-            .with_weigher(1.0, RamWeigher { multiplier: -1.0 })
-    }
-
-    /// Adds a filter.
-    pub fn with_filter(mut self, f: impl HostFilter + Send + Sync + 'static) -> Self {
-        self.filters.push(Box::new(f));
-        self
-    }
-
-    /// Adds a weigher with a relative weight.
-    pub fn with_weigher(
-        mut self,
-        weight: f64,
-        w: impl HostWeigher + Send + Sync + 'static,
-    ) -> Self {
-        self.weighers.push((weight, Box::new(w)));
-        self
+    /// Step 1, Nova's filters: enough free RAM (RamFilter), no vCPU
+    /// overcommit (CoreFilter at ratio 1.0; the paper's testbed runs
+    /// 2 VMs × 2 vCPU on 4C8T) and the host's VM cap (NumInstancesFilter,
+    /// the testbed's "maximum 2 VMs per machine"; 0 = unlimited).
+    fn passes(host: &HostState, vm: &VmState) -> bool {
+        host.ram_free() >= vm.ram_mb
+            && host.vms.iter().map(|v| v.vcpus).sum::<f64>() + vm.vcpus <= host.cpu_capacity
+            && (host.max_vms == 0 || host.vms.len() < host.max_vms)
     }
 
     /// Hosts passing every filter.
-    pub fn filter<'a>(&self, state: &'a ClusterState, vm: &VmState) -> Vec<&'a HostState> {
-        state
-            .hosts
-            .iter()
-            .filter(|h| self.filters.iter().all(|f| f.passes(h, vm)))
-            .collect()
+    fn filter<'a>(&self, state: &'a ClusterState, vm: &VmState) -> Vec<&'a HostState> {
+        state.hosts.iter().filter(|h| Self::passes(h, vm)).collect()
     }
 
     /// Selects the best host for `vm`, or `None` when every host is
     /// filtered out. Weigher scores are min-max normalized across the
-    /// candidate set (Nova's normalization) before weighting.
+    /// candidate set (Nova's normalization) before weighting; equal
+    /// totals go to the lowest host id.
     pub fn select(&self, state: &ClusterState, vm: &VmState) -> Option<HostId> {
         let candidates = self.filter(state, vm);
         if candidates.is_empty() {
             return None;
         }
-        if self.weighers.is_empty() {
-            return candidates.iter().map(|h| h.id).min();
-        }
-        // Normalize each weigher over the candidates, then combine.
         let mut totals = vec![0.0f64; candidates.len()];
-        for (weight, weigher) in &self.weighers {
-            let raw: Vec<f64> = candidates.iter().map(|h| weigher.weigh(h, vm)).collect();
-            let lo = raw.iter().cloned().fold(f64::INFINITY, f64::min);
-            let hi = raw.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-            let span = hi - lo;
-            for (t, r) in totals.iter_mut().zip(raw.iter()) {
-                let norm = if span <= 1e-12 { 0.0 } else { (r - lo) / span };
-                *t += weight * norm;
-            }
+        if *self == FilterScheduler::Drowsy {
+            // Drowsy-DC's idleness-proximity weigher: hosts whose IP best
+            // matches the VM's score highest.
+            let ip_proximity = candidates
+                .iter()
+                .map(|h| -(h.ip_score() - vm.ip_score).abs());
+            add_normalized(&mut totals, 10.0, ip_proximity);
         }
+        // Nova's RAM weigher with a negative multiplier: packs.
+        let ram_packing = candidates.iter().map(|h| -(h.ram_free() as f64));
+        add_normalized(&mut totals, 1.0, ram_packing);
         let mut best = 0usize;
         for i in 1..candidates.len() {
             let better = totals[i] > totals[best] + 1e-12
@@ -198,9 +71,16 @@ impl FilterScheduler {
     }
 }
 
-impl Default for FilterScheduler {
-    fn default() -> Self {
-        Self::nova_default()
+/// Step 2 for one weigher: min-max normalizes its `raw` scores over the
+/// candidates and adds them, times `weight`, to the running totals.
+fn add_normalized(totals: &mut [f64], weight: f64, raw: impl Iterator<Item = f64>) {
+    let raw: Vec<f64> = raw.collect();
+    let lo = raw.iter().cloned().fold(f64::INFINITY, f64::min);
+    let hi = raw.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
+    let span = hi - lo;
+    for (t, r) in totals.iter_mut().zip(raw.iter()) {
+        let norm = if span <= 1e-12 { 0.0 } else { (r - lo) / span };
+        *t += weight * norm;
     }
 }
 
@@ -212,43 +92,55 @@ mod tests {
     #[test]
     fn ram_filter_blocks_full_hosts() {
         let h = host(0, 0, vec![vm(1, 0.0, 0.0), vm(2, 0.0, 0.0)]); // 12 GiB used
-        let f = RamFilter;
-        assert!(!f.passes(&h, &vm(3, 0.0, 0.0)), "6 GiB won't fit in 4 GiB");
+        assert!(
+            !FilterScheduler::passes(&h, &vm(3, 0.0, 0.0)),
+            "6 GiB won't fit in 4 GiB"
+        );
         let empty = host(1, 0, vec![]);
-        assert!(f.passes(&empty, &vm(3, 0.0, 0.0)));
+        assert!(FilterScheduler::passes(&empty, &vm(3, 0.0, 0.0)));
     }
 
     #[test]
     fn core_filter_bounds_overcommit() {
-        let h = host(0, 0, vec![vm(1, 0.0, 0.0)]); // 2 vCPU on 8 cores
-        let strict = CoreFilter { overcommit: 0.5 }; // cap: 4 vCPU
-        assert!(strict.passes(&h, &vm(2, 0.0, 0.0))); // 4 ≤ 4
-        let h2 = host(1, 0, vec![vm(1, 0.0, 0.0), vm(2, 0.0, 0.0)]);
-        assert!(!strict.passes(&h2, &vm(3, 0.0, 0.0))); // 6 > 4
+        // RAM out of the way: only the 8 physical cores bind.
+        let with_ram = |vms| {
+            let mut h = host(0, 0, vms);
+            h.ram_capacity = 1 << 20;
+            h
+        };
+        let three = with_ram((1..=3).map(|i| vm(i, 0.0, 0.0)).collect());
+        assert!(FilterScheduler::passes(&three, &vm(9, 0.0, 0.0))); // 8 ≤ 8
+        let four = with_ram((1..=4).map(|i| vm(i, 0.0, 0.0)).collect());
+        assert!(!FilterScheduler::passes(&four, &vm(9, 0.0, 0.0))); // 10 > 8
     }
 
     #[test]
     fn instance_filter_uses_cap() {
-        let f = NumInstancesFilter;
-        let h = host(0, 2, vec![vm(1, 0.0, 0.0), vm(2, 0.0, 0.0)]);
-        assert!(!f.passes(&h, &vm(3, 0.0, 0.0)));
-        let h = host(0, 0, vec![vm(1, 0.0, 0.0), vm(2, 0.0, 0.0)]);
-        assert!(f.passes(&h, &vm(3, 0.0, 0.0)), "0 = unlimited");
+        let mut h = host(0, 2, vec![vm(1, 0.0, 0.0), vm(2, 0.0, 0.0)]);
+        h.ram_capacity = 1 << 20;
+        assert!(!FilterScheduler::passes(&h, &vm(3, 0.0, 0.0)));
+        h.max_vms = 0;
+        assert!(
+            FilterScheduler::passes(&h, &vm(3, 0.0, 0.0)),
+            "0 = unlimited"
+        );
     }
 
     #[test]
     fn nova_default_packs_by_ram() {
-        let sched = FilterScheduler::nova_default();
         let state = ClusterState::new(vec![
             host(0, 0, vec![]),
             host(1, 0, vec![vm(1, 0.0, 0.0)]), // less free RAM → packs here
         ]);
-        assert_eq!(sched.select(&state, &vm(9, 0.0, 0.0)), Some(HostId(1)));
+        assert_eq!(
+            FilterScheduler::Nova.select(&state, &vm(9, 0.0, 0.0)),
+            Some(HostId(1))
+        );
     }
 
     #[test]
     fn drowsy_weigher_prefers_matching_ip() {
-        let sched = FilterScheduler::drowsy_default();
+        let sched = FilterScheduler::Drowsy;
         let state = ClusterState::new(vec![
             host(0, 0, vec![vm(1, 0.0, -0.4)]), // active-pattern host
             host(1, 0, vec![vm(2, 0.0, 0.4)]),  // idle-pattern host
@@ -262,31 +154,24 @@ mod tests {
 
     #[test]
     fn select_none_when_filtered_out() {
-        let sched = FilterScheduler::nova_default();
         let state = ClusterState::new(vec![host(0, 1, vec![vm(1, 0.0, 0.0)])]);
-        assert_eq!(sched.select(&state, &vm(9, 0.0, 0.0)), None);
-    }
-
-    #[test]
-    fn empty_scheduler_picks_lowest_id() {
-        let sched = FilterScheduler::new();
-        let state = ClusterState::new(vec![host(3, 0, vec![]), host(1, 0, vec![])]);
-        assert_eq!(sched.select(&state, &vm(9, 0.0, 0.0)), Some(HostId(1)));
+        assert_eq!(FilterScheduler::Nova.select(&state, &vm(9, 0.0, 0.0)), None);
     }
 
     #[test]
     fn constant_weighers_tie_break_by_id() {
-        let sched = FilterScheduler::new().with_weigher(1.0, RamWeigher { multiplier: -1.0 });
         let state = ClusterState::new(vec![host(2, 0, vec![]), host(0, 0, vec![])]);
         // Same free RAM everywhere → normalized scores all zero → lowest id.
-        assert_eq!(sched.select(&state, &vm(9, 0.0, 0.0)), Some(HostId(0)));
+        assert_eq!(
+            FilterScheduler::Nova.select(&state, &vm(9, 0.0, 0.0)),
+            Some(HostId(0))
+        );
     }
 
     #[test]
     fn filter_lists_survivors() {
-        let sched = FilterScheduler::nova_default();
         let state = ClusterState::new(vec![host(0, 1, vec![vm(1, 0.0, 0.0)]), host(1, 1, vec![])]);
-        let survivors = sched.filter(&state, &vm(9, 0.0, 0.0));
+        let survivors = FilterScheduler::Nova.filter(&state, &vm(9, 0.0, 0.0));
         assert_eq!(survivors.len(), 1);
         assert_eq!(survivors[0].id, HostId(1));
     }

@@ -6,8 +6,9 @@
 //!
 //! * [`types`] — the cluster view placement operates on ([`ClusterState`],
 //!   [`HostState`], [`VmState`]) and the [`Migration`] plan unit.
-//! * [`filters`] — a Nova-style filter scheduler (filters + weighers) for
-//!   initial VM placement, including Drowsy-DC's IP-proximity weigher.
+//! * [`filters`] — the Nova-style admission scheduler for initial VM
+//!   placement in its two configurations: Nova's, and Drowsy-DC's with
+//!   the IP-proximity weigher.
 //! * [`neat`] — the OpenStack Neat dynamic-consolidation baseline
 //!   decomposed as published, in its classic configuration: static
 //!   overload and underload thresholds, minimum-migration-time VM
@@ -31,14 +32,16 @@
 //!   admit/evict/park/unpark, so fleet-scale placement stops re-scanning
 //!   every host per decision (bit-identical to a linear scan).
 //! * [`sleepscale`] — a SleepScale-inspired joint speed-scaling +
-//!   sleep-state policy proving the seam admits genuinely new algorithms.
+//!   sleep-state policy proving the seam admits genuinely new algorithms;
+//!   home of the DVFS ladder and the S3/S5 gate.
 //! * [`sla_aware`] — Drowsy-DC planning plus a QoS-driven suspend veto:
 //!   the first consumer of the streaming [`QosWindow`] feedback seam
-//!   ([`ControlPolicy::observe_qos`] / [`ControlPolicy::allow_suspend`]).
+//!   ([`ControlPolicy::observe_qos`] / [`ControlPolicy::allow_suspend`]);
+//!   home of the wake-violation hold.
 //! * [`adaptive`] — the tournament's meta-policy: classifies each host
-//!   from its residents' learned idleness models and delegates sleep
-//!   depth / suspend veto to the per-class winner from a baked-in
-//!   leaderboard table.
+//!   from its residents' learned idleness models and hands its clock,
+//!   sleep depth and suspend veto to the SleepScale or SLA-aware policy
+//!   it owns, by class.
 //!
 //! [`QosWindow`]: dds_sim_core::qos::QosWindow
 
@@ -60,14 +63,14 @@ pub mod sla_aware;
 pub mod sleepscale;
 pub mod types;
 
-pub use adaptive::{class_winner, AdaptiveConfig, AdaptivePolicy, CLASS_WINNERS};
+pub use adaptive::AdaptivePolicy;
 pub use capacity::CapacityIndex;
 pub use drowsy::{DrowsyConfig, DrowsyPlanner};
-pub use filters::{FilterScheduler, HostFilter, HostWeigher};
+pub use filters::FilterScheduler;
 pub use history::{HistoryBook, HostHistories};
 pub use multiplex::MultiplexPlanner;
 pub use neat::{NeatConfig, NeatPlanner};
-pub use oasis::{OasisConfig, OasisPlanner};
+pub use oasis::OasisPlanner;
 pub use policy::{
     ControlPlan, ControlPolicy, DrowsyPolicy, NeatPolicy, OasisPolicy, PlanningView, SleepDepth,
 };

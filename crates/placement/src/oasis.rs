@@ -11,9 +11,9 @@
 //! We approximate the mechanism at the granularity our simulation
 //! resolves (hourly activity, per-host power states):
 //!
-//! * a VM idle for `park_after_idle_hours` consecutive hours is **parked**
-//!   on a designated consolidation host, occupying only
-//!   `park_fraction` of its RAM there (the partial working set);
+//! * a VM idle for [`PARK_AFTER_IDLE_HOURS`] consecutive hours is
+//!   **parked** on the always-on consolidation host, occupying only
+//!   [`PARK_FRACTION`] of its RAM there (the partial working set);
 //! * a parked VM that shows activity is **unparked** back to its origin
 //!   host (preferred) or any fitting host;
 //! * the datacenter controller treats hosts with only parked-away VMs as
@@ -28,29 +28,14 @@ use crate::types::{ClusterState, Migration};
 use dds_sim_core::{HostId, VmId};
 use std::collections::{HashMap, HashSet};
 
-/// Oasis configuration.
-#[derive(Debug, Clone, PartialEq)]
-pub struct OasisConfig {
-    /// Always-on host(s) that hold parked working sets.
-    pub consolidation_hosts: Vec<HostId>,
-    /// Fraction of a VM's RAM that its parked working set occupies on the
-    /// consolidation host (Oasis reports working sets ≈ tens of MB–10 %).
-    pub park_fraction: f64,
-    /// Consecutive idle hours before a VM is parked.
-    pub park_after_idle_hours: u32,
-}
+/// Fraction of a VM's RAM that its parked working set occupies on the
+/// consolidation host (Oasis reports working sets ≈ tens of MB–10 %).
+pub const PARK_FRACTION: f64 = 0.10;
 
-impl OasisConfig {
-    /// A single consolidation host, 10 % working sets, park after 1 idle
-    /// hour.
-    pub fn paper_default(consolidation_host: HostId) -> Self {
-        OasisConfig {
-            consolidation_hosts: vec![consolidation_host],
-            park_fraction: 0.10,
-            park_after_idle_hours: 1,
-        }
-    }
-}
+/// Consecutive idle hours before a VM is parked. Parking is not
+/// instantaneous in Oasis: the working set is trickled out and short
+/// idle gaps are not worth the round trip.
+pub const PARK_AFTER_IDLE_HOURS: u32 = 2;
 
 /// One planning round's output.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -71,7 +56,8 @@ impl OasisPlan {
 /// The stateful Oasis planner.
 #[derive(Debug, Clone)]
 pub struct OasisPlanner {
-    config: OasisConfig,
+    /// The always-on host that holds parked working sets.
+    consolidation_host: HostId,
     /// Consecutive idle hours per VM.
     idle_streak: HashMap<VmId, u32>,
     /// Origin host of each parked VM.
@@ -81,34 +67,25 @@ pub struct OasisPlanner {
 }
 
 impl OasisPlanner {
-    /// Creates a planner.
-    pub fn new(config: OasisConfig) -> Self {
-        assert!(
-            !config.consolidation_hosts.is_empty(),
-            "Oasis needs at least one consolidation host"
-        );
+    /// Creates a planner parking on `consolidation_host`.
+    pub fn new(consolidation_host: HostId) -> Self {
         OasisPlanner {
-            config,
+            consolidation_host,
             idle_streak: HashMap::new(),
             origin: HashMap::new(),
             parked: HashSet::new(),
         }
     }
 
-    /// The configuration in effect.
-    pub fn config(&self) -> &OasisConfig {
-        &self.config
-    }
-
-    /// True when the VM's working set currently lives on a consolidation
-    /// host.
+    /// True when the VM's working set currently lives on the
+    /// consolidation host.
     pub fn is_parked(&self, vm: VmId) -> bool {
         self.parked.contains(&vm)
     }
 
     /// RAM a VM occupies on the consolidation host while parked.
     fn parked_ram(&self, full_ram: u64) -> u64 {
-        (full_ram as f64 * self.config.park_fraction).ceil() as u64
+        (full_ram as f64 * PARK_FRACTION).ceil() as u64
     }
 
     /// One planning round. `state` reflects current residency (parked VMs
@@ -117,72 +94,61 @@ impl OasisPlanner {
     /// encodes this hour's activity (0 = idle).
     pub fn plan(&mut self, state: &ClusterState) -> OasisPlan {
         let mut plan = OasisPlan::default();
-        let consolidation: HashSet<HostId> =
-            self.config.consolidation_hosts.iter().copied().collect();
+        let ch = self.consolidation_host;
 
-        // Free parked-capacity on each consolidation host (working sets).
-        let mut parked_free: HashMap<HostId, i64> = HashMap::new();
-        for &ch in &self.config.consolidation_hosts {
-            if let Some(h) = state.host(ch) {
-                let parked_used: u64 = h
-                    .vms
-                    .iter()
-                    .filter(|v| self.parked.contains(&v.id))
-                    .map(|v| self.parked_ram(v.ram_mb))
-                    .sum();
-                let native_used: u64 = h
-                    .vms
-                    .iter()
-                    .filter(|v| !self.parked.contains(&v.id))
-                    .map(|v| v.ram_mb)
-                    .sum();
-                parked_free.insert(
-                    ch,
-                    h.ram_capacity as i64 - parked_used as i64 - native_used as i64,
-                );
-            }
-        }
+        // Free parked-capacity on the consolidation host (working sets).
+        let mut parked_free: i64 = state.host(ch).map_or(0, |h| {
+            let parked_used: u64 = h
+                .vms
+                .iter()
+                .filter(|v| self.parked.contains(&v.id))
+                .map(|v| self.parked_ram(v.ram_mb))
+                .sum();
+            let native_used: u64 = h
+                .vms
+                .iter()
+                .filter(|v| !self.parked.contains(&v.id))
+                .map(|v| v.ram_mb)
+                .sum();
+            h.ram_capacity as i64 - parked_used as i64 - native_used as i64
+        });
 
         // --- unpark: parked VMs that woke up.
-        for host in &state.hosts {
-            if !consolidation.contains(&host.id) {
+        let on_ch = state.host(ch).map_or(&[][..], |h| &h.vms[..]);
+        for vmst in on_ch {
+            if !self.parked.contains(&vmst.id) || vmst.cpu_demand <= 0.0 {
                 continue;
             }
-            for vmst in &host.vms {
-                if !self.parked.contains(&vmst.id) || vmst.cpu_demand <= 0.0 {
-                    continue;
-                }
-                let origin = self.origin.get(&vmst.id).copied();
-                // Prefer the origin host when it still fits; else any
-                // non-consolidation host with room.
-                let dest = origin
-                    .filter(|&o| {
-                        state
-                            .host(o)
-                            .map(|h| h.fits(vmst) || h.vms.iter().any(|v| v.id == vmst.id))
-                            .unwrap_or(false)
-                    })
-                    .or_else(|| {
-                        state
-                            .hosts
-                            .iter()
-                            .filter(|h| !consolidation.contains(&h.id) && h.fits(vmst))
-                            .map(|h| h.id)
-                            .min()
-                    });
-                if let Some(dest) = dest {
-                    plan.unpark.push(Migration {
-                        vm: vmst.id,
-                        from: host.id,
-                        to: dest,
-                    });
-                }
+            let origin = self.origin.get(&vmst.id).copied();
+            // Prefer the origin host when it still fits; else any other
+            // host with room.
+            let dest = origin
+                .filter(|&o| {
+                    state
+                        .host(o)
+                        .map(|h| h.fits(vmst) || h.vms.iter().any(|v| v.id == vmst.id))
+                        .unwrap_or(false)
+                })
+                .or_else(|| {
+                    state
+                        .hosts
+                        .iter()
+                        .filter(|h| h.id != ch && h.fits(vmst))
+                        .map(|h| h.id)
+                        .min()
+                });
+            if let Some(dest) = dest {
+                plan.unpark.push(Migration {
+                    vm: vmst.id,
+                    from: ch,
+                    to: dest,
+                });
             }
         }
 
         // --- park: idle streaks on regular hosts.
         for host in &state.hosts {
-            if consolidation.contains(&host.id) {
+            if host.id == ch {
                 continue;
             }
             for vmst in &host.vms {
@@ -193,19 +159,13 @@ impl OasisPlanner {
                     *streak = 0;
                     continue;
                 }
-                if *streak < self.config.park_after_idle_hours || self.parked.contains(&vmst.id) {
+                if *streak < PARK_AFTER_IDLE_HOURS || self.parked.contains(&vmst.id) {
                     continue;
                 }
                 let need = self.parked_ram(vmst.ram_mb) as i64;
-                // First consolidation host with working-set room.
-                let target = self
-                    .config
-                    .consolidation_hosts
-                    .iter()
-                    .copied()
-                    .find(|ch| parked_free.get(ch).copied().unwrap_or(0) >= need);
-                if let Some(ch) = target {
-                    *parked_free.get_mut(&ch).expect("tracked") -= need;
+                // Park only while the working sets still fit.
+                if parked_free >= need {
+                    parked_free -= need;
                     plan.park.push(Migration {
                         vm: vmst.id,
                         from: host.id,
@@ -233,66 +193,75 @@ impl OasisPlanner {
 mod tests {
     use super::*;
     use crate::types::testkit::{host, vm};
-    use crate::types::VmState;
 
-    fn cfg() -> OasisConfig {
-        OasisConfig::paper_default(HostId(9))
-    }
+    /// The consolidation host of every test.
+    const CH: HostId = HostId(9);
 
-    fn demand(v: &mut VmState, d: f64) {
-        v.cpu_demand = d;
+    /// Plans `state` for the idle rounds just short of a park.
+    fn plan_short_of_streak(p: &mut OasisPlanner, state: &ClusterState) {
+        for round in 1..PARK_AFTER_IDLE_HOURS {
+            assert!(p.plan(state).is_empty(), "idle round {round}");
+        }
     }
 
     #[test]
     fn parks_after_idle_streak() {
-        let mut p = OasisPlanner::new(cfg());
-        let mut v = vm(1, 0.0, 0.0);
-        demand(&mut v, 0.0);
-        let state = ClusterState::new(vec![host(0, 0, vec![v]), host(9, 0, vec![])]);
-        // park_after_idle_hours = 1 → parks on the first idle round.
+        let mut p = OasisPlanner::new(CH);
+        let state = ClusterState::new(vec![host(0, 0, vec![vm(1, 0.0, 0.0)]), host(9, 0, vec![])]);
+        plan_short_of_streak(&mut p, &state);
         let plan = p.plan(&state);
         assert_eq!(plan.park.len(), 1);
         assert_eq!(plan.park[0].vm, VmId(1));
-        assert_eq!(plan.park[0].to, HostId(9));
+        assert_eq!(plan.park[0].to, CH);
         assert!(p.is_parked(VmId(1)));
         assert_eq!(plan.park[0].from, HostId(0), "the origin it faults back to");
     }
 
     #[test]
     fn active_vm_is_not_parked() {
-        let mut p = OasisPlanner::new(cfg());
-        let mut v = vm(1, 0.0, 0.0);
-        demand(&mut v, 0.5);
-        let state = ClusterState::new(vec![host(0, 0, vec![v]), host(9, 0, vec![])]);
-        assert!(p.plan(&state).is_empty());
+        let mut p = OasisPlanner::new(CH);
+        let state = ClusterState::new(vec![host(0, 0, vec![vm(1, 0.5, 0.0)]), host(9, 0, vec![])]);
+        for _ in 0..=PARK_AFTER_IDLE_HOURS {
+            assert!(p.plan(&state).is_empty());
+        }
         assert!(!p.is_parked(VmId(1)));
     }
 
     #[test]
     fn longer_threshold_needs_streak() {
-        let mut c = cfg();
-        c.park_after_idle_hours = 3;
-        let mut p = OasisPlanner::new(c);
-        let mut v = vm(1, 0.0, 0.0);
-        demand(&mut v, 0.0);
-        let state = ClusterState::new(vec![host(0, 0, vec![v]), host(9, 0, vec![])]);
-        assert!(p.plan(&state).is_empty(), "hour 1");
-        assert!(p.plan(&state).is_empty(), "hour 2");
-        assert_eq!(p.plan(&state).park.len(), 1, "hour 3");
+        // Streaks are per VM: a VM that turns idle a round later parks a
+        // round later.
+        assert_eq!(PARK_AFTER_IDLE_HOURS, 2, "the rounds below count to 2");
+        let mut p = OasisPlanner::new(CH);
+        let one_idle = ClusterState::new(vec![
+            host(0, 0, vec![vm(1, 0.0, 0.0), vm(2, 0.5, 0.0)]),
+            host(9, 0, vec![]),
+        ]);
+        assert!(p.plan(&one_idle).is_empty(), "VM 1 streak 1");
+        let both_idle = ClusterState::new(vec![
+            host(0, 0, vec![vm(1, 0.0, 0.0), vm(2, 0.0, 0.0)]),
+            host(9, 0, vec![]),
+        ]);
+        let plan = p.plan(&both_idle);
+        assert_eq!(plan.park.len(), 1, "only VM 1 has the full streak");
+        assert_eq!(plan.park[0].vm, VmId(1));
+        let vm1_parked = ClusterState::new(vec![
+            host(0, 0, vec![vm(2, 0.0, 0.0)]),
+            host(9, 0, vec![vm(1, 0.0, 0.0)]),
+        ]);
+        let plan = p.plan(&vm1_parked);
+        assert_eq!(plan.park.len(), 1, "VM 2 reaches its streak a round later");
+        assert_eq!(plan.park[0].vm, VmId(2));
     }
 
     #[test]
     fn activity_resets_streak() {
-        let mut c = cfg();
-        c.park_after_idle_hours = 2;
-        let mut p = OasisPlanner::new(c);
-        let mut idle = vm(1, 0.0, 0.0);
-        demand(&mut idle, 0.0);
-        let mut busy = idle.clone();
-        demand(&mut busy, 0.7);
+        assert_eq!(PARK_AFTER_IDLE_HOURS, 2, "the rounds below count to 2");
+        let mut p = OasisPlanner::new(CH);
         let idle_state =
-            ClusterState::new(vec![host(0, 0, vec![idle.clone()]), host(9, 0, vec![])]);
-        let busy_state = ClusterState::new(vec![host(0, 0, vec![busy]), host(9, 0, vec![])]);
+            ClusterState::new(vec![host(0, 0, vec![vm(1, 0.0, 0.0)]), host(9, 0, vec![])]);
+        let busy_state =
+            ClusterState::new(vec![host(0, 0, vec![vm(1, 0.7, 0.0)]), host(9, 0, vec![])]);
         assert!(p.plan(&idle_state).is_empty(), "streak 1");
         assert!(p.plan(&busy_state).is_empty(), "reset");
         assert!(p.plan(&idle_state).is_empty(), "streak 1 again");
@@ -301,39 +270,34 @@ mod tests {
 
     #[test]
     fn unparks_to_origin_on_activity() {
-        let mut p = OasisPlanner::new(cfg());
-        let mut v = vm(1, 0.0, 0.0);
-        demand(&mut v, 0.0);
-        let state = ClusterState::new(vec![host(0, 0, vec![v.clone()]), host(9, 0, vec![])]);
-        p.plan(&state); // parked
-                        // Now the VM (living on host 9) becomes active.
-        demand(&mut v, 0.6);
-        let state = ClusterState::new(vec![host(0, 0, vec![]), host(9, 0, vec![v])]);
+        let mut p = OasisPlanner::new(CH);
+        let state = ClusterState::new(vec![host(0, 0, vec![vm(1, 0.0, 0.0)]), host(9, 0, vec![])]);
+        plan_short_of_streak(&mut p, &state);
+        assert_eq!(p.plan(&state).park.len(), 1, "parked");
+        // Now the VM (living on host 9) becomes active.
+        let state = ClusterState::new(vec![host(0, 0, vec![]), host(9, 0, vec![vm(1, 0.6, 0.0)])]);
         let plan = p.plan(&state);
         assert_eq!(plan.unpark.len(), 1);
-        assert_eq!(plan.unpark[0].from, HostId(9));
+        assert_eq!(plan.unpark[0].from, CH);
         assert_eq!(plan.unpark[0].to, HostId(0), "prefers origin");
         assert!(!p.is_parked(VmId(1)));
     }
 
     #[test]
     fn unpark_falls_back_when_origin_full() {
-        let mut p = OasisPlanner::new(cfg());
-        let mut v = vm(1, 0.0, 0.0);
-        demand(&mut v, 0.0);
+        let mut p = OasisPlanner::new(CH);
         let state = ClusterState::new(vec![
-            host(0, 1, vec![v.clone()]),
+            host(0, 1, vec![vm(1, 0.0, 0.0)]),
             host(2, 1, vec![]),
             host(9, 0, vec![]),
         ]);
-        p.plan(&state); // parks VM 1 from host 0
-                        // Origin host 0 is now occupied by another VM (cap 1).
-        demand(&mut v, 0.9);
-        let squatter = vm(5, 0.1, 0.0);
+        plan_short_of_streak(&mut p, &state);
+        assert_eq!(p.plan(&state).park.len(), 1, "parks VM 1 from host 0");
+        // Origin host 0 is now occupied by another VM (cap 1).
         let state = ClusterState::new(vec![
-            host(0, 1, vec![squatter]),
+            host(0, 1, vec![vm(5, 0.1, 0.0)]),
             host(2, 1, vec![]),
-            host(9, 0, vec![v]),
+            host(9, 0, vec![vm(1, 0.9, 0.0)]),
         ]);
         let plan = p.plan(&state);
         assert_eq!(plan.unpark.len(), 1);
@@ -342,30 +306,16 @@ mod tests {
 
     #[test]
     fn consolidation_capacity_limits_parking() {
-        let mut c = cfg();
-        // Working set = 10 % of 6 GiB ≈ 615 MB; consolidation host with
-        // 16 GiB fits 26 working sets; shrink capacity to force rejection.
-        c.park_fraction = 1.0; // full-size parking for the test
-        let mut p = OasisPlanner::new(c);
-        let mut v1 = vm(1, 0.0, 0.0);
-        demand(&mut v1, 0.0);
-        let mut v2 = vm(2, 0.0, 0.0);
-        demand(&mut v2, 0.0);
-        let mut v3 = vm(3, 0.0, 0.0);
-        demand(&mut v3, 0.0);
-        // Host 9: 16 GiB → fits two 6 GiB VMs at full size, not three.
-        let state = ClusterState::new(vec![host(0, 0, vec![v1, v2, v3]), host(9, 0, vec![])]);
+        let mut p = OasisPlanner::new(CH);
+        // Working set = ⌈10 % of 6 GiB⌉ = 615 MB: shrink the consolidation
+        // host to fit two working sets, not three.
+        let working_set = (6_144.0 * PARK_FRACTION).ceil() as u64;
+        let mut ch = host(9, 0, vec![]);
+        ch.ram_capacity = 2 * working_set + working_set / 2;
+        let idle = (1..=3).map(|i| vm(i, 0.0, 0.0)).collect();
+        let state = ClusterState::new(vec![host(0, 0, idle), ch]);
+        plan_short_of_streak(&mut p, &state);
         let plan = p.plan(&state);
         assert_eq!(plan.park.len(), 2, "third VM exceeds parked capacity");
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one consolidation host")]
-    fn no_consolidation_host_rejected() {
-        OasisPlanner::new(OasisConfig {
-            consolidation_hosts: vec![],
-            park_fraction: 0.1,
-            park_after_idle_hours: 1,
-        });
     }
 }

@@ -44,7 +44,7 @@ pub(crate) fn closest_ip_choose(
     vm: &VmState,
     exclude: &HashSet<HostId>,
 ) -> Option<HostId> {
-    let tol = p.config.ip_tolerance;
+    let tol = p.ip_tolerance;
     let mut best: Option<(i64, f64, HostId)> = None; // (dist bucket, -util, id)
     for h in &state.hosts {
         if exclude.contains(&h.id) || !h.fits(vm) {
@@ -261,7 +261,7 @@ fn opportunistic_pass(
             }
             let host = scratch.host(host_id).expect("host exists");
             let range_before = host.ip_range();
-            if range_before <= p.config.ip_range_threshold {
+            if range_before <= p.ip_range_threshold {
                 break;
             }
             let host_ip = host.ip_score();
@@ -286,7 +286,7 @@ fn opportunistic_pass(
                 let dest_state = scratch.host(dest).expect("dest exists");
                 let before = dest_state.ip_range();
                 let after = range_with(&dest_state.vms, None, Some(extreme.ip_score));
-                if !(after > p.config.ip_range_threshold && after > before) {
+                if !(after > p.ip_range_threshold && after > before) {
                     let m = Migration {
                         vm: extreme.id,
                         from: host_id,
@@ -338,8 +338,7 @@ fn best_swap(
             let dst_after = range_with(&other.vms, Some(cand.id), Some(extreme.ip_score));
             let worst_after = src_after.max(dst_after);
             let worst_before = range_src.max(other.ip_range());
-            let fixes_both = src_after <= p.config.ip_range_threshold
-                && dst_after <= p.config.ip_range_threshold;
+            let fixes_both = src_after <= p.ip_range_threshold && dst_after <= p.ip_range_threshold;
             if worst_after + 1e-12 < worst_before || fixes_both {
                 let key = worst_after;
                 if best.as_ref().is_none_or(|(b, _)| key < *b) {

@@ -37,7 +37,7 @@ use crate::capacity::CapacityIndex;
 use crate::filters::FilterScheduler;
 use crate::history::{HistoryBook, HostHistories};
 use crate::neat::{NeatConfig, NeatPlanner};
-use crate::oasis::{OasisConfig, OasisPlanner};
+use crate::oasis::OasisPlanner;
 use crate::types::{ClusterState, ConsolidationPlan, Migration};
 use crate::{DrowsyConfig, DrowsyPlanner};
 use dds_idleness::ImClass;
@@ -163,7 +163,7 @@ pub trait ControlPolicy: Send {
 
     /// The Nova-style filter scheduler admitting new VMs.
     fn admission_scheduler(&self) -> FilterScheduler {
-        FilterScheduler::nova_default()
+        FilterScheduler::Nova
     }
 
     /// Hosts that must never leave S0 regardless of activity (e.g. the
@@ -274,7 +274,7 @@ impl ControlPolicy for DrowsyPolicy {
     }
 
     fn admission_scheduler(&self) -> FilterScheduler {
-        FilterScheduler::drowsy_default()
+        FilterScheduler::Drowsy
     }
 
     fn plan(&mut self, _round: usize, view: &PlanningView<'_>, _rng: &mut SimRng) -> ControlPlan {
@@ -292,17 +292,17 @@ pub struct NeatPolicy {
 
 impl NeatPolicy {
     /// Neat consolidation plus host suspension (the paper's `Neat+S3`).
-    pub fn suspending(config: NeatConfig) -> Self {
+    pub fn suspending() -> Self {
         NeatPolicy {
-            planner: NeatPlanner::new(config),
+            planner: NeatPlanner::new(NeatConfig::paper_default()),
             suspend: true,
         }
     }
 
     /// Plain Neat, hosts always powered (the "current real world case").
-    pub fn always_on(config: NeatConfig) -> Self {
+    pub fn always_on() -> Self {
         NeatPolicy {
-            planner: NeatPlanner::new(config),
+            planner: NeatPlanner::new(NeatConfig::paper_default()),
             suspend: false,
         }
     }
@@ -338,17 +338,12 @@ pub struct OasisPolicy {
 }
 
 impl OasisPolicy {
-    /// Creates the policy. `neat` drives the packing pass, `oasis` the
-    /// parking pass; the consolidation host is taken from `oasis` (first
-    /// entry) and reported always-on.
-    pub fn new(oasis: OasisConfig, neat: NeatConfig) -> Self {
-        let consolidation_host = *oasis
-            .consolidation_hosts
-            .first()
-            .expect("OasisPolicy invariant: at least one consolidation host configured");
+    /// Creates the policy parking on `consolidation_host`, which it
+    /// reports always-on; paper-default Neat drives the packing pass.
+    pub fn new(consolidation_host: HostId) -> Self {
         OasisPolicy {
-            neat: NeatPlanner::new(neat),
-            oasis: OasisPlanner::new(oasis),
+            neat: NeatPlanner::new(NeatConfig::paper_default()),
+            oasis: OasisPlanner::new(consolidation_host),
             consolidation_host,
         }
     }
@@ -398,7 +393,7 @@ mod tests {
 
     #[test]
     fn defaults_reproduce_plain_consolidation_behaviour() {
-        let mut p = NeatPolicy::suspending(NeatConfig::paper_default());
+        let mut p = NeatPolicy::suspending();
         assert!(p.suspends());
         assert!(!p.uses_idleness_scores());
         assert!(p.always_on_hosts().is_empty());
@@ -436,8 +431,8 @@ mod tests {
         ]);
         let view = PlanningView::new(&state, &[]);
         let index = crate::capacity::CapacityIndex::from_cluster(&state);
-        let mut a = NeatPolicy::suspending(NeatConfig::paper_default());
-        let mut b = NeatPolicy::suspending(NeatConfig::paper_default());
+        let mut a = NeatPolicy::suspending();
+        let mut b = NeatPolicy::suspending();
         let plain = a.plan(0, &view, &mut SimRng::new(11));
         let indexed = b.plan_indexed(0, &view, &index, &mut SimRng::new(11));
         assert_eq!(plain, indexed);
@@ -449,17 +444,11 @@ mod tests {
             DrowsyPolicy::new(DrowsyConfig::paper_default()).label(),
             "Drowsy-DC"
         );
-        assert_eq!(
-            NeatPolicy::suspending(NeatConfig::paper_default()).label(),
-            "Neat+S3"
-        );
-        let neat = NeatPolicy::always_on(NeatConfig::paper_default());
+        assert_eq!(NeatPolicy::suspending().label(), "Neat+S3");
+        let neat = NeatPolicy::always_on();
         assert_eq!(neat.label(), "Neat");
         assert!(!neat.suspends());
-        let oasis = OasisPolicy::new(
-            OasisConfig::paper_default(HostId(7)),
-            NeatConfig::paper_default(),
-        );
+        let oasis = OasisPolicy::new(HostId(7));
         assert_eq!(oasis.label(), "Oasis");
         assert_eq!(oasis.always_on_hosts(), vec![HostId(7)]);
         assert_eq!(oasis.plan_rounds(), 2);
@@ -483,10 +472,7 @@ mod tests {
     fn oasis_round_zero_hides_the_consolidation_host() {
         // One overloaded host, one empty pool host, one empty consolidation
         // host: the packing pass must never target the consolidation host.
-        let mut p = OasisPolicy::new(
-            OasisConfig::paper_default(HostId(2)),
-            NeatConfig::paper_default(),
-        );
+        let mut p = OasisPolicy::new(HostId(2));
         let state = ClusterState::new(vec![
             host(0, 0, vec![vm(0, 7.9, 0.0), vm(1, 7.9, 0.0)]),
             host(1, 0, vec![]),

@@ -11,9 +11,9 @@
 //! violations those cycles were charging, the same QoS-conditioned
 //! power management SleepScale argues for (PAPERS.md).
 //!
-//! Without a streaming QoS feed (post-hoc-only runs) no window ever
-//! arrives, no host is ever deferred, and the policy degenerates to plain
-//! Drowsy-DC — bit-identically.
+//! On a run that does not stream QoS (no `DcConfig::qos_stream`) no
+//! window ever arrives, no host is ever deferred, and the policy
+//! degenerates to plain Drowsy-DC — bit-identically.
 
 use crate::policy::{ControlPlan, ControlPolicy, DrowsyPolicy, PlanningView};
 use crate::{DrowsyConfig, FilterScheduler};
@@ -22,15 +22,13 @@ use dds_sim_core::{HostId, SimRng};
 
 /// How many epochs a host stays unparkable after absorbing a
 /// wake-induced SLA violation.
-pub const DEFAULT_HOLD_EPOCHS: u64 = 6;
+pub const HOLD_EPOCHS: u64 = 6;
 
 /// Drowsy-DC consolidation with a QoS-driven suspend veto (see the
 /// [module docs](self)).
 #[derive(Debug, Clone)]
 pub struct SlaAwarePolicy {
     inner: DrowsyPolicy,
-    /// Epochs a wake-violating host stays held out of S3.
-    hold_epochs: u64,
     /// Sparse `(host index, first epoch it may park again)`, sorted by
     /// host. Stale entries are swept as epochs advance.
     defer_until: Vec<(u32, u64)>,
@@ -40,29 +38,13 @@ pub struct SlaAwarePolicy {
 }
 
 impl SlaAwarePolicy {
-    /// Creates the policy around Drowsy-DC planning with the default
-    /// hold window.
+    /// Creates the policy around Drowsy-DC planning.
     pub fn new(config: DrowsyConfig) -> Self {
-        Self::with_hold(config, DEFAULT_HOLD_EPOCHS)
-    }
-
-    /// Creates the policy with an explicit hold window (epochs a
-    /// violating host stays unparkable).
-    pub fn with_hold(config: DrowsyConfig, hold_epochs: u64) -> Self {
         SlaAwarePolicy {
             inner: DrowsyPolicy::new(config),
-            hold_epochs,
             defer_until: Vec::new(),
             next_epoch: 0,
         }
-    }
-
-    /// Hosts currently held out of S3 (diagnostics).
-    pub fn deferred_hosts(&self) -> impl Iterator<Item = HostId> + '_ {
-        self.defer_until
-            .iter()
-            .filter(move |&&(_, until)| until > self.next_epoch)
-            .map(|&(h, _)| HostId(h))
     }
 }
 
@@ -89,7 +71,7 @@ impl ControlPolicy for SlaAwarePolicy {
             if host.wake_violations == 0 {
                 continue;
             }
-            let until = window.epoch + 1 + self.hold_epochs;
+            let until = window.epoch + 1 + HOLD_EPOCHS;
             match self
                 .defer_until
                 .binary_search_by_key(&host.host, |&(h, _)| h)
@@ -132,7 +114,7 @@ mod tests {
 
     #[test]
     fn violating_hosts_are_held_out_of_s3_for_the_hold_window() {
-        let mut p = SlaAwarePolicy::with_hold(DrowsyConfig::paper_default(), 3);
+        let mut p = SlaAwarePolicy::new(DrowsyConfig::paper_default());
         assert!(
             p.allow_suspend(HostId(4)),
             "no signal yet: everything parks"
@@ -140,14 +122,12 @@ mod tests {
         p.observe_qos(&window(10, &[(4, 2)]));
         assert!(!p.allow_suspend(HostId(4)), "offender is held");
         assert!(p.allow_suspend(HostId(5)), "bystanders park freely");
-        assert_eq!(p.deferred_hosts().collect::<Vec<_>>(), vec![HostId(4)]);
-        // Quiet epochs 11..13 pass: the hold covers epochs 11, 12, 13.
-        for epoch in 11..14 {
+        // Quiet epochs pass: the hold covers epochs 11 ..= 10 + HOLD_EPOCHS.
+        for epoch in 11..11 + HOLD_EPOCHS {
             assert!(!p.allow_suspend(HostId(4)), "epoch {epoch} still held");
             p.observe_qos(&QosWindow::new(epoch, 200));
         }
         assert!(p.allow_suspend(HostId(4)), "hold expired");
-        assert_eq!(p.deferred_hosts().count(), 0);
     }
 
     #[test]
@@ -160,50 +140,36 @@ mod tests {
     }
 
     #[test]
-    fn zero_length_hold_window_never_vetoes() {
-        // hold = 0: the hold covers epochs e+1 ..= e+0 — an empty
-        // range — so even a violating host parks at the very next
-        // opportunity. The degenerate configuration must not wedge the
-        // host powered or underflow the window arithmetic.
-        let mut p = SlaAwarePolicy::with_hold(DrowsyConfig::paper_default(), 0);
-        p.observe_qos(&window(10, &[(4, 3)]));
-        assert!(
-            p.allow_suspend(HostId(4)),
-            "zero-length window: violation expires immediately"
-        );
-        assert_eq!(p.deferred_hosts().count(), 0, "nothing stays deferred");
-        // And repeated offences still never accumulate a hold.
-        p.observe_qos(&window(11, &[(4, 1)]));
-        p.observe_qos(&window(12, &[(4, 1)]));
-        assert!(p.allow_suspend(HostId(4)));
-    }
-
-    #[test]
     fn veto_flips_exactly_at_the_epoch_boundary() {
         // A violation in epoch e holds epochs e+1 ..= e+hold, inclusive
         // on both ends: held through the window's last epoch, parkable
         // from the first epoch after it — no off-by-one either way.
-        let hold = 2;
-        let mut p = SlaAwarePolicy::with_hold(DrowsyConfig::paper_default(), hold);
-        p.observe_qos(&window(10, &[(7, 1)]));
-        // next_epoch = 11 (epoch e+1): first epoch of the hold window.
+        let e = 10;
+        let mut p = SlaAwarePolicy::new(DrowsyConfig::paper_default());
+        p.observe_qos(&window(e, &[(7, 1)]));
+        // next_epoch = e+1: first epoch of the hold window.
         assert!(!p.allow_suspend(HostId(7)), "held at the boundary e+1");
-        p.observe_qos(&QosWindow::new(11, 200));
-        // next_epoch = 12 (epoch e+hold): last epoch of the window.
+        for epoch in e + 1..e + HOLD_EPOCHS {
+            p.observe_qos(&QosWindow::new(epoch, 200));
+        }
+        // next_epoch = e+hold: last epoch of the window.
         assert!(!p.allow_suspend(HostId(7)), "held through e+hold");
-        p.observe_qos(&QosWindow::new(12, 200));
-        // next_epoch = 13 (epoch e+hold+1): the boundary flips.
+        p.observe_qos(&QosWindow::new(e + HOLD_EPOCHS, 200));
+        // next_epoch = e+hold+1: the boundary flips.
         assert!(p.allow_suspend(HostId(7)), "parkable at e+hold+1 exactly");
     }
 
     #[test]
     fn repeated_violations_extend_the_hold() {
-        let mut p = SlaAwarePolicy::with_hold(DrowsyConfig::paper_default(), 2);
+        let mut p = SlaAwarePolicy::new(DrowsyConfig::paper_default());
         p.observe_qos(&window(0, &[(1, 1)]));
         p.observe_qos(&window(1, &[(1, 1)])); // re-offends: hold renews
-        p.observe_qos(&QosWindow::new(2, 200));
+        for epoch in 2..=HOLD_EPOCHS {
+            p.observe_qos(&QosWindow::new(epoch, 200));
+        }
+        // The first offence alone would release the host here.
         assert!(!p.allow_suspend(HostId(1)), "renewed hold still active");
-        p.observe_qos(&QosWindow::new(3, 200));
+        p.observe_qos(&QosWindow::new(HOLD_EPOCHS + 1, 200));
         assert!(p.allow_suspend(HostId(1)));
     }
 

@@ -29,25 +29,86 @@ use crate::neat::{NeatConfig, NeatPlanner};
 use crate::policy::{ControlPlan, ControlPolicy, PlanningView, SleepDepth};
 use dds_sim_core::{HostId, SimDuration, SimRng, SimTime};
 
-/// Configuration of the SleepScale-style policy.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SleepScaleConfig {
-    /// Packing substrate configuration.
-    pub neat: NeatConfig,
-    /// Lowest selectable frequency step (fraction of nominal).
-    pub freq_floor: f64,
-    /// Granularity of the discrete frequency ladder (e.g. 0.1 → steps at
-    /// 0.6, 0.7, …, 1.0).
-    pub freq_step: f64,
-    /// Utilization the chosen frequency aims to run the host at; the
-    /// QoS guard in SleepScale. Lower targets leave more latency slack.
-    pub target_utilization: f64,
-    /// Minimum gap to the scheduled waking date before S5 is considered
-    /// (S5 resume is slow; short naps must stay in S3).
-    pub deep_sleep_min_gap: SimDuration,
+/// Lowest step of the frequency ladder (fraction of nominal).
+pub const FREQ_FLOOR: f64 = 0.6;
+/// Granularity of the frequency ladder: steps at 0.6, 0.7, …, 1.0.
+pub const FREQ_STEP: f64 = 0.1;
+/// Utilization the chosen frequency aims to run the host at; the QoS
+/// guard in SleepScale. Lower targets leave more latency slack.
+pub const TARGET_UTILIZATION: f64 = 0.8;
+
+/// The ladder's frequency step for a host at `utilization` (fraction of
+/// capacity at nominal clock): the lowest P-state that still serves the
+/// load at [`TARGET_UTILIZATION`], never below [`FREQ_FLOOR`], never
+/// below the load itself (work must fit in the hour).
+fn ladder_frequency(utilization: f64) -> f64 {
+    let u = utilization.clamp(0.0, 1.0);
+    let wanted = (u / TARGET_UTILIZATION).max(u);
+    // Round UP to the next step of the ladder: QoS-safe quantization.
+    let quantized = (wanted / FREQ_STEP).ceil() * FREQ_STEP;
+    quantized.clamp(FREQ_FLOOR, 1.0)
+}
+
+/// The S3/S5 choice for a host the suspending module cleared for sleep:
+/// S5 when the scheduled waking date is at least a minimum gap away or,
+/// with no timer at all, when the host's idleness probability reaches a
+/// minimum. The two gates in use are its constants.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct S5Gate {
+    /// Minimum gap to the scheduled waking date before S5 is chosen (S5
+    /// resume is slow; short naps must stay in S3).
+    min_gap: SimDuration,
     /// Minimum host idleness probability before an *unscheduled* idle
     /// host (no timer at all) is sent to S5.
-    pub deep_sleep_min_ip: f64,
+    min_ip: f64,
+}
+
+impl S5Gate {
+    /// SleepScale's gate, hedged against unknown workloads: S5 only for
+    /// scheduled gaps of four hours or more, or an idleness probability
+    /// of 0.85 without a timer.
+    pub const HEDGED: S5Gate = S5Gate {
+        min_gap: SimDuration::from_hours(4),
+        min_ip: 0.85,
+    };
+
+    /// The sharper gate for a host whose residents' learned models
+    /// classify it idle or daily-periodic (2 h, 0.70): the model vouches
+    /// for the idle period.
+    pub const CONFIDENT: S5Gate = S5Gate {
+        min_gap: SimDuration::from_hours(2),
+        min_ip: 0.70,
+    };
+
+    /// The sleep depth this gate picks.
+    pub fn depth(
+        &self,
+        ip_probability: f64,
+        waking_date: Option<SimTime>,
+        now: SimTime,
+    ) -> SleepDepth {
+        let deep = match waking_date {
+            // A scheduled wake is anticipated either way, so no request
+            // pays the S5 latency: S5 needs only a nap long enough to
+            // amortize the slow resume.
+            Some(date) => date.saturating_since(now) >= self.min_gap,
+            // No timer: the next wake is an unscheduled packet that will
+            // pay the full resume latency, so demand high confidence in a
+            // long idle period before deepening the sleep.
+            None => ip_probability >= self.min_ip,
+        };
+        if deep {
+            SleepDepth::Off
+        } else {
+            SleepDepth::Suspend
+        }
+    }
+}
+
+/// The SleepScale policy's ablation switches; the ladder and the S5 gate
+/// are the module's constants.
+#[derive(Debug, Clone, PartialEq)]
+pub struct SleepScaleConfig {
     /// Ablation switch: disable speed scaling (always full clock).
     pub speed_scaling: bool,
     /// Ablation switch: disable S5 selection (always S3, as Drowsy-DC).
@@ -55,17 +116,10 @@ pub struct SleepScaleConfig {
 }
 
 impl SleepScaleConfig {
-    /// Defaults mirroring the SleepScale evaluation shape: five P-states
-    /// between 60 % and 100 % of nominal, an 80 % load target, and S5
-    /// only for idle periods predicted to exceed four hours.
+    /// Both levers on: five P-states between 60 % and 100 % of nominal at
+    /// an 80 % load target, and S5 behind the [`S5Gate::HEDGED`] gate.
     pub fn paper_default() -> Self {
         SleepScaleConfig {
-            neat: NeatConfig::paper_default(),
-            freq_floor: 0.6,
-            freq_step: 0.1,
-            target_utilization: 0.8,
-            deep_sleep_min_gap: SimDuration::from_hours(4),
-            deep_sleep_min_ip: 0.85,
             speed_scaling: true,
             deep_sleep: true,
         }
@@ -86,31 +140,12 @@ pub struct SleepScalePolicy {
 }
 
 impl SleepScalePolicy {
-    /// Creates the policy.
+    /// Creates the policy over paper-default Neat packing.
     pub fn new(config: SleepScaleConfig) -> Self {
-        let planner = NeatPlanner::new(config.neat.clone());
-        SleepScalePolicy { config, planner }
-    }
-
-    /// The configuration in effect.
-    pub fn config(&self) -> &SleepScaleConfig {
-        &self.config
-    }
-
-    /// The frequency step chosen for a host at `utilization` (fraction of
-    /// capacity at nominal clock): the lowest P-state that still serves
-    /// the load at the target utilization, never below the floor, never
-    /// below the load itself (work must fit in the hour).
-    pub fn frequency_for(&self, utilization: f64) -> f64 {
-        if !self.config.speed_scaling {
-            return 1.0;
+        SleepScalePolicy {
+            config,
+            planner: NeatPlanner::new(NeatConfig::paper_default()),
         }
-        let u = utilization.clamp(0.0, 1.0);
-        let step = self.config.freq_step.max(1e-3);
-        let wanted = (u / self.config.target_utilization.max(1e-3)).max(u);
-        // Round UP to the next step of the ladder: QoS-safe quantization.
-        let quantized = (wanted / step).ceil() * step;
-        quantized.clamp(self.config.freq_floor, 1.0)
     }
 }
 
@@ -135,35 +170,21 @@ impl ControlPolicy for SleepScalePolicy {
         waking_date: Option<SimTime>,
         now: SimTime,
     ) -> SleepDepth {
-        if !self.config.deep_sleep {
-            return SleepDepth::Suspend;
-        }
-        match waking_date {
-            // A scheduled wake: S5 only when the nap is long enough to
-            // amortize the slow resume (the wake is anticipated either
-            // way, so no request pays the S5 latency).
-            Some(date) => {
-                if date.saturating_since(now) >= self.config.deep_sleep_min_gap {
-                    SleepDepth::Off
-                } else {
-                    SleepDepth::Suspend
-                }
-            }
-            // No timer: the next wake is an unscheduled packet that will
-            // pay the full resume latency, so demand high confidence in a
-            // long idle period before deepening the sleep.
-            None => {
-                if ip_probability >= self.config.deep_sleep_min_ip {
-                    SleepDepth::Off
-                } else {
-                    SleepDepth::Suspend
-                }
-            }
+        if self.config.deep_sleep {
+            S5Gate::HEDGED.depth(ip_probability, waking_date, now)
+        } else {
+            SleepDepth::Suspend
         }
     }
 
+    /// The ladder's frequency step for `utilization`, or nominal clock
+    /// with speed scaling off.
     fn active_frequency(&self, _host: HostId, utilization: f64) -> f64 {
-        self.frequency_for(utilization)
+        if self.config.speed_scaling {
+            ladder_frequency(utilization)
+        } else {
+            1.0
+        }
     }
 }
 
@@ -181,18 +202,18 @@ mod tests {
         let mut last = 0.0;
         for i in 0..=20 {
             let u = i as f64 / 20.0;
-            let f = p.frequency_for(u);
-            assert!(f >= p.config().freq_floor && f <= 1.0, "f={f} at u={u}");
+            let f = p.active_frequency(HostId(0), u);
+            assert!((FREQ_FLOOR..=1.0).contains(&f), "f={f} at u={u}");
             assert!(f >= u, "work must fit: f={f} < u={u}");
             assert!(f + 1e-12 >= last, "ladder must be monotone in load");
             // On the 0.1 ladder.
-            let steps = f / p.config().freq_step;
+            let steps = f / FREQ_STEP;
             assert!((steps - steps.round()).abs() < 1e-9, "off-ladder f={f}");
             last = f;
         }
         // Idle host: floor. Saturated host: nominal.
-        assert!((p.frequency_for(0.0) - 0.6).abs() < 1e-12);
-        assert!((p.frequency_for(0.95) - 1.0).abs() < 1e-12);
+        assert!((p.active_frequency(HostId(0), 0.0) - 0.6).abs() < 1e-12);
+        assert!((p.active_frequency(HostId(0), 0.95) - 1.0).abs() < 1e-12);
     }
 
     #[test]
@@ -201,7 +222,7 @@ mod tests {
         cfg.speed_scaling = false;
         let p = SleepScalePolicy::new(cfg);
         for u in [0.0, 0.3, 0.9] {
-            assert_eq!(p.frequency_for(u), 1.0);
+            assert_eq!(p.active_frequency(HostId(0), u), 1.0);
         }
     }
 

@@ -38,37 +38,18 @@ pub struct Periodicity {
     pub is_periodic: bool,
 }
 
-/// Classifier thresholds.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ClassifierConfig {
-    /// Minimum observed hours before judging (default: 3 days).
-    pub min_hours: usize,
-    /// Duty cycle at or above which a VM counts as "mostly used".
-    pub mostly_used_duty: f64,
-    /// A VM whose activity all falls within this leading fraction of the
-    /// observation window, followed by silence, is short-lived.
-    pub short_lived_fraction: f64,
-}
-
-impl Default for ClassifierConfig {
-    fn default() -> Self {
-        ClassifierConfig {
-            min_hours: 72,
-            mostly_used_duty: 0.5,
-            short_lived_fraction: 0.5,
-        }
-    }
-}
+/// Minimum observed hours before judging (3 days).
+const MIN_HOURS: usize = 72;
+/// Duty cycle at or above which a VM counts as "mostly used".
+const MOSTLY_USED_DUTY: f64 = 0.5;
+/// A VM whose activity all falls within this leading fraction of the
+/// observation window, followed by silence, is short-lived.
+const SHORT_LIVED_FRACTION: f64 = 0.5;
 
 /// Classifies a trace into the paper's taxonomy.
 pub fn classify(trace: &VmTrace) -> VmClass {
-    classify_with(trace, &ClassifierConfig::default())
-}
-
-/// Classifies with explicit thresholds.
-pub fn classify_with(trace: &VmTrace, cfg: &ClassifierConfig) -> VmClass {
     let n = trace.hours();
-    if n < cfg.min_hours {
+    if n < MIN_HOURS {
         return VmClass::Undetermined;
     }
     let levels = trace.levels();
@@ -81,14 +62,14 @@ pub fn classify_with(trace: &VmTrace, cfg: &ClassifierConfig) -> VmClass {
     // Short-lived: all activity confined to the leading fraction of the
     // window, with a dense duty cycle inside its lifetime.
     let lifetime = last_active + 1;
-    if (lifetime as f64) < n as f64 * cfg.short_lived_fraction {
+    if (lifetime as f64) < n as f64 * SHORT_LIVED_FRACTION {
         let lifetime_duty =
             levels[..lifetime].iter().filter(|&&x| x > 0.0).count() as f64 / lifetime as f64;
-        if lifetime_duty >= cfg.mostly_used_duty {
+        if lifetime_duty >= MOSTLY_USED_DUTY {
             return VmClass::Slmu;
         }
     }
-    if trace.duty_cycle() >= cfg.mostly_used_duty {
+    if trace.duty_cycle() >= MOSTLY_USED_DUTY {
         VmClass::Llmu
     } else {
         VmClass::Llmi

@@ -11,7 +11,7 @@
 //! §IV/§V machinery of the paper in ~100 lines.
 
 use drowsy_dc::hostos::{Blacklist, Decision, ProcState, ProcessTable, SuspendModule, TimerWheel};
-use drowsy_dc::net::{HostMac, PacketVerdict, VmIp, WakingCluster, WakingConfig};
+use drowsy_dc::net::{HostMac, PacketVerdict, VmIp, WakingCluster};
 use drowsy_dc::sim::{HostId, RackId, SimDuration, SimTime, VmId};
 
 fn main() {
@@ -31,7 +31,7 @@ fn main() {
     timers.register(SimTime::from_hours(26), vm_pid, "v7-nightly-cron");
 
     let mut suspender = SuspendModule::with_defaults();
-    let mut waking = WakingCluster::new(2, WakingConfig::paper_default(), SimTime::EPOCH);
+    let mut waking = WakingCluster::new(2, SimTime::EPOCH);
 
     println!("t=10:00  VM busy → the suspending module keeps the host awake:");
     let d = suspender.decide(SimTime::from_hours(10), &procs, &blacklist, &timers);

@@ -8,7 +8,7 @@
 //! must reproduce the old `DcOutcome` **bit-identically** — energy and
 //! suspension fractions compared via `f64::to_bits`, not epsilons.
 //!
-//! The tables are keyed by policy-registry name and pin each entry's
+//! The tables are keyed by policy-registry name and pin each policy's
 //! display label, which every outcome reports. The testbed and
 //! `mixed-production` tables were re-captured once, when traffic wakes
 //! moved to the arrival of each hour's first request (the request the QoS
@@ -98,14 +98,6 @@ const MIXED_PRODUCTION_100_GOLDEN: &[(&str, &str, u64, u64, u32)] = &[
     ),
 ];
 
-/// The standard registry's display label for `name`.
-fn registry_label(name: &str) -> &'static str {
-    PolicyRegistry::standard()
-        .get(name)
-        .unwrap_or_else(|| panic!("'{name}' is registered"))
-        .label
-}
-
 fn testbed_spec() -> TestbedSpec {
     let mut spec = TestbedSpec::paper_default();
     spec.days = 2;
@@ -123,7 +115,6 @@ fn cluster_spec() -> ClusterSpec {
 #[test]
 fn testbed_outcomes_match_pre_refactor_goldens() {
     for &(name, label, energy, susp, migrations, wake_hits) in TESTBED_GOLDEN {
-        assert_eq!(registry_label(name), label, "{name}: registry label");
         let mut spec = testbed_spec();
         spec.config.stream_qos();
         let out = run_testbed(&spec, name, 42);
@@ -150,7 +141,6 @@ fn testbed_outcomes_match_pre_refactor_goldens() {
 #[test]
 fn cluster_outcomes_match_pre_refactor_goldens() {
     for &(name, label, energy, susp, migrations) in CLUSTER_GOLDEN {
-        assert_eq!(registry_label(name), label, "{name}: registry label");
         let out = run_cluster_policy(&cluster_spec(), name, 7);
         assert_eq!(
             out.energy_kwh().to_bits(),

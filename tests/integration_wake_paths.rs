@@ -1,7 +1,7 @@
 //! Integration tests of the two wake paths (§V) and the fault-tolerance
 //! machinery, end to end through the datacenter model.
 
-use drowsy_dc::net::{HostMac, PacketVerdict, VmIp, WakingCluster, WakingConfig};
+use drowsy_dc::net::{HostMac, PacketVerdict, VmIp, WakingCluster};
 use drowsy_dc::sim::{HostId, RackId, SimRng, SimTime, VmId};
 use drowsy_dc::system::datacenter::{Datacenter, DcConfig, WakeCause};
 use drowsy_dc::system::registry::PolicyRegistry;
@@ -68,7 +68,7 @@ fn timer_driven_wakes_never_pay_latency_interactive_wakes_do() {
 #[test]
 fn waking_cluster_survives_cascading_failures() {
     let now = SimTime::EPOCH;
-    let mut cluster = WakingCluster::new(4, WakingConfig::paper_default(), now);
+    let mut cluster = WakingCluster::new(4, now);
     // Register drowsy hosts on every rack.
     for r in 0..4u32 {
         cluster.register_suspension(
@@ -101,7 +101,7 @@ fn waking_cluster_survives_cascading_failures() {
 
 #[test]
 fn packets_forward_once_host_is_awake_again() {
-    let mut cluster = WakingCluster::new(1, WakingConfig::paper_default(), SimTime::EPOCH);
+    let mut cluster = WakingCluster::new(1, SimTime::EPOCH);
     let rack = RackId(0);
     let mac = HostMac::of(HostId(0));
     let ip = VmIp::of(VmId(0));
