@@ -95,29 +95,20 @@ fn main() -> ExitCode {
                 i += 1;
                 match rest.get(i) {
                     Some(name) => scenario_name = name.clone(),
-                    None => {
-                        eprintln!("error: --scenario needs a catalog name");
-                        return ExitCode::FAILURE;
-                    }
+                    None => usage_error("--scenario needs a catalog name"),
                 }
             }
             "--file" => {
                 i += 1;
                 match rest.get(i) {
                     Some(path) => file = Some(path.clone()),
-                    None => {
-                        eprintln!("error: --file needs a path");
-                        return ExitCode::FAILURE;
-                    }
+                    None => usage_error("--file needs a path"),
                 }
             }
-            flag => {
-                eprintln!(
-                    "error: unknown flag {flag} (expected --scenario NAME, --file PATH \
-                     or the shared experiment flags)"
-                );
-                return ExitCode::FAILURE;
-            }
+            flag => usage_error(&format!(
+                "unknown flag {flag} (expected --scenario NAME, --file PATH \
+                 or the shared experiment flags)"
+            )),
         }
         i += 1;
     }

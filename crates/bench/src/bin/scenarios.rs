@@ -138,29 +138,20 @@ fn main() -> ExitCode {
                 i += 1;
                 match rest.get(i) {
                     Some(name) => show.push(name.clone()),
-                    None => {
-                        eprintln!("error: --show needs a scenario name");
-                        return ExitCode::FAILURE;
-                    }
+                    None => usage_error("--show needs a scenario name"),
                 }
             }
             "--file" => {
                 i += 1;
                 match rest.get(i) {
                     Some(path) => files.push(path.clone()),
-                    None => {
-                        eprintln!("error: --file needs a path");
-                        return ExitCode::FAILURE;
-                    }
+                    None => usage_error("--file needs a path"),
                 }
             }
-            flag if flag.starts_with("--") => {
-                eprintln!(
-                    "error: unknown flag {flag} (expected --list, --all, --show NAME, \
-                     --file PATH, a scenario name, or the shared experiment flags)"
-                );
-                return ExitCode::FAILURE;
-            }
+            flag if flag.starts_with("--") => usage_error(&format!(
+                "unknown flag {flag} (expected --list, --all, --show NAME, \
+                 --file PATH, a scenario name, or the shared experiment flags)"
+            )),
             name => names.push(name.to_string()),
         }
         i += 1;

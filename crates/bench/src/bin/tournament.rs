@@ -65,16 +65,12 @@ fn main() -> ExitCode {
                 i += 1;
                 match rest.get(i).and_then(|s| s.parse().ok()) {
                     Some(n) if n > 0 => seeds_n = n,
-                    _ => {
-                        eprintln!("error: --seeds needs a positive count");
-                        return ExitCode::FAILURE;
-                    }
+                    _ => usage_error("--seeds needs a positive count"),
                 }
             }
-            flag => {
-                eprintln!("error: unknown flag {flag} (expected --seeds N or the shared flags)");
-                return ExitCode::FAILURE;
-            }
+            flag => usage_error(&format!(
+                "unknown flag {flag} (expected --seeds N or the shared flags)"
+            )),
         }
         i += 1;
     }

@@ -1,6 +1,5 @@
 //! The hourly control loop: activity scoring, policy-driven relocation
-//! rounds, process/timer refresh and the cluster snapshots planners
-//! consume.
+//! rounds and the cluster snapshots planners consume.
 
 use super::*;
 
@@ -122,29 +121,6 @@ impl Datacenter {
             self.hosts[from.index()].forced_awake_until.max(done);
         self.hosts[to.index()].forced_awake_until =
             self.hosts[to.index()].forced_awake_until.max(done);
-        // Move the VM process and any pending timer.
-        let pid = self.vms[vm_id.index()].pid;
-        let state = self.hosts[from.index()]
-            .procs
-            .get(pid)
-            .map(|p| p.state)
-            .unwrap_or(ProcState::Sleeping { wake: None });
-        self.hosts[from.index()].procs.kill(pid);
-        let new_pid = self.hosts[to.index()].procs.spawn_vm_process(
-            format!("qemu-{}", self.vms[vm_id.index()].spec.name),
-            state,
-            Some(vm_id),
-        );
-        if let Some((tid, expires)) = self.vms[vm_id.index()].timer.take() {
-            self.hosts[from.index()].timers.cancel(tid);
-            let new_tid = self.hosts[to.index()].timers.register(
-                expires,
-                new_pid,
-                format!("wake-{}", self.vms[vm_id.index()].spec.name),
-            );
-            self.vms[vm_id.index()].timer = Some((new_tid, expires));
-        }
-        self.vms[vm_id.index()].pid = new_pid;
         self.vms[vm_id.index()].host = to;
         self.unlist_resident(from.index(), vm_id.index());
         self.list_resident(to.index(), vm_id.index());
@@ -183,11 +159,9 @@ impl Datacenter {
             self.consolidate(&levels, &scores, hour_start);
         }
 
-        // --- process states & timers reflect this hour's activity, and
-        // scheduled wakes due now (waking module fires ahead of time).
+        // --- scheduled wakes due now (waking module fires ahead of time).
         let anticipated: HashSet<HostId> = {
             let _span = telemetry::dc_spans().span("dc.refresh");
-            self.refresh_processes(&levels, noise, h);
             self.waking
                 .poll_schedules(hour_start)
                 .into_iter()
@@ -225,15 +199,18 @@ impl Datacenter {
             }
         }
 
-        // --- model updates, every live VM in one batch.
-        IdlenessModel::observe_batch(
-            stamp,
-            self.vms
-                .iter_mut()
-                .zip(&levels)
-                .filter(|(vm, _)| !vm.departed)
-                .map(|(vm, &level)| (&mut vm.im, level)),
-        );
+        // --- model updates, every live VM in one batch, for a policy that
+        // reads the models (scores, grace probabilities or classes).
+        if self.policy.uses_idleness_scores() || self.policy.uses_trace_classes() {
+            IdlenessModel::observe_batch(
+                stamp,
+                self.vms
+                    .iter_mut()
+                    .zip(&levels)
+                    .filter(|(vm, _)| !vm.departed)
+                    .map(|(vm, &level)| (&mut vm.im, level)),
+            );
+        }
         drop(im_span);
 
         // --- streaming QoS: serve this hour's requests against the
@@ -285,59 +262,8 @@ impl Datacenter {
                 self.vms[m.vm.index()].parked = false;
             }
             for m in &plan.park {
-                self.vms[m.vm.index()].origin = self.vms[m.vm.index()].host;
                 self.apply_move(m.vm, m.to, now);
                 self.vms[m.vm.index()].parked = true;
-            }
-        }
-    }
-
-    /// Next hour (strictly after `h`) with activity, within one year.
-    pub(super) fn next_active_hour(trace: &dds_traces::VmTrace, h: u64, noise: f64) -> Option<u64> {
-        (h + 1..h + 1 + 8760).find(|&t| trace.level_at_hour(t) >= noise)
-    }
-
-    #[allow(clippy::needless_range_loop)] // indexes vms, levels and hosts together
-    pub(super) fn refresh_processes(&mut self, levels: &[f64], noise: f64, h: u64) {
-        for i in 0..self.vms.len() {
-            if self.vms[i].departed {
-                continue;
-            }
-            let active = levels[i] >= noise && !self.vms[i].parked;
-            let host = self.vms[i].host.index();
-            let pid = self.vms[i].pid;
-            let state = if active {
-                ProcState::Running
-            } else {
-                ProcState::Sleeping { wake: None }
-            };
-            self.hosts[host].procs.set_state(pid, state);
-            // Timer-driven VMs expose their next activity as an hrtimer.
-            if self.vms[i].spec.kind == WorkloadKind::TimerDriven && !active {
-                let next = Self::next_active_hour(&self.vms[i].spec.trace, h, noise)
-                    .map(SimTime::from_hours);
-                match (self.vms[i].timer, next) {
-                    (Some((tid, cur)), Some(want)) if cur != want => {
-                        self.hosts[host].timers.cancel(tid);
-                        let tid = self.hosts[host].timers.register(
-                            want,
-                            pid,
-                            format!("wake-{}", self.vms[i].spec.name),
-                        );
-                        self.vms[i].timer = Some((tid, want));
-                    }
-                    (None, Some(want)) => {
-                        let tid = self.hosts[host].timers.register(
-                            want,
-                            pid,
-                            format!("wake-{}", self.vms[i].spec.name),
-                        );
-                        self.vms[i].timer = Some((tid, want));
-                    }
-                    _ => {}
-                }
-            } else if let Some((tid, _)) = self.vms[i].timer.take() {
-                self.hosts[host].timers.cancel(tid);
             }
         }
     }

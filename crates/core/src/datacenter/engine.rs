@@ -3,9 +3,9 @@
 //! [`DcEngine`] puts the datacenter on `dds_sim_core`'s discrete-event
 //! substrate: hourly control epochs, VM arrivals/departures, scheduled
 //! S3/S5 wake firings and waking-module heartbeats are [`DcEvent`]s
-//! popped from a [`SimEngine`] in time order (same-instant events fire in
-//! scheduling order — the queue's FIFO tie-break), instead of everything
-//! being folded into a fixed one-hour tick.
+//! popped from an [`EventQueue`] in time order (same-instant events fire
+//! in scheduling order — the queue's FIFO tie-break), instead of
+//! everything being folded into a fixed one-hour tick.
 //!
 //! ## Two fidelity regimes
 //!
@@ -37,13 +37,13 @@
 //! observe exactly the state an online controller would.
 
 use super::*;
-use dds_sim_core::{EventToken, SimEngine};
+use dds_sim_core::{EventQueue, EventToken};
 
 /// An event driving the datacenter simulation.
 #[derive(Debug, Clone)]
 pub enum DcEvent {
-    /// One hourly control period: scoring, consolidation, process
-    /// refresh, per-host hour simulation, model updates.
+    /// One hourly control period: scoring, consolidation, per-host hour
+    /// simulation, model updates.
     ControlEpoch,
     /// A VM arrives and requests admission through the filter scheduler.
     /// With a finite `lifetime`, a matching [`DcEvent::VmDeparture`] is
@@ -100,7 +100,9 @@ impl EngineConfig {
 /// The engine borrows the datacenter: state lives in [`Datacenter`], the
 /// engine owns only the clock, the event queue and its bookkeeping, so
 /// the same datacenter can be driven in slices and finished with
-/// [`Datacenter::finish`] once the engine is dropped.
+/// [`Datacenter::finish`] once the engine is dropped. Events scheduled in
+/// the past fire at the engine's clock: overdue work runs at the earliest
+/// legal instant instead of rewinding time.
 ///
 /// ```
 /// use dds_core::datacenter::{Datacenter, DcConfig, DcEngine, EngineConfig};
@@ -121,7 +123,10 @@ impl EngineConfig {
 /// ```
 pub struct DcEngine<'a> {
     dc: &'a mut Datacenter,
-    engine: SimEngine<DcEvent>,
+    queue: EventQueue<DcEvent>,
+    /// The clock: the instant of the event being handled, and the
+    /// horizon once [`run_hours`](Self::run_hours) returns.
+    now: SimTime,
     cfg: EngineConfig,
     /// Token of the outstanding [`DcEvent::ScheduledWake`], cancelled and
     /// re-scheduled whenever the waking schedule changes.
@@ -134,9 +139,9 @@ pub struct DcEngine<'a> {
 impl<'a> DcEngine<'a> {
     /// Wraps `dc` in an engine starting at the datacenter's current hour.
     pub fn new(dc: &'a mut Datacenter, cfg: EngineConfig) -> Self {
-        let now = SimTime::from_hours(dc.hour());
         DcEngine {
-            engine: SimEngine::starting_at(now),
+            queue: EventQueue::new(),
+            now: SimTime::from_hours(dc.hour()),
             cfg,
             wake_token: None,
             heartbeat_running: false,
@@ -153,7 +158,7 @@ impl<'a> DcEngine<'a> {
 
     /// The engine's current instant.
     pub fn now(&self) -> SimTime {
-        self.engine.now()
+        self.now
     }
 
     /// VMs admitted / rejected through [`DcEvent::VmArrival`] so far.
@@ -161,11 +166,16 @@ impl<'a> DcEngine<'a> {
         (self.admitted, self.rejected)
     }
 
+    /// Schedules `event` at `at`, clamped to the engine's clock.
+    fn schedule_at(&mut self, at: SimTime, event: DcEvent) -> EventToken {
+        self.queue.schedule(at.max(self.now), event)
+    }
+
     /// Schedules a VM arrival at `at` (sub-hour instants welcome). With a
     /// finite `lifetime`, the departure is scheduled automatically on
     /// admission.
     pub fn schedule_arrival(&mut self, at: SimTime, spec: VmSpec, lifetime: Option<SimDuration>) {
-        self.engine.schedule_at(
+        self.schedule_at(
             at,
             DcEvent::VmArrival {
                 spec: Box::new(spec),
@@ -176,127 +186,106 @@ impl<'a> DcEngine<'a> {
 
     /// Schedules a VM departure at `at`.
     pub fn schedule_departure(&mut self, at: SimTime, vm: VmId) {
-        self.engine.schedule_at(at, DcEvent::VmDeparture(vm));
+        self.schedule_at(at, DcEvent::VmDeparture(vm));
     }
 
     /// Schedules a silent waking-module failure at `at`.
     pub fn schedule_waking_failure(&mut self, at: SimTime) {
-        self.engine.schedule_at(at, DcEvent::WakingFailure);
+        self.schedule_at(at, DcEvent::WakingFailure);
     }
 
     /// Runs `hours` control periods (plus every sub-hour event falling in
-    /// the window), leaving events beyond the horizon pending so the next
-    /// call resumes seamlessly.
+    /// the window, the horizon included), leaving events beyond the
+    /// horizon pending so the next call resumes seamlessly.
     pub fn run_hours(&mut self, hours: u64) {
         if hours == 0 {
-            // `run_until` is inclusive of its horizon, so scheduling the
-            // first epoch and running to the same instant would simulate
-            // one hour; zero hours must stay a no-op.
+            // The window includes its horizon, so scheduling the first
+            // epoch and running to the same instant would simulate one
+            // hour; zero hours must stay a no-op.
             return;
         }
         self.dc.engine = self.cfg;
         let start_hour = self.dc.hour();
         let end_hour = start_hour + hours;
-        self.engine
-            .schedule_at(SimTime::from_hours(start_hour), DcEvent::ControlEpoch);
-        if self.cfg == EngineConfig::HighFidelity && !self.heartbeat_running {
-            let period = self.dc.waking.heartbeat_timeout();
-            self.engine.schedule_after(period, DcEvent::Heartbeat);
-            self.heartbeat_running = true;
-        }
-        let DcEngine {
-            dc,
-            engine,
-            cfg,
-            wake_token,
-            admitted,
-            rejected,
-            ..
-        } = self;
-        if *cfg == EngineConfig::HighFidelity {
-            resync_scheduled_wake(dc, engine, wake_token);
-        }
-        engine.run_until(SimTime::from_hours(end_hour), &mut |eng, now, event| {
-            handle_event(
-                dc, cfg, wake_token, admitted, rejected, end_hour, eng, now, event,
-            );
-        });
-    }
-}
-
-/// Cancels the outstanding scheduled-wake event and re-schedules it at
-/// the waking cluster's next lead-adjusted firing time — the
-/// cancel/reschedule churn the stable event queue is built for.
-fn resync_scheduled_wake(
-    dc: &mut Datacenter,
-    engine: &mut SimEngine<DcEvent>,
-    wake_token: &mut Option<EventToken>,
-) {
-    if let Some(token) = wake_token.take() {
-        engine.cancel(token);
-    }
-    if let Some(at) = dc.next_scheduled_wake() {
-        // `schedule_at` clamps to the present: an already-due wake fires
-        // immediately rather than in the past.
-        *wake_token = Some(engine.schedule_at(at, DcEvent::ScheduledWake));
-    }
-}
-
-#[allow(clippy::too_many_arguments)] // the engine's split-borrow seam
-fn handle_event(
-    dc: &mut Datacenter,
-    cfg: &EngineConfig,
-    wake_token: &mut Option<EventToken>,
-    admitted: &mut u64,
-    rejected: &mut u64,
-    end_hour: u64,
-    engine: &mut SimEngine<DcEvent>,
-    now: SimTime,
-    event: DcEvent,
-) {
-    match event {
-        DcEvent::ControlEpoch => {
-            dc.step_hour();
-            if dc.hour() < end_hour {
-                engine.schedule_at(SimTime::from_hours(dc.hour()), DcEvent::ControlEpoch);
+        self.schedule_at(SimTime::from_hours(start_hour), DcEvent::ControlEpoch);
+        if self.cfg == EngineConfig::HighFidelity {
+            if !self.heartbeat_running {
+                let period = self.dc.waking.heartbeat_timeout();
+                self.schedule_at(self.now + period, DcEvent::Heartbeat);
+                self.heartbeat_running = true;
             }
-            if *cfg == EngineConfig::HighFidelity {
-                // Suspensions decided this epoch registered new waking
-                // dates; fired/packet-raced wakes removed old ones.
-                resync_scheduled_wake(dc, engine, wake_token);
-            }
+            self.resync_scheduled_wake();
         }
-        DcEvent::VmArrival { spec, lifetime } => {
-            let id = VmId(dc.vm_slot_count() as u32);
-            match dc.admit_vm(*spec) {
-                Ok(_) => {
-                    *admitted += 1;
-                    if let Some(lifetime) = lifetime {
-                        engine.schedule_at(now + lifetime, DcEvent::VmDeparture(id));
-                    }
+        let horizon = SimTime::from_hours(end_hour);
+        while let Some(ev) = self.queue.pop_until(horizon) {
+            self.now = ev.time;
+            self.handle(ev.event, end_hour);
+        }
+        self.now = horizon;
+    }
+
+    /// Cancels the outstanding scheduled-wake event and re-schedules it at
+    /// the waking cluster's next lead-adjusted firing time — the
+    /// cancel/reschedule churn the stable event queue is built for. An
+    /// already-due wake fires at the clock rather than in the past.
+    fn resync_scheduled_wake(&mut self) {
+        if let Some(token) = self.wake_token.take() {
+            self.queue.cancel(token);
+        }
+        if let Some(at) = self.dc.next_scheduled_wake() {
+            self.wake_token = Some(self.schedule_at(at, DcEvent::ScheduledWake));
+        }
+    }
+
+    /// Handles one event at the engine's clock, in a window ending at
+    /// `end_hour`.
+    fn handle(&mut self, event: DcEvent, end_hour: u64) {
+        let now = self.now;
+        match event {
+            DcEvent::ControlEpoch => {
+                self.dc.step_hour();
+                if self.dc.hour() < end_hour {
+                    self.schedule_at(SimTime::from_hours(self.dc.hour()), DcEvent::ControlEpoch);
                 }
-                Err(AdmitError::NoHostFits) => *rejected += 1,
+                if self.cfg == EngineConfig::HighFidelity {
+                    // Suspensions decided this epoch registered new waking
+                    // dates; fired/packet-raced wakes removed old ones.
+                    self.resync_scheduled_wake();
+                }
             }
-        }
-        DcEvent::VmDeparture(id) => {
-            dc.remove_vm(id);
-        }
-        DcEvent::ScheduledWake => {
-            *wake_token = None;
-            dc.fire_scheduled_wakes(now);
-            resync_scheduled_wake(dc, engine, wake_token);
-        }
-        DcEvent::Heartbeat => {
-            // Only high-fidelity runs schedule heartbeats.
-            if dc.heartbeat_and_monitor(now) > 0 {
-                // A restored module's schedule (including overdue dates
-                // silenced while it was dead) must be re-armed.
-                resync_scheduled_wake(dc, engine, wake_token);
+            DcEvent::VmArrival { spec, lifetime } => {
+                let id = VmId(self.dc.vm_slot_count() as u32);
+                match self.dc.admit_vm(*spec) {
+                    Ok(_) => {
+                        self.admitted += 1;
+                        if let Some(lifetime) = lifetime {
+                            self.schedule_at(now + lifetime, DcEvent::VmDeparture(id));
+                        }
+                    }
+                    Err(AdmitError::NoHostFits) => self.rejected += 1,
+                }
             }
-            engine.schedule_after(dc.waking.heartbeat_timeout(), DcEvent::Heartbeat);
-        }
-        DcEvent::WakingFailure => {
-            dc.fail_waking_module();
+            DcEvent::VmDeparture(id) => {
+                self.dc.remove_vm(id);
+            }
+            DcEvent::ScheduledWake => {
+                self.wake_token = None;
+                self.dc.fire_scheduled_wakes(now);
+                self.resync_scheduled_wake();
+            }
+            DcEvent::Heartbeat => {
+                // Only high-fidelity runs schedule heartbeats.
+                if self.dc.heartbeat_and_monitor(now) > 0 {
+                    // A restored module's schedule (including overdue dates
+                    // silenced while it was dead) must be re-armed.
+                    self.resync_scheduled_wake();
+                }
+                let period = self.dc.waking.heartbeat_timeout();
+                self.schedule_at(now + period, DcEvent::Heartbeat);
+            }
+            DcEvent::WakingFailure => {
+                self.dc.fail_waking_module();
+            }
         }
     }
 }
@@ -351,8 +340,8 @@ mod tests {
 
     #[test]
     fn zero_hours_is_a_no_op() {
-        // `run_until` is horizon-inclusive; run(0)/run_hours(0) must not
-        // sneak in one simulated hour.
+        // A run's window includes its horizon; run(0)/run_hours(0) must
+        // not sneak in one simulated hour.
         let mut dc = small_dc(vec![idle(24)], 2);
         dc.run(0);
         assert_eq!(dc.hour(), 0);
@@ -376,6 +365,33 @@ mod tests {
         drop(engine);
         let sliced = sliced.finish();
         assert_eq!(whole.energy_kwh.to_bits(), sliced.energy_kwh.to_bits());
+    }
+
+    #[test]
+    fn past_schedules_clamp_to_now() {
+        // An arrival scheduled in the past is admitted at the engine's
+        // clock, so its lifetime runs from there: a 2 h job requested for
+        // hour 3 after a 10 h run lives from hour 10 to hour 12.
+        let mut dc = small_dc(vec![idle(24)], 4);
+        let mut engine = DcEngine::new(&mut dc, EngineConfig::HighFidelity);
+        engine.run_hours(10);
+        let spec = VmSpec::testbed_flavor(
+            VmId(0),
+            "late",
+            VmTrace::new("burst", vec![1.0; 24]),
+            WorkloadKind::Batch,
+        );
+        engine.schedule_arrival(
+            SimTime::from_hours(3),
+            spec,
+            Some(SimDuration::from_hours(2)),
+        );
+        engine.run_hours(1);
+        assert_eq!(engine.arrival_stats(), (1, 0), "admitted and counted");
+        assert_eq!(engine.now(), SimTime::from_hours(11));
+        assert_eq!(engine.dc().live_vm_count(), 2, "alive past hour 5");
+        engine.run_hours(1);
+        assert_eq!(engine.dc().live_vm_count(), 1, "departed at hour 12");
     }
 
     #[test]

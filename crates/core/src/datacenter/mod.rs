@@ -21,10 +21,10 @@
 //!
 //! * [`mod@self`] — configuration, construction, VM lifecycle (admission,
 //!   departure) and the run/finish entry points;
-//! * `control` — the hourly control loop: scoring, relocation rounds,
-//!   process refresh and the cluster snapshots planners consume;
-//! * `wake` — the suspend/wake path: per-host hour simulation, resume
-//!   handling and management wakes;
+//! * `control` — the hourly control loop: scoring, relocation rounds and
+//!   the cluster snapshots planners consume;
+//! * `wake` — the suspend/wake path: per-host hour simulation, suspend
+//!   decisions, resume handling and management wakes;
 //! * `engine` — the event-driven driver ([`DcEngine`]): epochs, arrival/
 //!   departure events, true-latency scheduled wakes, heartbeats;
 //! * `accounting` — outcome assembly;
@@ -37,9 +37,12 @@
 //!   hours. This is conservative for Drowsy-DC (activity inside an hour
 //!   is not compacted) and matches how the paper's suspending module
 //!   behaves under its grace time at hourly activity granularity.
-//! * Timer-driven VMs register their next activity in the host's timer
-//!   wheel; the suspending module forwards the earliest valid timer as
-//!   the waking date, and the waking module resumes the host *ahead of
+//! * Idleness is read from the activity traces: a host is idle in an
+//!   hour when none of its unparked residents is active, which is what
+//!   the suspending module's process check would find. A suspending
+//!   host's waking date is the earliest next active hour among its
+//!   timer-driven residents (their hrtimers); the suspending module
+//!   forwards it and the waking module resumes the host *ahead of
 //!   time*, so scheduled activity pays no latency (§VI.A.3's backup
 //!   experiment). An interactive VM's first request of the hour wakes
 //!   its parked host (§V: the switch holds the packet while the waking
@@ -65,10 +68,7 @@ pub use qos_stream::QosStreamConfig;
 pub use telemetry::dc_spans;
 
 use crate::spec::{HostSpec, VmSpec, WorkloadKind};
-use dds_hostos::{
-    Blacklist, Decision, Pid, ProcState, ProcessTable, SuspendConfig, SuspendModule, TimerId,
-    TimerWheel,
-};
+use dds_hostos::{Decision, SuspendConfig, SuspendModule};
 use dds_idleness::{IdlenessModel, ImConfig};
 use dds_net::{HostMac, VmIp, WakingCluster};
 use dds_placement::policy::{ControlPolicy, PlanningView, SleepDepth};
@@ -186,8 +186,6 @@ pub(crate) struct HostSim {
     spec: HostSpec,
     power: PowerStateMachine,
     meter: EnergyMeter,
-    procs: ProcessTable,
-    timers: TimerWheel,
     suspend: SuspendModule,
     /// Hosts that must not suspend (policy-designated always-on hosts —
     /// Oasis consolidation servers; every host under a non-suspending
@@ -201,8 +199,6 @@ pub(crate) struct VmSim {
     spec: VmSpec,
     im: IdlenessModel,
     host: HostId,
-    pid: Pid,
-    timer: Option<(TimerId, SimTime)>,
     migrations: u32,
     /// Hour index of the last migration (for the cooldown), or None.
     last_migration_hour: Option<u64>,
@@ -211,8 +207,6 @@ pub(crate) struct VmSim {
     /// The VM has been destroyed (SLMU completion, tenant deletion); its
     /// slot is kept so ids stay dense, but it no longer exists anywhere.
     departed: bool,
-    /// Oasis: host the VM faults back to.
-    origin: HostId,
 }
 
 /// Outcome of a datacenter run.
@@ -341,7 +335,6 @@ pub struct Datacenter {
     /// so per-host walks cost the host's residents, not every VM.
     residents: Vec<Vec<usize>>,
     waking: WakingCluster,
-    blacklist: Blacklist,
     /// The run's master seed: request arrivals derive from it per
     /// (VM, hour) ([`dds_traces::hour_request_rng`]).
     seed: u64,
@@ -388,15 +381,12 @@ impl Datacenter {
     ) -> Self {
         assert_eq!(vm_specs.len(), placement.len(), "placement covers every VM");
         let start = SimTime::EPOCH;
-        let blacklist = Blacklist::standard();
         // Every host runs the paper's suspending module (§IV: 5 s–2 min
         // IP-adaptive grace); no policy reshapes it.
         let suspend_cfg = SuspendConfig::paper_default();
         let mut hosts: Vec<HostSim> = host_specs
             .into_iter()
             .map(|spec| {
-                let mut procs = ProcessTable::new();
-                procs.spawn("monitord", ProcState::Running);
                 // Heterogeneous fleets override the fleet-wide power model
                 // (and its suspend/resume latencies) per host class.
                 let model = spec.power.clone().unwrap_or_else(|| cfg.power.clone());
@@ -410,8 +400,6 @@ impl Datacenter {
                     spec,
                     power: PowerStateMachine::new(start),
                     meter,
-                    procs,
-                    timers: TimerWheel::new(),
                     suspend: SuspendModule::new(suspend_cfg.clone()),
                     always_on: !policy.suspends(),
                     forced_awake_until: start,
@@ -424,24 +412,14 @@ impl Datacenter {
         let vms: Vec<VmSim> = vm_specs
             .into_iter()
             .zip(placement.iter())
-            .map(|(spec, &host)| {
-                let pid = hosts[host.index()].procs.spawn_vm_process(
-                    format!("qemu-{}", spec.name),
-                    ProcState::Sleeping { wake: None },
-                    Some(spec.id),
-                );
-                VmSim {
-                    spec,
-                    im: IdlenessModel::new(cfg.im.clone()),
-                    host,
-                    pid,
-                    timer: None,
-                    migrations: 0,
-                    last_migration_hour: None,
-                    parked: false,
-                    departed: false,
-                    origin: host,
-                }
+            .map(|(spec, &host)| VmSim {
+                spec,
+                im: IdlenessModel::new(cfg.im.clone()),
+                host,
+                migrations: 0,
+                last_migration_hour: None,
+                parked: false,
+                departed: false,
             })
             .collect();
         let mut residents = vec![Vec::new(); hosts.len()];
@@ -468,7 +446,6 @@ impl Datacenter {
             policy,
             qos,
             waking: WakingCluster::new(1, start),
-            blacklist,
             seed,
             rng: SimRng::new(seed),
             hour: 0,
@@ -569,21 +546,13 @@ impl Datacenter {
         let ready = self.wake_for_management(dest, now);
         self.hosts[dest.index()].forced_awake_until =
             self.hosts[dest.index()].forced_awake_until.max(ready);
-        let pid = self.hosts[dest.index()].procs.spawn_vm_process(
-            format!("qemu-{}", spec.name),
-            ProcState::Sleeping { wake: None },
-            Some(spec.id),
-        );
         self.vms.push(VmSim {
             im: IdlenessModel::new(self.cfg.im.clone()),
             host: dest,
-            pid,
-            timer: None,
             migrations: 0,
             last_migration_hour: None,
             parked: false,
             departed: false,
-            origin: dest,
             spec,
         });
         self.live_vms += 1;
@@ -602,10 +571,9 @@ impl Datacenter {
         Ok(dest)
     }
 
-    /// Destroys a VM (SLMU completion, tenant deletion). Its host slot,
-    /// process and timers are released immediately; the id remains
-    /// allocated (dense ids) but inert. Returns false for unknown or
-    /// already-departed VMs.
+    /// Destroys a VM (SLMU completion, tenant deletion). Its host slot is
+    /// released immediately; the id remains allocated (dense ids) but
+    /// inert. Returns false for unknown or already-departed VMs.
     pub fn remove_vm(&mut self, vm: VmId) -> bool {
         let Some(v) = self.vms.get_mut(vm.index()) else {
             return false;
@@ -616,13 +584,7 @@ impl Datacenter {
         v.departed = true;
         self.live_vms -= 1;
         let host = v.host.index();
-        let pid = v.pid;
-        let timer = v.timer.take();
         self.unlist_resident(host, vm.index());
-        self.hosts[host].procs.kill(pid);
-        if let Some((tid, _)) = timer {
-            self.hosts[host].timers.cancel(tid);
-        }
         true
     }
 

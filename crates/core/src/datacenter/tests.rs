@@ -927,6 +927,65 @@ fn churn_with_departures_is_pinned() {
 }
 
 #[test]
+fn high_fidelity_scheduled_wakes_are_pinned() {
+    // Nightly backups beside production-like interactive VMs on the
+    // high-fidelity engine: suspended hosts carry waking dates that fire
+    // as `ScheduledWake` events, and the waking module dies mid-run and
+    // fails over at the next heartbeat.
+    let rng = SimRng::new(42);
+    let hosts: Vec<HostSpec> = (0..6)
+        .map(|i| HostSpec::testbed_machine(HostId(i), format!("P{i}")))
+        .collect();
+    let mut vms = Vec::new();
+    for k in 0..4u8 {
+        let backup = TracePattern::DailyBackup {
+            hour: 1 + 2 * k,
+            duration_hours: 1,
+            intensity: 0.9,
+        }
+        .generate(96, &mut SimRng::new(u64::from(k)));
+        vms.push((backup, WorkloadKind::TimerDriven));
+        let trace = dds_traces::nutanix_trace(usize::from(k) + 1, 96, &rng);
+        vms.push((trace, WorkloadKind::Interactive));
+    }
+    let vms: Vec<VmSpec> = vms
+        .into_iter()
+        .enumerate()
+        .map(|(i, (trace, kind))| {
+            VmSpec::testbed_flavor(VmId(i as u32), format!("V{i}"), trace, kind)
+        })
+        .collect();
+    let placement = (0..vms.len()).map(|i| HostId((i % 4) as u32)).collect();
+    let cfg = DcConfig::paper_default();
+    let policy = policy("drowsy-dc", &cfg, None);
+    let mut dc = Datacenter::with_policy(cfg, policy, hosts, vms, placement, 42);
+    let mut engine = DcEngine::new(&mut dc, EngineConfig::HighFidelity);
+    engine.schedule_waking_failure(SimTime::from_hours(30) + SimDuration::from_minutes(7));
+    engine.run_hours(96);
+    drop(engine);
+    let wakes = |cause| dc.wake_log().iter().filter(|w| w.cause == cause).count();
+    // Wakes per cause: scheduled, timer, traffic, management.
+    let counts = [
+        wakes(WakeCause::Scheduled),
+        wakes(WakeCause::Timer),
+        wakes(WakeCause::Traffic),
+        wakes(WakeCause::Management),
+    ];
+    let failovers = dc.waking_failovers();
+    let out = dc.finish();
+    assert_eq!(
+        (counts, failovers, out.total_migrations()),
+        ([16, 0, 25, 26], 1, 25)
+    );
+    // 6.130074316177133 kWh, 88.95 % suspended.
+    assert_eq!(out.energy_kwh.to_bits(), 0x4018_8532_3398_1f14);
+    assert_eq!(
+        out.global_suspended_fraction.to_bits(),
+        0x3fec_76b2_2823_0259
+    );
+}
+
+#[test]
 fn residency_lists_mirror_vms_through_oasis_parking() {
     let hosts = vec![
         HostSpec::testbed_machine(HostId(0), "P0"),

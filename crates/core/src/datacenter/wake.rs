@@ -10,11 +10,12 @@ use dds_traces::{hour_arrivals, hour_request_rng};
 /// begin to suspend is this far into an idle hour.
 const IDLE_DETECT_DELAY: SimDuration = SimDuration::from_secs(30);
 
-impl Datacenter {
-    pub(super) fn mac(&self, host: HostId) -> HostMac {
-        HostMac::of(host)
-    }
+/// Next hour (strictly after `h`) with activity, within one year.
+fn next_active_hour(trace: &dds_traces::VmTrace, h: u64, noise: f64) -> Option<u64> {
+    (h + 1..h + 1 + 8760).find(|&t| trace.level_at_hour(t) >= noise)
+}
 
+impl Datacenter {
     /// Peak request rate of an interactive VM: the streamed QoS
     /// profile's, else [`DcConfig::request_peak_rps`].
     fn request_peak_rps(&self) -> f64 {
@@ -58,7 +59,6 @@ impl Datacenter {
             timings.resume_latency(self.cfg.wake_speed)
         };
         let ip_prob = self.host_ip_probability(host);
-        let mac = self.mac(host);
         let h = &mut self.hosts[host.index()];
         let at = at.max(h.meter.cursor());
         h.meter.advance(at, h.power.state(), 0.0);
@@ -71,7 +71,7 @@ impl Datacenter {
             .complete_transition(done)
             .expect("resume_host invariant: a begun resume always completes at its deadline");
         h.suspend.on_resume(done, ip_prob);
-        self.waking.on_host_resumed(RACK, mac);
+        self.waking.on_host_resumed(RACK, HostMac::of(host));
         self.wake_log.push(WakeRecord {
             host,
             started: at,
@@ -109,7 +109,9 @@ impl Datacenter {
         resumed
     }
 
-    #[allow(clippy::too_many_arguments)]
+    /// Simulates host `hid` through the current hour: a host with an
+    /// active resident resumes (if parked) and runs; an idle one goes
+    /// through the suspending module's decision.
     pub(super) fn simulate_host_hour(
         &mut self,
         hid: HostId,
@@ -218,75 +220,78 @@ impl Datacenter {
                 .timings
                 .suspend_latency;
             let ip_prob = self.host_ip_probability(hid);
-            loop {
+            // The waking date: the earliest next active hour among the
+            // host's timer-driven residents (their hrtimers; every
+            // resident is idle this hour).
+            let earliest_timer = resident
+                .iter()
+                .filter(|&&i| self.vms[i].spec.kind == WorkloadKind::TimerDriven)
+                .filter_map(|&i| next_active_hour(&self.vms[i].spec.trace, self.hour, noise))
+                .min()
+                .map(SimTime::from_hours);
+            let waking_date = loop {
                 if t + suspend_latency >= hour_end {
                     // Not enough idle time left: stay awake.
                     let h = &mut self.hosts[hid.index()];
                     h.meter.advance(hour_end, PowerState::Active, metered_util);
                     return;
                 }
-                let host = &mut self.hosts[hid.index()];
-                let decision = host
+                match self.hosts[hid.index()]
                     .suspend
-                    .decide(t, &host.procs, &self.blacklist, &host.timers);
-                match decision {
-                    Decision::Suspend { waking_date } => {
-                        // Sleep-state selection: the policy may deepen the
-                        // default S3 to S5 for long predicted idle periods.
-                        let depth = self.policy.idle_sleep_depth(hid, ip_prob, waking_date, t);
-                        host.meter.advance(t, PowerState::Active, metered_util);
-                        let defer = self.engine == EngineConfig::HighFidelity;
-                        match depth {
-                            SleepDepth::Suspend => {
-                                let done = host.power.begin_suspend(t, suspend_latency).expect(
-                                    "suspend invariant: the host was Active when decide() passed",
-                                );
-                                host.meter.advance(done, PowerState::Suspending, 0.0);
-                                host.power.complete_transition(done).expect(
-                                    "suspend invariant: a begun suspend completes at its deadline",
-                                );
-                                if !defer {
-                                    host.meter.advance(hour_end, PowerState::Suspended, 0.0);
-                                }
-                            }
-                            SleepDepth::Off => {
-                                // S5 soft-off: instantaneous at this model's
-                                // granularity; the NIC stays up for WoL.
-                                host.power.power_off(t).expect(
-                                    "suspend invariant: the host was Active when decide() passed",
-                                );
-                                if !defer {
-                                    host.meter.advance(hour_end, PowerState::Off, 0.0);
-                                }
-                            }
-                        }
-                        host.meter.record_suspend_cycle();
-                        DcMetrics::get().suspends.inc();
-                        // Register with the waking module.
-                        let vms: Vec<(VmIp, VmId)> = self
-                            .active_residents(hid)
-                            .map(|i| (VmIp::of(self.vms[i].spec.id), self.vms[i].spec.id))
-                            .collect();
-                        let mac = HostMac::of(hid);
-                        self.waking.register_suspension(RACK, mac, vms, waking_date);
-                        return;
+                    .decide_idle(t, earliest_timer)
+                {
+                    Decision::Suspend { waking_date } => break waking_date,
+                    // Only the grace period keeps an idle host awake:
+                    // re-evaluate at its deadline (never more often than
+                    // once a second).
+                    stay => {
+                        let until = stay
+                            .retry_at()
+                            .expect("an idle host stays awake only for its grace");
+                        t = until.max(t + SimDuration::from_secs(1));
                     }
-                    Decision::StayAwake(_) => match decision.retry_at() {
-                        // A timed condition (grace): re-evaluate at its
-                        // deadline (never more often than once a second).
-                        Some(until) => {
-                            t = until.max(t + SimDuration::from_secs(1));
-                        }
-                        // Blocked by process state (e.g. monitoring noise
-                        // beyond the blacklist): stay awake this hour.
-                        None => {
-                            let h = &mut self.hosts[hid.index()];
-                            h.meter.advance(hour_end, PowerState::Active, metered_util);
-                            return;
-                        }
-                    },
+                }
+            };
+            // Sleep-state selection: the policy may deepen the default S3
+            // to S5 for long predicted idle periods.
+            let depth = self.policy.idle_sleep_depth(hid, ip_prob, waking_date, t);
+            let defer = self.engine == EngineConfig::HighFidelity;
+            let host = &mut self.hosts[hid.index()];
+            host.meter.advance(t, PowerState::Active, metered_util);
+            match depth {
+                SleepDepth::Suspend => {
+                    let done = host
+                        .power
+                        .begin_suspend(t, suspend_latency)
+                        .expect("suspend invariant: the host was Active when it decided");
+                    host.meter.advance(done, PowerState::Suspending, 0.0);
+                    host.power
+                        .complete_transition(done)
+                        .expect("suspend invariant: a begun suspend completes at its deadline");
+                    if !defer {
+                        host.meter.advance(hour_end, PowerState::Suspended, 0.0);
+                    }
+                }
+                SleepDepth::Off => {
+                    // S5 soft-off: instantaneous at this model's
+                    // granularity; the NIC stays up for WoL.
+                    host.power
+                        .power_off(t)
+                        .expect("suspend invariant: the host was Active when it decided");
+                    if !defer {
+                        host.meter.advance(hour_end, PowerState::Off, 0.0);
+                    }
                 }
             }
+            host.meter.record_suspend_cycle();
+            DcMetrics::get().suspends.inc();
+            // Register with the waking module.
+            let vms: Vec<(VmIp, VmId)> = resident
+                .iter()
+                .map(|&i| (VmIp::of(self.vms[i].spec.id), self.vms[i].spec.id))
+                .collect();
+            self.waking
+                .register_suspension(RACK, HostMac::of(hid), vms, waking_date);
         }
     }
 }

@@ -2,8 +2,9 @@
 //!
 //! This crate wires every substrate together into the system the paper
 //! evaluates: a datacenter whose hosts carry power-state machines, energy
-//! meters, process tables, timer wheels and suspending modules; whose
-//! network carries a fault-tolerant waking-module cluster; and whose
+//! meters and suspending modules, fed host idleness and waking dates from
+//! the VMs' activity traces; whose network carries a fault-tolerant
+//! waking-module cluster; and whose
 //! control plane dispatches through the pluggable
 //! [`ControlPolicy`](dds_placement::policy::ControlPolicy) layer. Policies
 //! are named only through the standard [`registry`], which carries the

@@ -19,6 +19,13 @@
 //!   awake), the anti-oscillation **grace time** (5 s–2 min, exponentially
 //!   increasing as the host's idleness probability decreases), and the
 //!   waking-date computation.
+//!
+//! The datacenter simulation reads host idleness and each VM's next
+//! activity from the activity traces, so it calls
+//! [`SuspendModule::decide_idle`] (grace and waking date) and keeps no
+//! process table or timer wheel; the full pipeline
+//! ([`SuspendModule::decide`]) serves the Fig. 3 experiment, the
+//! ablations and the examples.
 
 #![warn(missing_docs)]
 

@@ -3,15 +3,20 @@
 //! Monitors its host's idleness and takes the decision of suspending it.
 //! The decision pipeline, in order:
 //!
-//! 1. **grace time** — after every resume the host is unsuspendable for a
+//! 1. **idleness check** — no non-blacklisted process may want the CPU,
+//!    and no non-blacklisted process may be blocked on I/O (the disk-read
+//!    false positive).
+//! 2. **grace time** — after every resume the host is unsuspendable for a
 //!    while "whatever its activity level", to prevent suspend/resume
 //!    oscillation. The grace time grows exponentially from 5 s (host very
 //!    likely idle, IP → 1) to 2 min (host likely active, IP → 0).
-//! 2. **idleness check** — no non-blacklisted process may want the CPU,
-//!    and no non-blacklisted process may be blocked on I/O (the disk-read
-//!    false positive).
 //! 3. **waking date** — the earliest valid hrtimer, communicated to the
 //!    waking module so the host can be woken *ahead of* scheduled work.
+//!
+//! [`SuspendModule::decide`] runs all three against a process table and a
+//! timer wheel. [`SuspendModule::decide_idle`] runs steps 2 and 3 for a
+//! caller that already knows the host is idle and its earliest timer —
+//! the datacenter, which reads both from its activity traces.
 
 use crate::process::{Blacklist, Pid, ProcessTable};
 use crate::timer::TimerWheel;
@@ -115,7 +120,6 @@ impl Decision {
 pub struct SuspendModule {
     config: SuspendConfig,
     grace_until: Option<SimTime>,
-    suspends_decided: u64,
 }
 
 impl SuspendModule {
@@ -124,18 +128,12 @@ impl SuspendModule {
         SuspendModule {
             config,
             grace_until: None,
-            suspends_decided: 0,
         }
     }
 
     /// Creates a module with the paper's configuration.
     pub fn with_defaults() -> Self {
         Self::new(SuspendConfig::paper_default())
-    }
-
-    /// Number of suspend decisions taken so far.
-    pub fn suspends_decided(&self) -> u64 {
-        self.suspends_decided
     }
 
     /// The grace time for a host idleness probability `ip ∈ [0, 1]`:
@@ -178,7 +176,9 @@ impl SuspendModule {
         }
     }
 
-    /// Full suspend evaluation at instant `now`.
+    /// Full suspend evaluation at instant `now`: the idleness check
+    /// against the process table, then [`decide_idle`](Self::decide_idle)
+    /// with the earliest valid timer of the wheel.
     pub fn decide(
         &mut self,
         now: SimTime,
@@ -186,12 +186,6 @@ impl SuspendModule {
         blacklist: &Blacklist,
         timers: &TimerWheel,
     ) -> Decision {
-        if let Some(until) = self.grace_until {
-            if now < until {
-                return Decision::StayAwake(StayAwakeReason::GraceActive { until });
-            }
-            self.grace_until = None;
-        }
         let check = self.check_idleness(table, blacklist);
         if !check.active.is_empty() {
             return Decision::StayAwake(StayAwakeReason::ActiveProcesses(check.active.len()));
@@ -199,14 +193,26 @@ impl SuspendModule {
         if !check.io_blocked.is_empty() {
             return Decision::StayAwake(StayAwakeReason::IoBlocked(check.io_blocked.len()));
         }
-        let waking_date = timers
-            .earliest_valid(table, blacklist)
-            .map(|e| e.expires)
+        let earliest = timers.earliest_valid(table, blacklist).map(|e| e.expires);
+        self.decide_idle(now, earliest)
+    }
+
+    /// Suspend evaluation at instant `now` of a host already known to be
+    /// idle, whose earliest valid timer expires at `earliest_timer`: the
+    /// grace period keeps it awake, otherwise it suspends with that timer
+    /// as its waking date.
+    pub fn decide_idle(&mut self, now: SimTime, earliest_timer: Option<SimTime>) -> Decision {
+        if let Some(until) = self.grace_until {
+            if now < until {
+                return Decision::StayAwake(StayAwakeReason::GraceActive { until });
+            }
+            self.grace_until = None;
+        }
+        Decision::Suspend {
             // A timer already due means imminent work: schedule the wake
             // for "now" rather than the past.
-            .map(|d| d.max(now));
-        self.suspends_decided += 1;
-        Decision::Suspend { waking_date }
+            waking_date: earliest_timer.map(|d| d.max(now)),
+        }
     }
 }
 
@@ -267,7 +273,6 @@ mod tests {
         let mut m = SuspendModule::with_defaults();
         let d = m.decide(t(100), &table, &bl, &timers);
         assert_eq!(d, Decision::Suspend { waking_date: None });
-        assert_eq!(m.suspends_decided(), 1);
     }
 
     #[test]
@@ -316,11 +321,17 @@ mod tests {
         timers.register(t(5), vm_pid, "past-due");
         let mut m = SuspendModule::with_defaults();
         let d = m.decide(t(100), &table, &bl, &timers);
+        let clamped = Decision::Suspend {
+            waking_date: Some(t(100)),
+        };
+        assert_eq!(d, clamped);
+        assert_eq!(m.decide_idle(t(100), Some(t(5))), clamped);
         assert_eq!(
-            d,
+            m.decide_idle(t(100), Some(t(500))),
             Decision::Suspend {
-                waking_date: Some(t(100))
-            }
+                waking_date: Some(t(500))
+            },
+            "a future timer is the waking date as is"
         );
     }
 
@@ -349,18 +360,27 @@ mod tests {
     #[test]
     fn grace_period_blocks_then_expires() {
         let (table, bl, timers) = idle_host();
-        let mut m = SuspendModule::with_defaults();
-        m.on_resume(t(1000), 0.0); // IP 0 → 2 min grace
-        match m.decide(t(1010), &table, &bl, &timers) {
-            Decision::StayAwake(StayAwakeReason::GraceActive { until }) => {
-                assert_eq!(until, t(1000) + SimDuration::from_minutes(2));
+        // The full pipeline and the idle-host entry point share one grace
+        // rule.
+        let full = |m: &mut SuspendModule, now| m.decide(now, &table, &bl, &timers);
+        let idle = |m: &mut SuspendModule, now| m.decide_idle(now, None);
+        for decide in [
+            &full as &dyn Fn(&mut SuspendModule, SimTime) -> Decision,
+            &idle,
+        ] {
+            let mut m = SuspendModule::with_defaults();
+            m.on_resume(t(1000), 0.0); // IP 0 → 2 min grace
+            match decide(&mut m, t(1010)) {
+                Decision::StayAwake(StayAwakeReason::GraceActive { until }) => {
+                    assert_eq!(until, t(1000) + SimDuration::from_minutes(2));
+                }
+                other => panic!("unexpected decision {other:?}"),
             }
-            other => panic!("unexpected decision {other:?}"),
+            // After the grace deadline the host may sleep.
+            let d = decide(&mut m, t(1000 + 121));
+            assert_eq!(d, Decision::Suspend { waking_date: None });
+            assert_eq!(m.grace_deadline(), None, "grace consumed");
         }
-        // After the grace deadline the host may sleep.
-        let d = m.decide(t(1000 + 121), &table, &bl, &timers);
-        assert!(d.is_suspend());
-        assert_eq!(m.grace_deadline(), None, "grace consumed");
     }
 
     #[test]

@@ -186,19 +186,6 @@ impl<E> EventQueue<E> {
         self.heap.len()
     }
 
-    /// The time of the most recently popped event (the queue's notion of
-    /// "now").
-    pub fn current_time(&self) -> Option<SimTime> {
-        self.last_popped
-    }
-
-    /// Drops every pending event.
-    pub fn clear(&mut self) {
-        self.heap.clear();
-        self.pending.clear();
-        self.cancelled.clear();
-    }
-
     /// Rebuilds storage without tombstones once they outnumber half the
     /// live entries, so cancel-heavy workloads hold bounded memory. The
     /// rebuild keeps every `(time, seq)` key, so pop order is unaffected.
@@ -324,26 +311,6 @@ mod tests {
         q.cancel(a);
         assert_eq!(q.peek_time(), Some(t(2)));
         assert_eq!(q.pop().unwrap().event, 2);
-    }
-
-    #[test]
-    fn current_time_tracks_pops() {
-        let mut q = EventQueue::new();
-        assert_eq!(q.current_time(), None);
-        q.schedule(t(4), 0);
-        q.pop();
-        assert_eq!(q.current_time(), Some(t(4)));
-    }
-
-    #[test]
-    fn clear_empties_queue() {
-        let mut q = EventQueue::new();
-        q.schedule(t(1), 1);
-        q.schedule(t(2), 2);
-        q.clear();
-        assert!(q.is_empty());
-        assert_eq!(q.storage_len(), 0);
-        assert!(q.pop().is_none());
     }
 
     #[test]

@@ -8,10 +8,9 @@
 //!   decomposes an instant into the four scales the idleness model uses
 //!   (hour of day, day of week, day of month, month of year).
 //! * [`events`] — a stable, deterministic event queue ([`EventQueue`], a
-//!   binary heap) ordered by time with FIFO tie-breaking.
-//! * [`engine`] — the discrete-event driver ([`SimEngine`]): queue +
-//!   clock + a handler loop, so whole simulations run at `SimTime`
-//!   resolution instead of fixed ticks.
+//!   binary heap) ordered by time with FIFO tie-breaking and O(1)
+//!   cancellation, over which a simulation runs its own clock and
+//!   handler loop at `SimTime` resolution instead of fixed ticks.
 //! * [`pool`] — a persistent worker pool ([`WorkerPool`]): long-lived
 //!   workers parked on a condvar between batches, submission-ordered
 //!   results, so every parallel hot loop (fleet shards, sweeps)
@@ -26,7 +25,7 @@
 //! * [`stats`] — percentile summaries, latency histograms and text/CSV
 //!   table rendering used by the experiment harnesses.
 //!
-//! The engine is intentionally single-threaded and allocation-light: the
+//! The substrate is intentionally single-threaded and allocation-light: the
 //! Drowsy-DC experiments simulate weeks to years of wall-clock time at an
 //! hourly control cadence, so determinism and replayability matter more
 //! than parallel speed. Parallelism happens *across* experiment runs (the
@@ -34,7 +33,6 @@
 
 #![warn(missing_docs)]
 
-pub mod engine;
 pub mod events;
 pub mod ids;
 pub mod pool;
@@ -43,7 +41,6 @@ pub mod rng;
 pub mod stats;
 pub mod time;
 
-pub use engine::SimEngine;
 pub use events::{EventQueue, EventToken, ScheduledEvent};
 pub use ids::{HostId, RackId, VmId};
 pub use pool::WorkerPool;

@@ -72,6 +72,6 @@ pub mod prelude {
     pub use dds_power::{HostPowerModel, PowerState, PowerTimeline};
     pub use dds_scenarios::{run_scenario, run_scenario_qos, Scenario, ScenarioError};
     pub use dds_sim_core::qos::QosReport;
-    pub use dds_sim_core::{HostId, SimDuration, SimEngine, SimTime, VmId};
+    pub use dds_sim_core::{HostId, SimDuration, SimTime, VmId};
     pub use dds_traces::{TracePattern, VmTrace};
 }
