@@ -15,83 +15,92 @@ const MIGRATION_BANDWIDTH_GBPS: f64 = 10.0;
 
 impl Datacenter {
     /// The host's idleness probability for the current hour — the mean of
-    /// its residents' model probabilities when the policy consumes
-    /// idleness models, the neutral 0.5 otherwise.
-    pub(super) fn host_ip_probability(&self, host: HostId) -> f64 {
+    /// its residents' model probabilities, `(s + 1) / 2` of each cached
+    /// score, when the policy consumes idleness models, the neutral 0.5
+    /// otherwise.
+    pub(super) fn host_ip_probability(&mut self, host: HostId) -> f64 {
         if !self.policy.uses_idleness_scores() {
             return 0.5; // no idleness models → neutral grace
         }
-        let stamp = CalendarStamp::from_hour_index(self.hour);
         let count = self.active_residents(host).count();
         if count == 0 {
             return 1.0; // empty host: confidently idle
         }
+        self.fill_scores();
+        let scores = self.cached_scores();
         self.active_residents(host)
-            .map(|i| self.vms[i].im.probability(stamp))
+            .map(|i| (scores[i] + 1.0) / 2.0)
             .sum::<f64>()
             / count as f64
     }
 
     /// Each VM's activity level in hour `h`; 0.0 for a departed VM.
     pub(super) fn levels(&self, h: u64) -> Vec<f64> {
-        self.vms
-            .iter()
-            .map(|v| {
-                if v.departed {
-                    0.0
-                } else {
-                    v.spec.trace.level_at_hour(h)
-                }
-            })
-            .collect()
-    }
-
-    /// Each VM's next-hour IP score, the paper's eq. 1, when the policy
-    /// consumes idleness models, 0.0 otherwise. A departed VM's slot
-    /// reads 0.0: [`Datacenter::cluster_state`] lists live VMs only.
-    pub(super) fn scores(&self, stamp: CalendarStamp) -> Vec<f64> {
-        if !self.policy.uses_idleness_scores() {
-            return vec![0.0; self.vms.len()];
+        let mut levels = vec![0.0; self.vms.len()];
+        for &i in self.residents.iter().flatten() {
+            levels[i] = self.vms[i].spec.trace.level_at_hour(h);
         }
-        self.vms
-            .iter()
-            .map(|v| {
-                if v.departed {
-                    0.0
-                } else {
-                    v.im.raw_score(stamp)
-                }
-            })
-            .collect()
+        levels
     }
 
-    /// Builds the placement view for the planners.
-    pub(super) fn cluster_state(&self, levels: &[f64], scores: &[f64]) -> ClusterState {
-        let mut hosts: Vec<HostState> = self
+    /// Fills the hour's score cache unless a reader already has: each
+    /// live VM's IP score for the current hour, the paper's eq. 1, when
+    /// the policy consumes idleness models, 0.0 otherwise and for a
+    /// departed slot. The buffer is reused from hour to hour.
+    pub(super) fn fill_scores(&mut self) {
+        if self.scores_fresh {
+            return;
+        }
+        let stamp = CalendarStamp::from_hour_index(self.hour);
+        self.ip_scores.clear();
+        self.ip_scores.resize(self.vms.len(), 0.0);
+        if self.policy.uses_idleness_scores() {
+            for &i in self.residents.iter().flatten() {
+                self.ip_scores[i] = self.vms[i].im.raw_score(stamp);
+            }
+        }
+        self.scores_fresh = true;
+    }
+
+    /// The hour's cached IP scores, indexed by VM.
+    pub(super) fn cached_scores(&self) -> &[f64] {
+        debug_assert!(self.scores_fresh, "score cache read before the hour's fill");
+        &self.ip_scores
+    }
+
+    /// Builds the placement view for the planners from the resident
+    /// lists, the hour's `levels` and the cached scores.
+    pub(super) fn cluster_state(&self, levels: &[f64]) -> ClusterState {
+        let scores = self.cached_scores();
+        let hosts: Vec<HostState> = self
             .hosts
             .iter()
-            .map(|h| HostState {
+            .zip(&self.residents)
+            .map(|(h, list)| HostState {
                 id: h.spec.id,
                 cpu_capacity: h.spec.cpu_cores,
                 ram_capacity: h.spec.ram_mb,
                 max_vms: h.spec.max_vms,
-                vms: Vec::new(),
+                vms: list
+                    .iter()
+                    .map(|&i| {
+                        let vm = &self.vms[i].spec;
+                        VmState {
+                            id: vm.id,
+                            vcpus: vm.vcpus,
+                            ram_mb: vm.ram_mb,
+                            cpu_demand: levels[i] * vm.vcpus,
+                            ip_score: scores[i],
+                        }
+                    })
+                    .collect(),
             })
             .collect();
-        for vm in self.vms.iter().filter(|v| !v.departed) {
-            hosts[vm.host.index()].vms.push(VmState {
-                id: vm.spec.id,
-                vcpus: vm.spec.vcpus,
-                ram_mb: vm.spec.ram_mb,
-                cpu_demand: levels[vm.spec.id.index()] * vm.spec.vcpus,
-                ip_score: scores[vm.spec.id.index()],
-            });
-        }
         let mut state = ClusterState::new(hosts);
-        for vm in &self.vms {
-            if let Some(last) = vm.last_migration_hour {
+        for &i in self.residents.iter().flatten() {
+            if let Some(last) = self.vms[i].last_migration_hour {
                 if self.hour.saturating_sub(last) < MIGRATION_COOLDOWN_HOURS {
-                    state.freeze(vm.spec.id);
+                    state.freeze(self.vms[i].spec.id);
                 }
             }
         }
@@ -150,13 +159,13 @@ impl Datacenter {
         // --- activity levels and idleness scores for this hour.
         let score_span = telemetry::dc_spans().span("dc.score");
         let levels = self.levels(h);
-        let scores = self.scores(stamp);
+        self.fill_scores();
         drop(score_span);
 
         // --- consolidation round.
         if h.is_multiple_of(self.cfg.relocation_period_hours) {
             let _span = telemetry::dc_spans().span("dc.consolidate");
-            self.consolidate(&levels, &scores, hour_start);
+            self.consolidate(&levels, hour_start);
         }
 
         // --- scheduled wakes due now (waking module fires ahead of time).
@@ -200,7 +209,9 @@ impl Datacenter {
         }
 
         // --- model updates, every live VM in one batch, for a policy that
-        // reads the models (scores, grace probabilities or classes).
+        // reads the models (scores, grace probabilities or classes). The
+        // hour's scores go first: the next hour's first reader refills.
+        self.scores_fresh = false;
         if self.policy.uses_idleness_scores() || self.policy.uses_trace_classes() {
             IdlenessModel::observe_batch(
                 stamp,
@@ -235,7 +246,7 @@ impl Datacenter {
     /// between rounds (Oasis's parking pass must observe the state after
     /// its packing pass), and applies each round's orders in plan order:
     /// migrations, swaps, unparks, parks.
-    fn consolidate(&mut self, levels: &[f64], scores: &[f64], now: SimTime) {
+    fn consolidate(&mut self, levels: &[f64], now: SimTime) {
         // Per-VM behaviour classes for class-aware policies (the
         // adaptive meta-policy); indexed by VmId, stable across rounds
         // (models only learn between control periods).
@@ -245,7 +256,7 @@ impl Datacenter {
             Vec::new()
         };
         for round in 0..self.policy.plan_rounds() {
-            let state = self.cluster_state(levels, scores);
+            let state = self.cluster_state(levels);
             let plan = self
                 .policy
                 .plan(round, &PlanningView::new(&state, &classes), &mut self.rng);

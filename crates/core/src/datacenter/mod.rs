@@ -72,7 +72,9 @@ use dds_hostos::{Decision, SuspendConfig, SuspendModule};
 use dds_idleness::{IdlenessModel, ImConfig};
 use dds_net::{HostMac, VmIp, WakingCluster};
 use dds_placement::policy::{ControlPolicy, PlanningView, SleepDepth};
-use dds_placement::{ClusterState, DrowsyConfig, HostState, SleepScaleConfig, VmState};
+use dds_placement::{
+    ClusterState, DrowsyConfig, HostState, HostSummary, SleepScaleConfig, VmState,
+};
 use dds_power::{
     DcEnergyAccount, EnergyMeter, HostPowerModel, PowerState, PowerStateMachine, PowerTimeline,
     WakeSpeed,
@@ -334,6 +336,14 @@ pub struct Datacenter {
     /// step at construction, `apply_move`, `admit_vm` and `remove_vm`,
     /// so per-host walks cost the host's residents, not every VM.
     residents: Vec<Vec<usize>>,
+    /// This hour's IP score per VM slot, while `scores_fresh`. Models
+    /// change only in `step_hour`'s batch update and at admission, so the
+    /// hour's first reader (an admission, a wake or `step_hour`) fills it,
+    /// `admit_vm` appends the newcomer's score, `remove_vm` zeroes a
+    /// departed slot's, and `step_hour` marks it stale before the models
+    /// learn.
+    ip_scores: Vec<f64>,
+    scores_fresh: bool,
     waking: WakingCluster,
     /// The run's master seed: request arrivals derive from it per
     /// (VM, hour) ([`dds_traces::hour_request_rng`]).
@@ -462,6 +472,8 @@ impl Datacenter {
             hosts,
             vms,
             residents,
+            ip_scores: Vec::new(),
+            scores_fresh: false,
         }
     }
 
@@ -522,13 +534,30 @@ impl Datacenter {
     /// the host whose idleness pattern best matches its (still
     /// undetermined) score. Returns the chosen host.
     ///
+    /// The scheduler reads one [`HostSummary`] per host, built from the
+    /// host's resident list and the hour's cached IP scores: an arrival
+    /// costs O(hosts + live VMs), whatever the number of departed slots.
+    ///
     /// The spec's `id` is overwritten with the next dense id.
     pub fn admit_vm(&mut self, mut spec: VmSpec) -> Result<HostId, AdmitError> {
         let h = self.hour;
         spec.id = VmId(self.vms.len() as u32);
-        let levels = self.levels(h);
-        let scores = self.scores(CalendarStamp::from_hour_index(h));
-        let state = self.cluster_state(&levels, &scores);
+        self.fill_scores();
+        let scores = self.cached_scores();
+        let summaries = self.hosts.iter().zip(&self.residents).map(|(host, list)| {
+            let residents = list.iter().map(|&i| {
+                let vm = &self.vms[i].spec;
+                (vm.vcpus, vm.ram_mb, scores[i])
+            });
+            let caps = &host.spec;
+            HostSummary::new(
+                caps.id,
+                caps.cpu_cores,
+                caps.ram_mb,
+                caps.max_vms,
+                residents,
+            )
+        });
         let candidate = VmState {
             id: spec.id,
             vcpus: spec.vcpus,
@@ -539,15 +568,22 @@ impl Datacenter {
         let dest = self
             .policy
             .admission_scheduler()
-            .select(&state, &candidate)
+            .select(summaries, &candidate)
             .ok_or(AdmitError::NoHostFits)?;
         // A sleeping destination must be woken to receive the VM.
         let now = SimTime::from_hours(h);
         let ready = self.wake_for_management(dest, now);
         self.hosts[dest.index()].forced_awake_until =
             self.hosts[dest.index()].forced_awake_until.max(ready);
+        let im = IdlenessModel::new(self.cfg.im.clone());
+        let score = if self.policy.uses_idleness_scores() {
+            im.raw_score(CalendarStamp::from_hour_index(h))
+        } else {
+            0.0
+        };
+        self.ip_scores.push(score);
         self.vms.push(VmSim {
-            im: IdlenessModel::new(self.cfg.im.clone()),
+            im,
             host: dest,
             migrations: 0,
             last_migration_hour: None,
@@ -585,6 +621,9 @@ impl Datacenter {
         self.live_vms -= 1;
         let host = v.host.index();
         self.unlist_resident(host, vm.index());
+        if self.scores_fresh {
+            self.ip_scores[vm.index()] = 0.0;
+        }
         true
     }
 

@@ -1,5 +1,6 @@
 use super::*;
 use dds_traces::{TracePattern, VmTrace};
+use proptest::prelude::*;
 
 /// The standard-registry policy `name`, configured from `cfg`.
 fn policy(
@@ -1028,4 +1029,213 @@ fn residency_lists_mirror_vms_through_oasis_parking() {
         }
     }
     assert!(parks > 0 && unparks > 0, "parks {parks}, unparks {unparks}");
+}
+
+impl Datacenter {
+    /// Every slot's IP score for `stamp` by a scan over all slots: eq. 1
+    /// from each live VM's model under a policy that reads the models,
+    /// 0.0 otherwise and for a departed slot.
+    fn fresh_scores(&self, stamp: CalendarStamp) -> Vec<f64> {
+        let reads = self.policy.uses_idleness_scores();
+        self.vms
+            .iter()
+            .map(|v| {
+                if reads && !v.departed {
+                    v.im.raw_score(stamp)
+                } else {
+                    0.0
+                }
+            })
+            .collect()
+    }
+
+    /// The full-snapshot admission oracle: every slot's level and IP
+    /// score and a `ClusterState` of every live VM, rebuilt for one
+    /// arrival, then the policy's filter scheduler. The host
+    /// `admit_vm(spec)` must pick.
+    fn snapshot_admission(&self, spec: &VmSpec) -> Option<HostId> {
+        let h = self.hour;
+        let scores = self.fresh_scores(CalendarStamp::from_hour_index(h));
+        let mut hosts: Vec<HostState> = self
+            .hosts
+            .iter()
+            .map(|host| HostState {
+                id: host.spec.id,
+                cpu_capacity: host.spec.cpu_cores,
+                ram_capacity: host.spec.ram_mb,
+                max_vms: host.spec.max_vms,
+                vms: Vec::new(),
+            })
+            .collect();
+        for v in self.vms.iter().filter(|v| !v.departed) {
+            hosts[v.host.index()].vms.push(VmState {
+                id: v.spec.id,
+                vcpus: v.spec.vcpus,
+                ram_mb: v.spec.ram_mb,
+                cpu_demand: v.spec.trace.level_at_hour(h) * v.spec.vcpus,
+                ip_score: scores[v.spec.id.index()],
+            });
+        }
+        let state = ClusterState::new(hosts);
+        let candidate = VmState {
+            id: VmId(self.vms.len() as u32),
+            vcpus: spec.vcpus,
+            ram_mb: spec.ram_mb,
+            cpu_demand: spec.trace.level_at_hour(h) * spec.vcpus,
+            ip_score: 0.0,
+        };
+        let hosts = state.hosts.iter().map(HostSummary::from);
+        self.policy.admission_scheduler().select(hosts, &candidate)
+    }
+}
+
+/// A day-periodic trace for the admission tests: idle, office hours, a
+/// nightly batch or noisy levels drawn from `rng`, by `kind`.
+fn day_trace(kind: u64, rng: &mut SimRng) -> VmTrace {
+    let levels = (0..24)
+        .map(|h| match kind % 4 {
+            0 => 0.0,
+            1 if (8..18).contains(&h) => 0.6,
+            2 if h < 4 => 0.9,
+            3 if rng.uniform(0.0, 1.0) < 0.6 => rng.uniform(0.0, 1.0),
+            _ => 0.0,
+        })
+        .collect();
+    VmTrace::new("day", levels)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// Random heterogeneous fleets under random interleavings of
+    /// admissions, departures and epochs: every admission picks the host
+    /// the full-snapshot oracle picks, under both admission schedulers
+    /// (`drowsy-dc` runs `Drowsy`, `neat-s3` runs `Nova`), and every
+    /// epoch starts from cached scores equal to a fresh scan's.
+    #[test]
+    fn admission_matches_the_full_snapshot(
+        fleet in proptest::collection::vec((0usize..3, 0usize..3, 0usize..4), 2..7),
+        ops in proptest::collection::vec((0u8..10, 0u64..1_000), 1..160),
+        seed in 0u64..1_000,
+    ) {
+        const RAM_MB: [u64; 3] = [8_192, 16_384, 32_768];
+        const CORES: [f64; 3] = [4.0, 8.0, 16.0];
+        const CAPS: [usize; 4] = [0, 2, 3, 5];
+        // Non-integer vCPUs make the CoreFilter's sum order-sensitive.
+        const SHAPES: [(f64, u64); 4] =
+            [(0.3, 1_024), (0.5, 2_048), (1.5, 4_096), (2.0, 6_144)];
+        const KINDS: [WorkloadKind; 3] = [
+            WorkloadKind::Interactive,
+            WorkloadKind::Batch,
+            WorkloadKind::TimerDriven,
+        ];
+        for name in ["drowsy-dc", "neat-s3"] {
+            let hosts: Vec<HostSpec> = fleet
+                .iter()
+                .enumerate()
+                .map(|(i, &(ram, cores, cap))| HostSpec {
+                    cpu_cores: CORES[cores],
+                    ram_mb: RAM_MB[ram],
+                    max_vms: CAPS[cap],
+                    ..HostSpec::testbed_machine(HostId(i as u32), format!("P{i}"))
+                })
+                .collect();
+            let mut rng = SimRng::new(seed);
+            let vm = |x: u64, rng: &mut SimRng| {
+                let (vcpus, ram_mb) = SHAPES[x as usize % 4];
+                VmSpec {
+                    id: VmId(0),
+                    name: "vm".into(),
+                    vcpus,
+                    ram_mb,
+                    trace: day_trace(x / 4, rng),
+                    kind: KINDS[(x / 16) as usize % 3],
+                }
+            };
+            // One VM per host, learning for a day or two so that scores
+            // differ before the first arrival.
+            let vms: Vec<VmSpec> = (0..hosts.len())
+                .map(|i| VmSpec { id: VmId(i as u32), ..vm(seed + i as u64, &mut rng) })
+                .collect();
+            let placement = (0..hosts.len()).map(|i| HostId(i as u32)).collect();
+            let cfg = DcConfig::paper_default();
+            let policy = policy(name, &cfg, None);
+            let mut dc = Datacenter::with_policy(cfg, policy, hosts, vms, placement, seed);
+            dc.run(24 + seed % 24);
+            for &(kind, x) in &ops {
+                match kind {
+                    0..=3 => {
+                        let spec = vm(x, &mut rng);
+                        let want = dc.snapshot_admission(&spec);
+                        let got = dc.admit_vm(spec).ok();
+                        prop_assert_eq!(got, want, "{} admission at hour {}", name, dc.hour);
+                    }
+                    4 => {
+                        let slots = dc.vm_slot_count() as u64;
+                        if slots > 0 {
+                            dc.remove_vm(VmId((x % slots) as u32));
+                        }
+                    }
+                    _ => {
+                        dc.fill_scores();
+                        let stamp = CalendarStamp::from_hour_index(dc.hour);
+                        let bits = |s: &[f64]| s.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                        let cached = bits(dc.cached_scores());
+                        let fresh = bits(&dc.fresh_scores(stamp));
+                        prop_assert_eq!(cached, fresh, "{} scores at hour {}", name, dc.hour);
+                        dc.run(1);
+                    }
+                }
+            }
+        }
+    }
+}
+
+#[test]
+#[ignore = "timing check; run in release with --ignored"]
+fn admission_cost_does_not_grow_with_departed_slots() {
+    // 200 cloud servers holding two learned VMs each; every cycle admits
+    // a job and removes it, leaving one departed slot. The second timed
+    // block runs beside 22,000 departed slots, the first beside none; an
+    // arrival that walked every slot took 30 to 45 times as long there.
+    let hosts: Vec<HostSpec> = (0..200)
+        .map(|i| HostSpec::cloud_server(HostId(i), format!("H{i}")))
+        .collect();
+    let mut rng = SimRng::new(7);
+    let vms: Vec<VmSpec> = (0..400)
+        .map(|i| {
+            let trace = day_trace(u64::from(i), &mut rng);
+            VmSpec::testbed_flavor(VmId(i), format!("V{i}"), trace, WorkloadKind::Interactive)
+        })
+        .collect();
+    let placement = (0..400).map(|i| HostId(i / 2)).collect();
+    let mut cfg = DcConfig::paper_default();
+    // The colocation matrix would hold 24,400² counters, about 4 GB.
+    cfg.track_colocation = false;
+    let policy = policy("drowsy-dc", &cfg, None);
+    let mut dc = Datacenter::with_policy(cfg, policy, hosts, vms, placement, 7);
+    dc.run(24);
+    let job = VmSpec::testbed_flavor(
+        VmId(0),
+        "job",
+        VmTrace::new("burst", vec![1.0; 24]),
+        WorkloadKind::Batch,
+    );
+    let mut cycles = |n: usize| {
+        let start = std::time::Instant::now();
+        for _ in 0..n {
+            dc.admit_vm(job.clone()).expect("the fleet has room");
+            assert!(dc.remove_vm(VmId(dc.vm_slot_count() as u32 - 1)));
+        }
+        start.elapsed()
+    };
+    let fresh = cycles(2_000);
+    cycles(20_000);
+    let crowded = cycles(2_000);
+    eprintln!("2,000 cycles: {fresh:?} beside no departed slots, {crowded:?} beside 22,000");
+    assert!(
+        crowded <= fresh * 3,
+        "admission slowed {:.1}× beside departed slots ({fresh:?} → {crowded:?})",
+        crowded.as_secs_f64() / fresh.as_secs_f64()
+    );
 }

@@ -6,8 +6,68 @@
 //! Drowsy-DC integrates by "add\[ing\] our own weigher so as to favor hosts
 //! with best-matching idleness probability".
 
-use crate::types::{ClusterState, HostState, VmState};
+use crate::types::{HostState, VmState};
 use dds_sim_core::HostId;
+
+/// What the filter scheduler reads of one host, as Nova's host manager
+/// keeps it: the filters' free RAM, vCPUs in use, resident count and
+/// limits, and the IP weigher's mean resident score.
+#[derive(Debug, Clone, Copy)]
+pub struct HostSummary {
+    id: HostId,
+    /// RAM not held by residents, in MiB.
+    ram_free: u64,
+    /// The residents' vCPUs, summed in resident order.
+    vcpus_used: f64,
+    vm_count: usize,
+    cpu_capacity: f64,
+    /// VM cap (0 = unlimited).
+    max_vms: usize,
+    /// Mean resident IP score ([`HostState::ip_score`]); 0 when empty.
+    ip_score: f64,
+}
+
+impl HostSummary {
+    /// Summarizes a host from its residents' `(vcpus, ram_mb, ip_score)`
+    /// in resident order, with the arithmetic of [`HostState`]'s
+    /// `ram_free` and `ip_score`.
+    pub fn new(
+        id: HostId,
+        cpu_capacity: f64,
+        ram_capacity: u64,
+        max_vms: usize,
+        residents: impl Iterator<Item = (f64, u64, f64)> + Clone,
+    ) -> Self {
+        let vm_count = residents.clone().count();
+        let ram_used: u64 = residents.clone().map(|(_, ram, _)| ram).sum();
+        let ip_score = if vm_count == 0 {
+            0.0
+        } else {
+            residents.clone().map(|(_, _, ip)| ip).sum::<f64>() / vm_count as f64
+        };
+        HostSummary {
+            id,
+            ram_free: ram_capacity.saturating_sub(ram_used),
+            vcpus_used: residents.map(|(vcpus, _, _)| vcpus).sum(),
+            vm_count,
+            cpu_capacity,
+            max_vms,
+            ip_score,
+        }
+    }
+}
+
+impl From<&HostState> for HostSummary {
+    fn from(host: &HostState) -> Self {
+        HostSummary::new(
+            host.id,
+            host.cpu_capacity,
+            host.ram_capacity,
+            host.max_vms,
+            host.vms.iter().map(|v| (v.vcpus, v.ram_mb, v.ip_score)),
+        )
+    }
+}
 
 /// The admission scheduler: Nova's filters, then min-max normalized,
 /// weighted scores. The two configurations the policies use are its
@@ -26,23 +86,29 @@ impl FilterScheduler {
     /// overcommit (CoreFilter at ratio 1.0; the paper's testbed runs
     /// 2 VMs × 2 vCPU on 4C8T) and the host's VM cap (NumInstancesFilter,
     /// the testbed's "maximum 2 VMs per machine"; 0 = unlimited).
-    fn passes(host: &HostState, vm: &VmState) -> bool {
-        host.ram_free() >= vm.ram_mb
-            && host.vms.iter().map(|v| v.vcpus).sum::<f64>() + vm.vcpus <= host.cpu_capacity
-            && (host.max_vms == 0 || host.vms.len() < host.max_vms)
+    fn passes(host: &HostSummary, vm: &VmState) -> bool {
+        host.ram_free >= vm.ram_mb
+            && host.vcpus_used + vm.vcpus <= host.cpu_capacity
+            && (host.max_vms == 0 || host.vm_count < host.max_vms)
     }
 
     /// Hosts passing every filter.
-    fn filter<'a>(&self, state: &'a ClusterState, vm: &VmState) -> Vec<&'a HostState> {
-        state.hosts.iter().filter(|h| Self::passes(h, vm)).collect()
+    fn filter(hosts: impl IntoIterator<Item = HostSummary>, vm: &VmState) -> Vec<HostSummary> {
+        hosts.into_iter().filter(|h| Self::passes(h, vm)).collect()
     }
 
-    /// Selects the best host for `vm`, or `None` when every host is
-    /// filtered out. Weigher scores are min-max normalized across the
-    /// candidate set (Nova's normalization) before weighting; equal
+    /// Selects the best host for `vm` among `hosts`, one summary per host
+    /// (built from a planner snapshot through `From<&HostState>`, or by
+    /// the caller from its own residency records), or `None` when every
+    /// host is filtered out. Weigher scores are min-max normalized across
+    /// the hosts that pass (Nova's normalization) before weighting; equal
     /// totals go to the lowest host id.
-    pub fn select(&self, state: &ClusterState, vm: &VmState) -> Option<HostId> {
-        let candidates = self.filter(state, vm);
+    pub fn select(
+        &self,
+        hosts: impl IntoIterator<Item = HostSummary>,
+        vm: &VmState,
+    ) -> Option<HostId> {
+        let candidates = Self::filter(hosts, vm);
         if candidates.is_empty() {
             return None;
         }
@@ -50,13 +116,11 @@ impl FilterScheduler {
         if *self == FilterScheduler::Drowsy {
             // Drowsy-DC's idleness-proximity weigher: hosts whose IP best
             // matches the VM's score highest.
-            let ip_proximity = candidates
-                .iter()
-                .map(|h| -(h.ip_score() - vm.ip_score).abs());
+            let ip_proximity = candidates.iter().map(|h| -(h.ip_score - vm.ip_score).abs());
             add_normalized(&mut totals, 10.0, ip_proximity);
         }
         // Nova's RAM weigher with a negative multiplier: packs.
-        let ram_packing = candidates.iter().map(|h| -(h.ram_free() as f64));
+        let ram_packing = candidates.iter().map(|h| -(h.ram_free as f64));
         add_normalized(&mut totals, 1.0, ram_packing);
         let mut best = 0usize;
         for i in 1..candidates.len() {
@@ -88,16 +152,23 @@ fn add_normalized(totals: &mut [f64], weight: f64, raw: impl Iterator<Item = f64
 mod tests {
     use super::*;
     use crate::types::testkit::{host, vm};
+    use crate::types::ClusterState;
+
+    /// `select` over a snapshot's hosts.
+    fn select(sched: FilterScheduler, state: &ClusterState, vm: &VmState) -> Option<HostId> {
+        sched.select(state.hosts.iter().map(HostSummary::from), vm)
+    }
+
+    fn passes(host: &HostState, vm: &VmState) -> bool {
+        FilterScheduler::passes(&HostSummary::from(host), vm)
+    }
 
     #[test]
     fn ram_filter_blocks_full_hosts() {
         let h = host(0, 0, vec![vm(1, 0.0, 0.0), vm(2, 0.0, 0.0)]); // 12 GiB used
-        assert!(
-            !FilterScheduler::passes(&h, &vm(3, 0.0, 0.0)),
-            "6 GiB won't fit in 4 GiB"
-        );
+        assert!(!passes(&h, &vm(3, 0.0, 0.0)), "6 GiB won't fit in 4 GiB");
         let empty = host(1, 0, vec![]);
-        assert!(FilterScheduler::passes(&empty, &vm(3, 0.0, 0.0)));
+        assert!(passes(&empty, &vm(3, 0.0, 0.0)));
     }
 
     #[test]
@@ -109,21 +180,31 @@ mod tests {
             h
         };
         let three = with_ram((1..=3).map(|i| vm(i, 0.0, 0.0)).collect());
-        assert!(FilterScheduler::passes(&three, &vm(9, 0.0, 0.0))); // 8 ≤ 8
+        assert!(passes(&three, &vm(9, 0.0, 0.0))); // 8 ≤ 8
         let four = with_ram((1..=4).map(|i| vm(i, 0.0, 0.0)).collect());
-        assert!(!FilterScheduler::passes(&four, &vm(9, 0.0, 0.0))); // 10 > 8
+        assert!(!passes(&four, &vm(9, 0.0, 0.0))); // 10 > 8
     }
 
     #[test]
     fn instance_filter_uses_cap() {
         let mut h = host(0, 2, vec![vm(1, 0.0, 0.0), vm(2, 0.0, 0.0)]);
         h.ram_capacity = 1 << 20;
-        assert!(!FilterScheduler::passes(&h, &vm(3, 0.0, 0.0)));
+        assert!(!passes(&h, &vm(3, 0.0, 0.0)));
         h.max_vms = 0;
-        assert!(
-            FilterScheduler::passes(&h, &vm(3, 0.0, 0.0)),
-            "0 = unlimited"
+        assert!(passes(&h, &vm(3, 0.0, 0.0)), "0 = unlimited");
+    }
+
+    #[test]
+    fn summary_matches_the_host_state() {
+        let h = host(3, 2, vec![vm(1, 0.0, -0.4), vm(2, 0.0, 0.1)]);
+        let s = HostSummary::from(&h);
+        assert_eq!(
+            (s.id, s.ram_free, s.vm_count, s.max_vms),
+            (h.id, h.ram_free(), 2, 2)
         );
+        assert_eq!(s.vcpus_used, 4.0);
+        assert_eq!(s.ip_score.to_bits(), h.ip_score().to_bits());
+        assert_eq!(HostSummary::from(&host(4, 0, vec![])).ip_score, 0.0);
     }
 
     #[test]
@@ -133,7 +214,7 @@ mod tests {
             host(1, 0, vec![vm(1, 0.0, 0.0)]), // less free RAM → packs here
         ]);
         assert_eq!(
-            FilterScheduler::Nova.select(&state, &vm(9, 0.0, 0.0)),
+            select(FilterScheduler::Nova, &state, &vm(9, 0.0, 0.0)),
             Some(HostId(1))
         );
     }
@@ -147,15 +228,18 @@ mod tests {
         ]);
         // An idle-pattern VM goes to the idle-pattern host even though
         // both tie on RAM.
-        assert_eq!(sched.select(&state, &vm(9, 0.0, 0.38)), Some(HostId(1)));
+        assert_eq!(select(sched, &state, &vm(9, 0.0, 0.38)), Some(HostId(1)));
         // An active-pattern VM goes the other way.
-        assert_eq!(sched.select(&state, &vm(9, 0.0, -0.38)), Some(HostId(0)));
+        assert_eq!(select(sched, &state, &vm(9, 0.0, -0.38)), Some(HostId(0)));
     }
 
     #[test]
     fn select_none_when_filtered_out() {
         let state = ClusterState::new(vec![host(0, 1, vec![vm(1, 0.0, 0.0)])]);
-        assert_eq!(FilterScheduler::Nova.select(&state, &vm(9, 0.0, 0.0)), None);
+        assert_eq!(
+            select(FilterScheduler::Nova, &state, &vm(9, 0.0, 0.0)),
+            None
+        );
     }
 
     #[test]
@@ -163,7 +247,7 @@ mod tests {
         let state = ClusterState::new(vec![host(2, 0, vec![]), host(0, 0, vec![])]);
         // Same free RAM everywhere → normalized scores all zero → lowest id.
         assert_eq!(
-            FilterScheduler::Nova.select(&state, &vm(9, 0.0, 0.0)),
+            select(FilterScheduler::Nova, &state, &vm(9, 0.0, 0.0)),
             Some(HostId(0))
         );
     }
@@ -171,7 +255,8 @@ mod tests {
     #[test]
     fn filter_lists_survivors() {
         let state = ClusterState::new(vec![host(0, 1, vec![vm(1, 0.0, 0.0)]), host(1, 1, vec![])]);
-        let survivors = FilterScheduler::Nova.filter(&state, &vm(9, 0.0, 0.0));
+        let hosts = state.hosts.iter().map(HostSummary::from);
+        let survivors = FilterScheduler::filter(hosts, &vm(9, 0.0, 0.0));
         assert_eq!(survivors.len(), 1);
         assert_eq!(survivors[0].id, HostId(1));
     }

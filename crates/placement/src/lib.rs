@@ -66,7 +66,7 @@ pub mod types;
 pub use adaptive::AdaptivePolicy;
 pub use capacity::CapacityIndex;
 pub use drowsy::{DrowsyConfig, DrowsyPlanner};
-pub use filters::FilterScheduler;
+pub use filters::{FilterScheduler, HostSummary};
 pub use history::{HistoryBook, HostHistories};
 pub use multiplex::MultiplexPlanner;
 pub use neat::{NeatConfig, NeatPlanner};

@@ -389,6 +389,7 @@ impl ControlPolicy for OasisPolicy {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::filters::HostSummary;
     use crate::types::testkit::{host, vm};
 
     #[test]
@@ -463,7 +464,8 @@ mod tests {
         let state = ClusterState::new(vec![host(0, 0, vec![])]);
         let newcomer = vm(0, 0.1, 0.0);
         assert_eq!(
-            p.admission_scheduler().select(&state, &newcomer),
+            p.admission_scheduler()
+                .select(state.hosts.iter().map(HostSummary::from), &newcomer),
             Some(HostId(0))
         );
     }

@@ -9,16 +9,24 @@
 //! `BinaryHeap` ordered by `(time, seq)`: O(log n) per operation,
 //! allocation-light.
 //!
-//! Events may be cancelled lazily by token: cancellation marks the token
-//! and the entry is skipped on pop, which keeps cancellation O(1) at the
-//! cost of dead entries ("tombstones") in storage. When tombstones exceed
-//! half the live entries the queue compacts — rebuilding storage without
-//! the dead entries — so cancel-heavy workloads (the engine's
-//! wake-resynchronization churn) hold bounded memory.
+//! Events may be cancelled lazily by token: cancellation clears the
+//! token's pending bit and the entry is skipped on pop, which keeps
+//! cancellation O(1) at the cost of dead entries ("tombstones") in
+//! storage. When tombstones exceed half the live entries the queue
+//! compacts — rebuilding storage without the dead entries — so
+//! cancel-heavy workloads (the engine's wake-resynchronization churn)
+//! hold bounded memory.
+//!
+//! Which events are pending is one bit per sequence number, not a hashed
+//! set: sequence numbers are dense and issued in order, so the bits are a
+//! deque of words that drops each front word once its 64 events are all
+//! resolved, spanning the oldest pending event to the newest. An entry in
+//! storage whose bit is clear is a tombstone, and a count of them is all
+//! compaction needs.
 
 use crate::time::SimTime;
 use std::cmp::{Ordering, Reverse};
-use std::collections::{BinaryHeap, HashSet};
+use std::collections::{BinaryHeap, VecDeque};
 
 /// Token returned by [`EventQueue::schedule`]; can be used to cancel.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -73,11 +81,55 @@ impl<E> Ord for Entry<E> {
 pub struct EventQueue<E> {
     heap: BinaryHeap<Reverse<Entry<E>>>,
     /// Sequence numbers scheduled and not yet popped or cancelled.
-    pending: HashSet<u64>,
-    /// Cancelled sequence numbers whose entries are still in storage.
-    cancelled: HashSet<u64>,
+    pending: SeqBits,
+    /// Cancelled entries still in storage.
+    tombstones: usize,
     next_seq: u64,
     last_popped: Option<SimTime>,
+}
+
+/// A set of sequence numbers, one bit each, for numbers inserted in
+/// increasing order: word `k` of `words` holds numbers
+/// `64 * (first + k)` to `64 * (first + k) + 63`. A front word that is
+/// empty and not the newest holds only removed numbers, so it is dropped.
+#[derive(Debug, Default)]
+struct SeqBits {
+    words: VecDeque<u64>,
+    first: u64,
+    len: usize,
+}
+
+impl SeqBits {
+    /// Inserts `seq`, which must exceed every number inserted so far.
+    fn insert(&mut self, seq: u64) {
+        let word = (seq / 64 - self.first) as usize;
+        if word == self.words.len() {
+            self.words.push_back(0);
+        }
+        self.words[word] |= 1 << (seq % 64);
+        self.len += 1;
+    }
+
+    fn contains(&self, seq: u64) -> bool {
+        (seq / 64)
+            .checked_sub(self.first)
+            .and_then(|word| self.words.get(word as usize))
+            .is_some_and(|bits| bits & (1 << (seq % 64)) != 0)
+    }
+
+    /// Removes `seq`; returns whether it was present.
+    fn remove(&mut self, seq: u64) -> bool {
+        if !self.contains(seq) {
+            return false;
+        }
+        self.words[(seq / 64 - self.first) as usize] &= !(1 << (seq % 64));
+        self.len -= 1;
+        while self.words.len() > 1 && self.words[0] == 0 {
+            self.words.pop_front();
+            self.first += 1;
+        }
+        true
+    }
 }
 
 impl<E> Default for EventQueue<E> {
@@ -91,8 +143,8 @@ impl<E> EventQueue<E> {
     pub fn new() -> Self {
         EventQueue {
             heap: BinaryHeap::new(),
-            pending: HashSet::new(),
-            cancelled: HashSet::new(),
+            pending: SeqBits::default(),
+            tombstones: 0,
             next_seq: 0,
             last_popped: None,
         }
@@ -123,10 +175,10 @@ impl<E> EventQueue<E> {
         // `pending` is the source of truth: tokens never issued, already
         // popped, or already cancelled all report `false` — and never
         // plant a tombstone for an entry that is not in storage.
-        if !self.pending.remove(&token.0) {
+        if !self.pending.remove(token.0) {
             return false;
         }
-        self.cancelled.insert(token.0);
+        self.tombstones += 1;
         self.maybe_compact();
         true
     }
@@ -135,10 +187,10 @@ impl<E> EventQueue<E> {
     pub fn pop(&mut self) -> Option<ScheduledEvent<E>> {
         loop {
             let Reverse(entry) = self.heap.pop()?;
-            if self.cancelled.remove(&entry.seq) {
+            if !self.pending.remove(entry.seq) {
+                self.tombstones -= 1;
                 continue;
             }
-            self.pending.remove(&entry.seq);
             self.last_popped = Some(entry.time);
             return Some(ScheduledEvent {
                 time: entry.time,
@@ -159,10 +211,10 @@ impl<E> EventQueue<E> {
     pub fn peek_time(&mut self) -> Option<SimTime> {
         loop {
             let (time, seq) = self.heap.peek().map(|Reverse(e)| (e.time, e.seq))?;
-            if self.cancelled.contains(&seq) {
+            if !self.pending.contains(seq) {
                 // Reclaim the tombstone on the way past.
                 self.heap.pop();
-                self.cancelled.remove(&seq);
+                self.tombstones -= 1;
                 continue;
             }
             return Some(time);
@@ -171,7 +223,7 @@ impl<E> EventQueue<E> {
 
     /// Number of pending (non-cancelled) events.
     pub fn len(&self) -> usize {
-        self.pending.len()
+        self.pending.len
     }
 
     /// True when no pending events remain.
@@ -190,20 +242,19 @@ impl<E> EventQueue<E> {
     /// live entries, so cancel-heavy workloads hold bounded memory. The
     /// rebuild keeps every `(time, seq)` key, so pop order is unaffected.
     fn maybe_compact(&mut self) {
-        let live = self.pending.len();
-        if self.cancelled.len() <= live / 2 || self.cancelled.len() < 32 {
+        if self.tombstones <= self.pending.len / 2 || self.tombstones < 32 {
             return;
         }
-        let cancelled = &self.cancelled;
-        self.heap.retain(|Reverse(e)| !cancelled.contains(&e.seq));
-        self.cancelled.clear();
+        let pending = &self.pending;
+        self.heap.retain(|Reverse(e)| pending.contains(e.seq));
+        self.tombstones = 0;
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::time::SimTime;
+    use crate::time::{SimDuration, SimTime};
     use proptest::prelude::*;
 
     fn t(s: u64) -> SimTime {
@@ -341,6 +392,12 @@ mod tests {
             );
         }
         assert_eq!(q.len(), 8);
+        // 80,008 events issued; the pending bits span the last few.
+        assert!(
+            q.pending.words.len() <= 2,
+            "{} words",
+            q.pending.words.len()
+        );
     }
 
     proptest! {
@@ -371,6 +428,87 @@ mod tests {
                 prop_assert!(!cancelled.contains(&ev.event));
             }
             prop_assert_eq!(seen.len() + cancelled.len(), times.len());
+        }
+
+        /// Random interleavings of every operation against a naive scan
+        /// over `(time, seq, live)`: the same pops in the same order (FIFO
+        /// among equal times), the same `cancel` answers for pending,
+        /// cancelled, popped and never-issued tokens, the same `len()`, and
+        /// tombstones that only a `cancel` adds, compacted past the bound.
+        #[test]
+        fn matches_a_naive_scan(
+            ops in proptest::collection::vec((0u8..11, 0u64..1_000, 1u64..17), 1..100),
+        ) {
+            let mut q = EventQueue::new();
+            // Entry k is the k-th schedule: (time, live); its payload and
+            // sequence number are both k.
+            let mut naive: Vec<(SimTime, bool)> = Vec::new();
+            let mut tokens = Vec::new();
+            let mut now = SimTime::EPOCH;
+            let head = |naive: &[(SimTime, bool)]| {
+                (0..naive.len())
+                    .filter(|&k| naive[k].1)
+                    .min_by_key(|&k| (naive[k].0, k))
+            };
+            // Each operation repeats up to 16 times, so bursts of
+            // cancellations can outgrow the compaction threshold.
+            let ops = ops
+                .into_iter()
+                .flat_map(|(kind, x, reps)| (0..reps).map(move |r| (kind, x + 97 * r)));
+            for (kind, x) in ops {
+                let tombstones = q.storage_len() - q.len();
+                let mut cancelled = false;
+                // Pops due now by the scan; checked against the queue below.
+                let mut due = None;
+                match kind {
+                    // Schedules, often at an instant already queued.
+                    0..=3 => {
+                        let at = now + SimDuration::from_secs(x % 6);
+                        tokens.push(q.schedule(at, naive.len()));
+                        naive.push((at, true));
+                    }
+                    // Cancels any token issued so far.
+                    4..=6 => {
+                        if tokens.is_empty() {
+                            continue;
+                        }
+                        let k = x as usize % tokens.len();
+                        let pending = std::mem::replace(&mut naive[k].1, false);
+                        prop_assert_eq!(q.cancel(tokens[k]), pending);
+                        cancelled = pending;
+                    }
+                    7 => {
+                        let unissued = EventToken(naive.len() as u64 + x % 4);
+                        prop_assert!(!q.cancel(unissued));
+                    }
+                    8 => due = Some((q.pop(), None)),
+                    9 => {
+                        let horizon = now + SimDuration::from_secs(x % 6);
+                        due = Some((q.pop_until(horizon), Some(horizon)));
+                    }
+                    _ => prop_assert_eq!(q.peek_time(), head(&naive).map(|k| naive[k].0)),
+                }
+                if let Some((popped, horizon)) = due {
+                    let want = head(&naive).filter(|&k| horizon.is_none_or(|h| naive[k].0 <= h));
+                    if let Some(k) = want {
+                        naive[k].1 = false;
+                        now = naive[k].0;
+                    }
+                    let popped = popped.map(|e| (e.time, e.event));
+                    prop_assert_eq!(popped, want.map(|k| (naive[k].0, k)));
+                }
+                prop_assert_eq!(q.len(), naive.iter().filter(|e| e.1).count());
+                let after = q.storage_len() - q.len();
+                if cancelled {
+                    prop_assert!(after <= (q.len() / 2).max(31), "{after} tombstones");
+                } else {
+                    prop_assert!(after <= tombstones, "{tombstones} → {after} tombstones");
+                }
+            }
+            let rest: Vec<usize> = std::iter::from_fn(|| q.pop()).map(|e| e.event).collect();
+            let mut want: Vec<usize> = (0..naive.len()).filter(|&k| naive[k].1).collect();
+            want.sort_by_key(|&k| (naive[k].0, k));
+            prop_assert_eq!(rest, want);
         }
     }
 }
