@@ -624,6 +624,9 @@ impl Datacenter {
         if self.scores_fresh {
             self.ip_scores[vm.index()] = 0.0;
         }
+        if let Some(q) = self.qos.as_mut() {
+            q.on_departure(vm);
+        }
         true
     }
 

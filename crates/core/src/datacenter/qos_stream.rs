@@ -6,7 +6,8 @@
 //! arrivals per interactive VM (interval-batched, through
 //! [`RequestStream`]), routes them with the VM's *current* residency,
 //! serves them against the power timeline recorded so far, and folds the
-//! results into a per-epoch [`QosWindow`]. The window is handed to the
+//! results into a per-epoch [`QosWindow`], on every idle core (see
+//! *Parallel fold* below). The window is handed to the
 //! control policy at the top of the next epoch
 //! ([`ControlPolicy::observe_qos`]) — the closed-loop signal seam — and
 //! its report accumulates into the run-wide [`QosReport`] surfaced on
@@ -43,12 +44,30 @@
 //! timeline every epoch; `serve_hour` checks the bound in debug builds.
 //! Departed VMs stop their client when they are deleted.
 //!
+//! ## Parallel fold
+//!
+//! Each epoch cuts the VM slots into contiguous ranges of about equal
+//! expected requests, at most one per executor of the global
+//! [`WorkerPool`] (its workers plus the thread running the datacenter).
+//! Every range serves its VMs in slot order into its own [`QosWindow`]
+//! with its own request buffer, on whichever executor claims it, and the
+//! windows merge in range order ([`QosWindow::merge`]). A VM's client
+//! state belongs to exactly one range, its requests come from its own
+//! per-hour stream and every window counter is exact integer state, so
+//! the merged window is the one a serial walk records, bit for bit, on
+//! any number of workers. A 1-CPU process (a pool of 0 workers) folds one
+//! range inline; a fold nested in a sweep or tournament cell uses the
+//! workers that are idle and drains the rest of its batch itself.
+//!
 //! ## Memory
 //!
-//! Nothing whole-run is retained: per VM the state is the FCFS server
-//! pool and a compacted residency of at most a few moves (each hour's
-//! RNG is derived afresh); per host, the timeline is trimmed each epoch
-//! to the intervals that can still matter (unless the run also asked for
+//! Nothing whole-run is retained: per live VM the state is the FCFS
+//! server pool and a compacted residency of at most a few moves (each
+//! hour's RNG is derived afresh), dropped when the VM departs; per range,
+//! one buffer of the current VM-hour's arrivals as `u32` millisecond
+//! offsets (each service time is drawn as its request is served); per
+//! host, the timeline is trimmed each epoch to the intervals that can
+//! still matter (unless the run also asked for
 //! [`DcConfig::track_power_timeline`], in which case full retention is
 //! the point). That is what lets the pipeline ride along at fleet scale
 //! where materializing timelines and placement logs cannot.
@@ -56,6 +75,7 @@
 use super::*;
 use dds_power::TimelineCursor;
 use dds_sim_core::qos::{fcfs_serve, QosReport, QosWindow};
+use dds_sim_core::WorkerPool;
 use dds_traces::{hour_request_rng, RequestProfile, RequestStream};
 
 /// Configuration of the streaming QoS pipeline (see the module-level
@@ -100,14 +120,17 @@ pub struct QosStreamConfig {
 }
 
 impl QosStreamConfig {
-    /// Streams `profile`. The pipeline runs on the thread that runs the
-    /// datacenter; sweeps parallelize across runs, not inside one.
+    /// Streams `profile`. The name is historical: each epoch's fold runs
+    /// on the thread that runs the datacenter plus whichever workers of
+    /// the global [`WorkerPool`] are idle, and its report is the same
+    /// bits on any number of them.
     pub fn serial(profile: RequestProfile) -> Self {
         QosStreamConfig { profile }
     }
 }
 
-/// One VM's client state, persisted across epochs.
+/// One VM's client state, persisted across epochs and dropped when the VM
+/// departs.
 #[derive(Default)]
 struct VmClient {
     /// FCFS server pool (`free[i]` = instant server `i` frees up); sized
@@ -119,21 +142,39 @@ struct VmClient {
 }
 
 /// Live state of the streaming pipeline: per-VM clients, the reused
-/// request buffers, the pending epoch window and the run-wide report.
+/// per-range request buffers, the pending epoch window and the run-wide
+/// report.
 pub(super) struct QosStream {
     /// The run's master seed, from which each VM-hour's requests derive.
     seed: u64,
     /// Activity gate (the run's `ImConfig::noise_threshold`).
     noise: f64,
+    /// The request workload every buffer draws.
+    profile: RequestProfile,
     /// Per-VM clients, indexed by `VmId`.
     clients: Vec<VmClient>,
-    /// One hour of one VM's arrivals and service times, reused.
-    requests: RequestStream,
+    /// Each slot's weight this epoch: its activity level if it is an
+    /// active interactive VM, 0 otherwise (reused across epochs).
+    weights: Vec<f64>,
+    /// One request buffer per range, reused across epochs.
+    buffers: Vec<RequestStream>,
     /// The most recently completed epoch's window, delivered to the
     /// policy at the top of the next epoch.
     pub(super) pending: Option<QosWindow>,
     /// Run-wide accumulation of every epoch window.
     report: QosReport,
+    /// The pool a test folds on instead of the global one.
+    #[cfg(test)]
+    pool: Option<std::sync::Arc<WorkerPool>>,
+}
+
+/// What every range of one epoch's fold reads.
+struct EpochFold<'a> {
+    hour: u64,
+    seed: u64,
+    sla_ms: u64,
+    /// Each host's recorded timeline, by host index.
+    timelines: &'a [Option<&'a PowerTimeline>],
 }
 
 impl QosStream {
@@ -142,9 +183,13 @@ impl QosStream {
             seed,
             noise,
             clients: Vec::new(),
+            weights: Vec::new(),
+            buffers: Vec::new(),
             report: QosReport::new(cfg.profile.sla.as_millis()),
-            requests: RequestStream::new(cfg.profile),
+            profile: cfg.profile,
             pending: None,
+            #[cfg(test)]
+            pool: None,
         };
         for vm in vms {
             stream.on_placement(vm.spec.id, SimTime::EPOCH, vm.host);
@@ -166,60 +211,166 @@ impl QosStream {
         self.clients[vm.index()].moves.push((at, host));
     }
 
+    /// Drops a departed VM's client: its client stopped at deletion, so
+    /// its server pool and residency can never be read again.
+    pub(super) fn on_departure(&mut self, vm: VmId) {
+        if let Some(client) = self.clients.get_mut(vm.index()) {
+            *client = VmClient::default();
+        }
+    }
+
     /// The run-wide report accumulated so far.
     pub(super) fn into_report(self) -> QosReport {
         self.report
     }
 
     /// Processes control epoch `hour`: draws and serves every interactive
-    /// VM's requests for that hour against the recorded timelines, in VM
-    /// order, producing the epoch's [`QosWindow`] (left in `pending`) and
-    /// folding it into the run report.
+    /// VM's requests for that hour against the recorded timelines,
+    /// producing the epoch's [`QosWindow`] (left in `pending`) and folding
+    /// it into the run report.
+    ///
+    /// The VM slots are cut into contiguous ranges of about equal
+    /// expected requests ([`range_ends`]), at most one per executor of
+    /// the pool (its workers plus this thread). Each range serves its
+    /// VMs in slot order into its own window with its own request buffer
+    /// and compacts its clients' residencies; the windows merge in range
+    /// order. Clients are independent and every window counter is exact
+    /// integer state, so the merged window is the serial one bit for bit.
     pub(super) fn process_epoch(&mut self, hour: u64, hosts: &[HostSim], vms: &[VmSim]) {
-        let mut window = QosWindow::new(hour, self.report.sla_ms);
+        #[cfg(test)]
+        let test_pool = self.pool.clone();
+        #[cfg(test)]
+        let pool = match &test_pool {
+            Some(pool) => pool,
+            None => WorkerPool::global(),
+        };
+        #[cfg(not(test))]
+        let pool = WorkerPool::global();
+
         if let Some(last) = vms.len().checked_sub(1) {
             self.ensure_slot(last);
         }
-        let timelines: Vec<Option<&PowerTimeline>> =
-            hosts.iter().map(|h| h.meter.timeline()).collect();
-        for (vm, client) in vms.iter().zip(&mut self.clients) {
+        self.weights.clear();
+        self.weights.extend(vms.iter().map(|vm| {
             if vm.spec.kind != WorkloadKind::Interactive || vm.departed {
-                continue;
+                return 0.0;
             }
             let level = vm.spec.trace.level_at_hour(hour);
             if level < self.noise {
-                continue;
+                0.0
+            } else {
+                level
             }
-            let mut rng = hour_request_rng(self.seed, vm.spec.id.index() as u64, hour);
-            let (arrivals, services) = self.requests.fill_hour_with(&mut rng, hour, level);
-            client.serve_hour(vm, hour, arrivals, services, &timelines, &mut window);
+        }));
+        let ends = range_ends(&self.weights, pool.workers() + 1);
+        let profile = &self.profile;
+        if self.buffers.len() < ends.len() {
+            self.buffers
+                .resize_with(ends.len(), || RequestStream::new(profile.clone()));
+        }
+        let timelines: Vec<Option<&PowerTimeline>> =
+            hosts.iter().map(|h| h.meter.timeline()).collect();
+        let epoch = EpochFold {
+            hour,
+            seed: self.seed,
+            sla_ms: self.report.sla_ms,
+            timelines: &timelines,
+        };
+        let epoch = &epoch;
+        let mut clients = &mut self.clients[..vms.len()];
+        let mut start = 0;
+        let mut tasks = Vec::with_capacity(ends.len());
+        for (&end, requests) in ends.iter().zip(&mut self.buffers) {
+            let (range, rest) = std::mem::take(&mut clients).split_at_mut(end - start);
+            clients = rest;
+            let vms = &vms[start..end];
+            let weights = &self.weights[start..end];
+            tasks.push(move || fold_range(epoch, vms, weights, range, requests));
+            start = end;
+        }
+        let mut windows = pool.run_ordered(0, tasks).into_iter();
+        let mut window = windows.next().expect("the cut yields at least one range");
+        for piece in windows {
+            window.merge(&piece);
         }
         self.report.merge(&window.report);
         self.pending = Some(window);
-        // Compact residencies: keep the last move at or before the epoch
-        // boundary (it covers every future arrival until the next move).
-        let hour_end = SimTime::from_hours(hour + 1);
-        for client in &mut self.clients {
-            let m = &mut client.moves;
-            let cut = m
-                .partition_point(|&(at, _)| at <= hour_end)
-                .saturating_sub(1);
-            if cut > 0 {
-                m.drain(..cut);
-            }
-        }
     }
 }
 
+/// Cuts slots `0..weights.len()` into at most `executors` contiguous,
+/// non-empty ranges of about equal total weight and returns the ranges'
+/// ends in ascending order; the last end is `weights.len()`. A cut falls
+/// after the slot whose running weight passes the next multiple of
+/// `total / executors`. Without weight, or with one executor, the answer
+/// is one range.
+fn range_ends(weights: &[f64], executors: usize) -> Vec<usize> {
+    let n = weights.len();
+    let total: f64 = weights.iter().sum();
+    let mut ends = Vec::with_capacity(executors.max(1));
+    if executors > 1 && total > 0.0 {
+        let share = total / executors as f64;
+        let (mut acc, mut passed) = (0.0, 0usize);
+        for (i, &w) in weights.iter().enumerate().take(n.saturating_sub(1)) {
+            acc += w;
+            let shares = (acc / share) as usize;
+            if shares > passed {
+                passed = shares;
+                ends.push(i + 1);
+                if ends.len() + 1 == executors {
+                    break;
+                }
+            }
+        }
+    }
+    ends.push(n);
+    ends
+}
+
+/// Serves one range's requests of the epoch (`vms` with their `weights`
+/// and `clients`) in slot order into a fresh window, drawing them through
+/// `requests`, then compacts the range's residencies: each live client
+/// keeps its last move at or before the epoch boundary (it covers every
+/// future arrival until the next move). Departed slots hold no client
+/// state and are skipped.
+fn fold_range(
+    epoch: &EpochFold<'_>,
+    vms: &[VmSim],
+    weights: &[f64],
+    clients: &mut [VmClient],
+    requests: &mut RequestStream,
+) -> QosWindow {
+    let mut window = QosWindow::new(epoch.hour, epoch.sla_ms);
+    let hour_end = SimTime::from_hours(epoch.hour + 1);
+    for ((vm, &level), client) in vms.iter().zip(weights).zip(clients) {
+        if vm.departed {
+            continue;
+        }
+        if level > 0.0 {
+            let mut rng = hour_request_rng(epoch.seed, vm.spec.id.index() as u64, epoch.hour);
+            let hour_requests = requests.hour(&mut rng, epoch.hour, level);
+            client.serve_hour(vm, epoch.hour, hour_requests, epoch.timelines, &mut window);
+        }
+        let m = &mut client.moves;
+        let cut = m
+            .partition_point(|&(at, _)| at <= hour_end)
+            .saturating_sub(1);
+        if cut > 0 {
+            m.drain(..cut);
+        }
+    }
+    window
+}
+
 impl VmClient {
-    /// Serves this VM's requests of `hour` (`arrivals` with their
-    /// `services`) into `window`.
+    /// Serves this VM's `requests` of `hour` (arrival and service pairs,
+    /// each pair taken whether or not its request is served) into
+    /// `window`.
     fn serve_hour(
         &mut self,
         vm: &VmSim,
         hour: u64,
-        arrivals: &[SimTime],
-        services: &[SimDuration],
+        requests: impl Iterator<Item = (SimTime, SimDuration)>,
         timelines: &[Option<&PowerTimeline>],
         window: &mut QosWindow,
     ) {
@@ -232,7 +383,7 @@ impl VmClient {
         let mut mv = 0usize;
         let mut tl_cursor = TimelineCursor::new();
         let hour_end = SimTime::from_hours(hour + 1);
-        for (&arrival, &service) in arrivals.iter().zip(services) {
+        for (arrival, service) in requests {
             while mv < self.moves.len() && self.moves[mv].0 <= arrival {
                 mv += 1;
             }
@@ -273,6 +424,7 @@ impl VmClient {
 mod tests {
     use super::*;
     use dds_traces::{RequestGenerator, TracePattern, VmTrace};
+    use std::sync::Arc;
 
     /// Binary-search residency lookup: the host `moves` (one VM's
     /// placement log, time-ordered) assigns the VM at instant `t`.
@@ -363,12 +515,14 @@ mod tests {
     }
 
     /// Runs two testbed machines hosting one interactive VM per trace
-    /// (alternating placement) for `hours`, seed 7.
+    /// (alternating placement) for `hours`, seed 7, folding QoS on `pool`
+    /// when one is given and on the global pool otherwise.
     fn run_small(
         policy: &str,
         traces: Vec<VmTrace>,
         hours: u64,
         tweak: impl FnOnce(&mut DcConfig),
+        pool: Option<Arc<WorkerPool>>,
     ) -> SmallRun {
         let hosts = vec![
             HostSpec::testbed_machine(HostId(0), "P0"),
@@ -393,6 +547,9 @@ mod tests {
             .build(policy, &cfg, None)
             .expect("registered policy");
         let mut dc = Datacenter::with_policy(cfg, policy, hosts, vms.clone(), placement, 7);
+        if let Some(q) = dc.qos.as_mut() {
+            q.pool = pool;
+        }
         dc.run(hours);
         let wakes = dc.wake_log().to_vec();
         SmallRun {
@@ -402,13 +559,25 @@ mod tests {
         }
     }
 
-    /// The run streaming `profile`'s QoS.
-    fn streamed(policy: &str, traces: Vec<VmTrace>, hours: u64) -> (SmallRun, QosReport) {
-        let mut run = run_small(policy, traces, hours, |cfg| {
-            cfg.qos_stream = Some(QosStreamConfig::serial(
-                RequestProfile::web_search_quick_resume(),
-            ));
-        });
+    /// The run streaming `profile`'s QoS, folded on `pool` when one is
+    /// given.
+    fn streamed(
+        policy: &str,
+        traces: Vec<VmTrace>,
+        hours: u64,
+        pool: Option<Arc<WorkerPool>>,
+    ) -> (SmallRun, QosReport) {
+        let mut run = run_small(
+            policy,
+            traces,
+            hours,
+            |cfg| {
+                cfg.qos_stream = Some(QosStreamConfig::serial(
+                    RequestProfile::web_search_quick_resume(),
+                ));
+            },
+            pool,
+        );
         let qos = run.out.qos.take().expect("streaming run surfaces a report");
         (run, qos)
     }
@@ -421,15 +590,21 @@ mod tests {
         hours: u64,
         profile: &RequestProfile,
     ) -> SmallRun {
-        run_small(policy, traces, hours, |cfg| {
-            cfg.track_power_timeline = true;
-            cfg.request_peak_rps = profile.peak_rps;
-        })
+        run_small(
+            policy,
+            traces,
+            hours,
+            |cfg| {
+                cfg.track_power_timeline = true;
+                cfg.request_peak_rps = profile.peak_rps;
+            },
+            None,
+        )
     }
 
     #[test]
     fn always_on_fleet_sees_no_wake_hits() {
-        let (_, report) = streamed("neat", vec![bursty(48, 1), bursty(48, 2)], 48);
+        let (_, report) = streamed("neat", vec![bursty(48, 1), bursty(48, 2)], 48, None);
         assert!(report.total > 1000, "requests flowed: {}", report.total);
         assert_eq!(report.wake_hits, 0, "always-on hosts never park");
         assert_eq!(report.wake_violations, 0);
@@ -443,7 +618,7 @@ mod tests {
 
     #[test]
     fn drowsy_fleet_charges_wakes_at_the_resume_latency() {
-        let (run, report) = streamed("drowsy-dc", vec![bursty(96, 1), bursty(96, 2)], 96);
+        let (run, report) = streamed("drowsy-dc", vec![bursty(96, 1), bursty(96, 2)], 96, None);
         assert!(
             run.out.global_suspended_fraction > 0.0,
             "the run parks hosts"
@@ -479,7 +654,7 @@ mod tests {
             }
             // The oracle is a pure function of the recorded run.
             assert_eq!(replay_reference(&twin.vms, &twin.out, &profile), oracle);
-            let (_, streamed) = streamed(policy, traces, hours);
+            let (_, streamed) = streamed(policy, traces, hours, None);
             assert_eq!(streamed, oracle, "{policy}");
         }
     }
@@ -496,7 +671,7 @@ mod tests {
             let hours = 96;
             let traces = vec![bursty(96, 1), bursty(96, 2), bursty(96, 3), bursty(96, 4)];
             let twin = recorded(policy, traces.clone(), hours, &profile);
-            let (run, streamed) = streamed(policy, traces, hours);
+            let (run, streamed) = streamed(policy, traces, hours, None);
             // Streaming must not perturb the run's physics…
             assert_eq!(
                 run.out.energy_kwh.to_bits(),
@@ -529,6 +704,144 @@ mod tests {
                 replay_reference(&twin.vms, &twin.out, &profile),
                 "{policy}"
             );
+        }
+    }
+
+    #[test]
+    fn any_pool_folds_the_same_run() {
+        // The epoch fold cuts the VMs into one range per executor: a pool
+        // of 0 workers folds one range inline, pools of 1 and 3 fold 2
+        // and up to 4 ranges beside this thread. The merged windows make
+        // the same report, and the run the same wakes and energy, all
+        // equal to the per-request oracle.
+        let profile = RequestProfile::web_search_quick_resume();
+        for policy in ["drowsy-dc", "neat"] {
+            let hours = 96;
+            let traces = vec![bursty(96, 1), bursty(96, 2), bursty(96, 3), bursty(96, 4)];
+            let twin = recorded(policy, traces.clone(), hours, &profile);
+            let oracle = replay_reference(&twin.vms, &twin.out, &profile);
+            for workers in [0, 1, 3] {
+                let pool = Arc::new(WorkerPool::new(workers));
+                let (run, report) = streamed(policy, traces.clone(), hours, Some(pool));
+                assert_eq!(report, oracle, "{policy}, {workers} workers");
+                assert_eq!(run.wakes, twin.wakes, "{policy}, {workers} workers");
+                assert_eq!(
+                    run.out.energy_kwh.to_bits(),
+                    twin.out.energy_kwh.to_bits(),
+                    "{policy}, {workers} workers"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn departed_clients_hold_no_state() {
+        // Interactive jobs arrive, serve requests and depart beside four
+        // long-lived VMs. A departed VM's client is dropped at deletion
+        // and skipped by the compaction, and the report is the one the
+        // fold produced when departed clients kept their state.
+        let hosts: Vec<HostSpec> = (0..4)
+            .map(|i| HostSpec::testbed_machine(HostId(i), format!("P{i}")))
+            .collect();
+        let vms: Vec<VmSpec> = (0..4)
+            .map(|i| {
+                VmSpec::testbed_flavor(
+                    VmId(i),
+                    format!("V{i}"),
+                    bursty(96, u64::from(i) + 1),
+                    WorkloadKind::Interactive,
+                )
+            })
+            .collect();
+        let placement = (0..4).map(HostId).collect();
+        let mut cfg = DcConfig::paper_default();
+        cfg.qos_stream = Some(QosStreamConfig::serial(
+            RequestProfile::web_search_quick_resume(),
+        ));
+        let policy = crate::registry::PolicyRegistry::standard()
+            .build("drowsy-dc", &cfg, None)
+            .expect("registered policy");
+        let mut dc = Datacenter::with_policy(cfg, policy, hosts, vms, placement, 7);
+        let mut rng = SimRng::new(7).stream("qos-churn");
+        let jobs = dds_traces::poisson_arrivals(
+            SimTime::EPOCH,
+            SimDuration::from_hours(96),
+            8.0,
+            Some(SimDuration::from_hours(6)),
+            &mut rng,
+        );
+        let mut engine = DcEngine::new(&mut dc, EngineConfig::HighFidelity);
+        for (k, job) in jobs.into_iter().enumerate() {
+            let spec = VmSpec::testbed_flavor(
+                VmId(0),
+                "job",
+                bursty(96, 100 + k as u64),
+                WorkloadKind::Interactive,
+            );
+            engine.schedule_arrival(job.at, spec, job.lifetime);
+        }
+        engine.run_hours(96);
+        let (admitted, _) = engine.arrival_stats();
+        drop(engine);
+        let q = dc.qos.as_ref().expect("the run streams QoS");
+        let departed: Vec<usize> = (0..dc.vms.len()).filter(|&i| dc.vms[i].departed).collect();
+        assert!(
+            admitted > 10 && departed.len() > 10,
+            "{admitted} admitted, {departed:?}"
+        );
+        for &i in &departed {
+            let client = &q.clients[i];
+            assert!(
+                client.moves.is_empty() && client.free.is_empty(),
+                "departed VM {i} keeps {} moves and {} servers",
+                client.moves.len(),
+                client.free.len()
+            );
+        }
+        let report = dc.finish().qos.expect("the run streams QoS");
+        assert!(report.wake_hits > 0, "the churned fleet parks and wakes");
+        // Captured while departed clients still kept their moves and
+        // servers.
+        assert_eq!(
+            (
+                report.total,
+                report.under_sla,
+                report.wake_hits,
+                report.wake_violations,
+                report.queue_violations,
+                report.worst_wake_ms,
+                report.unserved,
+                report.latencies.quantile(0.999),
+            ),
+            (4_622_099, 4_613_366, 734, 731, 8_002, 935, 0, Some(219.0)),
+        );
+    }
+
+    proptest::proptest! {
+        /// The range cutter ascends, covers every slot exactly once and
+        /// never cuts more ranges than executors, whatever the weights.
+        #[test]
+        fn range_ends_partition_the_slots(
+            slots in proptest::collection::vec((0u8..3, 0.0f64..1.0), 0..64),
+            executors in 1usize..=8,
+        ) {
+            // Weightless slots, activity levels and outsized weights.
+            let weights: Vec<f64> = slots
+                .iter()
+                .map(|&(kind, w)| [0.0, w, w * 1e6][usize::from(kind)])
+                .collect();
+            let ends = range_ends(&weights, executors);
+            proptest::prop_assert!(!ends.is_empty() && ends.len() <= executors, "{ends:?}");
+            proptest::prop_assert_eq!(ends.last().copied(), Some(weights.len()));
+            let mut start = 0;
+            for &end in &ends {
+                proptest::prop_assert!(
+                    end > start || (weights.is_empty() && end == 0),
+                    "{ends:?} is not a strictly ascending cover of 0..{}",
+                    weights.len()
+                );
+                start = end;
+            }
         }
     }
 }

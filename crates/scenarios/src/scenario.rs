@@ -120,6 +120,14 @@ const MAX_HOSTS: usize = 100_000;
 const MAX_VMS: usize = 1_000_000;
 /// Longest run a scenario may ask for: ten years.
 const MAX_DAYS: u64 = 3_650;
+/// Highest `[qos]` request rate at activity 1.0: 50× the paper's 20 rps
+/// web-search client. The QoS fold buffers one VM-hour of arrivals at a
+/// time, 3.6 million at this rate.
+const MAX_PEAK_RPS: f64 = 1_000.0;
+/// Longest service a `[qos]` client may draw: its ceiling `4·mean + 4·σ`
+/// ([`RequestProfile::service_ceiling_ms`]) must fit in one hour, so
+/// every completion instant stays a representable `SimTime`.
+const MAX_SERVICE_CEILING_MS: f64 = 3_600_000.0;
 
 /// Checks the running total of the sections' `count`s against `max`,
 /// failing at the `count` line that carries it past.
@@ -519,7 +527,16 @@ fn build_qos(s: &RawSection) -> Result<QosSpec, ScenarioError> {
         Ok(v)
     };
     let profile = RequestProfile {
-        peak_rps: opt(s, "peak-rps", base.peak_rps, positive_ms)?,
+        peak_rps: opt(s, "peak-rps", base.peak_rps, |e| {
+            let v = positive_ms(e)?;
+            if v > MAX_PEAK_RPS {
+                return Err(ScenarioError::at(
+                    e.line,
+                    format!("'peak-rps' must be at most {MAX_PEAK_RPS}, got {v}"),
+                ));
+            }
+            Ok(v)
+        })?,
         mean_service_ms: opt(s, "mean-service-ms", base.mean_service_ms, positive_ms)?,
         std_service_ms: opt(s, "std-service-ms", base.std_service_ms, |e| {
             let v = f64_of(e)?;
@@ -540,6 +557,22 @@ fn build_qos(s: &RawSection) -> Result<QosSpec, ScenarioError> {
         })?,
         resume_latency: base.resume_latency,
     };
+    if profile.service_ceiling_ms() > MAX_SERVICE_CEILING_MS {
+        // Only a set key can carry the defaults past the limit; blame
+        // the later of the two.
+        let line = ["mean-service-ms", "std-service-ms"]
+            .iter()
+            .filter_map(|key| s.get(key).map(|e| e.line))
+            .max()
+            .unwrap_or(s.line);
+        return Err(ScenarioError::at(
+            line,
+            format!(
+                "the service ceiling 4·mean + 4·σ exceeds one hour \
+                 ({MAX_SERVICE_CEILING_MS} ms)"
+            ),
+        ));
+    }
     Ok(QosSpec { profile, wake })
 }
 
@@ -1554,6 +1587,53 @@ ram-mb = 6144
             7,
             "takes no name",
         );
+    }
+
+    #[test]
+    fn qos_values_the_fold_cannot_represent_are_rejected() {
+        let with_qos =
+            |body: &str| MINIMAL.replace("\n[fleet.box]", &format!("\n[qos]\n{body}\n[fleet.box]"));
+        // The request rate is capped at 50× the paper's client…
+        let s = Scenario::parse(&with_qos("peak-rps = 1000\n")).unwrap();
+        assert_eq!(s.qos.expect("section parsed").profile.peak_rps, 1000.0);
+        expect_err(
+            &with_qos("peak-rps = 1000.5\n"),
+            8,
+            "'peak-rps' must be at most 1000",
+        );
+        expect_err(
+            &with_qos("peak-rps = 1e9\n"),
+            8,
+            "'peak-rps' must be at most",
+        );
+        // …and the service ceiling 4·mean + 4·σ at one hour, blamed on
+        // the later of the two service keys.
+        let s = Scenario::parse(&with_qos(
+            "mean-service-ms = 450000\nstd-service-ms = 450000\n",
+        ))
+        .unwrap();
+        let profile = s.qos.expect("section parsed").profile;
+        assert_eq!(
+            profile.service_ceiling_ms(),
+            3_600_000.0,
+            "exactly one hour fits"
+        );
+        expect_err(
+            &with_qos("mean-service-ms = 1e300\n"),
+            8,
+            "exceeds one hour",
+        );
+        expect_err(
+            &with_qos("mean-service-ms = 450000\nstd-service-ms = 450001\n"),
+            9,
+            "the service ceiling 4·mean + 4·σ exceeds one hour (3600000 ms)",
+        );
+        expect_err(
+            &with_qos("std-service-ms = 900000\nsla-ms = 100\nmean-service-ms = 1\n"),
+            10,
+            "exceeds one hour",
+        );
+        expect_err(&with_qos("std-service-ms = 1e12\n"), 8, "exceeds one hour");
     }
 
     #[test]

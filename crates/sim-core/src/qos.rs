@@ -229,6 +229,28 @@ impl QosWindow {
     pub fn is_empty(&self) -> bool {
         self.report.total == 0 && self.report.unserved == 0
     }
+
+    /// Merges another piece of the same epoch into this one: the reports
+    /// merge exactly ([`QosReport::merge`]) and the per-host attributions
+    /// add up host by host, so merging the windows of disjoint request
+    /// sets gives the window that recorded them all. Panics if the
+    /// windows cover different epochs or judged different SLAs.
+    pub fn merge(&mut self, other: &QosWindow) {
+        assert_eq!(
+            self.epoch, other.epoch,
+            "merging QoS windows of different epochs"
+        );
+        self.report.merge(&other.report);
+        for h in &other.hosts {
+            match self.hosts.binary_search_by_key(&h.host, |x| x.host) {
+                Ok(i) => {
+                    self.hosts[i].wake_hits += h.wake_hits;
+                    self.hosts[i].wake_violations += h.wake_violations;
+                }
+                Err(i) => self.hosts.insert(i, *h),
+            }
+        }
+    }
 }
 
 /// The FCFS service step of the streaming QoS pipeline (`dds-core`)
@@ -370,5 +392,56 @@ mod tests {
         let w = QosWindow::new(0, 200);
         assert!(w.is_empty());
         assert!(w.hosts().is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "different epochs")]
+    fn merging_windows_of_different_epochs_panics() {
+        let mut a = QosWindow::new(3, 200);
+        a.merge(&QosWindow::new(4, 200));
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        /// Windows recorded over consecutive pieces of a request sequence
+        /// and merged in order equal one window that recorded the whole
+        /// sequence request by request: report and host attribution.
+        #[test]
+        fn windows_merged_in_order_equal_one_recorded_window(
+            reqs in proptest::collection::vec(
+                (0u32..6, 0u64..3_000, any::<bool>(), any::<bool>()),
+                0..200,
+            ),
+            cuts in proptest::collection::vec(0usize..200, 0..6),
+        ) {
+            let record = |w: &mut QosWindow, &(host, ms, wake, served): &(u32, u64, bool, bool)| {
+                if served {
+                    w.record(host, ms, wake);
+                } else {
+                    w.record_unserved();
+                }
+            };
+            let mut whole = QosWindow::new(9, 200);
+            for r in &reqs {
+                record(&mut whole, r);
+            }
+            let mut ends: Vec<usize> = cuts.iter().map(|&c| c.min(reqs.len())).collect();
+            ends.push(reqs.len());
+            ends.sort_unstable();
+            let mut merged = QosWindow::new(9, 200);
+            let mut start = 0;
+            for end in ends {
+                let mut piece = QosWindow::new(9, 200);
+                for r in &reqs[start..end] {
+                    record(&mut piece, r);
+                }
+                merged.merge(&piece);
+                start = end;
+            }
+            prop_assert_eq!(&merged.report, &whole.report);
+            prop_assert_eq!(merged.hosts(), whole.hosts());
+            prop_assert_eq!(merged, whole);
+        }
     }
 }

@@ -10,11 +10,13 @@
 //! an awake host comfortably meets the 200 ms SLA.
 //!
 //! A VM's requests in one hour come from [`hour_request_rng`], a stream
-//! that depends on the run's seed, the VM and the hour alone, and
-//! [`hour_arrivals`] is the one conversion of its gaps into instants. The
-//! datacenter's wake path draws only the first instant (the request that
-//! wakes a parked host); the streaming QoS pipeline redraws the same
-//! stream in full, so both see the same arrivals.
+//! that depends on the run's seed, the VM and the hour alone, and one
+//! private helper converts its gaps into millisecond offsets within the
+//! hour, read as instants by [`hour_arrivals`] and buffered by
+//! [`RequestStream`]. The datacenter's wake path draws only the first
+//! instant (the request that wakes a parked host); the streaming QoS
+//! pipeline redraws the same stream in full, so both see the same
+//! arrivals.
 
 use crate::trace::VmTrace;
 use dds_sim_core::time::MILLIS_PER_HOUR;
@@ -88,17 +90,12 @@ pub fn hour_request_rng(seed: u64, vm: u64, hour: u64) -> SimRng {
         .stream_indexed("hour", hour)
 }
 
-/// The Poisson arrival instants of hour `hour` at `rate_rps` requests per
-/// second, drawn lazily from `rng`: sequential exponential gaps from the
-/// hour start, each instant truncated to the millisecond, ending at the
-/// first gap that leaves the hour (that gap is drawn too). A non-positive
-/// rate yields nothing and draws nothing.
-pub fn hour_arrivals(
-    rng: &mut SimRng,
-    hour: u64,
-    rate_rps: f64,
-) -> impl Iterator<Item = SimTime> + '_ {
-    let hour_start = hour * MILLIS_PER_HOUR;
+/// The Poisson arrivals of one hour at `rate_rps` requests per second,
+/// as millisecond offsets from the hour start, drawn lazily from `rng`:
+/// sequential exponential gaps, each instant truncated to the
+/// millisecond, ending at the first gap that leaves the hour (that gap is
+/// drawn too). A non-positive rate yields nothing and draws nothing.
+fn hour_offsets(rng: &mut SimRng, rate_rps: f64) -> impl Iterator<Item = u32> + '_ {
     let rate_per_ms = rate_rps / 1000.0;
     let mut t = 0.0f64;
     let mut done = rate_rps <= 0.0;
@@ -111,8 +108,23 @@ pub fn hour_arrivals(
             done = true;
             return None;
         }
-        Some(SimTime::from_millis(hour_start + t as u64))
+        // 0 ≤ t < 3.6·10⁶: truncating into `u32` cuts exactly what
+        // truncating into `u64` does.
+        Some(t as u32)
     })
+}
+
+/// The Poisson arrival instants of hour `hour` at `rate_rps` requests per
+/// second, drawn lazily from `rng` (see `hour_offsets`): the instants
+/// [`RequestStream::hour`] yields for the same stream.
+pub fn hour_arrivals(
+    rng: &mut SimRng,
+    hour: u64,
+    rate_rps: f64,
+) -> impl Iterator<Item = SimTime> + '_ {
+    let hour_start = hour * MILLIS_PER_HOUR;
+    hour_offsets(rng, rate_rps)
+        .map(move |offset| SimTime::from_millis(hour_start + u64::from(offset)))
 }
 
 /// Generates request arrival times hour by hour, following a trace: the
@@ -173,55 +185,62 @@ impl RequestGenerator {
 /// Interval-batched request generation for the streaming QoS pipeline.
 ///
 /// Functionally the same Poisson client as [`RequestGenerator`], but built
-/// for batch consumption: [`RequestStream::fill_hour_with`] draws one
-/// whole hour of arrivals (through [`hour_arrivals`]) *and* their service
-/// times into reusable buffers (no per-request allocation) and returns
-/// them. The stream owns neither a trace nor an RNG: the caller passes
-/// the activity level and lends the hour's RNG, so one stream serves
-/// every VM of a run.
+/// for batch consumption: [`RequestStream::hour`] draws one whole hour of
+/// arrivals into a reusable buffer of `u32` millisecond offsets (no
+/// per-request allocation), then yields each arrival with its service
+/// time, drawn from the hour's RNG as the request is yielded. The stream
+/// owns neither a trace nor an RNG: the caller passes the activity level
+/// and lends the hour's RNG, so one stream serves any number of VMs.
 ///
 /// **Bit-identity contract** (pinned by tests): for equal `(profile,
-/// rng)` and the same level, an hour drawn equals the sequential
-/// `RequestGenerator` protocol — `arrivals_in_hour` followed by one
-/// `sample_service` per arrival — draw for draw. Both sides consume the
-/// RNG identically (all exponential gaps, then all service normals).
+/// rng)` and the same level, an hour drawn and consumed to its end equals
+/// the sequential `RequestGenerator` protocol — `arrivals_in_hour`
+/// followed by one `sample_service` per arrival — draw for draw, and
+/// leaves the RNG where that protocol leaves it. Both sides consume the
+/// RNG identically: all exponential gaps, then one service normal per
+/// arrival, in arrival order.
 #[derive(Debug, Clone)]
 pub struct RequestStream {
     profile: RequestProfile,
-    arrivals: Vec<SimTime>,
-    services: Vec<SimDuration>,
+    /// The hour's arrivals, as offsets from the hour start (every offset
+    /// is below one hour, 3.6·10⁶ ms).
+    arrivals: Vec<u32>,
 }
 
 impl RequestStream {
-    /// Creates a stream with empty buffers.
+    /// Creates a stream with an empty buffer.
     pub fn new(profile: RequestProfile) -> Self {
         RequestStream {
             profile,
             arrivals: Vec::new(),
-            services: Vec::new(),
         }
     }
 
-    /// Draws the full hour `hour_index` at activity `level` from `rng`
-    /// (the VM's [`hour_request_rng`] for that hour) and returns its
-    /// `(arrivals, services)`: slices of equal length, in arrival order.
-    /// Idle hours (`level <= 0`) draw nothing — matching
+    /// Draws the arrivals of hour `hour_index` at activity `level` from
+    /// `rng` (the VM's [`hour_request_rng`] for that hour) and returns the
+    /// hour's `(arrival, service)` pairs in arrival order. Each service is
+    /// drawn from `rng` when its pair is yielded, so a caller that skips a
+    /// request must still take its pair to keep the later services in
+    /// step. Idle hours (`level <= 0`) draw nothing — matching
     /// [`RequestGenerator`], which leaves the RNG untouched for hours it
     /// skips.
-    pub fn fill_hour_with(
-        &mut self,
-        rng: &mut SimRng,
+    pub fn hour<'a>(
+        &'a mut self,
+        rng: &'a mut SimRng,
         hour_index: u64,
         level: f64,
-    ) -> (&[SimTime], &[SimDuration]) {
+    ) -> impl Iterator<Item = (SimTime, SimDuration)> + 'a {
         self.arrivals.clear();
-        self.services.clear();
-        let rate = self.profile.peak_rps * level;
-        self.arrivals.extend(hour_arrivals(rng, hour_index, rate));
-        for _ in 0..self.arrivals.len() {
-            self.services.push(self.profile.sample_service(rng));
-        }
-        (&self.arrivals, &self.services)
+        self.arrivals
+            .extend(hour_offsets(rng, self.profile.peak_rps * level));
+        let hour_start = hour_index * MILLIS_PER_HOUR;
+        let profile = &self.profile;
+        self.arrivals.iter().map(move |&offset| {
+            (
+                SimTime::from_millis(hour_start + u64::from(offset)),
+                profile.sample_service(rng),
+            )
+        })
     }
 }
 
@@ -336,8 +355,9 @@ mod tests {
                 profile.peak_rps * level,
             )
             .next();
-            let (all, _) = s.fill_hour_with(&mut hour_request_rng(3, vm, hour), hour, level);
-            assert_eq!(first, all.first().copied(), "vm {vm}, hour {hour}");
+            let mut rng = hour_request_rng(3, vm, hour);
+            let head = s.hour(&mut rng, hour, level).next().map(|(at, _)| at);
+            assert_eq!(first, head, "vm {vm}, hour {hour}");
         }
         // A rate too low for the hour can leave it without a request.
         let sparse = (0..200u64).filter(|&h| {
@@ -362,11 +382,40 @@ mod tests {
         assert_eq!(stock.sla, quick.sla);
     }
 
+    /// The sequential protocol on `rng`: `arrivals_in_hour`, then one
+    /// `sample_service` per arrival, then one more service draw that
+    /// shows where the protocol left the RNG.
+    fn generator_hour(
+        trace: &VmTrace,
+        profile: &RequestProfile,
+        rng: SimRng,
+        hour: u64,
+    ) -> (Vec<SimTime>, Vec<SimDuration>, SimDuration) {
+        let mut g = RequestGenerator::new(trace.clone(), profile.clone(), rng);
+        let arrivals = g.arrivals_in_hour(hour);
+        let services = arrivals.iter().map(|_| g.sample_service()).collect();
+        (arrivals, services, g.sample_service())
+    }
+
+    /// The same hour through `RequestStream`: every pair taken, then the
+    /// same extra draw from the lent RNG.
+    fn stream_hour(
+        s: &mut RequestStream,
+        profile: &RequestProfile,
+        mut rng: SimRng,
+        hour: u64,
+        level: f64,
+    ) -> (Vec<SimTime>, Vec<SimDuration>, SimDuration) {
+        let (arrivals, services) = s.hour(&mut rng, hour, level).unzip();
+        (arrivals, services, profile.sample_service(&mut rng))
+    }
+
     #[test]
     fn stream_matches_generator_hour_by_hour() {
         // The batched stream must reproduce the sequential protocol —
         // arrivals_in_hour, then one sample_service per arrival — draw
-        // for draw on each hour's stream, including idle hours.
+        // for draw on each hour's stream, including idle hours, and
+        // leave the RNG where the protocol leaves it.
         let levels = vec![0.5, 0.0, 1.0, 0.2, 0.0, 0.9];
         let trace = VmTrace::new("t", levels.clone());
         let profile = RequestProfile::web_search();
@@ -374,14 +423,15 @@ mod tests {
         for (h, &level) in levels.iter().enumerate() {
             let h = h as u64;
             let rng = hour_request_rng(7, 3, h);
-            let mut g = RequestGenerator::new(trace.clone(), profile.clone(), rng.clone());
-            let arrivals = g.arrivals_in_hour(h);
-            let services: Vec<SimDuration> = arrivals.iter().map(|_| g.sample_service()).collect();
-            let (sa, ss) = s.fill_hour_with(&mut rng.clone(), h, level);
-            assert_eq!(sa, arrivals.as_slice(), "hour {h} arrivals");
-            assert_eq!(ss, services.as_slice(), "hour {h} services");
+            let expected = generator_hour(&trace, &profile, rng.clone(), h);
+            let got = stream_hour(&mut s, &profile, rng, h, level);
+            assert_eq!(got.0, expected.0, "hour {h} arrivals");
+            assert_eq!(got.1, expected.1, "hour {h} services");
+            assert_eq!(got.2, expected.2, "hour {h}: the RNG ends in step");
             if level <= 0.0 {
-                assert!(sa.is_empty(), "idle hours draw nothing");
+                assert!(got.0.is_empty(), "idle hours draw nothing");
+            } else {
+                assert!(!got.0.is_empty(), "hour {h} has requests");
             }
         }
     }
@@ -404,17 +454,11 @@ mod tests {
             };
             let hour = 5u64;
             let trace = VmTrace::new("t", vec![level; 6]);
-            let mut rng = hour_request_rng(seed, vm, hour);
-
-            let mut g = RequestGenerator::new(trace, profile.clone(), rng.clone());
-            let arrivals = g.arrivals_in_hour(hour);
-            let services: Vec<SimDuration> =
-                arrivals.iter().map(|_| g.sample_service()).collect();
-
-            let mut s = RequestStream::new(profile);
-            let (sa, ss) = s.fill_hour_with(&mut rng, hour, level);
-            prop_assert_eq!(sa, arrivals.as_slice());
-            prop_assert_eq!(ss, services.as_slice());
+            let rng = hour_request_rng(seed, vm, hour);
+            let expected = generator_hour(&trace, &profile, rng.clone(), hour);
+            let mut s = RequestStream::new(profile.clone());
+            let got = stream_hour(&mut s, &profile, rng, hour, level);
+            prop_assert_eq!(got, expected);
         }
     }
 
