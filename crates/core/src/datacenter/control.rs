@@ -18,7 +18,7 @@ impl Datacenter {
     /// its residents' model probabilities, `(s + 1) / 2` of each cached
     /// score, when the policy consumes idleness models, the neutral 0.5
     /// otherwise.
-    pub(super) fn host_ip_probability(&mut self, host: HostId) -> f64 {
+    pub(super) fn host_ip_probability(&self, host: HostId) -> f64 {
         if !self.policy.uses_idleness_scores() {
             return 0.5; // no idleness models → neutral grace
         }
@@ -26,52 +26,31 @@ impl Datacenter {
         if count == 0 {
             return 1.0; // empty host: confidently idle
         }
-        self.fill_scores();
-        let scores = self.cached_scores();
         self.active_residents(host)
-            .map(|i| (scores[i] + 1.0) / 2.0)
+            .map(|i| (self.ip_scores[i] + 1.0) / 2.0)
             .sum::<f64>()
             / count as f64
     }
 
-    /// Each VM's activity level in hour `h`; 0.0 for a departed VM.
-    pub(super) fn levels(&self, h: u64) -> Vec<f64> {
-        let mut levels = vec![0.0; self.vms.len()];
-        for &i in self.residents.iter().flatten() {
-            levels[i] = self.vms[i].spec.trace.level_at_hour(h);
-        }
-        levels
-    }
-
-    /// Fills the hour's score cache unless a reader already has: each
-    /// live VM's IP score for the current hour, the paper's eq. 1, when
-    /// the policy consumes idleness models, 0.0 otherwise and for a
-    /// departed slot. The buffer is reused from hour to hour.
-    pub(super) fn fill_scores(&mut self) {
-        if self.scores_fresh {
-            return;
-        }
-        let stamp = CalendarStamp::from_hour_index(self.hour);
-        self.ip_scores.clear();
-        self.ip_scores.resize(self.vms.len(), 0.0);
-        if self.policy.uses_idleness_scores() {
-            for &i in self.residents.iter().flatten() {
-                self.ip_scores[i] = self.vms[i].im.raw_score(stamp);
+    /// Fills the hour cache for the current hour: each live slot's
+    /// activity level and, under a policy that reads the models, its IP
+    /// score (eq. 1). Every host summary goes stale with the scores.
+    pub(super) fn fill_hour_cache(&mut self) {
+        let h = self.hour;
+        let stamp = CalendarStamp::from_hour_index(h);
+        let scored = self.policy.uses_idleness_scores();
+        for (i, vm) in self.vms.iter().enumerate().filter(|(_, vm)| !vm.departed) {
+            self.levels[i] = vm.spec.trace.level_at_hour(h);
+            if scored {
+                self.ip_scores[i] = vm.im.raw_score(stamp);
             }
         }
-        self.scores_fresh = true;
-    }
-
-    /// The hour's cached IP scores, indexed by VM.
-    pub(super) fn cached_scores(&self) -> &[f64] {
-        debug_assert!(self.scores_fresh, "score cache read before the hour's fill");
-        &self.ip_scores
+        self.summaries.fill(None);
     }
 
     /// Builds the placement view for the planners from the resident
-    /// lists, the hour's `levels` and the cached scores.
-    pub(super) fn cluster_state(&self, levels: &[f64]) -> ClusterState {
-        let scores = self.cached_scores();
+    /// lists and the hour cache.
+    pub(super) fn cluster_state(&self) -> ClusterState {
         let hosts: Vec<HostState> = self
             .hosts
             .iter()
@@ -89,8 +68,8 @@ impl Datacenter {
                             id: vm.id,
                             vcpus: vm.vcpus,
                             ram_mb: vm.ram_mb,
-                            cpu_demand: levels[i] * vm.vcpus,
-                            ip_score: scores[i],
+                            cpu_demand: self.levels[i] * vm.vcpus,
+                            ip_score: self.ip_scores[i],
                         }
                     })
                     .collect(),
@@ -156,16 +135,10 @@ impl Datacenter {
             telemetry::DcMetrics::get().qos_windows.inc();
         }
 
-        // --- activity levels and idleness scores for this hour.
-        let score_span = telemetry::dc_spans().span("dc.score");
-        let levels = self.levels(h);
-        self.fill_scores();
-        drop(score_span);
-
-        // --- consolidation round.
+        // --- consolidation round, on the hour cache's levels and scores.
         if h.is_multiple_of(self.cfg.relocation_period_hours) {
             let _span = telemetry::dc_spans().span("dc.consolidate");
-            self.consolidate(&levels, hour_start);
+            self.consolidate(hour_start);
         }
 
         // --- scheduled wakes due now (waking module fires ahead of time).
@@ -184,7 +157,6 @@ impl Datacenter {
             for hid in 0..self.hosts.len() {
                 self.simulate_host_hour(
                     HostId::from_index(hid),
-                    &levels,
                     noise,
                     hour_start,
                     hour_end,
@@ -192,37 +164,6 @@ impl Datacenter {
                 );
             }
         }
-
-        let im_span = telemetry::dc_spans().span("dc.im_update");
-        // --- colocation bookkeeping: every pair sharing a host (parked
-        // working sets count on the host holding them).
-        if self.cfg.track_colocation {
-            for list in &self.residents {
-                for (a, &i) in list.iter().enumerate() {
-                    self.coloc_hours[i][i] += 1;
-                    for &j in &list[a + 1..] {
-                        self.coloc_hours[i][j] += 1;
-                        self.coloc_hours[j][i] += 1;
-                    }
-                }
-            }
-        }
-
-        // --- model updates, every live VM in one batch, for a policy that
-        // reads the models (scores, grace probabilities or classes). The
-        // hour's scores go first: the next hour's first reader refills.
-        self.scores_fresh = false;
-        if self.policy.uses_idleness_scores() || self.policy.uses_trace_classes() {
-            IdlenessModel::observe_batch(
-                stamp,
-                self.vms
-                    .iter_mut()
-                    .zip(&levels)
-                    .filter(|(vm, _)| !vm.departed)
-                    .map(|(vm, &level)| (&mut vm.im, level)),
-            );
-        }
-        drop(im_span);
 
         // --- streaming QoS: serve this hour's requests against the
         // timelines recorded so far (every active VM's host woke within
@@ -239,14 +180,44 @@ impl Datacenter {
                 }
             }
         }
+
+        let _span = telemetry::dc_spans().span("dc.im_update");
+        // --- colocation bookkeeping: every pair sharing a host (parked
+        // working sets count on the host holding them).
+        if self.cfg.track_colocation {
+            for list in &self.residents {
+                for (a, &i) in list.iter().enumerate() {
+                    self.coloc_hours[i][i] += 1;
+                    for &j in &list[a + 1..] {
+                        self.coloc_hours[i][j] += 1;
+                        self.coloc_hours[j][i] += 1;
+                    }
+                }
+            }
+        }
+
+        // --- model updates, every live VM in one batch, for a policy that
+        // reads the models (scores, grace probabilities or classes); then
+        // the hour cache moves on to the next hour.
+        if self.policy.uses_idleness_scores() || self.policy.uses_trace_classes() {
+            IdlenessModel::observe_batch(
+                stamp,
+                self.vms
+                    .iter_mut()
+                    .zip(&self.levels)
+                    .filter(|(vm, _)| !vm.departed)
+                    .map(|(vm, &level)| (&mut *vm.im, level)),
+            );
+        }
         self.hour += 1;
+        self.fill_hour_cache();
     }
 
     /// Runs the policy's relocation rounds, re-snapshotting the cluster
     /// between rounds (Oasis's parking pass must observe the state after
     /// its packing pass), and applies each round's orders in plan order:
     /// migrations, swaps, unparks, parks.
-    fn consolidate(&mut self, levels: &[f64], now: SimTime) {
+    fn consolidate(&mut self, now: SimTime) {
         // Per-VM behaviour classes for class-aware policies (the
         // adaptive meta-policy); indexed by VmId, stable across rounds
         // (models only learn between control periods).
@@ -256,7 +227,7 @@ impl Datacenter {
             Vec::new()
         };
         for round in 0..self.policy.plan_rounds() {
-            let state = self.cluster_state(levels);
+            let state = self.cluster_state();
             let plan = self
                 .policy
                 .plan(round, &PlanningView::new(&state, &classes), &mut self.rng);

@@ -199,7 +199,10 @@ pub(crate) struct HostSim {
 
 pub(crate) struct VmSim {
     spec: VmSpec,
-    im: IdlenessModel,
+    /// Boxed so a slot stays small: the model is 2.4 KB, and a slot
+    /// vector of inline models grows by doubling, in reallocations that
+    /// reach 12 MB beside a few thousand arrivals (DESIGN §6).
+    im: Box<IdlenessModel>,
     host: HostId,
     migrations: u32,
     /// Hour index of the last migration (for the cooldown), or None.
@@ -336,14 +339,18 @@ pub struct Datacenter {
     /// step at construction, `apply_move`, `admit_vm` and `remove_vm`,
     /// so per-host walks cost the host's residents, not every VM.
     residents: Vec<Vec<usize>>,
-    /// This hour's IP score per VM slot, while `scores_fresh`. Models
-    /// change only in `step_hour`'s batch update and at admission, so the
-    /// hour's first reader (an admission, a wake or `step_hour`) fills it,
-    /// `admit_vm` appends the newcomer's score, `remove_vm` zeroes a
-    /// departed slot's, and `step_hour` marks it stale before the models
-    /// learn.
+    /// The hour cache: each VM slot's activity level and IP score in the
+    /// current hour (`hour`), 0.0 for a departed slot. A score is the
+    /// paper's eq. 1 under a policy that reads the models, 0.0 otherwise.
+    /// Construction fills hour 0 and `step_hour`'s closing pass the next
+    /// hour, as the models learn; `admit_vm` appends the newcomer's and
+    /// `remove_vm` zeroes a departed slot's. The buffers are reused from
+    /// hour to hour.
+    levels: Vec<f64>,
     ip_scores: Vec<f64>,
-    scores_fresh: bool,
+    /// Each host's admission summary, `None` once its residents or the
+    /// hour's scores changed; `admit_vm` rebuilds only the missing ones.
+    summaries: Vec<Option<HostSummary>>,
     waking: WakingCluster,
     /// The run's master seed: request arrivals derive from it per
     /// (VM, hour) ([`dds_traces::hour_request_rng`]).
@@ -424,7 +431,7 @@ impl Datacenter {
             .zip(placement.iter())
             .map(|(spec, &host)| VmSim {
                 spec,
-                im: IdlenessModel::new(cfg.im.clone()),
+                im: Box::new(IdlenessModel::new(cfg.im.clone())),
                 host,
                 migrations: 0,
                 last_migration_hour: None,
@@ -452,7 +459,8 @@ impl Datacenter {
             .clone()
             .map(|qcfg| QosStream::new(qcfg, seed, cfg.im.noise_threshold, &vms));
         let n = vms.len();
-        Datacenter {
+        let host_count = hosts.len();
+        let mut dc = Datacenter {
             policy,
             qos,
             waking: WakingCluster::new(1, start),
@@ -472,9 +480,12 @@ impl Datacenter {
             hosts,
             vms,
             residents,
-            ip_scores: Vec::new(),
-            scores_fresh: false,
-        }
+            levels: vec![0.0; n],
+            ip_scores: vec![0.0; n],
+            summaries: vec![None; host_count],
+        };
+        dc.fill_hour_cache();
+        dc
     }
 
     /// Records a placement assignment into the placement log (under
@@ -490,23 +501,26 @@ impl Datacenter {
         }
     }
 
-    /// Drops VM index `vm` from `host`'s resident list.
+    /// Drops VM index `vm` from `host`'s resident list, and the host's
+    /// summary with it.
     fn unlist_resident(&mut self, host: usize, vm: usize) {
         let list = &mut self.residents[host];
         let pos = list
             .binary_search(&vm)
             .expect("residency invariant: a live VM is listed on its host");
         list.remove(pos);
+        self.summaries[host] = None;
     }
 
     /// Inserts VM index `vm` into `host`'s resident list, keeping it
-    /// ascending.
+    /// ascending, and drops the host's summary.
     fn list_resident(&mut self, host: usize, vm: usize) {
         let list = &mut self.residents[host];
         let pos = list
             .binary_search(&vm)
             .expect_err("residency invariant: a VM is listed on one host");
         list.insert(pos, vm);
+        self.summaries[host] = None;
     }
 
     /// The VMs whose processes run on `host` this hour: its residents
@@ -534,35 +548,44 @@ impl Datacenter {
     /// the host whose idleness pattern best matches its (still
     /// undetermined) score. Returns the chosen host.
     ///
-    /// The scheduler reads one [`HostSummary`] per host, built from the
-    /// host's resident list and the hour's cached IP scores: an arrival
-    /// costs O(hosts + live VMs), whatever the number of departed slots.
+    /// The scheduler reads one cached [`HostSummary`] per host. A summary
+    /// is rebuilt from the host's resident list and the hour's cached IP
+    /// scores only after its residents or the scores changed, so an
+    /// arrival costs O(hosts) plus the residents of the hosts touched
+    /// since the last one, whatever the number of departed slots.
     ///
     /// The spec's `id` is overwritten with the next dense id.
     pub fn admit_vm(&mut self, mut spec: VmSpec) -> Result<HostId, AdmitError> {
         let h = self.hour;
         spec.id = VmId(self.vms.len() as u32);
-        self.fill_scores();
-        let scores = self.cached_scores();
-        let summaries = self.hosts.iter().zip(&self.residents).map(|(host, list)| {
-            let residents = list.iter().map(|&i| {
-                let vm = &self.vms[i].spec;
-                (vm.vcpus, vm.ram_mb, scores[i])
+        let (vms, scores) = (&self.vms, &self.ip_scores);
+        let summaries = self
+            .summaries
+            .iter_mut()
+            .zip(&self.hosts)
+            .zip(&self.residents)
+            .map(|((summary, host), list)| {
+                *summary.get_or_insert_with(|| {
+                    let residents = list.iter().map(|&i| {
+                        let vm = &vms[i].spec;
+                        (vm.vcpus, vm.ram_mb, scores[i])
+                    });
+                    let caps = &host.spec;
+                    HostSummary::new(
+                        caps.id,
+                        caps.cpu_cores,
+                        caps.ram_mb,
+                        caps.max_vms,
+                        residents,
+                    )
+                })
             });
-            let caps = &host.spec;
-            HostSummary::new(
-                caps.id,
-                caps.cpu_cores,
-                caps.ram_mb,
-                caps.max_vms,
-                residents,
-            )
-        });
+        let level = spec.trace.level_at_hour(h);
         let candidate = VmState {
             id: spec.id,
             vcpus: spec.vcpus,
             ram_mb: spec.ram_mb,
-            cpu_demand: spec.trace.level_at_hour(h) * spec.vcpus,
+            cpu_demand: level * spec.vcpus,
             ip_score: 0.0, // fresh model: undetermined
         };
         let dest = self
@@ -575,12 +598,13 @@ impl Datacenter {
         let ready = self.wake_for_management(dest, now);
         self.hosts[dest.index()].forced_awake_until =
             self.hosts[dest.index()].forced_awake_until.max(ready);
-        let im = IdlenessModel::new(self.cfg.im.clone());
+        let im = Box::new(IdlenessModel::new(self.cfg.im.clone()));
         let score = if self.policy.uses_idleness_scores() {
             im.raw_score(CalendarStamp::from_hour_index(h))
         } else {
             0.0
         };
+        self.levels.push(level);
         self.ip_scores.push(score);
         self.vms.push(VmSim {
             im,
@@ -596,6 +620,7 @@ impl Datacenter {
         // The newest VM has the largest index: pushing keeps the list
         // ascending.
         self.residents[dest.index()].push(id.index());
+        self.summaries[dest.index()] = None;
         self.record_placement(id, now, dest);
         if self.cfg.track_colocation {
             let n = self.vms.len();
@@ -621,9 +646,8 @@ impl Datacenter {
         self.live_vms -= 1;
         let host = v.host.index();
         self.unlist_resident(host, vm.index());
-        if self.scores_fresh {
-            self.ip_scores[vm.index()] = 0.0;
-        }
+        self.levels[vm.index()] = 0.0;
+        self.ip_scores[vm.index()] = 0.0;
         if let Some(q) = self.qos.as_mut() {
             q.on_departure(vm);
         }

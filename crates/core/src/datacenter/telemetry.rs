@@ -17,8 +17,9 @@ use std::sync::OnceLock;
 use dds_telemetry::{Counter, Histogram, MetricKind, MetricsRegistry, SpanRecorder};
 
 /// The process-wide control-plane span recorder: wall-clock per control
-/// period of six disjoint phases — `dc.score`, `dc.consolidate`,
-/// `dc.refresh`, `dc.advance_hosts`, `dc.im_update` and `dc.qos_fold` —
+/// period of five disjoint phases — `dc.consolidate`, `dc.refresh`,
+/// `dc.advance_hosts`, `dc.qos_fold` and `dc.im_update` (colocation,
+/// model learning and the next hour's levels and IP scores) —
 /// aggregated across every [`Datacenter`](super::Datacenter) in the
 /// process.
 /// Timing only — dump it next to, never into, the logical snapshot.

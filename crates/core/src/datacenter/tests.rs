@@ -1049,11 +1049,10 @@ impl Datacenter {
             .collect()
     }
 
-    /// The full-snapshot admission oracle: every slot's level and IP
-    /// score and a `ClusterState` of every live VM, rebuilt for one
-    /// arrival, then the policy's filter scheduler. The host
-    /// `admit_vm(spec)` must pick.
-    fn snapshot_admission(&self, spec: &VmSpec) -> Option<HostId> {
+    /// A `ClusterState` of every live VM, rebuilt from the slots in slot
+    /// order with each one's level in the current hour and its fresh IP
+    /// score: the full snapshot an arrival once took.
+    fn full_snapshot(&self) -> ClusterState {
         let h = self.hour;
         let scores = self.fresh_scores(CalendarStamp::from_hour_index(h));
         let mut hosts: Vec<HostState> = self
@@ -1076,7 +1075,14 @@ impl Datacenter {
                 ip_score: scores[v.spec.id.index()],
             });
         }
-        let state = ClusterState::new(hosts);
+        ClusterState::new(hosts)
+    }
+
+    /// The full-snapshot admission oracle: the policy's filter scheduler
+    /// over [`full_snapshot`](Self::full_snapshot). The host
+    /// `admit_vm(spec)` must pick.
+    fn snapshot_admission(&self, spec: &VmSpec) -> Option<HostId> {
+        let h = self.hour;
         let candidate = VmState {
             id: VmId(self.vms.len() as u32),
             vcpus: spec.vcpus,
@@ -1084,8 +1090,59 @@ impl Datacenter {
             cpu_demand: spec.trace.level_at_hour(h) * spec.vcpus,
             ip_score: 0.0,
         };
+        let state = self.full_snapshot();
         let hosts = state.hosts.iter().map(HostSummary::from);
         self.policy.admission_scheduler().select(hosts, &candidate)
+    }
+
+    /// Requires the hour cache and every present host summary to equal a
+    /// fresh scan's, bit for bit: each slot's level in the current hour
+    /// (0.0 once departed), the fresh scores, and `HostSummary::from` of
+    /// the full snapshot's host. `after` names the last operation.
+    fn check_hour_cache(&self, after: &str) -> Result<(), TestCaseError> {
+        let h = self.hour;
+        let bits = |s: &[f64]| s.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let levels: Vec<f64> = self
+            .vms
+            .iter()
+            .map(|v| {
+                if v.departed {
+                    0.0
+                } else {
+                    v.spec.trace.level_at_hour(h)
+                }
+            })
+            .collect();
+        prop_assert_eq!(
+            bits(&self.levels),
+            bits(&levels),
+            "levels after {} at hour {}",
+            after,
+            h
+        );
+        let scores = self.fresh_scores(CalendarStamp::from_hour_index(h));
+        prop_assert_eq!(
+            bits(&self.ip_scores),
+            bits(&scores),
+            "scores after {} at hour {}",
+            after,
+            h
+        );
+        let state = self.full_snapshot();
+        for (cached, host) in self.summaries.iter().zip(&state.hosts) {
+            if let Some(cached) = cached {
+                // `Debug` writes each f64 in its shortest round-trip form,
+                // so equal renderings are equal bits.
+                prop_assert_eq!(
+                    format!("{cached:?}"),
+                    format!("{:?}", HostSummary::from(host)),
+                    "summary after {} at hour {}",
+                    after,
+                    h
+                );
+            }
+        }
+        Ok(())
     }
 }
 
@@ -1110,8 +1167,9 @@ proptest! {
     /// Random heterogeneous fleets under random interleavings of
     /// admissions, departures and epochs: every admission picks the host
     /// the full-snapshot oracle picks, under both admission schedulers
-    /// (`drowsy-dc` runs `Drowsy`, `neat-s3` runs `Nova`), and every
-    /// epoch starts from cached scores equal to a fresh scan's.
+    /// (`drowsy-dc` runs `Drowsy`, `neat-s3` runs `Nova`), and after every
+    /// operation the hour cache and the cached host summaries equal a
+    /// fresh scan's.
     #[test]
     fn admission_matches_the_full_snapshot(
         fleet in proptest::collection::vec((0usize..3, 0usize..3, 0usize..4), 2..7),
@@ -1162,30 +1220,29 @@ proptest! {
             let policy = policy(name, &cfg, None);
             let mut dc = Datacenter::with_policy(cfg, policy, hosts, vms, placement, seed);
             dc.run(24 + seed % 24);
+            dc.check_hour_cache(&format!("{name} warm-up"))?;
             for &(kind, x) in &ops {
-                match kind {
+                let op = match kind {
                     0..=3 => {
                         let spec = vm(x, &mut rng);
                         let want = dc.snapshot_admission(&spec);
                         let got = dc.admit_vm(spec).ok();
                         prop_assert_eq!(got, want, "{} admission at hour {}", name, dc.hour);
+                        "admission"
                     }
                     4 => {
                         let slots = dc.vm_slot_count() as u64;
                         if slots > 0 {
                             dc.remove_vm(VmId((x % slots) as u32));
                         }
+                        "departure"
                     }
                     _ => {
-                        dc.fill_scores();
-                        let stamp = CalendarStamp::from_hour_index(dc.hour);
-                        let bits = |s: &[f64]| s.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-                        let cached = bits(dc.cached_scores());
-                        let fresh = bits(&dc.fresh_scores(stamp));
-                        prop_assert_eq!(cached, fresh, "{} scores at hour {}", name, dc.hour);
                         dc.run(1);
+                        "epoch"
                     }
-                }
+                };
+                dc.check_hour_cache(&format!("{name} {op}"))?;
             }
         }
     }
@@ -1237,5 +1294,56 @@ fn admission_cost_does_not_grow_with_departed_slots() {
         crowded <= fresh * 3,
         "admission slowed {:.1}× beside departed slots ({fresh:?} → {crowded:?})",
         crowded.as_secs_f64() / fresh.as_secs_f64()
+    );
+}
+
+#[test]
+#[ignore = "timing check; run in release with --ignored"]
+fn admission_cost_does_not_grow_with_residents() {
+    // 200 cloud servers holding 2 or 40 learned VMs each; in each fleet,
+    // 2,000 cycles admit a job and remove it. An arrival that summarized
+    // every host from all of its residents took 6.6 to 9.5 times as long
+    // beside 40.
+    let cycles = |per_host: u32| {
+        let hosts: Vec<HostSpec> = (0..200)
+            .map(|i| HostSpec::cloud_server(HostId(i), format!("H{i}")))
+            .collect();
+        let mut rng = SimRng::new(7);
+        let vms: Vec<VmSpec> = (0..200 * per_host)
+            .map(|i| VmSpec {
+                id: VmId(i),
+                name: format!("V{i}"),
+                vcpus: 0.25,
+                ram_mb: 512,
+                trace: day_trace(u64::from(i), &mut rng),
+                kind: WorkloadKind::Interactive,
+            })
+            .collect();
+        let placement = (0..200 * per_host).map(|i| HostId(i / per_host)).collect();
+        let mut cfg = DcConfig::paper_default();
+        cfg.track_colocation = false;
+        let policy = policy("drowsy-dc", &cfg, None);
+        let mut dc = Datacenter::with_policy(cfg, policy, hosts, vms, placement, 7);
+        dc.run(24);
+        let job = VmSpec::testbed_flavor(
+            VmId(0),
+            "job",
+            VmTrace::new("burst", vec![1.0; 24]),
+            WorkloadKind::Batch,
+        );
+        let start = std::time::Instant::now();
+        for _ in 0..2_000 {
+            dc.admit_vm(job.clone()).expect("the fleet has room");
+            assert!(dc.remove_vm(VmId(dc.vm_slot_count() as u32 - 1)));
+        }
+        start.elapsed()
+    };
+    let few = cycles(2);
+    let many = cycles(40);
+    eprintln!("2,000 cycles: {few:?} beside 2 residents per host, {many:?} beside 40");
+    assert!(
+        many <= few * 3,
+        "admission slowed {:.1}× beside 40 residents per host ({few:?} → {many:?})",
+        many.as_secs_f64() / few.as_secs_f64()
     );
 }

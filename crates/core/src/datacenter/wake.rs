@@ -115,13 +115,13 @@ impl Datacenter {
     pub(super) fn simulate_host_hour(
         &mut self,
         hid: HostId,
-        levels: &[f64],
         noise: f64,
         hour_start: SimTime,
         hour_end: SimTime,
         anticipated: &HashSet<HostId>,
     ) {
         let resident: Vec<usize> = self.active_residents(hid).collect();
+        let levels = &self.levels;
         let active = resident.iter().any(|&i| levels[i] >= noise);
         let demand: f64 = resident
             .iter()

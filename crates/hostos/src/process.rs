@@ -175,13 +175,6 @@ impl ProcessTable {
         }
     }
 
-    /// Removes a process outright (e.g. VM migrated away).
-    pub fn kill(&mut self, pid: Pid) -> bool {
-        let before = self.procs.len();
-        self.procs.retain(|p| p.pid != pid);
-        self.procs.len() != before
-    }
-
     /// All live processes.
     pub fn processes(&self) -> &[Process] {
         &self.procs
@@ -234,15 +227,12 @@ mod tests {
     }
 
     #[test]
-    fn set_state_and_kill() {
+    fn set_state_updates_known_pids_only() {
         let mut t = ProcessTable::new();
         let a = t.spawn("a", ProcState::Running);
         assert!(t.set_state(a, ProcState::BlockedIo));
         assert_eq!(t.get(a).unwrap().state, ProcState::BlockedIo);
         assert!(!t.set_state(Pid(99), ProcState::Running));
-        assert!(t.kill(a));
-        assert!(!t.kill(a));
-        assert!(t.is_empty());
     }
 
     #[test]

@@ -63,18 +63,6 @@ impl TimerWheel {
         id
     }
 
-    /// Cancels a timer by id; O(n) scan acceptable at host scale.
-    pub fn cancel(&mut self, id: TimerId) -> bool {
-        let key = self.tree.iter().find(|(_, e)| e.id == id).map(|(k, _)| *k);
-        match key {
-            Some(k) => {
-                self.tree.remove(&k);
-                true
-            }
-            None => false,
-        }
-    }
-
     /// Number of registered timers.
     pub fn len(&self) -> usize {
         self.tree.len()
@@ -83,11 +71,6 @@ impl TimerWheel {
     /// True when no timers are registered.
     pub fn is_empty(&self) -> bool {
         self.tree.is_empty()
-    }
-
-    /// The earliest timer regardless of ownership.
-    pub fn earliest(&self) -> Option<&TimerEntry> {
-        self.tree.values().next()
     }
 
     /// The earliest timer whose owner is a live, **non-blacklisted**
@@ -130,7 +113,7 @@ mod tests {
         w.register(t(30), Pid(1), "late");
         w.register(t(10), Pid(1), "early");
         w.register(t(20), Pid(1), "mid");
-        assert_eq!(w.earliest().unwrap().label, "early");
+        assert_eq!(w.iter().next().unwrap().label, "early");
         assert_eq!(w.len(), 3);
     }
 
@@ -151,7 +134,7 @@ mod tests {
         assert_eq!(valid.label, "vm-cron");
         assert_eq!(valid.expires, t(10));
         // Unfiltered earliest is the watchdog.
-        assert_eq!(w.earliest().unwrap().label, "watchdog-tick");
+        assert_eq!(w.iter().next().unwrap().label, "watchdog-tick");
     }
 
     #[test]
@@ -163,16 +146,6 @@ mod tests {
         w.register(t(5), wd, "kernel-tick");
         assert!(w.earliest_valid(&table, &bl).is_none());
         assert!(TimerWheel::new().earliest_valid(&table, &bl).is_none());
-    }
-
-    #[test]
-    fn cancel_removes_timer() {
-        let mut w = TimerWheel::new();
-        let a = w.register(t(1), Pid(0), "a");
-        let b = w.register(t(2), Pid(0), "b");
-        assert!(w.cancel(a));
-        assert!(!w.cancel(a));
-        assert_eq!(w.earliest().unwrap().id, b);
     }
 
     #[test]

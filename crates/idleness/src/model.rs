@@ -241,22 +241,29 @@ impl IdlenessModel {
     ) {
         let mut shared: Option<ImConfig> = None;
         let mut lanes = Lanes::default();
+        // u(0), the damping of every slot still at 0.0.
+        let u0 = damping(0.0);
         for (model, level) in batch {
             debug_assert!(
                 *shared.get_or_insert_with(|| model.config.clone()) == model.config,
                 "every model of a batch shares one ImConfig"
             );
-            if let Some(descent) = model.update_slots(stamp, level) {
+            if let Some(descent) = model.update_slots(stamp, level, u0) {
                 lanes.push(model, descent);
             }
         }
         lanes.solve();
     }
 
-    /// Applies eqs. 2–5 for one hour. Returns the hour's weight-learning
-    /// problem, or `None` when learning is off or there is nothing to
-    /// learn from.
-    fn update_slots(&mut self, stamp: CalendarStamp, activity_level: f64) -> Option<Descent> {
+    /// Applies eqs. 2–5 for one hour, given `u0` = u(0). Returns the
+    /// hour's weight-learning problem, or `None` when learning is off or
+    /// there is nothing to learn from.
+    fn update_slots(
+        &mut self,
+        stamp: CalendarStamp,
+        activity_level: f64,
+        u0: f64,
+    ) -> Option<Descent> {
         let level = activity_level.clamp(0.0, 1.0);
         let idle = level < self.config.noise_threshold.max(f64::MIN_POSITIVE);
 
@@ -277,11 +284,12 @@ impl IdlenessModel {
 
         // --- eqs. 4–5: update the four slots.
         let h = stamp.hour as usize;
+        let dw = stamp.weekday.index();
         let (month, year) = day_keys(stamp);
-        update_slot(&mut self.si_day[h], a_star, idle);
-        update_slot(&mut self.si_week[stamp.weekday.index()][h], a_star, idle);
-        update_slot(&mut self.day_row_mut(month)[h], a_star, idle);
-        update_slot(&mut self.day_row_mut(year)[h], a_star, idle);
+        update_slot(&mut self.si_day[h], a_star, idle, u0);
+        update_slot(&mut self.si_week[dw][h], a_star, idle, u0);
+        update_slot(&mut self.day_row_mut(month)[h], a_star, idle, u0);
+        update_slot(&mut self.day_row_mut(year)[h], a_star, idle, u0);
         let si_new = self.si_vector(stamp);
 
         // Bookkeeping for ā.
@@ -318,9 +326,16 @@ fn damping(si_abs: f64) -> f64 {
 }
 
 /// Applies the eq. 5 update to one slot. `a_star` is the scaled activity
-/// value; `idle` selects increment vs decrement.
-fn update_slot(slot: &mut f64, a_star: f64, idle: bool) {
-    let v = a_star * damping(slot.abs());
+/// value; `idle` selects increment vs decrement. A slot still at 0.0, as
+/// most are in a young model, damps by `u0` = u(0), the same bits
+/// without an `exp()`.
+fn update_slot(slot: &mut f64, a_star: f64, idle: bool, u0: f64) {
+    let u = if *slot == 0.0 {
+        u0
+    } else {
+        damping(slot.abs())
+    };
+    let v = a_star * u;
     *slot = (if idle { *slot + v } else { *slot - v }).clamp(-1.0, 1.0);
 }
 
