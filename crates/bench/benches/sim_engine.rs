@@ -98,7 +98,8 @@ fn bench_engine_drivers(c: &mut Criterion) {
             BatchSize::LargeInput,
         );
     });
-    // Sub-hour fidelity: scheduled-wake events + heartbeat rounds.
+    // Sub-hour fidelity: scheduled-wake events (no failure, so no
+    // heartbeat round).
     g.bench_function("high_fidelity_24h_80vm", |b| {
         b.iter_batched(
             || build_dc(20, 80),

@@ -233,11 +233,6 @@ impl ExpOptions {
         Ok((opts, rest))
     }
 
-    /// The fleet size to simulate: the `--hosts` override, or `default`.
-    pub fn hosts_or(&self, default: usize) -> usize {
-        self.hosts.unwrap_or(default)
-    }
-
     /// The policies to run: the `--policies` selection, or `default`.
     pub fn policies_or(&self, default: &[&str]) -> Vec<String> {
         match &self.policies {
@@ -564,8 +559,7 @@ mod tests {
         let opts = parse_strict(&["--hosts", "1000", "--threads", "4"]).unwrap();
         assert_eq!(opts.hosts, Some(1000));
         assert_eq!(opts.threads, 4);
-        assert_eq!(opts.hosts_or(16), 1000);
-        assert_eq!(ExpOptions::default().hosts_or(16), 16);
+        assert_eq!(ExpOptions::default().hosts, None);
     }
 
     #[test]

@@ -118,9 +118,8 @@ impl Datacenter {
         self.record_placement(vm_id, now, to);
     }
 
-    /// One control period. Driven only by [`DcEngine`]'s
-    /// [`DcEvent::ControlEpoch`]; outside this module, step with
-    /// [`Datacenter::run`].
+    /// One control period. Driven only by [`DcEngine`]'s control
+    /// epochs; outside this module, step with [`Datacenter::run`].
     pub(super) fn step_hour(&mut self) {
         let h = self.hour;
         let stamp = CalendarStamp::from_hour_index(h);

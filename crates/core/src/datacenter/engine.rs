@@ -2,29 +2,30 @@
 //!
 //! [`DcEngine`] puts the datacenter on `dds_sim_core`'s discrete-event
 //! substrate: hourly control epochs, VM arrivals/departures, scheduled
-//! S3/S5 wake firings and waking-module heartbeats are [`DcEvent`]s
-//! popped from an [`EventQueue`] in time order (same-instant events fire
-//! in scheduling order — the queue's FIFO tie-break), instead of
-//! everything being folded into a fixed one-hour tick.
+//! S3/S5 wake firings and waking-module failures are events popped from
+//! an [`EventQueue`] in time order (same-instant events fire in
+//! scheduling order — the queue's FIFO tie-break), instead of everything
+//! being folded into a fixed one-hour tick.
 //!
 //! ## Two fidelity regimes
 //!
 //! * **Legacy** ([`EngineConfig::Legacy`], the default and what
-//!   [`Datacenter::run`] uses): the only recurring event is
-//!   [`DcEvent::ControlEpoch`], fired on each hour boundary, with
-//!   scheduled wakes polled at those boundaries — the golden
-//!   policy-equivalence suite pins this mode bit-identically
-//!   (`f64::to_bits`) for the paper's four policies.
+//!   [`Datacenter::run`] uses): the only recurring event is the control
+//!   epoch, fired on each hour boundary, with scheduled wakes polled at
+//!   those boundaries — the golden policy-equivalence suite pins this
+//!   mode bit-identically (`f64::to_bits`) for the paper's four policies.
 //! * **High-fidelity** ([`EngineConfig::HighFidelity`]): opt-in sub-hour
 //!   dynamics. Scheduled waking dates fire as events at their true
 //!   lead-adjusted instants (`date − WAKE_LEAD`), so a parked host is
 //!   operational *at* its waking date instead of starting its resume at
-//!   the next hour boundary; parked-host energy integrates over
+//!   the next hour boundary; and parked-host energy integrates over
 //!   variable-length intervals (suspend instant → wake instant) rather
-//!   than per-hour buckets; and the waking cluster's heart-beat/monitor
-//!   loop runs every heartbeat timeout
-//!   ([`WakingCluster::heartbeat_timeout`], 5 s), so a killed module
-//!   fails over within seconds instead of at the next control period.
+//!   than per-hour buckets.
+//!
+//! Under both, a waking-module failure is noticed by the heartbeat round
+//! that follows it: the first multiple of
+//! [`WakingCluster::heartbeat_timeout`] (5 s) at or after the failure.
+//! Nothing else beats, since no other round can find a dead module.
 //!
 //! ## Determinism
 //!
@@ -37,11 +38,12 @@
 //! observe exactly the state an online controller would.
 
 use super::*;
-use dds_sim_core::{EventQueue, EventToken};
+use dds_sim_core::EventQueue;
 
-/// An event driving the datacenter simulation.
+/// An event driving the datacenter simulation, queued only through
+/// [`DcEngine`]'s `schedule_*` methods and its own handlers.
 #[derive(Debug, Clone)]
-pub enum DcEvent {
+enum DcEvent {
     /// One hourly control period: scoring, consolidation, per-host hour
     /// simulation, model updates.
     ControlEpoch,
@@ -57,10 +59,12 @@ pub enum DcEvent {
     /// A VM departs (tenant deletion / batch completion).
     VmDeparture(VmId),
     /// A scheduled waking date is due (lead-adjusted): fire the WoL and
-    /// resume the host at its true latency. High-fidelity mode only.
+    /// resume the host at its true latency. High-fidelity mode only; a
+    /// wake that fires at any instant but the engine's `armed` one was
+    /// superseded and does nothing.
     ScheduledWake,
-    /// Heart-beat round: alive waking modules beat, the monitor replaces
-    /// dead ones. High-fidelity mode only.
+    /// The heartbeat round after a failure: alive waking modules beat,
+    /// and the monitor replaces dead ones from their mirrors.
     Heartbeat,
     /// Fault injection: the rack's waking module dies silently; the next
     /// heartbeat round discovers and replaces it.
@@ -71,16 +75,12 @@ pub enum DcEvent {
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum EngineConfig {
     /// Control epochs only: scheduled wakes are polled at control-period
-    /// boundaries, parked hosts are metered per hour, and no heartbeat
-    /// events run (waking-module failures recover only through
-    /// [`Datacenter::inject_waking_failure`]).
+    /// boundaries, and parked hosts are metered per hour.
     #[default]
     Legacy,
     /// Full sub-hour fidelity: scheduled waking dates fire as events at
-    /// their true lead-adjusted instants, parked-host energy integrates
-    /// over variable-length intervals, and heartbeat rounds run every
-    /// [`WakingCluster::heartbeat_timeout`], so failover latency is at
-    /// most one timeout.
+    /// their true lead-adjusted instants, and parked-host energy
+    /// integrates over variable-length intervals.
     HighFidelity,
 }
 
@@ -128,10 +128,10 @@ pub struct DcEngine<'a> {
     /// horizon once [`run_hours`](Self::run_hours) returns.
     now: SimTime,
     cfg: EngineConfig,
-    /// Token of the outstanding [`DcEvent::ScheduledWake`], cancelled and
-    /// re-scheduled whenever the waking schedule changes.
-    wake_token: Option<EventToken>,
-    heartbeat_running: bool,
+    /// Instant of the live [`DcEvent::ScheduledWake`]: the waking
+    /// cluster's next firing time, clamped to the clock, as of the last
+    /// re-sync. Wakes queued for other instants are stale.
+    armed: Option<SimTime>,
     admitted: u64,
     rejected: u64,
 }
@@ -143,8 +143,7 @@ impl<'a> DcEngine<'a> {
             queue: EventQueue::new(),
             now: SimTime::from_hours(dc.hour()),
             cfg,
-            wake_token: None,
-            heartbeat_running: false,
+            armed: None,
             admitted: 0,
             rejected: 0,
             dc,
@@ -161,14 +160,14 @@ impl<'a> DcEngine<'a> {
         self.now
     }
 
-    /// VMs admitted / rejected through [`DcEvent::VmArrival`] so far.
+    /// VMs admitted / rejected through scheduled arrivals so far.
     pub fn arrival_stats(&self) -> (u64, u64) {
         (self.admitted, self.rejected)
     }
 
     /// Schedules `event` at `at`, clamped to the engine's clock.
-    fn schedule_at(&mut self, at: SimTime, event: DcEvent) -> EventToken {
-        self.queue.schedule(at.max(self.now), event)
+    fn schedule_at(&mut self, at: SimTime, event: DcEvent) {
+        self.queue.schedule(at.max(self.now), event);
     }
 
     /// Schedules a VM arrival at `at` (sub-hour instants welcome). With a
@@ -189,7 +188,10 @@ impl<'a> DcEngine<'a> {
         self.schedule_at(at, DcEvent::VmDeparture(vm));
     }
 
-    /// Schedules a silent waking-module failure at `at`.
+    /// Schedules a silent waking-module failure at `at`. The heartbeat
+    /// round at the first multiple of
+    /// [`WakingCluster::heartbeat_timeout`] at or after it replaces the
+    /// module from its mirror, under either fidelity.
     pub fn schedule_waking_failure(&mut self, at: SimTime) {
         self.schedule_at(at, DcEvent::WakingFailure);
     }
@@ -209,11 +211,6 @@ impl<'a> DcEngine<'a> {
         let end_hour = start_hour + hours;
         self.schedule_at(SimTime::from_hours(start_hour), DcEvent::ControlEpoch);
         if self.cfg == EngineConfig::HighFidelity {
-            if !self.heartbeat_running {
-                let period = self.dc.waking.heartbeat_timeout();
-                self.schedule_at(self.now + period, DcEvent::Heartbeat);
-                self.heartbeat_running = true;
-            }
             self.resync_scheduled_wake();
         }
         let horizon = SimTime::from_hours(end_hour);
@@ -224,16 +221,17 @@ impl<'a> DcEngine<'a> {
         self.now = horizon;
     }
 
-    /// Cancels the outstanding scheduled-wake event and re-schedules it at
-    /// the waking cluster's next lead-adjusted firing time — the
-    /// cancel/reschedule churn the stable event queue is built for. An
-    /// already-due wake fires at the clock rather than in the past.
+    /// Arms a [`DcEvent::ScheduledWake`] at the waking cluster's next
+    /// lead-adjusted firing time, clamped to the clock so an overdue wake
+    /// fires now, unless one is already armed there. A wake armed earlier
+    /// for another instant stays queued but is superseded.
     fn resync_scheduled_wake(&mut self) {
-        if let Some(token) = self.wake_token.take() {
-            self.queue.cancel(token);
-        }
-        if let Some(at) = self.dc.next_scheduled_wake() {
-            self.wake_token = Some(self.schedule_at(at, DcEvent::ScheduledWake));
+        let next = self.dc.waking.next_fire_time().map(|at| at.max(self.now));
+        if next != self.armed {
+            if let Some(at) = next {
+                self.queue.schedule(at, DcEvent::ScheduledWake);
+            }
+            self.armed = next;
         }
     }
 
@@ -269,22 +267,27 @@ impl<'a> DcEngine<'a> {
                 self.dc.remove_vm(id);
             }
             DcEvent::ScheduledWake => {
-                self.wake_token = None;
-                self.dc.fire_scheduled_wakes(now);
-                self.resync_scheduled_wake();
+                if self.armed == Some(now) {
+                    self.armed = None;
+                    self.dc.fire_scheduled_wakes(now);
+                    self.resync_scheduled_wake();
+                }
             }
             DcEvent::Heartbeat => {
-                // Only high-fidelity runs schedule heartbeats.
-                if self.dc.heartbeat_and_monitor(now) > 0 {
+                self.dc.waking.heartbeat_all(now);
+                let restored = !self.dc.waking.monitor(now).is_empty();
+                if restored && self.cfg == EngineConfig::HighFidelity {
                     // A restored module's schedule (including overdue dates
                     // silenced while it was dead) must be re-armed.
                     self.resync_scheduled_wake();
                 }
-                let period = self.dc.waking.heartbeat_timeout();
-                self.schedule_at(now + period, DcEvent::Heartbeat);
             }
             DcEvent::WakingFailure => {
-                self.dc.fail_waking_module();
+                self.dc.waking.inject_failure(RACK);
+                let period = self.dc.waking.heartbeat_timeout().as_millis();
+                let round = now.as_millis().div_ceil(period) * period;
+                self.queue
+                    .schedule(SimTime::from_millis(round), DcEvent::Heartbeat);
             }
         }
     }
@@ -294,7 +297,7 @@ impl<'a> DcEngine<'a> {
 mod tests {
     use super::*;
     use crate::spec::{HostSpec, VmSpec, WorkloadKind};
-    use dds_traces::VmTrace;
+    use dds_traces::{TracePattern, VmTrace};
 
     fn small_dc(traces: Vec<(VmTrace, WorkloadKind)>, seed: u64) -> Datacenter {
         let hosts = vec![
@@ -436,5 +439,88 @@ mod tests {
         engine.schedule_arrival(SimTime::from_hours(2), spec, None);
         engine.run_hours(6);
         assert_eq!(engine.arrival_stats(), (0, 1));
+    }
+
+    #[test]
+    fn a_failure_free_run_leaves_nothing_queued() {
+        // Idle VMs park their hosts with no waking date: no wake is armed,
+        // and no heartbeat round runs without a failure.
+        let mut dc = small_dc(vec![idle(24), idle(24)], 6);
+        let mut engine = DcEngine::new(&mut dc, EngineConfig::HighFidelity);
+        engine.run_hours(24);
+        assert_eq!(engine.queue.len(), 0);
+    }
+
+    #[test]
+    fn legacy_failures_fail_over_at_the_next_round() {
+        let mut dc = small_dc(vec![idle(24)], 6);
+        let mut engine = DcEngine::new(&mut dc, EngineConfig::Legacy);
+        engine.schedule_waking_failure(SimTime::from_hours(3) + SimDuration::from_millis(2_300));
+        engine.run_hours(6);
+        assert_eq!(engine.dc().waking_failovers(), 1);
+        assert!(engine.dc().waking.is_alive(RACK));
+    }
+
+    #[test]
+    fn superseded_wakes_do_not_pile_up() {
+        // Hour-long slices re-sync the wake at every slice start and every
+        // epoch. A wake whose instant did not move is not queued again,
+        // and a superseded one is dropped once its instant passes.
+        let backups = [1u8, 5, 9, 13].map(|hour| {
+            let trace = TracePattern::DailyBackup {
+                hour,
+                duration_hours: 1,
+                intensity: 0.9,
+            }
+            .generate(240, &mut SimRng::new(u64::from(hour)));
+            (trace, WorkloadKind::TimerDriven)
+        });
+        let mut dc = small_dc(backups.to_vec(), 9);
+        let mut engine = DcEngine::new(&mut dc, EngineConfig::HighFidelity);
+        let mut peak = 0;
+        for _ in 0..240 {
+            engine.run_hours(1);
+            peak = peak.max(engine.queue.len());
+        }
+        assert!(peak <= 4, "{peak} events queued");
+        drop(engine);
+        assert!(dc
+            .wake_log()
+            .iter()
+            .any(|w| w.cause == WakeCause::Scheduled));
+    }
+
+    #[test]
+    fn a_restored_waking_module_rearms_its_overdue_dates() {
+        // The host parks in hour 0 with a 2:00 waking date (its timer VM
+        // runs in hour 2) and loses that VM at 1:30. The module dies at
+        // 1:59:55.5 and misses the 1:59:58.5 wake; the hour-2 epoch polls
+        // a dead module. Only the failover round at 2:00 re-arms the
+        // overdue date: without it, no wake fires at all.
+        let mut levels = vec![0.0; 24];
+        levels[2] = 1.0;
+        let vm = VmSpec::testbed_flavor(
+            VmId(0),
+            "timer",
+            VmTrace::new("hour-2", levels),
+            WorkloadKind::TimerDriven,
+        );
+        let cfg = DcConfig::paper_default();
+        let policy = crate::registry::PolicyRegistry::standard()
+            .build("neat-s3", &cfg, None)
+            .expect("registered policy");
+        let host = HostSpec::testbed_machine(HostId(0), "P0");
+        let mut dc = Datacenter::with_policy(cfg, policy, vec![host], vec![vm], vec![HostId(0)], 1);
+        let mut engine = DcEngine::new(&mut dc, EngineConfig::HighFidelity);
+        let one = SimTime::from_hours(1);
+        engine.schedule_departure(one + SimDuration::from_minutes(30), VmId(0));
+        engine.schedule_waking_failure(
+            one + SimDuration::from_minutes(59) + SimDuration::from_millis(55_500),
+        );
+        engine.run_hours(3);
+        drop(engine);
+        assert_eq!(dc.waking_failovers(), 1);
+        let wakes: Vec<_> = dc.wake_log().iter().map(|w| (w.cause, w.started)).collect();
+        assert_eq!(wakes, [(WakeCause::Scheduled, SimTime::from_hours(2))]);
     }
 }

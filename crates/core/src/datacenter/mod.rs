@@ -7,9 +7,10 @@
 //! [`EngineConfig::Legacy`] — with sub-hour timing where it matters:
 //! suspend decisions (idle-detection delay + grace time), suspend/resume
 //! transitions (seconds), wake-on-packet offsets and migration transfers.
-//! [`EngineConfig::HighFidelity`] additionally fires scheduled S3/S5
-//! wakes, heartbeats and VM arrivals/departures as events at true
-//! `SimTime` instants between epochs.
+//! Both fidelities fire scheduled VM arrivals/departures and
+//! waking-module failures as events at true `SimTime` instants between
+//! epochs; [`EngineConfig::HighFidelity`] additionally fires scheduled
+//! S3/S5 wakes that way.
 //!
 //! ## Architecture
 //!
@@ -26,7 +27,8 @@
 //! * `wake` — the suspend/wake path: per-host hour simulation, suspend
 //!   decisions, resume handling and management wakes;
 //! * `engine` — the event-driven driver ([`DcEngine`]): epochs, arrival/
-//!   departure events, true-latency scheduled wakes, heartbeats;
+//!   departure events, true-latency scheduled wakes, waking-module
+//!   failover;
 //! * `accounting` — outcome assembly;
 //! * `qos_stream` — request-level QoS, streamed inline with the run.
 //!
@@ -62,7 +64,7 @@ mod telemetry;
 mod tests;
 mod wake;
 
-pub use engine::{DcEngine, DcEvent, EngineConfig};
+pub use engine::{DcEngine, EngineConfig};
 use qos_stream::QosStream;
 pub use qos_stream::QosStreamConfig;
 pub use telemetry::dc_spans;
@@ -70,7 +72,7 @@ pub use telemetry::dc_spans;
 use crate::spec::{HostSpec, VmSpec, WorkloadKind};
 use dds_hostos::{Decision, SuspendConfig, SuspendModule};
 use dds_idleness::{IdlenessModel, ImConfig};
-use dds_net::{HostMac, VmIp, WakingCluster};
+use dds_net::{HostMac, WakingCluster};
 use dds_placement::policy::{ControlPolicy, PlanningView, SleepDepth};
 use dds_placement::{
     ClusterState, DrowsyConfig, HostState, HostSummary, SleepScaleConfig, VmState,
@@ -676,53 +678,19 @@ impl Datacenter {
         &self.wake_log
     }
 
-    /// Fault injection: kills the rack's waking module. The heart-beat
-    /// monitor replaces it from its mirror at the next control period, so
-    /// drowsy-host state (including scheduled waking dates) survives —
-    /// the §V fault-tolerance property, exercised in vivo.
-    pub fn inject_waking_failure(&mut self) {
-        self.fail_waking_module();
-        let now = SimTime::from_hours(self.hour);
-        let replaced = self.waking.monitor(now);
-        debug_assert_eq!(replaced.len(), 1);
-    }
-
-    /// Fault injection without the immediate recovery of
-    /// [`Datacenter::inject_waking_failure`]: marks the rack's waking
-    /// module defective and leaves detection to the heartbeat monitor —
-    /// under [`EngineConfig::HighFidelity`] that is the next
-    /// [`DcEvent::Heartbeat`], so failover happens at sub-epoch latency.
-    pub fn fail_waking_module(&mut self) {
-        self.waking.inject_failure(RACK);
-    }
-
-    /// One heartbeat round (event engine): every alive waking module
-    /// beats, then the monitor replaces failed/silent ones from their
-    /// mirrors. Returns the number of failovers performed this round.
-    pub fn heartbeat_and_monitor(&mut self, now: SimTime) -> usize {
-        self.waking.heartbeat_all(now);
-        self.waking.monitor(now).len()
-    }
-
     /// Number of waking-module failovers performed so far.
     pub fn waking_failovers(&self) -> u64 {
         self.waking.failovers()
     }
 
-    /// Earliest lead-adjusted scheduled-wake instant across the waking
-    /// cluster (the engine's "scheduled wake due" event time).
-    pub(crate) fn next_scheduled_wake(&self) -> Option<SimTime> {
-        self.waking.next_fire_time()
-    }
-
     /// Runs `hours` control periods.
     ///
-    /// A one-line wrapper over the event engine: it schedules one
-    /// [`DcEvent::ControlEpoch`] per hour on a [`DcEngine`] in
-    /// [`EngineConfig::Legacy`] (the golden policy-equivalence suite pins
-    /// its bits). Build a [`DcEngine`] directly for sub-hour fidelity:
-    /// true-latency scheduled wakes, heartbeat-driven failover, mid-hour
-    /// VM arrivals/departures.
+    /// A one-line wrapper over the event engine: it runs one control
+    /// epoch per hour on a [`DcEngine`] in [`EngineConfig::Legacy`] (the
+    /// golden policy-equivalence suite pins its bits). Build a
+    /// [`DcEngine`] directly to schedule mid-hour VM arrivals,
+    /// departures and waking-module failures, or for sub-hour fidelity:
+    /// true-latency scheduled wakes.
     pub fn run(&mut self, hours: u64) {
         DcEngine::new(self, EngineConfig::Legacy).run_hours(hours);
     }

@@ -443,8 +443,9 @@ fn slmu_lifecycle_admit_run_depart() {
 #[test]
 fn waking_module_failure_mid_run_is_survivable() {
     // Kill the waking module halfway: scheduled wakes and drowsy-host
-    // state must survive the failover, so the outcome still shows
-    // deep suspension and anticipated timer wakes.
+    // state must survive the failover at the next heartbeat round, even
+    // on the legacy engine, so the outcome still shows deep suspension
+    // and anticipated timer wakes.
     let backup = TracePattern::paper_daily_backup().generate(24 * 6, &mut SimRng::new(2));
     let hosts = vec![
         HostSpec::testbed_machine(HostId(0), "P0"),
@@ -462,13 +463,20 @@ fn waking_module_failure_mid_run_is_survivable() {
     let cfg = DcConfig::paper_default();
     let policy = policy("neat-s3", &cfg, None);
     let mut dc = Datacenter::with_policy(cfg, policy, hosts, vms, vec![HostId(0), HostId(1)], 3);
-    dc.run(24 * 3);
-    dc.inject_waking_failure();
+    let mut engine = DcEngine::new(&mut dc, EngineConfig::Legacy);
+    engine.schedule_waking_failure(SimTime::from_hours(24 * 3));
+    engine.run_hours(24 * 6);
+    drop(engine);
     assert_eq!(dc.waking_failovers(), 1);
-    dc.run(24 * 3);
     assert!(wakes_are_anticipated(&dc), "timer wakes still anticipated");
     let out = dc.finish();
     assert!(out.global_suspended_fraction > 0.7, "suspension continues");
+    // 1.808339 kWh, 97.89 % suspended.
+    assert_eq!(out.energy_kwh.to_bits(), 0x3ffc_eef4_e011_4d30);
+    assert_eq!(
+        out.global_suspended_fraction.to_bits(),
+        0x3fef_533f_5617_839a
+    );
 }
 
 #[test]

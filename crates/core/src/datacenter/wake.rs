@@ -95,18 +95,14 @@ impl Datacenter {
     /// Event-engine path: fires every scheduled wake due at `now` (the
     /// waking modules' lead-adjusted schedules) and resumes the commanded
     /// hosts immediately — at their true latency, instead of waiting for
-    /// the next control-period poll. Returns the number of hosts resumed.
-    pub(super) fn fire_scheduled_wakes(&mut self, now: SimTime) -> usize {
-        let commands = self.waking.poll_schedules(now);
-        let mut resumed = 0;
-        for cmd in commands {
+    /// the next control-period poll.
+    pub(super) fn fire_scheduled_wakes(&mut self, now: SimTime) {
+        for cmd in self.waking.poll_schedules(now) {
             let host = cmd.mac.host();
             if self.hosts[host.index()].power.state().is_low_power() {
                 self.resume_host(host, now, WakeCause::Scheduled);
-                resumed += 1;
             }
         }
-        resumed
     }
 
     /// Simulates host `hid` through the current hour: a host with an
@@ -285,13 +281,11 @@ impl Datacenter {
             }
             host.meter.record_suspend_cycle();
             DcMetrics::get().suspends.inc();
-            // Register with the waking module.
-            let vms: Vec<(VmIp, VmId)> = resident
-                .iter()
-                .map(|&i| (VmIp::of(self.vms[i].spec.id), self.vms[i].spec.id))
-                .collect();
+            // Register the waking date with the waking module. Its packet
+            // map stays empty: traffic wakes come from the request
+            // streams, not from the packet analyzer.
             self.waking
-                .register_suspension(RACK, HostMac::of(hid), vms, waking_date);
+                .register_suspension(RACK, HostMac::of(hid), Vec::new(), waking_date);
         }
     }
 }

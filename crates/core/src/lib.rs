@@ -49,8 +49,8 @@ pub mod testbed;
 
 pub use cluster::{run_cluster_policy, run_cluster_policy_with, ClusterOutcome, ClusterSpec};
 pub use datacenter::{
-    dc_spans, AdmitError, Datacenter, DcConfig, DcEngine, DcEvent, DcOutcome, EngineConfig,
-    WakeCause, WakeRecord,
+    dc_spans, AdmitError, Datacenter, DcConfig, DcEngine, DcOutcome, EngineConfig, WakeCause,
+    WakeRecord,
 };
 pub use fleet::{run_fleet, FleetConfig, FleetOutcome, FleetQosConfig, FleetSim};
 pub use registry::{PolicyEntry, PolicyRegistry, RegistryError};

@@ -14,7 +14,7 @@
 
 use crate::addr::{HostMac, VmIp};
 use crate::waking::{PacketVerdict, WakeCommand, WakingModule};
-use dds_sim_core::{RackId, SimDuration, SimTime, VmId};
+use dds_sim_core::{RackId, SimDuration, SimTime};
 
 /// Health of one cluster member.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -111,7 +111,7 @@ impl WakingCluster {
         &mut self,
         rack: RackId,
         mac: HostMac,
-        vms: Vec<(VmIp, VmId)>,
+        vms: Vec<VmIp>,
         waking_date: Option<SimTime>,
     ) {
         let i = self.rack_index(rack);
@@ -179,8 +179,8 @@ impl WakingCluster {
     }
 
     /// Records a heartbeat from every *alive* module (failed modules have
-    /// stopped beating — that is what the monitor detects). One call per
-    /// heartbeat period from the event engine.
+    /// stopped beating — that is what the monitor detects). The event
+    /// engine calls it in the heartbeat round after a failure.
     pub fn heartbeat_all(&mut self, now: SimTime) {
         for i in 0..self.members.len() {
             self.heartbeat(RackId::from_index(i), now);
@@ -251,7 +251,7 @@ impl WakingCluster {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dds_sim_core::HostId;
+    use dds_sim_core::{HostId, VmId};
 
     fn mac(i: u32) -> HostMac {
         HostMac::of(HostId(i))
@@ -272,7 +272,7 @@ mod tests {
     #[test]
     fn state_survives_failover() {
         let mut c = cluster(2);
-        c.register_suspension(R0, mac(1), vec![(ip(1), VmId(1))], Some(t(100)));
+        c.register_suspension(R0, mac(1), vec![ip(1)], Some(t(100)));
         // Rack 0's module dies; rack 1 keeps heartbeating.
         c.inject_failure(R0);
         assert!(!c.is_alive(R0));
@@ -307,7 +307,7 @@ mod tests {
     #[test]
     fn packet_handling_after_failover_preserves_wake_in_flight() {
         let mut c = cluster(2);
-        c.register_suspension(R0, mac(1), vec![(ip(1), VmId(1))], None);
+        c.register_suspension(R0, mac(1), vec![ip(1)], None);
         // First packet triggers the wake.
         assert!(matches!(
             c.handle_packet(R0, ip(1)),
@@ -323,8 +323,8 @@ mod tests {
     #[test]
     fn racks_are_independent() {
         let mut c = cluster(2);
-        c.register_suspension(R0, mac(1), vec![(ip(1), VmId(1))], None);
-        c.register_suspension(R1, mac(2), vec![(ip(2), VmId(2))], None);
+        c.register_suspension(R0, mac(1), vec![ip(1)], None);
+        c.register_suspension(R1, mac(2), vec![ip(2)], None);
         assert!(c.module(R0).is_drowsy(mac(1)));
         assert!(!c.module(R0).is_drowsy(mac(2)));
         assert!(matches!(
@@ -337,7 +337,7 @@ mod tests {
     #[test]
     fn single_module_cluster_self_mirrors() {
         let mut c = cluster(1);
-        c.register_suspension(R0, mac(1), vec![(ip(1), VmId(1))], None);
+        c.register_suspension(R0, mac(1), vec![ip(1)], None);
         c.inject_failure(R0);
         c.monitor(t(1));
         // With one member the mirror is itself: state is retained because
@@ -365,7 +365,7 @@ mod tests {
     #[test]
     fn failed_module_serves_nothing_until_restored() {
         let mut c = cluster(2);
-        c.register_suspension(R0, mac(1), vec![(ip(1), VmId(1))], Some(t(100)));
+        c.register_suspension(R0, mac(1), vec![ip(1)], Some(t(100)));
         c.inject_failure(R0);
         // Dead window: no schedule fires, no packet analysis, no wake
         // deadline advertised — the module is gone.
@@ -388,8 +388,8 @@ mod tests {
     fn next_fire_time_is_the_cluster_minimum() {
         let mut c = cluster(2);
         assert_eq!(c.next_fire_time(), None);
-        c.register_suspension(R0, mac(1), vec![(ip(1), VmId(1))], Some(t(200)));
-        c.register_suspension(R1, mac(2), vec![(ip(2), VmId(2))], Some(t(100)));
+        c.register_suspension(R0, mac(1), vec![ip(1)], Some(t(200)));
+        c.register_suspension(R1, mac(2), vec![ip(2)], Some(t(100)));
         // Earliest date minus the 1.5 s lead, across both racks.
         assert_eq!(
             c.next_fire_time(),
@@ -417,7 +417,7 @@ mod tests {
     #[test]
     fn resumes_replicate_too() {
         let mut c = cluster(2);
-        c.register_suspension(R0, mac(1), vec![(ip(1), VmId(1))], None);
+        c.register_suspension(R0, mac(1), vec![ip(1)], None);
         c.on_host_resumed(R0, mac(1));
         c.inject_failure(R0);
         c.monitor(t(2));

@@ -62,8 +62,8 @@ pub const WAKE_LEAD: SimDuration = SimDuration::from_millis(1500);
 #[derive(Debug, Clone, PartialEq, Eq)]
 struct DrowsyHost {
     mac: HostMac,
-    /// VMs hosted there (IPs the packet analyzer matches).
-    vms: Vec<(VmIp, VmId)>,
+    /// IPs of the VMs hosted there (what the packet analyzer matches).
+    vms: Vec<VmIp>,
     /// Scheduled waking date, if the suspending module provided one.
     waking_date: Option<SimTime>,
     /// A WoL has been emitted and the host is presumed resuming.
@@ -107,16 +107,16 @@ impl WakingModule {
     /// Handles a suspension notice from a host's suspending module.
     ///
     /// "The VM to host mappings are only updated when a host is
-    /// suspended" — registration carries the full VM list and the optional
-    /// waking date.
+    /// suspended" — registration carries the IPs of the host's VMs and the
+    /// optional waking date.
     pub fn register_suspension(
         &mut self,
         mac: HostMac,
-        vms: Vec<(VmIp, VmId)>,
+        vms: Vec<VmIp>,
         waking_date: Option<SimTime>,
     ) {
-        for (ip, _) in &vms {
-            self.vm_to_host.insert(*ip, mac);
+        for &ip in &vms {
+            self.vm_to_host.insert(ip, mac);
         }
         if let Some(date) = waking_date {
             self.schedule.entry(date).or_default().push(mac);
@@ -135,7 +135,7 @@ impl WakingModule {
     /// Handles a host-resumed notice: drops all state for the host.
     pub fn on_host_resumed(&mut self, mac: HostMac) {
         if let Some(host) = self.hosts.remove(&mac) {
-            for (ip, _) in &host.vms {
+            for ip in &host.vms {
                 self.vm_to_host.remove(ip);
             }
             if let Some(date) = host.waking_date {
@@ -233,7 +233,7 @@ mod tests {
     #[test]
     fn packet_to_drowsy_host_wakes_it_once() {
         let mut w = WakingModule::new();
-        w.register_suspension(mac(2), vec![(ip(1), VmId(1)), (ip(3), VmId(3))], None);
+        w.register_suspension(mac(2), vec![ip(1), ip(3)], None);
         assert!(w.is_drowsy(mac(2)));
 
         match w.handle_packet(ip(3)) {
@@ -251,7 +251,7 @@ mod tests {
     #[test]
     fn resume_clears_mappings() {
         let mut w = WakingModule::new();
-        w.register_suspension(mac(2), vec![(ip(1), VmId(1))], Some(t(100)));
+        w.register_suspension(mac(2), vec![ip(1)], Some(t(100)));
         w.on_host_resumed(mac(2));
         assert!(!w.is_drowsy(mac(2)));
         assert_eq!(w.handle_packet(ip(1)), PacketVerdict::Forward);
@@ -261,7 +261,7 @@ mod tests {
     #[test]
     fn scheduled_wake_fires_ahead_of_time() {
         let mut w = WakingModule::new(); // lead 1.5 s
-        w.register_suspension(mac(4), vec![(ip(9), VmId(9))], Some(t(100)));
+        w.register_suspension(mac(4), vec![ip(9)], Some(t(100)));
         // Too early: 100 s − 1.5 s lead = 98.5 s.
         assert!(w.poll_schedule(t(98)).is_empty());
         assert_eq!(
@@ -280,7 +280,7 @@ mod tests {
     #[test]
     fn packet_wake_suppresses_scheduled_wake() {
         let mut w = WakingModule::new();
-        w.register_suspension(mac(4), vec![(ip(9), VmId(9))], Some(t(100)));
+        w.register_suspension(mac(4), vec![ip(9)], Some(t(100)));
         // A packet arrives before the scheduled date.
         assert!(matches!(
             w.handle_packet(ip(9)),
@@ -294,8 +294,8 @@ mod tests {
     #[test]
     fn multiple_hosts_same_waking_date() {
         let mut w = WakingModule::new();
-        w.register_suspension(mac(1), vec![(ip(1), VmId(1))], Some(t(50)));
-        w.register_suspension(mac(2), vec![(ip(2), VmId(2))], Some(t(50)));
+        w.register_suspension(mac(1), vec![ip(1)], Some(t(50)));
+        w.register_suspension(mac(2), vec![ip(2)], Some(t(50)));
         let cmds = w.poll_schedule(t(50));
         assert_eq!(cmds.len(), 2);
         let macs: Vec<_> = cmds.iter().map(|c| c.mac).collect();
@@ -305,7 +305,7 @@ mod tests {
     #[test]
     fn indefinite_sleep_without_waking_date() {
         let mut w = WakingModule::new();
-        w.register_suspension(mac(7), vec![(ip(5), VmId(5))], None);
+        w.register_suspension(mac(7), vec![ip(5)], None);
         assert!(w.poll_schedule(t(1_000_000)).is_empty());
         assert_eq!(w.next_fire_time(), None);
         // …but a packet still wakes it.
@@ -318,10 +318,10 @@ mod tests {
     #[test]
     fn re_suspension_updates_vm_set() {
         let mut w = WakingModule::new();
-        w.register_suspension(mac(1), vec![(ip(1), VmId(1))], None);
+        w.register_suspension(mac(1), vec![ip(1)], None);
         w.on_host_resumed(mac(1));
         // VM 1 migrated away; now hosts VM 2 only.
-        w.register_suspension(mac(1), vec![(ip(2), VmId(2))], None);
+        w.register_suspension(mac(1), vec![ip(2)], None);
         assert_eq!(w.handle_packet(ip(1)), PacketVerdict::Forward);
         assert!(matches!(
             w.handle_packet(ip(2)),

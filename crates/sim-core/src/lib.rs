@@ -8,9 +8,9 @@
 //!   decomposes an instant into the four scales the idleness model uses
 //!   (hour of day, day of week, day of month, month of year).
 //! * [`events`] — a stable, deterministic event queue ([`EventQueue`], a
-//!   binary heap) ordered by time with FIFO tie-breaking and O(1)
-//!   cancellation, over which a simulation runs its own clock and
-//!   handler loop at `SimTime` resolution instead of fixed ticks.
+//!   binary heap) ordered by time with FIFO tie-breaking, over which a
+//!   simulation runs its own clock and handler loop at `SimTime`
+//!   resolution instead of fixed ticks.
 //! * [`pool`] — a persistent worker pool ([`WorkerPool`]): long-lived
 //!   workers parked on a condvar between batches, submission-ordered
 //!   results, so every parallel hot loop (fleet shards, sweeps)
@@ -41,7 +41,7 @@ pub mod rng;
 pub mod stats;
 pub mod time;
 
-pub use events::{EventQueue, EventToken, ScheduledEvent};
+pub use events::{EventQueue, ScheduledEvent};
 pub use ids::{HostId, RackId, VmId};
 pub use pool::WorkerPool;
 pub use rng::SimRng;

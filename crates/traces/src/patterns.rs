@@ -529,15 +529,6 @@ impl TracePattern {
             intensity: 0.9,
         }
     }
-
-    /// The scenario-catalog leisure service: weekend prime time plus
-    /// weekday evenings.
-    pub fn catalog_weekend_heavy() -> TracePattern {
-        TracePattern::WeekendHeavy {
-            weekend_peak: 0.8,
-            weekday_evening: 0.35,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -720,10 +711,6 @@ mod tests {
             TracePattern::catalog_batch_queue().label(),
             "batch-queue@01h"
         );
-        assert_eq!(
-            TracePattern::catalog_weekend_heavy().label(),
-            "weekend-heavy"
-        );
     }
 
     #[test]
@@ -794,7 +781,11 @@ mod tests {
 
     #[test]
     fn weekend_heavy_mirrors_the_office_week() {
-        let t = TracePattern::catalog_weekend_heavy().generate(14 * 24, &mut rng());
+        let t = TracePattern::WeekendHeavy {
+            weekend_peak: 0.8,
+            weekday_evening: 0.35,
+        }
+        .generate(14 * 24, &mut rng());
         // Saturday (day 5) prime time busy; Monday morning idle.
         assert!(t.levels()[5 * 24 + 15] > 0.5);
         assert_eq!(t.levels()[10], 0.0);
@@ -811,7 +802,6 @@ mod tests {
             TracePattern::catalog_flash_crowd(),
             TracePattern::catalog_batch_queue(),
             TracePattern::catalog_diurnal_office(),
-            TracePattern::catalog_weekend_heavy(),
         ] {
             let a = p.generate(2_000, &mut SimRng::new(77));
             let b = p.generate(2_000, &mut SimRng::new(77));

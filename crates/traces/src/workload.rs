@@ -7,7 +7,7 @@
 //! scenario file, stored in a `ClusterSpec` member list (`dds-core`) and
 //! replayed deterministically from a seed.
 
-use crate::nutanix::{nutanix_trace, PERSONALITIES};
+use crate::nutanix::nutanix_trace;
 use crate::patterns::TracePattern;
 use crate::trace::VmTrace;
 use dds_sim_core::SimRng;
@@ -43,15 +43,6 @@ impl VmWorkload {
             VmWorkload::Nutanix { personality } => format!("nutanix-{personality}"),
         }
     }
-
-    /// True when the personality index (for [`VmWorkload::Nutanix`]) is in
-    /// range; patterns are always valid.
-    pub fn is_valid(&self) -> bool {
-        match self {
-            VmWorkload::Pattern(_) => true,
-            VmWorkload::Nutanix { personality } => (1..=PERSONALITIES).contains(personality),
-        }
-    }
 }
 
 impl From<TracePattern> for VmWorkload {
@@ -82,9 +73,6 @@ mod tests {
             "flash-crowd"
         );
         assert_eq!(VmWorkload::Nutanix { personality: 2 }.label(), "nutanix-2");
-        assert!(VmWorkload::Nutanix { personality: 5 }.is_valid());
-        assert!(!VmWorkload::Nutanix { personality: 0 }.is_valid());
-        assert!(!VmWorkload::Nutanix { personality: 6 }.is_valid());
     }
 
     #[test]

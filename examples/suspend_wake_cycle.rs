@@ -51,7 +51,7 @@ fn main() {
     );
 
     // ---- register the suspension with the rack's waking module.
-    waking.register_suspension(rack, mac, vec![(ip, vm)], waking_date);
+    waking.register_suspension(rack, mac, vec![ip], waking_date);
     println!("\n         host {host} is now drowsy; waking module owns its fate");
 
     // ---- wake path 1: an inbound packet for the VM.
@@ -84,7 +84,7 @@ fn main() {
 
     // ---- wake path 2: the scheduled waking date.
     println!("\nt=25:59  re-suspended earlier; the cron waking date approaches:");
-    waking.register_suspension(rack, mac, vec![(ip, vm)], Some(SimTime::from_hours(26)));
+    waking.register_suspension(rack, mac, vec![ip], Some(SimTime::from_hours(26)));
     let due = waking.poll_schedules(SimTime::from_hours(26) - SimDuration::from_millis(1400));
     println!(
         "         poll_schedules fires {} WoL(s) ahead of time: {:?}",

@@ -60,8 +60,8 @@ pub mod prelude {
         run_cluster_policy, run_cluster_policy_with, ClusterOutcome, ClusterSpec,
     };
     pub use dds_core::datacenter::{
-        Datacenter, DcConfig, DcEngine, DcEvent, DcOutcome, EngineConfig, QosStreamConfig,
-        WakeCause, WakeRecord,
+        Datacenter, DcConfig, DcEngine, DcOutcome, EngineConfig, QosStreamConfig, WakeCause,
+        WakeRecord,
     };
     pub use dds_core::registry::{PolicyEntry, PolicyRegistry};
     pub use dds_core::sweep::{llmi_grid, run_sweep, run_sweep_with, SweepOutcome, SweepPoint};

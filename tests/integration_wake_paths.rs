@@ -74,7 +74,7 @@ fn waking_cluster_survives_cascading_failures() {
         cluster.register_suspension(
             RackId(r),
             HostMac::of(HostId(r)),
-            vec![(VmIp::of(VmId(r)), VmId(r))],
+            vec![VmIp::of(VmId(r))],
             Some(SimTime::from_hours(10)),
         );
     }
@@ -105,7 +105,7 @@ fn packets_forward_once_host_is_awake_again() {
     let rack = RackId(0);
     let mac = HostMac::of(HostId(0));
     let ip = VmIp::of(VmId(0));
-    cluster.register_suspension(rack, mac, vec![(ip, VmId(0))], None);
+    cluster.register_suspension(rack, mac, vec![ip], None);
     assert!(matches!(
         cluster.handle_packet(rack, ip),
         PacketVerdict::WakeAndHold(_)
