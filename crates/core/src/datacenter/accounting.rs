@@ -10,14 +10,8 @@ impl Datacenter {
         for h in &mut self.hosts {
             let state = h.power.state();
             h.meter.advance(end, state, 0.0);
-            // A streaming-only run keeps a trimmed working window, not a
-            // replayable history: the outcome carries timelines only when
-            // full retention was asked for.
-            if let Some(tl) = h.meter.take_timeline() {
-                if self.cfg.track_power_timeline {
-                    timelines.push(tl);
-                }
-            }
+            // Recorded only under `track_power_timeline`.
+            timelines.extend(h.meter.take_timeline());
         }
         let mut account = DcEnergyAccount::new();
         let mut suspended_fraction = Vec::new();

@@ -93,13 +93,14 @@ impl Datacenter {
         SimDuration::from_secs_f64(secs)
     }
 
-    /// Moves a VM between hosts at `now` (already validated by the
-    /// planner). Charges wake + transfer on both ends.
-    pub(super) fn apply_move(&mut self, vm_id: VmId, to: HostId, now: SimTime) {
+    /// Moves a VM between hosts at the current hour's start (already
+    /// validated by the planner). Charges wake + transfer on both ends.
+    pub(super) fn apply_move(&mut self, vm_id: VmId, to: HostId) {
         let from = self.vms[vm_id.index()].host;
         if from == to {
             return;
         }
+        let now = SimTime::from_hours(self.hour);
         let t0 = self.wake_for_management(from, now);
         let t1 = self.wake_for_management(to, now);
         let ready = t0.max(t1);
@@ -115,7 +116,7 @@ impl Datacenter {
         self.vms[vm_id.index()].migrations += 1;
         self.vms[vm_id.index()].last_migration_hour = Some(self.hour);
         telemetry::DcMetrics::get().migrations.inc();
-        self.record_placement(vm_id, now, to);
+        self.record_placement(vm_id, to);
     }
 
     /// One control period. Driven only by [`DcEngine`]'s control
@@ -137,7 +138,7 @@ impl Datacenter {
         // --- consolidation round, on the hour cache's levels and scores.
         if h.is_multiple_of(self.cfg.relocation_period_hours) {
             let _span = telemetry::dc_spans().span("dc.consolidate");
-            self.consolidate(hour_start);
+            self.consolidate();
         }
 
         // --- scheduled wakes due now (waking module fires ahead of time).
@@ -164,20 +165,12 @@ impl Datacenter {
             }
         }
 
-        // --- streaming QoS: serve this hour's requests against the
-        // timelines recorded so far (every active VM's host woke within
-        // the hour, so each lookup resolves in recorded history), then
-        // drop the intervals no future arrival can need.
+        // --- streaming QoS: serve this hour's requests on each VM's
+        // current host, after that host's latest resume (every active
+        // VM's host is awake from it to the hour's end).
         if let Some(q) = self.qos.as_mut() {
             let _span = telemetry::dc_spans().span("dc.qos_fold");
             q.process_epoch(h, &self.hosts, &self.vms);
-            if !self.cfg.track_power_timeline {
-                for host in &mut self.hosts {
-                    if let Some(tl) = host.meter.timeline_mut() {
-                        tl.trim_before(hour_end);
-                    }
-                }
-            }
         }
 
         let _span = telemetry::dc_spans().span("dc.im_update");
@@ -215,8 +208,8 @@ impl Datacenter {
     /// Runs the policy's relocation rounds, re-snapshotting the cluster
     /// between rounds (Oasis's parking pass must observe the state after
     /// its packing pass), and applies each round's orders in plan order:
-    /// migrations, swaps, unparks, parks.
-    fn consolidate(&mut self, now: SimTime) {
+    /// migrations, swaps, unparks, parks, all at the hour's start.
+    fn consolidate(&mut self) {
         // Per-VM behaviour classes for class-aware policies (the
         // adaptive meta-policy); indexed by VmId, stable across rounds
         // (models only learn between control periods).
@@ -231,19 +224,19 @@ impl Datacenter {
                 .policy
                 .plan(round, &PlanningView::new(&state, &classes), &mut self.rng);
             for m in &plan.consolidation.migrations {
-                self.apply_move(m.vm, m.to, now);
+                self.apply_move(m.vm, m.to);
             }
             for s in &plan.consolidation.swaps {
-                self.apply_move(s.vm_a, s.host_b, now);
-                self.apply_move(s.vm_b, s.host_a, now);
+                self.apply_move(s.vm_a, s.host_b);
+                self.apply_move(s.vm_b, s.host_a);
             }
             // Unpark first (frees consolidation capacity), then park.
             for m in &plan.unpark {
-                self.apply_move(m.vm, m.to, now);
+                self.apply_move(m.vm, m.to);
                 self.vms[m.vm.index()].parked = false;
             }
             for m in &plan.park {
-                self.apply_move(m.vm, m.to, now);
+                self.apply_move(m.vm, m.to);
                 self.vms[m.vm.index()].parked = true;
             }
         }

@@ -170,9 +170,10 @@ impl<'a> DcEngine<'a> {
         self.queue.schedule(at.max(self.now), event);
     }
 
-    /// Schedules a VM arrival at `at` (sub-hour instants welcome). With a
-    /// finite `lifetime`, the departure is scheduled automatically on
-    /// admission.
+    /// Schedules a VM arrival at `at`. The arrival is handled at `at`,
+    /// but [`Datacenter::admit_vm`] places the VM at the next hour
+    /// boundary, where it first runs. With a finite `lifetime`, the
+    /// departure is scheduled on admission, `lifetime` after `at`.
     pub fn schedule_arrival(&mut self, at: SimTime, spec: VmSpec, lifetime: Option<SimDuration>) {
         self.schedule_at(
             at,

@@ -9,8 +9,9 @@
 //! transitions (seconds), wake-on-packet offsets and migration transfers.
 //! Both fidelities fire scheduled VM arrivals/departures and
 //! waking-module failures as events at true `SimTime` instants between
-//! epochs; [`EngineConfig::HighFidelity`] additionally fires scheduled
-//! S3/S5 wakes that way.
+//! epochs (an admitted VM is placed at the next hour boundary);
+//! [`EngineConfig::HighFidelity`] additionally fires scheduled S3/S5
+//! wakes that way.
 //!
 //! ## Architecture
 //!
@@ -138,16 +139,17 @@ pub struct DcConfig {
     /// Record the VM×VM colocation matrix (Fig. 2). Off, the matrix is
     /// never allocated and [`DcOutcome::colocation`] stays empty.
     pub track_colocation: bool,
-    /// Retain per-host [`PowerTimeline`]s and the VM placement log for
+    /// Record per-host [`PowerTimeline`]s and the VM placement log for
     /// the whole run, surfaced on [`DcOutcome::timelines`] and
     /// [`DcOutcome::placements`] — the recorded history the streaming QoS
-    /// pipeline's per-request oracle is checked against. Off by default:
-    /// no production path needs the full history.
+    /// pipeline's per-request oracle is checked against. Off by default;
+    /// off, no meter records a timeline, since no production path reads
+    /// one (the QoS stream included).
     pub track_power_timeline: bool,
     /// Compute request-level QoS *inline* with the run (the streaming
     /// pipeline; see [`QosStreamConfig`]): per-epoch [`QosWindow`]s
     /// delivered to the policy, the run-wide report on
-    /// [`DcOutcome::qos`] — without retaining timelines or placement
+    /// [`DcOutcome::qos`] — without recording timelines or placement
     /// logs. `None` (the default) costs nothing.
     ///
     /// [`QosWindow`]: dds_sim_core::qos::QosWindow
@@ -197,6 +199,10 @@ pub(crate) struct HostSim {
     always_on: bool,
     /// Management operations (migrations) pin the host awake until here.
     forced_awake_until: SimTime,
+    /// Start and end of the host's latest resume, `(EPOCH, EPOCH)` before
+    /// its first: a request the QoS fold routes here starts no earlier
+    /// than the end.
+    last_resume: (SimTime, SimTime),
 }
 
 pub(crate) struct VmSim {
@@ -410,9 +416,7 @@ impl Datacenter {
                 // (and its suspend/resume latencies) per host class.
                 let model = spec.power.clone().unwrap_or_else(|| cfg.power.clone());
                 let mut meter = EnergyMeter::new(model, start);
-                // The streaming QoS pipeline reads the timeline too — but
-                // trims it every epoch unless full retention was asked for.
-                if cfg.track_power_timeline || cfg.qos_stream.is_some() {
+                if cfg.track_power_timeline {
                     meter.enable_timeline();
                 }
                 HostSim {
@@ -422,6 +426,7 @@ impl Datacenter {
                     suspend: SuspendModule::new(suspend_cfg.clone()),
                     always_on: !policy.suspends(),
                     forced_awake_until: start,
+                    last_resume: (start, start),
                 }
             })
             .collect();
@@ -459,7 +464,7 @@ impl Datacenter {
         let qos = cfg
             .qos_stream
             .clone()
-            .map(|qcfg| QosStream::new(qcfg, seed, cfg.im.noise_threshold, &vms));
+            .map(|qcfg| QosStream::new(qcfg, seed, cfg.im.noise_threshold));
         let n = vms.len();
         let host_count = hosts.len();
         let mut dc = Datacenter {
@@ -490,16 +495,14 @@ impl Datacenter {
         dc
     }
 
-    /// Records a placement assignment into the placement log (under
-    /// `track_power_timeline`) and the streaming QoS pipeline's residency
-    /// (under `qos_stream`) — one seam, so the recorded history and the
-    /// streaming routing cannot disagree.
-    pub(crate) fn record_placement(&mut self, vm: VmId, at: SimTime, host: HostId) {
+    /// Records into the placement log (under `track_power_timeline`)
+    /// that `vm` runs on `host` from the current hour's start: every
+    /// placement after the initial one, admissions included, takes effect
+    /// at the top of the hour it is simulated in.
+    pub(crate) fn record_placement(&mut self, vm: VmId, host: HostId) {
         if self.cfg.track_power_timeline {
+            let at = SimTime::from_hours(self.hour);
             self.placements.push(PlacementRecord { vm, at, host });
-        }
-        if let Some(q) = self.qos.as_mut() {
-            q.on_placement(vm, at, host);
         }
     }
 
@@ -556,7 +559,10 @@ impl Datacenter {
     /// arrival costs O(hosts) plus the residents of the hosts touched
     /// since the last one, whatever the number of departed slots.
     ///
-    /// The spec's `id` is overwritten with the next dense id.
+    /// The VM is placed at the start of the hour the datacenter simulates
+    /// next ([`hour`](Self::hour)): an arrival between epochs takes effect
+    /// at the next hour boundary. The spec's `id` is overwritten with the
+    /// next dense id.
     pub fn admit_vm(&mut self, mut spec: VmSpec) -> Result<HostId, AdmitError> {
         let h = self.hour;
         spec.id = VmId(self.vms.len() as u32);
@@ -623,7 +629,7 @@ impl Datacenter {
         // ascending.
         self.residents[dest.index()].push(id.index());
         self.summaries[dest.index()] = None;
-        self.record_placement(id, now, dest);
+        self.record_placement(id, dest);
         if self.cfg.track_colocation {
             let n = self.vms.len();
             for row in &mut self.coloc_hours {

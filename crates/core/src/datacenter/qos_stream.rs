@@ -4,8 +4,8 @@
 //!
 //! At the end of each control epoch it draws that hour's Poisson
 //! arrivals per interactive VM (interval-batched, through
-//! [`RequestStream`]), routes them with the VM's *current* residency,
-//! serves them against the power timeline recorded so far, and folds the
+//! [`RequestStream`]), routes them to the VM's current host, starts each
+//! once that host's latest resume has ended, and folds the
 //! results into a per-epoch [`QosWindow`], on every idle core (see
 //! *Parallel fold* below). The window is handed to the
 //! control policy at the top of the next epoch
@@ -22,27 +22,28 @@
 //! first of them is the one that woke a parked host (`simulate_host_hour`
 //! starts a traffic wake at the earliest first arrival among the host's
 //! active interactive residents). So no request arrives before its host's
-//! resume began, and each is served from the timeline's
-//! [`operational_from`](PowerTimeline::operational_from) its arrival: at
-//! once on an awake host, at the end of the resume in flight otherwise
-//! (`dds_sim_core::qos::fcfs_serve`). The tests of this module pin the
-//! pipeline **bit for bit** — exact counters, histogram buckets, worst
-//! wake latency — against an event-per-request oracle that walks a fully
-//! recorded twin of the run ([`DcConfig::track_power_timeline`]) with
-//! the sequential `RequestGenerator` client and binary-search lookups.
+//! resume began, and each starts at `max(arrival, end of the host's
+//! latest resume)`: at once on an awake host, at the end of the resume
+//! in flight otherwise (`dds_sim_core::qos::fcfs_serve`). The tests of
+//! this module pin the pipeline **bit for bit** — exact counters,
+//! histogram buckets, worst wake latency — against an event-per-request
+//! oracle that walks a fully recorded twin of the run
+//! ([`DcConfig::track_power_timeline`]: power timelines and the placement
+//! log) with the sequential `RequestGenerator` client.
 //!
-//! **Trim safety.** A VM active in hour `h` (level at or above the
-//! idleness noise gate — the same gate the request stream uses) forces
-//! its host awake *within* hour `h`, and every wake a request of hour `h`
-//! meets ends by the end of hour `h` (a traffic wake is clamped to finish
-//! within its hour, a timer wake starts at the hour boundary, and a
-//! lead-fired scheduled wake finishes at a boundary no request of the
-//! previous hour waits on). So every power-state lookup of the epoch
-//! resolves inside already-recorded history, and no arrival of a later
-//! epoch can need an interval that ended before the epoch boundary. That
-//! is what makes per-epoch evaluation exact and lets the run trim each
-//! timeline every epoch; `serve_hour` checks the bound in debug builds.
-//! Departed VMs stop their client when they are deleted.
+//! **Why the current host and its latest resume suffice.** A VM changes
+//! host only at the top of an hour (consolidation moves and admissions
+//! both place at `SimTime::from_hours(hour)`), before that hour's fold,
+//! so at the fold the VM's host is its host for every arrival of the
+//! hour. A VM active in hour `h` (level at or above the idleness noise
+//! gate — the same gate the request stream uses) keeps its host awake
+//! from that host's latest resume to the end of `h`, and every wake a
+//! request of hour `h` meets ends by then (a traffic wake is clamped to
+//! finish within its hour, a timer or management wake starts at the hour
+//! boundary, and a lead-fired scheduled wake finishes at a boundary no
+//! request of the previous hour waits on). Oasis parks working sets on
+//! its always-on consolidation host. `serve_hour` checks these facts in
+//! debug builds. Departed VMs stop their client when they are deleted.
 //!
 //! ## Parallel fold
 //!
@@ -61,19 +62,16 @@
 //!
 //! ## Memory
 //!
-//! Nothing whole-run is retained: per live VM the state is the FCFS
-//! server pool and a compacted residency of at most a few moves (each
-//! hour's RNG is derived afresh), dropped when the VM departs; per range,
-//! one buffer of the current VM-hour's arrivals as `u32` millisecond
-//! offsets (each service time is drawn as its request is served); per
-//! host, the timeline is trimmed each epoch to the intervals that can
-//! still matter (unless the run also asked for
-//! [`DcConfig::track_power_timeline`], in which case full retention is
-//! the point). That is what lets the pipeline ride along at fleet scale
-//! where materializing timelines and placement logs cannot.
+//! Nothing whole-run is retained: per live VM the state is its FCFS
+//! server pool (each hour's RNG is derived afresh), dropped when the VM
+//! departs; per range, one buffer of the current VM-hour's arrivals as
+//! `u32` millisecond offsets (each service time is drawn as its request
+//! is served). No timeline is recorded unless the run asked for
+//! [`DcConfig::track_power_timeline`]. That is what lets the pipeline
+//! ride along at fleet scale where materializing timelines and placement
+//! logs cannot.
 
 use super::*;
-use dds_power::TimelineCursor;
 use dds_sim_core::qos::{fcfs_serve, QosReport, QosWindow};
 use dds_sim_core::WorkerPool;
 use dds_traces::{hour_request_rng, RequestProfile, RequestStream};
@@ -129,19 +127,7 @@ impl QosStreamConfig {
     }
 }
 
-/// One VM's client state, persisted across epochs and dropped when the VM
-/// departs.
-#[derive(Default)]
-struct VmClient {
-    /// FCFS server pool (`free[i]` = instant server `i` frees up); sized
-    /// to the VM's vCPUs on first use.
-    free: Vec<SimTime>,
-    /// Residency: `(at, host)` moves in time order, compacted after every
-    /// epoch to the spans that can still matter.
-    moves: Vec<(SimTime, HostId)>,
-}
-
-/// Live state of the streaming pipeline: per-VM clients, the reused
+/// Live state of the streaming pipeline: per-VM server pools, the reused
 /// per-range request buffers, the pending epoch window and the run-wide
 /// report.
 pub(super) struct QosStream {
@@ -151,8 +137,10 @@ pub(super) struct QosStream {
     noise: f64,
     /// The request workload every buffer draws.
     profile: RequestProfile,
-    /// Per-VM clients, indexed by `VmId`.
-    clients: Vec<VmClient>,
+    /// Each VM's FCFS server pool, indexed by `VmId` (`servers[vm][i]` =
+    /// the instant server `i` frees up): sized to the VM's vCPUs on first
+    /// use, persisted across epochs and dropped when the VM departs.
+    servers: Vec<Vec<SimTime>>,
     /// Each slot's weight this epoch: its activity level if it is an
     /// active interactive VM, 0 otherwise (reused across epochs).
     weights: Vec<f64>,
@@ -173,16 +161,15 @@ struct EpochFold<'a> {
     hour: u64,
     seed: u64,
     sla_ms: u64,
-    /// Each host's recorded timeline, by host index.
-    timelines: &'a [Option<&'a PowerTimeline>],
+    hosts: &'a [HostSim],
 }
 
 impl QosStream {
-    pub(super) fn new(cfg: QosStreamConfig, seed: u64, noise: f64, vms: &[VmSim]) -> Self {
-        let mut stream = QosStream {
+    pub(super) fn new(cfg: QosStreamConfig, seed: u64, noise: f64) -> Self {
+        QosStream {
             seed,
             noise,
-            clients: Vec::new(),
+            servers: Vec::new(),
             weights: Vec::new(),
             buffers: Vec::new(),
             report: QosReport::new(cfg.profile.sla.as_millis()),
@@ -190,32 +177,14 @@ impl QosStream {
             pending: None,
             #[cfg(test)]
             pool: None,
-        };
-        for vm in vms {
-            stream.on_placement(vm.spec.id, SimTime::EPOCH, vm.host);
-        }
-        stream
-    }
-
-    /// Grows the client column through slot `i`.
-    fn ensure_slot(&mut self, i: usize) {
-        if self.clients.len() <= i {
-            self.clients.resize_with(i + 1, VmClient::default);
         }
     }
 
-    /// Records a placement assignment (initial placement, admission,
-    /// migration, swap, park/unpark) into the VM's residency.
-    pub(super) fn on_placement(&mut self, vm: VmId, at: SimTime, host: HostId) {
-        self.ensure_slot(vm.index());
-        self.clients[vm.index()].moves.push((at, host));
-    }
-
-    /// Drops a departed VM's client: its client stopped at deletion, so
-    /// its server pool and residency can never be read again.
+    /// Drops a departed VM's server pool: its client stopped at deletion,
+    /// so the pool can never be read again.
     pub(super) fn on_departure(&mut self, vm: VmId) {
-        if let Some(client) = self.clients.get_mut(vm.index()) {
-            *client = VmClient::default();
+        if let Some(servers) = self.servers.get_mut(vm.index()) {
+            *servers = Vec::new();
         }
     }
 
@@ -225,17 +194,17 @@ impl QosStream {
     }
 
     /// Processes control epoch `hour`: draws and serves every interactive
-    /// VM's requests for that hour against the recorded timelines,
-    /// producing the epoch's [`QosWindow`] (left in `pending`) and folding
-    /// it into the run report.
+    /// VM's requests for that hour on its current host, producing the
+    /// epoch's [`QosWindow`] (left in `pending`) and folding it into the
+    /// run report.
     ///
     /// The VM slots are cut into contiguous ranges of about equal
     /// expected requests ([`range_ends`]), at most one per executor of
     /// the pool (its workers plus this thread). Each range serves its
-    /// VMs in slot order into its own window with its own request buffer
-    /// and compacts its clients' residencies; the windows merge in range
-    /// order. Clients are independent and every window counter is exact
-    /// integer state, so the merged window is the serial one bit for bit.
+    /// VMs in slot order into its own window with its own request
+    /// buffer; the windows merge in range order. Clients are independent
+    /// and every window counter is exact integer state, so the merged
+    /// window is the serial one bit for bit.
     pub(super) fn process_epoch(&mut self, hour: u64, hosts: &[HostSim], vms: &[VmSim]) {
         #[cfg(test)]
         let test_pool = self.pool.clone();
@@ -247,8 +216,8 @@ impl QosStream {
         #[cfg(not(test))]
         let pool = WorkerPool::global();
 
-        if let Some(last) = vms.len().checked_sub(1) {
-            self.ensure_slot(last);
+        if self.servers.len() < vms.len() {
+            self.servers.resize_with(vms.len(), Vec::new);
         }
         self.weights.clear();
         self.weights.extend(vms.iter().map(|vm| {
@@ -268,21 +237,18 @@ impl QosStream {
             self.buffers
                 .resize_with(ends.len(), || RequestStream::new(profile.clone()));
         }
-        let timelines: Vec<Option<&PowerTimeline>> =
-            hosts.iter().map(|h| h.meter.timeline()).collect();
-        let epoch = EpochFold {
+        let epoch = &EpochFold {
             hour,
             seed: self.seed,
             sla_ms: self.report.sla_ms,
-            timelines: &timelines,
+            hosts,
         };
-        let epoch = &epoch;
-        let mut clients = &mut self.clients[..vms.len()];
+        let mut servers = &mut self.servers[..vms.len()];
         let mut start = 0;
         let mut tasks = Vec::with_capacity(ends.len());
         for (&end, requests) in ends.iter().zip(&mut self.buffers) {
-            let (range, rest) = std::mem::take(&mut clients).split_at_mut(end - start);
-            clients = rest;
+            let (range, rest) = std::mem::take(&mut servers).split_at_mut(end - start);
+            servers = rest;
             let vms = &vms[start..end];
             let weights = &self.weights[start..end];
             tasks.push(move || fold_range(epoch, vms, weights, range, requests));
@@ -328,95 +294,61 @@ fn range_ends(weights: &[f64], executors: usize) -> Vec<usize> {
 }
 
 /// Serves one range's requests of the epoch (`vms` with their `weights`
-/// and `clients`) in slot order into a fresh window, drawing them through
-/// `requests`, then compacts the range's residencies: each live client
-/// keeps its last move at or before the epoch boundary (it covers every
-/// future arrival until the next move). Departed slots hold no client
-/// state and are skipped.
+/// and `servers`) in slot order into a fresh window, drawing them through
+/// `requests`.
 fn fold_range(
     epoch: &EpochFold<'_>,
     vms: &[VmSim],
     weights: &[f64],
-    clients: &mut [VmClient],
+    servers: &mut [Vec<SimTime>],
     requests: &mut RequestStream,
 ) -> QosWindow {
     let mut window = QosWindow::new(epoch.hour, epoch.sla_ms);
-    let hour_end = SimTime::from_hours(epoch.hour + 1);
-    for ((vm, &level), client) in vms.iter().zip(weights).zip(clients) {
-        if vm.departed {
-            continue;
-        }
+    for ((vm, &level), servers) in vms.iter().zip(weights).zip(servers) {
         if level > 0.0 {
             let mut rng = hour_request_rng(epoch.seed, vm.spec.id.index() as u64, epoch.hour);
             let hour_requests = requests.hour(&mut rng, epoch.hour, level);
-            client.serve_hour(vm, epoch.hour, hour_requests, epoch.timelines, &mut window);
-        }
-        let m = &mut client.moves;
-        let cut = m
-            .partition_point(|&(at, _)| at <= hour_end)
-            .saturating_sub(1);
-        if cut > 0 {
-            m.drain(..cut);
+            let host = &epoch.hosts[vm.host.index()];
+            serve_hour(vm, host, epoch.hour, hour_requests, servers, &mut window);
         }
     }
     window
 }
 
-impl VmClient {
-    /// Serves this VM's `requests` of `hour` (arrival and service pairs,
-    /// each pair taken whether or not its request is served) into
-    /// `window`.
-    fn serve_hour(
-        &mut self,
-        vm: &VmSim,
-        hour: u64,
-        requests: impl Iterator<Item = (SimTime, SimDuration)>,
-        timelines: &[Option<&PowerTimeline>],
-        window: &mut QosWindow,
-    ) {
-        if self.free.is_empty() {
-            self.free
-                .resize((vm.spec.vcpus.round() as usize).max(1), SimTime::EPOCH);
-        }
-        // Arrivals are monotone within the hour: residency resolves with
-        // a forward walk, power state with a fresh timeline cursor.
-        let mut mv = 0usize;
-        let mut tl_cursor = TimelineCursor::new();
-        let hour_end = SimTime::from_hours(hour + 1);
-        for (arrival, service) in requests {
-            while mv < self.moves.len() && self.moves[mv].0 <= arrival {
-                mv += 1;
-            }
-            let Some(&(_, host)) = mv.checked_sub(1).map(|i| &self.moves[i]) else {
-                window.record_unserved();
-                continue;
-            };
-            let Some(timeline) = timelines[host.index()] else {
-                window.record_unserved();
-                continue;
-            };
-            debug_assert!(
-                !matches!(
-                    tl_cursor.state_at(timeline, arrival),
-                    Some(PowerState::Suspended | PowerState::Off)
-                ),
-                "a request of hour {hour} reached host {host} at {arrival} before its resume began"
-            );
-            let Some(operational) = tl_cursor.operational_from(timeline, arrival) else {
-                // An active VM keeps its host awake within the hour, so
-                // this only fires for requests of VMs idle-gated
-                // differently than the host model — flagged, not
-                // silently dropped.
-                window.record_unserved();
-                continue;
-            };
-            debug_assert!(
-                operational <= hour_end,
-                "a request of hour {hour} waits on a wake ending at {operational}"
-            );
-            let (latency_ms, wake_hit) = fcfs_serve(&mut self.free, arrival, service, operational);
-            window.record(host.index() as u32, latency_ms, wake_hit);
-        }
+/// Serves active VM `vm`'s `requests` of `hour` (arrival and service
+/// pairs) on its FCFS `servers` into `window`. Every request goes to the
+/// VM's current `host` and starts no earlier than the end of that host's
+/// latest resume.
+fn serve_hour(
+    vm: &VmSim,
+    host: &HostSim,
+    hour: u64,
+    requests: impl Iterator<Item = (SimTime, SimDuration)>,
+    servers: &mut Vec<SimTime>,
+    window: &mut QosWindow,
+) {
+    if servers.is_empty() {
+        servers.resize((vm.spec.vcpus.round() as usize).max(1), SimTime::EPOCH);
+    }
+    let hid = vm.host;
+    let (resumed, operational) = host.last_resume;
+    debug_assert_eq!(
+        host.power.state(),
+        PowerState::Active,
+        "host {hid} of an active VM is not awake at the fold of hour {hour}"
+    );
+    debug_assert!(
+        operational <= SimTime::from_hours(hour + 1),
+        "a request of hour {hour} waits on a wake of host {hid} ending at {operational}"
+    );
+    for (arrival, service) in requests {
+        debug_assert!(
+            arrival >= resumed,
+            "a request of hour {hour} reached host {hid} at {arrival} before its resume began"
+        );
+        let ready = arrival.max(operational);
+        let (latency_ms, wake_hit) = fcfs_serve(servers, arrival, service, ready);
+        window.record(hid.index() as u32, latency_ms, wake_hit);
     }
 }
 
@@ -435,10 +367,11 @@ mod tests {
 
     /// The oracle for one VM of a fully recorded run: each active hour's
     /// requests drawn event per request by the sequential
-    /// `RequestGenerator` on that hour's stream, served from the recorded
-    /// timeline's operational instant through uncursored lookups, into a
-    /// fresh report. Everything it touches is derived from `(seed, vm,
-    /// hour)` and the recorded run, so the result is a pure function.
+    /// `RequestGenerator` on that hour's stream, routed through the
+    /// placement log and served from the recorded timeline's operational
+    /// instant, into a fresh report. Everything it touches is derived
+    /// from `(seed, vm, hour)` and the recorded run, so the result is a
+    /// pure function.
     fn replay_vm_reference(
         vm: &VmSpec,
         moves: &[(SimTime, HostId)],
@@ -507,53 +440,91 @@ mod tests {
         .generate(hours, &mut SimRng::new(seed))
     }
 
-    /// A finished run: its VMs, outcome and wake log.
-    struct SmallRun {
+    /// A fleet of testbed machines: its hosts, its VMs and each VM's
+    /// initial host.
+    struct Layout {
+        hosts: Vec<HostSpec>,
         vms: Vec<VmSpec>,
+        placement: Vec<HostId>,
+    }
+
+    impl Layout {
+        /// `machines` testbed machines hosting one VM per `(trace, kind)`,
+        /// dealt round-robin over the first `seated` machines.
+        fn testbed(machines: u32, seated: u32, vms: Vec<(VmTrace, WorkloadKind)>) -> Self {
+            Layout {
+                hosts: (0..machines)
+                    .map(|i| HostSpec::testbed_machine(HostId(i), format!("P{i}")))
+                    .collect(),
+                placement: (0..vms.len() as u32).map(|i| HostId(i % seated)).collect(),
+                vms: vms
+                    .into_iter()
+                    .enumerate()
+                    .map(|(i, (t, kind))| {
+                        VmSpec::testbed_flavor(VmId(i as u32), format!("V{i}"), t, kind)
+                    })
+                    .collect(),
+            }
+        }
+
+        /// Two machines hosting one interactive VM per trace, alternately.
+        fn two_machines(traces: Vec<VmTrace>) -> Self {
+            let vms = traces.into_iter().map(|t| (t, WorkloadKind::Interactive));
+            Self::testbed(2, 2, vms.collect())
+        }
+
+        /// Five bursty interactive VMs and three daily backups filling
+        /// four machines, beside a free fifth: hosts park, and wake for
+        /// requests, for timers and for migrations, and Oasis parks
+        /// working sets on the fifth.
+        fn wake_paths(hours: usize) -> Self {
+            let mut vms: Vec<_> = (1..=5)
+                .map(|seed| (bursty(hours, seed), WorkloadKind::Interactive))
+                .collect();
+            vms.extend([2u8, 9, 17].map(|hour| {
+                let backup = TracePattern::DailyBackup {
+                    hour,
+                    duration_hours: 1,
+                    intensity: 0.9,
+                };
+                let trace = backup.generate(hours, &mut SimRng::new(u64::from(hour)));
+                (trace, WorkloadKind::TimerDriven)
+            }));
+            Self::testbed(5, 4, vms)
+        }
+    }
+
+    /// A finished run: its outcome and wake log.
+    struct SmallRun {
         out: DcOutcome,
         wakes: Vec<WakeRecord>,
     }
 
-    /// Runs two testbed machines hosting one interactive VM per trace
-    /// (alternating placement) for `hours`, seed 7, folding QoS on `pool`
-    /// when one is given and on the global pool otherwise.
+    /// Runs `layout` under `policy` on an `engine` for `hours`, seed 7,
+    /// folding QoS on `pool` when one is given and on the global pool
+    /// otherwise. Oasis parks working sets on the layout's last machine.
     fn run_small(
         policy: &str,
-        traces: Vec<VmTrace>,
+        layout: &Layout,
         hours: u64,
+        engine: EngineConfig,
         tweak: impl FnOnce(&mut DcConfig),
         pool: Option<Arc<WorkerPool>>,
     ) -> SmallRun {
-        let hosts = vec![
-            HostSpec::testbed_machine(HostId(0), "P0"),
-            HostSpec::testbed_machine(HostId(1), "P1"),
-        ];
-        let vms: Vec<VmSpec> = traces
-            .into_iter()
-            .enumerate()
-            .map(|(i, t)| {
-                VmSpec::testbed_flavor(
-                    VmId(i as u32),
-                    format!("V{i}"),
-                    t,
-                    WorkloadKind::Interactive,
-                )
-            })
-            .collect();
-        let placement: Vec<HostId> = (0..vms.len()).map(|i| HostId((i % 2) as u32)).collect();
         let mut cfg = DcConfig::paper_default();
         tweak(&mut cfg);
+        let last = HostId::from_index(layout.hosts.len() - 1);
         let policy = crate::registry::PolicyRegistry::standard()
-            .build(policy, &cfg, None)
+            .build(policy, &cfg, Some(last))
             .expect("registered policy");
-        let mut dc = Datacenter::with_policy(cfg, policy, hosts, vms.clone(), placement, 7);
+        let (hosts, vms) = (layout.hosts.clone(), layout.vms.clone());
+        let mut dc = Datacenter::with_policy(cfg, policy, hosts, vms, layout.placement.clone(), 7);
         if let Some(q) = dc.qos.as_mut() {
             q.pool = pool;
         }
-        dc.run(hours);
+        DcEngine::new(&mut dc, engine).run_hours(hours);
         let wakes = dc.wake_log().to_vec();
         SmallRun {
-            vms,
             out: dc.finish(),
             wakes,
         }
@@ -563,14 +534,16 @@ mod tests {
     /// given.
     fn streamed(
         policy: &str,
-        traces: Vec<VmTrace>,
+        layout: &Layout,
         hours: u64,
+        engine: EngineConfig,
         pool: Option<Arc<WorkerPool>>,
     ) -> (SmallRun, QosReport) {
         let mut run = run_small(
             policy,
-            traces,
+            layout,
             hours,
+            engine,
             |cfg| {
                 cfg.qos_stream = Some(QosStreamConfig::serial(
                     RequestProfile::web_search_quick_resume(),
@@ -586,14 +559,16 @@ mod tests {
     /// placement log retained, requests at the profile's rate.
     fn recorded(
         policy: &str,
-        traces: Vec<VmTrace>,
+        layout: &Layout,
         hours: u64,
+        engine: EngineConfig,
         profile: &RequestProfile,
     ) -> SmallRun {
         run_small(
             policy,
-            traces,
+            layout,
             hours,
+            engine,
             |cfg| {
                 cfg.track_power_timeline = true;
                 cfg.request_peak_rps = profile.peak_rps;
@@ -604,7 +579,8 @@ mod tests {
 
     #[test]
     fn always_on_fleet_sees_no_wake_hits() {
-        let (_, report) = streamed("neat", vec![bursty(48, 1), bursty(48, 2)], 48, None);
+        let layout = Layout::two_machines(vec![bursty(48, 1), bursty(48, 2)]);
+        let (_, report) = streamed("neat", &layout, 48, EngineConfig::Legacy, None);
         assert!(report.total > 1000, "requests flowed: {}", report.total);
         assert_eq!(report.wake_hits, 0, "always-on hosts never park");
         assert_eq!(report.wake_violations, 0);
@@ -618,7 +594,8 @@ mod tests {
 
     #[test]
     fn drowsy_fleet_charges_wakes_at_the_resume_latency() {
-        let (run, report) = streamed("drowsy-dc", vec![bursty(96, 1), bursty(96, 2)], 96, None);
+        let layout = Layout::two_machines(vec![bursty(96, 1), bursty(96, 2)]);
+        let (run, report) = streamed("drowsy-dc", &layout, 96, EngineConfig::Legacy, None);
         assert!(
             run.out.global_suspended_fraction > 0.0,
             "the run parks hosts"
@@ -637,41 +614,75 @@ mod tests {
 
     #[test]
     fn streaming_matches_the_per_request_oracle() {
-        // The interval-batched streaming pipeline (compacted residencies,
-        // cursored timeline lookups, batched draws) reports exactly what
-        // the event-per-request oracle computes from a fully recorded run
-        // — exact counters, histogram buckets and worst wake latency — for
-        // a parking and a non-parking policy.
+        // The interval-batched streaming pipeline (current hosts, latest
+        // resumes, batched draws) reports exactly what the
+        // event-per-request oracle computes from a fully recorded run
+        // — exact counters, histogram buckets and worst wake latency —
+        // and runs the recorded twin's physics. On two machines for a
+        // parking and a non-parking policy; then, under both fidelities,
+        // on a fleet whose requests meet traffic, timer, scheduled and
+        // management wakes, S3 and S5 resumes and Oasis working sets
+        // parked on the consolidation host.
         let profile = RequestProfile::web_search_quick_resume();
-        for policy in ["drowsy-dc", "neat"] {
-            let hours = 96;
-            let traces = vec![bursty(96, 1), bursty(96, 2), bursty(96, 3)];
-            let twin = recorded(policy, traces.clone(), hours, &profile);
-            let oracle = replay_reference(&twin.vms, &twin.out, &profile);
-            assert!(oracle.total > 0);
-            if policy == "drowsy-dc" {
-                assert!(oracle.wake_hits > 0, "the oracle run exercises wakes");
+        let (legacy, hifi) = (EngineConfig::Legacy, EngineConfig::HighFidelity);
+        let two = Layout::two_machines(vec![bursty(96, 1), bursty(96, 2), bursty(96, 3)]);
+        let fleet = Layout::wake_paths(96);
+        let mut cases = vec![(&two, "drowsy-dc", legacy), (&two, "neat", legacy)];
+        for engine in [legacy, hifi] {
+            for policy in ["drowsy-dc", "neat-s3", "oasis", "sleepscale"] {
+                cases.push((&fleet, policy, engine));
+            }
+        }
+        let mut paths = Vec::new();
+        for (layout, policy, engine) in cases {
+            let at = format!("{policy}, {}, {} VMs", engine.label(), layout.vms.len());
+            let twin = recorded(policy, layout, 96, engine, &profile);
+            let oracle = replay_reference(&layout.vms, &twin.out, &profile);
+            assert!(oracle.total > 0, "{at}");
+            if policy != "neat" {
+                assert!(oracle.wake_hits > 0, "{at}: requests wait on wakes");
             }
             // The oracle is a pure function of the recorded run.
-            assert_eq!(replay_reference(&twin.vms, &twin.out, &profile), oracle);
-            let (_, streamed) = streamed(policy, traces, hours, None);
-            assert_eq!(streamed, oracle, "{policy}");
+            assert_eq!(replay_reference(&layout.vms, &twin.out, &profile), oracle);
+            let (run, streamed) = streamed(policy, layout, 96, engine, None);
+            assert_eq!(streamed, oracle, "{at}");
+            assert_eq!(run.wakes, twin.wakes, "{at}");
+            assert_eq!(
+                run.out.energy_kwh.to_bits(),
+                twin.out.energy_kwh.to_bits(),
+                "{at}"
+            );
+            paths.extend(run.wakes.iter().map(|w| (w.cause, w.from_off)));
+            if policy == "oasis" {
+                let parked = twin.out.placements.iter().filter(|p| p.host == HostId(4));
+                assert!(parked.count() > 1, "{at}: working sets park on host 4");
+            }
+        }
+        for path in [
+            (WakeCause::Traffic, false),
+            (WakeCause::Traffic, true),
+            (WakeCause::Timer, false),
+            (WakeCause::Scheduled, false),
+            (WakeCause::Management, false),
+        ] {
+            assert!(paths.contains(&path), "no {path:?} wake");
         }
     }
 
     #[test]
     fn streaming_run_is_bit_identical_to_its_recorded_twin() {
-        // A run evaluating QoS inline (trimmed timelines, no placement
-        // log) is the same run as its fully recorded twin at the same
-        // request rate: identical physics and wakes, nothing whole-run
-        // retained, and exactly the report the oracle computes from the
-        // twin's recording.
+        // A run evaluating QoS inline (no timelines, no placement log) is
+        // the same run as its fully recorded twin at the same request
+        // rate: identical physics and wakes, nothing whole-run retained,
+        // and exactly the report the oracle computes from the twin's
+        // recording.
         let profile = RequestProfile::web_search_quick_resume();
         for policy in ["drowsy-dc", "neat"] {
             let hours = 96;
             let traces = vec![bursty(96, 1), bursty(96, 2), bursty(96, 3), bursty(96, 4)];
-            let twin = recorded(policy, traces.clone(), hours, &profile);
-            let (run, streamed) = streamed(policy, traces, hours, None);
+            let layout = Layout::two_machines(traces);
+            let twin = recorded(policy, &layout, hours, EngineConfig::Legacy, &profile);
+            let (run, streamed) = streamed(policy, &layout, hours, EngineConfig::Legacy, None);
             // Streaming must not perturb the run's physics…
             assert_eq!(
                 run.out.energy_kwh.to_bits(),
@@ -692,7 +703,7 @@ mod tests {
                 );
             }
             // …retains nothing whole-run…
-            assert!(run.out.timelines.is_empty(), "no timeline retention");
+            assert!(run.out.timelines.is_empty(), "no timeline recorded");
             assert!(run.out.placements.is_empty(), "no placement log");
             assert!(
                 !twin.out.timelines.is_empty(),
@@ -701,7 +712,7 @@ mod tests {
             // …and reports exactly what the twin's recording yields.
             assert_eq!(
                 streamed,
-                replay_reference(&twin.vms, &twin.out, &profile),
+                replay_reference(&layout.vms, &twin.out, &profile),
                 "{policy}"
             );
         }
@@ -718,11 +729,13 @@ mod tests {
         for policy in ["drowsy-dc", "neat"] {
             let hours = 96;
             let traces = vec![bursty(96, 1), bursty(96, 2), bursty(96, 3), bursty(96, 4)];
-            let twin = recorded(policy, traces.clone(), hours, &profile);
-            let oracle = replay_reference(&twin.vms, &twin.out, &profile);
+            let layout = Layout::two_machines(traces);
+            let twin = recorded(policy, &layout, hours, EngineConfig::Legacy, &profile);
+            let oracle = replay_reference(&layout.vms, &twin.out, &profile);
             for workers in [0, 1, 3] {
                 let pool = Arc::new(WorkerPool::new(workers));
-                let (run, report) = streamed(policy, traces.clone(), hours, Some(pool));
+                let legacy = EngineConfig::Legacy;
+                let (run, report) = streamed(policy, &layout, hours, legacy, Some(pool));
                 assert_eq!(report, oracle, "{policy}, {workers} workers");
                 assert_eq!(run.wakes, twin.wakes, "{policy}, {workers} workers");
                 assert_eq!(
@@ -737,9 +750,9 @@ mod tests {
     #[test]
     fn departed_clients_hold_no_state() {
         // Interactive jobs arrive, serve requests and depart beside four
-        // long-lived VMs. A departed VM's client is dropped at deletion
-        // and skipped by the compaction, and the report is the one the
-        // fold produced when departed clients kept their state.
+        // long-lived VMs. A departed VM's server pool is dropped at
+        // deletion, and the report is the one the fold produced when
+        // departed clients kept their state.
         let hosts: Vec<HostSpec> = (0..4)
             .map(|i| HostSpec::testbed_machine(HostId(i), format!("P{i}")))
             .collect();
@@ -790,13 +803,8 @@ mod tests {
             "{admitted} admitted, {departed:?}"
         );
         for &i in &departed {
-            let client = &q.clients[i];
-            assert!(
-                client.moves.is_empty() && client.free.is_empty(),
-                "departed VM {i} keeps {} moves and {} servers",
-                client.moves.len(),
-                client.free.len()
-            );
+            let servers = &q.servers[i];
+            assert!(servers.is_empty(), "departed VM {i} keeps {servers:?}");
         }
         let report = dc.finish().qos.expect("the run streams QoS");
         assert!(report.wake_hits > 0, "the churned fleet parks and wakes");

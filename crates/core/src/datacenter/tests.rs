@@ -833,7 +833,8 @@ fn residency_lists_mirror_vms_through_churn_migrations_and_swaps() {
         .iter()
         .map(|&i| HostId(i as u32))
         .collect();
-    let cfg = DcConfig::paper_default();
+    let mut cfg = DcConfig::paper_default();
+    cfg.track_power_timeline = true;
     let policy = policy("drowsy-dc", &cfg, None);
     let mut dc = Datacenter::with_policy(cfg, policy, hosts, spec.vm_specs(42), placement, 42);
     let batch = |name: &str| {
@@ -880,6 +881,15 @@ fn residency_lists_mirror_vms_through_churn_migrations_and_swaps() {
         "8 initial + 2 arrivals - 2 departures"
     );
     assert!(moves > 0 && swaps > 0, "moves {moves}, swap hours {swaps}");
+    // An arrival is placed at the next hour boundary, not at its own
+    // instant, and every placement lands on an hour boundary: the QoS
+    // fold of an hour sees each VM on its host for the whole hour.
+    let placements = dc.finish().placements;
+    let first = |vm| placements.iter().find(|p| p.vm == vm).map(|p| p.at);
+    assert_eq!(first(VmId(8)), Some(SimTime::from_hours(13)));
+    assert_eq!(first(VmId(9)), Some(SimTime::from_hours(51)));
+    let hour = SimTime::from_hours(1).as_millis();
+    assert!(placements.iter().all(|p| p.at.as_millis() % hour == 0));
 }
 
 #[test]

@@ -71,6 +71,7 @@ impl Datacenter {
             .complete_transition(done)
             .expect("resume_host invariant: a begun resume always completes at its deadline");
         h.suspend.on_resume(done, ip_prob);
+        h.last_resume = (at, done);
         self.waking.on_host_resumed(RACK, HostMac::of(host));
         self.wake_log.push(WakeRecord {
             host,

@@ -15,9 +15,9 @@
 //! * [`EnergyMeter`] — integrates watts over simulated time and tracks the
 //!   per-state residency needed for Table I.
 //! * [`PowerTimeline`] — the opt-in per-host state history the meter can
-//!   record as a by-product, consumed by the streaming request-level QoS
-//!   pipeline (`dds_core::datacenter::QosStreamConfig`) to charge wake
-//!   latencies to individual requests.
+//!   record as a by-product: the recorded run against which the streaming
+//!   request-level QoS pipeline (`dds_core::datacenter::QosStreamConfig`)
+//!   is checked request by request.
 
 #![warn(missing_docs)]
 
@@ -29,4 +29,4 @@ pub mod timeline;
 pub use meter::{DcEnergyAccount, EnergyMeter};
 pub use model::{HostPowerModel, TransitionTimings};
 pub use state::{PowerState, PowerStateMachine, TransitionError, WakeSpeed};
-pub use timeline::{PowerInterval, PowerTimeline, TimelineCursor};
+pub use timeline::{PowerInterval, PowerTimeline};

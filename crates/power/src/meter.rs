@@ -68,14 +68,6 @@ impl EnergyMeter {
         self.timeline.as_ref()
     }
 
-    /// Mutable access to the recorded state history. The streaming QoS
-    /// pipeline uses this to [`PowerTimeline::trim_before`] history its
-    /// processing window has already consumed, keeping per-host memory
-    /// constant on long runs.
-    pub fn timeline_mut(&mut self) -> Option<&mut PowerTimeline> {
-        self.timeline.as_mut()
-    }
-
     /// Takes the recorded state history out of the meter (outcome
     /// assembly), leaving timeline recording disabled.
     pub fn take_timeline(&mut self) -> Option<PowerTimeline> {

@@ -8,15 +8,12 @@
 //! instants, resume windows and mid-hour wakes land at their true
 //! millisecond instants.
 //!
-//! The streaming request-level QoS pipeline (`dds-core`) serves per-VM
-//! request streams against these timelines: each request starts no
-//! earlier than [`PowerTimeline::operational_from`] its arrival, a binary
-//! search in O(log intervals) over an auxiliary sorted index of
-//! operational intervals, maintained incrementally by
-//! [`PowerTimeline::record`]. The pipeline walks each hour's time-ordered
-//! arrivals with a [`TimelineCursor`] on top, which amortizes consecutive
-//! lookups to O(1), and calls [`PowerTimeline::trim_before`] once its
-//! window moves past recorded history, keeping per-host memory constant.
+//! The per-request oracle of the streaming QoS pipeline (`dds-core`'s
+//! tests) serves each request no earlier than
+//! [`PowerTimeline::operational_from`] its arrival, against the timelines
+//! of a fully recorded run. The pipeline itself reads no timeline: it
+//! starts each request no earlier than the end of its host's latest
+//! resume.
 
 use crate::state::PowerState;
 use dds_sim_core::{SimDuration, SimTime};
@@ -44,8 +41,6 @@ impl PowerInterval {
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct PowerTimeline {
     intervals: Vec<PowerInterval>,
-    /// Indices (into `intervals`) of operational intervals, ascending.
-    op_index: Vec<u32>,
 }
 
 impl PowerTimeline {
@@ -53,7 +48,6 @@ impl PowerTimeline {
     pub fn new() -> Self {
         PowerTimeline {
             intervals: Vec::new(),
-            op_index: Vec::new(),
         }
     }
 
@@ -74,10 +68,6 @@ impl PowerTimeline {
                 last.end = to;
                 return;
             }
-        }
-        let idx = self.intervals.len() as u32;
-        if state.is_operational() {
-            self.op_index.push(idx);
         }
         self.intervals.push(PowerInterval {
             start: from,
@@ -117,49 +107,21 @@ impl PowerTimeline {
         self.index_at(t).map(|i| self.intervals[i].state)
     }
 
-    /// First operational interval index at or after interval `from`
-    /// (binary search over the operational index).
-    fn next_operational_index(&self, from: usize) -> Option<usize> {
-        let i = self.op_index.partition_point(|&op| (op as usize) < from);
-        self.op_index.get(i).map(|&op| op as usize)
-    }
-
     /// Earliest instant `>= t` at which the host is operational
     /// ([`PowerState::is_operational`]): `t` itself when the host is
     /// active at `t`, otherwise the start of the next active interval.
-    /// `None` when the host never runs again within the timeline.
-    /// O(log intervals): two binary searches, no interval scan.
+    /// `None` when the host never runs again within the timeline. A
+    /// binary search finds the interval at `t`; adjacent same-state
+    /// spans merge, so the next operational one lies a few steps on.
     pub fn operational_from(&self, t: SimTime) -> Option<SimTime> {
         let from = self.index_at(t)?;
-        self.operational_from_index(from, t)
-    }
-
-    fn operational_from_index(&self, from: usize, t: SimTime) -> Option<SimTime> {
         if self.intervals[from].state.is_operational() {
             return Some(t);
         }
-        self.next_operational_index(from + 1)
-            .map(|op| self.intervals[op].start)
-    }
-
-    /// Drops every interval ending at or before `t` (intervals spanning
-    /// `t` are kept whole). The streaming QoS pipeline calls this once
-    /// its processing window has moved past recorded history, so a
-    /// constant-memory run never accumulates more than a few intervals
-    /// per host. Cursors over this timeline must be re-created afterwards.
-    pub fn trim_before(&mut self, t: SimTime) {
-        let cut = self.intervals.partition_point(|iv| iv.end <= t);
-        if cut == 0 {
-            return;
-        }
-        self.intervals.drain(..cut);
-        // Rebuild the auxiliary index over the (short) remainder.
-        self.op_index.clear();
-        for (i, iv) in self.intervals.iter().enumerate() {
-            if iv.state.is_operational() {
-                self.op_index.push(i as u32);
-            }
-        }
+        self.intervals[from + 1..]
+            .iter()
+            .find(|iv| iv.state.is_operational())
+            .map(|iv| iv.start)
     }
 
     /// Total time spent in states satisfying `pred` (diagnostics).
@@ -168,54 +130,6 @@ impl PowerTimeline {
             .iter()
             .filter(|iv| pred(iv.state))
             .fold(SimDuration::ZERO, |acc, iv| acc + iv.duration())
-    }
-}
-
-/// A monotone lookup cursor over one [`PowerTimeline`].
-///
-/// Batch consumers (the streaming QoS pipeline) query timelines with
-/// non-decreasing instants; the cursor
-/// remembers the last interval hit and walks forward from there, so a
-/// whole request stream costs O(intervals + requests) instead of
-/// O(requests · log intervals). Queries that jump backwards fall back to
-/// the timeline's binary search, so the cursor is always correct — the
-/// fast path is an accelerator, never a semantic change (the regression
-/// tests pin cursor answers against the plain methods).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct TimelineCursor {
-    idx: usize,
-}
-
-impl TimelineCursor {
-    /// A cursor positioned at the start of the timeline.
-    pub fn new() -> Self {
-        TimelineCursor { idx: 0 }
-    }
-
-    /// Index of the interval containing `t`, advancing the cursor.
-    fn seek(&mut self, tl: &PowerTimeline, t: SimTime) -> Option<usize> {
-        let intervals = tl.intervals();
-        if self.idx >= intervals.len() || t < intervals[self.idx].start {
-            // Behind the cursor (or cursor off the end): binary search.
-            self.idx = intervals.partition_point(|iv| iv.end <= t);
-        } else {
-            // Walk forward; amortized O(1) over a monotone query stream.
-            while self.idx < intervals.len() && intervals[self.idx].end <= t {
-                self.idx += 1;
-            }
-        }
-        (self.idx < intervals.len() && intervals[self.idx].start <= t).then_some(self.idx)
-    }
-
-    /// [`PowerTimeline::state_at`] through the cursor.
-    pub fn state_at(&mut self, tl: &PowerTimeline, t: SimTime) -> Option<PowerState> {
-        self.seek(tl, t).map(|i| tl.intervals()[i].state)
-    }
-
-    /// [`PowerTimeline::operational_from`] through the cursor.
-    pub fn operational_from(&mut self, tl: &PowerTimeline, t: SimTime) -> Option<SimTime> {
-        let from = self.seek(tl, t)?;
-        tl.operational_from_index(from, t)
     }
 }
 
@@ -238,20 +152,15 @@ mod tests {
         tl
     }
 
-    /// The pre-index reference implementation: a linear forward scan.
+    /// The reference implementation: a linear scan from the first
+    /// interval, no binary search.
     fn operational_from_linear(tl: &PowerTimeline, t: SimTime) -> Option<SimTime> {
-        let intervals = tl.intervals();
-        let from = intervals.partition_point(|iv| iv.end <= t);
-        if from >= intervals.len() || intervals[from].start > t {
-            return None;
-        }
-        if intervals[from].state.is_operational() {
+        let mut rest = tl.intervals().iter().skip_while(|iv| iv.end <= t);
+        let at = rest.next().filter(|iv| iv.start <= t)?;
+        if at.state.is_operational() {
             return Some(t);
         }
-        intervals[from + 1..]
-            .iter()
-            .find(|iv| iv.state.is_operational())
-            .map(|iv| iv.start)
+        rest.find(|iv| iv.state.is_operational()).map(|iv| iv.start)
     }
 
     #[test]
@@ -381,64 +290,6 @@ mod tests {
                     operational_from_linear(&tl, q),
                     "case {k}, t = {s}s"
                 );
-            }
-        }
-    }
-
-    #[test]
-    fn cursor_matches_plain_lookups_on_monotone_and_backward_streams() {
-        for seed in 0..10 {
-            let tl = random_timeline(seed + 100, 30);
-            let horizon = tl.end().unwrap().as_secs() + 4;
-            // Monotone stream (the replay's access pattern).
-            let mut cur = TimelineCursor::new();
-            for s in 0..horizon {
-                let q = t(s);
-                assert_eq!(cur.state_at(&tl, q), tl.state_at(q), "seed {seed}");
-                assert_eq!(cur.operational_from(&tl, q), tl.operational_from(q));
-            }
-            // Backward jumps fall back to binary search, still correct.
-            let mut cur = TimelineCursor::new();
-            let mut rng = SimRng::new(seed);
-            for _ in 0..200 {
-                let s = (rng.unit() * horizon as f64) as u64;
-                let q = t(s);
-                assert_eq!(cur.operational_from(&tl, q), tl.operational_from(q));
-            }
-        }
-    }
-
-    #[test]
-    fn trim_keeps_spanning_intervals_and_later_queries_exact() {
-        let mut tl = sample();
-        // Trim inside the long suspended block: the block survives whole.
-        tl.trim_before(t(150));
-        assert_eq!(tl.start(), Some(t(103)), "spanning interval kept");
-        assert_eq!(tl.operational_from(t(150)), Some(t(201)));
-        assert_eq!(tl.state_at(t(250)), Some(PowerState::Active));
-        // Queries before the trim point now fall outside the record.
-        assert_eq!(tl.operational_from(t(50)), None);
-        // Trimming everything empties the timeline.
-        tl.trim_before(t(400));
-        assert!(tl.is_empty());
-        // Recording continues to work after a full trim.
-        tl.record(PowerState::Active, t(400), t(410));
-        assert_eq!(tl.operational_from(t(405)), Some(t(405)));
-        // No-op trim.
-        let mut tl = sample();
-        tl.trim_before(t(0));
-        assert_eq!(tl.intervals().len(), 5);
-    }
-
-    #[test]
-    fn trim_then_linear_equivalence_holds() {
-        for seed in 0..10 {
-            let mut tl = random_timeline(seed + 40, 30);
-            let horizon = tl.end().unwrap().as_secs();
-            tl.trim_before(t(horizon / 2));
-            for s in 0..horizon + 3 {
-                let q = t(s);
-                assert_eq!(tl.operational_from(q), operational_from_linear(&tl, q));
             }
         }
     }

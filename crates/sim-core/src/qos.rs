@@ -47,9 +47,10 @@ pub struct QosReport {
     pub queue_violations: u64,
     /// Worst latency paid by a wake-hit request, ms (0 when none).
     pub worst_wake_ms: u64,
-    /// Requests that could not be served within the recorded timeline
-    /// (host parked through the end of the run). Excluded from the
-    /// latency histogram; nonzero values flag a truncated timeline.
+    /// Requests that could not be served within a recorded timeline
+    /// (host parked through the end of the run), as the per-request
+    /// oracle counts them. Excluded from the latency histogram; the
+    /// streaming fold serves every request, so its reports hold 0.
     pub unserved: u64,
     /// The SLA threshold the counters were judged against, ms.
     pub sla_ms: u64,
@@ -214,12 +215,6 @@ impl QosWindow {
         }
     }
 
-    /// Records one unserved request (host parked through the recorded
-    /// horizon).
-    pub fn record_unserved(&mut self) {
-        self.report.unserved += 1;
-    }
-
     /// The per-host wake attribution, sorted by host index.
     pub fn hosts(&self) -> &[HostWakeQos] {
         &self.hosts
@@ -365,7 +360,7 @@ mod tests {
         w.record(7, 900, true); // wake violation on host 7
         w.record(2, 150, true); // wake hit within SLA on host 2
         w.record(7, 1200, true); // second wake violation on host 7
-        w.record_unserved();
+        w.report.unserved += 1;
         assert_eq!(w.epoch, 3);
         assert_eq!(w.report.total, 4);
         assert_eq!(w.report.unserved, 1);
@@ -419,7 +414,7 @@ mod tests {
                 if served {
                     w.record(host, ms, wake);
                 } else {
-                    w.record_unserved();
+                    w.report.unserved += 1;
                 }
             };
             let mut whole = QosWindow::new(9, 200);
